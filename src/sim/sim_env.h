@@ -2,30 +2,33 @@
 //
 // Every actor in the reproduction — db_bench client threads, the LSM flush
 // and compaction workers, the KVACCEL detector/rollback threads, the SSD
-// firmware — is a *simulated thread*: a real std::thread whose execution is
-// serialized by this scheduler so that exactly one runs at any instant,
-// ordered by virtual wake-up time (ties broken by spawn order). Virtual time
-// is a uint64 nanosecond clock that only the scheduler advances.
+// firmware — is a *simulated thread*: a user-space fiber with its own stack,
+// all of them multiplexed on the OS thread that calls Run(). Exactly one
+// runs at any instant, ordered by virtual wake-up time (ties broken by spawn
+// order). Virtual time is a uint64 nanosecond clock that only the scheduler
+// advances. A thread that parks hands the CPU straight to its successor —
+// the minimum (time, spawn seq) candidate — without a scheduler hop.
 //
 // This gives three properties the evaluation needs:
 //  1. Determinism — identical runs produce bit-identical time series.
 //  2. Speed — 600 virtual seconds of a 150 Kops/s workload executes in
-//     seconds of wall-clock, because "sleeping" is just a clock jump.
+//     seconds of wall-clock, because "sleeping" is just a clock jump and a
+//     switch between simulated threads is a swapcontext, not an OS thread
+//     handoff.
 //  3. Natural blocking code — LSM/SSD code is written with ordinary
 //     mutex/condvar idioms (SimMutex/SimCondVar), not callbacks.
 //
 // Threads may interact only through the Sim* primitives; plain std::mutex
-// inside simulated code would deadlock the cooperative schedule.
+// inside simulated code would deadlock the cooperative schedule. A simulated
+// thread must not block inside a catch handler: the C++ runtime keeps one
+// caught-exception stack per OS thread, which all fibers share.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/units.h"
@@ -55,7 +58,7 @@ class SimEnv {
   SimEnv& operator=(const SimEnv&) = delete;
 
   // Current virtual time in nanoseconds.
-  Nanos Now() const { return now_.load(std::memory_order_relaxed); }
+  Nanos Now() const { return now_; }
 
   // Spawns a simulated thread, ready to run at the current virtual time.
   // Daemon threads do not keep Run() alive: once only daemons remain they
@@ -80,9 +83,7 @@ class SimEnv {
   // Name of the currently executing simulated thread ("" outside).
   static const std::string& CurrentThreadName();
 
-  bool shutting_down() const {
-    return shutting_down_.load(std::memory_order_relaxed);
-  }
+  bool shutting_down() const { return shutting_down_; }
 
   // Optional fault injector (see sim/fault.h). Not owned; null by default.
   // Components reach it through their SimEnv* so arming faults needs no
@@ -99,49 +100,72 @@ class SimEnv {
  private:
   friend class SimMutex;
   friend class SimCondVar;
+  struct Fiber;
 
   enum class State { kReady, kRunning, kBlocked, kDone };
 
-  void ThreadMain(Thread* t);
-  // Parks the current thread as kBlocked; if `deadline` is non-zero-optional
-  // the scheduler resumes it at that virtual time with timed_out set.
-  // Precondition: caller holds `lock` on mu_. Returns with the lock held and
-  // the thread kRunning again.
-  void BlockCurrentLocked(std::unique_lock<std::mutex>& lock, Thread* self,
-                          bool has_deadline, Nanos deadline);
-  void SleepUntilLocked(std::unique_lock<std::mutex>& lock, Thread* self,
-                        Nanos t);
-  // Moves a blocked thread to kReady at the current time. mu_ must be held.
-  void WakeLocked(Thread* t);
-  // Smallest (time, seq) over runnable candidates other than `exclude`.
-  bool MinCandidateLocked(const Thread* exclude, Nanos* time,
-                          uint64_t* seq) const;
+  // First frame of every fiber: runs the current thread's body, retires it
+  // and leaves for the scheduler loop for good.
+  [[noreturn]] static void FiberMain() noexcept;
+  // Parks the current thread as kBlocked; with `has_deadline` it becomes a
+  // candidate at `deadline` and resumes with timed_out set if nothing woke it
+  // first. Returns with the thread kRunning again.
+  void BlockCurrent(Thread* self, bool has_deadline, Nanos deadline);
+  // Moves a blocked thread to kReady at the current time.
+  void Wake(Thread* t);
+  // Hands the CPU from the parked `self` to the next candidate, or to the
+  // scheduler loop when there is none; returns once `self` runs again.
+  void Park(Thread* self);
+  // Makes `next`, just taken from the candidate heap, the running thread and
+  // switches to it from context `from`.
+  void Resume(Fiber* from, Thread* next);
+  // Saves the running context into `from` and continues `to`; returns when
+  // something switches back. An exiting fiber passes `from_exits`.
+  void Switch(Fiber* from, Fiber* to, bool from_exits = false);
+  // Marks `t` done and wakes its joiners.
+  void Retire(Thread* t);
+  // Shutdown: resumes every unfinished thread in spawn order so it unwinds
+  // via ShutdownSignal; a thread that never started is retired unrun.
+  void Drain();
+  // Unmaps the stack of the thread that just exited.
+  void Reap();
+
+  // Candidate heap: runnable threads keyed by wake time and timed waits by
+  // deadline, min (key, spawn seq) first.
+  static Nanos Key(const Thread* t);
+  static bool Before(const Thread* a, const Thread* b);
+  void Enqueue(Thread* t);  // insert, or move up after the key decreased
+  Thread* PopMin();
   void CheckInSimThread() const;
 
-  mutable std::mutex mu_;
-  std::condition_variable sched_cv_;
-  std::vector<std::unique_ptr<Thread>> threads_;
-  std::atomic<Nanos> now_{0};
-  std::atomic<bool> shutting_down_{false};
-  bool running_ = false;
+  std::vector<std::unique_ptr<Thread>> threads_;  // spawn order
+  std::vector<Thread*> ready_;
+  std::unique_ptr<Fiber> sched_;  // the context that called Run()
+  Fiber* switch_from_ = nullptr;  // AddressSanitizer builds only
+  Thread* exited_ = nullptr;      // awaiting Reap()
+  size_t live_ = 0;               // threads not yet done
+  size_t live_daemons_ = 0;
+  Nanos now_ = 0;
+  bool shutting_down_ = false;
   uint64_t next_seq_ = 0;
   FaultInjector* fault_injector_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 };
 
 struct SimEnv::Thread {
+  ~Thread();
   std::string name;
   uint64_t seq = 0;
   bool daemon = false;
   std::function<void()> fn;
-  std::thread real;
   State state = State::kReady;
   Nanos wake_time = 0;       // when kReady: earliest virtual run time
   bool has_deadline = false;  // when kBlocked: timed wait in progress
   Nanos deadline = 0;
   bool timed_out = false;     // set by scheduler when a timed wait expires
-  std::condition_variable cv;
   std::deque<Thread*> joiners;
+  std::unique_ptr<Fiber> fiber;  // from first dispatch until done
+  size_t heap_pos = SIZE_MAX;    // index in ready_, SIZE_MAX when absent
 };
 
 // Cooperative mutex for simulated threads. FIFO handoff keeps scheduling
@@ -158,11 +182,6 @@ class SimMutex {
   bool HeldByCurrent() const;
 
  private:
-  friend class SimCondVar;
-  void LockLocked(std::unique_lock<std::mutex>& lock, SimEnv* env,
-                  SimEnv::Thread* self);
-  void UnlockLocked(SimEnv* env);
-
   SimEnv::Thread* owner_ = nullptr;
   std::deque<SimEnv::Thread*> waiters_;
 };

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -245,6 +246,178 @@ TEST(SimEnvTest, DeterministicAcrossRuns) {
     return log;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// Pins the dispatch order itself. Six seeded workers mix sleeps, yields,
+// mutex handoffs, timed condvar waits, notifies, spawns and joins next to a
+// daemon; every step folds (virtual time, event) into a digest. The constant
+// was recorded with the kernel that ran one OS thread per simulated thread,
+// so it holds the (time, spawn seq) order fixed across kernel rewrites.
+TEST(SimEnvTest, DispatchOrderMatchesPinnedDigest) {
+  SimEnv env;
+  SimMutex mu;
+  SimCondVar cv;
+  uint64_t digest = 14695981039346656037ull;  // FNV-1a
+  auto note = [&](uint64_t event) {
+    for (uint64_t v : {env.Now(), event}) {
+      for (int b = 0; b < 8; b++) {
+        digest = (digest ^ ((v >> (8 * b)) & 0xff)) * 1099511628211ull;
+      }
+    }
+  };
+  env.Spawn(
+      "ticker",
+      [&] {
+        for (;;) {
+          env.SleepFor(37);
+          note(1);
+        }
+      },
+      /*daemon=*/true);
+  for (uint64_t w = 0; w < 6; w++) {
+    env.Spawn("w" + std::to_string(w), [&, w] {
+      Random64 rng(w + 1);
+      for (uint64_t step = 0; step < 300; step++) {
+        uint64_t event = (w + 1) * 10000 + step * 8;
+        switch (rng.Uniform(7)) {
+          case 0:
+            env.SleepFor(rng.Uniform(40));
+            break;
+          case 1:
+            env.Yield();
+            break;
+          case 2: {
+            SimLockGuard g(mu);
+            env.SleepFor(rng.Uniform(5));
+            break;
+          }
+          case 3: {
+            SimLockGuard g(mu);
+            event += cv.WaitFor(mu, rng.Uniform(60)) ? 1 : 2;
+            break;
+          }
+          case 4: {
+            SimLockGuard g(mu);
+            cv.NotifyOne();
+            break;
+          }
+          case 5: {
+            SimLockGuard g(mu);
+            cv.NotifyAll();
+            break;
+          }
+          default: {
+            Nanos nap = rng.Uniform(30);
+            SimEnv::Thread* child = env.Spawn("child", [&, nap, event] {
+              env.SleepFor(nap);
+              note(event + 3);
+            });
+            if (rng.OneIn(2)) env.Join(child);
+          }
+        }
+        note(event);
+      }
+    });
+  }
+  env.Run();
+  EXPECT_EQ(digest, 6470606010411827322ull);
+}
+
+TEST(SimEnvTest, ThreadsShareTheRunCallersOsThread) {
+  SimEnv env;
+  std::set<std::thread::id> ids;
+  for (int i = 0; i < 3; i++) {
+    env.Spawn("t" + std::to_string(i), [&] {
+      ids.insert(std::this_thread::get_id());
+      env.SleepFor(5);
+      ids.insert(std::this_thread::get_id());
+    });
+  }
+  env.Run();
+  EXPECT_EQ(ids, std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
+// Destructor that records its owner's id, to observe stack unwinding.
+struct UnwindNote {
+  std::vector<int>* log;
+  int id;
+  ~UnwindNote() { log->push_back(id); }
+};
+
+TEST(SimEnvTest, ShutdownUnwindsDaemonsInSpawnOrder) {
+  SimEnv env;
+  SimMutex mu;
+  SimCondVar cv;
+  std::vector<int> unwound;
+  env.Spawn(
+      "sleeper",
+      [&] {
+        UnwindNote n{&unwound, 0};
+        for (;;) env.SleepFor(100);
+      },
+      /*daemon=*/true);
+  env.Spawn(
+      "waiter",
+      [&] {
+        UnwindNote n{&unwound, 1};
+        SimLockGuard g(mu);
+        cv.Wait(mu);
+      },
+      /*daemon=*/true);
+  env.Spawn(
+      "timed-waiter",
+      [&] {
+        UnwindNote n{&unwound, 2};
+        SimLockGuard g(mu);
+        cv.WaitFor(mu, FromSecs(1));
+      },
+      /*daemon=*/true);
+  env.Spawn("main", [&] { env.SleepFor(450); });
+  env.Run();
+  EXPECT_EQ(unwound, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(env.Now(), 450u);
+}
+
+TEST(SimEnvTest, DestroyAfterDeadlockUnwindsParkedThreads) {
+  std::vector<int> unwound;
+  bool late_ran = false;
+  {
+    SimMutex mu;  // outlives env, whose destructor unwinds "stuck"
+    SimCondVar cv;
+    SimEnv env;
+    env.Spawn("stuck", [&] {
+      UnwindNote n{&unwound, 7};
+      SimLockGuard g(mu);
+      cv.Wait(mu);
+    });
+    EXPECT_THROW(env.Run(), std::runtime_error);
+    env.Spawn("late", [&] { late_ran = true; });
+    EXPECT_TRUE(unwound.empty());
+  }
+  EXPECT_EQ(unwound, std::vector<int>{7});
+  EXPECT_FALSE(late_ran);
+}
+
+// 4096 short-lived threads, at most 64 alive at once: each maps a stack when
+// first dispatched and unmaps it when it exits.
+TEST(SimEnvTest, WavesOfShortLivedThreads) {
+  SimEnv env;
+  int finished = 0;
+  env.Spawn("parent", [&] {
+    for (int wave = 0; wave < 64; wave++) {
+      std::vector<SimEnv::Thread*> kids;
+      for (int i = 0; i < 64; i++) {
+        kids.push_back(env.Spawn("kid", [&, i] {
+          env.SleepFor(static_cast<Nanos>(1 + i % 3));
+          finished++;
+        }));
+      }
+      for (SimEnv::Thread* k : kids) env.Join(k);
+    }
+  });
+  env.Run();
+  EXPECT_EQ(finished, 64 * 64);
+  EXPECT_EQ(env.Now(), 64u * 3);
 }
 
 TEST(RateResourceTest, SerializesTransfers) {
