@@ -14,6 +14,28 @@ namespace {
 // shipper's kIntentEntryBytes: seq + sizes + type).
 constexpr uint64_t kResyncEntryBytes = 24;
 constexpr uint64_t kResyncChunkBytes = 256u << 10;
+
+// A pair node's options and world for running it on its own: replication
+// hooks cleared (a promoted or rejoining node is single until it re-pairs)
+// and its device-owned Dev-LSM attached.
+struct StandaloneNode {
+  lsm::DbOptions db;
+  core::KvaccelOptions kv;
+  lsm::DbEnv env;
+};
+
+StandaloneNode Standalone(const lsm::DbOptions& main_options,
+                          const core::KvaccelOptions& kv_options,
+                          const core::ReplNode& node, sim::SimEnv* env) {
+  StandaloneNode n{main_options, kv_options,
+                   lsm::DbEnv{env, node.ssd, node.fs, node.host_cpu}};
+  n.db.wal_shipper = nullptr;
+  n.db.manifest_shipper = nullptr;
+  n.kv.external_dev = node.dev;
+  n.kv.redirect_shipper = nullptr;
+  n.kv.rollback_shipper = nullptr;
+  return n;
+}
 }  // namespace
 
 Status PromoteNode(const lsm::DbOptions& main_options,
@@ -42,24 +64,11 @@ Status PromoteNode(const lsm::DbOptions& main_options,
   }
   rep->fence_epoch = epoch;
 
-  lsm::DbOptions opts = main_options;
-  opts.wal_shipper = nullptr;
-  opts.manifest_shipper = nullptr;
-  core::KvaccelOptions kv = kv_options;
-  kv.external_dev = node.dev;
-  kv.redirect_shipper = nullptr;
-  kv.rollback_shipper = nullptr;
-
-  lsm::DbEnv denv;
-  denv.env = env;
-  denv.ssd = node.ssd;
-  denv.fs = node.fs;
-  denv.host_cpu = node.host_cpu;
-
   // Step 1: offline verification, repair on errors, then re-check. A torn
   // WAL tail or orphan SST is a warning (legal after a crash); anything the
   // repair cannot clear fails the promotion.
-  DbChecker checker(opts, denv);
+  StandaloneNode n = Standalone(main_options, kv_options, node, env);
+  DbChecker checker(n.db, n.env);
   CheckReport cr = checker.Check();
   if (cr.errors() > 0) {
     rep->repaired = true;
@@ -89,7 +98,7 @@ Status PromoteNode(const lsm::DbOptions& main_options,
   // sequence comparison — this is where redirected writes that died with the
   // primary's device get re-hosted.
   std::unique_ptr<core::KvaccelDB> db;
-  Status s = core::KvaccelDB::Open(opts, kv, denv, &db);
+  Status s = core::KvaccelDB::Open(n.db, n.kv, n.env, &db);
   if (!s.ok()) {
     rep->first_error = s.ToString();
     return s;
@@ -127,25 +136,12 @@ Status RejoinBody(const lsm::DbOptions& main_options,
                   const core::ReplNode& node, core::KvaccelDB* serving,
                   const RejoinOptions& options, sim::SimEnv* env,
                   RejoinReport* rep, std::unique_ptr<core::KvaccelDB>* out) {
-  lsm::DbOptions opts = main_options;
-  opts.wal_shipper = nullptr;
-  opts.manifest_shipper = nullptr;
-  core::KvaccelOptions kv = kv_options;
-  kv.external_dev = node.dev;
-  kv.redirect_shipper = nullptr;
-  kv.rollback_shipper = nullptr;
-
-  lsm::DbEnv denv;
-  denv.env = env;
-  denv.ssd = node.ssd;
-  denv.fs = node.fs;
-  denv.host_cpu = node.host_cpu;
-
+  StandaloneNode n = Standalone(main_options, kv_options, node, env);
   // Step 1: quarantine the diverged tail. Repair always runs here — even a
   // checker-clean node can hold unacked entries above the frontier (they
   // committed locally before the partition fenced the node), and only the
   // frontier cut removes them. Then the node must re-check clean.
-  DbChecker checker(opts, denv);
+  DbChecker checker(n.db, n.env);
   CheckReport cr = checker.Check();
   rep->repaired = true;
   Status s = checker.Repair(&cr, options.frontier);
@@ -199,7 +195,7 @@ Status RejoinBody(const lsm::DbOptions& main_options,
   }
 
   std::unique_ptr<core::KvaccelDB> db;
-  s = core::KvaccelDB::Open(opts, kv, denv, &db);
+  s = core::KvaccelDB::Open(n.db, n.kv, n.env, &db);
   if (!s.ok()) {
     rep->first_error = s.ToString();
     return s;

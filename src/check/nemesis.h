@@ -6,7 +6,9 @@
 // mid-rollback and mid-redirect kill points — then runs the crash protocol
 // (close, drop page cache, clear latch, reopen) and verifies the recovered
 // DB against an in-memory ModelDb: every live key at its exact value, every
-// deleted key absent, and a full hybrid-iterator walk in model order.
+// deleted key absent, and a full hybrid-iterator walk in model order. The
+// same op stream, oracle and verify drive every topology; the HA schedules
+// replace the reopen with a promotion or a partition script.
 //
 // Everything is deterministic from NemesisOptions::seed: the same options
 // replay the exact same op stream, fault schedule and virtual-time
@@ -40,7 +42,8 @@ struct NemesisOptions {
   // replication sites (crash.net.send.mid, net.send.transient), and every
   // cycle ends in a failover: the pair dies, the backup is promoted
   // (check::PromoteNode) and verified against the oracle, the dead node is
-  // wiped, and the pair re-forms with roles swapped. Forces shards == 1.
+  // wiped, and the pair re-forms with roles swapped. The pair is one shard
+  // without NDP: ha with shards > 1 or with ndp is rejected.
   bool ha = false;
   // 0 = sync acks (every acked write must be served by the promoted node),
   // 1 = async acks (a bounded, reported tail may be lost).
@@ -54,7 +57,8 @@ struct NemesisOptions {
   // (no write acked on both sides of the split), the backup promotes under a
   // bumped fencing epoch, the healed primary deposes itself on the first
   // stale-epoch rejection, and check::RejoinNode reconciles it back in as a
-  // byte-identical replica. Forces ha == true and sync acks.
+  // byte-identical replica. Implies ha (and its rejections); async acks
+  // (repl_ack = 1) are rejected.
   bool net_partition = false;
   // Reconciliation transport for the rejoin step: 0 = WAL replay (every
   // entry re-runs the write path), 1 = delta resync (flushed state ships
@@ -66,6 +70,7 @@ struct NemesisOptions {
   // crash.ndp.* site so each one is exercised, then the combined table is
   // drawn from — and transient cycles also arm ndp.compact.transient so
   // recovery is verified under device rejections and host fallbacks.
+  // Single-node only (rejected with ha).
   bool ndp = false;
   // When non-empty: on divergence, write the op trace to
   // <trace_dump_dir>/nemesis-<seed>.trace on the host file system.
@@ -100,7 +105,9 @@ struct NemesisResult {
 };
 
 // Builds its own simulation world and runs the whole schedule; returns after
-// the virtual-time run completes.
+// the virtual-time run completes. A combination no runner drives (see the
+// option comments) is rejected before any world is built: ok = false, an
+// "unsupported: ..." error and an empty trace.
 NemesisResult RunNemesis(const NemesisOptions& options);
 
 // Reads the header line of a dumped trace back into `out` so one command

@@ -40,7 +40,10 @@ void HybridIterator::ChooseNext() {
       Value val = dev_->value();
       AdvanceDevPast(key);
       AdvanceMainPast(key);  // same key on the main side is stale
-      if (tomb) continue;    // deleted during redirection: hide entirely
+      // Hide it when deleted during redirection, or when the snapshot does
+      // not name it: a host-path write superseded it (path 3-1), so Get
+      // reads the Main-LSM, which holds the key only if it is live there.
+      if (tomb || md_snapshot_.count(key) == 0) continue;
       current_key_ = std::move(key);
       current_value_.clear();
       val.EncodeTo(&current_value_);

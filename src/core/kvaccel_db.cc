@@ -287,19 +287,6 @@ Status KvaccelDB::Write(const lsm::WriteOptions& wopts,
   return s;
 }
 
-Status KvaccelDB::Put(const lsm::WriteOptions& wopts, const Slice& key,
-                      const Value& value) {
-  lsm::WriteBatch batch;
-  batch.Put(key, value);
-  return Write(wopts, &batch);
-}
-
-Status KvaccelDB::Delete(const lsm::WriteOptions& wopts, const Slice& key) {
-  lsm::WriteBatch batch;
-  batch.Delete(key);
-  return Write(wopts, &batch);
-}
-
 // ---------------- Controller: read path ----------------
 
 Status KvaccelDB::Get(const lsm::ReadOptions& ropts, const Slice& key,

@@ -28,37 +28,39 @@ namespace kvaccel::core {
 
 class RollbackManager;
 
-class KvaccelDB {
+class KvaccelDB : public lsm::Store {
  public:
   static Status Open(const lsm::DbOptions& main_options,
                      const KvaccelOptions& kv_options, const lsm::DbEnv& env,
                      std::unique_ptr<KvaccelDB>* db);
-  ~KvaccelDB();
+  ~KvaccelDB() override;
 
   // ---- Point operations (Controller write/read paths, paper §V-C) ----
   // All foreground writes funnel through Write: the Controller makes its
   // path decision once per batch, so a redirected group costs one compound
-  // device command instead of N point commands. Put/Delete are one-entry
-  // batches.
-  Status Write(const lsm::WriteOptions& wopts, lsm::WriteBatch* batch);
-  Status Put(const lsm::WriteOptions& wopts, const Slice& key,
-             const Value& value);
-  Status Delete(const lsm::WriteOptions& wopts, const Slice& key);
-  Status Get(const lsm::ReadOptions& ropts, const Slice& key, Value* value);
+  // device command instead of N point commands.
+  Status Write(const lsm::WriteOptions& wopts,
+               lsm::WriteBatch* batch) override;
+  Status Get(const lsm::ReadOptions& ropts, const Slice& key,
+             Value* value) override;
 
   // ---- Range queries (paper §V-F, Fig. 10) ----
-  std::unique_ptr<lsm::Iterator> NewIterator(const lsm::ReadOptions& ropts);
+  std::unique_ptr<lsm::Iterator> NewIterator(
+      const lsm::ReadOptions& ropts) override;
 
   // ---- Maintenance ----
-  Status FlushAll() { return main_->FlushAll(); }
-  Status WaitForCompactionIdle() { return main_->WaitForCompactionIdle(); }
+  Status FlushAll() override { return main_->FlushAll(); }
+  Status WaitForCompactionIdle() override {
+    return main_->WaitForCompactionIdle();
+  }
+  Status GetBackgroundError() override { return main_->GetBackgroundError(); }
   // Forces a full rollback immediately (lazy-after-workload runs, tests).
   Status RollbackNow();
   // §VI-D recovery: lose the volatile metadata table, then restore
   // consistency by rolling every Dev-LSM pair back into Main-LSM.
   // Reports the recovery duration.
   Status CrashMetadataAndRecover(Nanos* recovery_duration);
-  Status Close();
+  Status Close() override;
 
   // ---- Introspection ----
   sim::SimEnv* sim_env() { return env_; }

@@ -267,20 +267,6 @@ Status ReplicatedKvaccelDB::Write(const lsm::WriteOptions& wopts,
   return primary_->Write(wopts, batch);
 }
 
-Status ReplicatedKvaccelDB::Put(const lsm::WriteOptions& wopts,
-                                const Slice& key, const Value& value) {
-  Status s = CheckFence();
-  if (!s.ok()) return s;
-  return primary_->Put(wopts, key, value);
-}
-
-Status ReplicatedKvaccelDB::Delete(const lsm::WriteOptions& wopts,
-                                   const Slice& key) {
-  Status s = CheckFence();
-  if (!s.ok()) return s;
-  return primary_->Delete(wopts, key);
-}
-
 Status ReplicatedKvaccelDB::Get(const lsm::ReadOptions& ropts,
                                 const Slice& key, Value* value) {
   return primary_->Get(ropts, key, value);

@@ -146,31 +146,34 @@ struct ReplStats {
 uint64_t ReadFenceEpoch(fs::SimFs* fs);
 Status WriteFenceEpoch(fs::SimFs* fs, uint64_t epoch);
 
-class ReplicatedKvaccelDB {
+class ReplicatedKvaccelDB : public lsm::Store {
  public:
   static Status Open(const lsm::DbOptions& main_options,
                      const KvaccelOptions& kv_options,
                      const ReplOptions& repl_options, const ReplNode& primary,
                      const ReplNode& backup, sim::SimEnv* env,
                      std::unique_ptr<ReplicatedKvaccelDB>* db);
-  ~ReplicatedKvaccelDB();
+  ~ReplicatedKvaccelDB() override;
 
   // Foreground interface: everything serves from the primary. Writes are
   // rejected with Busy while the primary is fenced (lease lapsed or deposed);
   // reads keep serving — fencing makes the node read-only, not dead.
-  Status Write(const lsm::WriteOptions& wopts, lsm::WriteBatch* batch);
-  Status Put(const lsm::WriteOptions& wopts, const Slice& key,
-             const Value& value);
-  Status Delete(const lsm::WriteOptions& wopts, const Slice& key);
-  Status Get(const lsm::ReadOptions& ropts, const Slice& key, Value* value);
-  std::unique_ptr<lsm::Iterator> NewIterator(const lsm::ReadOptions& ropts);
-  Status FlushAll();
-  Status WaitForCompactionIdle();
+  Status Write(const lsm::WriteOptions& wopts,
+               lsm::WriteBatch* batch) override;
+  Status Get(const lsm::ReadOptions& ropts, const Slice& key,
+             Value* value) override;
+  std::unique_ptr<lsm::Iterator> NewIterator(
+      const lsm::ReadOptions& ropts) override;
+  Status FlushAll() override;
+  Status WaitForCompactionIdle() override;
+  Status GetBackgroundError() override {
+    return primary_->GetBackgroundError();
+  }
   Status RollbackNow();
   // Drains the async queue (fail-fast per record once the pair has crashed),
   // stops the shipper, closes primary then backup. Errors are collected but
   // both nodes always end closed.
-  Status Close();
+  Status Close() override;
 
   // Split-brain prevention, promotion side: releases the backup node so the
   // caller can PromoteNode it under a bumped epoch. Refuses with Busy until

@@ -240,16 +240,6 @@ Status ShardedKvaccelDB::Write(const lsm::WriteOptions& wopts,
   return Status::OK();
 }
 
-Status ShardedKvaccelDB::Put(const lsm::WriteOptions& wopts, const Slice& key,
-                             const Value& value) {
-  return shards_[static_cast<size_t>(ShardOf(key))].db->Put(wopts, key, value);
-}
-
-Status ShardedKvaccelDB::Delete(const lsm::WriteOptions& wopts,
-                                const Slice& key) {
-  return shards_[static_cast<size_t>(ShardOf(key))].db->Delete(wopts, key);
-}
-
 Status ShardedKvaccelDB::Get(const lsm::ReadOptions& ropts, const Slice& key,
                              Value* value) {
   return shards_[static_cast<size_t>(ShardOf(key))].db->Get(ropts, key, value);
@@ -275,6 +265,14 @@ Status ShardedKvaccelDB::FlushAll() {
 Status ShardedKvaccelDB::WaitForCompactionIdle() {
   for (auto& sh : shards_) {
     Status s = sh.db->WaitForCompactionIdle();
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
+}
+
+Status ShardedKvaccelDB::GetBackgroundError() {
+  for (auto& sh : shards_) {
+    Status s = sh.db->GetBackgroundError();
     if (!s.ok()) return s;
   }
   return Status::OK();

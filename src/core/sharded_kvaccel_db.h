@@ -74,39 +74,41 @@ struct ShardEnv {
   sim::CpuPool* host_cpu = nullptr;
 };
 
-class ShardedKvaccelDB {
+class ShardedKvaccelDB : public lsm::Store {
  public:
   static Status Open(const lsm::DbOptions& main_options,
                      const KvaccelOptions& kv_options,
                      const ShardingOptions& sharding, const ShardEnv& env,
                      std::unique_ptr<ShardedKvaccelDB>* db);
-  ~ShardedKvaccelDB();
+  ~ShardedKvaccelDB() override;
 
   // ---- Point operations (routed by ShardOf) ----
   // A multi-shard batch is split into per-shard sub-batches applied in shard
   // index order; atomicity is per shard, not across shards (an error may
   // leave earlier shards committed — callers treat the batch as ambiguous,
   // exactly like a torn crash).
-  Status Write(const lsm::WriteOptions& wopts, lsm::WriteBatch* batch);
-  Status Put(const lsm::WriteOptions& wopts, const Slice& key,
-             const Value& value);
-  Status Delete(const lsm::WriteOptions& wopts, const Slice& key);
-  Status Get(const lsm::ReadOptions& ropts, const Slice& key, Value* value);
+  Status Write(const lsm::WriteOptions& wopts,
+               lsm::WriteBatch* batch) override;
+  Status Get(const lsm::ReadOptions& ropts, const Slice& key,
+             Value* value) override;
 
   // Cross-shard range query: K-way merge over per-shard hybrid iterators.
   // Shards hold disjoint key sets, so the merge is a strict global order.
-  std::unique_ptr<lsm::Iterator> NewIterator(const lsm::ReadOptions& ropts);
+  std::unique_ptr<lsm::Iterator> NewIterator(
+      const lsm::ReadOptions& ropts) override;
 
   // ---- Maintenance (all loops run in shard index order) ----
-  Status FlushAll();
-  Status WaitForCompactionIdle();
+  Status FlushAll() override;
+  Status WaitForCompactionIdle() override;
+  // The lowest-index shard's latched error, if any shard has one.
+  Status GetBackgroundError() override;
   Status RollbackNow();
   Status RollbackShardNow(int shard);
   // §VI-D recovery across the fleet: every shard loses its volatile
   // metadata table, then drains its Dev-LSM namespace back into its
   // Main-LSM. Reports the total (sequential) recovery duration.
   Status CrashMetadataAndRecover(Nanos* recovery_duration);
-  Status Close();
+  Status Close() override;
 
   // ---- Routing ----
   int ShardOf(const Slice& key) const;

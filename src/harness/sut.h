@@ -124,16 +124,17 @@ class SystemUnderTest {
     Status st;
     switch (config.kind) {
       case SystemKind::kRocksDB:
-        st = lsm::DB::Open(db_opts, env, &s->db_);
-        break;
       case SystemKind::kAdoc: {
         // ADOC(n): starts at 1 thread, may scale up to n (Table III budget).
-        lsm::DbOptions adoc_opts = db_opts;
-        adoc_opts.compaction_threads = 1;
-        st = lsm::DB::Open(adoc_opts, env, &s->db_);
-        if (st.ok()) {
+        if (config.kind == SystemKind::kAdoc) db_opts.compaction_threads = 1;
+        std::unique_ptr<lsm::DB> db;
+        st = lsm::DB::Open(db_opts, env, &db);
+        if (!st.ok()) break;
+        s->db_ = db.get();
+        s->store_ = std::move(db);
+        if (config.kind == SystemKind::kAdoc) {
           s->tuner_ = std::make_unique<adoc::AdocTuner>(
-              s->db_.get(), env.env, adoc_opts,
+              s->db_, env.env, db_opts,
               PaperAdocOptions(config.compaction_threads, config.scale));
           s->tuner_->Start();
         }
@@ -161,23 +162,30 @@ class SystemUnderTest {
                 static_cast<Nanos>(config.heartbeat_ms * 1000));
           }
           if (config.fence_epoch > 0) ro.epoch = config.fence_epoch;
+          std::unique_ptr<core::ReplicatedKvaccelDB> pair;
           st = core::ReplicatedKvaccelDB::Open(db_opts, kv_opts, ro,
                                                config.ha_primary,
                                                config.ha_backup, env.env,
-                                               &s->pair_);
-          break;
-        }
-        if (config.shards > 1) {
+                                               &pair);
+          s->pair_ = pair.get();
+          s->store_ = std::move(pair);
+        } else if (config.shards > 1) {
           core::ShardingOptions sharding;
           sharding.num_shards = config.shards;
           sharding.partition = config.shard_partition;
           sharding.redirect_policy = config.redirect_policy;
           sharding.arbiter_share = config.arbiter_share;
           core::ShardEnv senv{env.env, env.ssd, env.host_cpu};
+          std::unique_ptr<core::ShardedKvaccelDB> sharded;
           st = core::ShardedKvaccelDB::Open(db_opts, kv_opts, sharding, senv,
-                                            &s->sharded_);
+                                            &sharded);
+          s->sharded_ = sharded.get();
+          s->store_ = std::move(sharded);
         } else {
-          st = core::KvaccelDB::Open(db_opts, kv_opts, env, &s->kvaccel_);
+          std::unique_ptr<core::KvaccelDB> kv;
+          st = core::KvaccelDB::Open(db_opts, kv_opts, env, &kv);
+          s->kvaccel_ = kv.get();
+          s->store_ = std::move(kv);
         }
         break;
       }
@@ -188,74 +196,45 @@ class SystemUnderTest {
   }
 
   Status Put(const Slice& key, const Value& value) {
-    if (pair_) return pair_->Put({}, key, value);
-    if (sharded_) return sharded_->Put({}, key, value);
-    return kvaccel_ ? kvaccel_->Put({}, key, value)
-                    : db_->Put({}, key, value);
+    return store_->Put({}, key, value);
   }
   // Batched write: the whole batch takes one trip down the write pipeline
   // (one Controller decision for KVACCEL, one group-commit slot otherwise).
-  Status Write(lsm::WriteBatch* batch) {
-    if (pair_) return pair_->Write({}, batch);
-    if (sharded_) return sharded_->Write({}, batch);
-    return kvaccel_ ? kvaccel_->Write({}, batch) : db_->Write({}, batch);
-  }
-  Status Delete(const Slice& key) {
-    if (pair_) return pair_->Delete({}, key);
-    if (sharded_) return sharded_->Delete({}, key);
-    return kvaccel_ ? kvaccel_->Delete({}, key) : db_->Delete({}, key);
-  }
+  Status Write(lsm::WriteBatch* batch) { return store_->Write({}, batch); }
+  Status Delete(const Slice& key) { return store_->Delete({}, key); }
   Status Get(const Slice& key, Value* value) {
-    if (pair_) return pair_->Get({}, key, value);
-    if (sharded_) return sharded_->Get({}, key, value);
-    return kvaccel_ ? kvaccel_->Get({}, key, value)
-                    : db_->Get({}, key, value);
+    return store_->Get({}, key, value);
   }
   std::unique_ptr<lsm::Iterator> NewIterator(
       const lsm::ReadOptions& ropts = {}) {
-    if (pair_) return pair_->NewIterator(ropts);
-    if (sharded_) return sharded_->NewIterator(ropts);
-    return kvaccel_ ? kvaccel_->NewIterator(ropts) : db_->NewIterator(ropts);
+    return store_->NewIterator(ropts);
   }
 
-  Status FlushAll() {
-    if (pair_) return pair_->FlushAll();
-    if (sharded_) return sharded_->FlushAll();
-    return kvaccel_ ? kvaccel_->FlushAll() : db_->FlushAll();
-  }
-  Status WaitForCompactionIdle() {
-    if (pair_) return pair_->WaitForCompactionIdle();
-    if (sharded_) return sharded_->WaitForCompactionIdle();
-    return kvaccel_ ? kvaccel_->WaitForCompactionIdle()
-                    : db_->WaitForCompactionIdle();
-  }
+  Status FlushAll() { return store_->FlushAll(); }
+  Status WaitForCompactionIdle() { return store_->WaitForCompactionIdle(); }
   Status Close() {
     if (tuner_ != nullptr) tuner_->Stop();
-    if (pair_) return pair_->Close();
-    if (sharded_) return sharded_->Close();
-    return kvaccel_ ? kvaccel_->Close() : db_->Close();
+    return store_->Close();
   }
 
   // Foreground-op stats (unified view for KVACCEL; DB stats otherwise).
   // For a sharded SUT this is the cross-shard aggregate, recomputed per call.
   const lsm::DbStats& stats() const {
     if (sharded_) return sharded_->AggregateStats();
-    core::KvaccelDB* kv = kv_view();
+    core::KvaccelDB* kv = kvaccel();
     return kv ? kv->stats() : db_->stats();
   }
   // The Main-LSM's internal stats (stall/slowdown regions, background work).
   const lsm::DbStats& main_stats() const {
     if (sharded_) return sharded_->AggregateMainStats();
-    core::KvaccelDB* kv = kv_view();
+    core::KvaccelDB* kv = kvaccel();
     return kv ? kv->main()->stats() : db_->stats();
   }
-  bool is_kvaccel() const {
-    return kv_view() != nullptr || sharded_ != nullptr;
-  }
+  bool is_kvaccel() const { return config_.kind == SystemKind::kKvaccel; }
   // Facade-level KVACCEL counters: single shard's, or the fleet aggregate.
   core::KvaccelStats kvaccel_stats() const {
     if (sharded_) return sharded_->AggregateKvStats();
-    core::KvaccelDB* kv = kv_view();
+    core::KvaccelDB* kv = kvaccel();
     return kv ? kv->kv_stats() : core::KvaccelStats{};
   }
   lsm::BlockCacheStats cache_stats() {
@@ -264,7 +243,7 @@ class SystemUnderTest {
   }
   devlsm::DevLsmStats devlsm_stats() const {
     if (sharded_) return sharded_->AggregateDevStats();
-    core::KvaccelDB* kv = kv_view();
+    core::KvaccelDB* kv = kvaccel();
     return kv ? kv->dev()->stats() : devlsm::DevLsmStats{};
   }
 
@@ -278,33 +257,32 @@ class SystemUnderTest {
     }
     return n;
   }
-  // Representative DB for cache/SST introspection: shard 0 when sharded,
-  // the primary's Main-LSM for an HA pair.
+
+  // Typed views of store_ for introspection; null when the SUT is another
+  // kind. db() is the representative Main-LSM: shard 0 when sharded, the
+  // primary's for an HA pair. kvaccel() is the KvaccelDB serving foreground
+  // traffic: the standalone node, or the HA pair's primary.
   lsm::DB* db() {
     if (sharded_) return sharded_->shard(0)->main();
-    core::KvaccelDB* kv = kv_view();
-    return kv ? kv->main() : db_.get();
+    core::KvaccelDB* kv = kvaccel();
+    return kv ? kv->main() : db_;
   }
-  core::KvaccelDB* kvaccel() { return kv_view(); }
-  core::ShardedKvaccelDB* sharded() { return sharded_.get(); }
-  core::ReplicatedKvaccelDB* pair() { return pair_.get(); }
+  core::KvaccelDB* kvaccel() const {
+    return pair_ ? pair_->primary() : kvaccel_;
+  }
+  core::ShardedKvaccelDB* sharded() { return sharded_; }
+  core::ReplicatedKvaccelDB* pair() { return pair_; }
   adoc::AdocTuner* tuner() { return tuner_.get(); }
 
  private:
   SystemUnderTest() = default;
 
-  // The KvaccelDB serving foreground traffic: the standalone instance, or the
-  // HA pair's primary.
-  core::KvaccelDB* kv_view() const {
-    if (pair_) return pair_->primary();
-    return kvaccel_.get();
-  }
-
   SutConfig config_;
-  std::unique_ptr<lsm::DB> db_;
-  std::unique_ptr<core::KvaccelDB> kvaccel_;
-  std::unique_ptr<core::ShardedKvaccelDB> sharded_;
-  std::unique_ptr<core::ReplicatedKvaccelDB> pair_;
+  std::unique_ptr<lsm::Store> store_;
+  lsm::DB* db_ = nullptr;  // RocksDB / ADOC
+  core::KvaccelDB* kvaccel_ = nullptr;
+  core::ShardedKvaccelDB* sharded_ = nullptr;
+  core::ReplicatedKvaccelDB* pair_ = nullptr;
   std::unique_ptr<adoc::AdocTuner> tuner_;
 };
 

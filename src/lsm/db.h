@@ -88,20 +88,52 @@ struct IngestEntry {
   SequenceNumber seq = 0;
 };
 
-class DB {
+// The key-value surface every store serves: this host LSM, the KVACCEL node
+// (core::KvaccelDB), the sharded router and the HA pair. The harness and the
+// nemesis drive all four through it.
+class Store {
+ public:
+  Store() = default;
+  Store(const Store&) = delete;
+  Store& operator=(const Store&) = delete;
+  virtual ~Store() = default;
+
+  virtual Status Write(const WriteOptions& wopts, WriteBatch* batch) = 0;
+  virtual Status Get(const ReadOptions& ropts, const Slice& key,
+                     Value* value) = 0;
+  // Forward iterator over live user keys (tombstones/old versions hidden).
+  virtual std::unique_ptr<Iterator> NewIterator(const ReadOptions& ropts) = 0;
+  // Blocks until every buffered write reaches an SST.
+  virtual Status FlushAll() = 0;
+  // Blocks until no level wants compaction (test/bootstrap helper).
+  virtual Status WaitForCompactionIdle() = 0;
+  // Stops background work and joins the store's simulated threads. Must be
+  // called before SimEnv::Run() can return.
+  virtual Status Close() = 0;
+  // The latched background error, if any (RocksDB-style): once a flush or
+  // compaction fails unrecoverably the store refuses further writes with
+  // this status until reopened. Reads keep working.
+  virtual Status GetBackgroundError() = 0;
+
+  // One-entry batches: every store decides a write's path once per batch.
+  Status Put(const WriteOptions& wopts, const Slice& key, const Value& value) {
+    WriteBatch batch;
+    batch.Put(key, value);
+    return Write(wopts, &batch);
+  }
+  Status Delete(const WriteOptions& wopts, const Slice& key) {
+    WriteBatch batch;
+    batch.Delete(key);
+    return Write(wopts, &batch);
+  }
+};
+
+class DB : public Store {
  public:
   // Opens (creating or recovering) the database stored in `env.fs`.
   static Status Open(const DbOptions& options, const DbEnv& env,
                      std::unique_ptr<DB>* db);
 
-  virtual ~DB() = default;
-
-  virtual Status Put(const WriteOptions& wopts, const Slice& key,
-                     const Value& value) = 0;
-  virtual Status Delete(const WriteOptions& wopts, const Slice& key) = 0;
-  virtual Status Write(const WriteOptions& wopts, WriteBatch* batch) = 0;
-  virtual Status Get(const ReadOptions& ropts, const Slice& key,
-                     Value* value) = 0;
   // Get that also reports the sequence number of the deciding entry: the
   // found value's sequence, a tombstone's sequence (status NotFound), or 0
   // when the key never existed. KVACCEL's crash recovery compares these
@@ -116,27 +148,12 @@ class DB {
   // replication/reconciliation frontier probe (reads the clock without
   // advancing it the way AllocateSequence would).
   virtual SequenceNumber LastSequence() = 0;
-  // Forward iterator over live user keys (tombstones/old versions hidden).
-  virtual std::unique_ptr<Iterator> NewIterator(const ReadOptions& ropts) = 0;
 
   // Bulk-loads already-sorted, already-versioned entries as one L0 SST,
   // bypassing WAL and memtable (RocksDB external-file-ingestion style).
   // KVACCEL's rollback uses this to merge the Dev-LSM scan stream without
   // paying the write path twice. Keys must be strictly ascending.
   virtual Status IngestSortedBatch(const std::vector<IngestEntry>& entries) = 0;
-
-  // Blocks until every buffered write reaches an SST.
-  virtual Status FlushAll() = 0;
-  // Blocks until no level wants compaction (test/bootstrap helper).
-  virtual Status WaitForCompactionIdle() = 0;
-  // Stops background work and joins the DB's simulated threads. Must be
-  // called before SimEnv::Run() can return.
-  virtual Status Close() = 0;
-
-  // The latched background error, if any (RocksDB-style): once a flush or
-  // compaction fails unrecoverably the DB refuses further writes with this
-  // status until reopened. Reads keep working.
-  virtual Status GetBackgroundError() = 0;
 
   // --- Integrity hooks (scrubber / checker, DESIGN.md §9) ---
   // Every SST in the current version, L0 downward.

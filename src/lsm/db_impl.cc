@@ -243,19 +243,6 @@ Status DbImpl::RetryTransient(const std::function<Status()>& fn) {
 
 // ---------------- Write path ----------------
 
-Status DbImpl::Put(const WriteOptions& wopts, const Slice& key,
-                   const Value& value) {
-  WriteBatch batch;
-  batch.Put(key, value);
-  return Write(wopts, &batch);
-}
-
-Status DbImpl::Delete(const WriteOptions& wopts, const Slice& key) {
-  WriteBatch batch;
-  batch.Delete(key);
-  return Write(wopts, &batch);
-}
-
 Status DbImpl::Write(const WriteOptions& wopts, WriteBatch* batch) {
   Nanos start = env_->Now();
   // Client-side CPU: key generation, batch/WAL encoding, skiplist insert.

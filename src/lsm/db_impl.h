@@ -29,9 +29,6 @@ class DbImpl : public DB {
 
   Status OpenImpl();
 
-  Status Put(const WriteOptions& wopts, const Slice& key,
-             const Value& value) override;
-  Status Delete(const WriteOptions& wopts, const Slice& key) override;
   Status Write(const WriteOptions& wopts, WriteBatch* batch) override;
   Status Get(const ReadOptions& ropts, const Slice& key,
              Value* value) override;

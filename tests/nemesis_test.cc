@@ -23,19 +23,23 @@ using check::RunNemesis;
 //   kvaccel_nemesis --nemesis_seed=0x4E454D15 --cycles=30
 constexpr uint64_t kNemesisSeed = 0x4E454D15;
 
+// Seed 5 scans a key deleted on the host path after a redirected put: the
+// hybrid iterator used to resurrect the stale device copy (cycle 6).
 TEST(NemesisTest, ThirtyCrashRecoveryCyclesMatchOracle) {
-  NemesisOptions opt;
-  opt.seed = kNemesisSeed;
-  opt.cycles = 30;
-  NemesisResult r = RunNemesis(opt);
-  EXPECT_TRUE(r.ok) << "seed=" << opt.seed << " cycle=" << r.cycles_run
-                    << ": " << r.error;
-  EXPECT_EQ(r.cycles_run, 30) << "seed=" << opt.seed;
-  // The schedule must actually kill the DB a meaningful number of times, or
-  // the recovery equivalence above verified nothing interesting.
-  EXPECT_GE(r.crashes, 10) << "seed=" << opt.seed
-                           << ": crash schedule went quiet";
-  EXPECT_GE(r.ops_executed, 1000u) << "seed=" << opt.seed;
+  for (uint64_t seed : {kNemesisSeed, uint64_t{5}}) {
+    NemesisOptions opt;
+    opt.seed = seed;
+    opt.cycles = 30;
+    NemesisResult r = RunNemesis(opt);
+    EXPECT_TRUE(r.ok) << "seed=" << opt.seed << " cycle=" << r.cycles_run
+                      << ": " << r.error;
+    EXPECT_EQ(r.cycles_run, 30) << "seed=" << opt.seed;
+    // The schedule must actually kill the DB a meaningful number of times,
+    // or the recovery equivalence above verified nothing interesting.
+    EXPECT_GE(r.crashes, 10) << "seed=" << opt.seed
+                             << ": crash schedule went quiet";
+    EXPECT_GE(r.ops_executed, 1000u) << "seed=" << opt.seed;
+  }
 }
 
 TEST(NemesisTest, SameSeedReplaysIdenticalTrace) {
@@ -52,6 +56,66 @@ TEST(NemesisTest, SameSeedReplaysIdenticalTrace) {
                               << ": nondeterministic schedule";
   EXPECT_EQ(a.crashes, b.crashes);
   EXPECT_EQ(a.ops_executed, b.ops_executed);
+}
+
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t digest = 14695981039346656037ull;
+  for (unsigned char c : bytes) digest = (digest ^ c) * 1099511628211ull;
+  return digest;
+}
+
+// Pins every topology's schedule, not just its self-consistency: the trace
+// is the op stream, fault schedule and recovery outcome in order, so a
+// change that moves one RNG draw or one virtual-time event changes the
+// digest. The configurations are tools/ci.sh's nemesis smokes plus a
+// 4-shard run.
+TEST(NemesisTest, EveryTopologyReplaysItsPinnedSchedule) {
+  struct Pinned {
+    const char* name;
+    uint64_t seed;
+    int cycles;
+    void (*configure)(NemesisOptions*);
+    uint64_t digest;
+  };
+  const Pinned kPinned[] = {
+      {"single", 1317456661, 30, [](NemesisOptions*) {}, 0x9871d1ce2f3c26b8},
+      {"ndp", 7, 12, [](NemesisOptions* o) { o->ndp = true; },
+       0xd22f6e49db1c4634},
+      {"shards=4", 1317456661, 12, [](NemesisOptions* o) { o->shards = 4; },
+       0x7c771d3ea00a5c06},
+      {"ha sync", 50, 12, [](NemesisOptions* o) { o->ha = true; },
+       0xf7f99b1ce4e3774a},
+      {"ha async", 99, 6,
+       [](NemesisOptions* o) {
+         o->ha = true;
+         o->repl_ack = 1;
+       },
+       0xe8a6e1540f609512},
+      {"partition delta", 24301, 8,
+       [](NemesisOptions* o) {
+         o->ha = true;
+         o->net_partition = true;
+       },
+       0xe5365cc817cd11bc},
+      {"partition wal", 777, 4,
+       [](NemesisOptions* o) {
+         o->ha = true;
+         o->net_partition = true;
+         o->resync_mode = 0;
+       },
+       0x84ad59449771c4c0},
+  };
+  for (const Pinned& p : kPinned) {
+    NemesisOptions opt;
+    opt.seed = p.seed;
+    opt.cycles = p.cycles;
+    p.configure(&opt);
+    NemesisResult r = RunNemesis(opt);
+    EXPECT_TRUE(r.ok) << p.name << " seed=" << p.seed << ": " << r.error;
+    EXPECT_EQ(Fnv1a(r.trace), p.digest)
+        << p.name << " seed=" << p.seed << " cycles=" << p.cycles
+        << ": the schedule changed";
+  }
 }
 
 TEST(NemesisTest, InjectedDivergenceIsCaughtAndDumpReplays) {
@@ -90,7 +154,70 @@ TEST(NemesisTest, ParseRejectsNonTraceFiles) {
   std::string path = ::testing::TempDir() + "not_a_trace";
   std::ofstream(path) << "something else entirely\n";
   EXPECT_TRUE(ParseNemesisTrace(path, &out).IsCorruption());
+  // A header value replays only if all of it parses, in range of its field.
+  for (const char* bad :
+       {"seed=12abc", "cycles=x3", "cycles=", "seed=-1",
+        "seed=18446744073709551616", "value_size=4294967296", "ha=yes"}) {
+    std::ofstream(path) << "nemesis-trace-v1 " << bad << "\n";
+    EXPECT_TRUE(ParseNemesisTrace(path, &out).IsCorruption()) << bad;
+  }
+  // Seeds at and above 2^63 replay exactly.
+  for (uint64_t seed : {9223372036854775808ull, 18446744073709551615ull}) {
+    std::ofstream(path) << "nemesis-trace-v1 seed=" << seed << " cycles=3\n";
+    ASSERT_TRUE(ParseNemesisTrace(path, &out).ok()) << seed;
+    EXPECT_EQ(out.seed, seed);
+    EXPECT_EQ(out.cycles, 3);
+  }
   std::remove(path.c_str());
+}
+
+// The HA runners drive one unsharded pair without NDP, and the partition
+// script runs under sync acks only: a request they would narrow is refused
+// before any world is built, so nothing runs and nothing is traced.
+TEST(NemesisTest, RejectsCombinationsNoRunnerDrives) {
+  struct Case {
+    const char* name;
+    void (*configure)(NemesisOptions*);
+  };
+  const Case kCases[] = {
+      {"ha shards=4",
+       [](NemesisOptions* o) {
+         o->ha = true;
+         o->shards = 4;
+       }},
+      {"ha ndp",
+       [](NemesisOptions* o) {
+         o->ha = true;
+         o->ndp = true;
+       }},
+      {"partition shards=4",
+       [](NemesisOptions* o) {
+         o->net_partition = true;
+         o->shards = 4;
+       }},
+      {"partition ndp",
+       [](NemesisOptions* o) {
+         o->net_partition = true;
+         o->ndp = true;
+       }},
+      {"partition async",
+       [](NemesisOptions* o) {
+         o->ha = true;
+         o->net_partition = true;
+         o->repl_ack = 1;
+       }},
+  };
+  for (const Case& c : kCases) {
+    NemesisOptions opt;
+    opt.cycles = 2;
+    c.configure(&opt);
+    NemesisResult r = RunNemesis(opt);
+    EXPECT_FALSE(r.ok) << c.name;
+    EXPECT_EQ(r.error.rfind("unsupported: ", 0), 0u) << c.name << ": "
+                                                    << r.error;
+    EXPECT_TRUE(r.trace.empty()) << c.name;
+    EXPECT_EQ(r.ops_executed, 0u) << c.name;
+  }
 }
 
 }  // namespace

@@ -10,6 +10,22 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
+# nemesis_smoke BUILD_DIR NAME FLAGS...: one kvaccel_nemesis run, its output
+# kept in BUILD_DIR/obs-artifacts/nemesis-NAME.log; on failure the log's tail
+# is printed and the pass fails.
+nemesis_smoke() {
+  local dir="$1" name="$2"; shift 2
+  local artifacts="${dir}/obs-artifacts"
+  local log="${artifacts}/nemesis-${name}.log"
+  mkdir -p "${artifacts}"
+  if ! "${dir}/tools/kvaccel_nemesis" "$@" --trace_dump_dir="${artifacts}" \
+      > "${log}" 2>&1; then
+    echo "nemesis smoke ${name} failed; tail of ${log}:"
+    tail -n 20 "${log}"
+    exit 1
+  fi
+}
+
 run_pass() {
   local name="$1" dir="$2"; shift 2
   echo "==== ${name}: configure + build (${dir}) ===="
@@ -62,44 +78,37 @@ run_pass() {
   # byte-identity for the mixed multi-tenant engine.
   echo "==== ${name}: ctest -L workload ===="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L workload
-  # Nemesis smoke: 30 crash-recovery cycles on a pinned seed, every recovery
-  # verified against the model oracle. A failure prints the seed and dumps a
-  # trace replayable with --replay.
+  # Nemesis smokes on pinned seeds; every recovery is verified against the
+  # model oracle. A failure prints the log tail: the DIVERGENCE line and the
+  # dumped trace, replayable with --replay.
+  # Single node: 30 crash-recovery cycles.
   echo "==== ${name}: nemesis smoke (30 cycles) ===="
-  "${dir}/tools/kvaccel_nemesis" --cycles=30 --nemesis_seed=1317456661 \
-    --trace_dump_dir="${dir}/obs-artifacts" > /dev/null 2>&1
-  # NDP nemesis smoke: every compaction forced through the device COMPACT
-  # path, the first cycles armed at each crash.ndp.* kill point in turn, and
-  # transient COMPACT rejections mixed in; every recovery must still match
-  # the model oracle.
+  nemesis_smoke "${dir}" single --cycles=30 --nemesis_seed=1317456661
+  # NDP: every compaction forced through the device COMPACT path, the first
+  # cycles armed at each crash.ndp.* kill point in turn, and transient
+  # COMPACT rejections mixed in.
   echo "==== ${name}: NDP nemesis smoke (12 cycles) ===="
-  "${dir}/tools/kvaccel_nemesis" --ndp --cycles=12 --nemesis_seed=7 \
-    --trace_dump_dir="${dir}/obs-artifacts" > /dev/null 2>&1
-  # Two-node HA nemesis smokes on pinned seeds, both ack modes: each cycle
-  # kills the primary at one registered crash site (12 cycles round-robins
-  # through all 10, incl. crash.net.send.mid), promotes the backup and holds
-  # it to the model oracle — sync must serve every acked write, async loss
-  # must stay under the queue-cap bound.
+  nemesis_smoke "${dir}" ndp --ndp --cycles=12 --nemesis_seed=7
+  # Two-node HA, both ack modes: each cycle kills the pair at a kill site
+  # drawn from the HA crash table (the single-node sites plus
+  # crash.net.send.mid; seed 50's 12 sync cycles arm all ten), promotes the
+  # backup and holds it to the oracle — sync must serve every acked write,
+  # async loss must stay under the queue-cap bound.
   echo "==== ${name}: HA nemesis smokes (sync + async) ===="
-  "${dir}/tools/kvaccel_nemesis" --ha --cycles=12 --nemesis_seed=42 \
-    --trace_dump_dir="${dir}/obs-artifacts" > /dev/null 2>&1
-  "${dir}/tools/kvaccel_nemesis" --ha --repl_ack=async --cycles=6 \
-    --nemesis_seed=99 \
-    --trace_dump_dir="${dir}/obs-artifacts" > /dev/null 2>&1
-  # Partition nemesis smokes on pinned seeds: cycles rotate network-fault
-  # kinds (symmetric cut and ack-loss cut with verified failover + rejoin,
-  # transient blip, flapping link). The harness holds both nodes to the
-  # model oracle and asserts no sync-acked write is lost, no write is acked
-  # by a fenced primary, and reconciliation converges byte-identically —
-  # in delta mode with zero write-path bytes, in wal mode through the full
-  # write path.
+  nemesis_smoke "${dir}" ha-sync --ha --cycles=12 --nemesis_seed=50
+  nemesis_smoke "${dir}" ha-async --ha --repl_ack=async --cycles=6 \
+    --nemesis_seed=99
+  # Partitions: cycles rotate network-fault kinds (symmetric cut and
+  # ack-loss cut with verified failover + rejoin, transient blip, flapping
+  # link). The harness holds both nodes to the model oracle and asserts no
+  # sync-acked write is lost, no write is acked by a fenced primary, and
+  # reconciliation converges byte-identically — in delta mode with zero
+  # write-path bytes, in wal mode through the full write path.
   echo "==== ${name}: HA partition nemesis smokes (delta + wal resync) ===="
-  "${dir}/tools/kvaccel_nemesis" --ha --net_partition --cycles=8 \
-    --nemesis_seed=24301 \
-    --trace_dump_dir="${dir}/obs-artifacts" > /dev/null 2>&1
-  "${dir}/tools/kvaccel_nemesis" --ha --net_partition --resync_mode=wal \
-    --cycles=4 --nemesis_seed=777 \
-    --trace_dump_dir="${dir}/obs-artifacts" > /dev/null 2>&1
+  nemesis_smoke "${dir}" partition-delta --ha --net_partition --cycles=8 \
+    --nemesis_seed=24301
+  nemesis_smoke "${dir}" partition-wal --ha --net_partition \
+    --resync_mode=wal --cycles=4 --nemesis_seed=777
   # Run-artifact smoke: a traced KVACCEL run must produce a parseable Chrome
   # trace containing flush, compaction and stall events, plus a parseable
   # kvaccel-run-v1 JSON report. The report is validated with json.tool; the

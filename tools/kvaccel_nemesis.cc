@@ -22,9 +22,12 @@
 //   --ha                drive a two-node replicated pair: every cycle kills
 //                       the pair, promotes the backup, verifies it against
 //                       the oracle, wipes the dead node and swaps roles
+//                       (one shard, no NDP: --shards > 1 and --ndp are
+//                       refused with exit status 2)
 //   --repl_ack=MODE     sync (default: every acked write must survive
 //                       failover) or async (bounded, reported loss tail)
-//   --net_partition     partition nemesis (implies --ha, sync acks): rotate
+//   --net_partition     partition nemesis (implies --ha; --repl_ack=async
+//                       is refused with exit status 2): rotate
 //                       symmetric cuts, asymmetric ack-loss cuts, brief
 //                       healed blips and flapping links; verify fencing
 //                       (no write acked on both sides of a split), epoch
@@ -42,7 +45,7 @@
 //                       (overrides the schedule flags above)
 //
 // Exit status: 0 = every cycle matched the oracle, 1 = divergence,
-// 2 = usage trouble.
+// 2 = usage trouble, including a flag combination no runner drives.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -156,7 +159,15 @@ int main(int argc, char** argv) {
          opts.repl_ack == 1 ? "async" : "sync", opts.net_partition ? 1 : 0,
          opts.resync_mode != 0 ? "delta" : "wal", opts.ndp ? 1 : 0);
 
+  // Both streams often land in one log (tools/ci.sh): keep them in order.
+  fflush(stdout);
+
   check::NemesisResult r = check::RunNemesis(opts);
+  if (r.trace.empty()) {
+    // Refused before any world was built (see RunNemesis).
+    fprintf(stderr, "%s\n", r.error.c_str());
+    return 2;
+  }
   printf("cycles=%d crashes=%d ops=%llu\n", r.cycles_run, r.crashes,
          static_cast<unsigned long long>(r.ops_executed));
   if (opts.ha) {
@@ -182,6 +193,7 @@ int main(int argc, char** argv) {
     printf("every recovery matched the model oracle\n");
     return 0;
   }
+  fflush(stdout);
   fprintf(stderr, "DIVERGENCE: %s\n", r.error.c_str());
   if (!r.trace_path.empty()) {
     fprintf(stderr, "trace dumped to %s — replay with --replay=%s\n",
