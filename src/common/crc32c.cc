@@ -1,6 +1,11 @@
 #include "common/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace kvaccel::crc32c {
 namespace {
@@ -22,9 +27,48 @@ struct Table {
 
 const Table kTable;
 
+#if defined(__x86_64__)
+// The SSE4.2 crc32 instruction computes the same Castagnoli CRC, eight bytes
+// per step.
+__attribute__((target("sse4.2"))) uint32_t ExtendSse42(uint32_t init_crc,
+                                                        const char* data,
+                                                        size_t n) {
+  uint64_t crc = init_crc ^ 0xffffffffu;
+  for (; n >= 8; data += 8, n -= 8) {
+    uint64_t word;
+    memcpy(&word, data, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto crc32 = static_cast<uint32_t>(crc);
+  for (; n > 0; data++, n--) {
+    crc32 = _mm_crc32_u8(crc32, static_cast<unsigned char>(*data));
+  }
+  return crc32 ^ 0xffffffffu;
+}
+#endif
+
 }  // namespace
 
+bool IsHardwareAccelerated() {
+#if defined(__x86_64__)
+  static const bool sse42 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return sse42;
+#else
+  return false;
+#endif
+}
+
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+#if defined(__x86_64__)
+  if (IsHardwareAccelerated()) return ExtendSse42(init_crc, data, n);
+#endif
+  return ExtendPortable(init_crc, data, n);
+}
+
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n) {
   uint32_t crc = init_crc ^ 0xffffffffu;
   const auto* p = reinterpret_cast<const unsigned char*>(data);
   for (size_t i = 0; i < n; i++) {

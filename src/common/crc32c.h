@@ -8,8 +8,16 @@
 namespace kvaccel::crc32c {
 
 // Returns the crc32c of concat(A, data[0,n-1]) where init_crc is the crc32c
-// of A. Use Value() for a fresh buffer.
+// of A. Use Value() for a fresh buffer. Runs on the CPU's crc32 instruction
+// where it has one (x86 SSE4.2), chosen once at run time.
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+// Whether Extend uses the crc32 instruction on this CPU.
+bool IsHardwareAccelerated();
+
+// The portable table-driven Extend: the path on every other CPU, and the
+// reference the hardware path is tested against.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
 
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }
 

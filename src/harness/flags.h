@@ -1,6 +1,7 @@
 // Minimal --key=value flag parsing shared by the bench binaries.
 //   --seconds=N        virtual workload duration (default: per-bench)
-//   --scale=F          size scale; 1.0 = paper scale (default 0.125)
+//   --scale=F          size scale; 1.0 = paper scale (default 0.125), at
+//                      most kMaxScale
 //   --paper            shorthand for --scale=1.0 --seconds=600
 //   --threads=N        restrict to one compaction-thread count (default: sweep)
 //   --writer_threads=N concurrent writer actors (default 1)
@@ -66,6 +67,7 @@
 #pragma once
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -73,14 +75,20 @@
 
 namespace kvaccel::harness {
 
+// The largest --scale. It scales the paper's 256 GiB device to 16 TiB,
+// whose block region still fits the FTL's 32-bit page tables
+// (ssd::Ftl::kMaxPhysicalPages; DESIGN.md §16).
+constexpr double kMaxScale = 64;
+
 // strtod with full validation; exits(2) with a clear diagnostic on a value
-// that is not a finite non-negative number (min_value tightens the bound).
+// that is not a finite number in [min_value, max_value].
 inline double ParseFlagDouble(const char* text, const char* flag,
-                              double min_value = 0.0) {
+                              double min_value = 0.0,
+                              double max_value = HUGE_VAL) {
   char* end = nullptr;
   errno = 0;
   double v = strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE) {
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
     fprintf(stderr, "invalid value for %s: '%s' (expected a number)\n", flag,
             text);
     exit(2);
@@ -88,6 +96,11 @@ inline double ParseFlagDouble(const char* text, const char* flag,
   if (v < min_value) {
     fprintf(stderr, "invalid value for %s: %s (must be >= %g)\n", flag, text,
             min_value);
+    exit(2);
+  }
+  if (v > max_value) {
+    fprintf(stderr, "invalid value for %s: %s (must be <= %g)\n", flag, text,
+            max_value);
     exit(2);
   }
   return v;
@@ -168,7 +181,7 @@ struct BenchFlags {
     for (int i = 1; i < argc; i++) {
       const char* arg = argv[i];
       if (strncmp(arg, "--scale=", 8) == 0) {
-        f.scale = ParseFlagDouble(arg + 8, "--scale");
+        f.scale = ParseFlagDouble(arg + 8, "--scale", 0.0, kMaxScale);
       } else if (strncmp(arg, "--seconds=", 10) == 0) {
         f.seconds = ParseFlagDouble(arg + 10, "--seconds");
       } else if (strncmp(arg, "--threads=", 10) == 0) {

@@ -10,9 +10,11 @@
 // mechanisms of a conventional SSD).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -32,7 +34,18 @@ class Ftl {
   // Charged whenever GC moves data: (relocated_pages, erased_blocks).
   using GcIoFn = std::function<void(uint64_t, uint64_t)>;
 
+  // Page-table entries are 32-bit, so a device may hold at most this many
+  // physical pages (16 TiB of 4 KiB pages). The constructor aborts past it.
+  static constexpr uint64_t kMaxPhysicalPages = UINT32_MAX;
+
+  // Physical blocks behind `options`: the logical blocks plus
+  // overprovisioning, never fewer than logical blocks + 2.
+  static uint64_t PhysicalBlocks(const Options& options);
+
   Ftl(const Options& options, GcIoFn gc_io);
+  // The page tables are mappings this object owns.
+  Ftl(const Ftl&) = delete;
+  Ftl& operator=(const Ftl&) = delete;
 
   // Maps `count` logical pages starting at `lpn` to fresh physical pages,
   // invalidating any previous mapping. Fails with NoSpace when the device is
@@ -60,12 +73,26 @@ class Ftl {
   }
 
  private:
-  static constexpr uint64_t kUnmapped = UINT64_MAX;
-  static constexpr uint64_t kInvalid = UINT64_MAX;  // rmap: stale page
-  static constexpr uint64_t kFree = UINT64_MAX - 1;
+  // Table entries are encoded so that zero is every entry's initial state.
+  // map_: 0 = unmapped, else ppn + 1. rmap_: 0 = free, 1 = invalid (stale),
+  // else lpn + 2.
+  static constexpr uint32_t kUnmapped = 0;
+  static constexpr uint32_t kFree = 0;
+  static constexpr uint32_t kInvalid = 1;
+  static constexpr uint32_t kFirstLpn = 2;
+  static constexpr uint64_t kNone = UINT64_MAX;  // no page, no block
+
+  // A table in anonymous memory that reads as zero pages: building one
+  // touches nothing, and a page becomes resident only once written.
+  struct Unmapper {
+    size_t bytes;  // zero in an empty PageTable's value-initialised deleter
+    void operator()(uint32_t* table) const;
+  };
+  using PageTable = std::unique_ptr<uint32_t[], Unmapper>;
+  static PageTable MapZeroPages(uint64_t entries);
 
   // Allocates one physical page from the active block (sealing and pulling
-  // from the free pool as needed). Returns kUnmapped if out of space.
+  // from the free pool as needed). Returns kNone if out of space.
   uint64_t AllocPage();
   void InvalidatePhysical(uint64_t ppn);
   void MaybeGc();
@@ -74,12 +101,12 @@ class Ftl {
   Options options_;
   GcIoFn gc_io_;
   uint64_t physical_blocks_;
-  std::vector<uint64_t> map_;        // lpn -> ppn
-  std::vector<uint64_t> rmap_;       // ppn -> lpn, kInvalid or kFree
+  PageTable map_;   // lpn -> ppn + 1, or kUnmapped
+  PageTable rmap_;  // ppn -> lpn + 2, kInvalid or kFree
   std::vector<uint32_t> block_valid_;
   std::vector<uint8_t> block_is_free_;
   std::deque<uint64_t> free_blocks_;
-  uint64_t active_block_ = kUnmapped;
+  uint64_t active_block_ = kNone;
   uint64_t active_next_page_ = 0;
   uint64_t valid_pages_ = 0;
   uint64_t host_written_pages_ = 0;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -160,6 +161,14 @@ TEST(Crc32cTest, KnownValues) {
   // CRC of 32 zero bytes -> 0x8a9136aa.
   char zeros[32] = {0};
   EXPECT_EQ(crc32c::Value(zeros, 32), 0x8a9136aau);
+  // The other RFC 3720 (iSCSI) appendix B.4 vectors.
+  char buf[32];
+  memset(buf, 0xff, sizeof(buf));
+  EXPECT_EQ(crc32c::Value(buf, sizeof(buf)), 0x62a8ab43u);
+  for (int i = 0; i < 32; i++) buf[i] = static_cast<char>(i);
+  EXPECT_EQ(crc32c::Value(buf, sizeof(buf)), 0x46dd794eu);
+  for (int i = 0; i < 32; i++) buf[i] = static_cast<char>(31 - i);
+  EXPECT_EQ(crc32c::Value(buf, sizeof(buf)), 0x113fdb5cu);
 }
 
 TEST(Crc32cTest, ExtendMatchesWhole) {
@@ -168,6 +177,32 @@ TEST(Crc32cTest, ExtendMatchesWhole) {
   uint32_t part = crc32c::Value(data.data(), 10);
   part = crc32c::Extend(part, data.data() + 10, data.size() - 10);
   EXPECT_EQ(whole, part);
+}
+
+TEST(Crc32cTest, HardwareMatchesPortableReference) {
+  if (!crc32c::IsHardwareAccelerated()) {
+    GTEST_SKIP() << "this CPU has no crc32 instruction";
+  }
+  Random64 rng(3720);
+  std::string buf(1024 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Uniform(256));
+  // Every length at every alignment, from a fresh and a running crc.
+  for (size_t offset = 0; offset < 8; offset++) {
+    for (size_t n = 0; n <= 1024; n++) {
+      const char* p = buf.data() + offset;
+      ASSERT_EQ(crc32c::Extend(0, p, n), crc32c::ExtendPortable(0, p, n))
+          << "offset " << offset << " length " << n;
+      ASSERT_EQ(crc32c::Extend(0x9e3779b9u, p, n),
+                crc32c::ExtendPortable(0x9e3779b9u, p, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+  const uint32_t whole = crc32c::ExtendPortable(0, buf.data(), 100);
+  for (size_t split = 0; split <= 100; split++) {
+    uint32_t head = crc32c::Extend(0, buf.data(), split);
+    EXPECT_EQ(crc32c::Extend(head, buf.data() + split, 100 - split), whole)
+        << "split at " << split;
+  }
 }
 
 TEST(Crc32cTest, MaskRoundTrip) {

@@ -3,6 +3,7 @@
 #include "harness/flags.h"
 #include "harness/presets.h"
 #include "harness/workload.h"
+#include "ssd/ftl.h"
 
 namespace kvaccel::harness {
 namespace {
@@ -70,6 +71,26 @@ TEST(FlagsTest, ParseAll) {
   BenchFlags p = BenchFlags::Parse(2, const_cast<char**>(argv2), 60);
   EXPECT_DOUBLE_EQ(p.scale, 1.0);
   EXPECT_DOUBLE_EQ(p.seconds, 600);
+}
+
+TEST(FlagsTest, ScaleIsCappedWhereTheFtlTablesStillFit) {
+  const char* ok[] = {"bench", "--scale=64"};
+  EXPECT_DOUBLE_EQ(BenchFlags::Parse(2, const_cast<char**>(ok), 60).scale,
+                   kMaxScale);
+  const char* big[] = {"bench", "--scale=64.5"};
+  EXPECT_EXIT(BenchFlags::Parse(2, const_cast<char**>(big), 60),
+              ::testing::ExitedWithCode(2), "--scale");
+  const char* nan[] = {"bench", "--scale=nan"};  // compares false to any cap
+  EXPECT_EXIT(BenchFlags::Parse(2, const_cast<char**>(nan), 60),
+              ::testing::ExitedWithCode(2), "--scale");
+  // The cap's device: its block region fits the FTL's 32-bit tables.
+  ssd::SsdConfig c = PaperSsdConfig(kMaxScale);
+  ssd::Ftl::Options o;
+  o.logical_pages = c.block_region_pages();
+  o.pages_per_block = c.pages_per_block;
+  o.overprovision = c.overprovision;
+  EXPECT_LE(ssd::Ftl::PhysicalBlocks(o) * o.pages_per_block,
+            ssd::Ftl::kMaxPhysicalPages);
 }
 
 // End-to-end harness run, small but real; twice for determinism.

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/arena.h"
@@ -9,6 +12,7 @@
 #include "lsm/bloom.h"
 #include "lsm/cache.h"
 #include "lsm/dbformat.h"
+#include "lsm/iterator.h"
 #include "lsm/memtable.h"
 #include "lsm/skiplist.h"
 #include "lsm/write_batch.h"
@@ -280,6 +284,158 @@ TEST(BlockCacheTest, Erase) {
   cache.Erase(3, 7);
   EXPECT_EQ(cache.Lookup(3, 7), nullptr);
   EXPECT_EQ(cache.usage(), 0u);
+}
+
+// ---------- MergingIterator ----------
+
+using Entries = std::vector<std::pair<std::string, std::string>>;
+
+struct BytewiseOrder {
+  int Compare(const Slice& a, const Slice& b) const { return a.compare(b); }
+};
+
+// A child over entries sorted by key, each key once.
+class VectorIterator : public Iterator {
+ public:
+  explicit VectorIterator(Entries entries)
+      : entries_(std::move(entries)), pos_(entries_.size()) {}
+
+  bool Valid() const override { return pos_ < entries_.size(); }
+  void SeekToFirst() override { pos_ = 0; }
+  void Seek(const Slice& target) override {
+    pos_ = 0;
+    while (pos_ < entries_.size() && Slice(entries_[pos_].first) < target) {
+      pos_++;
+    }
+  }
+  void Next() override { pos_++; }
+  Slice key() const override { return entries_[pos_].first; }
+  Slice value() const override { return entries_[pos_].second; }
+  Status status() const override { return Status::OK(); }
+
+ private:
+  Entries entries_;
+  size_t pos_;
+};
+
+std::unique_ptr<Iterator> Merge(const std::vector<Entries>& children) {
+  std::vector<std::unique_ptr<Iterator>> its;
+  for (const Entries& c : children) {
+    its.push_back(std::make_unique<VectorIterator>(c));
+  }
+  return std::make_unique<MergingIterator<BytewiseOrder>>(BytewiseOrder{},
+                                                          std::move(its));
+}
+
+// Everything from the current position on.
+Entries Drain(Iterator* it) {
+  Entries out;
+  for (; it->Valid(); it->Next()) {
+    out.emplace_back(it->key().ToString(), it->value().ToString());
+  }
+  return out;
+}
+
+TEST(MergingIteratorTest, EqualKeysComeOutEarliestChildFirst) {
+  auto it = Merge({{{"a", "0"}, {"b", "0"}},
+                   {{"a", "1"}, {"c", "1"}},
+                   {{"a", "2"}, {"b", "2"}}});
+  it->SeekToFirst();
+  EXPECT_EQ(Drain(it.get()), (Entries{{"a", "0"},
+                                      {"a", "1"},
+                                      {"a", "2"},
+                                      {"b", "0"},
+                                      {"b", "2"},
+                                      {"c", "1"}}));
+  EXPECT_TRUE(it->status().ok());
+}
+
+TEST(MergingIteratorTest, ChildrenExhaustAtDifferentPoints) {
+  auto it = Merge({{{"a", "0"}, {"b", "0"}},
+                   {{"c", "1"}, {"e", "1"}, {"g", "1"}, {"h", "1"}},
+                   {{"d", "2"}}});
+  it->SeekToFirst();
+  EXPECT_EQ(Drain(it.get()), (Entries{{"a", "0"},
+                                      {"b", "0"},
+                                      {"c", "1"},
+                                      {"d", "2"},
+                                      {"e", "1"},
+                                      {"g", "1"},
+                                      {"h", "1"}}));
+}
+
+TEST(MergingIteratorTest, SeekLandsMidRangeAndNextCrossesChildren) {
+  auto it = Merge({{{"a", "0"}, {"d", "0"}, {"g", "0"}},
+                   {{"b", "1"}, {"e", "1"}, {"h", "1"}},
+                   {{"c", "2"}, {"f", "2"}, {"i", "2"}}});
+  it->Seek("e");
+  EXPECT_EQ(Drain(it.get()), (Entries{{"e", "1"},
+                                      {"f", "2"},
+                                      {"g", "0"},
+                                      {"h", "1"},
+                                      {"i", "2"}}));
+  it->Seek("cc");  // between keys: lands on the next one
+  ASSERT_TRUE(it->Valid());
+  EXPECT_EQ(it->key().ToString(), "d");
+  it->Next();
+  ASSERT_TRUE(it->Valid());
+  EXPECT_EQ(it->key().ToString(), "e");
+  it->Seek("z");
+  EXPECT_FALSE(it->Valid());
+  it->SeekToFirst();  // a seek after exhaustion starts over
+  ASSERT_TRUE(it->Valid());
+  EXPECT_EQ(it->key().ToString(), "a");
+}
+
+TEST(MergingIteratorTest, EmptyChildren) {
+  auto none = Merge({});
+  none->SeekToFirst();
+  EXPECT_FALSE(none->Valid());
+  none->Seek("a");
+  EXPECT_FALSE(none->Valid());
+
+  auto all_empty = Merge({{}, {}, {}});
+  all_empty->SeekToFirst();
+  EXPECT_FALSE(all_empty->Valid());
+
+  auto some = Merge({{}, {{"b", "1"}}, {}, {{"a", "3"}, {"b", "3"}}, {}});
+  some->SeekToFirst();
+  EXPECT_EQ(Drain(some.get()), (Entries{{"a", "3"}, {"b", "1"}, {"b", "3"}}));
+}
+
+// 64 children over a small key space, so most keys sit in several
+// children: the merge must equal a stable sort of every entry by
+// (key, child index), from the start and from random seek targets.
+TEST(MergingIteratorTest, Seeded64ChildrenMatchStableSort) {
+  Random64 rng(7919);
+  std::vector<Entries> children(64);
+  Entries all;  // appended child by child, so stable order is child order
+  for (size_t c = 0; c < children.size(); c++) {
+    std::set<std::string> keys;
+    uint64_t n = rng.Uniform(40);  // some children stay empty
+    for (uint64_t i = 0; i < n; i++) {
+      keys.insert("k" + std::to_string(100 + rng.Uniform(200)));
+    }
+    for (const std::string& k : keys) {
+      children[c].emplace_back(k, std::to_string(c));
+      all.emplace_back(k, std::to_string(c));
+    }
+  }
+  std::stable_sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+
+  auto it = Merge(children);
+  it->SeekToFirst();
+  EXPECT_EQ(Drain(it.get()), all);
+  for (int i = 0; i < 50; i++) {
+    std::string target = "k" + std::to_string(90 + rng.Uniform(220));
+    auto from = std::find_if(all.begin(), all.end(), [&](const auto& e) {
+      return e.first >= target;
+    });
+    it->Seek(target);
+    EXPECT_EQ(Drain(it.get()), Entries(from, all.end())) << target;
+  }
 }
 
 }  // namespace

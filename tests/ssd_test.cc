@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <csignal>
+#include <cstdio>
+#include <vector>
+
+#include "common/random.h"
 #include "sim/sim_env.h"
 #include "ssd/config.h"
 #include "ssd/ftl.h"
@@ -112,18 +118,73 @@ TEST(FtlTest, GcReclaimsOverwrittenSpace) {
   EXPECT_GE(ftl.write_amplification(), 1.0);
 }
 
-TEST(FtlTest, FullDeviceReportsNoSpace) {
+TEST(FtlTest, FullDeviceRewriteRunsOnTheTwoSpareBlocks) {
   Ftl::Options opt;
   opt.logical_pages = 64;
   opt.pages_per_block = 16;
-  opt.overprovision = 0.0;  // nothing spare
+  opt.overprovision = 0.0;  // nothing spare beyond the FTL's floor
   Ftl ftl(opt, nullptr);
-  // Fill every logical page: valid data occupies all physical blocks, GC has
-  // nothing reclaimable, further writes must eventually fail.
+  // 4 logical blocks get 6 physical ones: the FTL never has fewer than
+  // logical_blocks + 2, so even with every logical page valid, GC can free
+  // a block for each one it fills and the rewrite succeeds.
+  EXPECT_EQ(ftl.physical_blocks(), 6u);
+  ASSERT_TRUE(ftl.Write(0, 64).ok());
+  EXPECT_EQ(ftl.gc_runs(), 0u);
   Status s = ftl.Write(0, 64);
-  ASSERT_TRUE(s.ok());
-  s = ftl.Write(0, 64);  // rewrite needs headroom that 0% OP can't provide
-  EXPECT_TRUE(s.IsNoSpace() || s.ok());
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(ftl.valid_pages(), 64u);
+  EXPECT_EQ(ftl.gc_runs(), 63u);
+  EXPECT_EQ(ftl.free_blocks(), 1u);
+}
+
+TEST(FtlTest, PageCountPastThe32BitTablesIsRejected) {
+  Ftl::Options opt;
+  opt.logical_pages = Ftl::kMaxPhysicalPages;  // + overprovisioning: too many
+  EXPECT_EXIT(Ftl(opt, nullptr), ::testing::KilledBySignal(SIGABRT),
+              "32-bit page tables");
+  opt.logical_pages = 0;
+  EXPECT_EXIT(Ftl(opt, nullptr), ::testing::KilledBySignal(SIGABRT),
+              "32-bit page tables");
+}
+
+// Random Write/Trim ranges on a small FTL kept under GC churn, checked
+// after every op against a bitmap of what should be mapped. The final GC
+// counters are pinned: physical placement feeds NAND timing, so a change to
+// the tables that moved one relocation would show here.
+TEST(FtlTest, SeededWriteTrimMatchesBitmapModel) {
+  Ftl::Options opt;
+  opt.logical_pages = 512;
+  opt.pages_per_block = 16;
+  uint64_t gc_pages = 0, gc_blocks = 0;
+  Ftl ftl(opt, [&](uint64_t p, uint64_t b) {
+    gc_pages += p;
+    gc_blocks += b;
+  });
+  Random64 rng(20261017);
+  std::vector<bool> model(opt.logical_pages, false);
+  uint64_t model_valid = 0;
+  for (int op = 0; op < 3000; op++) {
+    uint64_t lpn = rng.Uniform(opt.logical_pages);
+    uint64_t count =
+        1 + rng.Uniform(std::min<uint64_t>(32, opt.logical_pages - lpn));
+    bool trim = rng.OneIn(4);
+    Status s = trim ? ftl.Trim(lpn, count) : ftl.Write(lpn, count);
+    ASSERT_TRUE(s.ok()) << "op " << op << ": " << s.ToString();
+    for (uint64_t p = lpn; p < lpn + count; p++) {
+      if (trim && model[p]) model_valid--;
+      if (!trim && !model[p]) model_valid++;
+      model[p] = !trim;
+    }
+    ASSERT_EQ(ftl.valid_pages(), model_valid) << "op " << op;
+    for (uint64_t p = 0; p < opt.logical_pages; p++) {
+      ASSERT_EQ(ftl.IsMapped(p), model[p]) << "op " << op << " lpn " << p;
+    }
+  }
+  EXPECT_EQ(ftl.gc_runs(), 3062u);
+  EXPECT_EQ(ftl.relocated_pages(), 13952u);
+  EXPECT_EQ(ftl.erased_blocks(), 3062u);
+  EXPECT_EQ(gc_pages, ftl.relocated_pages());
+  EXPECT_EQ(gc_blocks, ftl.erased_blocks());
 }
 
 TEST(HybridSsdTest, BlockIoMovesPcieAndNandTraffic) {
@@ -137,6 +198,38 @@ TEST(HybridSsdTest, BlockIoMovesPcieAndNandTraffic) {
   EXPECT_EQ(ssd.pcie().total_bytes(), 2u << 20);
   EXPECT_EQ(ssd.nand().bytes_written(), 1u << 20);
   EXPECT_EQ(ssd.nand().bytes_read(), 1u << 20);
+}
+
+// This process's resident set in KiB, or -1 where /proc is unavailable.
+long ResidentKib() {
+  FILE* f = fopen("/proc/self/status", "r");
+  if (f == nullptr) return -1;
+  long kib = -1;
+  char line[256];
+  while (fgets(line, sizeof(line), f) != nullptr) {
+    if (sscanf(line, "VmRSS: %ld kB", &kib) == 1) break;
+  }
+  fclose(f);
+  return kib;
+}
+
+TEST(HybridSsdTest, PaperCapacityDeviceCostsOnlyWhatIsWritten) {
+  sim::SimEnv env;
+  long before = ResidentKib();
+  if (before < 0) GTEST_SKIP() << "no VmRSS in /proc/self/status";
+  SsdConfig c;
+  c.capacity_bytes = 256ull << 30;  // the paper-scale device
+  HybridSsd ssd(&env, c);
+  long grown_kib = ResidentKib() - before;
+  EXPECT_LT(grown_kib, 16 * 1024) << "constructing the device made "
+                                  << grown_kib << " KiB resident";
+  // The far end of the address space maps like the near end.
+  uint64_t last = ssd.BlockCapacitySectors(0) - 256;
+  env.Spawn("w", [&] { ASSERT_TRUE(ssd.BlockWrite(0, last, 256).ok()); });
+  env.Run();
+  EXPECT_TRUE(ssd.block_ftl(0).IsMapped(last + 255));
+  EXPECT_FALSE(ssd.block_ftl(0).IsMapped(0));
+  EXPECT_EQ(ssd.block_ftl(0).valid_pages(), 256u);
 }
 
 TEST(HybridSsdTest, DisaggregationSplitsCapacity) {

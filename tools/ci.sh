@@ -130,6 +130,13 @@ run_pass() {
   "${dir}/tools/kvaccel_check" --db_dir="${obs_dir}/kvaccel_db_image"
 }
 
+# The benchmark's own tests: perfbench/run.py's metric derivations, gates
+# and output, checked against fixture reports. They need no build.
+perfbench_tests() {
+  echo "==== perfbench: unit tests ===="
+  PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench
+}
+
 # Short fillrandom on each system; the merged BENCH_smoke.json records the
 # throughput / stall / P99 signals CI tracks across commits.
 bench_smoke() {
@@ -375,6 +382,7 @@ mode="${1:-all}"
 case "${mode}" in
   plain)
     run_pass "plain" build
+    perfbench_tests
     bench_smoke build
     ;;
   sanitize) run_pass "sanitize" build-asan -DKVACCEL_SANITIZE=ON ;;
@@ -385,6 +393,7 @@ case "${mode}" in
     ;;
   all)
     run_pass "plain" build
+    perfbench_tests
     bench_smoke build
     run_pass "sanitize" build-asan -DKVACCEL_SANITIZE=ON
     ;;

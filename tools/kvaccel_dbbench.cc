@@ -9,7 +9,8 @@
 //                      (default fillrandom; mixed = the open-loop workload
 //                      matrix, DESIGN.md §14)
 //   --seconds=N        measurement window, virtual seconds (default 60)
-//   --scale=F          size scale; 1.0 = paper scale (default 0.125)
+//   --scale=F          size scale; 1.0 = paper scale (default 0.125, at
+//                      most 64: a 16 TiB device)
 //   --threads=N        compaction threads (default 1)
 //   --value_size=N     value bytes (default 4096)
 //   --key_space=N      key draw range (default 2^31)
@@ -201,7 +202,7 @@ int main(int argc, char** argv) {
     } else if (FlagEq(argv[i], "--seconds", &v)) {
       config.workload.duration = FromSecs(ParseFlagDouble(v, "--seconds"));
     } else if (FlagEq(argv[i], "--scale", &v)) {
-      config.scale = ParseFlagDouble(v, "--scale");
+      config.scale = ParseFlagDouble(v, "--scale", 0.0, kMaxScale);
     } else if (FlagEq(argv[i], "--threads", &v)) {
       config.sut.compaction_threads =
           static_cast<int>(ParseFlagInt(v, "--threads", /*min_value=*/1));
