@@ -66,7 +66,9 @@ class Arena {
   }
 
   char* AllocateNewBlock(size_t block_bytes) {
-    blocks_.push_back(std::make_unique<char[]>(block_bytes));
+    // Uninitialised: every byte handed out is written before it is read,
+    // and untouched pages of a fresh block stay off the resident set.
+    blocks_.push_back(std::make_unique_for_overwrite<char[]>(block_bytes));
     memory_usage_.fetch_add(block_bytes + sizeof(blocks_.back()),
                             std::memory_order_relaxed);
     return blocks_.back().get();

@@ -28,7 +28,7 @@ void HybridIterator::ChooseNext() {
       } else {
         // Same user key on both sides: the Metadata Manager snapshot taken
         // at iterator creation knows where the newest version lived then.
-        take_dev = md_snapshot_.count(main_->key().ToString()) > 0;
+        take_dev = md_snapshot_.count(main_->key()) > 0;
       }
     } else {
       take_dev = d;

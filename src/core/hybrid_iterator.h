@@ -17,7 +17,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "core/metadata_manager.h"
@@ -68,7 +67,7 @@ class HybridIterator : public lsm::Iterator {
   std::unique_ptr<lsm::Iterator> main_;
   std::unique_ptr<devlsm::DevLsm::Iterator> dev_;
   // Authority map as of iterator creation (see header comment).
-  std::unordered_set<std::string> md_snapshot_;
+  KeySeqTable md_snapshot_;
 
   bool valid_ = false;
   bool current_from_dev_ = false;

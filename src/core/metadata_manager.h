@@ -8,13 +8,13 @@
 // a crash loses it, and recovery rebuilds from a full Dev-LSM scan (§VI-D).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/slice.h"
 #include "common/units.h"
 #include "core/config.h"
@@ -22,6 +22,117 @@
 #include "sim/sim_env.h"
 
 namespace kvaccel::core {
+
+// Key -> host sequence map in one flat slot array: open addressing with
+// linear probing and backward-shift deletion (no tombstones). The array is
+// sized to its contents: it doubles past 3/4 full, halves below 1/8 full and
+// is released when it empties, so copying it costs what it holds.
+class KeySeqTable {
+ public:
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  // 1 if `key` is present, else 0.
+  size_t count(const Slice& key) const { return Find(key) != nullptr; }
+
+  // The key's sequence, or nullptr when absent.
+  const uint64_t* Find(const Slice& key) const {
+    if (size_ == 0) return nullptr;
+    const uint64_t h = HashOf(key);
+    for (size_t i = h & mask(); slots_[i].hash != 0; i = (i + 1) & mask()) {
+      if (slots_[i].hash == h && Slice(slots_[i].key) == key) {
+        return &slots_[i].seq;
+      }
+    }
+    return nullptr;
+  }
+
+  // Inserts `key` or overwrites its sequence.
+  void Set(const Slice& key, uint64_t seq) {
+    if ((size_ + 1) * 4 > slots_.size() * 3) {
+      Rehash(std::max(kMinSlots, slots_.size() * 2));
+    }
+    const uint64_t h = HashOf(key);
+    size_t i = h & mask();
+    for (; slots_[i].hash != 0; i = (i + 1) & mask()) {
+      if (slots_[i].hash == h && Slice(slots_[i].key) == key) {
+        slots_[i].seq = seq;
+        return;
+      }
+    }
+    slots_[i].hash = h;
+    slots_[i].key.assign(key.data(), key.size());
+    slots_[i].seq = seq;
+    size_++;
+  }
+
+  void Erase(const Slice& key) {
+    if (size_ == 0) return;
+    const uint64_t h = HashOf(key);
+    size_t i = h & mask();
+    for (;; i = (i + 1) & mask()) {
+      if (slots_[i].hash == 0) return;
+      if (slots_[i].hash == h && Slice(slots_[i].key) == key) break;
+    }
+    // Backward shift: pull later members of the probe run into the hole
+    // unless their home slot lies cyclically after it.
+    for (size_t j = (i + 1) & mask(); slots_[j].hash != 0;
+         j = (j + 1) & mask()) {
+      const size_t home = slots_[j].hash & mask();
+      if (((j - home) & mask()) >= ((j - i) & mask())) {
+        slots_[i] = std::move(slots_[j]);
+        i = j;
+      }
+    }
+    slots_[i].hash = 0;
+    slots_[i].key.clear();
+    if (--size_ == 0) {
+      Clear();
+    } else if (slots_.size() > kMinSlots && size_ * 8 < slots_.size()) {
+      Rehash(slots_.size() / 2);
+    }
+  }
+
+  void Clear() {
+    slots_ = {};
+    size_ = 0;
+  }
+
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const Slot& slot : slots_) {
+      if (slot.hash != 0) fn(slot.key, slot.seq);
+    }
+  }
+
+ private:
+  static constexpr size_t kMinSlots = 16;
+
+  struct Slot {
+    uint64_t hash = 0;  // 0 marks an empty slot
+    std::string key;
+    uint64_t seq = 0;
+  };
+
+  static uint64_t HashOf(const Slice& key) {
+    uint64_t h = HashSlice64(key);
+    return h != 0 ? h : 1;
+  }
+  size_t mask() const { return slots_.size() - 1; }
+
+  void Rehash(size_t slot_count) {
+    std::vector<Slot> old = std::move(slots_);
+    slots_ = std::vector<Slot>(slot_count);
+    for (Slot& slot : old) {
+      if (slot.hash == 0) continue;
+      size_t i = slot.hash & mask();
+      while (slots_[i].hash != 0) i = (i + 1) & mask();
+      slots_[i] = std::move(slot);
+    }
+  }
+
+  std::vector<Slot> slots_;  // power-of-two length, or empty
+  size_t size_ = 0;
+};
 
 class MetadataManager {
  public:
@@ -35,7 +146,7 @@ class MetadataManager {
   void Insert(const Slice& key, uint64_t seq) {
     Charge(options_.md_insert_ns);
     stats_->md_inserts++;
-    keys_[key.ToString()] = seq;
+    keys_.Set(key, seq);
   }
 
   // Bulk insert for one redirected batch: same per-record hash-table cost as
@@ -45,14 +156,14 @@ class MetadataManager {
     if (recs.empty()) return;
     Charge(options_.md_insert_ns * static_cast<double>(recs.size()));
     stats_->md_inserts += recs.size();
-    for (const auto& [key, seq] : recs) keys_[key] = seq;
+    for (const auto& [key, seq] : recs) keys_.Set(key, seq);
   }
 
   // Membership test ("key check").
   bool Check(const Slice& key) {
     Charge(options_.md_check_ns);
     stats_->md_checks++;
-    return keys_.count(key.ToString()) > 0;
+    return keys_.count(key) > 0;
   }
 
   // Sequence of the recorded device-side version; 0 when absent. Costs a
@@ -60,38 +171,42 @@ class MetadataManager {
   uint64_t GetSeq(const Slice& key) {
     Charge(options_.md_check_ns);
     stats_->md_checks++;
-    auto it = keys_.find(key.ToString());
-    return it == keys_.end() ? 0 : it->second;
+    const uint64_t* seq = keys_.Find(key);
+    return seq == nullptr ? 0 : *seq;
   }
 
   // Removes the record (newest version is now in Main-LSM, or rolled back).
   void Delete(const Slice& key) {
     Charge(options_.md_delete_ns);
     stats_->md_deletes++;
-    keys_.erase(key.ToString());
+    keys_.Erase(key);
   }
 
-  // One-shot copy of the key set, taken when a snapshot iterator is built:
+  // One-shot copy of the table, taken when a snapshot iterator is built:
   // tie arbitration between the main-LSM and Dev-LSM cursors must use the
   // authority map as of iterator creation, not live state, or a rollback
   // completing mid-scan flips authority under the reader. Charged as one
   // check (a real store would publish a versioned epoch pointer, not copy).
-  std::unordered_set<std::string> SnapshotKeySet() {
+  KeySeqTable SnapshotKeySet() {
     Charge(options_.md_check_ns);
     stats_->md_checks++;
-    std::unordered_set<std::string> out;
+    return keys_;
+  }
+
+  // Uncharged dump of the table, in key order, for offline integrity
+  // checking.
+  std::vector<std::pair<std::string, uint64_t>> Entries() const {
+    std::vector<std::pair<std::string, uint64_t>> out;
     out.reserve(keys_.size());
-    for (const auto& [key, seq] : keys_) out.insert(key);
+    keys_.ForEach([&](const std::string& key, uint64_t seq) {
+      out.emplace_back(key, seq);
+    });
+    std::sort(out.begin(), out.end());
     return out;
   }
 
-  // Uncharged dump of the table for offline integrity checking.
-  std::vector<std::pair<std::string, uint64_t>> Entries() const {
-    return {keys_.begin(), keys_.end()};
-  }
-
   // Crash simulation: drops the volatile table (paper §VI-D).
-  void LoseAll() { keys_.clear(); }
+  void LoseAll() { keys_.Clear(); }
 
   size_t Size() const { return keys_.size(); }
   bool Empty() const { return keys_.empty(); }
@@ -107,7 +222,7 @@ class MetadataManager {
   sim::CpuPool* cpu_;
   const KvaccelOptions& options_;
   KvaccelStats* stats_;
-  std::unordered_map<std::string, uint64_t> keys_;  // key -> host seq
+  KeySeqTable keys_;  // key -> host seq
 };
 
 }  // namespace kvaccel::core

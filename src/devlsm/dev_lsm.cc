@@ -33,6 +33,80 @@ uint64_t DevLsm::EntryLogical(const Slice& key, const Entry& e) const {
   return key.size() + 8 + (e.tombstone ? 0 : e.value.logical_size());
 }
 
+void DevLsm::InsertLocked(std::string key, Entry e) {
+  auto [it, inserted] = memtable_.try_emplace(std::move(key));
+  if (!inserted) memtable_logical_ -= EntryLogical(it->first, it->second);
+  it->second = std::move(e);
+  memtable_logical_ += EntryLogical(it->first, it->second);
+}
+
+template <typename Runs, typename Fn>
+void DevLsm::MergeNewest(Runs& runs, const Memtable* mem, Fn&& fn) {
+  // Sources 0..n-1 are the runs, source n the memtable.
+  const size_t n = runs.size();
+  std::vector<size_t> pos(n, 0);
+  Memtable::const_iterator mem_it =
+      mem != nullptr ? mem->begin() : Memtable::const_iterator();
+  struct Head {
+    const std::string* key;
+    uint64_t seq;
+    size_t src;
+  };
+  auto head_of = [&](size_t src, Head* h) {
+    if (src == n) {
+      if (mem_it == mem->end()) return false;
+      *h = {&mem_it->first, mem_it->second.seq, src};
+      return true;
+    }
+    const auto& entries = runs[src].entries;
+    if (pos[src] == entries.size()) return false;
+    *h = {&entries[pos[src]].first, entries[pos[src]].second.seq, src};
+    return true;
+  };
+  // Max-heap order: the smallest key on top and, among equal keys, the
+  // highest sequence.
+  auto after = [](const Head& a, const Head& b) {
+    int c = a.key->compare(*b.key);
+    return c != 0 ? c > 0 : a.seq < b.seq;
+  };
+  std::vector<Head> heap;
+  heap.reserve(n + 1);
+  Head h{};
+  for (size_t src = 0; src < n + (mem != nullptr ? 1 : 0); src++) {
+    if (head_of(src, &h)) heap.push_back(h);
+  }
+  std::make_heap(heap.begin(), heap.end(), after);
+  auto pop = [&] {
+    std::pop_heap(heap.begin(), heap.end(), after);
+    Head top = heap.back();
+    heap.pop_back();
+    return top;
+  };
+  auto advance = [&](size_t src) {
+    if (src == n) {
+      ++mem_it;
+    } else {
+      pos[src]++;
+    }
+    Head next{};
+    if (head_of(src, &next)) {
+      heap.push_back(next);
+      std::push_heap(heap.begin(), heap.end(), after);
+    }
+  };
+  while (!heap.empty()) {
+    const Head top = pop();
+    // Older versions of the same key sit right below it: drop them.
+    while (!heap.empty() && *heap.front().key == *top.key) advance(pop().src);
+    if (top.src == n) {
+      fn(*mem_it);
+    } else {
+      fn(runs[top.src].entries[pos[top.src]]);
+    }
+    advance(top.src);
+  }
+}
+
 Status DevLsm::Put(const Slice& key, const Value& value, uint64_t host_seq) {
   sim::SimLockGuard l(cmd_mu_);
   if (sim::SimCrashed(env_)) return Status::IOError("simulated crash");
@@ -52,13 +126,7 @@ Status DevLsm::Put(const Slice& key, const Value& value, uint64_t host_seq) {
   e.tombstone = false;
   e.seq = next_seq_++;
   e.host_seq = host_seq;
-  std::string k = key.ToString();
-  auto old = memtable_.find(k);
-  if (old != memtable_.end()) {
-    memtable_logical_ -= EntryLogical(k, old->second);
-  }
-  memtable_logical_ += EntryLogical(key, e);
-  memtable_.insert_or_assign(std::move(k), e);
+  InsertLocked(key.ToString(), std::move(e));
   mutation_epoch_++;
   if (tracer_ != nullptr) {
     put_span_.Add(cmd_start, env_->Now(),
@@ -87,13 +155,7 @@ Status DevLsm::Delete(const Slice& key, uint64_t host_seq) {
   e.tombstone = true;
   e.seq = next_seq_++;
   e.host_seq = host_seq;
-  std::string k = key.ToString();
-  auto old = memtable_.find(k);
-  if (old != memtable_.end()) {
-    memtable_logical_ -= EntryLogical(k, old->second);
-  }
-  memtable_logical_ += EntryLogical(key, e);
-  memtable_.insert_or_assign(std::move(k), e);
+  InsertLocked(key.ToString(), std::move(e));
   mutation_epoch_++;
   if (tracer_ != nullptr) put_span_.Add(cmd_start, env_->Now(), key.size());
   if (memtable_logical_ >= options_.memtable_bytes) {
@@ -136,12 +198,7 @@ Status DevLsm::PutCompound(const std::vector<BatchPut>& entries) {
     e.tombstone = bp.tombstone;
     e.seq = next_seq_++;
     e.host_seq = bp.host_seq;
-    auto old = memtable_.find(bp.key);
-    if (old != memtable_.end()) {
-      memtable_logical_ -= EntryLogical(bp.key, old->second);
-    }
-    memtable_logical_ += EntryLogical(bp.key, e);
-    memtable_.insert_or_assign(bp.key, e);
+    InsertLocked(bp.key, std::move(e));
   }
   mutation_epoch_++;
   if (tracer_ != nullptr) {
@@ -223,10 +280,7 @@ Status DevLsm::FlushMemtableLocked() {
   if (memtable_.empty()) return Status::OK();
   Nanos flush_start = tracer_ != nullptr ? env_->Now() : 0;
   Run run;
-  run.entries.assign(memtable_.begin(), memtable_.end());
-  for (const auto& [k, e] : run.entries) {
-    run.logical_bytes += EntryLogical(k, e);
-  }
+  run.logical_bytes = memtable_logical_;
   const uint64_t page = ssd_->config().page_size;
   run.pages = (run.logical_bytes + page - 1) / page;
 
@@ -242,8 +296,14 @@ Status DevLsm::FlushMemtableLocked() {
                             static_cast<double>(run.logical_bytes));
   const uint64_t flushed_bytes = run.logical_bytes;
   ssd_->NandWrite(run.logical_bytes);
+  // The memtable stays whole until the run lands: Empty() is read without
+  // the command mutex while this thread sleeps on the device.
+  run.entries.reserve(memtable_.size());
+  while (!memtable_.empty()) {
+    auto node = memtable_.extract(memtable_.begin());
+    run.entries.emplace_back(std::move(node.key()), std::move(node.mapped()));
+  }
   runs_.push_back(std::move(run));
-  memtable_.clear();
   memtable_logical_ = 0;
   mutation_epoch_++;
   stats_.flushes++;
@@ -264,27 +324,24 @@ Status DevLsm::CompactRunsLocked() {
   Nanos compact_start = tracer_ != nullptr ? env_->Now() : 0;
   uint64_t in_bytes = 0;
   uint64_t in_pages = 0;
+  uint64_t in_entries = 0;
   for (const auto& r : runs_) {
     in_bytes += r.logical_bytes;
     in_pages += r.pages;
+    in_entries += r.entries.size();
   }
   ssd_->NandRead(in_bytes);
   ssd_->firmware()->Consume(options_.compact_fw_ns_per_byte *
                             static_cast<double>(in_bytes));
 
   // Newest wins; tombstones are retained (they may shadow Main-LSM data).
-  std::map<std::string, Entry> merged;
-  for (const auto& r : runs_) {
-    for (const auto& [k, e] : r.entries) {
-      auto it = merged.find(k);
-      if (it == merged.end() || it->second.seq < e.seq) merged[k] = e;
-    }
-  }
+  // The inputs are replaced below, so their entries move into the output.
   Run out;
-  out.entries.assign(merged.begin(), merged.end());
-  for (const auto& [k, e] : out.entries) {
-    out.logical_bytes += EntryLogical(k, e);
-  }
+  out.entries.reserve(in_entries);
+  MergeNewest(runs_, nullptr, [&](auto& kv) {
+    out.logical_bytes += EntryLogical(kv.first, kv.second);
+    out.entries.push_back(std::move(kv));
+  });
   const uint64_t page = ssd_->config().page_size;
   out.pages = (out.logical_bytes + page - 1) / page;
 
@@ -311,6 +368,7 @@ bool DevLsm::ReadCacheLookupOrFill(const std::string& key, uint64_t bytes) {
   if (read_cache_.epoch != mutation_epoch_) {
     // Firmware invalidates the whole cache when the store mutates.
     read_cache_.resident.clear();
+    read_cache_.fifo.clear();
     read_cache_.used_bytes = 0;
     read_cache_.epoch = mutation_epoch_;
     read_cache_.capacity_bytes = options_.read_cache_bytes;
@@ -323,11 +381,13 @@ bool DevLsm::ReadCacheLookupOrFill(const std::string& key, uint64_t bytes) {
   stats_.read_cache_misses++;
   read_cache_.used_bytes += bytes;
   read_cache_.resident.emplace(key, bytes);
+  read_cache_.fifo.push_back(key);
   while (read_cache_.used_bytes > read_cache_.capacity_bytes &&
-         !read_cache_.resident.empty()) {
-    auto victim = read_cache_.resident.begin();
+         !read_cache_.fifo.empty()) {
+    auto victim = read_cache_.resident.find(read_cache_.fifo.front());
     read_cache_.used_bytes -= victim->second;
     read_cache_.resident.erase(victim);
+    read_cache_.fifo.pop_front();
   }
   return false;
 }
@@ -336,19 +396,11 @@ std::shared_ptr<const DevLsm::MergedView> DevLsm::SnapshotLocked() const {
   if (snapshot_epoch_ == mutation_epoch_ && snapshot_cache_ != nullptr) {
     return snapshot_cache_;
   }
-  std::map<std::string, Entry> merged;
-  for (const auto& r : runs_) {
-    for (const auto& [k, e] : r.entries) {
-      auto it = merged.find(k);
-      if (it == merged.end() || it->second.seq < e.seq) merged[k] = e;
-    }
-  }
-  for (const auto& [k, e] : memtable_) {
-    auto it = merged.find(k);
-    if (it == merged.end() || it->second.seq < e.seq) merged[k] = e;
-  }
-  snapshot_cache_ = std::make_shared<const MergedView>(merged.begin(),
-                                                       merged.end());
+  auto view = std::make_shared<MergedView>();
+  view->reserve(NumLiveEntries());
+  MergeNewest(runs_, &memtable_,
+              [&](const auto& kv) { view->emplace_back(kv.first, kv.second); });
+  snapshot_cache_ = std::move(view);
   snapshot_epoch_ = mutation_epoch_;
   return snapshot_cache_;
 }
@@ -367,40 +419,43 @@ Status DevLsm::BulkScan(const std::function<void(const ScanEntry&)>& fn) {
   const MergedView& view = *view_snapshot;
 
   // Stream in dma_chunk-sized bursts: NAND read, firmware serialization,
-  // then one DMA to host memory (paper §V-E steps 3-6).
-  std::vector<ScanEntry> chunk_entries;
+  // then one DMA to host memory (paper §V-E steps 3-6). A chunk is the view
+  // range [chunk_begin, end); its entries reach `fn` once it has landed.
+  size_t chunk_begin = 0;
   uint64_t chunk_bytes = 0;
-  auto ship_chunk = [&]() {
-    if (chunk_entries.empty()) return;
+  ScanEntry out;
+  auto ship_chunk = [&](size_t end) {
+    if (end == chunk_begin) return;
     {
       sim::SimLockGuard l(cmd_mu_);
       stats_.scan_chunks++;
       Nanos chunk_start = tracer_ != nullptr ? env_->Now() : 0;
       ssd_->NandRead(chunk_bytes);
       ssd_->firmware()->Consume(options_.scan_fw_ns_per_entry *
-                                static_cast<double>(chunk_entries.size()));
+                                static_cast<double>(end - chunk_begin));
       ssd_->PcieToHost(chunk_bytes);
       if (tracer_ != nullptr) {
         tracer_->Complete(tr_dev_, "dev.scan_chunk", chunk_start, env_->Now(),
                           chunk_bytes);
       }
     }
-    for (const auto& e : chunk_entries) fn(e);
-    chunk_entries.clear();
+    for (size_t i = chunk_begin; i < end; i++) {
+      const auto& [k, e] = view[i];
+      out.key = k;
+      out.value = e.value;
+      out.tombstone = e.tombstone;
+      out.host_seq = e.host_seq;
+      fn(out);
+    }
+    chunk_begin = end;
     chunk_bytes = 0;
   };
 
-  for (const auto& [k, e] : view) {
-    ScanEntry out;
-    out.key = k;
-    out.value = e.value;
-    out.tombstone = e.tombstone;
-    out.host_seq = e.host_seq;
-    chunk_bytes += EntryLogical(k, e);
-    chunk_entries.push_back(std::move(out));
-    if (chunk_bytes >= options_.dma_chunk) ship_chunk();
+  for (size_t i = 0; i < view.size(); i++) {
+    chunk_bytes += EntryLogical(view[i].first, view[i].second);
+    if (chunk_bytes >= options_.dma_chunk) ship_chunk(i + 1);
   }
-  ship_chunk();
+  ship_chunk(view.size());
   return Status::OK();
 }
 
@@ -413,21 +468,19 @@ Status DevLsm::ResetUpTo(uint64_t up_to_seq) {
   uint64_t old_pages = 0;
   for (const auto& r : runs_) old_pages += r.pages;
 
-  // Survivors: entries written after the snapshot bound.
-  std::map<std::string, Entry> surviving_mem;
-  for (const auto& [k, e] : memtable_) {
-    if (e.seq > up_to_seq) surviving_mem.emplace(k, e);
-  }
-  Run surviving_run;
-  for (const auto& r : runs_) {
-    for (const auto& [k, e] : r.entries) {
-      if (e.seq > up_to_seq) surviving_run.entries.emplace_back(k, e);
-    }
-  }
-
-  memtable_ = std::move(surviving_mem);
+  // Survivors: entries written after the snapshot bound. A key's newest
+  // run version survives exactly when any of its versions does, and the
+  // runs are dropped below, so their survivors move into one run.
+  std::erase_if(memtable_,
+                [&](const auto& kv) { return kv.second.seq <= up_to_seq; });
   memtable_logical_ = 0;
   for (const auto& [k, e] : memtable_) memtable_logical_ += EntryLogical(k, e);
+  Run surviving_run;
+  MergeNewest(runs_, nullptr, [&](auto& kv) {
+    if (kv.second.seq > up_to_seq) {
+      surviving_run.entries.push_back(std::move(kv));
+    }
+  });
 
   runs_.clear();
   if (old_pages > 0) {
@@ -436,18 +489,6 @@ Status DevLsm::ResetUpTo(uint64_t up_to_seq) {
         std::max<uint64_t>(1, old_pages / ssd_->config().pages_per_block));
   }
   if (!surviving_run.entries.empty()) {
-    std::sort(surviving_run.entries.begin(), surviving_run.entries.end(),
-              [](const auto& a, const auto& b) {
-                if (a.first != b.first) return a.first < b.first;
-                return a.second.seq > b.second.seq;  // newest first
-              });
-    surviving_run.entries.erase(
-        std::unique(surviving_run.entries.begin(),
-                    surviving_run.entries.end(),
-                    [](const auto& a, const auto& b) {
-                      return a.first == b.first;
-                    }),
-        surviving_run.entries.end());
     for (const auto& [k, e] : surviving_run.entries) {
       surviving_run.logical_bytes += EntryLogical(k, e);
     }

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -161,6 +162,10 @@ class DevLsm {
     uint64_t pages = 0;
   };
 
+  using Memtable = std::map<std::string, Entry>;
+
+  // Writes one pair into the device memtable, replacing any older version.
+  void InsertLocked(std::string key, Entry e);
   Status FlushMemtableLocked();
   Status CompactRunsLocked();
   using MergedView = std::vector<std::pair<std::string, Entry>>;
@@ -168,6 +173,13 @@ class DevLsm {
   // until the next mutation so scan-heavy workloads (rollback, range
   // queries) don't rebuild it per batch.
   std::shared_ptr<const MergedView> SnapshotLocked() const;
+  // Calls `fn` once per key of `runs` and, when `mem` is not null, of the
+  // memtable, in key order, with the key's newest version: the one with the
+  // highest device sequence. Every source is sorted and holds a key at most
+  // once, so this is one linear k-way merge. `fn` gets the source's element
+  // and may move from it when `runs` is not const.
+  template <typename Runs, typename Fn>
+  static void MergeNewest(Runs& runs, const Memtable* mem, Fn&& fn);
   uint64_t EntryLogical(const Slice& key, const Entry& e) const;
 
   ssd::HybridSsd* ssd_;
@@ -176,7 +188,7 @@ class DevLsm {
   sim::SimEnv* env_;
 
   mutable sim::SimMutex cmd_mu_;  // firmware command queue serialization
-  std::map<std::string, Entry> memtable_;
+  Memtable memtable_;
   uint64_t memtable_logical_ = 0;
   std::vector<Run> runs_;  // oldest first
   uint64_t next_seq_ = 1;
@@ -191,11 +203,12 @@ class DevLsm {
     uint64_t used_bytes = 0;
     uint64_t epoch = UINT64_MAX;
     std::map<std::string, uint64_t> resident;  // key -> bytes
+    std::deque<std::string> fifo;              // resident keys, oldest first
   };
   mutable ReadCache read_cache_;
   // True (and accounts a hit) if `key`'s page is cached; otherwise records
-  // the page as resident (evicting oldest keys beyond capacity) and returns
-  // false so the caller charges the NAND read.
+  // the page as resident (evicting the oldest pages beyond capacity) and
+  // returns false so the caller charges the NAND read.
   bool ReadCacheLookupOrFill(const std::string& key, uint64_t bytes);
   DevLsmStats stats_;
 

@@ -1465,12 +1465,15 @@ Status DbImpl::DoCompactionWork(Compaction* c, const KeyRange& range,
   // compaction_io_chunk logical bytes runs as read-phase (device I/O),
   // merge-phase (pure host CPU — the device-idle window KVACCEL exploits),
   // then write-phase (device I/O).
+  // A batch's internal keys and values sit back to back in one reused
+  // buffer; `batch` records their sizes.
   struct BatchEntry {
-    std::string ikey;
-    std::string val;
+    uint32_t key_size;
+    uint32_t value_size;
     uint64_t logical;
   };
   std::vector<BatchEntry> batch;
+  std::string batch_buf;
   uint64_t batch_bytes = 0;
   // Read-phase start for tracing: the span from here (or from the end of the
   // previous write phase) to the batch boundary is dominated by SST reads.
@@ -1505,7 +1508,11 @@ Status DbImpl::DoCompactionWork(Compaction* c, const KeyRange& range,
                         write_start, bytes);
     }
     // Write phase.
+    const char* next = batch_buf.data();
     for (const BatchEntry& e : batch) {
+      const Slice ikey(next, e.key_size);
+      const Slice val(next + e.key_size, e.value_size);
+      next += e.key_size + e.value_size;
       if (builder == nullptr) {
         mu_.Lock();
         builder_number = versions_->NewFileNumber();
@@ -1518,7 +1525,7 @@ Status DbImpl::DoCompactionWork(Compaction* c, const KeyRange& range,
         if (ndp != nullptr) file->set_device_side(true);
         builder = std::make_unique<SstBuilder>(options_, std::move(file));
       }
-      Status ws = builder->Add(e.ikey, e.val, e.logical);
+      Status ws = builder->Add(ikey, val, e.logical);
       if (!ws.ok()) return ws;
       if (builder->logical_size() >= options_.target_file_size) {
         ws = finish_output();
@@ -1526,6 +1533,7 @@ Status DbImpl::DoCompactionWork(Compaction* c, const KeyRange& range,
       }
     }
     batch.clear();
+    batch_buf.clear();
     batch_bytes = 0;
     if (tracer_ != nullptr) {
       phase_start = env_->Now();
@@ -1574,7 +1582,10 @@ Status DbImpl::DoCompactionWork(Compaction* c, const KeyRange& range,
       continue;  // tombstone has nothing left to hide
     }
 
-    batch.push_back({ikey.ToString(), val.ToString(), entry_logical});
+    batch.push_back({static_cast<uint32_t>(ikey.size()),
+                     static_cast<uint32_t>(val.size()), entry_logical});
+    batch_buf.append(ikey.data(), ikey.size());
+    batch_buf.append(val.data(), val.size());
     batch_bytes += entry_logical;
     if (batch_bytes >= options_.compaction_io_chunk) {
       s = write_batch_out();

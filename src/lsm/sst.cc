@@ -367,14 +367,14 @@ class SstIterator : public Iterator {
       status_ = FetchBlock(block_pos_, &block);
       if (!status_.ok()) return;
       block_ = std::move(block);
-      cursor_ = std::make_unique<BlockEntryCursor>(Slice(block_->physical));
-      while (cursor_->Next()) {
-        if (target == nullptr || cmp.Compare(cursor_->key(), *target) >= 0) {
+      cursor_ = BlockEntryCursor(Slice(block_->physical));
+      while (cursor_.Next()) {
+        if (target == nullptr || cmp.Compare(cursor_.key(), *target) >= 0) {
           Capture();
           return;
         }
       }
-      if (cursor_->corrupt()) {
+      if (cursor_.corrupt()) {
         status_ = Status::Corruption("bad block entry");
         return;
       }
@@ -383,11 +383,11 @@ class SstIterator : public Iterator {
   }
 
   bool AdvanceWithinBlock() {
-    if (cursor_ != nullptr && cursor_->Next()) {
+    if (cursor_.Next()) {
       Capture();
       return true;
     }
-    if (cursor_ != nullptr && cursor_->corrupt()) {
+    if (cursor_.corrupt()) {
       status_ = Status::Corruption("bad block entry");
       valid_ = false;
       return true;  // stop: status is set
@@ -395,9 +395,11 @@ class SstIterator : public Iterator {
     return false;
   }
 
+  // key_ and value_ point into block_, which stays pinned until the
+  // iterator moves to another block.
   void Capture() {
-    key_.assign(cursor_->key().data(), cursor_->key().size());
-    value_.assign(cursor_->value().data(), cursor_->value().size());
+    key_ = cursor_.key();
+    value_ = cursor_.value();
     valid_ = true;
   }
 
@@ -423,8 +425,8 @@ class SstIterator : public Iterator {
   std::vector<std::shared_ptr<BlockCache::Block>> prefetch_;
   size_t block_pos_ = 0;
   std::shared_ptr<BlockCache::Block> block_;
-  std::unique_ptr<BlockEntryCursor> cursor_;
-  std::string key_, value_;
+  BlockEntryCursor cursor_{Slice()};
+  Slice key_, value_;
   bool valid_ = false;
   Status status_;
 };

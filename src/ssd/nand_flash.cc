@@ -33,23 +33,23 @@ double NandFlash::total_bytes_per_sec() const {
 
 Nanos NandFlash::StripedTransfer(uint64_t bytes, Nanos fixed_latency) {
   if (bytes == 0) return env_->Now();
-  // Stripe page-sized chunks round-robin over the channels. For transfers
-  // smaller than one page the single owning channel carries it all.
+  // Stripe page-sized chunks round-robin over the channels, dealing from
+  // next_channel_; only the last chunk may be partial. For transfers smaller
+  // than one page the single owning channel carries it all.
   const uint64_t stripe = config_.page_size;
   const size_t n = channels_.size();
-  std::vector<uint64_t> share(n, 0);
-  uint64_t remaining = bytes;
-  size_t ch = next_channel_;
-  while (remaining > 0) {
-    uint64_t chunk = std::min(remaining, stripe);
-    share[ch] += chunk;
-    remaining -= chunk;
-    ch = (ch + 1) % n;
-  }
-  next_channel_ = ch;
+  const size_t start = next_channel_;
+  const uint64_t chunks = (bytes + stripe - 1) / stripe;
+  const uint64_t short_by = chunks * stripe - bytes;  // missing from the last
+  const size_t last = (start + (chunks - 1) % n) % n;
+  next_channel_ = (start + chunks % n) % n;
   Nanos done = env_->Now();
   for (size_t i = 0; i < n; i++) {
-    if (share[i] > 0) done = std::max(done, channels_[i]->TransferAsync(share[i]));
+    const size_t deal = (i + n - start) % n;  // i's place in the deal order
+    const uint64_t count = chunks / n + (deal < chunks % n ? 1 : 0);
+    if (count == 0) continue;
+    const uint64_t share = count * stripe - (i == last ? short_by : 0);
+    done = std::max(done, channels_[i]->TransferAsync(share));
   }
   env_->SleepUntil(done + fixed_latency);
   return env_->Now();

@@ -4,8 +4,10 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "common/random.h"
 #include "core/kvaccel_db.h"
 #include "tests/test_util.h"
 
@@ -375,6 +377,105 @@ TEST(KvaccelDbTest, MetadataCostsMatchTableVI) {
     EXPECT_EQ(stats.md_inserts, 1u);
     EXPECT_EQ(stats.md_checks, 2u);
     EXPECT_EQ(stats.md_deletes, 1u);
+  });
+}
+
+// A seeded mix of every table operation against an std::unordered_map
+// reference, through phases that grow the table to thousands of keys, drain
+// it, and refill it: results, sorted Entries(), the md_* counters and the
+// virtual time each call charges all match.
+TEST(MetadataManagerTest, SeededOpsMatchHashMapReference) {
+  SimWorld world;
+  world.Run([&] {
+    KvaccelOptions opts = SmallKvOptions();
+    KvaccelStats stats;
+    MetadataManager md(&world.env, world.host_cpu.get(), opts, &stats);
+    std::unordered_map<std::string, uint64_t> ref;
+    KvaccelStats want;
+    Random64 rnd(0x6d645f7461626c65ull);
+    uint64_t next_seq = 1;
+    auto key = [](uint64_t i) { return "user" + TestKey(i); };
+    auto check_entries = [&] {
+      std::vector<std::pair<std::string, uint64_t>> sorted(ref.begin(),
+                                                           ref.end());
+      std::sort(sorted.begin(), sorted.end());
+      auto got = md.Entries();
+      std::sort(got.begin(), got.end());
+      ASSERT_EQ(got, sorted);
+      EXPECT_EQ(md.Size(), ref.size());
+      EXPECT_EQ(md.Empty(), ref.empty());
+    };
+    // Phases: {ops, key space, percent of ops that delete}. The 60%-delete
+    // phase drains the table down through several shrinks.
+    struct Phase {
+      int ops;
+      uint64_t keys;
+      uint64_t delete_pct;
+    };
+    const Phase kPhases[] = {{6000, 4000, 5},  {8000, 4000, 60},
+                             {3000, 64, 30},   {5000, 9000, 10},
+                             {9000, 9000, 70}, {2000, 500, 20}};
+    int phase_no = 0;
+    for (const Phase& ph : kPhases) {
+      for (int op = 0; op < ph.ops; op++) {
+        uint64_t r = rnd.Uniform(100);
+        std::string k = key(rnd.Uniform(ph.keys));
+        Nanos t0 = world.env.Now();
+        if (r < ph.delete_pct) {
+          md.Delete(k);
+          ref.erase(k);
+          want.md_deletes++;
+          EXPECT_EQ(world.env.Now() - t0, 280u);
+        } else if (r < ph.delete_pct + (100 - ph.delete_pct) / 4) {
+          uint64_t seq = next_seq++;
+          md.Insert(k, seq);
+          ref[k] = seq;
+          want.md_inserts++;
+          EXPECT_EQ(world.env.Now() - t0, 450u);
+        } else if (r < ph.delete_pct + (100 - ph.delete_pct) / 2) {
+          std::vector<std::pair<std::string, uint64_t>> recs;
+          const uint64_t n = 1 + rnd.Uniform(16);
+          for (uint64_t i = 0; i < n; i++) {
+            // Repeats inside one batch: the later record wins.
+            recs.emplace_back(key(rnd.Uniform(ph.keys)), next_seq++);
+          }
+          md.InsertBatch(recs);
+          for (const auto& [rk, seq] : recs) ref[rk] = seq;
+          want.md_inserts += n;
+          EXPECT_EQ(world.env.Now() - t0, 450 * n);
+        } else if (r % 2 == 0) {
+          EXPECT_EQ(md.Check(k), ref.count(k) > 0) << k;
+          want.md_checks++;
+          EXPECT_EQ(world.env.Now() - t0, 200u);
+        } else {
+          auto it = ref.find(k);
+          EXPECT_EQ(md.GetSeq(k), it == ref.end() ? 0 : it->second) << k;
+          want.md_checks++;
+          EXPECT_EQ(world.env.Now() - t0, 200u);
+        }
+        if (op % 1000 == 999) check_entries();
+      }
+      check_entries();
+      auto snap = md.SnapshotKeySet();
+      want.md_checks++;
+      EXPECT_EQ(snap.size(), ref.size());
+      for (const auto& [rk, seq] : ref) EXPECT_EQ(snap.count(rk), 1u) << rk;
+      EXPECT_EQ(snap.count("absent"), 0u);
+      if (++phase_no == 3) {
+        Nanos t0 = world.env.Now();
+        md.LoseAll();  // crash: uncharged
+        ref.clear();
+        EXPECT_EQ(world.env.Now(), t0);
+        check_entries();
+      }
+    }
+    EXPECT_EQ(stats.md_inserts, want.md_inserts);
+    EXPECT_EQ(stats.md_checks, want.md_checks);
+    EXPECT_EQ(stats.md_deletes, want.md_deletes);
+    EXPECT_NEAR(world.host_cpu->busy_seconds() * 1e9,
+                450.0 * want.md_inserts + 200.0 * want.md_checks +
+                    280.0 * want.md_deletes,
+                1.0);
   });
 }
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "common/random.h"
 #include "devlsm/dev_lsm.h"
 #include "tests/test_util.h"
 
@@ -201,6 +204,158 @@ TEST(DevLsmTest, CommandsRideTheSharedPcieLink) {
     EXPECT_GE(world.ssd->pcie().total_bytes(), pcie_before + 4096);
     EXPECT_EQ(world.ssd->trace().CountOf(ssd::nvme::Opcode::kKvStore), 1u);
   });
+}
+
+// A seeded schedule of PutCompound, Put and Delete over a small key space
+// (repeated keys, tombstones), with a small memtable and a low run trigger so
+// runs flush and merge, and ResetUpTo at random snapshots. Every Get, the
+// whole BulkScan and the iterator output match a std::map model in which the
+// newest device sequence wins. The KV-region pages, NAND byte counters and
+// virtual clock are pinned: a merge that changes which runs exist, or what
+// they hold, moves them.
+TEST(DevLsmTest, SeededScheduleMatchesNewestSequenceModel) {
+  struct Pinned {
+    bool compaction;
+    uint64_t used_pages, nand_written, nand_read, flushes, compactions;
+    Nanos now;
+  };
+  const Pinned kPinned[] = {
+      {true, 71, 44134692, 95944416, 235, 60, 2243929587},
+      {false, 93, 21939512, 91940906, 220, 0, 2203935413},
+  };
+  for (const Pinned& pin : kPinned) {
+    SCOPED_TRACE(pin.compaction ? "compaction on" : "compaction off");
+    SimWorld world;
+    world.Run([&] {
+      DevLsmOptions opts = SmallDevOptions();
+      opts.memtable_bytes = 24 << 10;
+      opts.dma_chunk = 16 << 10;
+      opts.compaction_enabled = pin.compaction;
+      opts.l0_run_trigger = 3;
+      DevLsm dev(world.ssd.get(), 0, opts);
+
+      struct Version {
+        uint64_t seq = 0;  // device sequence
+        Value value;
+        bool tombstone = false;
+        uint64_t host_seq = 0;
+      };
+      std::map<std::string, Version> model;
+      uint64_t dev_seq = 0;
+      uint64_t host_seq = 0;
+      Random64 rnd(pin.compaction ? 0x5eed0001 : 0x5eed0002);
+      auto apply = [&](const std::string& key, const Value& value, bool tomb,
+                       uint64_t hs) {
+        model[key] = Version{++dev_seq, tomb ? Value() : value, tomb, hs};
+      };
+      auto value_for = [&](uint64_t id) {
+        return Value::Synthetic(id, 64 + static_cast<uint32_t>(
+                                             rnd.Uniform(2048)));
+      };
+      auto check_all = [&] {
+        Value v;
+        for (const auto& [key, ver] : model) {
+          Status s = dev.Get(key, &v);
+          if (ver.tombstone) {
+            EXPECT_TRUE(s.IsNotFound()) << key;
+          } else {
+            ASSERT_TRUE(s.ok()) << key << ": " << s.ToString();
+            EXPECT_EQ(v, ver.value) << key;
+          }
+        }
+        EXPECT_TRUE(dev.Get("absent", &v).IsNotFound());
+
+        std::vector<DevLsm::ScanEntry> scanned;
+        ASSERT_TRUE(dev.BulkScan([&](const DevLsm::ScanEntry& e) {
+                         scanned.push_back(e);
+                       }).ok());
+        ASSERT_EQ(scanned.size(), model.size());
+        auto mit = model.begin();
+        for (const DevLsm::ScanEntry& e : scanned) {
+          EXPECT_EQ(e.key, mit->first);
+          EXPECT_EQ(e.tombstone, mit->second.tombstone) << e.key;
+          EXPECT_EQ(e.host_seq, mit->second.host_seq) << e.key;
+          if (!e.tombstone) {
+            EXPECT_EQ(e.value, mit->second.value) << e.key;
+          }
+          ++mit;
+        }
+
+        auto it = dev.NewIterator();
+        mit = model.begin();
+        for (it->SeekToFirst(); it->Valid(); it->Next(), ++mit) {
+          ASSERT_NE(mit, model.end());
+          EXPECT_EQ(it->key(), mit->first);
+          EXPECT_EQ(it->tombstone(), mit->second.tombstone) << it->key();
+          if (!it->tombstone()) {
+            EXPECT_EQ(it->value(), mit->second.value) << it->key();
+          }
+        }
+        EXPECT_EQ(mit, model.end());
+        it->Seek(TestKey(200));
+        auto lb = model.lower_bound(TestKey(200));
+        if (lb == model.end()) {
+          EXPECT_FALSE(it->Valid());
+        } else {
+          ASSERT_TRUE(it->Valid());
+          EXPECT_EQ(it->key(), lb->first);
+        }
+      };
+
+      for (uint64_t step = 0; step < 1500; step++) {
+        const uint64_t r = rnd.Uniform(100);
+        if (r < 40) {
+          std::vector<DevLsm::BatchPut> batch(1 + rnd.Uniform(24));
+          for (DevLsm::BatchPut& bp : batch) {
+            bp.key = TestKey(rnd.Uniform(400));  // may repeat in the batch
+            bp.tombstone = rnd.OneIn(6);
+            if (!bp.tombstone) bp.value = value_for(step);
+            bp.host_seq = ++host_seq;
+          }
+          ASSERT_TRUE(dev.PutCompound(batch).ok());
+          for (const DevLsm::BatchPut& bp : batch) {
+            apply(bp.key, bp.value, bp.tombstone, bp.host_seq);
+          }
+        } else if (r < 70) {
+          std::string key = TestKey(rnd.Uniform(400));
+          Value v = value_for(step);
+          ASSERT_TRUE(dev.Put(key, v, ++host_seq).ok());
+          apply(key, v, false, host_seq);
+        } else if (r < 85) {
+          std::string key = TestKey(rnd.Uniform(400));
+          ASSERT_TRUE(dev.Delete(key, ++host_seq).ok());
+          apply(key, Value(), true, host_seq);
+        } else if (r < 89) {
+          ASSERT_EQ(dev.LastSeq(), dev_seq);
+          const uint64_t snap = rnd.Uniform(dev_seq + 1);
+          ASSERT_TRUE(dev.ResetUpTo(snap).ok());
+          for (auto it = model.begin(); it != model.end();) {
+            it = it->second.seq <= snap ? model.erase(it) : std::next(it);
+          }
+        } else {
+          Value v;
+          std::string key = TestKey(rnd.Uniform(400));
+          auto mit = model.find(key);
+          Status s = dev.Get(key, &v);
+          if (mit == model.end() || mit->second.tombstone) {
+            EXPECT_TRUE(s.IsNotFound()) << key;
+          } else {
+            ASSERT_TRUE(s.ok()) << key;
+            EXPECT_EQ(v, mit->second.value) << key;
+          }
+        }
+        if (step % 100 == 99) check_all();
+      }
+      check_all();
+      EXPECT_GT(dev.stats().resets, 0u);
+      EXPECT_EQ(dev.used_pages(), pin.used_pages);
+      EXPECT_EQ(world.ssd->nand().bytes_written(), pin.nand_written);
+      EXPECT_EQ(world.ssd->nand().bytes_read(), pin.nand_read);
+      EXPECT_EQ(dev.stats().flushes, pin.flushes);
+      EXPECT_EQ(dev.stats().compactions, pin.compactions);
+      EXPECT_EQ(world.env.Now(), pin.now);
+    });
+  }
 }
 
 }  // namespace

@@ -68,6 +68,33 @@ TEST(DevReadCacheTest, MutationInvalidatesCache) {
   });
 }
 
+// The read cache evicts in insertion order: with room for two pages, Gets of
+// c, b, a evict c, the oldest, so a repeated Get(a) hits. Evicting the
+// smallest key instead made a evict itself on insertion.
+TEST(DevReadCacheTest, EvictsOldestPageNotSmallestKey) {
+  SimWorld world;
+  world.Run([&] {
+    devlsm::DevLsmOptions opts;
+    opts.read_cache_bytes = 2 * world.ssd_config.page_size;
+    opts.memtable_bytes = 3 * (1 + 8 + 4096);  // the third Put flushes a run
+    devlsm::DevLsm dev(world.ssd.get(), 0, opts);
+    for (const char* k : {"a", "b", "c"}) {
+      ASSERT_TRUE(dev.Put(k, Value::Synthetic(1, 4096)).ok());
+    }
+    ASSERT_EQ(dev.stats().flushes, 1u);
+    Value v;
+    for (const char* k : {"c", "b", "a"}) ASSERT_TRUE(dev.Get(k, &v).ok());
+    EXPECT_EQ(dev.stats().read_cache_misses, 3u);
+    ASSERT_TRUE(dev.Get("a", &v).ok());
+    EXPECT_EQ(dev.stats().read_cache_hits, 1u);
+    ASSERT_TRUE(dev.Get("b", &v).ok());
+    EXPECT_EQ(dev.stats().read_cache_hits, 2u);
+    ASSERT_TRUE(dev.Get("c", &v).ok());  // evicted first
+    EXPECT_EQ(dev.stats().read_cache_hits, 2u);
+    EXPECT_EQ(dev.stats().read_cache_misses, 4u);
+  });
+}
+
 TEST(DevReadCacheTest, DisabledByDefault) {
   SimWorld world;
   world.Run([&] {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "harness/flags.h"
 #include "harness/presets.h"
+#include "harness/report_json.h"
 #include "harness/workload.h"
 #include "ssd/ftl.h"
 
@@ -148,6 +152,35 @@ TEST(RunBenchmarkTest, SeekRandomReportsScanThroughput) {
   c.workload.nexts_per_seek = 64;
   RunResult r = RunBenchmark(c);
   EXPECT_GT(r.scan_kops, 0);
+}
+
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Pins the KVACCEL write path's whole report, not just its self-consistency:
+// a short seeded fillrandom that redirects to the Dev-LSM and rolls back,
+// hashed with FNV-1a over its kvaccel-run-v1 report. A change that moves one virtual-time
+// event on the Main-LSM, Dev-LSM, Metadata Manager or NAND path changes the
+// digest.
+TEST(RunBenchmarkTest, KvaccelFillrandomReplaysItsPinnedReport) {
+  BenchConfig c;
+  c.scale = 0.03125;
+  c.sut.kind = SystemKind::kKvaccel;
+  c.sut.rollback = core::RollbackScheme::kEager;  // lazy waits out the window
+  c.workload.writer_threads = 4;
+  c.workload.batch_size = 4;
+  c.workload.duration = FromSecs(6);
+  RunResult r = RunBenchmark(c);
+  EXPECT_GT(r.redirected_writes, 0u);
+  EXPECT_GT(r.rollbacks, 0u);
+  EXPECT_EQ(Fnv1a(JsonReportString(c, {r})), 0x793e94999cd8608full)
+      << "the KVACCEL fillrandom report changed";
 }
 
 }  // namespace

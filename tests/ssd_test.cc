@@ -58,6 +58,75 @@ TEST(NandFlashTest, ReadLatencyApplied) {
   EXPECT_LT(done, FromMicros(120));
 }
 
+// Reference striping: page-sized chunks dealt round-robin from `start`, one
+// page at a time. Returns each channel's bytes; *next is where the following
+// transfer starts.
+std::vector<uint64_t> StripeByPage(uint64_t bytes, size_t start, size_t n,
+                                   uint64_t page, size_t* next) {
+  std::vector<uint64_t> share(n, 0);
+  size_t ch = start;
+  for (uint64_t remaining = bytes; remaining > 0;) {
+    uint64_t chunk = std::min(remaining, page);
+    share[ch] += chunk;
+    remaining -= chunk;
+    ch = (ch + 1) % n;
+  }
+  *next = ch;
+  return share;
+}
+
+// Every starting channel, and sizes from 0 up to three full stripes (a page
+// on every channel) plus a partial page: each channel's bytes and the next
+// transfer's starting channel match the page-by-page deal.
+TEST(NandFlashTest, StripedSharesMatchPageByPageDeal) {
+  sim::SimEnv env;
+  SsdConfig c = SmallConfig();
+  NandFlash nand(&env, c);
+  const size_t n = static_cast<size_t>(nand.channels());
+  const uint64_t page = c.page_size;
+  std::vector<uint64_t> sizes = {0, 1, page / 2};
+  for (uint64_t pages = 1; pages <= 3 * n + 1; pages++) {
+    sizes.push_back(pages * page - 1);
+    sizes.push_back(pages * page);
+    sizes.push_back(pages * page + 1);
+    sizes.push_back(pages * page + page / 2);
+  }
+  env.Spawn("stripes", [&] {
+    size_t next = 0;  // a fresh device deals from channel 0
+    auto transfer = [&](uint64_t bytes) {
+      std::vector<uint64_t> before(n);
+      for (size_t i = 0; i < n; i++) before[i] = nand.channel(i).total_bytes();
+      size_t want_next = 0;
+      std::vector<uint64_t> want = StripeByPage(bytes, next, n, page,
+                                                &want_next);
+      nand.Read(bytes);
+      for (size_t i = 0; i < n; i++) {
+        EXPECT_EQ(nand.channel(i).total_bytes() - before[i], want[i])
+            << "bytes=" << bytes << " start=" << next << " channel=" << i;
+      }
+      next = want_next;
+    };
+    for (size_t start = 0; start < n; start++) {
+      for (uint64_t bytes : sizes) {
+        // Move the deal to `start` with whole pages; the shares of this
+        // positioning transfer are checked too.
+        if (next != start) transfer(((start + n - next) % n) * page);
+        ASSERT_EQ(next, start);
+        transfer(bytes);
+      }
+    }
+    // The last deal's next channel: one page lands exactly there.
+    std::vector<uint64_t> before(n);
+    for (size_t i = 0; i < n; i++) before[i] = nand.channel(i).total_bytes();
+    nand.Write(page);
+    for (size_t i = 0; i < n; i++) {
+      EXPECT_EQ(nand.channel(i).total_bytes() - before[i],
+                i == next ? page : 0u);
+    }
+  });
+  env.Run();
+}
+
 TEST(FtlTest, WriteMapsAndOverwriteInvalidates) {
   Ftl::Options opt;
   opt.logical_pages = 1024;
