@@ -15,7 +15,7 @@ using namespace kvaccel;
 using namespace kvaccel::harness;
 
 int main(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv, 40);
+  BenchFlags flags = BenchFlags::Parse(argc, argv, {.seconds = 40});
   PrintBanner("Ablation: device bandwidth sweep, RocksDB vs KVACCEL "
               "(1 compaction thread)");
 
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     printf("%-10.0f %14.1f %14.1f %9.0f%% %14llu\n", row.mbps,
            row.rocks.write_kops, row.kvacc.write_kops,
            (row.kvacc.write_kops / row.rocks.write_kops - 1) * 100,
-           static_cast<unsigned long long>(row.kvacc.redirected_writes));
+           static_cast<unsigned long long>(row.kvacc.kv.redirected_writes));
   }
 
   double gain_slow = rows[0].kvacc.write_kops / rows[0].rocks.write_kops;
@@ -49,7 +49,8 @@ int main(int argc, char** argv) {
              "KVACCEL wins on the constrained device");
   CheckShape(gain_slow > gain_fast,
              "KVACCEL's relative gain shrinks as device headroom grows");
-  CheckShape(rows[0].kvacc.redirected_writes > rows[2].kvacc.redirected_writes,
+  CheckShape(rows[0].kvacc.kv.redirected_writes >
+                 rows[2].kvacc.kv.redirected_writes,
              "less redirection happens when the device is fast (fewer "
              "stalls to bypass)");
   return 0;

@@ -72,7 +72,7 @@ double ScanKopsWithCache(double scale, uint64_t cache_bytes,
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv, 0);
+  BenchFlags flags = BenchFlags::Parse(argc, argv, {});
   PrintBanner("Ablation: Dev-LSM device read cache (the paper's named "
               "range-query bottleneck)");
 

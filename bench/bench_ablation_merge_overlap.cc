@@ -13,7 +13,7 @@ using namespace kvaccel;
 using namespace kvaccel::harness;
 
 int main(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv, 40);
+  BenchFlags flags = BenchFlags::Parse(argc, argv, {.seconds = 40});
   PrintBanner("Ablation: compaction read/merge/write interleave granularity");
 
   struct Row {

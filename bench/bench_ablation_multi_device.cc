@@ -59,7 +59,7 @@ double FillKops(double scale, double seconds, bool dual_device,
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv, 40);
+  BenchFlags flags = BenchFlags::Parse(argc, argv, {.seconds = 40});
   PrintBanner("Ablation: single hybrid device vs. multi-device KV interface "
               "(paper §V-D)");
 

@@ -49,7 +49,7 @@ double MinNonLeadingSecond(const RunResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv, /*default_seconds=*/60);
+  BenchFlags flags = BenchFlags::Parse(argc, argv, {.seconds = 60});
   PrintBanner("Figure 2: per-second throughput vs. slowdown usage "
               "(workload A, 1 compaction thread)");
 

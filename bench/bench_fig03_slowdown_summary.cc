@@ -13,7 +13,7 @@ using namespace kvaccel;
 using namespace kvaccel::harness;
 
 int main(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv, 60);
+  BenchFlags flags = BenchFlags::Parse(argc, argv, {.seconds = 60});
   PrintBanner("Figure 3: throughput & tail latency vs. slowdown usage "
               "(workload A, 1 compaction thread)");
 

@@ -30,7 +30,8 @@ RunResult RunPanel(int threads, const BenchFlags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv, 60);
+  BenchFlags flags =
+      BenchFlags::Parse(argc, argv, {.seconds = 60, .threads = true});
   PrintBanner("Figure 4: PCIe traffic during write stalls, RocksDB w/o "
               "slowdown (device max = 630 MB/s)");
 

@@ -15,7 +15,8 @@ using namespace kvaccel;
 using namespace kvaccel::harness;
 
 int main(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv, 60);
+  BenchFlags flags =
+      BenchFlags::Parse(argc, argv, {.seconds = 60, .threads = true});
   PrintBanner("Figure 5: CDF of PCIe utilisation during write stalls "
               "(RocksDB w/o slowdown)");
 

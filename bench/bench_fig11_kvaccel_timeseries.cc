@@ -16,7 +16,8 @@ using namespace kvaccel;
 using namespace kvaccel::harness;
 
 int main(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv, 60);
+  BenchFlags flags =
+      BenchFlags::Parse(argc, argv, {.seconds = 60, .artifacts = true});
   PrintBanner("Figure 11: per-second throughput, workload A "
               "(1 compaction thread)");
 
@@ -45,8 +46,8 @@ int main(int argc, char** argv) {
   PrintSeries("(b) ADOC(1)", adoc.per_sec_write_kops, "Kops/s");
   PrintSeries("(c) KVAccel(1)", kvacc.per_sec_write_kops, "Kops/s");
   printf("\nKVAccel: redirected=%llu detector checks=%llu slowdowns=%llu\n",
-         static_cast<unsigned long long>(kvacc.redirected_writes),
-         static_cast<unsigned long long>(kvacc.detector_checks),
+         static_cast<unsigned long long>(kvacc.kv.redirected_writes),
+         static_cast<unsigned long long>(kvacc.kv.detector_checks),
          static_cast<unsigned long long>(kvacc.slowdown_events));
 
   // Seconds in which the baselines crawl at the delayed-write floor.
@@ -70,7 +71,7 @@ int main(int argc, char** argv) {
              "RocksDB(1) spends seconds at the ~2 Kops/s slowdown floor");
   CheckShape(kvacc.slowdown_events == 0,
              "KVACCEL employs no slowdown mechanism (paper §VI-B)");
-  CheckShape(kvacc.redirected_writes > 0,
+  CheckShape(kvacc.kv.redirected_writes > 0,
              "KVACCEL redirected writes to the Dev-LSM during stalls");
   CheckShape(kv_min > 2.5,
              "KVACCEL's worst second beats the baselines' slowdown floor");

@@ -18,7 +18,8 @@ using namespace kvaccel;
 using namespace kvaccel::harness;
 
 int main(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv, 60);
+  BenchFlags flags = BenchFlags::Parse(
+      argc, argv, {.seconds = 60, .threads = true, .artifacts = true});
   PrintBanner("Figure 12: throughput / P99 / efficiency matrix (workload A)");
 
   RunResult grid[3][3];  // [thread index][system index]

@@ -45,7 +45,7 @@ const WorkloadDef kWorkloads[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv, 60);
+  BenchFlags flags = BenchFlags::Parse(argc, argv, {.seconds = 60});
   PrintBanner("Figure 13: rollback scheme comparison (4 compaction threads)");
 
   RunResult grid[3][4];
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
       grid[w][v] = RunBenchmark(c);
       printf("%-12s %12.1f %12.1f %10llu\n", kVariants[v].name,
              grid[w][v].write_kops, grid[w][v].read_kops,
-             static_cast<unsigned long long>(grid[w][v].rollbacks));
+             static_cast<unsigned long long>(grid[w][v].kv.rollbacks));
     }
   }
 

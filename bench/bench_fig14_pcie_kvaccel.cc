@@ -14,7 +14,7 @@ using namespace kvaccel;
 using namespace kvaccel::harness;
 
 int main(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv, 60);
+  BenchFlags flags = BenchFlags::Parse(argc, argv, {.seconds = 60});
   PrintBanner("Figure 14: PCIe usage, RocksDB(1) vs KVACCEL(1) (workload A)");
 
   RunResult rocks, kvacc;
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
              "KVACCEL cuts zero-traffic stall intervals by >=45% (paper)");
   CheckShape(kv_zero <= rocks_zero + 2,
              "KVACCEL leaves no more idle-PCIe seconds overall");
-  CheckShape(kvacc.redirected_writes > 0,
+  CheckShape(kvacc.kv.redirected_writes > 0,
              "the extra traffic comes from redirected KV-interface writes");
   return 0;
 }

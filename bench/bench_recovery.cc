@@ -16,7 +16,7 @@ using namespace kvaccel;
 using namespace kvaccel::harness;
 
 int main(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv, 60);
+  BenchFlags flags = BenchFlags::Parse(argc, argv, {});
   PrintBanner("Recovery (paper §VI-D): metadata loss -> full Dev-LSM "
               "rollback");
 

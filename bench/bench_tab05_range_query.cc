@@ -14,7 +14,7 @@ using namespace kvaccel;
 using namespace kvaccel::harness;
 
 int main(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv, 60);
+  BenchFlags flags = BenchFlags::Parse(argc, argv, {});
   PrintBanner("Table V: range query throughput (workload D)");
 
   // Ensure KVACCEL has data on BOTH interfaces when the scan runs: the
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     c.workload.nexts_per_seek = 1024;
     RunResult r = RunBenchmark(c);
     row.kops = r.scan_kops;
-    row.redirected = r.redirected_writes;
+    row.redirected = r.kv.redirected_writes;
   }
 
   printf("%-10s %26s\n", "LSM-KVS", "Range Query Throughput (Kops/s)");

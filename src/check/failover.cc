@@ -220,20 +220,15 @@ Status RejoinBody(const lsm::DbOptions& main_options,
   // I/O (Acquire blocks the simulated thread until granted).
   sim::NetLink link(env, "resync", options.net_bytes_per_sec,
                     options.net_latency);
+  // Charges `b` more bytes and sends what is pending once a chunk fills, or
+  // whatever is left when `drain`.
   uint64_t pending_bytes = 0;
-  auto charge = [&](uint64_t b) -> Status {
+  auto charge = [&](uint64_t b, bool drain = false) -> Status {
     rep->resync_bytes += b;
     pending_bytes += b;
-    if (pending_bytes < kResyncChunkBytes) return Status::OK();
-    if (options.arbiter != nullptr && options.arbiter_client >= 0) {
-      options.arbiter->Acquire(options.arbiter_client, pending_bytes);
+    if (pending_bytes == 0 || (!drain && pending_bytes < kResyncChunkBytes)) {
+      return Status::OK();
     }
-    Status cs = link.Send(pending_bytes);
-    pending_bytes = 0;
-    return cs;
-  };
-  auto drain_link = [&]() -> Status {
-    if (pending_bytes == 0) return Status::OK();
     if (options.arbiter != nullptr && options.arbiter_client >= 0) {
       options.arbiter->Acquire(options.arbiter_client, pending_bytes);
     }
@@ -355,7 +350,7 @@ Status RejoinBody(const lsm::DbOptions& main_options,
   }
   s = flush_batch();
   if (!s.ok()) return s;
-  s = drain_link();
+  s = charge(0, /*drain=*/true);
   if (!s.ok()) return s;
 
   // Step 5: convergence proof — lockstep walk of both live key spaces, byte

@@ -51,6 +51,7 @@
 #include <string>
 
 #include "check/db_checker.h"
+#include "common/flags.h"
 #include "core/kvaccel_db.h"
 #include "core/replicated_kvaccel_db.h"
 #include "sim/arbiter.h"
@@ -82,6 +83,13 @@ Status PromoteNode(const lsm::DbOptions& main_options,
                    uint64_t new_epoch = 0);
 
 enum class ResyncMode { kWalReplay, kDelta };
+
+// Flag and report names of the HA modes as the options structs hold them
+// (NemesisOptions, harness::SutConfig): the ack discipline (0 = sync, 1 =
+// async) and the rejoin transport (0 = WAL replay, 1 = delta).
+inline constexpr EnumName<int> kReplAckNames[] = {{"sync", 0}, {"async", 1}};
+inline constexpr EnumName<int> kResyncModeNames[] = {{"wal", 0},
+                                                     {"delta", 1}};
 
 struct RejoinOptions {
   ResyncMode mode = ResyncMode::kDelta;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -1240,6 +1241,45 @@ Status ParseNemesisTrace(const std::string& path, NemesisOptions* out) {
     if (!ok) return Status::Corruption("bad trace header value: " + tok);
   }
   return Status::OK();
+}
+
+FlagTable NemesisFlags(NemesisOptions* o, std::string* replay) {
+  FlagTable t;
+  t.Int("nemesis_seed", &o->seed, 0, "schedule seed (default 0x5EED)");
+  t.Int("cycles", &o->cycles, 1, "crash-recovery cycles (default 30)");
+  t.Int("ops_per_cycle", &o->ops_per_cycle, 1,
+        "operations attempted per cycle (default 150)");
+  t.Int("key_space", &o->key_space, 1, "key draw range (default 400)");
+  t.Int("value_size", &o->value_size, 1, "value bytes (default 4096)");
+  t.Int("shards", &o->shards, 1,
+        "run against a ShardedKvaccelDB with N shards (default 1)");
+  t.Set("ha", &o->ha, true,
+        "drive a two-node replicated pair; every cycle fails over");
+  t.Enum("repl_ack", &o->repl_ack, kReplAckNames,
+         "HA ack discipline (default sync)");
+  t.Action("net_partition",
+           [o] {
+             o->net_partition = true;
+             o->ha = true;
+           },
+           "partition nemesis (implies --ha)");
+  t.Enum("resync_mode", &o->resync_mode, kResyncModeNames,
+         "rejoin transport (default delta)");
+  t.Set("ndp", &o->ndp, true,
+        "force every compaction through the device COMPACT path");
+  t.Action("list_fault_sites",
+           [] {
+             for (const auto& site : sim::KnownFaultSites()) {
+               printf("%-28s %s\n", site.site, site.what);
+             }
+             exit(0);
+           },
+           "print every registered fault/crash site and exit");
+  t.String("trace_dump_dir", &o->trace_dump_dir, "DIR",
+           "dump the op trace here on divergence");
+  t.String("replay", replay, "FILE",
+           "load the schedule from a dumped trace's header");
+  return t;
 }
 
 }  // namespace kvaccel::check

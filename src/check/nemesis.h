@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/flags.h"
 #include "common/status.h"
 
 namespace kvaccel::check {
@@ -113,6 +114,10 @@ NemesisResult RunNemesis(const NemesisOptions& options);
 // Reads the header line of a dumped trace back into `out` so one command
 // replays the failing schedule.
 Status ParseNemesisTrace(const std::string& path, NemesisOptions* out);
+
+// The kvaccel_nemesis flag table (tools/kvaccel_nemesis.cc): the schedule
+// flags fill *options, --replay names a dumped trace in *replay.
+FlagTable NemesisFlags(NemesisOptions* options, std::string* replay);
 
 }  // namespace kvaccel::check
 

@@ -66,6 +66,9 @@ class Status {
   bool IsTryAgain() const { return code_ == Code::kTryAgain; }
   bool IsAborted() const { return code_ == Code::kAborted; }
   bool IsNoSpace() const { return code_ == Code::kNoSpace; }
+  // Device errors worth retrying; Corruption, NoSpace and InvalidArgument
+  // are not.
+  bool IsTransient() const { return IsIOError() || IsBusy() || IsTryAgain(); }
 
   Code code() const { return code_; }
 

@@ -12,12 +12,6 @@
 
 namespace kvaccel::core {
 
-namespace {
-bool IsTransient(const Status& s) {
-  return s.IsIOError() || s.IsBusy() || s.IsTryAgain();
-}
-}  // namespace
-
 // ---------------- Open / lifecycle ----------------
 
 KvaccelDB::KvaccelDB(const KvaccelOptions& kv_options, const lsm::DbEnv& env)
@@ -167,7 +161,7 @@ Status KvaccelDB::DevPutWithRetry(
   Status s = dev_->PutCompound(entries);
   Nanos backoff = 0;
   int attempt = 0;
-  while (!s.ok() && IsTransient(s) && attempt < options_.dev_retry_limit) {
+  while (s.IsTransient() && attempt < options_.dev_retry_limit) {
     attempt++;
     kv_stats_.dev_retries++;
     // Decorrelated jitter, capped: shards/nodes sharing the device spread
@@ -181,7 +175,7 @@ Status KvaccelDB::DevPutWithRetry(
   }
   if (s.ok()) {
     detector_->ReportDeviceSuccess();
-  } else if (IsTransient(s)) {
+  } else if (s.IsTransient()) {
     detector_->ReportDeviceFailure(env_->Now());
   }
   return s;

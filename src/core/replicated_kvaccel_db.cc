@@ -13,9 +13,6 @@
 namespace kvaccel::core {
 
 namespace {
-bool IsTransient(const Status& s) {
-  return s.IsIOError() || s.IsBusy() || s.IsTryAgain();
-}
 bool IsStaleEpoch(const Status& s) {
   return s.IsAborted() &&
          s.ToString().find("stale epoch") != std::string::npos;
@@ -533,7 +530,7 @@ Status ReplicatedKvaccelDB::SendAndApply(Record* rec, bool forever) {
       deposed_ = true;
       return s;
     }
-    if (!forever || sim::SimCrashed(env_) || !IsTransient(s) ||
+    if (!forever || sim::SimCrashed(env_) || !s.IsTransient() ||
         detach_requested_) {
       return s;
     }
@@ -630,7 +627,7 @@ Status ReplicatedKvaccelDB::ApplyIntentOnBackup(Record* rec) {
     Status s = dev->PutCompound(rec->entries);
     Nanos backoff = 0;
     int attempt = 0;
-    while (!s.ok() && IsTransient(s) && !sim::SimCrashed(env_) &&
+    while (s.IsTransient() && !sim::SimCrashed(env_) &&
            attempt < kv.dev_retry_limit) {
       attempt++;
       stats_.net_retries++;
@@ -643,7 +640,7 @@ Status ReplicatedKvaccelDB::ApplyIntentOnBackup(Record* rec) {
       det->ReportDeviceSuccess();
       return s;
     }
-    if (IsTransient(s)) det->ReportDeviceFailure(env_->Now());
+    if (s.IsTransient()) det->ReportDeviceFailure(env_->Now());
     if (sim::SimCrashed(env_)) return s;
     // Fall through: device unhealthy — degrade to the host path below. The
     // half-open probe (device_healthy after the cooldown) routes a later

@@ -9,46 +9,6 @@ namespace kvaccel::harness {
 
 namespace {
 
-const char* WorkloadName(WorkloadConfig::Type type) {
-  switch (type) {
-    case WorkloadConfig::Type::kFillRandom:
-      return "fillrandom";
-    case WorkloadConfig::Type::kReadWhileWriting:
-      return "readwhilewriting";
-    case WorkloadConfig::Type::kSeekRandom:
-      return "seekrandom";
-    case WorkloadConfig::Type::kMixed:
-      return "mixed";
-  }
-  return "?";
-}
-
-const char* ArrivalName(Arrival a) {
-  switch (a) {
-    case Arrival::kClosed:
-      return "closed";
-    case Arrival::kPoisson:
-      return "poisson";
-    case Arrival::kDiurnal:
-      return "diurnal";
-    case Arrival::kSpike:
-      return "spike";
-  }
-  return "?";
-}
-
-const char* KeyDistName(KeyDist d) {
-  switch (d) {
-    case KeyDist::kUniform:
-      return "uniform";
-    case KeyDist::kZipfian:
-      return "zipfian";
-    case KeyDist::kHotspot:
-      return "hotspot";
-  }
-  return "?";
-}
-
 void WriteSeries(obs::JsonWriter* w, const std::string& key,
                  const std::vector<double>& values) {
   w->Key(key);
@@ -82,18 +42,18 @@ void WriteRun(obs::JsonWriter* w, const RunResult& r) {
   w->Field("write_groups", r.write_groups);
   w->Field("group_commit_mean", r.group_commit_mean);
   w->Field("group_commit_max", r.group_commit_max);
-  w->Field("redirected_writes", r.redirected_writes);
-  w->Field("redirected_batches", r.redirected_batches);
-  w->Field("rollbacks", r.rollbacks);
-  w->Field("detector_checks", r.detector_checks);
+  w->Field("redirected_writes", r.kv.redirected_writes);
+  w->Field("redirected_batches", r.kv.redirected_batches);
+  w->Field("rollbacks", r.kv.rollbacks);
+  w->Field("detector_checks", r.kv.detector_checks);
   w->Field("fault_injected", r.fault_injected);
   w->Field("io_retries", r.io_retries);
   w->Field("background_errors", r.background_errors);
-  w->Field("dev_retries", r.dev_retries);
-  w->Field("fallback_writes", r.fallback_writes);
-  w->Field("cache_hits", r.cache_hits);
-  w->Field("cache_misses", r.cache_misses);
-  w->Field("cache_hit_rate", r.cache_hit_rate);
+  w->Field("dev_retries", r.kv.dev_retries);
+  w->Field("fallback_writes", r.kv.fallback_writes);
+  w->Field("cache_hits", r.cache.hits);
+  w->Field("cache_misses", r.cache.misses);
+  w->Field("cache_hit_rate", r.cache.hit_rate());
   w->Field("compactions", r.compactions);
   w->Field("split_compactions", r.split_compactions);
   w->Field("subcompactions", r.subcompactions);
@@ -106,62 +66,68 @@ void WriteRun(obs::JsonWriter* w, const RunResult& r) {
 
   // Device-offloaded compaction (DESIGN.md §13): present only when an NDP
   // engine was attached to the run.
-  if (r.ndp_mode >= 0) {
+  if (r.ndp) {
+    const NdpRunStats& n = *r.ndp;
     w->Key("ndp");
     w->BeginObject();
-    w->Field("mode", r.ndp_mode == 1 ? "force" : "auto");
-    w->Field("compactions", r.ndp_compactions);
-    w->Field("mb_written", r.ndp_mb_written);
-    w->Field("fallbacks", r.ndp_fallbacks);
-    w->Field("commands", r.ndp_commands);
-    w->Field("rejected", r.ndp_rejected);
-    w->Field("planner_device_jobs", r.ndp_planner_device_jobs);
-    w->Field("planner_host_jobs", r.ndp_planner_host_jobs);
-    w->Field("planner_flips", r.ndp_planner_flips);
-    w->Field("planner_cooldown_rejects", r.ndp_planner_cooldown_rejects);
-    w->Field("cpu_busy_seconds", r.ndp_cpu_busy_seconds);
+    w->Field("mode", NameOf(kNdpModeNames, n.mode));
+    w->Field("compactions", n.compactions);
+    w->Field("mb_written", static_cast<double>(n.bytes_written) / 1e6);
+    w->Field("fallbacks", n.fallbacks);
+    w->Field("commands", n.device.commands);
+    w->Field("rejected", n.device.rejected);
+    w->Field("planner_device_jobs", n.planner.device_jobs);
+    w->Field("planner_host_jobs", n.planner.host_jobs);
+    w->Field("planner_flips", n.planner.flips);
+    w->Field("planner_cooldown_rejects", n.planner.cooldown_rejects);
+    w->Field("cpu_busy_seconds", n.cpu_busy_seconds);
     w->EndObject();
   }
 
   // HA pair (DESIGN.md §12): replication stream + measured failover.
-  if (r.ha_repl_ack >= 0) {
+  if (r.ha) {
+    const HaRunStats& ha = *r.ha;
+    const core::ReplStats& rs = ha.repl;
     w->Key("ha");
     w->BeginObject();
-    w->Field("repl_ack", r.ha_repl_ack == 1 ? "async" : "sync");
-    w->Field("wal_records", r.ha_wal_records);
-    w->Field("intent_records", r.ha_intent_records);
-    w->Field("repl_mb", r.ha_repl_mb);
-    w->Field("net_retries", r.ha_net_retries);
-    w->Field("ship_failures", r.ha_ship_failures);
-    w->Field("lost_entries", r.ha_lost_entries);
-    w->Field("backup_dev_fallbacks", r.ha_backup_dev_fallbacks);
-    w->Field("async_queue_peak", r.ha_async_queue_peak);
-    w->Field("sync_ship_ms", r.ha_sync_ship_ms);
-    w->Field("net_partition", r.ha_net_partition);
-    w->Field("heartbeats", r.ha_heartbeats);
-    w->Field("fenced_write_rejects", r.ha_fenced_rejects);
-    w->Field("lease_expirations", r.ha_lease_expirations);
+    w->Field("repl_ack", NameOf(check::kReplAckNames, ha.repl_ack_async));
+    w->Field("wal_records", rs.wal_records);
+    w->Field("intent_records", rs.intent_records);
+    w->Field("repl_mb", static_cast<double>(rs.repl_bytes) / 1e6);
+    w->Field("net_retries", rs.net_retries);
+    w->Field("ship_failures", rs.ship_failures);
+    w->Field("lost_entries", rs.lost_entries);
+    w->Field("backup_dev_fallbacks", rs.backup_dev_fallbacks);
+    w->Field("async_queue_peak", rs.async_queue_peak);
+    w->Field("sync_ship_ms", static_cast<double>(rs.sync_ship_ns) / 1e6);
+    w->Field("net_partition", ha.net_partition ? 1 : 0);
+    w->Field("heartbeats", rs.heartbeat_records);
+    w->Field("fenced_write_rejects", rs.fenced_write_rejects);
+    w->Field("lease_expirations", rs.lease_expirations);
+    const check::FailoverReport& fo = ha.failover;
     w->Key("failover");
     w->BeginObject();
-    w->Field("promote_ms", r.ha_failover_ms);
-    w->Field("drained_entries", r.ha_failover_drained);
-    w->Field("checker_errors", r.ha_failover_checker_errors);
-    w->Field("checker_warnings", r.ha_failover_checker_warnings);
-    w->Field("fence_epoch", r.ha_fence_epoch);
+    w->Field("promote_ms", static_cast<double>(fo.promote_ns) / 1e6);
+    w->Field("drained_entries", fo.drained_entries);
+    w->Field("checker_errors", fo.checker_errors);
+    w->Field("checker_warnings", fo.checker_warnings);
+    w->Field("fence_epoch", fo.fence_epoch);
     w->EndObject();
     // Partition drill: the post-run RejoinNode reconciliation measurement.
-    if (r.ha_resync_mode >= 0) {
+    if (ha.rejoin) {
+      const check::RejoinReport& rj = *ha.rejoin;
       w->Key("rejoin");
       w->BeginObject();
-      w->Field("resync_mode", r.ha_resync_mode == 1 ? "delta" : "wal");
-      w->Field("rejoin_ms", r.ha_rejoin_ms);
-      w->Field("resync_entries", r.ha_resync_entries);
-      w->Field("resync_bytes", r.ha_resync_bytes);
-      w->Field("write_path_bytes", r.ha_write_path_bytes);
-      w->Field("wal_replay_bytes", r.ha_wal_replay_bytes);
-      w->Field("quarantined_keys", r.ha_quarantined_keys);
-      w->Field("scrub_deferred", r.ha_scrub_deferred);
-      w->Field("checker_errors", r.ha_rejoin_checker_errors);
+      w->Field("resync_mode",
+               NameOf(check::kResyncModeNames, ha.resync_mode));
+      w->Field("rejoin_ms", static_cast<double>(rj.rejoin_ns) / 1e6);
+      w->Field("resync_entries", rj.resync_entries);
+      w->Field("resync_bytes", rj.resync_bytes);
+      w->Field("write_path_bytes", rj.write_path_bytes);
+      w->Field("wal_replay_bytes", rj.wal_replay_bytes);
+      w->Field("quarantined_keys", rj.quarantined_keys);
+      w->Field("scrub_deferred", rj.scrub_deferred);
+      w->Field("checker_errors", rj.checker_errors);
       w->EndObject();
     }
     w->EndObject();
@@ -177,14 +143,15 @@ void WriteRun(obs::JsonWriter* w, const RunResult& r) {
       w->Field("write_kops", s.write_kops);
       w->Field("put_p50_us", s.put_p50_us);
       w->Field("put_p99_us", s.put_p99_us);
-      w->Field("redirected_writes", s.redirected_writes);
-      w->Field("redirect_admission_rejects", s.redirect_admission_rejects);
-      w->Field("rollbacks", s.rollbacks);
+      w->Field("redirected_writes", s.kv.redirected_writes);
+      w->Field("redirect_admission_rejects", s.kv.redirect_admission_rejects);
+      w->Field("rollbacks", s.kv.rollbacks);
       w->Field("stalled_seconds", s.stalled_seconds);
-      w->Field("arbiter_grants", s.arbiter_grants);
-      w->Field("arbiter_granted_bytes", s.arbiter_granted_bytes);
-      w->Field("arbiter_throttles", s.arbiter_throttles);
-      w->Field("arbiter_throttle_seconds", s.arbiter_throttle_seconds);
+      w->Field("arbiter_grants", s.arbiter.grants);
+      w->Field("arbiter_granted_bytes", s.arbiter.granted_bytes);
+      w->Field("arbiter_throttles", s.arbiter.throttles);
+      w->Field("arbiter_throttle_seconds",
+               static_cast<double>(s.arbiter.throttle_ns) / kNanosPerSec);
       w->EndObject();
     }
     w->EndArray();
@@ -195,10 +162,7 @@ void WriteRun(obs::JsonWriter* w, const RunResult& r) {
   if (r.mixed_run == 1) {
     w->Key("open_loop");
     w->BeginObject();
-    w->Field("arrival", r.arrival_mode == 1   ? "poisson"
-                        : r.arrival_mode == 2 ? "diurnal"
-                        : r.arrival_mode == 3 ? "spike"
-                                              : "closed");
+    w->Field("arrival", NameOf(kArrivalNames, r.arrival));
     w->Field("scheduled_ops", r.scheduled_ops);
     w->Field("completed_ops", r.completed_ops);
     w->Field("abandoned_ops", r.abandoned_ops);
@@ -275,8 +239,8 @@ std::string JsonReportString(const BenchConfig& config,
 
   w.Key("config");
   w.BeginObject();
-  w.Field("system", SystemName(config.sut.kind));
-  w.Field("workload", WorkloadName(config.workload.type));
+  w.Field("system", NameOf(kSystemNames, config.sut.kind));
+  w.Field("workload", NameOf(kWorkloadNames, config.workload.type));
   w.Field("seconds", ToSecs(config.workload.duration));
   w.Field("scale", config.scale);
   w.Field("compaction_threads", config.sut.compaction_threads);
@@ -287,9 +251,10 @@ std::string JsonReportString(const BenchConfig& config,
   w.Field("batch_size", config.workload.batch_size);
   w.Field("seed", config.workload.seed);
   w.Field("workload_mix", config.workload.mix_spec);
-  w.Field("arrival", ArrivalName(config.workload.arrival));
+  w.Field("arrival", NameOf(kArrivalNames, config.workload.arrival));
   w.Field("arrival_rate", config.workload.arrival_rate);
-  w.Field("key_dist", KeyDistName(config.workload.default_profile.dist));
+  w.Field("key_dist",
+          NameOf(kKeyDistNames, config.workload.default_profile.dist));
   w.Field("zipf_theta", config.workload.default_profile.zipf_theta);
   w.Field("hotspot_frac", config.workload.default_profile.hotspot_frac);
   w.Field("hotspot_opfrac", config.workload.default_profile.hotspot_opfrac);
@@ -301,25 +266,21 @@ std::string JsonReportString(const BenchConfig& config,
   w.Field("shards", config.sut.shards);
   w.Field("tenants", config.workload.tenants);
   w.Field("shard_partition",
-          config.sut.shard_partition == core::ShardPartition::kRange
-              ? "range"
-              : "hash");
+          NameOf(kShardPartitionNames, config.sut.shard_partition));
   w.Field("redirect_policy",
-          config.sut.redirect_policy == core::RedirectBudgetPolicy::kPerShard
-              ? "per_shard"
-              : "global");
+          NameOf(kRedirectPolicyNames, config.sut.redirect_policy));
   w.Field("arbiter_share", config.sut.arbiter_share);
-  w.Field("ndp", config.sut.ndp_mode == ndp::OffloadMode::kForce  ? "force"
-               : config.sut.ndp_mode == ndp::OffloadMode::kAuto ? "auto"
-                                                                : "off");
+  w.Field("ndp", NameOf(kNdpModeNames, config.sut.ndp_mode));
   w.Field("ndp_cores", config.sut.ndp_cores);
   w.Field("ha", config.sut.ha);
-  w.Field("repl_ack", config.sut.repl_ack_async ? "async" : "sync");
+  w.Field("repl_ack",
+          NameOf(check::kReplAckNames, config.sut.repl_ack_async));
   w.Field("net_mbps", config.sut.net_mbps);
   w.Field("net_latency_us", config.sut.net_latency_us);
   w.Field("net_partition_start_s", config.sut.net_partition_start_s);
   w.Field("net_partition_dur_s", config.sut.net_partition_dur_s);
-  w.Field("resync_mode", config.sut.resync_mode == 1 ? "delta" : "wal");
+  w.Field("resync_mode",
+          NameOf(check::kResyncModeNames, config.sut.resync_mode));
   w.Field("fault_profile", config.fault_profile);
   w.Field("fault_seed", config.fault_seed);
   w.Field("nemesis_seed", config.nemesis_seed);

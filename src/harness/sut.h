@@ -8,6 +8,7 @@
 #include <string>
 
 #include "adoc/adoc_tuner.h"
+#include "common/flags.h"
 #include "core/kvaccel_db.h"
 #include "core/replicated_kvaccel_db.h"
 #include "core/sharded_kvaccel_db.h"
@@ -18,14 +19,30 @@ namespace kvaccel::harness {
 
 enum class SystemKind { kRocksDB, kAdoc, kKvaccel };
 
-inline const char* SystemName(SystemKind kind) {
-  switch (kind) {
-    case SystemKind::kRocksDB: return "RocksDB";
-    case SystemKind::kAdoc: return "ADOC";
-    case SystemKind::kKvaccel: return "KVAccel";
-  }
-  return "?";
-}
+// Display names (run names, the report's config block) and the flag and
+// report names of SutConfig's enumerated fields.
+inline constexpr EnumName<SystemKind> kSystemNames[] = {
+    {"RocksDB", SystemKind::kRocksDB},
+    {"ADOC", SystemKind::kAdoc},
+    {"KVAccel", SystemKind::kKvaccel}};
+inline constexpr EnumName<SystemKind> kSystemFlagNames[] = {
+    {"rocksdb", SystemKind::kRocksDB},
+    {"adoc", SystemKind::kAdoc},
+    {"kvaccel", SystemKind::kKvaccel}};
+inline constexpr EnumName<core::RollbackScheme> kRollbackNames[] = {
+    {"lazy", core::RollbackScheme::kLazy},
+    {"eager", core::RollbackScheme::kEager},
+    {"disabled", core::RollbackScheme::kDisabled}};
+inline constexpr EnumName<core::ShardPartition> kShardPartitionNames[] = {
+    {"hash", core::ShardPartition::kHash},
+    {"range", core::ShardPartition::kRange}};
+inline constexpr EnumName<core::RedirectBudgetPolicy> kRedirectPolicyNames[] =
+    {{"global", core::RedirectBudgetPolicy::kGlobal},
+     {"per_shard", core::RedirectBudgetPolicy::kPerShard}};
+inline constexpr EnumName<ndp::OffloadMode> kNdpModeNames[] = {
+    {"off", ndp::OffloadMode::kOff},
+    {"auto", ndp::OffloadMode::kAuto},
+    {"force", ndp::OffloadMode::kForce}};
 
 struct SutConfig {
   SystemKind kind = SystemKind::kRocksDB;
@@ -249,7 +266,7 @@ class SystemUnderTest {
 
   SystemKind kind() const { return config_.kind; }
   std::string name() const {
-    std::string n = std::string(SystemName(config_.kind)) + "(" +
+    std::string n = std::string(NameOf(kSystemNames, config_.kind)) + "(" +
                     std::to_string(config_.compaction_threads) + ")";
     if (config_.shards > 1) n += "x" + std::to_string(config_.shards);
     if (pair_) {

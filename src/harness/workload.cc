@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <memory>
 
@@ -11,6 +13,7 @@
 #include "devlsm/dev_lsm.h"
 #include "fs/simfs.h"
 #include "harness/fault_profiles.h"
+#include "harness/flags.h"
 #include "obs/trace.h"
 #include "sim/cpu_pool.h"
 #include "sim/fault.h"
@@ -42,13 +45,7 @@ bool ParseMixField(const std::string& field, TenantProfile* prof,
   const double num = strtod(v.c_str(), &end);
   const bool numeric = end != v.c_str() && *end == '\0';
   if (k == "dist") {
-    if (v == "uniform") {
-      prof->dist = KeyDist::kUniform;
-    } else if (v == "zipfian") {
-      prof->dist = KeyDist::kZipfian;
-    } else if (v == "hotspot") {
-      prof->dist = KeyDist::kHotspot;
-    } else {
+    if (!ValueOf(kKeyDistNames, v, &prof->dist)) {
       if (err != nullptr) *err = "unknown dist '" + v + "'";
       return false;
     }
@@ -147,6 +144,179 @@ bool ParseWorkloadMix(const std::string& spec,
     seg_start = seg_end + 1;
   }
   return true;
+}
+
+namespace {
+
+// Parses "A:B" into two numbers in [min, max].
+bool ParsePair(const char* v, double min, double max, double* a, double* b,
+               std::string* err) {
+  const char* colon = strchr(v, ':');
+  if (colon == nullptr) {
+    *err = std::string("'") + v + "' (expected two numbers split by ':')";
+    return false;
+  }
+  return ParseDouble(std::string(v, colon).c_str(), min, max, a, err) &&
+         ParseDouble(colon + 1, min, max, b, err);
+}
+
+}  // namespace
+
+FlagTable DbbenchFlags(DbbenchArgs* args) {
+  BenchConfig* c = &args->config;
+  SutConfig* sut = &c->sut;
+  WorkloadConfig* wl = &c->workload;
+  TenantProfile* prof = &wl->default_profile;
+  FlagTable t;
+  t.Enum("system", &sut->kind, kSystemFlagNames,
+         "system under test (default rocksdb)");
+  t.Enum("workload", &wl->type, kWorkloadNames,
+         "workload (default fillrandom; mixed = the workload matrix)");
+  t.Custom("seconds", "F",
+           [wl](const char* v, std::string* err) {
+             double secs = 0;
+             if (!ParseDouble(v, 0, HUGE_VAL, &secs, err)) return false;
+             wl->duration = FromSecs(secs);
+             return true;
+           },
+           "measurement window, virtual seconds (default 60)");
+  t.Double("scale", &c->scale, 0, kMaxScale,
+           "size scale; 1.0 = paper scale (default 0.125)");
+  t.Int("threads", &sut->compaction_threads, 1, "compaction threads");
+  t.Int("value_size", &wl->value_size, 1, "value bytes (default 4096)");
+  t.Int("key_space", &wl->key_space, 1, "key draw range (default 2^31)");
+  t.Int("read_threads", &wl->read_threads, 0, "readwhilewriting readers");
+  t.Int("writer_threads", &wl->writer_threads, 1, "writer actors");
+  t.Int("batch_size", &wl->batch_size, 1, "entries per WriteBatch");
+  t.Enum("rollback", &sut->rollback, kRollbackNames,
+         "KVACCEL rollback scheme (default lazy)");
+  t.Set("no_slowdown", &sut->enable_slowdown, false,
+        "disable the baselines' delayed writes");
+  t.Int("seed", &wl->seed, 0, "workload seed (default 42)");
+  t.String("fault_profile", &c->fault_profile, "P",
+           "flaky-nvme, bitrot, power-cut or devlsm-dead (default none)");
+  t.Int("fault_seed", &c->fault_seed, 0, "fault injector seed (default 1)");
+  t.Set("series", &args->series, true, "print the per-second series");
+  t.String("trace_out", &c->trace_out, "FILE", "write a Chrome trace");
+  t.String("json_out", &args->json_out, "FILE",
+           "write the kvaccel-run-v1 report");
+  t.Int("nemesis_seed", &c->nemesis_seed, 0,
+        "nemesis seed echoed into the report (0 = none)");
+  t.String("trace_dump_dir", &c->trace_dump_dir, "DIR",
+           "nemesis dump directory echoed into the report");
+  t.String("db_dump_dir", &c->db_dump_dir, "DIR",
+           "export the final image for kvaccel_check");
+  t.Int("max_subcompactions", &sut->max_subcompactions, 0,
+        "subcompactions per job (0 = default; 1 = no splitting)");
+  t.Double("compaction_rate_limit", &sut->compaction_rate_limit, 0, 1,
+           "deep-compaction I/O cap, a fraction of NAND bandwidth");
+  t.Double("nand_mbps", &c->nand_mbps, 0, HUGE_VAL,
+           "NAND bandwidth in MB/s (0 = preset 630)");
+  t.Int("shards", &sut->shards, 1, "KVACCEL only: shards (default 1)");
+  t.Int("tenants", &wl->tenants, 1, "key-space slices (default 1)");
+  t.Enum("shard_partition", &sut->shard_partition, kShardPartitionNames,
+         "key-to-shard mapping (default hash)");
+  t.Enum("redirect_policy", &sut->redirect_policy, kRedirectPolicyNames,
+         "Dev-LSM redirect budget split (default global)");
+  t.Double("arbiter_share", &sut->arbiter_share, 0, 1,
+           "arbiter rate, a fraction of NAND bandwidth (0 = off)");
+  t.Enum("ndp", &sut->ndp_mode, kNdpModeNames,
+         "KVACCEL only: device-offloaded compaction (default off)");
+  t.Int("ndp_cores", &sut->ndp_cores, 0, "NDP cores (default 2)");
+  t.Set("ha", &sut->ha, true, "KVACCEL only: two-node replicated pair");
+  t.Enum("repl_ack", &sut->repl_ack_async, check::kReplAckNames,
+         "HA ack discipline (default sync)");
+  t.Double("net_mbps", &sut->net_mbps, 0, HUGE_VAL,
+           "HA link MB/s (default 1250)");
+  t.Double("net_latency_us", &sut->net_latency_us, 0, HUGE_VAL,
+           "HA link latency (default 30)");
+  t.Double("lease_ms", &sut->lease_ms, 0, HUGE_VAL, "HA lease (default 50)");
+  t.Double("heartbeat_ms", &sut->heartbeat_ms, 0, HUGE_VAL,
+           "HA heartbeat period (default 10)");
+  t.Int("fence_epoch", &sut->fence_epoch, 0, "starting epoch (default 1)");
+  t.Custom("net_partition", "START:DUR",
+           [sut](const char* v, std::string* err) {
+             return ParsePair(v, 0, HUGE_VAL, &sut->net_partition_start_s,
+                              &sut->net_partition_dur_s, err);
+           },
+           "HA only: cut the link START s into the window for DUR s");
+  t.Enum("resync_mode", &sut->resync_mode, check::kResyncModeNames,
+         "HA rejoin transport (default delta)");
+  t.Custom("workload_mix", "SPEC",
+           [wl](const char* v, std::string* err) {
+             wl->mix_spec = v;
+             wl->type = WorkloadConfig::Type::kMixed;
+             return ParseWorkloadMix(v, &wl->profiles, err);
+           },
+           "per-tenant op streams (implies --workload=mixed)");
+  t.Enum("arrival", &wl->arrival, kArrivalNames,
+         "arrival process (default closed)");
+  t.Double("arrival_rate", &wl->arrival_rate, 1, HUGE_VAL,
+           "scheduled ops/s across tenants (default 20000)");
+  t.Custom("zipf_theta", "F",
+           [args, prof](const char* v, std::string* err) {
+             if (!ParseDouble(v, 0, 1, &prof->zipf_theta, err)) return false;
+             if (prof->zipf_theta == 0 || prof->zipf_theta == 1) {
+               *err = std::string(v) + " (must be in (0, 1))";
+               return false;
+             }
+             prof->dist = KeyDist::kZipfian;
+             args->zipf = true;
+             return true;
+           },
+           "Zipfian key popularity, theta in (0, 1)");
+  t.Custom("hotspot", "FRAC:OPFRAC",
+           [args, prof](const char* v, std::string* err) {
+             if (!ParsePair(v, 0, 1, &prof->hotspot_frac,
+                            &prof->hotspot_opfrac, err)) {
+               return false;
+             }
+             if (prof->hotspot_frac == 0 || prof->hotspot_opfrac == 0) {
+               *err = std::string(v) + " (fractions must be in (0, 1])";
+               return false;
+             }
+             prof->dist = KeyDist::kHotspot;
+             args->hotspot = true;
+             return true;
+           },
+           "the first FRAC of each slice gets OPFRAC of the draws");
+  t.Double("ttl_frac", &wl->ttl_frac, 0, 1, "fraction of puts with a TTL");
+  t.Double("ttl_s", &wl->ttl_s, 0, HUGE_VAL, "TTL seconds (default 2)");
+  t.Double("deadline_us", &wl->deadline_us, 0, HUGE_VAL,
+           "arrival deadline (default 1000)");
+  t.Action("list_fault_sites",
+           [] {
+             for (const auto& site : sim::KnownFaultSites()) {
+               printf("%-28s %s\n", site.site, site.what);
+             }
+             exit(0);
+           },
+           "print every registered fault/crash site and exit");
+  return t;
+}
+
+std::string DbbenchConfigError(const DbbenchArgs& args) {
+  const SutConfig& sut = args.config.sut;
+  const WorkloadConfig& wl = args.config.workload;
+  const bool kvaccel = sut.kind == SystemKind::kKvaccel;
+  if (sut.shards > 1 && !kvaccel) {
+    return "--shards>1 requires --system=kvaccel";
+  }
+  if (sut.ha && !kvaccel) return "--ha requires --system=kvaccel";
+  if (sut.ha && sut.shards > 1) return "--ha requires --shards=1";
+  if (sut.ndp_mode != ndp::OffloadMode::kOff && !kvaccel) {
+    return "--ndp requires --system=kvaccel";
+  }
+  if (args.zipf && args.hotspot) {
+    return "--zipf_theta and --hotspot are mutually exclusive";
+  }
+  const bool mixed = wl.type == WorkloadConfig::Type::kMixed;
+  if (wl.arrival != Arrival::kClosed && !mixed) {
+    return std::string("--arrival=") + NameOf(kArrivalNames, wl.arrival) +
+           " requires --workload=mixed";
+  }
+  if (wl.ttl_frac > 0 && !mixed) return "--ttl_frac requires --workload=mixed";
+  return "";
 }
 
 namespace {
@@ -506,6 +676,28 @@ void SeekLoop(const WorkloadConfig& wl, Shared* sh, uint64_t thread_seed) {
   }
 }
 
+// The offload planners' decisions, summed over every DB of the store.
+ndp::PlannerStats SumPlannerStats(SystemUnderTest* sut) {
+  ndp::PlannerStats ps;
+  auto add = [&ps](const ndp::OffloadPlanner* p) {
+    if (p == nullptr) return;
+    ps.device_jobs += p->stats().device_jobs;
+    ps.host_jobs += p->stats().host_jobs;
+    ps.flips += p->stats().flips;
+    ps.cooldown_rejects += p->stats().cooldown_rejects;
+    ps.failures += p->stats().failures;
+  };
+  if (sut->sharded() != nullptr) {
+    core::ShardedKvaccelDB* shd = sut->sharded();
+    for (int i = 0; i < shd->num_shards(); i++) {
+      add(shd->shard(i)->offload_planner());
+    }
+  } else if (sut->kvaccel() != nullptr) {
+    add(sut->kvaccel()->offload_planner());
+  }
+  return ps;
+}
+
 // Mirrors every subsystem's existing stats structs into the registry at
 // snapshot time (DESIGN.md §8 naming: <layer>.<component>.<metric>). The
 // callbacks read live objects, so Snapshot() must run while the world is
@@ -646,23 +838,7 @@ void RegisterWorldMetrics(obs::MetricsRegistry* registry,
       snap->SetCounter("ndp.command_bytes", ns.command_bytes);
       snap->SetCounter("ndp.result_bytes", ns.result_bytes);
       snap->SetGauge("ndp.cpu.busy_seconds", ndp_dev->cpu()->busy_seconds());
-      ndp::PlannerStats ps;
-      auto add = [&ps](const ndp::OffloadPlanner* p) {
-        if (p == nullptr) return;
-        ps.device_jobs += p->stats().device_jobs;
-        ps.host_jobs += p->stats().host_jobs;
-        ps.flips += p->stats().flips;
-        ps.cooldown_rejects += p->stats().cooldown_rejects;
-        ps.failures += p->stats().failures;
-      };
-      if (sut->sharded() != nullptr) {
-        core::ShardedKvaccelDB* shd = sut->sharded();
-        for (int i = 0; i < shd->num_shards(); i++) {
-          add(shd->shard(i)->offload_planner());
-        }
-      } else if (sut->kvaccel() != nullptr) {
-        add(sut->kvaccel()->offload_planner());
-      }
+      const ndp::PlannerStats ps = SumPlannerStats(sut);
       snap->SetCounter("ndp.planner.device_jobs", ps.device_jobs);
       snap->SetCounter("ndp.planner.host_jobs", ps.host_jobs);
       snap->SetCounter("ndp.planner.flips", ps.flips);
@@ -1048,46 +1224,16 @@ RunResult RunBenchmark(const BenchConfig& config) {
 
     // Device-offloaded compaction (DESIGN.md §13).
     if (ndp_dev != nullptr) {
-      result.ndp_mode =
-          sut_cfg.ndp_mode == ndp::OffloadMode::kForce ? 1 : 0;
-      result.ndp_compactions = ms.ndp_compactions;
-      result.ndp_mb_written =
-          static_cast<double>(ms.ndp_bytes_written) / 1e6;
-      result.ndp_fallbacks = ms.ndp_fallbacks;
-      const ndp::NdpStats& ns = ndp_dev->stats();
-      result.ndp_commands = ns.commands;
-      result.ndp_rejected = ns.rejected;
-      result.ndp_cpu_busy_seconds = ndp_dev->cpu()->busy_seconds();
-      ndp::PlannerStats ps;
-      auto add = [&ps](const ndp::OffloadPlanner* p) {
-        if (p == nullptr) return;
-        ps.device_jobs += p->stats().device_jobs;
-        ps.host_jobs += p->stats().host_jobs;
-        ps.flips += p->stats().flips;
-        ps.cooldown_rejects += p->stats().cooldown_rejects;
-      };
-      if (sut->sharded() != nullptr) {
-        core::ShardedKvaccelDB* shd = sut->sharded();
-        for (int i = 0; i < shd->num_shards(); i++) {
-          add(shd->shard(i)->offload_planner());
-        }
-      } else if (sut->kvaccel() != nullptr) {
-        add(sut->kvaccel()->offload_planner());
-      }
-      result.ndp_planner_device_jobs = ps.device_jobs;
-      result.ndp_planner_host_jobs = ps.host_jobs;
-      result.ndp_planner_flips = ps.flips;
-      result.ndp_planner_cooldown_rejects = ps.cooldown_rejects;
+      NdpRunStats& n = result.ndp.emplace();
+      n.mode = sut_cfg.ndp_mode;
+      n.device = ndp_dev->stats();
+      n.planner = SumPlannerStats(sut.get());
+      n.cpu_busy_seconds = ndp_dev->cpu()->busy_seconds();
+      n.compactions = ms.ndp_compactions;
+      n.bytes_written = ms.ndp_bytes_written;
+      n.fallbacks = ms.ndp_fallbacks;
     }
-    if (sut->is_kvaccel()) {
-      core::KvaccelStats ks = sut->kvaccel_stats();
-      result.redirected_writes = ks.redirected_writes;
-      result.rollbacks = ks.rollbacks;
-      result.detector_checks = ks.detector_checks;
-      result.redirected_batches = ks.redirected_batches;
-      result.dev_retries = ks.dev_retries;
-      result.fallback_writes = ks.fallback_writes;
-    }
+    if (sut->is_kvaccel()) result.kv = sut->kvaccel_stats();
 
     // Per-shard breakdown + fairness headline (DESIGN.md §11).
     if (sut->sharded() != nullptr) {
@@ -1103,10 +1249,7 @@ RunResult RunBenchmark(const BenchConfig& config) {
             static_cast<double>(sfg.writes_total) / result.seconds / 1e3;
         ss.put_p50_us = sfg.put_latency.Percentile(50) / 1e3;
         ss.put_p99_us = sfg.put_latency.Percentile(99) / 1e3;
-        const core::KvaccelStats& ks = kv->kv_stats();
-        ss.redirected_writes = ks.redirected_writes;
-        ss.redirect_admission_rejects = ks.redirect_admission_rejects;
-        ss.rollbacks = ks.rollbacks;
+        ss.kv = kv->kv_stats();
         sim::IntervalRecorder sr = kv->main()->stats().stall_regions;
         sr.CloseAt(t1);
         for (const auto& iv : sr.intervals()) {
@@ -1115,13 +1258,7 @@ RunResult RunBenchmark(const BenchConfig& config) {
               ToSecs(std::min(iv.end, t1) - std::max(iv.start, t0));
         }
         if (shd->arbiter() != nullptr) {
-          const sim::FairShareArbiter::ClientStats& cs =
-              shd->arbiter()->client_stats(i);
-          ss.arbiter_grants = cs.grants;
-          ss.arbiter_granted_bytes = cs.granted_bytes;
-          ss.arbiter_throttles = cs.throttles;
-          ss.arbiter_throttle_seconds =
-              static_cast<double>(cs.throttle_ns) / kNanosPerSec;
+          ss.arbiter = shd->arbiter()->client_stats(i);
         }
         if (i == 0 || ss.writes < min_writes) min_writes = ss.writes;
         if (i == 0 || ss.writes > max_writes) max_writes = ss.writes;
@@ -1162,7 +1299,7 @@ RunResult RunBenchmark(const BenchConfig& config) {
     // Mixed matrix rollup (the report's open_loop block).
     if (mixed) {
       result.mixed_run = 1;
-      result.arrival_mode = static_cast<int>(wl.arrival);
+      result.arrival = wl.arrival;
       Histogram all_service, all_arrival;
       for (const TenantState& st : sh.tenants) {
         all_service.Merge(st.service);
@@ -1185,10 +1322,7 @@ RunResult RunBenchmark(const BenchConfig& config) {
       result.arrival_p999_us = all_arrival.Percentile(99.9) / 1e3;
     }
 
-    lsm::BlockCacheStats cache = sut->cache_stats();
-    result.cache_hits = cache.hits;
-    result.cache_misses = cache.misses;
-    result.cache_hit_rate = cache.hit_rate();
+    result.cache = sut->cache_stats();
     // Snapshot while the world is still open — the registry sources read
     // live component state.
     result.metrics = registry.Snapshot();
@@ -1199,21 +1333,11 @@ RunResult RunBenchmark(const BenchConfig& config) {
     // failover: the primary node is "lost", both file systems drop unsynced
     // pages, and the backup is checked, repaired and promoted.
     if (sut->pair() != nullptr) {
-      const core::ReplStats rs = sut->pair()->repl_stats();
-      result.ha_repl_ack = sut_cfg.repl_ack_async ? 1 : 0;
-      result.ha_wal_records = rs.wal_records;
-      result.ha_intent_records = rs.intent_records;
-      result.ha_repl_mb = static_cast<double>(rs.repl_bytes) / 1e6;
-      result.ha_net_retries = rs.net_retries;
-      result.ha_ship_failures = rs.ship_failures;
-      result.ha_lost_entries = rs.lost_entries;
-      result.ha_backup_dev_fallbacks = rs.backup_dev_fallbacks;
-      result.ha_async_queue_peak = rs.async_queue_peak;
-      result.ha_sync_ship_ms = static_cast<double>(rs.sync_ship_ns) / 1e6;
-      result.ha_heartbeats = rs.heartbeat_records;
-      result.ha_fenced_rejects = rs.fenced_write_rejects;
-      result.ha_lease_expirations = rs.lease_expirations;
-      result.ha_net_partition = partition_run ? 1 : 0;
+      HaRunStats& ha_run = result.ha.emplace();
+      ha_run.repl_ack_async = sut_cfg.repl_ack_async;
+      ha_run.resync_mode = sut_cfg.resync_mode;
+      ha_run.net_partition = partition_run;
+      ha_run.repl = sut->pair()->repl_stats();
       // Divergence frontier and epoch for the partition drill below, read
       // before the node images change hands.
       const uint64_t frontier = sut->pair()->applied_seq();
@@ -1228,7 +1352,7 @@ RunResult RunBenchmark(const BenchConfig& config) {
         if (fs != nullptr) fs->DropAllDirty();
         fs_b->DropAllDirty();
       }
-      check::FailoverReport frep;
+      check::FailoverReport& frep = ha_run.failover;
       std::unique_ptr<core::KvaccelDB> promoted;
       // A partition drill promotes under a bumped durable epoch so the
       // deposed primary is fenced out; the plain failover measurement keeps
@@ -1237,16 +1361,9 @@ RunResult RunBenchmark(const BenchConfig& config) {
                                      SystemUnderTest::BuildKvOptions(sut_cfg),
                                      sut_cfg.ha_backup, &env, &frep, &promoted,
                                      partition_run ? next_epoch : 0);
-      result.ha_failover_ms = static_cast<double>(frep.promote_ns) / 1e6;
-      result.ha_failover_drained = frep.drained_entries;
-      result.ha_failover_checker_errors = frep.checker_errors;
-      result.ha_failover_checker_warnings = frep.checker_warnings;
-      result.ha_fence_epoch = frep.fence_epoch;
       if (!fo.ok()) {
         fprintf(stderr, "ha failover: %s\n", fo.ToString().c_str());
-        if (result.ha_failover_checker_errors == 0) {
-          result.ha_failover_checker_errors = 1;
-        }
+        if (frep.checker_errors == 0) frep.checker_errors = 1;
       } else {
         // Partition drill, second half: reconcile the deposed primary
         // against the promoted node and report the resync economics.
@@ -1256,25 +1373,14 @@ RunResult RunBenchmark(const BenchConfig& config) {
                                              : check::ResyncMode::kWalReplay;
           rj.frontier = frontier;
           rj.new_epoch = next_epoch;
-          check::RejoinReport rrep;
+          check::RejoinReport& rrep = ha_run.rejoin.emplace();
           Status rj_s = check::RejoinNode(
               SystemUnderTest::BuildDbOptions(sut_cfg),
               SystemUnderTest::BuildKvOptions(sut_cfg), sut_cfg.ha_primary,
               promoted.get(), rj, &env, &rrep);
-          result.ha_resync_mode = sut_cfg.resync_mode != 0 ? 1 : 0;
-          result.ha_rejoin_ms = static_cast<double>(rrep.rejoin_ns) / 1e6;
-          result.ha_resync_entries = rrep.resync_entries;
-          result.ha_resync_bytes = rrep.resync_bytes;
-          result.ha_write_path_bytes = rrep.write_path_bytes;
-          result.ha_wal_replay_bytes = rrep.wal_replay_bytes;
-          result.ha_quarantined_keys = rrep.quarantined_keys;
-          result.ha_scrub_deferred = rrep.scrub_deferred;
-          result.ha_rejoin_checker_errors = rrep.checker_errors;
           if (!rj_s.ok()) {
             fprintf(stderr, "ha rejoin: %s\n", rj_s.ToString().c_str());
-            if (result.ha_rejoin_checker_errors == 0) {
-              result.ha_rejoin_checker_errors = 1;
-            }
+            if (rrep.checker_errors == 0) rrep.checker_errors = 1;
           }
         }
         (void)promoted->Close();

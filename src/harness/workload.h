@@ -15,12 +15,17 @@
 // extracts every signal the paper's figures need.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "check/failover.h"
+#include "common/flags.h"
 #include "common/units.h"
 #include "harness/presets.h"
 #include "harness/sut.h"
+#include "ndp/ndp_device.h"
+#include "ndp/offload_planner.h"
 #include "obs/metrics.h"
 
 namespace kvaccel::harness {
@@ -37,6 +42,16 @@ enum class KeyDist {
 // virtual time as a Poisson process whose instantaneous rate follows the
 // named curve, and latency is additionally measured from the scheduled tick.
 enum class Arrival { kClosed, kPoisson, kDiurnal, kSpike };
+
+inline constexpr EnumName<KeyDist> kKeyDistNames[] = {
+    {"uniform", KeyDist::kUniform},
+    {"zipfian", KeyDist::kZipfian},
+    {"hotspot", KeyDist::kHotspot}};
+inline constexpr EnumName<Arrival> kArrivalNames[] = {
+    {"closed", Arrival::kClosed},
+    {"poisson", Arrival::kPoisson},
+    {"diurnal", Arrival::kDiurnal},
+    {"spike", Arrival::kSpike}};
 
 // Op mix + key-popularity shape for one tenant's stream.
 struct TenantProfile {
@@ -108,6 +123,12 @@ struct WorkloadConfig {
   }
 };
 
+inline constexpr EnumName<WorkloadConfig::Type> kWorkloadNames[] = {
+    {"fillrandom", WorkloadConfig::Type::kFillRandom},
+    {"readwhilewriting", WorkloadConfig::Type::kReadWhileWriting},
+    {"seekrandom", WorkloadConfig::Type::kSeekRandom},
+    {"mixed", WorkloadConfig::Type::kMixed}};
+
 // Parses a --workload_mix spec into per-tenant profiles: ';'-separated
 // segments, one per tenant (tenant t gets segment t % count). Each segment
 // is a preset name (LookupMixPreset) or a comma list of k=v fields:
@@ -143,6 +164,24 @@ struct BenchConfig {
   std::string db_dump_dir;
 };
 
+// kvaccel_dbbench's command line (tools/kvaccel_dbbench.cc): the run's
+// BenchConfig plus what the tool does with the result.
+struct DbbenchArgs {
+  BenchConfig config;
+  bool series = false;   // print the per-second series
+  std::string json_out;  // empty = no JSON report
+  // Which key-popularity flag was given; the two exclude each other.
+  bool zipf = false;
+  bool hotspot = false;
+};
+
+// The kvaccel_dbbench flag table, filling *args.
+FlagTable DbbenchFlags(DbbenchArgs* args);
+
+// The rules between flags that parsing cannot check one flag at a time: a
+// message naming the flags at fault, or "" when the run is valid.
+std::string DbbenchConfigError(const DbbenchArgs& args);
+
 // Per-shard slice of a sharded run (DESIGN.md §11).
 struct ShardSummary {
   int shard = 0;
@@ -150,15 +189,10 @@ struct ShardSummary {
   double write_kops = 0;
   double put_p50_us = 0;
   double put_p99_us = 0;
-  uint64_t redirected_writes = 0;
-  uint64_t redirect_admission_rejects = 0;
-  uint64_t rollbacks = 0;
   double stalled_seconds = 0;
-  // Fair-share device-bandwidth arbiter accounting for this shard's client.
-  uint64_t arbiter_grants = 0;
-  uint64_t arbiter_granted_bytes = 0;
-  uint64_t arbiter_throttles = 0;
-  double arbiter_throttle_seconds = 0;
+  core::KvaccelStats kv;  // this shard's KVACCEL counters
+  // This shard's client of the fair-share device-bandwidth arbiter.
+  sim::FairShareArbiter::ClientStats arbiter;
 };
 
 // Per-tenant slice of a multi-tenant run. Service percentiles measure from
@@ -184,6 +218,32 @@ struct TenantSummary {
   double arrival_p50_us = 0;
   double arrival_p99_us = 0;
   double arrival_p999_us = 0;
+};
+
+// Device-offloaded compaction (DESIGN.md §13): present when an NDP engine
+// was attached to the run.
+struct NdpRunStats {
+  ndp::OffloadMode mode = ndp::OffloadMode::kAuto;  // kAuto or kForce
+  ndp::NdpStats device;         // the engine's own counters
+  ndp::PlannerStats planner;    // every DB's planner, summed
+  double cpu_busy_seconds = 0;  // busy time on the device's NDP cores
+  // The Main-LSM's tally of its offloaded jobs (lsm::DbStats).
+  uint64_t compactions = 0;    // jobs that completed device-side
+  uint64_t bytes_written = 0;  // output bytes produced device-side
+  uint64_t fallbacks = 0;      // offloaded jobs rerun on the host
+};
+
+// Two-node HA pair (DESIGN.md §12): present for HA runs. After the window
+// the runner fails the primary over to the backup and reports the promotion;
+// a partition drill then rejoins the deposed primary.
+struct HaRunStats {
+  bool repl_ack_async = false;  // check::kReplAckNames
+  int resync_mode = 1;          // check::kResyncModeNames
+  bool net_partition = false;   // a partition window was injected
+  core::ReplStats repl;         // read after Close: async's lost tail is final
+  // A failed promote or rejoin reports at least one checker error.
+  check::FailoverReport failover;
+  std::optional<check::RejoinReport> rejoin;  // partition drills only
 };
 
 struct RunResult {
@@ -224,23 +284,10 @@ struct RunResult {
   double group_commit_mean = 0;  // entries per group
   uint64_t group_commit_max = 0;
 
-  // KVACCEL-specific.
-  uint64_t redirected_writes = 0;
-  uint64_t rollbacks = 0;
-  uint64_t detector_checks = 0;
-  uint64_t redirected_batches = 0;
-
   // Fault-injection observability (--fault_profile runs).
   uint64_t fault_injected = 0;      // total injector fires
   uint64_t io_retries = 0;          // Main-LSM transient-error retries
   uint64_t background_errors = 0;   // latched flush/compaction failures
-  uint64_t dev_retries = 0;         // Dev-LSM command retries (KVACCEL)
-  uint64_t fallback_writes = 0;     // host-path fallbacks after dead device
-
-  // SST block cache (Main-LSM).
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  double cache_hit_rate = 0;  // hits / lookups, 0 when no lookups
 
   // Compaction scheduler (Main-LSM, DESIGN.md §10).
   uint64_t compactions = 0;             // jobs installed
@@ -249,52 +296,12 @@ struct RunResult {
   uint64_t intra_l0_compactions = 0;    // L0->L0 pressure-relief merges
   double compaction_throttle_seconds = 0;  // time parked on the rate limiter
 
-  // Two-node HA pair (DESIGN.md §12). ha_repl_ack is the gate: -1 = not an
-  // HA run, 0 = sync acks, 1 = async. After the window the runner fails the
-  // primary over to the backup and reports the promotion itself.
-  int ha_repl_ack = -1;
-  uint64_t ha_wal_records = 0;        // replicated group-commit batches
-  uint64_t ha_intent_records = 0;     // replicated redirected-write intents
-  double ha_repl_mb = 0;              // bytes shipped over the interconnect
-  uint64_t ha_net_retries = 0;
-  uint64_t ha_ship_failures = 0;
-  uint64_t ha_lost_entries = 0;       // async tail lost at the cutover
-  uint64_t ha_backup_dev_fallbacks = 0;
-  uint64_t ha_async_queue_peak = 0;
-  double ha_sync_ship_ms = 0;         // foreground time spent shipping (sync)
-  double ha_failover_ms = 0;          // backup promotion wall time
-  uint64_t ha_failover_drained = 0;   // mirror entries re-hosted at promote
-  int ha_failover_checker_errors = 0;
-  int ha_failover_checker_warnings = 0;
-  // Partition/fencing/reconciliation (runs with a partition window).
-  int ha_net_partition = 0;           // 1 = a partition window was injected
-  uint64_t ha_heartbeats = 0;         // lease renewals applied on the backup
-  uint64_t ha_fenced_rejects = 0;     // writes refused by the fenced primary
-  uint64_t ha_lease_expirations = 0;
-  uint64_t ha_fence_epoch = 0;        // epoch the promoted node serves under
-  int ha_resync_mode = -1;            // -1 = no rejoin measured, 0 wal, 1 delta
-  double ha_rejoin_ms = 0;            // RejoinNode wall time
-  uint64_t ha_resync_entries = 0;     // entries shipped by the rejoin
-  uint64_t ha_resync_bytes = 0;       // payload charged to the resync link
-  uint64_t ha_write_path_bytes = 0;   // resync bytes through the write path
-  uint64_t ha_wal_replay_bytes = 0;   // what full WAL replay would have moved
-  uint64_t ha_quarantined_keys = 0;   // diverged versions replaced at rejoin
-  uint64_t ha_scrub_deferred = 0;     // serving scrub wake-ups deferred
-  int ha_rejoin_checker_errors = 0;
-
-  // Device-offloaded compaction (DESIGN.md §13). ndp_mode is the gate:
-  // -1 = no NDP engine attached, 0 = auto placement, 1 = force.
-  int ndp_mode = -1;
-  uint64_t ndp_compactions = 0;      // jobs that completed device-side
-  double ndp_mb_written = 0;         // output MB produced device-side
-  uint64_t ndp_fallbacks = 0;        // offloaded jobs rerun on the host
-  uint64_t ndp_commands = 0;         // COMPACT descriptors accepted
-  uint64_t ndp_rejected = 0;         // transient device rejections
-  uint64_t ndp_planner_device_jobs = 0;
-  uint64_t ndp_planner_host_jobs = 0;
-  uint64_t ndp_planner_flips = 0;
-  uint64_t ndp_planner_cooldown_rejects = 0;
-  double ndp_cpu_busy_seconds = 0;   // busy time on the device's NDP cores
+  // The layers' own stats structs (DESIGN.md §18), read before Close
+  // except the HA block's.
+  core::KvaccelStats kv;       // KVACCEL runs; all zero otherwise
+  lsm::BlockCacheStats cache;  // Main-LSM SST block cache
+  std::optional<NdpRunStats> ndp;
+  std::optional<HaRunStats> ha;
 
   // Sharded engine (DESIGN.md §11): one entry per shard, plus the fairness
   // headline — max/min per-shard foreground-write throughput (0 when any
@@ -306,10 +313,9 @@ struct RunResult {
   std::vector<TenantSummary> tenants;
 
   // Mixed workload matrix rollup (DESIGN.md §14). mixed_run gates the
-  // report's open_loop block; arrival_mode mirrors Arrival (0 closed,
-  // 1 poisson, 2 diurnal, 3 spike).
+  // report's open_loop block.
   int mixed_run = 0;
-  int arrival_mode = 0;
+  Arrival arrival = Arrival::kClosed;
   uint64_t scheduled_ops = 0;    // arrivals the rate curve produced in-window
   uint64_t completed_ops = 0;
   uint64_t abandoned_ops = 0;    // scheduled, never issued (backlog at end)

@@ -14,13 +14,6 @@ namespace kvaccel::lsm {
 
 using sim::SimLockGuard;
 
-namespace {
-// Device errors worth retrying; Corruption/NoSpace/InvalidArgument are not.
-bool IsTransient(const Status& s) {
-  return s.IsIOError() || s.IsBusy() || s.IsTryAgain();
-}
-}  // namespace
-
 // ---------------- Open / lifecycle ----------------
 
 Status DB::Open(const DbOptions& options, const DbEnv& env,
@@ -220,8 +213,7 @@ Status DbImpl::GetBackgroundError() {
 Status DbImpl::RetryTransient(const std::function<Status()>& fn) {
   Status s = fn();
   Nanos backoff = 0;
-  for (int attempt = 0;
-       !s.ok() && IsTransient(s) && attempt < options_.max_io_retries;
+  for (int attempt = 0; s.IsTransient() && attempt < options_.max_io_retries;
        attempt++) {
     {
       SimLockGuard l(mu_);

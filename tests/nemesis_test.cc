@@ -42,6 +42,21 @@ TEST(NemesisTest, ThirtyCrashRecoveryCyclesMatchOracle) {
   }
 }
 
+// A cycle count too wide for int must not wrap into a run of no cycles that
+// reports success, and a zero key space must not reach a modulo by zero.
+TEST(NemesisTest, FlagTableRejectsWrappedAndZeroValues) {
+  auto parse = [](const char* arg) {
+    NemesisOptions opt;
+    std::string replay;
+    const char* argv[] = {"kvaccel_nemesis", arg};
+    check::NemesisFlags(&opt, &replay).Parse(2, const_cast<char**>(argv));
+  };
+  EXPECT_EXIT(parse("--cycles=4294967296"), ::testing::ExitedWithCode(2),
+              "--cycles");
+  EXPECT_EXIT(parse("--key_space=0"), ::testing::ExitedWithCode(2),
+              "--key_space");
+}
+
 TEST(NemesisTest, SameSeedReplaysIdenticalTrace) {
   NemesisOptions opt;
   opt.seed = kNemesisSeed;

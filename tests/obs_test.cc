@@ -344,11 +344,11 @@ TEST(RunArtifactsTest, BlockCacheStatsSurfaceOnReadWorkload) {
   EXPECT_GT(r.read_kops, 0.0);
   // Reads that reach the SSTs populate the block cache; hit rate must be a
   // valid fraction and consistent with the raw counts.
-  EXPECT_GT(r.cache_hits + r.cache_misses, 0u);
-  EXPECT_GE(r.cache_hit_rate, 0.0);
-  EXPECT_LE(r.cache_hit_rate, 1.0);
-  EXPECT_EQ(r.metrics.counters.at("lsm.block_cache.hits"), r.cache_hits);
-  EXPECT_EQ(r.metrics.counters.at("lsm.block_cache.misses"), r.cache_misses);
+  EXPECT_GT(r.cache.hits + r.cache.misses, 0u);
+  EXPECT_GE(r.cache.hit_rate(), 0.0);
+  EXPECT_LE(r.cache.hit_rate(), 1.0);
+  EXPECT_EQ(r.metrics.counters.at("lsm.block_cache.hits"), r.cache.hits);
+  EXPECT_EQ(r.metrics.counters.at("lsm.block_cache.misses"), r.cache.misses);
 }
 
 TEST(RunArtifactsTest, JsonReportIsValidAndDeterministic) {

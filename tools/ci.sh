@@ -26,11 +26,34 @@ nemesis_smoke() {
   fi
 }
 
+# expect_exit CODE CMD...: CMD must exit with status CODE.
+expect_exit() {
+  local want="$1" rc=0; shift
+  "$@" > /dev/null 2>&1 || rc=$?
+  if [ "${rc}" -ne "${want}" ]; then
+    echo "$* exited ${rc}, want ${want}"
+    exit 1
+  fi
+}
+
 run_pass() {
   local name="$1" dir="$2"; shift 2
   echo "==== ${name}: configure + build (${dir}) ===="
   cmake -B "${dir}" -S . "$@"
   cmake --build "${dir}" -j "${JOBS}"
+  # Command-line probe, no simulation: every tool and bench binary answers
+  # --help and rejects an unknown flag, and a cycle count too wide for its
+  # field and a zero key space exit 2 instead of running.
+  echo "==== ${name}: command-line probe ===="
+  local bin
+  for bin in $(find "${dir}/tools" "${dir}/bench" -maxdepth 1 -type f \
+      -perm -u+x | sort); do
+    expect_exit 0 "${bin}" --help
+    expect_exit 2 "${bin}" --no_such_flag
+  done
+  expect_exit 2 "${dir}/tools/kvaccel_nemesis" --cycles=4294967296
+  expect_exit 2 "${dir}/tools/kvaccel_dbbench" --workload=seekrandom \
+    --key_space=0
   echo "==== ${name}: ctest ===="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}"
   # Fault-injection suite, explicitly: all seeds are fixed in the tests, so

@@ -10,21 +10,17 @@
 // cross-checks, per-block CRCs, key ordering, L1+ non-overlap, sequence
 // monotonicity, and WAL tail sanity.
 //
-// Flags:
-//   --db_dir=DIR   image to check (required)
-//   --repair       on inconsistency, quarantine corrupt files (*.bad),
-//                  salvage the WAL prefix and rebuild the MANIFEST from the
-//                  surviving SSTs, then re-check
-//   --out_dir=DIR  where --repair writes the repaired image (default: the
-//                  input --db_dir, in place)
+// --db_dir=DIR names the image; --repair quarantines corrupt files
+// (*.bad), salvages the WAL prefix, rebuilds the MANIFEST from the surviving
+// SSTs and re-checks, writing the result to --out_dir (default: in place).
 //
 // Exit status: 0 = consistent (or repaired to consistency), 1 = errors
 // found (and, with --repair, not fully repaired), 2 = usage or I/O trouble.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "check/db_checker.h"
+#include "common/flags.h"
 #include "fs/simfs.h"
 #include "sim/cpu_pool.h"
 #include "sim/sim_env.h"
@@ -32,38 +28,20 @@
 
 using namespace kvaccel;
 
-namespace {
-
-void Usage() {
-  fprintf(stderr,
-          "usage: kvaccel_check --db_dir=DIR [--repair] [--out_dir=DIR]\n");
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   std::string db_dir;
   std::string out_dir;
   bool repair = false;
-  for (int i = 1; i < argc; i++) {
-    const char* arg = argv[i];
-    if (strncmp(arg, "--db_dir=", 9) == 0) {
-      db_dir = arg + 9;
-    } else if (strncmp(arg, "--out_dir=", 10) == 0) {
-      out_dir = arg + 10;
-    } else if (strcmp(arg, "--repair") == 0) {
-      repair = true;
-    } else if (strcmp(arg, "--help") == 0) {
-      Usage();
-      return 0;
-    } else {
-      fprintf(stderr, "unknown flag: %s\n", arg);
-      Usage();
-      return 2;
-    }
-  }
+  FlagTable flags;
+  flags.String("db_dir", &db_dir, "DIR", "image to check (required)");
+  flags.Set("repair", &repair, true,
+            "quarantine corrupt files, salvage the WAL prefix and rebuild "
+            "the MANIFEST, then re-check");
+  flags.String("out_dir", &out_dir, "DIR",
+               "where --repair writes the image (default: --db_dir)");
+  flags.Parse(argc, argv);
   if (db_dir.empty()) {
-    Usage();
+    fprintf(stderr, "--db_dir is required (see --help)\n");
     return 2;
   }
   if (out_dir.empty()) out_dir = db_dir;
