@@ -1,8 +1,6 @@
 #include "check/db_checker.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
@@ -10,6 +8,7 @@
 
 #include "core/kvaccel_db.h"
 #include "lsm/dbformat.h"
+#include "lsm/filename.h"
 #include "lsm/sst.h"
 #include "lsm/wal.h"
 #include "lsm/write_batch.h"
@@ -17,15 +16,6 @@
 namespace kvaccel::check {
 
 namespace {
-
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.compare(0, prefix.size(), prefix) == 0;
-}
 
 std::string U64(uint64_t v) { return std::to_string(v); }
 
@@ -49,6 +39,13 @@ int CheckReport::errors() const {
   return n;
 }
 
+std::string CheckReport::FirstError() const {
+  for (const auto& i : issues) {
+    if (i.severity == CheckIssue::Severity::kError) return i.what;
+  }
+  return "";
+}
+
 int CheckReport::warnings() const {
   return static_cast<int>(issues.size()) - errors();
 }
@@ -69,63 +66,25 @@ std::string CheckReport::ToString() const {
   return out;
 }
 
-// ---------------- Naming ----------------
-
-std::string DbChecker::SstName(uint64_t number) {
-  char buf[32];
-  snprintf(buf, sizeof(buf), "%06llu.sst",
-           static_cast<unsigned long long>(number));
-  return buf;
-}
-
-std::string DbChecker::LogName(uint64_t number) {
-  char buf[32];
-  snprintf(buf, sizeof(buf), "%06llu.log",
-           static_cast<unsigned long long>(number));
-  return buf;
-}
-
 // ---------------- Manifest replay (read-only) ----------------
 
 Status DbChecker::ReplayManifest(ManifestState* state, CheckReport* report) {
   if (!denv_.fs->FileExists("CURRENT")) {
     return Status::Corruption("CURRENT missing");
   }
-  std::unique_ptr<fs::RandomAccessFile> current;
-  Status s = denv_.fs->NewRandomAccessFile("CURRENT", &current);
-  if (!s.ok()) return s;
   std::string manifest_name;
-  s = current->Read(0, current->physical_size(), &manifest_name);
+  Status s = fs::ReadFileToString(denv_.fs, "CURRENT", &manifest_name);
   if (!s.ok()) return s;
   if (!denv_.fs->FileExists(manifest_name)) {
     return Status::Corruption("CURRENT points at missing " + manifest_name);
   }
   state->manifest_name = manifest_name;
-
-  std::unique_ptr<fs::RandomAccessFile> file;
-  s = denv_.fs->NewRandomAccessFile(manifest_name, &file);
-  if (!s.ok()) return s;
-  lsm::LogReader reader(std::move(file));
-  std::string payload;
-  Status rs = Status::OK();
-  while (reader.ReadRecord(&payload, &rs)) {
-    lsm::VersionEdit edit;
-    s = lsm::VersionEdit::DecodeFrom(payload, &edit);
-    if (!s.ok()) {
-      return Status::Corruption(manifest_name + ": undecodable edit: " +
-                                s.ToString());
-    }
+  // Files stay in manifest order per level (the SST reads below follow it).
+  auto apply = [&](const lsm::VersionEdit& edit) {
     report->manifest_edits++;
     if (edit.has_log_number()) state->log_number = edit.log_number();
-    if (edit.has_next_file_number()) {
-      state->next_file_number = edit.next_file_number();
-    }
     if (edit.has_last_sequence()) state->last_sequence = edit.last_sequence();
     for (const auto& [level, number] : edit.deleted()) {
-      if (level < 0 || level >= lsm::kNumLevels) {
-        return Status::Corruption(manifest_name + ": delete at bad level " +
-                                  U64(level));
-      }
       auto& files = state->levels[level];
       auto it = std::find_if(files.begin(), files.end(), [&](const auto& f) {
         return f->number == number;
@@ -138,53 +97,26 @@ Status DbChecker::ReplayManifest(ManifestState* state, CheckReport* report) {
       }
     }
     for (const auto& [level, f] : edit.added()) {
-      if (level < 0 || level >= lsm::kNumLevels) {
-        return Status::Corruption(manifest_name + ": add at bad level " +
-                                  U64(level));
-      }
       state->levels[level].push_back(f);
     }
-  }
-  // A torn tail (crash between append and sync) ends iteration cleanly;
+    return Status::OK();
+  };
+  // A torn tail (crash between append and sync) ends the replay cleanly;
   // a bad record with valid records after it is reported as corruption.
-  return rs;
+  return lsm::ReadManifest(denv_.fs, manifest_name, apply);
 }
 
 // ---------------- SST verification ----------------
 
-Status DbChecker::VerifySst(const std::string& name, uint64_t number,
-                            lsm::FileMetaData* meta) {
+Status DbChecker::VerifySst(uint64_t number, lsm::FileMetaData* meta) {
+  const std::string name = lsm::TableFileName(number);
   std::shared_ptr<lsm::SstReader> reader;
   Status s = lsm::SstReader::Open(options_, denv_.fs, name, number,
                                   /*cache=*/nullptr, &reader);
   if (!s.ok()) return s;
-  lsm::ReadOptions ropts;
-  ropts.verify_checksums = true;
-  ropts.fill_cache = false;
-  lsm::InternalKeyComparator icmp;
-  auto iter = reader->NewIterator(ropts);
-  uint64_t entries = 0;
-  lsm::SequenceNumber max_seq = 0;
-  std::string prev, smallest, largest;
-  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-    Slice key = iter->key();
-    if (!prev.empty() && icmp.Compare(Slice(prev), key) >= 0) {
-      return Status::Corruption(name + ": internal keys out of order");
-    }
-    if (entries == 0) smallest.assign(key.data(), key.size());
-    prev.assign(key.data(), key.size());
-    max_seq = std::max(max_seq, lsm::ExtractSequence(key));
-    entries++;
-  }
-  if (!iter->status().ok()) return iter->status();
-  largest = prev;
-  if (meta != nullptr) {
-    meta->num_entries = entries;
-    meta->max_seq = max_seq;
-    meta->smallest = smallest;
-    meta->largest = largest;
-    (void)denv_.fs->GetFileSize(name, &meta->logical_size);
-  }
+  s = lsm::ScanTable(reader.get(), meta);
+  if (!s.ok()) return s;
+  (void)denv_.fs->GetFileSize(name, &meta->logical_size);
   return Status::OK();
 }
 
@@ -192,43 +124,34 @@ Status DbChecker::VerifySst(const std::string& name, uint64_t number,
 
 void DbChecker::CheckWal(const ManifestState& state, CheckReport* report) {
   for (const std::string& name : denv_.fs->GetChildren()) {
-    if (name.size() != 10 || name.substr(6) != ".log") continue;
-    uint64_t number = strtoull(name.c_str(), nullptr, 10);
+    uint64_t number;
+    lsm::FileType type;
+    if (!lsm::ParseFileName(name, &number, &type) ||
+        type != lsm::FileType::kLog) {
+      continue;
+    }
     if (number < state.log_number) {
       report->Warn("stale WAL " + name + " (manifest log number " +
                    U64(state.log_number) + ")");
       continue;
     }
-    std::unique_ptr<fs::RandomAccessFile> file;
-    Status s = denv_.fs->NewRandomAccessFile(name, &file);
-    if (!s.ok()) {
-      report->Error(name + ": " + s.ToString());
-      continue;
-    }
-    lsm::LogReader reader(std::move(file));
-    std::string payload;
-    Status rs = Status::OK();
     uint64_t next_seq = 0;
     bool first = true;
-    while (reader.ReadRecord(&payload, &rs)) {
-      lsm::WriteBatch batch;
-      Status ps = lsm::WriteBatch::ParseFrom(payload, &batch);
-      if (!ps.ok()) {
-        report->Error(name + ": WAL record does not parse as a batch: " +
-                      ps.ToString());
-        break;
-      }
-      if (!first && batch.Sequence() < next_seq) {
-        report->Error(name + ": WAL sequences regress (" +
-                      U64(batch.Sequence()) + " after " + U64(next_seq) + ")");
-      }
-      next_seq = batch.Sequence() + batch.Count();
-      first = false;
-    }
-    if (!rs.ok()) {
-      // Mid-log corruption (valid records after the bad one): not a torn
-      // tail, so the DB would refuse recovery here too.
-      report->Error(name + ": " + rs.ToString());
+    Status s = lsm::ReadWalBatches(
+        denv_.fs, name, [&](const lsm::WriteBatch& batch) {
+          if (!first && batch.Sequence() < next_seq) {
+            report->Error(name + ": WAL sequences regress (" +
+                          U64(batch.Sequence()) + " after " + U64(next_seq) +
+                          ")");
+          }
+          next_seq = batch.Sequence() + batch.Count();
+          first = false;
+          return Status::OK();
+        });
+    if (!s.ok()) {
+      // Mid-log corruption (valid records after the bad one) or a record
+      // that is no batch: not a torn tail, so recovery would refuse it too.
+      report->Error(name + ": " + s.ToString());
     }
     report->wal_files_checked++;
   }
@@ -253,14 +176,14 @@ CheckReport DbChecker::Check() {
         report.Error("file " + U64(f->number) +
                      " appears twice in the manifest");
       }
-      std::string name = SstName(f->number);
+      std::string name = lsm::TableFileName(f->number);
       if (!denv_.fs->FileExists(name)) {
         report.Error("MANIFEST references missing SST " + name + " at L" +
                      U64(level));
         continue;
       }
       lsm::FileMetaData observed;
-      s = VerifySst(name, f->number, &observed);
+      s = VerifySst(f->number, &observed);
       report.sst_files_checked++;
       if (!s.ok()) {
         report.Error(name + ": " + s.ToString());
@@ -317,23 +240,19 @@ CheckReport DbChecker::Check() {
         name == "FENCE" || name == "FENCE.tmp" || name == st.manifest_name) {
       continue;
     }
-    if (EndsWith(name, ".bad")) {
+    if (name.ends_with(".bad")) {
       report.Warn("quarantined file " + name);
       continue;
     }
-    if (StartsWith(name, "MANIFEST-")) {
+    uint64_t number;
+    lsm::FileType type;
+    if (!lsm::ParseFileName(name, &number, &type)) {
+      report.Warn("unknown file " + name);
+    } else if (type == lsm::FileType::kManifest) {
       report.Warn("stale manifest " + name);
-      continue;
-    }
-    if (name.size() == 10 && name.substr(6) == ".sst") {
-      uint64_t number = strtoull(name.c_str(), nullptr, 10);
-      if (live.count(number) == 0) {
-        report.Warn("orphan SST " + name + " (not referenced by MANIFEST)");
-      }
-      continue;
-    }
-    if (name.size() == 10 && name.substr(6) == ".log") continue;  // below
-    report.Warn("unknown file " + name);
+    } else if (type == lsm::FileType::kTable && live.count(number) == 0) {
+      report.Warn("orphan SST " + name + " (not referenced by MANIFEST)");
+    }  // WALs: CheckWal below
   }
 
   CheckWal(st, &report);
@@ -343,23 +262,17 @@ CheckReport DbChecker::Check() {
 // ---------------- Repair ----------------
 
 Status DbChecker::Repair(CheckReport* report, uint64_t max_valid_seq) {
-  std::vector<std::pair<uint64_t, std::string>> ssts, logs;
+  std::vector<uint64_t> ssts, logs;
   std::vector<std::string> manifests;
   uint64_t max_number = 0;
   for (const std::string& name : denv_.fs->GetChildren()) {
-    if (name.size() == 10 && name.substr(6) == ".sst") {
-      uint64_t n = strtoull(name.c_str(), nullptr, 10);
-      ssts.emplace_back(n, name);
-      max_number = std::max(max_number, n);
-    } else if (name.size() == 10 && name.substr(6) == ".log") {
-      uint64_t n = strtoull(name.c_str(), nullptr, 10);
-      logs.emplace_back(n, name);
-      max_number = std::max(max_number, n);
-    } else if (StartsWith(name, "MANIFEST-") && !EndsWith(name, ".bad")) {
-      manifests.push_back(name);
-      uint64_t n = strtoull(name.c_str() + 9, nullptr, 10);
-      max_number = std::max(max_number, n);
-    }
+    uint64_t number;
+    lsm::FileType type;
+    if (!lsm::ParseFileName(name, &number, &type)) continue;
+    max_number = std::max(max_number, number);
+    if (type == lsm::FileType::kTable) ssts.push_back(number);
+    if (type == lsm::FileType::kLog) logs.push_back(number);
+    if (type == lsm::FileType::kManifest) manifests.push_back(name);
   }
   std::sort(ssts.begin(), ssts.end());
   std::sort(logs.begin(), logs.end());
@@ -367,114 +280,87 @@ Status DbChecker::Repair(CheckReport* report, uint64_t max_valid_seq) {
   // 1. Keep every SST that passes full verification; quarantine the rest.
   std::vector<lsm::FileMetaPtr> good;
   lsm::SequenceNumber last_sequence = 0;
-  for (const auto& [number, name] : ssts) {
+  for (uint64_t number : ssts) {
+    const std::string name = lsm::TableFileName(number);
     auto meta = std::make_shared<lsm::FileMetaData>();
     meta->number = number;
-    Status s = VerifySst(name, number, meta.get());
-    if (s.ok() && meta->num_entries > 0 && meta->max_seq > max_valid_seq) {
+    Status s = VerifySst(number, meta.get());
+    std::string why;
+    if (!s.ok()) {
+      why = s.ToString();
+    } else if (meta->num_entries == 0) {
+      why = "empty table";
+    } else if (meta->max_seq > max_valid_seq) {
       // Diverged tail: entries above the fencing frontier were never acked
       // anywhere, so the whole file is quarantined (resync restores any
       // acked keys it straddled from the serving node).
-      Status rs = denv_.fs->RenameFile(name, name + ".bad");
-      if (!rs.ok()) return rs;
-      report->actions.push_back("quarantined " + name +
-                                ": diverged tail (max_seq " +
-                                U64(meta->max_seq) + " > frontier " +
-                                U64(max_valid_seq) + ")");
-    } else if (s.ok() && meta->num_entries > 0) {
+      why = "diverged tail (max_seq " + U64(meta->max_seq) + " > frontier " +
+            U64(max_valid_seq) + ")";
+    }
+    if (why.empty()) {
       last_sequence = std::max(last_sequence, meta->max_seq);
       good.push_back(std::move(meta));
       report->actions.push_back("kept SST " + name);
-    } else {
-      Status rs = denv_.fs->RenameFile(name, name + ".bad");
-      if (!rs.ok()) return rs;
-      report->actions.push_back(
-          "quarantined " + name + ": " +
-          (s.ok() ? std::string("empty table") : s.ToString()));
+      continue;
     }
+    s = denv_.fs->RenameFile(name, name + ".bad");
+    if (!s.ok()) return s;
+    report->actions.push_back("quarantined " + name + ": " + why);
   }
 
   // 2. Salvage the valid prefix of every WAL (recovery replays them all:
   // the new manifest's log number is the smallest surviving log).
-  uint64_t log_number = 0;
-  for (const auto& [number, name] : logs) {
-    std::unique_ptr<fs::RandomAccessFile> file;
-    Status s = denv_.fs->NewRandomAccessFile(name, &file);
-    if (!s.ok()) return s;
-    lsm::LogReader reader(std::move(file));
+  for (uint64_t number : logs) {
+    const std::string name = lsm::LogFileName(number);
     std::vector<std::string> valid;
-    std::string payload;
-    Status rs = Status::OK();
-    bool cut = false;
     bool frontier_cut = false;
-    while (reader.ReadRecord(&payload, &rs)) {
-      lsm::WriteBatch batch;
-      if (!lsm::WriteBatch::ParseFrom(payload, &batch).ok()) {
-        cut = true;  // framing survived but the payload is damaged
-        break;
-      }
-      if (batch.Count() > 0 &&
-          batch.Sequence() + batch.Count() - 1 > max_valid_seq) {
-        // First batch past the fencing frontier: this and everything after
-        // it is the diverged tail a partitioned primary WAL-appended but
-        // never got acked — drop it so recovery cannot resurrect it.
-        cut = true;
-        frontier_cut = true;
-        break;
-      }
-      valid.push_back(payload);
+    Status rs = lsm::ReadWalBatches(
+        denv_.fs, name, [&](const lsm::WriteBatch& batch) {
+          if (batch.Count() > 0 &&
+              batch.Sequence() + batch.Count() - 1 > max_valid_seq) {
+            // First batch past the fencing frontier: this and everything
+            // after it is the diverged tail a partitioned primary
+            // WAL-appended but never got acked — drop it so recovery cannot
+            // resurrect it.
+            frontier_cut = true;
+            return Status::Aborted("past the fencing frontier");
+          }
+          valid.push_back(batch.Contents());
+          return Status::OK();
+        });
+    if (rs.ok()) continue;
+    // Cut at the frontier or at the first damaged record.
+    std::unique_ptr<fs::WritableFile> out;
+    Status s = denv_.fs->NewWritableFile(name, &out);  // O_TRUNC semantics
+    if (!s.ok()) return s;
+    lsm::LogWriter writer(std::move(out));
+    for (const std::string& rec : valid) {
+      if (s.ok()) s = writer.AddRecord(rec, rec.size());
     }
-    if (!rs.ok()) cut = true;
-    if (cut) {
-      std::unique_ptr<fs::WritableFile> out;
-      s = denv_.fs->NewWritableFile(name, &out);  // O_TRUNC semantics
-      if (!s.ok()) return s;
-      lsm::LogWriter writer(std::move(out));
-      for (const std::string& rec : valid) {
-        s = writer.AddRecord(rec, rec.size());
-        if (!s.ok()) return s;
-      }
-      s = writer.Sync();
-      if (!s.ok()) return s;
-      s = writer.Close();
-      if (!s.ok()) return s;
-      report->actions.push_back(
-          "salvaged " + U64(valid.size()) + " record(s) of " + name +
-          (frontier_cut ? " (diverged tail cut at frontier " +
-                              U64(max_valid_seq) + ")"
-                        : ""));
-    }
-    if (log_number == 0 || number < log_number) log_number = number;
+    if (s.ok()) s = writer.Sync();
+    if (s.ok()) s = writer.Close();
+    if (!s.ok()) return s;
+    report->actions.push_back(
+        "salvaged " + U64(valid.size()) + " record(s) of " + name +
+        (frontier_cut
+             ? " (diverged tail cut at frontier " + U64(max_valid_seq) + ")"
+             : ""));
   }
 
   // 3. Fresh MANIFEST: one snapshot edit, every good SST at L0 under its
   // original number. The L0 probe path picks the highest-sequence decider
   // among overlapping files (the max_seq shadow check), so losing the level
   // structure never loses sequence correctness.
-  uint64_t manifest_number = max_number + 1;
-  std::string manifest_name = "MANIFEST-";
-  {
-    char buf[16];
-    snprintf(buf, sizeof(buf), "%06llu",
-             static_cast<unsigned long long>(manifest_number));
-    manifest_name += buf;
-  }
+  const uint64_t manifest_number = max_number + 1;
+  const std::string manifest_name = lsm::ManifestFileName(manifest_number);
   lsm::VersionEdit snapshot;
-  snapshot.SetLogNumber(log_number);
+  snapshot.SetLogNumber(logs.empty() ? 0 : logs.front());
   snapshot.SetNextFileNumber(manifest_number + 1);
   snapshot.SetLastSequence(last_sequence);
   for (const auto& f : good) snapshot.AddFile(0, f);
-  std::unique_ptr<fs::WritableFile> mfile;
-  Status s = denv_.fs->NewWritableFile(manifest_name, &mfile);
-  if (!s.ok()) return s;
-  lsm::LogWriter mwriter(std::move(mfile));
-  std::string payload;
-  snapshot.EncodeTo(&payload);
-  s = mwriter.AddRecord(payload, payload.size());
-  if (!s.ok()) return s;
-  s = mwriter.Sync();
-  if (!s.ok()) return s;
-  s = mwriter.Close();
+  std::unique_ptr<lsm::LogWriter> mwriter;
+  Status s = lsm::WriteManifest(denv_.fs, manifest_name, snapshot, &mwriter);
+  if (s.ok()) s = mwriter->Close();
   if (!s.ok()) return s;
   report->actions.push_back("rebuilt " + manifest_name + " with " +
                             U64(good.size()) + " SST(s) at L0");
@@ -487,16 +373,7 @@ Status DbChecker::Repair(CheckReport* report, uint64_t max_valid_seq) {
   }
 
   // 5. Repoint CURRENT atomically (the LevelDB idiom).
-  std::unique_ptr<fs::WritableFile> tmp;
-  s = denv_.fs->NewWritableFile("CURRENT.tmp", &tmp);
-  if (!s.ok()) return s;
-  s = tmp->Append(manifest_name);
-  if (!s.ok()) return s;
-  s = tmp->Sync();
-  if (!s.ok()) return s;
-  s = tmp->Close();
-  if (!s.ok()) return s;
-  return denv_.fs->RenameFile("CURRENT.tmp", "CURRENT");
+  return fs::ReplaceFileAtomically(denv_.fs, "CURRENT", manifest_name);
 }
 
 // ---------------- Live dual-interface invariant ----------------

@@ -66,6 +66,8 @@ struct CheckReport {
   void Warn(std::string what);
   int errors() const;
   int warnings() const;
+  // The first error's text, or "" when there is none.
+  std::string FirstError() const;
   bool ok() const { return errors() == 0; }
   std::string ToString() const;
 };
@@ -100,25 +102,20 @@ class DbChecker {
   // inconsistent) metadata table and re-runs sequence-ordered recovery.
   static Status RepairDualInterface(core::KvaccelDB* db);
 
-  static std::string SstName(uint64_t number);
-  static std::string LogName(uint64_t number);
-
  private:
   // Result of replaying the MANIFEST chain offline.
   struct ManifestState {
     std::string manifest_name;
     uint64_t log_number = 0;
-    uint64_t next_file_number = 0;
     lsm::SequenceNumber last_sequence = 0;
     std::vector<std::vector<lsm::FileMetaPtr>> levels;
     ManifestState() : levels(lsm::kNumLevels) {}
   };
 
   Status ReplayManifest(ManifestState* state, CheckReport* report);
-  // Full-content verification of one SST; fills `meta` (number/level unset)
-  // from what was actually read when non-null.
-  Status VerifySst(const std::string& name, uint64_t number,
-                   lsm::FileMetaData* meta);
+  // Full-content verification of SST `number` (lsm::ScanTable); fills
+  // `meta` (number unset) from what was actually read.
+  Status VerifySst(uint64_t number, lsm::FileMetaData* meta);
   void CheckWal(const ManifestState& state, CheckReport* report);
 
   lsm::DbOptions options_;

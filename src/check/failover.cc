@@ -83,12 +83,7 @@ Status PromoteNode(const lsm::DbOptions& main_options,
   rep->checker_errors = cr.errors();
   rep->checker_warnings = cr.warnings();
   if (cr.errors() > 0) {
-    for (const auto& issue : cr.issues) {
-      if (issue.severity == CheckIssue::Severity::kError) {
-        rep->first_error = issue.what;
-        break;
-      }
-    }
+    rep->first_error = cr.FirstError();
     return Status::Corruption("promote: checker errors after repair: " +
                               rep->first_error);
   }
@@ -111,12 +106,7 @@ Status PromoteNode(const lsm::DbOptions& main_options,
   rep->checker_errors += live.errors();
   rep->checker_warnings += live.warnings();
   if (live.errors() > 0) {
-    for (const auto& issue : live.issues) {
-      if (issue.severity == CheckIssue::Severity::kError) {
-        rep->first_error = issue.what;
-        break;
-      }
-    }
+    rep->first_error = live.FirstError();
     (void)db->Close();
     return Status::Corruption("promote: dual-interface errors: " +
                               rep->first_error);
@@ -154,12 +144,7 @@ Status RejoinBody(const lsm::DbOptions& main_options,
   rep->checker_errors = cr.errors();
   rep->checker_warnings = cr.warnings();
   if (cr.errors() > 0) {
-    for (const auto& issue : cr.issues) {
-      if (issue.severity == CheckIssue::Severity::kError) {
-        rep->first_error = issue.what;
-        break;
-      }
-    }
+    rep->first_error = cr.FirstError();
     return Status::Corruption("rejoin: checker errors after repair: " +
                               rep->first_error);
   }

@@ -30,28 +30,18 @@ constexpr uint64_t kBackupSeedOffset = 0x51DEC0DE;
 // ---------------- Durable fencing epoch ----------------
 
 uint64_t ReadFenceEpoch(fs::SimFs* fs) {
-  if (fs == nullptr || !fs->FileExists("FENCE")) return 0;
   uint64_t size = 0;
-  if (!fs->GetFileSize("FENCE", &size).ok() || size == 0 || size > 32) {
+  std::string buf;
+  if (fs == nullptr || !fs->GetFileSize("FENCE", &size).ok() || size == 0 ||
+      size > 32 || !fs::ReadFileToString(fs, "FENCE", &buf).ok()) {
     return 0;
   }
-  std::unique_ptr<fs::RandomAccessFile> file;
-  if (!fs->NewRandomAccessFile("FENCE", &file).ok()) return 0;
-  std::string buf;
-  if (!file->Read(0, size, &buf).ok()) return 0;
   return strtoull(buf.c_str(), nullptr, 10);
 }
 
 Status WriteFenceEpoch(fs::SimFs* fs, uint64_t epoch) {
   if (fs == nullptr) return Status::InvalidArgument("fence: null fs");
-  std::unique_ptr<fs::WritableFile> file;
-  Status s = fs->NewWritableFile("FENCE.tmp", &file);
-  if (!s.ok()) return s;
-  s = file->Append(std::to_string(epoch));
-  if (s.ok()) s = file->Sync();
-  if (s.ok()) s = file->Close();
-  if (!s.ok()) return s;
-  return fs->RenameFile("FENCE.tmp", "FENCE");
+  return fs::ReplaceFileAtomically(fs, "FENCE", std::to_string(epoch));
 }
 
 ReplicatedKvaccelDB::ReplicatedKvaccelDB(const ReplOptions& options,

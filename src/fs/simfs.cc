@@ -225,6 +225,26 @@ std::vector<std::string> SimFs::GetChildren() const {
   return names;
 }
 
+Status ReadFileToString(SimFs* fs, const std::string& name,
+                        std::string* contents) {
+  std::unique_ptr<RandomAccessFile> file;
+  Status s = fs->NewRandomAccessFile(name, &file);
+  if (!s.ok()) return s;
+  return file->Read(0, file->physical_size(), contents);
+}
+
+Status ReplaceFileAtomically(SimFs* fs, const std::string& name,
+                             const Slice& contents) {
+  const std::string tmp = name + ".tmp";
+  std::unique_ptr<WritableFile> file;
+  Status s = fs->NewWritableFile(tmp, &file);
+  if (s.ok()) s = file->Append(contents);
+  if (s.ok()) s = file->Sync();
+  if (s.ok()) s = file->Close();
+  if (!s.ok()) return s;
+  return fs->RenameFile(tmp, name);
+}
+
 // ---------------- WritableFile ----------------
 
 WritableFile::WritableFile(SimFs* fs, std::shared_ptr<Inode> inode)

@@ -180,4 +180,16 @@ class SimFs {
   std::map<std::string, std::shared_ptr<Inode>> files_;
 };
 
+// Small-file helpers for pointer files (CURRENT, FENCE). Both must run on a
+// simulated thread: the read and the sync charge device time.
+//
+// Reads the whole of `name` with one device read.
+Status ReadFileToString(SimFs* fs, const std::string& name,
+                        std::string* contents);
+// Replaces `name` with `contents` atomically: writes and syncs `name`.tmp,
+// then renames it over `name`, so a power cut leaves the old contents or the
+// new ones, never a torn file.
+Status ReplaceFileAtomically(SimFs* fs, const std::string& name,
+                             const Slice& contents);
+
 }  // namespace kvaccel::fs

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
+#include <set>
 
 #include "common/logging.h"
+#include "lsm/filename.h"
 #include "sim/backoff.h"
 #include "sim/fault.h"
 
@@ -37,18 +36,6 @@ DbImpl::DbImpl(const DbOptions& options, const DbEnv& env)
 DbImpl::~DbImpl() {
   // Close() must have run inside the simulation; assert-level check only.
   assert(closed_ || bg_threads_.empty());
-}
-
-std::string DbImpl::SstName(uint64_t number) {
-  char buf[32];
-  snprintf(buf, sizeof(buf), "%06" PRIu64 ".sst", number);
-  return buf;
-}
-
-std::string DbImpl::LogName(uint64_t number) {
-  char buf[32];
-  snprintf(buf, sizeof(buf), "%06" PRIu64 ".log", number);
-  return buf;
 }
 
 Status DbImpl::OpenImpl() {
@@ -85,69 +72,62 @@ Status DbImpl::OpenImpl() {
   if (denv_.fs->FileExists("CURRENT")) {
     s = versions_->Recover();
     if (!s.ok()) return s;
-    // The manifest's next-file counter lags any allocation that crashed
-    // before its LogAndApply — in particular WAL numbers, which are never
-    // recorded in an edit at all. Reusing such a number for the fresh WAL
-    // below would truncate a just-replayed log while its records still live
-    // only in the memtable; a second crash then loses acknowledged writes.
+    // Tables and WALs on disk, in name order (the order orphans are reaped).
+    struct DiskFile { std::string name; uint64_t number; FileType type; };
+    std::vector<DiskFile> files;
     for (const std::string& name : denv_.fs->GetChildren()) {
-      if (name.size() != 10) continue;
-      if (name.substr(6) != ".log" && name.substr(6) != ".sst") continue;
-      versions_->MarkFileNumberUsed(strtoull(name.c_str(), nullptr, 10));
+      DiskFile f{name, 0, FileType::kTable};
+      if (!ParseFileName(name, &f.number, &f.type) ||
+          f.type == FileType::kManifest) {
+        continue;
+      }
+      // The manifest's next-file counter lags any allocation that crashed
+      // before its LogAndApply — in particular WAL numbers, which are never
+      // recorded in an edit at all. Reusing such a number for the fresh WAL
+      // below would truncate a just-replayed log while its records still
+      // live only in the memtable; a second crash then loses acknowledged
+      // writes.
+      versions_->MarkFileNumberUsed(f.number);
+      files.push_back(std::move(f));
     }
-    // Replay WALs newer than the manifest's log number into the memtable.
-    for (const std::string& name : denv_.fs->GetChildren()) {
-      if (name.size() != 10 || name.substr(6) != ".log") continue;
-      uint64_t number = strtoull(name.c_str(), nullptr, 10);
-      if (number < versions_->log_number()) continue;
-      std::unique_ptr<fs::RandomAccessFile> file;
-      s = denv_.fs->NewRandomAccessFile(name, &file);
-      if (!s.ok()) return s;
-      LogReader reader(std::move(file));
-      std::string payload;
-      Status rs;
-      while (reader.ReadRecord(&payload, &rs)) {
-        WriteBatch batch;
-        rs = WriteBatch::ParseFrom(payload, &batch);
-        if (!rs.ok()) return rs;
-        rs = batch.InsertInto(mem_.get());
-        if (!rs.ok()) return rs;
+    // Replay WALs newer than the manifest's log number into the memtable,
+    // oldest first.
+    std::vector<uint64_t> replay;
+    for (const DiskFile& f : files) {
+      if (f.type == FileType::kLog && f.number >= versions_->log_number()) {
+        replay.push_back(f.number);
+      }
+    }
+    std::sort(replay.begin(), replay.end());
+    for (uint64_t number : replay) {
+      s = ReadWalBatches(denv_.fs, LogFileName(number),
+                         [&](const WriteBatch& batch) {
+        Status is = batch.InsertInto(mem_.get());
+        if (!is.ok()) return is;
         SequenceNumber max_seq = batch.Sequence() + batch.Count() - 1;
         if (max_seq > versions_->last_sequence()) {
           versions_->SetLastSequence(max_seq);
         }
-      }
-      if (!rs.ok()) return rs;
+        return Status::OK();
+      });
+      if (!s.ok()) return s;
     }
     // A crash can strand SSTs a flush/compaction wrote but never installed
     // (e.g. some sub-ranges of a split job finished, the atomic install did
     // not) and WALs the manifest already superseded. Recovery is the only
     // point where "referenced by nothing" is decidable without tracking
     // in-flight writers, so reap them here.
-    std::vector<std::string> orphans;
+    std::set<uint64_t> live;
     auto version = versions_->current();
-    for (const std::string& name : denv_.fs->GetChildren()) {
-      if (name.size() != 10) continue;
-      uint64_t number = strtoull(name.c_str(), nullptr, 10);
-      if (name.substr(6) == ".sst") {
-        bool live = false;
-        for (int level = 0; level < kNumLevels && !live; level++) {
-          for (const auto& f : version->files(level)) {
-            if (f->number == number) {
-              live = true;
-              break;
-            }
-          }
-        }
-        if (!live) orphans.push_back(name);
-      } else if (name.substr(6) == ".log" &&
-                 number < versions_->log_number()) {
-        orphans.push_back(name);
-      }
+    for (int level = 0; level < kNumLevels; level++) {
+      for (const auto& f : version->files(level)) live.insert(f->number);
     }
-    for (const std::string& name : orphans) {
-      denv_.fs->DeleteFile(name);
-      stats_.orphan_files_removed++;
+    for (const DiskFile& f : files) {
+      if (f.type == FileType::kTable ? live.count(f.number) == 0
+                                     : f.number < versions_->log_number()) {
+        denv_.fs->DeleteFile(f.name);
+        stats_.orphan_files_removed++;
+      }
     }
   } else {
     s = versions_->Create();
@@ -157,7 +137,7 @@ Status DbImpl::OpenImpl() {
   // Fresh WAL for the (possibly replayed) active memtable.
   wal_number_ = versions_->NewFileNumber();
   std::unique_ptr<fs::WritableFile> wal_file;
-  s = denv_.fs->NewWritableFile(LogName(wal_number_), &wal_file);
+  s = denv_.fs->NewWritableFile(LogFileName(wal_number_), &wal_file);
   if (!s.ok()) return s;
   // Unsynced WAL rides the page cache (db_bench default); a WAL deleted
   // after its memtable flushes may never touch the device.
@@ -416,7 +396,7 @@ bool DbImpl::SlowdownConditionLocked() const {
 Status DbImpl::SwitchMemtableLocked() {
   uint64_t new_wal = versions_->NewFileNumber();
   std::unique_ptr<fs::WritableFile> wal_file;
-  Status s = denv_.fs->NewWritableFile(LogName(new_wal), &wal_file);
+  Status s = denv_.fs->NewWritableFile(LogFileName(new_wal), &wal_file);
   if (!s.ok()) return s;
   wal_file->set_writeback_chunk(fs::kLazyWriteback);
   wal_->Close();
@@ -534,7 +514,7 @@ Status DbImpl::GetTable(uint64_t number, std::shared_ptr<SstReader>* reader) {
     }
   }
   std::shared_ptr<SstReader> fresh;
-  Status s = SstReader::Open(options_, denv_.fs, SstName(number), number,
+  Status s = SstReader::Open(options_, denv_.fs, TableFileName(number), number,
                              block_cache_.get(), &fresh);
   if (!s.ok()) return s;
   // Another thread may have opened it while we yielded in I/O; keep one.
@@ -915,7 +895,7 @@ void DbImpl::FlushThreadLoop() {
     bg_cv_.NotifyAll();
     work_done_cv_.NotifyAll();
     if (s.ok()) {
-      std::string old_log = LogName(imm.log_number);
+      std::string old_log = LogFileName(imm.log_number);
       mu_.Unlock();
       denv_.fs->DeleteFile(old_log);  // WAL no longer needed
       ReapObsoleteFiles();
@@ -928,7 +908,7 @@ void DbImpl::FlushThreadLoop() {
 Status DbImpl::BuildL0Sst(const ImmEntry& imm, uint64_t number,
                           FileMetaData* meta) {
   std::unique_ptr<fs::WritableFile> file;
-  Status s = denv_.fs->NewWritableFile(SstName(number), &file);
+  Status s = denv_.fs->NewWritableFile(TableFileName(number), &file);
   if (!s.ok()) return s;
   file->set_writeback_chunk(1 << 20);  // stream like bytes_per_sync
   SstBuilder builder(options_, std::move(file));
@@ -963,13 +943,7 @@ Status DbImpl::BuildL0Sst(const ImmEntry& imm, uint64_t number,
   }
   s = builder.Finish();
   if (!s.ok()) return s;
-
-  meta->number = number;
-  meta->logical_size = builder.logical_size();
-  meta->num_entries = builder.num_entries();
-  meta->max_seq = builder.max_seq();
-  meta->smallest = builder.smallest();
-  meta->largest = builder.largest();
+  *meta = builder.Meta(number);
   return Status::OK();
 }
 
@@ -983,7 +957,7 @@ Status DbImpl::FlushImmToL0(const ImmEntry& imm) {
     Status bs = BuildL0Sst(imm, number, meta.get());
     if (!bs.ok() && !sim::SimCrashed(env_)) {
       // Drop the partial output so a retry (or reopened DB) starts clean.
-      denv_.fs->DeleteFile(SstName(number));
+      denv_.fs->DeleteFile(TableFileName(number));
     }
     return bs;
   });
@@ -1166,7 +1140,7 @@ Status DbImpl::RunCompaction(Compaction* c, uint32_t trace_track) {
       }
       if (!ws.ok() && !sim::SimCrashed(env_)) {
         // Drop partial outputs so a retry (or reopened DB) starts clean.
-        for (uint64_t n : created) denv_.fs->DeleteFile(SstName(n));
+        for (uint64_t n : created) denv_.fs->DeleteFile(TableFileName(n));
       }
       if (!ws.ok()) created.clear();
       return ws;
@@ -1380,7 +1354,7 @@ Status DbImpl::DoCompactionWork(Compaction* c, const KeyRange& range,
         // Device-side stream: a dedicated reader (no block cache — firmware
         // reads must not populate the host cache) whose data-block reads run
         // NAND-only, skipping PCIe.
-        Status s = SstReader::Open(options_, denv_.fs, SstName(f->number),
+        Status s = SstReader::Open(options_, denv_.fs, TableFileName(f->number),
                                    f->number, nullptr, &table);
         if (!s.ok()) return s;
         table->set_device_side(true);
@@ -1438,13 +1412,7 @@ Status DbImpl::DoCompactionWork(Compaction* c, const KeyRange& range,
     if (builder == nullptr) return Status::OK();
     Status fs_status = builder->Finish();
     if (!fs_status.ok()) return fs_status;
-    auto meta = std::make_shared<FileMetaData>();
-    meta->number = builder_number;
-    meta->logical_size = builder->logical_size();
-    meta->num_entries = builder->num_entries();
-    meta->max_seq = builder->max_seq();
-    meta->smallest = builder->smallest();
-    meta->largest = builder->largest();
+    auto meta = std::make_shared<FileMetaData>(builder->Meta(builder_number));
     *written_bytes_out += meta->logical_size;
     if (meta->num_entries > 0) outputs->push_back(meta);
     builder.reset();
@@ -1511,7 +1479,7 @@ Status DbImpl::DoCompactionWork(Compaction* c, const KeyRange& range,
         mu_.Unlock();
         created->push_back(builder_number);
         std::unique_ptr<fs::WritableFile> file;
-        Status ws = denv_.fs->NewWritableFile(SstName(builder_number), &file);
+        Status ws = denv_.fs->NewWritableFile(TableFileName(builder_number), &file);
         if (!ws.ok()) return ws;
         file->set_writeback_chunk(1 << 20);  // stream like bytes_per_sync
         if (ndp != nullptr) file->set_device_side(true);
@@ -1612,7 +1580,7 @@ void DbImpl::ReapObsoleteFiles() {
       }
     }
   }
-  for (uint64_t number : reap) denv_.fs->DeleteFile(SstName(number));
+  for (uint64_t number : reap) denv_.fs->DeleteFile(TableFileName(number));
 }
 
 // ---------------- Maintenance / introspection ----------------
@@ -1624,7 +1592,7 @@ Status DbImpl::IngestSortedBatch(const std::vector<IngestEntry>& entries) {
   mu_.Unlock();
 
   std::unique_ptr<fs::WritableFile> file;
-  Status s = denv_.fs->NewWritableFile(SstName(number), &file);
+  Status s = denv_.fs->NewWritableFile(TableFileName(number), &file);
   if (!s.ok()) return s;
   file->set_writeback_chunk(1 << 20);
   SstBuilder builder(options_, std::move(file));
@@ -1650,17 +1618,11 @@ Status DbImpl::IngestSortedBatch(const std::vector<IngestEntry>& entries) {
   }
   if (s.ok()) s = builder.Finish();
   if (!s.ok()) {
-    if (!sim::SimCrashed(env_)) denv_.fs->DeleteFile(SstName(number));
+    if (!sim::SimCrashed(env_)) denv_.fs->DeleteFile(TableFileName(number));
     return s;
   }
 
-  auto meta = std::make_shared<FileMetaData>();
-  meta->number = number;
-  meta->logical_size = builder.logical_size();
-  meta->num_entries = builder.num_entries();
-  meta->max_seq = builder.max_seq();
-  meta->smallest = builder.smallest();
-  meta->largest = builder.largest();
+  auto meta = std::make_shared<FileMetaData>(builder.Meta(number));
 
   mu_.Lock();
   VersionEdit edit;
@@ -1788,34 +1750,21 @@ Status DbImpl::VerifySstFile(uint64_t number, uint64_t* bytes_read) {
   std::shared_ptr<SstReader> table;
   Status s = GetTable(number, &table);
   if (!s.ok()) return s;
-  // Scrub read: force CRC verification and skip the block cache so the scan
+  // Scrub read: the scan checks CRCs and skips the block cache, so it
   // exercises the media, not cached copies.
-  ReadOptions ropts;
-  ropts.verify_checksums = true;
-  ropts.fill_cache = false;
+  FileMetaData observed;
+  s = ScanTable(table.get(), &observed);
+  if (!s.ok()) return s;
   InternalKeyComparator icmp;
-  auto iter = table->NewIterator(ropts);
-  uint64_t entries = 0;
-  SequenceNumber max_seq = 0;
-  std::string prev_key;
-  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-    Slice key = iter->key();
-    if (!prev_key.empty() && icmp.Compare(Slice(prev_key), key) >= 0) {
-      return Status::Corruption("sst keys out of order");
-    }
-    if (icmp.Compare(key, Slice(meta->smallest)) < 0 ||
-        icmp.Compare(key, Slice(meta->largest)) > 0) {
-      return Status::Corruption("sst key outside recorded range");
-    }
-    max_seq = std::max(max_seq, ExtractSequence(key));
-    prev_key.assign(key.data(), key.size());
-    entries++;
+  if (observed.num_entries > 0 &&
+      (icmp.Compare(observed.smallest, meta->smallest) < 0 ||
+       icmp.Compare(observed.largest, meta->largest) > 0)) {
+    return Status::Corruption("sst key outside recorded range");
   }
-  if (!iter->status().ok()) return iter->status();
-  if (entries != meta->num_entries) {
+  if (observed.num_entries != meta->num_entries) {
     return Status::Corruption("sst entry count mismatch");
   }
-  if (entries > 0 && max_seq != meta->max_seq) {
+  if (observed.num_entries > 0 && observed.max_seq != meta->max_seq) {
     return Status::Corruption("sst max sequence mismatch");
   }
   if (bytes_read != nullptr) *bytes_read = meta->logical_size;

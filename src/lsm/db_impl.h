@@ -159,8 +159,6 @@ class DbImpl : public DB {
 
   // --- Tables ---
   Status GetTable(uint64_t number, std::shared_ptr<SstReader>* reader);
-  static std::string SstName(uint64_t number);
-  static std::string LogName(uint64_t number);
 
   Status SearchSstsLocked(const ReadOptions& ropts, const LookupKey& lkey,
                           std::shared_ptr<const Version> version,

@@ -126,6 +126,12 @@ Status SstBuilder::Finish() {
   return file_->Close();
 }
 
+FileMetaData SstBuilder::Meta(uint64_t number) const {
+  return {.number = number, .logical_size = total_logical_,
+          .num_entries = num_entries_, .max_seq = max_seq_,
+          .smallest = smallest_, .largest = largest_};
+}
+
 // ---------------- SstReader ----------------
 
 Status SstReader::Open(const DbOptions& options, fs::SimFs* fs,
@@ -433,6 +439,33 @@ class SstIterator : public Iterator {
 
 std::unique_ptr<Iterator> SstReader::NewIterator(const ReadOptions& ropts) {
   return std::make_unique<SstIterator>(shared_from_this(), ropts);
+}
+
+Status ScanTable(SstReader* table, FileMetaData* observed) {
+  ReadOptions ropts;
+  ropts.verify_checksums = true;
+  ropts.fill_cache = false;
+  InternalKeyComparator icmp;
+  auto iter = table->NewIterator(ropts);
+  uint64_t entries = 0;
+  SequenceNumber max_seq = 0;
+  std::string prev, smallest;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    Slice key = iter->key();
+    if (entries > 0 && icmp.Compare(Slice(prev), key) >= 0) {
+      return Status::Corruption("internal keys out of order");
+    }
+    if (entries == 0) smallest.assign(key.data(), key.size());
+    prev.assign(key.data(), key.size());
+    max_seq = std::max(max_seq, ExtractSequence(key));
+    entries++;
+  }
+  if (!iter->status().ok()) return iter->status();
+  observed->num_entries = entries;
+  observed->max_seq = max_seq;
+  observed->smallest = std::move(smallest);
+  observed->largest = std::move(prev);
+  return Status::OK();
 }
 
 }  // namespace kvaccel::lsm

@@ -26,6 +26,7 @@
 #include "lsm/dbformat.h"
 #include "lsm/iterator.h"
 #include "lsm/options.h"
+#include "lsm/version.h"
 
 namespace kvaccel::lsm {
 
@@ -49,11 +50,9 @@ class SstBuilder {
              uint64_t entry_logical);
   Status Finish();
 
-  uint64_t num_entries() const { return num_entries_; }
   uint64_t logical_size() const { return total_logical_; }
-  SequenceNumber max_seq() const { return max_seq_; }
-  const std::string& smallest() const { return smallest_; }
-  const std::string& largest() const { return largest_; }
+  // The MANIFEST record of the finished table, numbered `number`.
+  FileMetaData Meta(uint64_t number) const;
 
  private:
   Status FlushBlock();
@@ -141,6 +140,13 @@ class SstReader : public std::enable_shared_from_this<SstReader> {
   uint64_t num_entries_ = 0;
   uint64_t total_logical_ = 0;
 };
+
+// The one full-content SST scan (DbChecker, the scrubber): reads every entry
+// of `table` with block CRCs checked and the block cache bypassed, and fills
+// `observed`'s num_entries, max_seq, smallest and largest from what it read.
+// Corruption if internal keys are not strictly ascending. Callers compare
+// `observed` with the recorded metadata themselves.
+Status ScanTable(SstReader* table, FileMetaData* observed);
 
 // Parses the entries of one data block (used by reader and its iterator).
 class BlockEntryCursor {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/coding.h"
+#include "lsm/filename.h"
 #include "lsm/wal.h"
 #include "sim/fault.h"
 
@@ -19,13 +20,6 @@ enum EditTag : uint32_t {
   kDeletedFile = 4,
   kAddedFile = 5,
 };
-
-std::string ManifestFileName(uint64_t number) {
-  char buf[32];
-  snprintf(buf, sizeof(buf), "MANIFEST-%06llu",
-           static_cast<unsigned long long>(number));
-  return buf;
-}
 
 int CompareUserKeys(const Slice& a_internal, const Slice& b_internal) {
   return ExtractUserKey(a_internal).compare(ExtractUserKey(b_internal));
@@ -95,6 +89,10 @@ Status VersionEdit::DecodeFrom(const Slice& src, VersionEdit* edit) {
         if (!GetVarint32(&input, &level) || !GetVarint64(&input, &number)) {
           return Status::Corruption("edit deleted file");
         }
+        if (level >= kNumLevels) {
+          return Status::Corruption("edit deletes at bad level " +
+                                    std::to_string(level));
+        }
         edit->deleted_.emplace_back(static_cast<int>(level), number);
         break;
       }
@@ -109,6 +107,10 @@ Status VersionEdit::DecodeFrom(const Slice& src, VersionEdit* edit) {
             !GetLengthPrefixedSlice(&input, &smallest) ||
             !GetLengthPrefixedSlice(&input, &largest)) {
           return Status::Corruption("edit added file");
+        }
+        if (level >= kNumLevels) {
+          return Status::Corruption("edit adds at bad level " +
+                                    std::to_string(level));
         }
         f->smallest = smallest.ToString();
         f->largest = largest.ToString();
@@ -177,6 +179,40 @@ std::vector<FileMetaPtr> Version::OverlappingInputs(
   return result;
 }
 
+// ---------------- MANIFEST files ----------------
+
+Status ReadManifest(fs::SimFs* fs, const std::string& name,
+                    const std::function<Status(const VersionEdit&)>& apply) {
+  std::unique_ptr<fs::RandomAccessFile> file;
+  Status s = fs->NewRandomAccessFile(name, &file);
+  if (!s.ok()) return s;
+  LogReader reader(std::move(file));
+  std::string payload;
+  while (reader.ReadRecord(&payload, &s)) {
+    VersionEdit edit;
+    s = VersionEdit::DecodeFrom(payload, &edit);
+    if (!s.ok()) {
+      return Status::Corruption(name + ": undecodable edit: " + s.ToString());
+    }
+    s = apply(edit);
+    if (!s.ok()) return s;
+  }
+  return s;
+}
+
+Status WriteManifest(fs::SimFs* fs, const std::string& name,
+                     const VersionEdit& snapshot,
+                     std::unique_ptr<LogWriter>* writer) {
+  std::unique_ptr<fs::WritableFile> file;
+  Status s = fs->NewWritableFile(name, &file);
+  if (!s.ok()) return s;
+  *writer = std::make_unique<LogWriter>(std::move(file));
+  std::string payload;
+  snapshot.EncodeTo(&payload);
+  s = (*writer)->AddRecord(payload, payload.size());
+  return s.ok() ? (*writer)->Sync() : s;
+}
+
 // ---------------- VersionSet ----------------
 
 VersionSet::VersionSet(const DbOptions& options, fs::SimFs* fs)
@@ -184,95 +220,43 @@ VersionSet::VersionSet(const DbOptions& options, fs::SimFs* fs)
       compact_cursor_(kNumLevels, 0) {}
 
 Status VersionSet::Create() {
-  manifest_name_ = ManifestFileName(next_file_number_++);
-  std::unique_ptr<fs::WritableFile> file;
-  Status s = fs_->NewWritableFile(manifest_name_, &file);
-  if (!s.ok()) return s;
-  manifest_ = std::make_unique<LogWriter>(std::move(file));
-
-  VersionEdit bootstrap;
-  bootstrap.SetNextFileNumber(next_file_number_);
-  bootstrap.SetLastSequence(last_sequence_);
-  std::string payload;
-  bootstrap.EncodeTo(&payload);
-  s = manifest_->AddRecord(payload, payload.size());
-  if (!s.ok()) return s;
-  s = manifest_->Sync();
-  if (!s.ok()) return s;
-
-  std::unique_ptr<fs::WritableFile> current_file;
-  s = fs_->NewWritableFile("CURRENT", &current_file);
-  if (!s.ok()) return s;
-  s = current_file->Append(manifest_name_);
-  if (!s.ok()) return s;
-  s = current_file->Sync();  // CURRENT must survive power loss
-  if (!s.ok()) return s;
-  return current_file->Close();
+  VersionEdit bootstrap;  // no log number: there is no WAL to replay yet
+  return StartManifest(&bootstrap);
 }
 
-Status VersionSet::ReplayManifest(const std::string& manifest_name) {
-  std::unique_ptr<fs::RandomAccessFile> file;
-  Status s = fs_->NewRandomAccessFile(manifest_name, &file);
+Status VersionSet::Recover() {
+  std::string manifest_name;
+  Status s = fs::ReadFileToString(fs_, "CURRENT", &manifest_name);
   if (!s.ok()) return s;
-  LogReader reader(std::move(file));
-  std::string payload;
   auto version = std::make_shared<Version>();
-  while (reader.ReadRecord(&payload, &s)) {
-    VersionEdit edit;
-    s = VersionEdit::DecodeFrom(payload, &edit);
-    if (!s.ok()) return s;
+  s = ReadManifest(fs_, manifest_name, [&](const VersionEdit& edit) {
     if (edit.has_log_number_) log_number_ = edit.log_number_;
     if (edit.has_next_file_number_) next_file_number_ = edit.next_file_number_;
     if (edit.has_last_sequence_) last_sequence_ = edit.last_sequence_;
     current_ = version;  // BuildAfter reads current_
     version = BuildAfter(edit);
-  }
+    return Status::OK();
+  });
   if (!s.ok()) return s;
   current_ = version;
-  return Status::OK();
-}
 
-Status VersionSet::Recover() {
-  std::unique_ptr<fs::RandomAccessFile> current_file;
-  Status s = fs_->NewRandomAccessFile("CURRENT", &current_file);
-  if (!s.ok()) return s;
-  std::string manifest_name;
-  s = current_file->Read(0, current_file->physical_size(), &manifest_name);
-  if (!s.ok()) return s;
-  s = ReplayManifest(manifest_name);
-  if (!s.ok()) return s;
-
-  // Start a fresh manifest holding a snapshot of the recovered state, then
-  // atomically repoint CURRENT (LevelDB recovery idiom).
-  manifest_name_ = ManifestFileName(next_file_number_++);
-  std::unique_ptr<fs::WritableFile> file;
-  s = fs_->NewWritableFile(manifest_name_, &file);
-  if (!s.ok()) return s;
-  manifest_ = std::make_unique<LogWriter>(std::move(file));
+  // Start a fresh manifest holding a snapshot of the recovered state
+  // (LevelDB recovery idiom).
   VersionEdit snapshot;
   snapshot.SetLogNumber(log_number_);
-  snapshot.SetNextFileNumber(next_file_number_);
-  snapshot.SetLastSequence(last_sequence_);
   for (int level = 0; level < kNumLevels; level++) {
     for (const auto& f : current_->files(level)) snapshot.AddFile(level, f);
   }
-  std::string payload;
-  snapshot.EncodeTo(&payload);
-  s = manifest_->AddRecord(payload, payload.size());
-  if (!s.ok()) return s;
-  s = manifest_->Sync();
-  if (!s.ok()) return s;
+  return StartManifest(&snapshot);
+}
 
-  std::unique_ptr<fs::WritableFile> tmp;
-  s = fs_->NewWritableFile("CURRENT.tmp", &tmp);
+Status VersionSet::StartManifest(VersionEdit* snapshot) {
+  manifest_name_ = ManifestFileName(next_file_number_++);
+  snapshot->SetNextFileNumber(next_file_number_);
+  snapshot->SetLastSequence(last_sequence_);
+  Status s = WriteManifest(fs_, manifest_name_, *snapshot, &manifest_);
   if (!s.ok()) return s;
-  s = tmp->Append(manifest_name_);
-  if (!s.ok()) return s;
-  s = tmp->Sync();  // CURRENT must survive power loss
-  if (!s.ok()) return s;
-  s = tmp->Close();
-  if (!s.ok()) return s;
-  return fs_->RenameFile("CURRENT.tmp", "CURRENT");
+  return fs::ReplaceFileAtomically(fs_, "CURRENT", manifest_name_);
 }
 
 std::shared_ptr<Version> VersionSet::BuildAfter(

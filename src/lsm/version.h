@@ -19,6 +19,8 @@
 
 namespace kvaccel::lsm {
 
+class LogWriter;
+
 struct FileMetaData {
   uint64_t number = 0;
   uint64_t logical_size = 0;
@@ -55,6 +57,7 @@ class VersionEdit {
   }
 
   void EncodeTo(std::string* dst) const;
+  // Corruption on a malformed record or a level outside [0, kNumLevels).
   static Status DecodeFrom(const Slice& src, VersionEdit* edit);
 
   const std::vector<std::pair<int, FileMetaPtr>>& added() const {
@@ -66,8 +69,6 @@ class VersionEdit {
   // Pointer accessors (offline MANIFEST replay, check/db_checker.cc).
   bool has_log_number() const { return has_log_number_; }
   uint64_t log_number() const { return log_number_; }
-  bool has_next_file_number() const { return has_next_file_number_; }
-  uint64_t next_file_number() const { return next_file_number_; }
   bool has_last_sequence() const { return has_last_sequence_; }
   SequenceNumber last_sequence() const { return last_sequence_; }
 
@@ -82,6 +83,17 @@ class VersionEdit {
   SequenceNumber last_sequence_ = 0;
   bool has_last_sequence_ = false;
 };
+
+// The MANIFEST format's one reader and one writer. ReadManifest decodes
+// every edit of MANIFEST `name` in order into `apply`, stopping at the first
+// undecodable edit, at mid-log corruption (a torn tail ends cleanly) or at an
+// error from `apply`. WriteManifest creates MANIFEST `name` with `snapshot`
+// as its first record, synced; *writer stays open for later edits.
+Status ReadManifest(fs::SimFs* fs, const std::string& name,
+                    const std::function<Status(const VersionEdit&)>& apply);
+Status WriteManifest(fs::SimFs* fs, const std::string& name,
+                     const VersionEdit& snapshot,
+                     std::unique_ptr<LogWriter>* writer);
 
 class Version {
  public:
@@ -189,7 +201,9 @@ class VersionSet {
   uint64_t MaxBytesForLevel(int level) const;
 
  private:
-  Status ReplayManifest(const std::string& manifest_name);
+  // Writes a new MANIFEST whose first record is `snapshot` (plus the file
+  // and sequence counters) and points CURRENT at it.
+  Status StartManifest(VersionEdit* snapshot);
   std::shared_ptr<Version> BuildAfter(const VersionEdit& edit) const;
   std::unique_ptr<Compaction> PickL0Compaction() const;
   std::unique_ptr<Compaction> PickIntraL0Compaction() const;
@@ -198,7 +212,7 @@ class VersionSet {
   const DbOptions& options_;
   fs::SimFs* fs_;
   std::shared_ptr<const Version> current_;
-  std::unique_ptr<class LogWriter> manifest_;
+  std::unique_ptr<LogWriter> manifest_;
   std::string manifest_name_;
   uint64_t next_file_number_ = 1;
   uint64_t log_number_ = 0;

@@ -2,6 +2,7 @@
 
 #include "common/coding.h"
 #include "common/crc32c.h"
+#include "lsm/write_batch.h"
 
 namespace kvaccel::lsm {
 
@@ -58,6 +59,26 @@ bool LogReader::HasValidRecordAfter(size_t from) const {
     }
   }
   return false;
+}
+
+Status ReadWalBatches(fs::SimFs* fs, const std::string& name,
+                      const std::function<Status(const WriteBatch&)>& fn) {
+  std::unique_ptr<fs::RandomAccessFile> file;
+  Status s = fs->NewRandomAccessFile(name, &file);
+  if (!s.ok()) return s;
+  LogReader reader(std::move(file));
+  std::string payload;
+  while (reader.ReadRecord(&payload, &s)) {
+    WriteBatch batch;
+    s = WriteBatch::ParseFrom(payload, &batch);
+    if (!s.ok()) {
+      return Status::Corruption("WAL record does not parse as a batch: " +
+                                s.ToString());
+    }
+    s = fn(batch);
+    if (!s.ok()) return s;
+  }
+  return s;
 }
 
 }  // namespace kvaccel::lsm

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -13,6 +14,8 @@
 #include "fs/simfs.h"
 
 namespace kvaccel::lsm {
+
+class WriteBatch;
 
 class LogWriter {
  public:
@@ -48,5 +51,13 @@ class LogReader {
   size_t pos_ = 0;
   Status status_;
 };
+
+// The one reader of WAL batches: parses every record of WAL `name` as a
+// WriteBatch and hands it to `fn`, in log order. A torn tail ends the log
+// cleanly. Returns the first error: the file's open or read status,
+// Corruption for a record that is no batch or for a bad record with valid
+// ones after it, or whatever `fn` returned to stop early.
+Status ReadWalBatches(fs::SimFs* fs, const std::string& name,
+                      const std::function<Status(const WriteBatch&)>& fn);
 
 }  // namespace kvaccel::lsm

@@ -12,6 +12,9 @@
 #include "check/db_checker.h"
 #include "core/kvaccel_db.h"
 #include "lsm/db.h"
+#include "lsm/filename.h"
+#include "lsm/version.h"
+#include "lsm/wal.h"
 #include "tests/test_util.h"
 
 namespace kvaccel {
@@ -39,12 +42,21 @@ void BuildDb(SimWorld& world, const lsm::DbOptions& opts, int files,
   ASSERT_TRUE(db->Close().ok());
 }
 
-std::vector<std::string> LiveSsts(fs::SimFs& fs) {
+// Every file of `type` on disk, in name order.
+std::vector<std::string> FilesOfType(fs::SimFs& fs, lsm::FileType type) {
   std::vector<std::string> out;
   for (const std::string& name : fs.GetChildren()) {
-    if (name.size() == 10 && name.substr(6) == ".sst") out.push_back(name);
+    uint64_t number;
+    lsm::FileType t;
+    if (lsm::ParseFileName(name, &number, &t) && t == type) {
+      out.push_back(name);
+    }
   }
   return out;
+}
+
+std::vector<std::string> LiveSsts(fs::SimFs& fs) {
+  return FilesOfType(fs, lsm::FileType::kTable);
 }
 
 std::string ReadRaw(fs::SimFs& fs, const std::string& name) {
@@ -198,11 +210,9 @@ TEST(DbCheckerTest, WalMidLogCorruptionDetectedAndSalvaged) {
       }
       ASSERT_TRUE(db->Close().ok());
     }
-    std::string wal;
-    for (const std::string& name : world.fs->GetChildren()) {
-      if (name.size() == 10 && name.substr(6) == ".log") wal = name;
-    }
-    ASSERT_FALSE(wal.empty());
+    std::vector<std::string> wals = FilesOfType(*world.fs, lsm::FileType::kLog);
+    ASSERT_FALSE(wals.empty());
+    std::string wal = wals.back();
     std::string raw = ReadRaw(*world.fs, wal);
     raw[raw.size() / 2] ^= 0x01;  // mid-log: valid records follow the damage
     WriteRaw(*world.fs, wal, raw);
@@ -236,6 +246,85 @@ TEST(DbCheckerTest, WalMidLogCorruptionDetectedAndSalvaged) {
     EXPECT_GT(found, 0) << "salvage kept nothing";
     EXPECT_LT(found, 40) << "corrupt suffix was not actually dropped";
     ASSERT_TRUE(db->Close().ok());
+  });
+}
+
+// File numbers only grow, past six digits: a stranded 999999.sst makes the
+// next WAL 1000000.log. Recovery, the checker and repair must all see it.
+TEST(DbCheckerTest, SevenDigitFileNumbersAreRecoveredCheckedAndKept) {
+  SimWorld world;
+  world.Run([&] {
+    lsm::DbOptions opts = test::SmallDbOptions();
+    BuildDb(world, opts, 1, 20);
+    WriteRaw(*world.fs, "999999.sst", "stranded by a power cut");
+    lsm::WriteOptions sync;
+    sync.sync = true;
+    std::unique_ptr<lsm::DB> db;
+    ASSERT_TRUE(lsm::DB::Open(opts, world.MakeDbEnv(), &db).ok());
+    ASSERT_TRUE(db->Put(sync, TestKey(777), Value::Synthetic(777, 4096)).ok());
+    ASSERT_TRUE(db->Close().ok());
+    ASSERT_TRUE(world.fs->FileExists("1000000.log"));
+    world.fs->DropAllDirty();  // power cut: the acked write is synced
+
+    auto serves_acked_key = [&] {
+      std::unique_ptr<lsm::DB> reopened;
+      ASSERT_TRUE(lsm::DB::Open(opts, world.MakeDbEnv(), &reopened).ok());
+      Value v;
+      Status s = reopened->Get({}, TestKey(777), &v);
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      EXPECT_EQ(v.seed(), 777u);
+      ASSERT_TRUE(reopened->Close().ok());
+    };
+    serves_acked_key();
+
+    DbChecker checker(opts, world.MakeDbEnv());
+    CheckReport report = checker.Check();
+    EXPECT_TRUE(report.ok()) << report.ToString();
+    EXPECT_EQ(report.ToString().find("unknown file"), std::string::npos)
+        << report.ToString();
+    int logs = 0;
+    for (const std::string& name : world.fs->GetChildren()) {
+      logs += name.ends_with(".log") ? 1 : 0;
+    }
+    EXPECT_EQ(report.wal_files_checked, logs) << report.ToString();
+
+    ASSERT_TRUE(checker.Repair(&report).ok()) << report.ToString();
+    EXPECT_TRUE(world.fs->FileExists("1000000.log")) << report.ToString();
+    CheckReport after = checker.Check();
+    EXPECT_TRUE(after.ok()) << after.ToString();
+    serves_acked_key();
+  });
+}
+
+// A CRC-valid MANIFEST edit at a level past kNumLevels: recovery must refuse
+// it as the checker does, not index past the level table.
+TEST(DbCheckerTest, ManifestEditAtBadLevelFailsOpenAndCheck) {
+  SimWorld world;
+  world.Run([&] {
+    lsm::DbOptions opts = test::SmallDbOptions();
+    BuildDb(world, opts, 1, 20);
+    const std::string manifest = ReadRaw(*world.fs, "CURRENT");
+    const std::string raw = ReadRaw(*world.fs, manifest);
+    auto f = std::make_shared<lsm::FileMetaData>();
+    f->number = 999;
+    lsm::VersionEdit edit;
+    edit.AddFile(9, f);
+    std::string payload;
+    edit.EncodeTo(&payload);
+    std::unique_ptr<fs::WritableFile> file;
+    ASSERT_TRUE(world.fs->NewWritableFile(manifest, &file).ok());
+    ASSERT_TRUE(file->Append(Slice(raw)).ok());
+    lsm::LogWriter writer(std::move(file));
+    ASSERT_TRUE(writer.AddRecord(payload, payload.size()).ok());
+    ASSERT_TRUE(writer.Sync().ok());
+
+    std::unique_ptr<lsm::DB> db;
+    Status s = lsm::DB::Open(opts, world.MakeDbEnv(), &db);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    CheckReport report = DbChecker(opts, world.MakeDbEnv()).Check();
+    EXPECT_FALSE(report.ok());
+    EXPECT_NE(report.FirstError().find("bad level 9"), std::string::npos)
+        << report.ToString();
   });
 }
 

@@ -12,6 +12,7 @@
 #include "lsm/bloom.h"
 #include "lsm/cache.h"
 #include "lsm/dbformat.h"
+#include "lsm/filename.h"
 #include "lsm/iterator.h"
 #include "lsm/memtable.h"
 #include "lsm/skiplist.h"
@@ -211,6 +212,45 @@ TEST(WriteBatchTest, ParseRejectsGarbage) {
   std::string bad(12, '\0');
   bad[8] = 2;  // claims 2 entries, provides none
   EXPECT_TRUE(WriteBatch::ParseFrom(bad, &batch).IsCorruption());
+}
+
+TEST(FileNameTest, RoundTripsPastSixDigitsAndRejectsOtherNames) {
+  struct Case {
+    uint64_t number;
+    std::string table, log, manifest;
+  };
+  const Case cases[] = {
+      {0, "000000.sst", "000000.log", "MANIFEST-000000"},
+      {999999, "999999.sst", "999999.log", "MANIFEST-999999"},
+      {1000000, "1000000.sst", "1000000.log", "MANIFEST-1000000"},
+      {uint64_t{1} << 63, "9223372036854775808.sst",
+       "9223372036854775808.log", "MANIFEST-9223372036854775808"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(TableFileName(c.number), c.table);
+    EXPECT_EQ(LogFileName(c.number), c.log);
+    EXPECT_EQ(ManifestFileName(c.number), c.manifest);
+    const std::pair<std::string, FileType> names[] = {
+        {c.table, FileType::kTable},
+        {c.log, FileType::kLog},
+        {c.manifest, FileType::kManifest}};
+    for (const auto& [name, want] : names) {
+      uint64_t number = 12345;
+      FileType type = want == FileType::kLog ? FileType::kTable
+                                             : FileType::kLog;
+      ASSERT_TRUE(ParseFileName(name, &number, &type)) << name;
+      EXPECT_EQ(number, c.number) << name;
+      EXPECT_EQ(type, want) << name;
+    }
+  }
+  for (const char* name :
+       {"000001.sst.bad", "MANIFEST-", "12ab.log", "MANIFEST-000001.bad",
+        "CURRENT", "CURRENT.tmp", "FENCE", "KVX_INDEX", "1.sst", "01000000.log",
+        "-00001.log", "+00001.sst", "000001.ldb", "18446744073709551616.sst"}) {
+    uint64_t number;
+    FileType type;
+    EXPECT_FALSE(ParseFileName(name, &number, &type)) << name;
+  }
 }
 
 TEST(BloomTest, NoFalseNegatives) {

@@ -51,9 +51,18 @@ TEST(VersionEditTest, EncodeDecodeRoundTrip) {
 }
 
 TEST(VersionEditTest, DecodeRejectsGarbage) {
-  VersionEdit edit;
-  EXPECT_TRUE(VersionEdit::DecodeFrom(Slice("\xff\xff junk"), &edit)
-                  .IsCorruption());
+  // Well-formed edits whose level is past the level table.
+  VersionEdit add_at_9, delete_at_9;
+  add_at_9.AddFile(9, File(10, "aaa", "mmm"));
+  delete_at_9.DeleteFile(kNumLevels, 5);
+  std::string add_encoded, delete_encoded;
+  add_at_9.EncodeTo(&add_encoded);
+  delete_at_9.EncodeTo(&delete_encoded);
+  for (const std::string& input :
+       {std::string("\xff\xff junk"), add_encoded, delete_encoded}) {
+    VersionEdit edit;
+    EXPECT_TRUE(VersionEdit::DecodeFrom(input, &edit).IsCorruption());
+  }
 }
 
 class VersionSetTest : public ::testing::Test {
