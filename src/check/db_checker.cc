@@ -277,16 +277,23 @@ Status DbChecker::Repair(CheckReport* report, uint64_t max_valid_seq) {
   std::sort(ssts.begin(), ssts.end());
   std::sort(logs.begin(), logs.end());
 
-  // 1. Keep every SST that passes full verification; quarantine the rest.
-  std::vector<lsm::FileMetaPtr> good;
-  lsm::SequenceNumber last_sequence = 0;
+  // 1. Read everything before changing anything. Only Corruption marks a
+  // file as damaged, besides the fencing frontier and an empty table: any
+  // other read error, such as a transient device fault, is returned
+  // unchanged with nothing renamed or rewritten. Every SST either passes
+  // full verification or is quarantined.
+  struct SstVerdict {
+    lsm::FileMetaPtr meta;
+    std::string why;  // empty = keep
+  };
+  std::vector<SstVerdict> verdicts;
   for (uint64_t number : ssts) {
-    const std::string name = lsm::TableFileName(number);
     auto meta = std::make_shared<lsm::FileMetaData>();
     meta->number = number;
     Status s = VerifySst(number, meta.get());
     std::string why;
     if (!s.ok()) {
+      if (!s.IsCorruption()) return s;
       why = s.ToString();
     } else if (meta->num_entries == 0) {
       why = "empty table";
@@ -297,52 +304,67 @@ Status DbChecker::Repair(CheckReport* report, uint64_t max_valid_seq) {
       why = "diverged tail (max_seq " + U64(meta->max_seq) + " > frontier " +
             U64(max_valid_seq) + ")";
     }
-    if (why.empty()) {
-      last_sequence = std::max(last_sequence, meta->max_seq);
-      good.push_back(std::move(meta));
-      report->actions.push_back("kept SST " + name);
-      continue;
-    }
-    s = denv_.fs->RenameFile(name, name + ".bad");
-    if (!s.ok()) return s;
-    report->actions.push_back("quarantined " + name + ": " + why);
+    verdicts.push_back({std::move(meta), std::move(why)});
   }
-
-  // 2. Salvage the valid prefix of every WAL (recovery replays them all:
-  // the new manifest's log number is the smallest surviving log).
-  for (uint64_t number : logs) {
-    const std::string name = lsm::LogFileName(number);
+  // Every WAL keeps its valid prefix (recovery replays them all: the new
+  // manifest's log number is the smallest surviving log).
+  struct WalCut {
+    std::string name;
     std::vector<std::string> valid;
     bool frontier_cut = false;
+  };
+  std::vector<WalCut> cuts;
+  for (uint64_t number : logs) {
+    WalCut cut{lsm::LogFileName(number), {}, false};
     Status rs = lsm::ReadWalBatches(
-        denv_.fs, name, [&](const lsm::WriteBatch& batch) {
+        denv_.fs, cut.name, [&](const lsm::WriteBatch& batch) {
           if (batch.Count() > 0 &&
               batch.Sequence() + batch.Count() - 1 > max_valid_seq) {
             // First batch past the fencing frontier: this and everything
             // after it is the diverged tail a partitioned primary
             // WAL-appended but never got acked — drop it so recovery cannot
             // resurrect it.
-            frontier_cut = true;
+            cut.frontier_cut = true;
             return Status::Aborted("past the fencing frontier");
           }
-          valid.push_back(batch.Contents());
+          cut.valid.push_back(batch.Contents());
           return Status::OK();
         });
     if (rs.ok()) continue;
-    // Cut at the frontier or at the first damaged record.
+    if (!cut.frontier_cut && !rs.IsCorruption()) return rs;
+    cuts.push_back(std::move(cut));
+  }
+
+  // 2. Quarantine the damaged SSTs, then cut each WAL at the frontier or at
+  // its first damaged record.
+  std::vector<lsm::FileMetaPtr> good;
+  lsm::SequenceNumber last_sequence = 0;
+  for (SstVerdict& v : verdicts) {
+    const std::string name = lsm::TableFileName(v.meta->number);
+    if (v.why.empty()) {
+      last_sequence = std::max(last_sequence, v.meta->max_seq);
+      good.push_back(std::move(v.meta));
+      report->actions.push_back("kept SST " + name);
+      continue;
+    }
+    Status s = denv_.fs->RenameFile(name, name + ".bad");
+    if (!s.ok()) return s;
+    report->actions.push_back("quarantined " + name + ": " + v.why);
+  }
+  for (const WalCut& cut : cuts) {
     std::unique_ptr<fs::WritableFile> out;
-    Status s = denv_.fs->NewWritableFile(name, &out);  // O_TRUNC semantics
+    Status s = denv_.fs->NewWritableFile(cut.name, &out);  // O_TRUNC
     if (!s.ok()) return s;
     lsm::LogWriter writer(std::move(out));
-    for (const std::string& rec : valid) {
+    for (const std::string& rec : cut.valid) {
       if (s.ok()) s = writer.AddRecord(rec, rec.size());
     }
     if (s.ok()) s = writer.Sync();
     if (s.ok()) s = writer.Close();
     if (!s.ok()) return s;
     report->actions.push_back(
-        "salvaged " + U64(valid.size()) + " record(s) of " + name +
-        (frontier_cut
+        "salvaged " + U64(cut.valid.size()) + " record(s) of " + cut.name +
+        (cut.frontier_cut
              ? " (diverged tail cut at frontier " + U64(max_valid_seq) + ")"
              : ""));
   }
@@ -382,8 +404,8 @@ void DbChecker::CheckDualInterface(core::KvaccelDB* db, CheckReport* report) {
   // Newest-version-only device view with host sequence numbers.
   std::map<std::string, uint64_t> dev_view;
   if (!db->dev()->Empty()) {
-    (void)db->dev()->BulkScan([&](const devlsm::DevLsm::ScanEntry& e) {
-      dev_view[e.key] = e.host_seq;
+    (void)db->dev()->BulkScan([&](const VersionedEntry& e) {
+      dev_view[e.key] = e.seq;
     });
   }
   std::set<std::string> md_keys;

@@ -24,7 +24,9 @@
 // valid prefix of each WAL is salvaged, and a fresh MANIFEST is written
 // with every good SST at L0 under its original number — the L0 max_seq
 // shadow check keeps reads sequence-correct, exactly as IngestSortedBatch
-// relies on. Uncorrupted keys therefore stay readable.
+// relies on. Uncorrupted keys therefore stay readable. It reads every file
+// before it changes one, and only Corruption counts as damage: any other
+// read error (a transient device fault) is returned with nothing changed.
 //
 // The volatile half of the invariant (Metadata Manager vs Dev-LSM) cannot
 // be seen from files; CheckDualInterface/RepairDualInterface run against a
@@ -75,10 +77,7 @@ struct CheckReport {
 class DbChecker {
  public:
   DbChecker(const lsm::DbOptions& options, const lsm::DbEnv& env)
-      : options_(options), denv_(env) {
-    // The checker always verifies block CRCs, whatever the DB ran with.
-    options_.verify_checksums = true;
-  }
+      : options_(options), denv_(env) {}
 
   // Offline verification of the files in the DbEnv's file system. Must run
   // on a simulated thread (reads charge device time); the DB must be closed.

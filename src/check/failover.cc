@@ -3,18 +3,12 @@
 #include <algorithm>
 #include <limits>
 #include <utility>
-#include <vector>
 
 #include "sim/net_link.h"
 
 namespace kvaccel::check {
 
 namespace {
-// Per-entry framing overhead on the resync wire (matches the replication
-// shipper's kIntentEntryBytes: seq + sizes + type).
-constexpr uint64_t kResyncEntryBytes = 24;
-constexpr uint64_t kResyncChunkBytes = 256u << 10;
-
 // A pair node's options and world for running it on its own: replication
 // hooks cleared (a promoted or rejoining node is single until it re-pairs)
 // and its device-owned Dev-LSM attached.
@@ -199,148 +193,38 @@ Status RejoinBody(const lsm::DbOptions& main_options,
         std::min<uint64_t>(gap, std::numeric_limits<uint32_t>::max())));
   }
 
-  // The resync interconnect: every shipped byte pays wire time, in 256 KiB
-  // chunks, optionally queued through the caller's FairShareArbiter client
-  // so reconciliation traffic shares bandwidth instead of starving serving
-  // I/O (Acquire blocks the simulated thread until granted).
+  // Step 4: catch the node up over the resync interconnect. Every shipped
+  // byte pays wire time, optionally queued through the caller's
+  // FairShareArbiter client so reconciliation traffic shares bandwidth
+  // instead of starving serving I/O (Acquire blocks the simulated thread
+  // until granted). Delta mode lands entries through the WAL-bypassing
+  // ingest path; WAL-replay mode re-runs them through the node's full write
+  // path for comparison (not the stall-redirect detour into the Dev-LSM
+  // mirror, which the convergence walk below would never see).
   sim::NetLink link(env, "resync", options.net_bytes_per_sec,
                     options.net_latency);
-  // Charges `b` more bytes and sends what is pending once a chunk fills, or
-  // whatever is left when `drain`.
-  uint64_t pending_bytes = 0;
-  auto charge = [&](uint64_t b, bool drain = false) -> Status {
-    rep->resync_bytes += b;
-    pending_bytes += b;
-    if (pending_bytes == 0 || (!drain && pending_bytes < kResyncChunkBytes)) {
-      return Status::OK();
-    }
+  core::CatchUpOptions cu;
+  cu.send = [&](uint64_t bytes) {
     if (options.arbiter != nullptr && options.arbiter_client >= 0) {
-      options.arbiter->Acquire(options.arbiter_client, pending_bytes);
+      options.arbiter->Acquire(options.arbiter_client, bytes);
     }
-    Status cs = link.Send(pending_bytes);
-    pending_bytes = 0;
-    return cs;
+    return link.Send(bytes);
   };
-
-  const bool delta = options.mode == ResyncMode::kDelta;
-  lsm::ReadOptions ro;
-  lsm::WriteOptions wo;
-  std::vector<lsm::IngestEntry> batch;
-  auto flush_batch = [&]() -> Status {
-    if (batch.empty()) return Status::OK();
-    Status fs = node_db->main()->IngestSortedBatch(batch);
-    batch.clear();
-    return fs;
-  };
-
-  // Step 4, forward pass: every serving key whose version differs on the
-  // rejoining node ships across. Delta mode lands it through the
-  // WAL-bypassing ingest path at its exact serving sequence; WAL-replay mode
-  // re-runs it through the full write path for comparison.
-  auto it = serving->main()->NewIterator(ro);
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    std::string key = it->key().ToString();
-    Value sv;
-    lsm::SequenceNumber sseq = 0;
-    s = serving->main()->GetWithSequence(ro, key, &sv, &sseq);
-    if (s.IsNotFound()) continue;  // raced a deletion; reverse pass's job
-    if (!s.ok()) return s;
-    Value nv;
-    lsm::SequenceNumber nseq = 0;
-    Status ns = node_db->main()->GetWithSequence(ro, key, &nv, &nseq);
-    if (!ns.ok() && !ns.IsNotFound()) return ns;
-    if (ns.ok() && nv == sv) continue;  // converged
-    if (nseq > options.frontier) rep->quarantined_keys++;
-
-    uint64_t payload = key.size() + sv.logical_size() + kResyncEntryBytes;
-    rep->resync_entries++;
-    rep->wal_replay_bytes += payload;
-    s = charge(payload);
-    if (!s.ok()) return s;
-    if (delta) {
-      lsm::IngestEntry e;
-      e.key = key;
-      e.value = sv;
-      // The serving version's own sequence, unless the node holds a newer
-      // (diverged, value-different) sequence that would shadow it.
-      e.seq = sseq > nseq ? sseq : serving->main()->AllocateSequence(1);
-      batch.push_back(std::move(e));
-      if (batch.size() >= 512) {
-        s = flush_batch();
-        if (!s.ok()) return s;
-      }
-    } else {
-      // Straight into the Main-LSM write path (WAL + memtable): replay must
-      // not take the stall-redirect detour into the Dev-LSM mirror, which
-      // the convergence walk below would never see.
-      rep->write_path_bytes += payload;
-      s = node_db->main()->Put(wo, key, sv);
-      if (!s.ok()) return s;
-    }
-  }
-  if (!it->status().ok()) return it->status();
-  s = flush_batch();
-  if (!s.ok()) return s;
-
-  // Step 4, reverse pass: keys live on the rejoining node but gone on the
-  // serving one become tombstones. Collected first, applied after — the
-  // node's iterator must not see its own DB mutate underneath it.
-  struct PendingDelete {
-    std::string key;
-    lsm::SequenceNumber serving_seq;  // serving tombstone's seq (0 = elided)
-    lsm::SequenceNumber node_seq;     // version being buried
-  };
-  std::vector<PendingDelete> deletes;
-  auto nit = node_db->main()->NewIterator(ro);
-  for (nit->SeekToFirst(); nit->Valid(); nit->Next()) {
-    std::string key = nit->key().ToString();
-    Value sv;
-    lsm::SequenceNumber sseq = 0;
-    s = serving->main()->GetWithSequence(ro, key, &sv, &sseq);
-    if (s.ok()) continue;  // forward pass covered it
-    if (!s.IsNotFound()) return s;
-    Value nv;
-    lsm::SequenceNumber nseq = 0;
-    Status ns = node_db->main()->GetWithSequence(ro, key, &nv, &nseq);
-    if (!ns.ok() && !ns.IsNotFound()) return ns;
-    if (nseq > options.frontier) rep->quarantined_keys++;
-    deletes.push_back(PendingDelete{std::move(key), sseq, nseq});
-  }
-  if (!nit->status().ok()) return nit->status();
-  for (auto& d : deletes) {
-    uint64_t payload = d.key.size() + kResyncEntryBytes;
-    rep->resync_entries++;
-    rep->wal_replay_bytes += payload;
-    s = charge(payload);
-    if (!s.ok()) return s;
-    if (delta) {
-      lsm::IngestEntry e;
-      e.key = std::move(d.key);
-      e.tombstone = true;
-      // The serving tombstone's sequence when it still exists and buries the
-      // node's version; otherwise a fresh one from the shared clock.
-      e.seq = (d.serving_seq > d.node_seq)
-                  ? d.serving_seq
-                  : serving->main()->AllocateSequence(1);
-      batch.push_back(std::move(e));  // node iterator order: already sorted
-      if (batch.size() >= 512) {
-        s = flush_batch();
-        if (!s.ok()) return s;
-      }
-    } else {
-      rep->write_path_bytes += payload;
-      s = node_db->main()->Delete(wo, d.key);
-      if (!s.ok()) return s;
-    }
-  }
-  s = flush_batch();
-  if (!s.ok()) return s;
-  s = charge(0, /*drain=*/true);
+  cu.through_write_path = options.mode == ResyncMode::kWalReplay;
+  cu.frontier = options.frontier;
+  core::CatchUpStats stats;
+  s = core::CatchUp(serving->main(), node_db->main(), cu, &stats);
+  rep->quarantined_keys = stats.diverged_keys;
+  rep->resync_entries = stats.entries;
+  rep->resync_bytes = stats.bytes;
+  rep->wal_replay_bytes = stats.bytes;
+  rep->write_path_bytes = stats.write_path_bytes;
   if (!s.ok()) return s;
 
   // Step 5: convergence proof — lockstep walk of both live key spaces, byte
   // comparison of every key and value. This is the acceptance bar: after
   // reconciliation the nodes are indistinguishable.
+  lsm::ReadOptions ro;
   auto si = serving->main()->NewIterator(ro);
   auto vi = node_db->main()->NewIterator(ro);
   si->SeekToFirst();

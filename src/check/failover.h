@@ -26,17 +26,17 @@
 //      when it was detached) — SSTs and WAL batches above the frontier were
 //      never acked anywhere and are cut.
 //   2. Adopt the new fencing epoch (durable FENCE write).
-//   3. Open the node and walk both DBs: every key where the nodes disagree
-//      is shipped from the serving node over a resync NetLink, charged in
-//      256 KiB chunks (optionally through a FairShareArbiter client so the
-//      resync shares bandwidth fairly with serving traffic).
-//   4. Apply on the rejoining node: kDelta ships flushed SST-state via the
-//      WAL-bypassing IngestSortedBatch path at exact serving sequences (the
+//   3. Open the node and catch it up with core::CatchUp, the walk a pair's
+//      Bootstrap uses too: every key where the nodes disagree ships from the
+//      serving node over a resync NetLink (optionally through a
+//      FairShareArbiter client so the resync shares bandwidth fairly with
+//      serving traffic). kDelta lands flushed SST-state via the WAL-bypassing
+//      IngestSortedBatch path at exact serving sequences (the
 //      RDMA-index-replication idea from PAPERS.md — zero bytes through the
 //      write path); kWalReplay re-runs every entry through the full write
 //      path for comparison (the report carries both byte counts so the
 //      delta-vs-replay claim is measurable).
-//   5. Verify convergence: both nodes' live key sets and iterator order must
+//   4. Verify convergence: both nodes' live key sets and iterator order must
 //      match byte-identically.
 //
 // While a resync is in flight the serving node's Scrubber is deferred

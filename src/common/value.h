@@ -79,4 +79,16 @@ class Value {
   uint32_t synthetic_size_ = 0;
 };
 
+// One version of one key, as it moves between the layers: a redirected
+// write on its way into the Dev-LSM, a pair streamed out of a Dev-LSM bulk
+// scan, a sorted batch ingested into the Main-LSM, a redirect intent on the
+// replication link. `seq` comes from the Main-LSM sequence space (0 when the
+// writer supplied none); a tombstone carries no value.
+struct VersionedEntry {
+  std::string key;
+  Value value;
+  bool tombstone = false;
+  uint64_t seq = 0;
+};
+
 }  // namespace kvaccel

@@ -101,7 +101,7 @@ struct KvaccelOptions {
   // reconstructed on failover even though this node's device KV region is
   // gone. A non-OK return fails the redirect (the write is unacked and the
   // leaked device entries are superseded by recovery's seq comparison).
-  std::function<Status(const std::vector<devlsm::DevLsm::BatchPut>& entries)>
+  std::function<Status(const std::vector<VersionedEntry>& entries)>
       redirect_shipper;
   // Called after a rollback drain completes: tells the backup its mirrored
   // intents are now covered by the primary's Main-LSM (shipped via the WAL

@@ -156,8 +156,7 @@ bool KvaccelDB::ShouldRedirect() const {
          detector_->device_healthy(env_->Now());
 }
 
-Status KvaccelDB::DevPutWithRetry(
-    const std::vector<devlsm::DevLsm::BatchPut>& entries) {
+Status KvaccelDB::DevPutWithRetry(const std::vector<VersionedEntry>& entries) {
   Status s = dev_->PutCompound(entries);
   Nanos backoff = 0;
   int attempt = 0;
@@ -202,17 +201,13 @@ Status KvaccelDB::Write(const lsm::WriteOptions& wopts,
     // a not-yet-written pair. The batch is versioned from the Main-LSM
     // sequence space so crash recovery can order it against host-side data.
     lsm::SequenceNumber seq = main_->AllocateSequence(count);
-    std::vector<devlsm::DevLsm::BatchPut> entries;
+    std::vector<VersionedEntry> entries;
     entries.reserve(count);
     lsm::SequenceNumber next = seq;
     s = batch->ForEach(
         [&](lsm::ValueType type, const Slice& key, const Value& value) {
-          devlsm::DevLsm::BatchPut bp;
-          bp.key = key.ToString();
-          bp.value = value;
-          bp.host_seq = next++;
-          bp.tombstone = (type == lsm::ValueType::kDeletion);
-          entries.push_back(std::move(bp));
+          entries.push_back({key.ToString(), value,
+                             type == lsm::ValueType::kDeletion, next++});
         });
     if (s.ok() && options_.redirect_arbiter) {
       // Reserve the redirect DMA's bandwidth on the shared-device arbiter
@@ -244,7 +239,7 @@ Status KvaccelDB::Write(const lsm::WriteOptions& wopts,
         kv_stats_.redirect_batch_latency.Add(env_->Now() - dev_start);
         std::vector<std::pair<std::string, uint64_t>> recs;
         recs.reserve(entries.size());
-        for (auto& e : entries) recs.emplace_back(std::move(e.key), e.host_seq);
+        for (auto& e : entries) recs.emplace_back(std::move(e.key), e.seq);
         md_->InsertBatch(recs);
         kv_stats_.redirected_writes += count;
         kv_stats_.redirected_batches++;
@@ -377,7 +372,7 @@ Status RollbackManager::Execute(bool trust_metadata) {
   // The bulk scan streams in key order, so batches are already sorted —
   // they bulk-load into Main-LSM as L0 SSTs at their original sequence
   // numbers, skipping the WAL/memtable double-write (DB::IngestSortedBatch).
-  std::vector<lsm::IngestEntry> batch;
+  std::vector<VersionedEntry> batch;
   uint64_t batch_bytes = 0;
   uint64_t drained_bytes = 0;
   auto flush_batch = [&]() {
@@ -399,7 +394,7 @@ Status RollbackManager::Execute(bool trust_metadata) {
     batch_bytes = 0;
   };
 
-  Status status = dev->BulkScan([&](const devlsm::DevLsm::ScanEntry& e) {
+  Status status = dev->BulkScan([&](const VersionedEntry& e) {
     // Kill point: a crash mid-drain must leave every not-yet-reset pair on
     // the device for the next recovery pass (ResetUpTo runs only at the end).
     if (sim::FaultAt(owner_->sim_env(), "crash.rollback.mid")) {
@@ -413,7 +408,7 @@ Status RollbackManager::Execute(bool trust_metadata) {
       // during this very rollback (record seq is newer than the scanned
       // pair's).
       uint64_t md_seq = md->GetSeq(e.key);
-      if (md_seq == 0 || md_seq > e.host_seq) return;
+      if (md_seq == 0 || md_seq > e.seq) return;
     } else {
       // Recovery after metadata loss (paper §VI-D): the hash table is gone,
       // so order the device pair against Main-LSM by sequence number.
@@ -421,10 +416,9 @@ Status RollbackManager::Execute(bool trust_metadata) {
       lsm::SequenceNumber main_seq = 0;
       Status gs = main->GetWithSequence({}, e.key, &unused, &main_seq);
       if (!gs.ok() && !gs.IsNotFound()) return;
-      if (main_seq >= e.host_seq) return;  // host already has a newer version
+      if (main_seq >= e.seq) return;  // host already has a newer version
     }
-    batch.push_back(
-        {e.key, e.value, e.tombstone, lsm::SequenceNumber{e.host_seq}});
+    batch.push_back(e);
     batch_bytes += e.key.size() + 8 + e.value.logical_size();
     if (batch_bytes >= (64ull << 20)) flush_batch();
   });

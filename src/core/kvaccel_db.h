@@ -85,7 +85,7 @@ class KvaccelDB : public lsm::Store {
   // Dev-LSM compound put with transient-error retries; on budget exhaustion
   // latches the device unhealthy via the Detector and returns the error so
   // the caller falls back to the host path.
-  Status DevPutWithRetry(const std::vector<devlsm::DevLsm::BatchPut>& entries);
+  Status DevPutWithRetry(const std::vector<VersionedEntry>& entries);
 
   KvaccelOptions options_;
   lsm::DbEnv denv_;

@@ -20,8 +20,12 @@ bool IsStaleEpoch(const Status& s) {
 // Fixed per-record framing overhead charged to the link (type, seq range,
 // counts, checksum).
 constexpr uint64_t kRecordHeaderBytes = 16;
-// Per-entry framing of a redirect intent (key length, host_seq, tombstone).
-constexpr uint64_t kIntentEntryBytes = 24;
+// Per-entry framing of a redirect intent or a catch-up entry (key and value
+// lengths, sequence, tombstone).
+constexpr uint64_t kEntryFramingBytes = 24;
+// Catch-up wire chunk and ingest batch.
+constexpr uint64_t kCatchUpChunkBytes = 256u << 10;
+constexpr size_t kCatchUpBatchEntries = 512;
 // Jitter-seed offset so the backup node's retry streams decorrelate from the
 // primary's (same spirit as the sharded router's per-shard offsets).
 constexpr uint64_t kBackupSeedOffset = 0x51DEC0DE;
@@ -139,10 +143,9 @@ Status ReplicatedKvaccelDB::Open(const lsm::DbOptions& main_options,
   };
   KvaccelOptions pkv = kv_options;
   pkv.external_dev = primary.dev;
-  pkv.redirect_shipper =
-      [self](const std::vector<devlsm::DevLsm::BatchPut>& entries) {
-        return self->ShipRedirectIntent(entries);
-      };
+  pkv.redirect_shipper = [self](const std::vector<VersionedEntry>& entries) {
+    return self->ShipRedirectIntent(entries);
+  };
   pkv.rollback_shipper = [self] { self->ShipRollback(); };
   pkv.ndp_device = primary.ndp;
   lsm::DbEnv penv;
@@ -328,17 +331,17 @@ Status ReplicatedKvaccelDB::ShipWalBatch(const lsm::WriteBatch& group,
 }
 
 Status ReplicatedKvaccelDB::ShipRedirectIntent(
-    const std::vector<devlsm::DevLsm::BatchPut>& entries) {
+    const std::vector<VersionedEntry>& entries) {
   if (entries.empty()) return Status::OK();
   Record rec;
   rec.type = Record::Type::kRedirectIntent;
   rec.entries = entries;
-  rec.first_seq = entries.front().host_seq;
+  rec.first_seq = entries.front().seq;
   rec.count = static_cast<uint32_t>(entries.size());
-  rec.last_seq = entries.back().host_seq;
+  rec.last_seq = entries.back().seq;
   rec.bytes = kRecordHeaderBytes;
   for (const auto& e : entries) {
-    rec.bytes += e.key.size() + e.value.logical_size() + kIntentEntryBytes;
+    rec.bytes += e.key.size() + e.value.logical_size() + kEntryFramingBytes;
   }
   stats_.intent_records++;
   stats_.intent_entries += rec.count;
@@ -570,17 +573,13 @@ Status ReplicatedKvaccelDB::ApplyOnBackup(Record* rec) {
         // sequence-ascending, so a late record takes the WAL-bypassing
         // exact-sequence ingest path instead (idempotent — newer versions
         // of the same key already applied keep winning by sequence).
-        std::vector<lsm::IngestEntry> ing;
+        std::vector<VersionedEntry> ing;
         ing.reserve(rec->count);
         uint64_t seq = rec->first_seq;
         Status ps = rec->batch.ForEach(
             [&](lsm::ValueType type, const Slice& key, const Value& value) {
-              lsm::IngestEntry e;
-              e.key = key.ToString();
-              e.value = value;
-              e.tombstone = type != lsm::ValueType::kValue;
-              e.seq = seq++;
-              ing.push_back(std::move(e));
+              ing.push_back({key.ToString(), value,
+                             type != lsm::ValueType::kValue, seq++});
             });
         if (!ps.ok()) return ps;
         return IngestOnBackup(std::move(ing));
@@ -640,29 +639,19 @@ Status ReplicatedKvaccelDB::ApplyIntentOnBackup(Record* rec) {
   // never rides the WAL (same rule as the rollback drain), which also keeps
   // the backup WAL's sequence order intact — intent sequences can be older
   // than WAL batches already applied.
-  std::vector<lsm::IngestEntry> ing;
-  ing.reserve(rec->entries.size());
-  for (const auto& e : rec->entries) {
-    lsm::IngestEntry ie;
-    ie.key = e.key;
-    ie.value = e.value;
-    ie.tombstone = e.tombstone;
-    ie.seq = e.host_seq;
-    ing.push_back(std::move(ie));
-  }
-  Status s = IngestOnBackup(std::move(ing));
+  Status s = IngestOnBackup(rec->entries);
   if (s.ok()) stats_.backup_dev_fallbacks++;
   return s;
 }
 
-Status ReplicatedKvaccelDB::IngestOnBackup(std::vector<lsm::IngestEntry> ing) {
+Status ReplicatedKvaccelDB::IngestOnBackup(std::vector<VersionedEntry> ing) {
   // Ingest wants strictly ascending keys; within-batch duplicates keep the
   // newest version (the older one was invisible anyway).
   std::stable_sort(ing.begin(), ing.end(),
-                   [](const lsm::IngestEntry& a, const lsm::IngestEntry& b) {
+                   [](const VersionedEntry& a, const VersionedEntry& b) {
                      return a.key < b.key || (a.key == b.key && a.seq < b.seq);
                    });
-  std::vector<lsm::IngestEntry> dedup;
+  std::vector<VersionedEntry> dedup;
   dedup.reserve(ing.size());
   for (auto& e : ing) {
     if (!dedup.empty() && dedup.back().key == e.key) {
@@ -689,87 +678,118 @@ void ReplicatedKvaccelDB::DrainShipping() {
   }
 }
 
-// ---------------- Bootstrap (re-pair after failover) ----------------
+// ---------------- Catch-up (re-pair, rejoin) ----------------
 
 Status ReplicatedKvaccelDB::Bootstrap() {
+  CatchUpOptions opts;
+  opts.send = [this](uint64_t bytes) { return SendOverLink(bytes); };
+  CatchUpStats unused;
+  return CatchUp(primary_->main(), backup_->main(), opts, &unused);
+}
+
+Status CatchUp(lsm::DB* source, lsm::DB* target,
+               const CatchUpOptions& options, CatchUpStats* stats) {
   lsm::ReadOptions ro;
+  lsm::WriteOptions wo;
+  // Sends what is pending once a chunk fills, or whatever is left on drain.
   uint64_t pending_bytes = 0;
-  auto charge = [&](uint64_t b) -> Status {
+  auto charge = [&](uint64_t b, bool drain = false) -> Status {
     pending_bytes += b;
-    if (pending_bytes < (256u << 10)) return Status::OK();
-    Status s = SendOverLink(pending_bytes);
+    if (pending_bytes == 0 || (!drain && pending_bytes < kCatchUpChunkBytes)) {
+      return Status::OK();
+    }
+    Status s = options.send(pending_bytes);
     pending_bytes = 0;
     return s;
   };
-
-  // State flows in via IngestSortedBatch, never the backup's WAL: the stream
-  // is in key order, not sequence order, and a WAL with regressing sequences
-  // is a checker error. Ingest is the same WAL-bypassing, exact-sequence
-  // path the rollback drain uses.
-  std::vector<lsm::IngestEntry> batch;
+  std::vector<VersionedEntry> batch;
   auto flush_batch = [&]() -> Status {
     if (batch.empty()) return Status::OK();
-    Status s = backup_->main()->IngestSortedBatch(batch);
+    Status s = target->IngestSortedBatch(batch);
     batch.clear();
     return s;
   };
+  // Ships one entry: a put of `value`, or a tombstone when `value` is null.
+  // It takes the source's sequence when that is newer than the target's
+  // version, otherwise a fresh one from the source's clock.
+  auto ship = [&](std::string key, const Value* value,
+                  lsm::SequenceNumber source_seq,
+                  lsm::SequenceNumber target_seq) -> Status {
+    uint64_t payload = key.size() + kEntryFramingBytes;
+    if (value != nullptr) payload += value->logical_size();
+    stats->entries++;
+    stats->bytes += payload;
+    Status s = charge(payload);
+    if (!s.ok()) return s;
+    if (options.through_write_path) {
+      stats->write_path_bytes += payload;
+      return value != nullptr ? target->Put(wo, key, *value)
+                              : target->Delete(wo, key);
+    }
+    lsm::SequenceNumber seq = source_seq > target_seq
+                                  ? source_seq
+                                  : source->AllocateSequence(1);
+    batch.push_back({std::move(key), value != nullptr ? *value : Value(),
+                     value == nullptr, seq});
+    return batch.size() >= kCatchUpBatchEntries ? flush_batch()
+                                                : Status::OK();
+  };
 
-  // Forward pass: every live primary key missing or stale on the backup is
-  // shipped at its exact primary sequence.
-  auto it = primary_->main()->NewIterator(ro);
+  // Forward pass: every live source key whose value differs on the target.
+  auto it = source->NewIterator(ro);
   for (it->SeekToFirst(); it->Valid(); it->Next()) {
     std::string key = it->key().ToString();
-    Value v;
-    lsm::SequenceNumber pseq = 0;
-    Status s = primary_->main()->GetWithSequence(ro, key, &v, &pseq);
-    if (s.IsNotFound()) continue;
+    Value sv;
+    lsm::SequenceNumber sseq = 0;
+    Status s = source->GetWithSequence(ro, key, &sv, &sseq);
+    if (s.IsNotFound()) continue;  // raced a deletion; reverse pass's job
     if (!s.ok()) return s;
-    Value bv;
-    lsm::SequenceNumber bseq = 0;
-    Status bs = backup_->main()->GetWithSequence(ro, key, &bv, &bseq);
-    if (!bs.ok() && !bs.IsNotFound()) return bs;
-    if (bseq >= pseq) continue;  // backup already at (or past) this version
-    lsm::IngestEntry e;
-    e.key = key;
-    e.value = v;
-    e.seq = pseq;
-    batch.push_back(std::move(e));
-    s = charge(key.size() + v.logical_size() + kIntentEntryBytes);
+    Value tv;
+    lsm::SequenceNumber tseq = 0;
+    Status ts = target->GetWithSequence(ro, key, &tv, &tseq);
+    if (!ts.ok() && !ts.IsNotFound()) return ts;
+    if (ts.ok() && tv == sv) continue;  // converged
+    if (tseq > options.frontier) stats->diverged_keys++;
+    s = ship(std::move(key), &sv, sseq, tseq);
     if (!s.ok()) return s;
-    if (batch.size() >= 512) {
-      s = flush_batch();
-      if (!s.ok()) return s;
-    }
   }
   if (!it->status().ok()) return it->status();
   Status s = flush_batch();
   if (!s.ok()) return s;
 
-  // Reverse pass: keys live on the backup but deleted on the primary get the
-  // primary's tombstone sequence (or a fresh one when the tombstone was
-  // already elided). The backup iterator yields ascending keys, so the
-  // tombstone batch is already ingest-sorted.
-  auto bit = backup_->main()->NewIterator(ro);
-  for (bit->SeekToFirst(); bit->Valid(); bit->Next()) {
-    std::string key = bit->key().ToString();
-    Value v;
-    lsm::SequenceNumber pseq = 0;
-    s = primary_->main()->GetWithSequence(ro, key, &v, &pseq);
+  // Reverse pass: keys live on the target but gone on the source become
+  // tombstones. Collected first, applied after: the target's iterator must
+  // not see its own DB mutate underneath it.
+  struct PendingDelete {
+    std::string key;
+    lsm::SequenceNumber source_seq;  // source tombstone's seq (0 = elided)
+    lsm::SequenceNumber target_seq;  // version being buried
+  };
+  std::vector<PendingDelete> deletes;
+  auto tit = target->NewIterator(ro);
+  for (tit->SeekToFirst(); tit->Valid(); tit->Next()) {
+    std::string key = tit->key().ToString();
+    Value sv;
+    lsm::SequenceNumber sseq = 0;
+    s = source->GetWithSequence(ro, key, &sv, &sseq);
     if (s.ok()) continue;  // forward pass covered it
     if (!s.IsNotFound()) return s;
-    lsm::IngestEntry e;
-    e.key = key;
-    e.tombstone = true;
-    e.seq = pseq != 0 ? pseq : primary_->main()->AllocateSequence(1);
-    batch.push_back(std::move(e));
-    s = charge(key.size() + kIntentEntryBytes);
+    Value tv;
+    lsm::SequenceNumber tseq = 0;
+    Status ts = target->GetWithSequence(ro, key, &tv, &tseq);
+    if (!ts.ok() && !ts.IsNotFound()) return ts;
+    if (tseq > options.frontier) stats->diverged_keys++;
+    deletes.push_back(PendingDelete{std::move(key), sseq, tseq});
+  }
+  if (!tit->status().ok()) return tit->status();
+  for (PendingDelete& d : deletes) {
+    // Target iterator order: the tombstone batches are already sorted.
+    s = ship(std::move(d.key), nullptr, d.source_seq, d.target_seq);
     if (!s.ok()) return s;
   }
-  if (!bit->status().ok()) return bit->status();
   s = flush_batch();
   if (!s.ok()) return s;
-  if (pending_bytes > 0) return SendOverLink(pending_bytes);
-  return Status::OK();
+  return charge(0, /*drain=*/true);
 }
 
 }  // namespace kvaccel::core

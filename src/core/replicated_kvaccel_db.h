@@ -54,6 +54,7 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -146,6 +147,38 @@ struct ReplStats {
 uint64_t ReadFenceEpoch(fs::SimFs* fs);
 Status WriteFenceEpoch(fs::SimFs* fs, uint64_t epoch);
 
+// Catching a node up (DESIGN.md §12). A forming pair's Bootstrap streams the
+// primary to its backup this way, and check::RejoinNode the serving node to
+// a healed one.
+struct CatchUpOptions {
+  // Charges `bytes` to the wire: once per full 256 KiB chunk and once for
+  // the remainder at the end.
+  std::function<Status(uint64_t bytes)> send;
+  // Re-run every shipped entry through the target's write path (WAL +
+  // memtable) instead of ingesting it at the source's sequence.
+  bool through_write_path = false;
+  // Target versions above this sequence are the target's diverged tail.
+  uint64_t frontier = UINT64_MAX;
+};
+
+struct CatchUpStats {
+  uint64_t entries = 0;           // puts + tombstones shipped
+  uint64_t bytes = 0;             // payload charged to the wire
+  uint64_t write_path_bytes = 0;  // bytes replayed through the write path
+  uint64_t diverged_keys = 0;     // shipped over a version above the frontier
+};
+
+// Makes `target`'s live key space equal `source`'s. Every live source key
+// whose value differs on the target ships at the source's sequence, or at a
+// fresh source sequence when the target's version is newer; every key live
+// only on the target is buried by a tombstone chosen the same way. Unless
+// `through_write_path`, shipped entries land through the WAL-bypassing
+// IngestSortedBatch in 512-entry batches, so the target's WAL never sees a
+// regressing sequence. Each entry costs its key and value bytes plus 24 B
+// of framing on the wire.
+Status CatchUp(lsm::DB* source, lsm::DB* target,
+               const CatchUpOptions& options, CatchUpStats* stats);
+
 class ReplicatedKvaccelDB : public lsm::Store {
  public:
   static Status Open(const lsm::DbOptions& main_options,
@@ -233,7 +266,7 @@ class ReplicatedKvaccelDB : public lsm::Store {
     };
     Type type = Type::kWalBatch;
     lsm::WriteBatch batch;  // kWalBatch payload
-    std::vector<devlsm::DevLsm::BatchPut> entries;  // kRedirectIntent payload
+    std::vector<VersionedEntry> entries;  // kRedirectIntent payload
     uint64_t first_seq = 0;
     uint64_t last_seq = 0;  // highest sequence carried (0 when none)
     uint32_t count = 0;  // entries carried (0 for rollback/manifest/heartbeat)
@@ -246,8 +279,7 @@ class ReplicatedKvaccelDB : public lsm::Store {
 
   // Primary-side hooks (installed into the primary's options at Open).
   Status ShipWalBatch(const lsm::WriteBatch& group, uint64_t first_seq);
-  Status ShipRedirectIntent(
-      const std::vector<devlsm::DevLsm::BatchPut>& entries);
+  Status ShipRedirectIntent(const std::vector<VersionedEntry>& entries);
   void ShipRollback();
   void ShipManifestEdit(const std::string& edit, uint64_t last_seq);
 
@@ -261,7 +293,7 @@ class ReplicatedKvaccelDB : public lsm::Store {
   Status ApplyOnBackup(Record* rec);
   Status ApplyIntentOnBackup(Record* rec);
   // WAL-bypassing exact-sequence ingest on the backup (sorts + dedups).
-  Status IngestOnBackup(std::vector<lsm::IngestEntry> ing);
+  Status IngestOnBackup(std::vector<VersionedEntry> ing);
   void RecordLoss(const Record& rec);
 
   // Fencing internals.
@@ -276,7 +308,7 @@ class ReplicatedKvaccelDB : public lsm::Store {
   void ShipperLoop();
 
   // Streams the primary's existing contents to a freshly attached backup
-  // (promote -> re-pair lifecycle). Two-sided merge at exact sequences.
+  // (promote -> re-pair lifecycle) with CatchUp over the pair's link.
   Status Bootstrap();
 
   ReplOptions options_;

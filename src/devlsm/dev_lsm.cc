@@ -165,7 +165,7 @@ Status DevLsm::Delete(const Slice& key, uint64_t host_seq) {
   return Status::OK();
 }
 
-Status DevLsm::PutCompound(const std::vector<BatchPut>& entries) {
+Status DevLsm::PutCompound(const std::vector<VersionedEntry>& entries) {
   if (entries.empty()) return Status::OK();
   sim::SimLockGuard l(cmd_mu_);
   if (sim::SimCrashed(env_)) return Status::IOError("simulated crash");
@@ -173,7 +173,7 @@ Status DevLsm::PutCompound(const std::vector<BatchPut>& entries) {
     return Status::IOError("injected: KV compound command failed");
   }
   uint64_t payload = 0;
-  for (const BatchPut& e : entries) {
+  for (const VersionedEntry& e : entries) {
     payload += e.key.size() + (e.tombstone ? 0 : e.value.logical_size());
   }
   Nanos cmd_start = tracer_ != nullptr ? env_->Now() : 0;
@@ -187,18 +187,18 @@ Status DevLsm::PutCompound(const std::vector<BatchPut>& entries) {
                                 static_cast<double>(entries.size() - 1));
   stats_.compound_cmds++;
   stats_.compound_entries += entries.size();
-  for (const BatchPut& bp : entries) {
+  for (const VersionedEntry& ve : entries) {
     Entry e;
-    if (bp.tombstone) {
+    if (ve.tombstone) {
       stats_.deletes++;
     } else {
       stats_.puts++;
-      e.value = bp.value;
+      e.value = ve.value;
     }
-    e.tombstone = bp.tombstone;
+    e.tombstone = ve.tombstone;
     e.seq = next_seq_++;
-    e.host_seq = bp.host_seq;
-    InsertLocked(bp.key, std::move(e));
+    e.host_seq = ve.seq;
+    InsertLocked(ve.key, std::move(e));
   }
   mutation_epoch_++;
   if (tracer_ != nullptr) {
@@ -405,7 +405,8 @@ std::shared_ptr<const DevLsm::MergedView> DevLsm::SnapshotLocked() const {
   return snapshot_cache_;
 }
 
-Status DevLsm::BulkScan(const std::function<void(const ScanEntry&)>& fn) {
+Status DevLsm::BulkScan(
+    const std::function<void(const VersionedEntry&)>& fn) {
   std::shared_ptr<const MergedView> view_snapshot;
   {
     // Snapshot under the command mutex, then release it: a rollback-sized
@@ -423,7 +424,7 @@ Status DevLsm::BulkScan(const std::function<void(const ScanEntry&)>& fn) {
   // range [chunk_begin, end); its entries reach `fn` once it has landed.
   size_t chunk_begin = 0;
   uint64_t chunk_bytes = 0;
-  ScanEntry out;
+  VersionedEntry out;
   auto ship_chunk = [&](size_t end) {
     if (end == chunk_begin) return;
     {
@@ -444,7 +445,7 @@ Status DevLsm::BulkScan(const std::function<void(const ScanEntry&)>& fn) {
       out.key = k;
       out.value = e.value;
       out.tombstone = e.tombstone;
-      out.host_seq = e.host_seq;
+      out.seq = e.host_seq;
       fn(out);
     }
     chunk_begin = end;
@@ -565,7 +566,7 @@ void DevLsm::Iterator::FetchBatch(const Slice& start, bool inclusive) {
 
   uint64_t batch_bytes = 0;
   while (it != view.end() && batch_bytes < dev->options_.dma_chunk) {
-    ScanEntry e;
+    VersionedEntry e;
     e.key = it->first;
     e.value = it->second.value;
     e.tombstone = it->second.tombstone;
@@ -581,7 +582,7 @@ void DevLsm::Iterator::FetchBatch(const Slice& start, bool inclusive) {
     // — the Table V bottleneck the paper names ("without a read cache ...
     // its range query performance lags behind significantly").
     const uint64_t page = dev->ssd_->config().page_size;
-    for (const ScanEntry& e : buffer_) {
+    for (const VersionedEntry& e : buffer_) {
       // Extension: with a device read cache configured, resident pages skip
       // the NAND round trip (paper: the absence of this cache is the
       // Table V bottleneck).

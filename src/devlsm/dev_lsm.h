@@ -82,15 +82,6 @@ struct DevLsmStats {
 
 class DevLsm {
  public:
-  // One entry streamed out of a bulk scan.
-  struct ScanEntry {
-    std::string key;
-    Value value;
-    bool tombstone = false;
-    // Host-assigned version (see Put); 0 when the writer didn't supply one.
-    uint64_t host_seq = 0;
-  };
-
   DevLsm(ssd::HybridSsd* ssd, int nsid, const DevLsmOptions& options);
   ~DevLsm();
 
@@ -105,14 +96,9 @@ class DevLsm {
   // command — one command/completion overhead and one DMA for the whole
   // payload, with the per-pair firmware cost amortized (NAND cost stays
   // per-entry, paid when the device memtable flushes). Entries are applied
-  // atomically with respect to other commands (single firmware queue).
-  struct BatchPut {
-    std::string key;
-    Value value;
-    uint64_t host_seq = 0;
-    bool tombstone = false;  // redirected Delete riding the compound command
-  };
-  Status PutCompound(const std::vector<BatchPut>& entries);
+  // atomically with respect to other commands (single firmware queue). Each
+  // entry's seq is its host_seq; a tombstone is a redirected Delete.
+  Status PutCompound(const std::vector<VersionedEntry>& entries);
   // NotFound for absent keys and tombstones.
   Status Get(const Slice& key, Value* value);
   bool Exist(const Slice& key);
@@ -122,8 +108,8 @@ class DevLsm {
   // dma_chunk-sized device->host transfers. `fn` runs host-side after each
   // chunk lands. The command mutex is released between chunks, so PUTs
   // redirected during a long scan are served rather than queued behind it;
-  // they are not part of the snapshot.
-  Status BulkScan(const std::function<void(const ScanEntry&)>& fn);
+  // they are not part of the snapshot. Each entry's seq is its host_seq.
+  Status BulkScan(const std::function<void(const VersionedEntry&)>& fn);
 
   // Device-side iterator for range queries (paper §V-F). Seek/Next fetch
   // dma_chunk batches through the same scan machinery — uncached, so every
@@ -247,7 +233,7 @@ class DevLsm::Iterator {
 
   DevLsm* dev_;
   std::shared_ptr<const MergedView> view_;  // snapshot pinned at open
-  std::vector<ScanEntry> buffer_;
+  std::vector<VersionedEntry> buffer_;
   size_t pos_ = 0;
   bool exhausted_ = false;
 };

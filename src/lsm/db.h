@@ -78,16 +78,6 @@ struct SstFileInfo {
   std::string largest;
 };
 
-// One entry of a sorted-batch ingestion (see DB::IngestSortedBatch).
-struct IngestEntry {
-  std::string key;
-  Value value;
-  bool tombstone = false;
-  // Sequence number the entry was originally written with; must come from
-  // this DB's sequence space (AllocateSequence) so global ordering holds.
-  SequenceNumber seq = 0;
-};
-
 // The key-value surface every store serves: this host LSM, the KVACCEL node
 // (core::KvaccelDB), the sharded router and the HA pair. The harness and the
 // nemesis drive all four through it.
@@ -152,8 +142,11 @@ class DB : public Store {
   // Bulk-loads already-sorted, already-versioned entries as one L0 SST,
   // bypassing WAL and memtable (RocksDB external-file-ingestion style).
   // KVACCEL's rollback uses this to merge the Dev-LSM scan stream without
-  // paying the write path twice. Keys must be strictly ascending.
-  virtual Status IngestSortedBatch(const std::vector<IngestEntry>& entries) = 0;
+  // paying the write path twice. Keys must be strictly ascending; each
+  // entry's seq is the sequence it was originally written with and must
+  // come from this DB's sequence space (AllocateSequence).
+  virtual Status IngestSortedBatch(
+      const std::vector<VersionedEntry>& entries) = 0;
 
   // --- Integrity hooks (scrubber / checker, DESIGN.md §9) ---
   // Every SST in the current version, L0 downward.

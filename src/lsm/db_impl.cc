@@ -266,30 +266,27 @@ Status DbImpl::Write(const WriteOptions& wopts, WriteBatch* batch) {
     // coalesces.
     commit_in_flight_ = true;
     mu_.Unlock();
-    if (options_.wal_enabled && !wopts.disable_wal) {
-      Nanos append_start = tracer_ != nullptr ? env_->Now() : 0;
-      s = wal_->AddRecord(group->Contents(), group->LogicalSize());
+    Nanos append_start = tracer_ != nullptr ? env_->Now() : 0;
+    s = wal_->AddRecord(group->Contents(), group->LogicalSize());
+    if (tracer_ != nullptr) {
+      wal_append_span_.Add(append_start, env_->Now(), group->LogicalSize());
+    }
+    if (s.ok() && sim::FaultAt(env_, "crash.wal.post_append")) {
+      // Power lost after the append, before it could become durable: the
+      // group is never acknowledged.
+      s = Status::IOError("simulated crash");
+    }
+    if (s.ok() && (wopts.sync || options_.wal_sync)) {
+      Nanos sync_start = tracer_ != nullptr ? env_->Now() : 0;
+      s = RetryTransient([this] { return wal_->Sync(); });
       if (tracer_ != nullptr) {
-        wal_append_span_.Add(append_start, env_->Now(),
-                             group->LogicalSize());
+        wal_sync_span_.Add(sync_start, env_->Now(), 0);
       }
-      if (s.ok() && sim::FaultAt(env_, "crash.wal.post_append")) {
-        // Power lost after the append, before it could become durable: the
-        // group is never acknowledged.
-        s = Status::IOError("simulated crash");
-      }
-      if (s.ok() && (wopts.sync || options_.wal_sync)) {
-        Nanos sync_start = tracer_ != nullptr ? env_->Now() : 0;
-        s = RetryTransient([this] { return wal_->Sync(); });
-        if (tracer_ != nullptr) {
-          wal_sync_span_.Add(sync_start, env_->Now(), 0);
-        }
-      }
-      if (s.ok() && sim::FaultAt(env_, "crash.wal.post_sync")) {
-        // Power lost after the sync, before the memtable apply: the group is
-        // durable in the WAL but never acknowledged.
-        s = Status::IOError("simulated crash");
-      }
+    }
+    if (s.ok() && sim::FaultAt(env_, "crash.wal.post_sync")) {
+      // Power lost after the sync, before the memtable apply: the group is
+      // durable in the WAL but never acknowledged.
+      s = Status::IOError("simulated crash");
     }
     // Ship the group to the replication peer (HA pair). A shipper failure
     // fails the group: locally WAL-durable but unacked — the same ambiguity
@@ -342,9 +339,8 @@ WriteBatch* DbImpl::BuildBatchGroup(Writer** last_writer) {
   for (auto it = writers_.begin() + 1; it != writers_.end(); ++it) {
     Writer* wr = *it;
     // Never fold a sync write into a non-sync group (its durability demand
-    // would be silently dropped), and keep WAL usage uniform per group.
+    // would be silently dropped).
     if (wr->wopts.sync && !first->wopts.sync) break;
-    if (wr->wopts.disable_wal != first->wopts.disable_wal) break;
     // Replicated batches carry a fixed sequence range; never coalesce them
     // with anything (their range is not contiguous with a fresh allocation).
     if (first->wopts.replicated_seq != 0 || wr->wopts.replicated_seq != 0) {
@@ -1337,9 +1333,6 @@ Status DbImpl::DoCompactionWork(Compaction* c, const KeyRange& range,
   const int output_level = c->output_level;
   ReadOptions ropts;
   ropts.fill_cache = false;  // compaction reads must not wipe the cache
-  // Compaction verifies block CRCs: rewriting a corrupt block into a new SST
-  // would silently launder bad data into wrong-but-checksummed data.
-  ropts.verify_checksums = true;
   // RocksDB compaction_readahead_size (2 MB): amortize NAND access latency
   // over large sequential spans.
   ropts.readahead_blocks = static_cast<uint32_t>(
@@ -1370,9 +1363,15 @@ Status DbImpl::DoCompactionWork(Compaction* c, const KeyRange& range,
                                                 std::move(children));
 
   // Snapshot for tombstone elision: a delete can be dropped when no level
-  // below the output can contain the key.
+  // below the output, no level above the job and no memtable can hold an
+  // older version of the key.
   mu_.Lock();
   std::shared_ptr<const Version> version = versions_->current();
+  std::vector<std::shared_ptr<MemTable>> mems;
+  if (elide_tombstones) {
+    mems.push_back(mem_);
+    for (const ImmEntry& imm : imm_) mems.push_back(imm.mem);
+  }
   mu_.Unlock();
   auto is_base_level_for = [&](const Slice& user_key) {
     for (int level = output_level + 1; level < kNumLevels; level++) {
@@ -1398,6 +1397,19 @@ Status DbImpl::DoCompactionWork(Compaction* c, const KeyRange& range,
           return true;
         }
       }
+    }
+    return false;
+  };
+  // For the same reason a memtable can hold a version older than the
+  // tombstone: a redirected delete rolled back while the key's earlier put
+  // is still unflushed, or a backup or resync ingest landing under live
+  // writes.
+  auto older_in_memtable = [&](const Slice& user_key, SequenceNumber seq) {
+    LookupKey lkey(user_key, seq - 1);
+    Value unused;
+    Status found;
+    for (const auto& mem : mems) {
+      if (mem->Get(lkey, &unused, &found)) return true;
     }
     return false;
   };
@@ -1538,7 +1550,8 @@ Status DbImpl::DoCompactionWork(Compaction* c, const KeyRange& range,
     has_last = true;
 
     if (elide_tombstones && ExtractValueType(ikey) == ValueType::kDeletion &&
-        is_base_level_for(ukey) && !key_above_job(ukey)) {
+        is_base_level_for(ukey) && !key_above_job(ukey) &&
+        !older_in_memtable(ukey, ExtractSequence(ikey))) {
       continue;  // tombstone has nothing left to hide
     }
 
@@ -1585,7 +1598,7 @@ void DbImpl::ReapObsoleteFiles() {
 
 // ---------------- Maintenance / introspection ----------------
 
-Status DbImpl::IngestSortedBatch(const std::vector<IngestEntry>& entries) {
+Status DbImpl::IngestSortedBatch(const std::vector<VersionedEntry>& entries) {
   if (entries.empty()) return Status::OK();
   mu_.Lock();
   uint64_t number = versions_->NewFileNumber();
@@ -1598,7 +1611,7 @@ Status DbImpl::IngestSortedBatch(const std::vector<IngestEntry>& entries) {
   SstBuilder builder(options_, std::move(file));
 
   std::string prev_key;
-  for (const IngestEntry& e : entries) {
+  for (const VersionedEntry& e : entries) {
     if (!prev_key.empty() && e.key <= prev_key) {
       return Status::InvalidArgument("ingest batch not strictly sorted");
     }

@@ -38,7 +38,7 @@ class DbImpl : public DB {
   SequenceNumber LastSequence() override;
   std::unique_ptr<Iterator> NewIterator(const ReadOptions& ropts) override;
 
-  Status IngestSortedBatch(const std::vector<IngestEntry>& entries) override;
+  Status IngestSortedBatch(const std::vector<VersionedEntry>& entries) override;
   Status FlushAll() override;
   Status WaitForCompactionIdle() override;
   Status Close() override;

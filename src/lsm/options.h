@@ -129,7 +129,6 @@ struct DbOptions {
   uint64_t block_cache_capacity = 64ull << 20;  // logical bytes
 
   // --- WAL ---
-  bool wal_enabled = true;
   bool wal_sync = false;  // db_bench default: buffered, unsynced WAL
 
   // --- Group commit ---
@@ -145,9 +144,6 @@ struct DbOptions {
   double get_cpu_ns = 2000;
   // Per-entry cost of iterator Next().
   double next_cpu_ns = 350;
-
-  // Verify CRCs when reading blocks (costs host CPU in the model).
-  bool verify_checksums = true;
 
   // --- Transient-error retry policy ---
   // Retryable device errors (IOError/Busy/TryAgain) in WAL sync, flush and
@@ -184,8 +180,6 @@ struct DbOptions {
 // Per-read options.
 struct ReadOptions {
   bool fill_cache = true;
-  // Verify block CRCs on this read (ANDed with DbOptions::verify_checksums).
-  bool verify_checksums = true;
   // Blocks fetched per device read by iterators (1 = none). Compaction uses
   // a large value (RocksDB compaction_readahead_size) so sequential reads
   // amortize the NAND access latency.
@@ -195,7 +189,6 @@ struct ReadOptions {
 // Per-write options.
 struct WriteOptions {
   bool sync = false;
-  bool disable_wal = false;
   // Non-zero marks a write applied FROM the replication stream: the batch is
   // committed at exactly this first sequence number (advancing last_sequence
   // past the batch if needed) instead of allocating fresh sequences, is never

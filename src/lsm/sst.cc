@@ -224,15 +224,13 @@ Status SstReader::ReadBlock(size_t index_pos, const ReadOptions& ropts,
   if (fresh->physical.size() != handle.physical) {
     return Status::Corruption("short block read");
   }
-  if (options_.verify_checksums && ropts.verify_checksums) {
-    std::string crc_bytes;
-    s = file_->Read(handle.offset + handle.physical, 4, &crc_bytes);
-    if (!s.ok()) return s;
-    uint32_t expected = crc32c::Unmask(DecodeFixed32(crc_bytes.data()));
-    if (expected != crc32c::Value(fresh->physical.data(),
-                                  fresh->physical.size())) {
-      return Status::Corruption("block checksum mismatch");
-    }
+  std::string crc_bytes;
+  s = file_->Read(handle.offset + handle.physical, 4, &crc_bytes);
+  if (!s.ok()) return s;
+  uint32_t expected = crc32c::Unmask(DecodeFixed32(crc_bytes.data()));
+  if (expected !=
+      crc32c::Value(fresh->physical.data(), fresh->physical.size())) {
+    return Status::Corruption("block checksum mismatch");
   }
   if (cache_ != nullptr && ropts.fill_cache) {
     cache_->Insert(file_number_, handle.offset, fresh);
@@ -242,7 +240,7 @@ Status SstReader::ReadBlock(size_t index_pos, const ReadOptions& ropts,
 }
 
 Status SstReader::ReadBlocksRange(
-    size_t first, size_t count, const ReadOptions& ropts,
+    size_t first, size_t count,
     std::vector<std::shared_ptr<BlockCache::Block>>* out) {
   out->clear();
   if (first >= index_.size()) return Status::OK();
@@ -264,13 +262,11 @@ Status SstReader::ReadBlocksRange(
     auto block = std::make_shared<BlockCache::Block>();
     block->logical = h.logical;
     block->physical.assign(buf, rel, h.physical);
-    if (options_.verify_checksums && ropts.verify_checksums) {
-      uint32_t expected =
-          crc32c::Unmask(DecodeFixed32(buf.data() + rel + h.physical));
-      if (expected !=
-          crc32c::Value(block->physical.data(), block->physical.size())) {
-        return Status::Corruption("block checksum mismatch");
-      }
+    uint32_t expected =
+        crc32c::Unmask(DecodeFixed32(buf.data() + rel + h.physical));
+    if (expected !=
+        crc32c::Value(block->physical.data(), block->physical.size())) {
+      return Status::Corruption("block checksum mismatch");
     }
     out->push_back(std::move(block));
   }
@@ -417,8 +413,8 @@ class SstIterator : public Iterator {
     }
     if (pos < prefetch_base_ || pos >= prefetch_base_ + prefetch_.size()) {
       prefetch_base_ = pos;
-      Status s = table_->ReadBlocksRange(pos, ropts_.readahead_blocks, ropts_,
-                                         &prefetch_);
+      Status s =
+          table_->ReadBlocksRange(pos, ropts_.readahead_blocks, &prefetch_);
       if (!s.ok()) return s;
     }
     *block = prefetch_[pos - prefetch_base_];
@@ -443,7 +439,6 @@ std::unique_ptr<Iterator> SstReader::NewIterator(const ReadOptions& ropts) {
 
 Status ScanTable(SstReader* table, FileMetaData* observed) {
   ReadOptions ropts;
-  ropts.verify_checksums = true;
   ropts.fill_cache = false;
   InternalKeyComparator icmp;
   auto iter = table->NewIterator(ropts);

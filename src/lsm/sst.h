@@ -116,15 +116,14 @@ class SstReader : public std::enable_shared_from_this<SstReader> {
       : options_(options), file_number_(file_number), cache_(cache),
         bloom_(options.bloom_bits_per_key) {}
 
-  // Loads (possibly from cache) the data block for index position `i`.
-  // CRCs are verified iff both DbOptions::verify_checksums and
-  // ropts.verify_checksums are set.
+  // Loads (possibly from cache) the data block for index position `i`,
+  // verifying its CRC when it comes from the device.
   Status ReadBlock(size_t index_pos, const ReadOptions& ropts,
                    std::shared_ptr<BlockCache::Block>* block);
   // Sequential readahead: loads `count` consecutive blocks starting at
   // `first` with a single device read (one access latency for the whole
   // span), parsing and CRC-checking each block.
-  Status ReadBlocksRange(size_t first, size_t count, const ReadOptions& ropts,
+  Status ReadBlocksRange(size_t first, size_t count,
                          std::vector<std::shared_ptr<BlockCache::Block>>* out);
   // First index position whose block may contain `internal_key`.
   size_t FindBlock(const Slice& internal_key) const;

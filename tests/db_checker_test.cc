@@ -15,6 +15,7 @@
 #include "lsm/filename.h"
 #include "lsm/version.h"
 #include "lsm/wal.h"
+#include "sim/fault.h"
 #include "tests/test_util.h"
 
 namespace kvaccel {
@@ -325,6 +326,63 @@ TEST(DbCheckerTest, ManifestEditAtBadLevelFailsOpenAndCheck) {
     EXPECT_FALSE(report.ok());
     EXPECT_NE(report.FirstError().find("bad level 9"), std::string::npos)
         << report.ToString();
+  });
+}
+
+// Only Corruption is damage. A transient read fault during Repair used to
+// make it rewrite the WAL with the records read before the fault (none: the
+// log is read in one call), so a reopen served none of the acked writes.
+TEST(DbCheckerTest, RepairReturnsReadFaultsAndChangesNothing) {
+  SimWorld world;
+  world.Run([&] {
+    lsm::DbOptions opts = test::SmallDbOptions();
+    opts.write_buffer_size = 4 << 20;  // keep everything in the WAL
+    opts.wal_sync = true;
+    {
+      std::unique_ptr<lsm::DB> db;
+      ASSERT_TRUE(lsm::DB::Open(opts, world.MakeDbEnv(), &db).ok());
+      for (int k = 0; k < 40; k++) {
+        ASSERT_TRUE(db->Put({}, TestKey(k), Value::Synthetic(k, 4096)).ok());
+      }
+      ASSERT_TRUE(db->Close().ok());
+    }
+    world.fs->DropAllDirty();  // power cut: the acked writes are synced
+    const std::vector<std::string> names = world.fs->GetChildren();
+    std::map<std::string, std::string> contents;
+    for (const std::string& name : names) {
+      contents[name] = ReadRaw(*world.fs, name);
+    }
+
+    sim::FaultInjector inj(&world.env, 1);
+    world.env.set_fault_injector(&inj);
+    sim::FaultRule always;
+    always.probability = 1.0;
+    inj.Arm("ssd.block.read.transient", always);
+    DbChecker checker(opts, world.MakeDbEnv());
+    CheckReport report;
+    Status s = checker.Repair(&report);
+    inj.Disarm("ssd.block.read.transient");
+    EXPECT_FALSE(s.ok());
+    EXPECT_FALSE(s.IsCorruption()) << s.ToString();
+    EXPECT_GT(inj.fires("ssd.block.read.transient"), 0u);
+    EXPECT_TRUE(report.actions.empty()) << report.ToString();
+    EXPECT_EQ(world.fs->GetChildren(), names);
+    for (const auto& [name, raw] : contents) {
+      if (!world.fs->FileExists(name)) continue;  // reported just above
+      EXPECT_TRUE(ReadRaw(*world.fs, name) == raw) << name << " rewritten";
+    }
+
+    ASSERT_TRUE(checker.Repair(&report).ok()) << report.ToString();
+    std::unique_ptr<lsm::DB> db;
+    ASSERT_TRUE(lsm::DB::Open(opts, world.MakeDbEnv(), &db).ok());
+    for (int k = 0; k < 40; k++) {
+      Value v;
+      Status gs = db->Get({}, TestKey(k), &v);
+      ASSERT_TRUE(gs.ok()) << TestKey(k) << ": " << gs.ToString();
+      EXPECT_EQ(v.seed(), static_cast<uint64_t>(k));
+    }
+    ASSERT_TRUE(db->Close().ok());
+    world.env.set_fault_injector(nullptr);
   });
 }
 

@@ -107,7 +107,7 @@ TEST(DevLsmTest, BulkScanStreamsSortedNewestOnly) {
     std::vector<std::string> keys;
     int tombstones = 0;
     uint64_t seed25 = 0;
-    ASSERT_TRUE(dev.BulkScan([&](const DevLsm::ScanEntry& e) {
+    ASSERT_TRUE(dev.BulkScan([&](const VersionedEntry& e) {
                     keys.push_back(e.key);
                     if (e.tombstone) tombstones++;
                     if (e.key == TestKey(25)) seed25 = e.value.seed();
@@ -265,16 +265,16 @@ TEST(DevLsmTest, SeededScheduleMatchesNewestSequenceModel) {
         }
         EXPECT_TRUE(dev.Get("absent", &v).IsNotFound());
 
-        std::vector<DevLsm::ScanEntry> scanned;
-        ASSERT_TRUE(dev.BulkScan([&](const DevLsm::ScanEntry& e) {
+        std::vector<VersionedEntry> scanned;
+        ASSERT_TRUE(dev.BulkScan([&](const VersionedEntry& e) {
                          scanned.push_back(e);
                        }).ok());
         ASSERT_EQ(scanned.size(), model.size());
         auto mit = model.begin();
-        for (const DevLsm::ScanEntry& e : scanned) {
+        for (const VersionedEntry& e : scanned) {
           EXPECT_EQ(e.key, mit->first);
           EXPECT_EQ(e.tombstone, mit->second.tombstone) << e.key;
-          EXPECT_EQ(e.host_seq, mit->second.host_seq) << e.key;
+          EXPECT_EQ(e.seq, mit->second.host_seq) << e.key;
           if (!e.tombstone) {
             EXPECT_EQ(e.value, mit->second.value) << e.key;
           }
@@ -305,16 +305,16 @@ TEST(DevLsmTest, SeededScheduleMatchesNewestSequenceModel) {
       for (uint64_t step = 0; step < 1500; step++) {
         const uint64_t r = rnd.Uniform(100);
         if (r < 40) {
-          std::vector<DevLsm::BatchPut> batch(1 + rnd.Uniform(24));
-          for (DevLsm::BatchPut& bp : batch) {
+          std::vector<VersionedEntry> batch(1 + rnd.Uniform(24));
+          for (VersionedEntry& bp : batch) {
             bp.key = TestKey(rnd.Uniform(400));  // may repeat in the batch
             bp.tombstone = rnd.OneIn(6);
             if (!bp.tombstone) bp.value = value_for(step);
-            bp.host_seq = ++host_seq;
+            bp.seq = ++host_seq;
           }
           ASSERT_TRUE(dev.PutCompound(batch).ok());
-          for (const DevLsm::BatchPut& bp : batch) {
-            apply(bp.key, bp.value, bp.tombstone, bp.host_seq);
+          for (const VersionedEntry& bp : batch) {
+            apply(bp.key, bp.value, bp.tombstone, bp.seq);
           }
         } else if (r < 70) {
           std::string key = TestKey(rnd.Uniform(400));

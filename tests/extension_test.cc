@@ -113,9 +113,9 @@ TEST(CompoundCommandTest, BatchedPutsApplyAtomically) {
   world.Run([&] {
     devlsm::DevLsmOptions opts;
     devlsm::DevLsm dev(world.ssd.get(), 0, opts);
-    std::vector<devlsm::DevLsm::BatchPut> batch;
+    std::vector<VersionedEntry> batch;
     for (int i = 0; i < 64; i++) {
-      batch.push_back({TestKey(i), Value::Synthetic(i, 4096),
+      batch.push_back({TestKey(i), Value::Synthetic(i, 4096), false,
                        static_cast<uint64_t>(100 + i)});
     }
     ASSERT_TRUE(dev.PutCompound(batch).ok());
@@ -144,9 +144,9 @@ TEST(CompoundCommandTest, CompoundIsCheaperThanSingles) {
     }
     {
       devlsm::DevLsm dev(world.ssd.get(), 0, {});
-      std::vector<devlsm::DevLsm::BatchPut> batch;
+      std::vector<VersionedEntry> batch;
       for (int i = 0; i < 32; i++) {
-        batch.push_back({TestKey(i), Value::Synthetic(i, 4096), 0});
+        batch.push_back({TestKey(i), Value::Synthetic(i, 4096), false, 0});
       }
       Nanos t0 = world.env.Now();
       ASSERT_TRUE(dev.PutCompound(batch).ok());

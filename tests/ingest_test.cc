@@ -17,7 +17,7 @@ TEST(IngestTest, BatchVisibleAfterIngestion) {
   world.Run([&] {
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(test::SmallDbOptions(), world.MakeDbEnv(), &db).ok());
-    std::vector<IngestEntry> batch;
+    std::vector<VersionedEntry> batch;
     for (int i = 0; i < 100; i++) {
       batch.push_back({TestKey(i), Value::Synthetic(i, 512), false,
                        db->AllocateSequence(1)});
@@ -42,8 +42,8 @@ TEST(IngestTest, SequenceOrderingAgainstLiveWrites) {
     ASSERT_TRUE(db->Put({}, "k", Value::Inline("v1")).ok());
     SequenceNumber ingest_seq = db->AllocateSequence(1);
     ASSERT_TRUE(db->Put({}, "k2", Value::Inline("x")).ok());  // later seq
-    std::vector<IngestEntry> batch{{"k", Value::Inline("v2"), false,
-                                    ingest_seq}};
+    std::vector<VersionedEntry> batch{
+        {"k", Value::Inline("v2"), false, ingest_seq}};
     ASSERT_TRUE(db->IngestSortedBatch(batch).ok());
     Value v;
     ASSERT_TRUE(db->Get({}, "k", &v).ok());
@@ -63,8 +63,8 @@ TEST(IngestTest, StaleIngestDoesNotClobberNewerData) {
     ASSERT_TRUE(DB::Open(test::SmallDbOptions(), world.MakeDbEnv(), &db).ok());
     SequenceNumber old_seq = db->AllocateSequence(1);
     ASSERT_TRUE(db->Put({}, "k", Value::Inline("new")).ok());
-    std::vector<IngestEntry> batch{{"k", Value::Inline("old"), false,
-                                    old_seq}};
+    std::vector<VersionedEntry> batch{
+        {"k", Value::Inline("old"), false, old_seq}};
     ASSERT_TRUE(db->IngestSortedBatch(batch).ok());
     Value v;
     ASSERT_TRUE(db->Get({}, "k", &v).ok());
@@ -80,7 +80,7 @@ TEST(IngestTest, TombstonesIngest) {
     ASSERT_TRUE(DB::Open(test::SmallDbOptions(), world.MakeDbEnv(), &db).ok());
     ASSERT_TRUE(db->Put({}, TestKey(1), Value::Inline("x")).ok());
     ASSERT_TRUE(db->Put({}, TestKey(2), Value::Inline("y")).ok());
-    std::vector<IngestEntry> batch{
+    std::vector<VersionedEntry> batch{
         {TestKey(1), Value(), true, db->AllocateSequence(1)}};
     ASSERT_TRUE(db->IngestSortedBatch(batch).ok());
     Value v;
@@ -95,11 +95,11 @@ TEST(IngestTest, RejectsUnsortedBatch) {
   world.Run([&] {
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(test::SmallDbOptions(), world.MakeDbEnv(), &db).ok());
-    std::vector<IngestEntry> batch{
+    std::vector<VersionedEntry> batch{
         {"b", Value::Inline("1"), false, db->AllocateSequence(1)},
         {"a", Value::Inline("2"), false, db->AllocateSequence(1)}};
     EXPECT_TRUE(db->IngestSortedBatch(batch).IsInvalidArgument());
-    std::vector<IngestEntry> dup{
+    std::vector<VersionedEntry> dup{
         {"a", Value::Inline("1"), false, db->AllocateSequence(1)},
         {"a", Value::Inline("2"), false, db->AllocateSequence(1)}};
     EXPECT_TRUE(db->IngestSortedBatch(dup).IsInvalidArgument());
@@ -132,7 +132,7 @@ TEST(IngestTest, NewerIngestShadowsStaleVersionAcrossLevels) {
     ASSERT_TRUE(DB::Open(test::SmallDbOptions(), world.MakeDbEnv(), &db).ok());
     // Stale version sits in the memtable; nothing below flushes it.
     ASSERT_TRUE(db->Put({}, "k", Value::Inline("stale")).ok());
-    std::vector<IngestEntry> batch{
+    std::vector<VersionedEntry> batch{
         {"k", Value::Inline("fresh"), false, db->AllocateSequence(1)}};
     ASSERT_TRUE(db->IngestSortedBatch(batch).ok());
 
@@ -151,7 +151,7 @@ TEST(IngestTest, NewerIngestShadowsStaleVersionAcrossLevels) {
     // until the file carrying "fresh" has been compacted below L0.
     int next = 1000;
     for (int round = 0; round < 20 && covering_level() < 1; round++) {
-      std::vector<IngestEntry> filler;
+      std::vector<VersionedEntry> filler;
       for (int i = 0; i < 32; i++, next++) {
         filler.push_back({TestKey(next), Value::Synthetic(next, 4096), false,
                           db->AllocateSequence(1)});
@@ -176,6 +176,43 @@ TEST(IngestTest, NewerIngestShadowsStaleVersionAcrossLevels) {
   });
 }
 
+// Regression: compaction dropped a tombstone once no SST below or above the
+// job held its key, without looking at the memtables. Rollback, the HA
+// backup and a resync ingest at historical sequences, so a memtable can hold
+// a version OLDER than an ingested tombstone (a redirected delete rolled
+// back while the key's earlier put is unflushed). With the tombstone gone,
+// Get served the deleted put again.
+TEST(IngestTest, CompactionKeepsTombstoneOverOlderMemtableVersion) {
+  SimWorld world;
+  world.Run([&] {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(test::SmallDbOptions(), world.MakeDbEnv(), &db).ok());
+    ASSERT_TRUE(db->Put({}, "k", Value::Inline("put")).ok());
+    std::vector<VersionedEntry> tombstone{
+        {"k", Value(), true, db->AllocateSequence(1)}};
+    ASSERT_TRUE(db->IngestSortedBatch(tombstone).ok());
+    Value v;
+    ASSERT_TRUE(db->Get({}, "k", &v).IsNotFound());
+
+    // Four more L0 files take L0 past its trigger of four: the file holding
+    // the tombstone compacts into an empty L1 while the put stays unflushed.
+    for (int f = 0; f < 4; f++) {
+      std::vector<VersionedEntry> filler;
+      for (int i = 0; i < 8; i++) {
+        filler.push_back({TestKey(f * 8 + i), Value::Synthetic(i, 4096),
+                          false, db->AllocateSequence(1)});
+      }
+      ASSERT_TRUE(db->IngestSortedBatch(filler).ok());
+    }
+    ASSERT_TRUE(db->WaitForCompactionIdle().ok());
+    ASSERT_GE(db->stats().compaction_count, 1u);
+
+    Status s = db->Get({}, "k", &v);
+    EXPECT_TRUE(s.IsNotFound()) << s.ToString() << " " << v.Materialize();
+    ASSERT_TRUE(db->Close().ok());
+  });
+}
+
 TEST(IngestTest, IngestedDataSurvivesCompactionAndRestart) {
   SimWorld world;
   world.Run([&] {
@@ -183,7 +220,7 @@ TEST(IngestTest, IngestedDataSurvivesCompactionAndRestart) {
     {
       std::unique_ptr<DB> db;
       ASSERT_TRUE(DB::Open(opts, world.MakeDbEnv(), &db).ok());
-      std::vector<IngestEntry> batch;
+      std::vector<VersionedEntry> batch;
       for (int i = 0; i < 200; i++) {
         batch.push_back({TestKey(i), Value::Synthetic(i, 4096), false,
                          db->AllocateSequence(1)});

@@ -133,6 +133,41 @@ TEST(NemesisTest, EveryTopologyReplaysItsPinnedSchedule) {
   }
 }
 
+// One reproducer per divergence class that compaction's tombstone elision
+// caused: it dropped a tombstone while a memtable still held an older
+// version of the key, and the deleted version came back. Each of these
+// schedules used to fail against the oracle.
+TEST(NemesisTest, TombstoneElisionReproducersMatchOracle) {
+  struct Reproducer {
+    const char* divergence;
+    uint64_t seed;
+    int cycles;
+    void (*configure)(NemesisOptions*);
+  };
+  auto partition = [](NemesisOptions* o) {
+    o->ha = true;
+    o->net_partition = true;
+  };
+  const Reproducer kReproducers[] = {
+      {"partition delta: rejoined backup resurrects", 88, 8, partition},
+      {"partition delta: promoted node resurrects", 4, 8, partition},
+      {"single: Get resurrects", 74, 30, [](NemesisOptions*) {}},
+      {"single: iterator order", 34, 30, [](NemesisOptions*) {}},
+      {"ndp: Get resurrects", 58, 12,
+       [](NemesisOptions* o) { o->ndp = true; }},
+  };
+  for (const Reproducer& rp : kReproducers) {
+    NemesisOptions opt;
+    opt.seed = rp.seed;
+    opt.cycles = rp.cycles;
+    rp.configure(&opt);
+    NemesisResult r = RunNemesis(opt);
+    EXPECT_TRUE(r.ok) << rp.divergence << " seed=" << rp.seed << ": "
+                      << r.error;
+    EXPECT_EQ(r.cycles_run, rp.cycles) << rp.divergence;
+  }
+}
+
 TEST(NemesisTest, InjectedDivergenceIsCaughtAndDumpReplays) {
   NemesisOptions opt;
   opt.seed = kNemesisSeed;

@@ -5,10 +5,48 @@
 #   tools/ci.sh            # run both passes
 #   tools/ci.sh plain      # plain pass only
 #   tools/ci.sh sanitize   # sanitized pass only
+#
+# Two report-only modes take an existing build directory and never fail on
+# what they find:
+#
+#   tools/ci.sh pinned BUILD_DIR  # one sha256 per pinned artifact
+#   tools/ci.sh sweep BUILD_DIR   # nemesis seeds 1-200 x seven topologies
+#
+# A behaviour-preserving change prints the same `pinned` lines for a build
+# of its parent and of itself, so the check is one `diff`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 4)"
+
+# The nemesis smokes on pinned seeds, as "NAME|FLAGS"; every recovery is
+# verified against the model oracle.
+#   single     30 crash-recovery cycles.
+#   ndp        every compaction forced through the device COMPACT path, the
+#              first cycles armed at each crash.ndp.* kill point in turn,
+#              and transient COMPACT rejections mixed in.
+#   ha-sync    two-node HA, both ack modes: each cycle kills the pair at a
+#   ha-async   kill site drawn from the HA crash table (the single-node sites
+#              plus crash.net.send.mid; seed 50's 12 sync cycles arm all
+#              ten), promotes the backup and holds it to the oracle — sync
+#              must serve every acked write, async loss must stay under the
+#              queue-cap bound.
+#   partition-delta, partition-wal
+#              cycles rotate network-fault kinds (symmetric cut and ack-loss
+#              cut with verified failover + rejoin, transient blip, flapping
+#              link). Both nodes are held to the oracle: no sync-acked write
+#              is lost, no write is acked by a fenced primary, and
+#              reconciliation converges byte-identically — in delta mode
+#              with zero write-path bytes, in wal mode through the full
+#              write path.
+NEMESIS_SMOKES=(
+  "single|--cycles=30 --nemesis_seed=1317456661"
+  "ndp|--ndp --cycles=12 --nemesis_seed=7"
+  "ha-sync|--ha --cycles=12 --nemesis_seed=50"
+  "ha-async|--ha --repl_ack=async --cycles=6 --nemesis_seed=99"
+  "partition-delta|--ha --net_partition --cycles=8 --nemesis_seed=24301"
+  "partition-wal|--ha --net_partition --resync_mode=wal --cycles=4 --nemesis_seed=777"
+)
 
 # nemesis_smoke BUILD_DIR NAME FLAGS...: one kvaccel_nemesis run, its output
 # kept in BUILD_DIR/obs-artifacts/nemesis-NAME.log; on failure the log's tail
@@ -101,37 +139,16 @@ run_pass() {
   # byte-identity for the mixed multi-tenant engine.
   echo "==== ${name}: ctest -L workload ===="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L workload
-  # Nemesis smokes on pinned seeds; every recovery is verified against the
-  # model oracle. A failure prints the log tail: the DIVERGENCE line and the
-  # dumped trace, replayable with --replay.
-  # Single node: 30 crash-recovery cycles.
-  echo "==== ${name}: nemesis smoke (30 cycles) ===="
-  nemesis_smoke "${dir}" single --cycles=30 --nemesis_seed=1317456661
-  # NDP: every compaction forced through the device COMPACT path, the first
-  # cycles armed at each crash.ndp.* kill point in turn, and transient
-  # COMPACT rejections mixed in.
-  echo "==== ${name}: NDP nemesis smoke (12 cycles) ===="
-  nemesis_smoke "${dir}" ndp --ndp --cycles=12 --nemesis_seed=7
-  # Two-node HA, both ack modes: each cycle kills the pair at a kill site
-  # drawn from the HA crash table (the single-node sites plus
-  # crash.net.send.mid; seed 50's 12 sync cycles arm all ten), promotes the
-  # backup and holds it to the oracle — sync must serve every acked write,
-  # async loss must stay under the queue-cap bound.
-  echo "==== ${name}: HA nemesis smokes (sync + async) ===="
-  nemesis_smoke "${dir}" ha-sync --ha --cycles=12 --nemesis_seed=50
-  nemesis_smoke "${dir}" ha-async --ha --repl_ack=async --cycles=6 \
-    --nemesis_seed=99
-  # Partitions: cycles rotate network-fault kinds (symmetric cut and
-  # ack-loss cut with verified failover + rejoin, transient blip, flapping
-  # link). The harness holds both nodes to the model oracle and asserts no
-  # sync-acked write is lost, no write is acked by a fenced primary, and
-  # reconciliation converges byte-identically — in delta mode with zero
-  # write-path bytes, in wal mode through the full write path.
-  echo "==== ${name}: HA partition nemesis smokes (delta + wal resync) ===="
-  nemesis_smoke "${dir}" partition-delta --ha --net_partition --cycles=8 \
-    --nemesis_seed=24301
-  nemesis_smoke "${dir}" partition-wal --ha --net_partition \
-    --resync_mode=wal --cycles=4 --nemesis_seed=777
+  # Nemesis smokes on pinned seeds (NEMESIS_SMOKES above). A failure prints
+  # the log tail: the DIVERGENCE line and the dumped trace, replayable with
+  # --replay.
+  local smoke smoke_name smoke_flags
+  for smoke in "${NEMESIS_SMOKES[@]}"; do
+    IFS='|' read -r smoke_name smoke_flags <<< "${smoke}"
+    echo "==== ${name}: nemesis smoke ${smoke_name} ===="
+    # shellcheck disable=SC2086  # flags are space-separated on purpose
+    nemesis_smoke "${dir}" "${smoke_name}" ${smoke_flags}
+  done
   # Run-artifact smoke: a traced KVACCEL run must produce a parseable Chrome
   # trace containing flush, compaction and stall events, plus a parseable
   # kvaccel-run-v1 JSON report. The report is validated with json.tool; the
@@ -401,7 +418,90 @@ EOF
     "kvaccel-openloop=${out_dir}/smoke_openloop.json"
 }
 
+
+# pinned BUILD_DIR: prints "sha256  NAME.ARTIFACT" for the stdout (its
+# artifact-path lines dropped), --json_out report and --trace_out trace of
+# every bench_smoke dbbench run plus the HA partition drill in wal mode, and
+# for the stdout of the six nemesis smokes. Artifacts stay in
+# BUILD_DIR/pinned-artifacts.
+pinned() {
+  local dir="$1" out="$1/pinned-artifacts"
+  local small="--workload=fillrandom --seconds=10 --scale=0.0625"
+  local runs=(
+    "rocksdb|--system=rocksdb ${small}"
+    "adoc|--system=adoc ${small}"
+    "kvaccel|--system=kvaccel ${small}"
+    "sub1|--system=rocksdb --workload=fillrandom --seconds=20 --scale=0.0625 --threads=4 --writer_threads=4 --batch_size=8 --max_subcompactions=1"
+    "sub4|--system=rocksdb --workload=fillrandom --seconds=20 --scale=0.0625 --threads=4 --writer_threads=4 --batch_size=8 --max_subcompactions=4"
+    "shards1|--system=kvaccel ${small} --writer_threads=4 --batch_size=4 --shards=1"
+    "shards4|--system=kvaccel ${small} --writer_threads=4 --batch_size=4 --shards=4"
+    "ha-sync|--system=kvaccel ${small} --ha --repl_ack=sync"
+    "ha-partition-delta|--system=kvaccel ${small} --ha --repl_ack=sync --net_partition=4:2 --resync_mode=delta"
+    "ha-partition-wal|--system=kvaccel ${small} --ha --net_partition=4:2 --resync_mode=wal"
+    "ndp-off|--system=kvaccel --workload=fillrandom --seconds=20 --scale=0.0625 --ndp=off"
+    "ndp-auto|--system=kvaccel --workload=fillrandom --seconds=20 --scale=0.0625 --ndp=auto"
+    "openloop|--system=kvaccel --workload=mixed --workload_mix=put=70,get=20,del=5,scan=5 --zipf_theta=0.99 --arrival=spike --arrival_rate=12000 --tenants=2 --writer_threads=2 --ttl_frac=0.05 --seconds=10 --scale=0.0625"
+  )
+  rm -rf "${out}"
+  mkdir -p "${out}"
+  local entry name flags
+  for entry in "${runs[@]}"; do
+    IFS='|' read -r name flags <<< "${entry}"
+    # shellcheck disable=SC2086  # flags are space-separated on purpose
+    "${dir}/tools/kvaccel_dbbench" ${flags} \
+      --json_out="${out}/${name}.json" --trace_out="${out}/${name}.trace" \
+      | grep -v -e '^trace  ' -e '^json report ' > "${out}/${name}.stdout"
+    (cd "${out}" && sha256sum "${name}.stdout" "${name}.json" "${name}.trace")
+  done
+  for entry in "${NEMESIS_SMOKES[@]}"; do
+    IFS='|' read -r name flags <<< "${entry}"
+    # shellcheck disable=SC2086
+    "${dir}/tools/kvaccel_nemesis" ${flags} 2> /dev/null \
+      > "${out}/nemesis-${name}.stdout" || true
+    (cd "${out}" && sha256sum "nemesis-${name}.stdout")
+  done
+}
+
+# sweep BUILD_DIR: nemesis seeds 1-200 over seven configurations (the six
+# smokes' topologies at their cycle counts, plus --shards=4 x 12). Prints
+# each failing configuration, seed and DIVERGENCE line, then the count.
+sweep() {
+  local dir="$1" failed=0 total=0
+  local configs=(
+    "single|--cycles=30"
+    "ndp|--ndp --cycles=12"
+    "shards4|--shards=4 --cycles=12"
+    "ha-sync|--ha --cycles=12"
+    "ha-async|--ha --repl_ack=async --cycles=6"
+    "partition-delta|--ha --net_partition --cycles=8"
+    "partition-wal|--ha --net_partition --resync_mode=wal --cycles=4"
+  )
+  local entry name flags seed log
+  for entry in "${configs[@]}"; do
+    IFS='|' read -r name flags <<< "${entry}"
+    for seed in $(seq 1 200); do
+      total=$((total + 1))
+      # shellcheck disable=SC2086
+      if ! log="$("${dir}/tools/kvaccel_nemesis" ${flags} \
+          --nemesis_seed="${seed}" 2>&1)"; then
+        failed=$((failed + 1))
+        echo "${name} seed=${seed}: $(grep -m1 '^DIVERGENCE' <<< "${log}" \
+          || echo 'no DIVERGENCE line')"
+      fi
+    done
+  done
+  echo "sweep: ${failed} of ${total} runs failed"
+}
+
 mode="${1:-all}"
+if [[ "${mode}" == pinned || "${mode}" == sweep ]]; then
+  if [[ $# -ne 2 || ! -x "$2/tools/kvaccel_nemesis" ]]; then
+    echo "usage: tools/ci.sh ${mode} BUILD_DIR (a built tree)" >&2
+    exit 2
+  fi
+  "${mode}" "$2"
+  exit 0
+fi
 case "${mode}" in
   plain)
     run_pass "plain" build
@@ -421,7 +521,8 @@ case "${mode}" in
     run_pass "sanitize" build-asan -DKVACCEL_SANITIZE=ON
     ;;
   *)
-    echo "usage: tools/ci.sh [plain|sanitize|bench|all]" >&2
+    echo "usage: tools/ci.sh [plain|sanitize|bench|all]" \
+      "| tools/ci.sh pinned|sweep BUILD_DIR" >&2
     exit 2
     ;;
 esac
