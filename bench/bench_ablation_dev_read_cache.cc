@@ -41,7 +41,8 @@ double ScanKopsWithCache(double scale, uint64_t cache_bytes,
     db->WaitForCompactionIdle();
     for (uint64_t i = 1; i < kKeys; i += 2) {
       lsm::SequenceNumber seq = db->main()->AllocateSequence(1);
-      db->dev()->Put(MakeKey(i, 8), Value::Synthetic(i, 4096), seq);
+      db->dev()->PutCompound(
+          {{MakeKey(i, 8), Value::Synthetic(i, 4096), false, seq}});
       db->metadata()->Insert(MakeKey(i, 8), seq);
     }
 

@@ -43,7 +43,9 @@ int main(int argc, char** argv) {
     for (int i = 0; i < kPairs; i++) {
       lsm::SequenceNumber seq = db->main()->AllocateSequence(1);
       std::string key = MakeKey(static_cast<uint64_t>(i), 4);
-      if (!db->dev()->Put(key, Value::Synthetic(i, 4096), seq).ok()) return;
+      Status s = db->dev()->PutCompound(
+          {{key, Value::Synthetic(i, 4096), false, seq}});
+      if (!s.ok()) return;
       db->metadata()->Insert(key, seq);
     }
 

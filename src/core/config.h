@@ -16,6 +16,7 @@
 #include "devlsm/dev_lsm.h"
 #include "ndp/ndp_device.h"
 #include "ndp/offload_planner.h"
+#include "obs/metrics.h"
 #include "ssd/hybrid_ssd.h"
 
 namespace kvaccel::core {
@@ -149,6 +150,31 @@ struct KvaccelStats {
   uint64_t fallback_writes = 0;   // entries rerouted to the host path after
                                   // the device retry budget ran out
   uint64_t device_unhealthy_events = 0;  // unhealthy latches (circuit opens)
+
+  static constexpr obs::StatField<KvaccelStats> kMetrics[] = {
+      {"kvaccel.detector.checks", &KvaccelStats::detector_checks},
+      {"kvaccel.redirect.writes", &KvaccelStats::redirected_writes},
+      {"kvaccel.direct.writes", &KvaccelStats::direct_writes},
+      {"kvaccel.redirect.batches", &KvaccelStats::redirected_batches},
+      {"kvaccel.redirect.batch_latency_ns",
+       &KvaccelStats::redirect_batch_latency},
+      {"kvaccel.redirect.admission_rejects",
+       &KvaccelStats::redirect_admission_rejects},
+      {"kvaccel.redirect.arbiter_wait_ns",
+       &KvaccelStats::redirect_arbiter_wait_ns},
+      {"kvaccel.read.dev", &KvaccelStats::dev_reads},
+      {"kvaccel.read.main", &KvaccelStats::main_reads},
+      {"kvaccel.rollback.count", &KvaccelStats::rollbacks},
+      {"kvaccel.rollback.entries", &KvaccelStats::rollback_entries},
+      {"kvaccel.rollback.total_ns", &KvaccelStats::rollback_total_ns},
+      {"kvaccel.md.inserts", &KvaccelStats::md_inserts},
+      {"kvaccel.md.checks", &KvaccelStats::md_checks},
+      {"kvaccel.md.deletes", &KvaccelStats::md_deletes},
+      {"kvaccel.dev.retries", &KvaccelStats::dev_retries},
+      {"kvaccel.fallback_writes", &KvaccelStats::fallback_writes},
+      {"kvaccel.device_unhealthy_events",
+       &KvaccelStats::device_unhealthy_events},
+  };
 };
 
 }  // namespace kvaccel::core

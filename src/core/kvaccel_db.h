@@ -75,7 +75,6 @@ class KvaccelDB : public lsm::Store {
   const KvaccelStats& kv_stats() const { return kv_stats_; }
   // Unified foreground-op stats (both paths) for the figures.
   const lsm::DbStats& stats() const { return agg_stats_; }
-  lsm::DbStats& mutable_stats() { return agg_stats_; }
   bool rollback_in_progress() const;
 
  private:

@@ -356,35 +356,9 @@ void ShardedKvaccelDB::AggregateDbStats(bool main_side,
   for (const auto& sh : shards_) {
     const lsm::DbStats& s =
         main_side ? sh.db->main()->stats() : sh.db->stats();
+    obs::AddStats(s, out);
     out->writes_completed.MergeFrom(s.writes_completed);
     out->reads_completed.MergeFrom(s.reads_completed);
-    out->seeks_completed.MergeFrom(s.seeks_completed);
-    out->put_latency.Merge(s.put_latency);
-    out->get_latency.Merge(s.get_latency);
-    out->seek_latency.Merge(s.seek_latency);
-    out->stall_events += s.stall_events;
-    out->slowdown_events += s.slowdown_events;
-    out->flush_count += s.flush_count;
-    out->flush_bytes += s.flush_bytes;
-    out->compaction_count += s.compaction_count;
-    out->compaction_bytes_read += s.compaction_bytes_read;
-    out->compaction_bytes_written += s.compaction_bytes_written;
-    out->split_compactions += s.split_compactions;
-    out->subcompaction_count += s.subcompaction_count;
-    out->intra_l0_compactions += s.intra_l0_compactions;
-    out->compaction_throttle_ns += s.compaction_throttle_ns;
-    out->orphan_files_removed += s.orphan_files_removed;
-    out->ndp_compactions += s.ndp_compactions;
-    out->ndp_bytes_written += s.ndp_bytes_written;
-    out->ndp_fallbacks += s.ndp_fallbacks;
-    out->writes_total += s.writes_total;
-    out->write_bytes_total += s.write_bytes_total;
-    out->reads_total += s.reads_total;
-    out->seeks_total += s.seeks_total;
-    out->io_retries += s.io_retries;
-    out->background_errors += s.background_errors;
-    out->write_groups += s.write_groups;
-    out->group_commit_size.Merge(s.group_commit_size);
     CollectClosed(s.stall_regions, now, &stalls);
     CollectClosed(s.slowdown_regions, now, &slowdowns);
   }
@@ -404,58 +378,30 @@ const lsm::DbStats& ShardedKvaccelDB::AggregateMainStats() const {
 
 KvaccelStats ShardedKvaccelDB::AggregateKvStats() const {
   KvaccelStats out;
-  for (const auto& sh : shards_) {
-    const KvaccelStats& s = sh.db->kv_stats();
-    out.detector_checks += s.detector_checks;
-    out.redirected_writes += s.redirected_writes;
-    out.direct_writes += s.direct_writes;
-    out.redirected_batches += s.redirected_batches;
-    out.redirect_batch_latency.Merge(s.redirect_batch_latency);
-    out.redirect_admission_rejects += s.redirect_admission_rejects;
-    out.redirect_arbiter_wait_ns += s.redirect_arbiter_wait_ns;
-    out.dev_reads += s.dev_reads;
-    out.main_reads += s.main_reads;
-    out.rollbacks += s.rollbacks;
-    out.rollback_entries += s.rollback_entries;
-    out.rollback_total_ns += s.rollback_total_ns;
-    out.md_inserts += s.md_inserts;
-    out.md_checks += s.md_checks;
-    out.md_deletes += s.md_deletes;
-    out.dev_retries += s.dev_retries;
-    out.fallback_writes += s.fallback_writes;
-    out.device_unhealthy_events += s.device_unhealthy_events;
-  }
+  for (const auto& sh : shards_) obs::AddStats(sh.db->kv_stats(), &out);
   return out;
 }
 
 lsm::BlockCacheStats ShardedKvaccelDB::AggregateBlockCacheStats() const {
   lsm::BlockCacheStats out;
   for (const auto& sh : shards_) {
-    lsm::BlockCacheStats s = sh.db->main()->GetBlockCacheStats();
-    out.hits += s.hits;
-    out.misses += s.misses;
-    out.usage_bytes += s.usage_bytes;
-    out.capacity_bytes += s.capacity_bytes;
+    obs::AddStats(sh.db->main()->GetBlockCacheStats(), &out);
   }
   return out;
 }
 
 devlsm::DevLsmStats ShardedKvaccelDB::AggregateDevStats() const {
   devlsm::DevLsmStats out;
+  for (const auto& sh : shards_) obs::AddStats(sh.dev->stats(), &out);
+  return out;
+}
+
+ndp::PlannerStats ShardedKvaccelDB::AggregatePlannerStats() const {
+  ndp::PlannerStats out;
   for (const auto& sh : shards_) {
-    const devlsm::DevLsmStats& s = sh.dev->stats();
-    out.puts += s.puts;
-    out.gets += s.gets;
-    out.deletes += s.deletes;
-    out.compound_cmds += s.compound_cmds;
-    out.compound_entries += s.compound_entries;
-    out.flushes += s.flushes;
-    out.compactions += s.compactions;
-    out.bulk_scans += s.bulk_scans;
-    out.scan_chunks += s.scan_chunks;
-    out.resets += s.resets;
-    out.read_cache_hits += s.read_cache_hits;
-    out.read_cache_misses += s.read_cache_misses;
+    if (sh.db->offload_planner() != nullptr) {
+      obs::AddStats(sh.db->offload_planner()->stats(), &out);
+    }
   }
   return out;
 }

@@ -122,14 +122,17 @@ class ShardedKvaccelDB : public lsm::Store {
   uint64_t redirect_budget_bytes() const { return redirect_budget_bytes_; }
   sim::SimEnv* sim_env() { return env_; }
 
-  // Aggregate views across shards (counters summed, histograms and
-  // per-second series merged, stall/slowdown regions unioned). Recomputed on
-  // every call; the returned reference stays valid until the next call.
+  // Aggregate views across shards: every row of each struct's metric table
+  // summed (counters) or merged (histograms), per-second series merged,
+  // stall/slowdown regions unioned. Recomputed on every call; the returned
+  // reference stays valid until the next call.
   const lsm::DbStats& AggregateStats() const;
   const lsm::DbStats& AggregateMainStats() const;
   KvaccelStats AggregateKvStats() const;
   lsm::BlockCacheStats AggregateBlockCacheStats() const;
   devlsm::DevLsmStats AggregateDevStats() const;
+  // Zero when no shard has an offload planner.
+  ndp::PlannerStats AggregatePlannerStats() const;
 
  private:
   struct Shard {

@@ -17,7 +17,6 @@ DevLsm::DevLsm(ssd::HybridSsd* ssd, int nsid, const DevLsmOptions& options)
   tracer_ = env_->tracer();
   if (tracer_ != nullptr) {
     tr_dev_ = tracer_->RegisterTrack("devlsm");
-    put_span_.Init(tracer_, tr_dev_, "dev.put", FromMicros(50));
     get_span_.Init(tracer_, tr_dev_, "dev.get", FromMicros(50));
   }
 }
@@ -25,7 +24,6 @@ DevLsm::DevLsm(ssd::HybridSsd* ssd, int nsid, const DevLsmOptions& options)
 DevLsm::~DevLsm() {
   // The tracer outlives the DB world; close out coalesced busy windows so
   // the last burst isn't lost (see obs::CoalescingSpan lifetime rule).
-  put_span_.Flush();
   get_span_.Flush();
 }
 
@@ -105,64 +103,6 @@ void DevLsm::MergeNewest(Runs& runs, const Memtable* mem, Fn&& fn) {
     }
     advance(top.src);
   }
-}
-
-Status DevLsm::Put(const Slice& key, const Value& value, uint64_t host_seq) {
-  sim::SimLockGuard l(cmd_mu_);
-  if (sim::SimCrashed(env_)) return Status::IOError("simulated crash");
-  if (sim::FaultAt(env_, "devlsm.put.transient")) {
-    return Status::IOError("injected: KV store command failed");
-  }
-  stats_.puts++;
-  Nanos cmd_start = tracer_ != nullptr ? env_->Now() : 0;
-  ssd_->trace().Record(env_->Now(), ssd::nvme::Opcode::kKvStore, nsid_,
-                       key.size() + value.logical_size());
-  ssd_->PcieToDevice(kCommandOverheadBytes + key.size() +
-                     value.logical_size());
-  ssd_->firmware()->Consume(options_.put_fw_ns);
-
-  Entry e;
-  e.value = value;
-  e.tombstone = false;
-  e.seq = next_seq_++;
-  e.host_seq = host_seq;
-  InsertLocked(key.ToString(), std::move(e));
-  mutation_epoch_++;
-  if (tracer_ != nullptr) {
-    put_span_.Add(cmd_start, env_->Now(),
-                  key.size() + value.logical_size());
-  }
-  if (memtable_logical_ >= options_.memtable_bytes) {
-    Status s = FlushMemtableLocked();
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
-}
-
-Status DevLsm::Delete(const Slice& key, uint64_t host_seq) {
-  sim::SimLockGuard l(cmd_mu_);
-  if (sim::SimCrashed(env_)) return Status::IOError("simulated crash");
-  if (sim::FaultAt(env_, "devlsm.put.transient")) {
-    return Status::IOError("injected: KV delete command failed");
-  }
-  stats_.deletes++;
-  Nanos cmd_start = tracer_ != nullptr ? env_->Now() : 0;
-  ssd_->trace().Record(env_->Now(), ssd::nvme::Opcode::kKvDelete, nsid_,
-                       key.size());
-  ssd_->PcieToDevice(kCommandOverheadBytes + key.size());
-  ssd_->firmware()->Consume(options_.put_fw_ns);
-  Entry e;
-  e.tombstone = true;
-  e.seq = next_seq_++;
-  e.host_seq = host_seq;
-  InsertLocked(key.ToString(), std::move(e));
-  mutation_epoch_++;
-  if (tracer_ != nullptr) put_span_.Add(cmd_start, env_->Now(), key.size());
-  if (memtable_logical_ >= options_.memtable_bytes) {
-    Status s = FlushMemtableLocked();
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
 }
 
 Status DevLsm::PutCompound(const std::vector<VersionedEntry>& entries) {
@@ -254,26 +194,6 @@ Status DevLsm::Get(const Slice& key, Value* value) {
     get_span_.Add(cmd_start, env_->Now(), found->value.logical_size());
   }
   return Status::OK();
-}
-
-bool DevLsm::Exist(const Slice& key) {
-  sim::SimLockGuard l(cmd_mu_);
-  ssd_->trace().Record(env_->Now(), ssd::nvme::Opcode::kKvExist, nsid_,
-                       key.size());
-  ssd_->PcieToDevice(kCommandOverheadBytes + key.size());
-  ssd_->firmware()->Consume(options_.get_fw_ns);
-  std::string k = key.ToString();
-  auto mit = memtable_.find(k);
-  if (mit != memtable_.end()) return !mit->second.tombstone;
-  for (auto rit = runs_.rbegin(); rit != runs_.rend(); ++rit) {
-    const auto& entries = rit->entries;
-    auto it = std::lower_bound(
-        entries.begin(), entries.end(), k,
-        [](const auto& a, const std::string& b) { return a.first < b; });
-    ssd_->NandRead(ssd_->config().page_size);
-    if (it != entries.end() && it->first == k) return !it->second.tombstone;
-  }
-  return false;
 }
 
 Status DevLsm::FlushMemtableLocked() {

@@ -29,6 +29,7 @@
 #include "common/status.h"
 #include "common/units.h"
 #include "common/value.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/sim_env.h"
 #include "ssd/hybrid_ssd.h"
@@ -78,6 +79,22 @@ struct DevLsmStats {
   uint64_t resets = 0;
   uint64_t read_cache_hits = 0;
   uint64_t read_cache_misses = 0;
+
+  // The read-cache rows are summed across shards but not reported.
+  static constexpr obs::StatField<DevLsmStats> kMetrics[] = {
+      {"devlsm.puts", &DevLsmStats::puts},
+      {"devlsm.gets", &DevLsmStats::gets},
+      {"devlsm.deletes", &DevLsmStats::deletes},
+      {"devlsm.compound_cmds", &DevLsmStats::compound_cmds},
+      {"devlsm.compound_entries", &DevLsmStats::compound_entries},
+      {"devlsm.flushes", &DevLsmStats::flushes},
+      {"devlsm.compactions", &DevLsmStats::compactions},
+      {"devlsm.bulk_scans", &DevLsmStats::bulk_scans},
+      {"devlsm.scan_chunks", &DevLsmStats::scan_chunks},
+      {"devlsm.resets", &DevLsmStats::resets},
+      {nullptr, &DevLsmStats::read_cache_hits},
+      {nullptr, &DevLsmStats::read_cache_misses},
+  };
 };
 
 class DevLsm {
@@ -86,22 +103,19 @@ class DevLsm {
   ~DevLsm();
 
   // ---- Host-facing KV interface (NVMe-KV command semantics) ----
-  // `host_seq` optionally tags the pair with a host-side version number
-  // (KVACCEL allocates these from the Main-LSM sequence space so crash
-  // recovery can order device pairs against host data). Internal ordering
-  // uses a device counter either way.
-  Status Put(const Slice& key, const Value& value, uint64_t host_seq = 0);
-  Status Delete(const Slice& key, uint64_t host_seq = 0);  // tombstone
-  // Compound command (paper §IV, [33]): N puts/deletes ride one NVMe
-  // command — one command/completion overhead and one DMA for the whole
-  // payload, with the per-pair firmware cost amortized (NAND cost stays
-  // per-entry, paid when the device memtable flushes). Entries are applied
+  // Compound command (paper §IV, [33]), the only write command: N
+  // puts/deletes ride one NVMe command — one command/completion overhead and
+  // one DMA for the whole payload, with the per-pair firmware cost amortized
+  // (NAND cost stays per-entry, paid when the device memtable flushes); a
+  // one-entry compound costs what a point PUT would. Entries are applied
   // atomically with respect to other commands (single firmware queue). Each
-  // entry's seq is its host_seq; a tombstone is a redirected Delete.
+  // entry's seq is its host_seq, a host-side version number (KVACCEL
+  // allocates these from the Main-LSM sequence space so crash recovery can
+  // order device pairs against host data; internal ordering uses a device
+  // counter either way). A tombstone is a redirected Delete.
   Status PutCompound(const std::vector<VersionedEntry>& entries);
   // NotFound for absent keys and tombstones.
   Status Get(const Slice& key, Value* value);
-  bool Exist(const Slice& key);
 
   // Iterator-based bulky range scan over a snapshot of the Dev-LSM (paper
   // §V-E): entries stream newest-version-only, in key order, in
@@ -198,12 +212,11 @@ class DevLsm {
   bool ReadCacheLookupOrFill(const std::string& key, uint64_t bytes);
   DevLsmStats stats_;
 
-  // Command spans on the "devlsm" trace track (DESIGN.md §8). Point
-  // commands (PUT/GET) coalesce into busy windows; flush/compaction/scan
-  // chunks/reset are discrete spans. Null tracer = all of this is inert.
+  // Command spans on the "devlsm" trace track (DESIGN.md §8). GETs coalesce
+  // into busy windows; compound puts, flush/compaction/scan chunks/reset are
+  // discrete spans. Null tracer = all of this is inert.
   obs::Tracer* tracer_ = nullptr;
   uint32_t tr_dev_ = 0;
-  obs::CoalescingSpan put_span_;
   obs::CoalescingSpan get_span_;
 };
 

@@ -263,6 +263,13 @@ class SystemUnderTest {
     core::KvaccelDB* kv = kvaccel();
     return kv ? kv->dev()->stats() : devlsm::DevLsmStats{};
   }
+  // Offload-planner decisions; zero when no planner is attached.
+  ndp::PlannerStats planner_stats() const {
+    if (sharded_) return sharded_->AggregatePlannerStats();
+    core::KvaccelDB* kv = kvaccel();
+    return kv && kv->offload_planner() ? kv->offload_planner()->stats()
+                                       : ndp::PlannerStats{};
+  }
 
   SystemKind kind() const { return config_.kind; }
   std::string name() const {

@@ -676,266 +676,169 @@ void SeekLoop(const WorkloadConfig& wl, Shared* sh, uint64_t thread_seed) {
   }
 }
 
-// The offload planners' decisions, summed over every DB of the store.
-ndp::PlannerStats SumPlannerStats(SystemUnderTest* sut) {
-  ndp::PlannerStats ps;
-  auto add = [&ps](const ndp::OffloadPlanner* p) {
-    if (p == nullptr) return;
-    ps.device_jobs += p->stats().device_jobs;
-    ps.host_jobs += p->stats().host_jobs;
-    ps.flips += p->stats().flips;
-    ps.cooldown_rejects += p->stats().cooldown_rejects;
-    ps.failures += p->stats().failures;
-  };
-  if (sut->sharded() != nullptr) {
-    core::ShardedKvaccelDB* shd = sut->sharded();
-    for (int i = 0; i < shd->num_shards(); i++) {
-      add(shd->shard(i)->offload_planner());
-    }
-  } else if (sut->kvaccel() != nullptr) {
-    add(sut->kvaccel()->offload_planner());
-  }
-  return ps;
-}
-
-// Mirrors every subsystem's existing stats structs into the registry at
-// snapshot time (DESIGN.md §8 naming: <layer>.<component>.<metric>). The
-// callbacks read live objects, so Snapshot() must run while the world is
+// The run's metrics (DESIGN.md §8 naming: <layer>.<component>.<metric>).
+// The five tabled stats structs report through their kMetrics rows; the
+// rest is named here. Reads live objects, so it must run while the world is
 // still open (before SystemUnderTest::Close()).
-void RegisterWorldMetrics(obs::MetricsRegistry* registry,
-                          SystemUnderTest* sut, ssd::HybridSsd* ssd,
-                          sim::CpuPool* host_cpu, ndp::NdpDevice* ndp_dev,
-                          sim::FaultInjector* injector, obs::Tracer* tracer) {
-  registry->AddSource([sut](obs::MetricsSnapshot* snap) {
-    const lsm::DbStats& ms = sut->main_stats();
-    snap->SetCounter("lsm.writes_total", ms.writes_total);
-    snap->SetCounter("lsm.write_bytes_total", ms.write_bytes_total);
-    snap->SetCounter("lsm.reads_total", ms.reads_total);
-    snap->SetCounter("lsm.seeks_total", ms.seeks_total);
-    snap->SetCounter("lsm.flush.count", ms.flush_count);
-    snap->SetCounter("lsm.flush.bytes", ms.flush_bytes);
-    snap->SetCounter("lsm.compaction.count", ms.compaction_count);
-    snap->SetCounter("lsm.compaction.bytes_read", ms.compaction_bytes_read);
-    snap->SetCounter("lsm.compaction.bytes_written",
-                     ms.compaction_bytes_written);
-    snap->SetCounter("lsm.compaction.split_jobs", ms.split_compactions);
-    snap->SetCounter("lsm.compaction.subcompactions", ms.subcompaction_count);
-    snap->SetCounter("lsm.compaction.intra_l0", ms.intra_l0_compactions);
-    snap->SetCounter("lsm.compaction.throttle_ns", ms.compaction_throttle_ns);
-    snap->SetCounter("lsm.orphan_files_removed", ms.orphan_files_removed);
-    snap->SetGauge("lsm.compaction.queue_depth",
-                   sut->db()->GetStallSignals().compaction_queue_depth);
-    snap->SetCounter("lsm.stall.events", ms.stall_events);
-    snap->SetCounter("lsm.slowdown.events", ms.slowdown_events);
-    snap->SetCounter("lsm.io_retries", ms.io_retries);
-    snap->SetCounter("lsm.background_errors", ms.background_errors);
-    snap->SetCounter("lsm.write_groups", ms.write_groups);
-    snap->SetHistogram("lsm.group_commit_size", ms.group_commit_size);
-    const lsm::DbStats& fg = sut->stats();
-    snap->SetHistogram("db.put_latency_ns", fg.put_latency);
-    snap->SetHistogram("db.get_latency_ns", fg.get_latency);
-    snap->SetHistogram("db.seek_latency_ns", fg.seek_latency);
-    lsm::BlockCacheStats cache = sut->db()->GetBlockCacheStats();
-    snap->SetCounter("lsm.block_cache.hits", cache.hits);
-    snap->SetCounter("lsm.block_cache.misses", cache.misses);
-    snap->SetCounter("lsm.block_cache.usage_bytes", cache.usage_bytes);
-    snap->SetCounter("lsm.block_cache.capacity_bytes", cache.capacity_bytes);
-    snap->SetGauge("lsm.block_cache.hit_rate", cache.hit_rate());
-  });
+obs::MetricsSnapshot SnapshotWorld(SystemUnderTest* sut, ssd::HybridSsd* ssd,
+                                   sim::CpuPool* host_cpu,
+                                   ndp::NdpDevice* ndp_dev,
+                                   sim::FaultInjector* injector,
+                                   obs::Tracer* tracer) {
+  obs::MetricsSnapshot snap;
+  const lsm::DbStats& ms = sut->main_stats();
+  snap.SetStats(ms, "lsm.");
+  // db() is shard 0 alone: a sharded run reports the fleet's queues.
+  double queue_depth = 0;
+  if (core::ShardedKvaccelDB* shd = sut->sharded()) {
+    for (int i = 0; i < shd->num_shards(); i++) {
+      queue_depth +=
+          shd->shard(i)->main()->GetStallSignals().compaction_queue_depth;
+    }
+  } else {
+    queue_depth = sut->db()->GetStallSignals().compaction_queue_depth;
+  }
+  snap.SetGauge("lsm.compaction.queue_depth", queue_depth);
+  snap.SetStats(sut->stats(), "db.");
+  const lsm::BlockCacheStats cache = sut->cache_stats();
+  snap.SetStats(cache);
+  snap.SetGauge("lsm.block_cache.hit_rate", cache.hit_rate());
 
-  registry->AddSource([ssd](obs::MetricsSnapshot* snap) {
-    snap->SetCounter("ssd.link.busy_ns",
-                     static_cast<uint64_t>(ssd->pcie().busy_ns()));
-    snap->SetCounter("ssd.nand.busy_ns",
-                     static_cast<uint64_t>(ssd->nand().busy_ns()));
-    snap->SetCounter("ssd.nand.bytes_read", ssd->nand().bytes_read());
-    snap->SetCounter("ssd.nand.bytes_written", ssd->nand().bytes_written());
-    snap->SetCounter("ssd.nand.blocks_erased", ssd->nand().blocks_erased());
-    const ssd::Ftl& ftl = ssd->block_ftl(0);
-    snap->SetCounter("ssd.ftl.valid_pages", ftl.valid_pages());
-    snap->SetCounter("ssd.ftl.free_blocks", ftl.free_blocks());
-    snap->SetCounter("ssd.ftl.relocated_pages", ftl.relocated_pages());
-    snap->SetCounter("ssd.ftl.erased_blocks", ftl.erased_blocks());
-    snap->SetCounter("ssd.ftl.gc_runs", ftl.gc_runs());
-    snap->SetGauge("ssd.ftl.write_amplification", ftl.write_amplification());
-    snap->SetGauge("ssd.firmware.busy_seconds",
-                   ssd->firmware()->busy_seconds());
-  });
+  snap.SetCounter("ssd.link.busy_ns",
+                  static_cast<uint64_t>(ssd->pcie().busy_ns()));
+  snap.SetCounter("ssd.nand.busy_ns",
+                  static_cast<uint64_t>(ssd->nand().busy_ns()));
+  snap.SetCounter("ssd.nand.bytes_read", ssd->nand().bytes_read());
+  snap.SetCounter("ssd.nand.bytes_written", ssd->nand().bytes_written());
+  snap.SetCounter("ssd.nand.blocks_erased", ssd->nand().blocks_erased());
+  const ssd::Ftl& ftl = ssd->block_ftl(0);
+  snap.SetCounter("ssd.ftl.valid_pages", ftl.valid_pages());
+  snap.SetCounter("ssd.ftl.free_blocks", ftl.free_blocks());
+  snap.SetCounter("ssd.ftl.relocated_pages", ftl.relocated_pages());
+  snap.SetCounter("ssd.ftl.erased_blocks", ftl.erased_blocks());
+  snap.SetCounter("ssd.ftl.gc_runs", ftl.gc_runs());
+  snap.SetGauge("ssd.ftl.write_amplification", ftl.write_amplification());
+  snap.SetGauge("ssd.firmware.busy_seconds", ssd->firmware()->busy_seconds());
 
   if (sut->is_kvaccel()) {
-    registry->AddSource([sut](obs::MetricsSnapshot* snap) {
-      // Single shard: the facade's own counters. Sharded: fleet aggregates
-      // under the same names, so dashboards read both the same way.
-      core::KvaccelStats ks = sut->kvaccel_stats();
-      snap->SetCounter("kvaccel.detector.checks", ks.detector_checks);
-      snap->SetCounter("kvaccel.redirect.writes", ks.redirected_writes);
-      snap->SetCounter("kvaccel.redirect.batches", ks.redirected_batches);
-      snap->SetCounter("kvaccel.direct.writes", ks.direct_writes);
-      snap->SetCounter("kvaccel.rollback.count", ks.rollbacks);
-      snap->SetCounter("kvaccel.rollback.entries", ks.rollback_entries);
-      snap->SetCounter("kvaccel.rollback.total_ns", ks.rollback_total_ns);
-      snap->SetCounter("kvaccel.read.dev", ks.dev_reads);
-      snap->SetCounter("kvaccel.read.main", ks.main_reads);
-      snap->SetCounter("kvaccel.md.inserts", ks.md_inserts);
-      snap->SetCounter("kvaccel.md.checks", ks.md_checks);
-      snap->SetCounter("kvaccel.md.deletes", ks.md_deletes);
-      snap->SetCounter("kvaccel.dev.retries", ks.dev_retries);
-      snap->SetCounter("kvaccel.fallback_writes", ks.fallback_writes);
-      snap->SetCounter("kvaccel.device_unhealthy_events",
-                       ks.device_unhealthy_events);
-      snap->SetHistogram("kvaccel.redirect.batch_latency_ns",
-                         ks.redirect_batch_latency);
-      snap->SetCounter("kvaccel.redirect.admission_rejects",
-                       ks.redirect_admission_rejects);
-      snap->SetCounter("kvaccel.redirect.arbiter_wait_ns",
-                       ks.redirect_arbiter_wait_ns);
-      // Sharded: how many shards' Detectors currently see a stall.
-      double active = 0;
-      if (sut->sharded() != nullptr) {
-        core::ShardedKvaccelDB* shd = sut->sharded();
-        for (int i = 0; i < shd->num_shards(); i++) {
-          if (shd->shard(i)->detector()->stall_detected()) active += 1;
-        }
-      } else if (sut->kvaccel()->detector()->stall_detected()) {
-        active = 1;
+    // Single shard: the facade's own counters. Sharded: fleet aggregates
+    // under the same names, so dashboards read both the same way.
+    snap.SetStats(sut->kvaccel_stats());
+    // Sharded: how many shards' Detectors currently see a stall.
+    double active = 0;
+    if (sut->sharded() != nullptr) {
+      core::ShardedKvaccelDB* shd = sut->sharded();
+      for (int i = 0; i < shd->num_shards(); i++) {
+        if (shd->shard(i)->detector()->stall_detected()) active += 1;
       }
-      snap->SetGauge("kvaccel.redirect.active", active);
-      core::KvaccelDB* kv = sut->kvaccel();
-      if (kv != nullptr && kv->scrubber() != nullptr) {
-        const core::ScrubStats& sc = kv->scrubber()->stats();
-        snap->SetCounter("scrub.files_scanned", sc.files_scanned);
-        snap->SetCounter("scrub.bytes_scanned", sc.bytes_scanned);
-        snap->SetCounter("scrub.passes", sc.passes);
-        snap->SetCounter("scrub.corruptions", sc.corruptions);
-        snap->SetCounter("scrub.escalations", sc.escalations);
-        snap->SetCounter("scrub.skipped_busy", sc.skipped_busy);
-        snap->SetCounter("scrub.deferred_for_resync", sc.deferred_for_resync);
-      }
-      devlsm::DevLsmStats ds = sut->devlsm_stats();
-      snap->SetCounter("devlsm.puts", ds.puts);
-      snap->SetCounter("devlsm.gets", ds.gets);
-      snap->SetCounter("devlsm.deletes", ds.deletes);
-      snap->SetCounter("devlsm.compound_cmds", ds.compound_cmds);
-      snap->SetCounter("devlsm.compound_entries", ds.compound_entries);
-      snap->SetCounter("devlsm.flushes", ds.flushes);
-      snap->SetCounter("devlsm.compactions", ds.compactions);
-      snap->SetCounter("devlsm.bulk_scans", ds.bulk_scans);
-      snap->SetCounter("devlsm.scan_chunks", ds.scan_chunks);
-      snap->SetCounter("devlsm.resets", ds.resets);
-    });
+    } else if (sut->kvaccel()->detector()->stall_detected()) {
+      active = 1;
+    }
+    snap.SetGauge("kvaccel.redirect.active", active);
+    core::KvaccelDB* kv = sut->kvaccel();
+    if (kv != nullptr && kv->scrubber() != nullptr) {
+      const core::ScrubStats& sc = kv->scrubber()->stats();
+      snap.SetCounter("scrub.files_scanned", sc.files_scanned);
+      snap.SetCounter("scrub.bytes_scanned", sc.bytes_scanned);
+      snap.SetCounter("scrub.passes", sc.passes);
+      snap.SetCounter("scrub.corruptions", sc.corruptions);
+      snap.SetCounter("scrub.escalations", sc.escalations);
+      snap.SetCounter("scrub.skipped_busy", sc.skipped_busy);
+      snap.SetCounter("scrub.deferred_for_resync", sc.deferred_for_resync);
+    }
+    snap.SetStats(sut->devlsm_stats());
   }
 
-  // Device-offloaded compaction (DESIGN.md §13): the engine's own counters
-  // plus the per-DB planner decisions (summed across shards).
+  // Device-offloaded compaction (DESIGN.md §13): the engine's own counters,
+  // the planners' decisions and the Main-LSM's device-side compactions.
   if (ndp_dev != nullptr) {
-    registry->AddSource([sut, ndp_dev](obs::MetricsSnapshot* snap) {
-      const ndp::NdpStats& ns = ndp_dev->stats();
-      snap->SetCounter("ndp.commands", ns.commands);
-      snap->SetCounter("ndp.rejected", ns.rejected);
-      snap->SetCounter("ndp.jobs_completed", ns.jobs_completed);
-      snap->SetCounter("ndp.jobs_failed", ns.jobs_failed);
-      snap->SetCounter("ndp.merge_bytes", ns.merge_bytes);
-      snap->SetCounter("ndp.command_bytes", ns.command_bytes);
-      snap->SetCounter("ndp.result_bytes", ns.result_bytes);
-      snap->SetGauge("ndp.cpu.busy_seconds", ndp_dev->cpu()->busy_seconds());
-      const ndp::PlannerStats ps = SumPlannerStats(sut);
-      snap->SetCounter("ndp.planner.device_jobs", ps.device_jobs);
-      snap->SetCounter("ndp.planner.host_jobs", ps.host_jobs);
-      snap->SetCounter("ndp.planner.flips", ps.flips);
-      snap->SetCounter("ndp.planner.cooldown_rejects", ps.cooldown_rejects);
-      snap->SetCounter("ndp.planner.failures", ps.failures);
-      const lsm::DbStats& ms = sut->main_stats();
-      snap->SetCounter("ndp.compactions", ms.ndp_compactions);
-      snap->SetCounter("ndp.bytes_written", ms.ndp_bytes_written);
-      snap->SetCounter("ndp.fallbacks", ms.ndp_fallbacks);
-    });
+    const ndp::NdpStats& ns = ndp_dev->stats();
+    snap.SetCounter("ndp.commands", ns.commands);
+    snap.SetCounter("ndp.rejected", ns.rejected);
+    snap.SetCounter("ndp.jobs_completed", ns.jobs_completed);
+    snap.SetCounter("ndp.jobs_failed", ns.jobs_failed);
+    snap.SetCounter("ndp.merge_bytes", ns.merge_bytes);
+    snap.SetCounter("ndp.command_bytes", ns.command_bytes);
+    snap.SetCounter("ndp.result_bytes", ns.result_bytes);
+    snap.SetGauge("ndp.cpu.busy_seconds", ndp_dev->cpu()->busy_seconds());
+    snap.SetStats(sut->planner_stats());
+    snap.SetStats(ms, "ndp.");
   }
 
   // HA pair (DESIGN.md §12): replication-stream counters.
-  if (sut->pair() != nullptr) {
-    core::ReplicatedKvaccelDB* pair = sut->pair();
-    registry->AddSource([pair](obs::MetricsSnapshot* snap) {
-      const core::ReplStats& rs = pair->repl_stats();
-      snap->SetCounter("repl.wal_records", rs.wal_records);
-      snap->SetCounter("repl.wal_entries", rs.wal_entries);
-      snap->SetCounter("repl.intent_records", rs.intent_records);
-      snap->SetCounter("repl.intent_entries", rs.intent_entries);
-      snap->SetCounter("repl.rollback_records", rs.rollback_records);
-      snap->SetCounter("repl.manifest_records", rs.manifest_records);
-      snap->SetCounter("repl.manifest_drops", rs.manifest_drops);
-      snap->SetCounter("repl.bytes", rs.repl_bytes);
-      snap->SetCounter("repl.records_applied", rs.records_applied);
-      snap->SetCounter("repl.net_retries", rs.net_retries);
-      snap->SetCounter("repl.ship_failures", rs.ship_failures);
-      snap->SetCounter("repl.backup_dev_fallbacks", rs.backup_dev_fallbacks);
-      snap->SetCounter("repl.async_queue_peak", rs.async_queue_peak);
-      snap->SetCounter("repl.async_queue_bytes_peak",
-                       rs.async_queue_bytes_peak);
-      snap->SetCounter("repl.sync_ship_ns", rs.sync_ship_ns);
-      snap->SetCounter("repl.heartbeats", rs.heartbeat_records);
-      snap->SetCounter("repl.fenced_write_rejects", rs.fenced_write_rejects);
-      snap->SetCounter("repl.lease_expirations", rs.lease_expirations);
-      snap->SetCounter("repl.stale_epoch_rejects", rs.fenced_records);
-      snap->SetCounter("repl.ack_losses", rs.ack_losses);
-      snap->SetCounter("repl.dup_records", rs.dup_records);
-      snap->SetCounter("repl.reorder_swaps", rs.reorder_swaps);
-      snap->SetCounter("repl.net.messages", pair->link()->messages());
-      snap->SetCounter("repl.net.drops", pair->link()->drops());
-      snap->SetCounter("repl.net.partition_drops",
-                       pair->link()->partition_drops());
-      snap->SetCounter("repl.net.delay_spikes", pair->link()->delay_spikes());
-      snap->SetGauge("ha.repl.queue_bytes",
-                     static_cast<double>(pair->queue_bytes()));
-      snap->SetGauge("ha.epoch", static_cast<double>(pair->epoch()));
-      snap->SetGauge("ha.fenced", pair->fenced() ? 1.0 : 0.0);
-    });
+  if (core::ReplicatedKvaccelDB* pair = sut->pair()) {
+    const core::ReplStats& rs = pair->repl_stats();
+    snap.SetCounter("repl.wal_records", rs.wal_records);
+    snap.SetCounter("repl.wal_entries", rs.wal_entries);
+    snap.SetCounter("repl.intent_records", rs.intent_records);
+    snap.SetCounter("repl.intent_entries", rs.intent_entries);
+    snap.SetCounter("repl.rollback_records", rs.rollback_records);
+    snap.SetCounter("repl.manifest_records", rs.manifest_records);
+    snap.SetCounter("repl.manifest_drops", rs.manifest_drops);
+    snap.SetCounter("repl.bytes", rs.repl_bytes);
+    snap.SetCounter("repl.records_applied", rs.records_applied);
+    snap.SetCounter("repl.net_retries", rs.net_retries);
+    snap.SetCounter("repl.ship_failures", rs.ship_failures);
+    snap.SetCounter("repl.backup_dev_fallbacks", rs.backup_dev_fallbacks);
+    snap.SetCounter("repl.async_queue_peak", rs.async_queue_peak);
+    snap.SetCounter("repl.async_queue_bytes_peak", rs.async_queue_bytes_peak);
+    snap.SetCounter("repl.sync_ship_ns", rs.sync_ship_ns);
+    snap.SetCounter("repl.heartbeats", rs.heartbeat_records);
+    snap.SetCounter("repl.fenced_write_rejects", rs.fenced_write_rejects);
+    snap.SetCounter("repl.lease_expirations", rs.lease_expirations);
+    snap.SetCounter("repl.stale_epoch_rejects", rs.fenced_records);
+    snap.SetCounter("repl.ack_losses", rs.ack_losses);
+    snap.SetCounter("repl.dup_records", rs.dup_records);
+    snap.SetCounter("repl.reorder_swaps", rs.reorder_swaps);
+    snap.SetCounter("repl.net.messages", pair->link()->messages());
+    snap.SetCounter("repl.net.drops", pair->link()->drops());
+    snap.SetCounter("repl.net.partition_drops",
+                    pair->link()->partition_drops());
+    snap.SetCounter("repl.net.delay_spikes", pair->link()->delay_spikes());
+    snap.SetGauge("ha.repl.queue_bytes",
+                  static_cast<double>(pair->queue_bytes()));
+    snap.SetGauge("ha.epoch", static_cast<double>(pair->epoch()));
+    snap.SetGauge("ha.fenced", pair->fenced() ? 1.0 : 0.0);
   }
 
-  // Per-shard roll-up (DESIGN.md §11): dotted shard.<i>.* names so the flat
-  // snapshot sorts all of one shard's metrics together.
-  if (sut->sharded() != nullptr) {
-    core::ShardedKvaccelDB* shd = sut->sharded();
-    registry->AddSource([shd](obs::MetricsSnapshot* snap) {
-      for (int i = 0; i < shd->num_shards(); i++) {
-        const std::string p = "shard." + std::to_string(i) + ".";
-        core::KvaccelDB* kv = shd->shard(i);
-        const lsm::DbStats& fg = kv->stats();
-        snap->SetCounter(p + "lsm.writes_total", fg.writes_total);
-        snap->SetCounter(p + "lsm.write_bytes_total", fg.write_bytes_total);
-        snap->SetCounter(p + "lsm.stall.events",
-                         kv->main()->stats().stall_events);
-        snap->SetHistogram(p + "db.put_latency_ns", fg.put_latency);
-        const core::KvaccelStats& ks = kv->kv_stats();
-        snap->SetCounter(p + "kvaccel.redirect.writes", ks.redirected_writes);
-        snap->SetCounter(p + "kvaccel.redirect.admission_rejects",
-                         ks.redirect_admission_rejects);
-        snap->SetCounter(p + "kvaccel.redirect.arbiter_wait_ns",
-                         ks.redirect_arbiter_wait_ns);
-        snap->SetCounter(p + "kvaccel.rollback.count", ks.rollbacks);
-        if (shd->arbiter() != nullptr) {
-          const sim::FairShareArbiter::ClientStats& cs =
-              shd->arbiter()->client_stats(i);
-          snap->SetCounter(p + "arbiter.grants", cs.grants);
-          snap->SetCounter(p + "arbiter.granted_bytes", cs.granted_bytes);
-          snap->SetCounter(p + "arbiter.throttles", cs.throttles);
-          snap->SetCounter(p + "arbiter.throttle_ns", cs.throttle_ns);
-        }
+  // Per-shard roll-up (DESIGN.md §11): a few rows of the shard's own
+  // tables under dotted shard.<i>.* names, so the flat snapshot sorts all
+  // of one shard's metrics together.
+  if (core::ShardedKvaccelDB* shd = sut->sharded()) {
+    for (int i = 0; i < shd->num_shards(); i++) {
+      const std::string p = "shard." + std::to_string(i) + ".";
+      core::KvaccelDB* kv = shd->shard(i);
+      const lsm::DbStats& fg = kv->stats();
+      snap.SetStat(&lsm::DbStats::writes_total, fg, p);
+      snap.SetStat(&lsm::DbStats::write_bytes_total, fg, p);
+      snap.SetStat(&lsm::DbStats::stall_events, kv->main()->stats(), p);
+      snap.SetStat(&lsm::DbStats::put_latency, fg, p);
+      const core::KvaccelStats& ks = kv->kv_stats();
+      snap.SetStat(&core::KvaccelStats::redirected_writes, ks, p);
+      snap.SetStat(&core::KvaccelStats::redirect_admission_rejects, ks, p);
+      snap.SetStat(&core::KvaccelStats::redirect_arbiter_wait_ns, ks, p);
+      snap.SetStat(&core::KvaccelStats::rollbacks, ks, p);
+      if (shd->arbiter() != nullptr) {
+        const sim::FairShareArbiter::ClientStats& cs =
+            shd->arbiter()->client_stats(i);
+        snap.SetCounter(p + "arbiter.grants", cs.grants);
+        snap.SetCounter(p + "arbiter.granted_bytes", cs.granted_bytes);
+        snap.SetCounter(p + "arbiter.throttles", cs.throttles);
+        snap.SetCounter(p + "arbiter.throttle_ns", cs.throttle_ns);
       }
-    });
+    }
   }
 
-  registry->AddSource(
-      [host_cpu, injector, tracer](obs::MetricsSnapshot* snap) {
-        snap->SetGauge("host.cpu.busy_seconds", host_cpu->busy_seconds());
-        if (injector != nullptr) {
-          snap->SetCounter("sim.faults.injected", injector->total_fires());
-        }
-        if (tracer != nullptr) {
-          snap->SetCounter("obs.trace.events", tracer->num_events());
-          snap->SetCounter("obs.trace.dropped", tracer->dropped_events());
-          snap->SetCounter("obs.trace.tracks", tracer->num_tracks());
-        }
-      });
+  snap.SetGauge("host.cpu.busy_seconds", host_cpu->busy_seconds());
+  if (injector != nullptr) {
+    snap.SetCounter("sim.faults.injected", injector->total_fires());
+  }
+  if (tracer != nullptr) {
+    snap.SetCounter("obs.trace.events", tracer->num_events());
+    snap.SetCounter("obs.trace.dropped", tracer->dropped_events());
+    snap.SetCounter("obs.trace.tracks", tracer->num_tracks());
+  }
+  return snap;
 }
 
 }  // namespace
@@ -949,7 +852,6 @@ RunResult RunBenchmark(const BenchConfig& config) {
     tracer = std::make_unique<obs::Tracer>(&env);
     env.set_tracer(tracer.get());
   }
-  obs::MetricsRegistry registry;
   ssd::SsdConfig ssd_config = PaperSsdConfig(config.scale);
   if (config.nand_mbps > 0) ssd_config.nand_bytes_per_sec = config.nand_mbps * 1e6;
   // Sharded engine: one SSD namespace per shard; the router builds one SimFs
@@ -1031,9 +933,6 @@ RunResult RunBenchmark(const BenchConfig& config) {
     }
     sh.sut = sut.get();
     result.name = sut->name();
-    RegisterWorldMetrics(&registry, sut.get(), &ssd, &host_cpu, ndp_dev.get(),
-                         config.fault_profile.empty() ? nullptr : &injector,
-                         tracer.get());
 
     const WorkloadConfig& wl = config.workload;
 
@@ -1227,7 +1126,7 @@ RunResult RunBenchmark(const BenchConfig& config) {
       NdpRunStats& n = result.ndp.emplace();
       n.mode = sut_cfg.ndp_mode;
       n.device = ndp_dev->stats();
-      n.planner = SumPlannerStats(sut.get());
+      n.planner = sut->planner_stats();
       n.cpu_busy_seconds = ndp_dev->cpu()->busy_seconds();
       n.compactions = ms.ndp_compactions;
       n.bytes_written = ms.ndp_bytes_written;
@@ -1323,9 +1222,10 @@ RunResult RunBenchmark(const BenchConfig& config) {
     }
 
     result.cache = sut->cache_stats();
-    // Snapshot while the world is still open — the registry sources read
-    // live component state.
-    result.metrics = registry.Snapshot();
+    // Snapshot while the world is still open: it reads live component state.
+    result.metrics = SnapshotWorld(
+        sut.get(), &ssd, &host_cpu, ndp_dev.get(),
+        config.fault_profile.empty() ? nullptr : &injector, tracer.get());
     sut->Close();
 
     // HA pair: harvest the replication counters (authoritative after Close —

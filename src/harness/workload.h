@@ -332,7 +332,7 @@ struct RunResult {
   double arrival_p99_us = 0;
   double arrival_p999_us = 0;
 
-  // Full registry snapshot harvested at window end (obs/metrics.h); the
+  // Every named metric, snapshotted at window end (obs/metrics.h); the
   // machine-readable superset of the scalar fields above.
   obs::MetricsSnapshot metrics;
 };

@@ -16,6 +16,7 @@
 #include "lsm/options.h"
 #include "lsm/stats.h"
 #include "lsm/write_batch.h"
+#include "obs/metrics.h"
 #include "sim/cpu_pool.h"
 #include "sim/sim_env.h"
 #include "ssd/hybrid_ssd.h"
@@ -64,6 +65,13 @@ struct BlockCacheStats {
                         : static_cast<double>(hits) /
                               static_cast<double>(lookups);
   }
+
+  static constexpr obs::StatField<BlockCacheStats> kMetrics[] = {
+      {"lsm.block_cache.hits", &BlockCacheStats::hits},
+      {"lsm.block_cache.misses", &BlockCacheStats::misses},
+      {"lsm.block_cache.usage_bytes", &BlockCacheStats::usage_bytes},
+      {"lsm.block_cache.capacity_bytes", &BlockCacheStats::capacity_bytes},
+  };
 };
 
 // One live SST as described by the current version — what the scrubber and
@@ -161,7 +169,6 @@ class DB : public Store {
                                uint64_t* bytes_read = nullptr) = 0;
 
   virtual const DbStats& stats() const = 0;
-  virtual DbStats& mutable_stats() = 0;
   virtual BlockCacheStats GetBlockCacheStats() = 0;
   virtual StallSignals GetStallSignals() = 0;
   virtual uint64_t TotalSstBytes() = 0;

@@ -731,12 +731,11 @@ class LevelConcatIterator : public Iterator {
 class DbIter : public Iterator {
  public:
   DbIter(std::unique_ptr<Iterator> internal, SequenceNumber snapshot,
-         sim::CpuPool* cpu, double next_cpu_ns, DbStats* stats,
-         sim::SimEnv* env,
+         sim::CpuPool* cpu, double next_cpu_ns,
          std::vector<std::shared_ptr<MemTable>> pinned_mems,
          std::shared_ptr<const Version> pinned_version)
       : internal_(std::move(internal)), snapshot_(snapshot), cpu_(cpu),
-        next_cpu_ns_(next_cpu_ns), stats_(stats), env_(env),
+        next_cpu_ns_(next_cpu_ns),
         pinned_mems_(std::move(pinned_mems)),
         pinned_version_(std::move(pinned_version)) {}
 
@@ -791,10 +790,6 @@ class DbIter : public Iterator {
         continue;
       }
       valid_ = true;
-      if (stats_ != nullptr) {
-        // Count produced entries for scan-throughput accounting.
-        stats_->seeks_completed.Add(env_->Now(), 0);
-      }
       return;
     }
   }
@@ -803,8 +798,6 @@ class DbIter : public Iterator {
   SequenceNumber snapshot_;
   sim::CpuPool* cpu_;
   double next_cpu_ns_;
-  DbStats* stats_;
-  sim::SimEnv* env_;
   // Keep the snapshot alive: memtable arenas and SST metadata must outlive
   // this iterator even if a flush/compaction retires them meanwhile.
   std::vector<std::shared_ptr<MemTable>> pinned_mems_;
@@ -850,8 +843,8 @@ std::unique_ptr<Iterator> DbImpl::NewIterator(const ReadOptions& ropts) {
   pinned.push_back(mem);
   for (const auto& imm : imms) pinned.push_back(imm);
   return std::make_unique<DbIter>(std::move(merged), snapshot, denv_.host_cpu,
-                                  options_.next_cpu_ns, &stats_, env_,
-                                  std::move(pinned), version);
+                                  options_.next_cpu_ns, std::move(pinned),
+                                  version);
 }
 
 // ---------------- Flush ----------------

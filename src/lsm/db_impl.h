@@ -49,7 +49,6 @@ class DbImpl : public DB {
   Status VerifySstFile(uint64_t number, uint64_t* bytes_read) override;
 
   const DbStats& stats() const override { return stats_; }
-  DbStats& mutable_stats() override { return stats_; }
   BlockCacheStats GetBlockCacheStats() override;
   StallSignals GetStallSignals() override;
   uint64_t TotalSstBytes() override;

@@ -7,6 +7,7 @@
 #include <cstdint>
 
 #include "common/histogram.h"
+#include "obs/metrics.h"
 #include "sim/timeseries.h"
 
 namespace kvaccel::lsm {
@@ -15,7 +16,6 @@ struct DbStats {
   // Completed foreground operations, bucketed per virtual second.
   sim::TimeSeries writes_completed{kNanosPerSec};
   sim::TimeSeries reads_completed{kNanosPerSec};
-  sim::TimeSeries seeks_completed{kNanosPerSec};
 
   // Latency distributions (ns).
   Histogram put_latency;
@@ -66,6 +66,38 @@ struct DbStats {
   // single writer every group has size 1 and write_groups == writes_total.
   uint64_t write_groups = 0;
   Histogram group_commit_size;  // entries per group
+
+  // The snapshot reports the lsm.* and ndp.* rows from the Main-LSM's stats
+  // (ndp.* only with an NDP engine attached) and the db.* rows from the
+  // foreground view. The series and regions above are not metrics.
+  static constexpr obs::StatField<DbStats> kMetrics[] = {
+      {"lsm.writes_total", &DbStats::writes_total},
+      {"lsm.write_bytes_total", &DbStats::write_bytes_total},
+      {"lsm.reads_total", &DbStats::reads_total},
+      {"lsm.seeks_total", &DbStats::seeks_total},
+      {"lsm.flush.count", &DbStats::flush_count},
+      {"lsm.flush.bytes", &DbStats::flush_bytes},
+      {"lsm.compaction.count", &DbStats::compaction_count},
+      {"lsm.compaction.bytes_read", &DbStats::compaction_bytes_read},
+      {"lsm.compaction.bytes_written", &DbStats::compaction_bytes_written},
+      {"lsm.compaction.split_jobs", &DbStats::split_compactions},
+      {"lsm.compaction.subcompactions", &DbStats::subcompaction_count},
+      {"lsm.compaction.intra_l0", &DbStats::intra_l0_compactions},
+      {"lsm.compaction.throttle_ns", &DbStats::compaction_throttle_ns},
+      {"lsm.orphan_files_removed", &DbStats::orphan_files_removed},
+      {"lsm.stall.events", &DbStats::stall_events},
+      {"lsm.slowdown.events", &DbStats::slowdown_events},
+      {"lsm.io_retries", &DbStats::io_retries},
+      {"lsm.background_errors", &DbStats::background_errors},
+      {"lsm.write_groups", &DbStats::write_groups},
+      {"lsm.group_commit_size", &DbStats::group_commit_size},
+      {"ndp.compactions", &DbStats::ndp_compactions},
+      {"ndp.bytes_written", &DbStats::ndp_bytes_written},
+      {"ndp.fallbacks", &DbStats::ndp_fallbacks},
+      {"db.put_latency_ns", &DbStats::put_latency},
+      {"db.get_latency_ns", &DbStats::get_latency},
+      {"db.seek_latency_ns", &DbStats::seek_latency},
+  };
 };
 
 }  // namespace kvaccel::lsm

@@ -27,6 +27,7 @@
 #include "common/units.h"
 #include "lsm/db.h"
 #include "lsm/options.h"
+#include "obs/metrics.h"
 #include "sim/cpu_pool.h"
 #include "sim/sim_env.h"
 
@@ -57,6 +58,14 @@ struct PlannerStats {
   uint64_t flips = 0;            // hysteresis state changes
   uint64_t cooldown_rejects = 0; // jobs kept host-side by the breaker
   uint64_t failures = 0;         // device failures reported
+
+  static constexpr obs::StatField<PlannerStats> kMetrics[] = {
+      {"ndp.planner.device_jobs", &PlannerStats::device_jobs},
+      {"ndp.planner.host_jobs", &PlannerStats::host_jobs},
+      {"ndp.planner.flips", &PlannerStats::flips},
+      {"ndp.planner.cooldown_rejects", &PlannerStats::cooldown_rejects},
+      {"ndp.planner.failures", &PlannerStats::failures},
+  };
 };
 
 class OffloadPlanner {

@@ -50,13 +50,4 @@ std::string MetricsSnapshot::ToJson() const {
   return w.str();
 }
 
-MetricsSnapshot MetricsRegistry::Snapshot() const {
-  MetricsSnapshot snap;
-  for (const auto& [name, c] : counters_) snap.counters[name] = c.value();
-  for (const auto& [name, g] : gauges_) snap.gauges[name] = g.value();
-  for (const auto& [name, h] : histograms_) snap.SetHistogram(name, h);
-  for (const auto& source : sources_) source(&snap);
-  return snap;
-}
-
 }  // namespace kvaccel::obs

@@ -1,35 +1,24 @@
-// MetricsRegistry: hierarchical named counters / gauges / histograms with a
-// point-in-time Snapshot() and JSON serialization.
+// MetricsSnapshot: a run's named counters, gauges and histogram summaries,
+// built once at harvest (harness::SnapshotWorld) and serialized into the
+// report.
 //
 // Names are dot-separated paths mirroring the subsystem layout, e.g.
 // `lsm.compaction.bytes_written`, `ssd.link.busy_ns`,
 // `kvaccel.redirect.active` (the full scheme is DESIGN.md §8).
 //
-// Two ways for a component to publish:
-//  1. Native instruments — GetCounter()/GetGauge()/GetHistogram() return
-//     stable pointers the component updates directly. Counter::Inc is a
-//     single relaxed atomic add, cheap enough for hot paths.
-//  2. Snapshot sources — AddSource() registers a callback invoked at
-//     Snapshot() time that mirrors an existing stats struct (DbStats,
-//     DevLsmStats, KvaccelStats, FTL counters, ...) into the snapshot. This
-//     is how legacy counters migrate without rewriting every update site.
-//
-// Registration and Snapshot() are not internally synchronized: like the rest
-// of the simulation state they are safe under the cooperative scheduler
-// (exactly one simulated thread runs at a time and map operations never
-// yield). Counter values themselves are atomics, so reading a snapshot from
-// the harness while actors run is well-defined.
+// A stats struct that the sharded engine sums and the report prints
+// declares each of its metrics once, as a row of its `kMetrics` table of
+// StatField next to its fields. AddStats sums the table across shards and
+// MetricsSnapshot::SetStats reports it, so a new counter is one table row.
 //
 // Snapshots use std::map (sorted keys), so serialization order — and
 // therefore report bytes — is deterministic for identical runs.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/histogram.h"
 
@@ -37,27 +26,34 @@ namespace kvaccel::obs {
 
 class JsonWriter;
 
-class Counter {
- public:
-  void Inc(uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+// One metric of stats struct S: the name the snapshot reports it under and
+// the member that holds it, a counter or a histogram.
+template <typename S>
+struct StatField {
+  constexpr StatField(const char* n, uint64_t S::*c) : name(n), counter(c) {}
+  constexpr StatField(const char* n, Histogram S::*h)
+      : name(n), histogram(h) {}
+
+  bool Holds(uint64_t S::*m) const { return counter == m; }
+  bool Holds(Histogram S::*m) const { return histogram == m; }
+
+  const char* name;  // null: summed across shards but not reported
+  uint64_t S::*counter = nullptr;  // exactly one of the two is set
+  Histogram S::*histogram = nullptr;
+};
+
+// Adds every row of S::kMetrics from `in` into `*out`: counters sum and
+// histograms merge.
+template <typename S>
+void AddStats(const S& in, S* out) {
+  for (const StatField<S>& f : S::kMetrics) {
+    if (f.counter != nullptr) {
+      out->*f.counter += in.*f.counter;
+    } else {
+      (out->*f.histogram).Merge(in.*f.histogram);
+    }
   }
-  void Set(uint64_t v) { value_.store(v, std::memory_order_relaxed); }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> value_{0};
-};
-
-class Gauge {
- public:
-  void Set(double v) { value_ = v; }
-  void Add(double delta) { value_ += delta; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
+}
 
 // Compact percentile summary of a Histogram, cheap to snapshot and serialize.
 struct HistogramSummary {
@@ -83,35 +79,37 @@ struct MetricsSnapshot {
     histograms[name] = HistogramSummary::From(h);
   }
 
-  void WriteJson(JsonWriter* w) const;
-  std::string ToJson() const;
-};
-
-class MetricsRegistry {
- public:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  // Returned pointers are stable for the registry's lifetime (map nodes).
-  Counter* GetCounter(const std::string& name) { return &counters_[name]; }
-  Gauge* GetGauge(const std::string& name) { return &gauges_[name]; }
-  Histogram* GetHistogram(const std::string& name) {
-    return &histograms_[name];
+  // Reports the named rows of S::kMetrics whose name starts with `layer`
+  // (every named row by default), read from `s`.
+  template <typename S>
+  void SetStats(const S& s, std::string_view layer = "") {
+    for (const StatField<S>& f : S::kMetrics) {
+      if (f.name != nullptr && std::string_view(f.name).starts_with(layer)) {
+        Set(f, s, "");
+      }
+    }
+  }
+  // Reports the row of S::kMetrics that holds `member`, read from `s`, with
+  // `prefix` before its name.
+  template <typename S, typename M>
+  void SetStat(M S::*member, const S& s, const std::string& prefix) {
+    for (const StatField<S>& f : S::kMetrics) {
+      if (f.Holds(member)) Set(f, s, prefix);
+    }
   }
 
-  using Source = std::function<void(MetricsSnapshot*)>;
-  void AddSource(Source source) { sources_.push_back(std::move(source)); }
-
-  // Native instruments first, then sources in registration order; a source
-  // writing a name that already exists overwrites it (sources win).
-  MetricsSnapshot Snapshot() const;
+  void WriteJson(JsonWriter* w) const;
+  std::string ToJson() const;
 
  private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
-  std::map<std::string, Histogram> histograms_;
-  std::vector<Source> sources_;
+  template <typename S>
+  void Set(const StatField<S>& f, const S& s, const std::string& prefix) {
+    if (f.counter != nullptr) {
+      SetCounter(prefix + f.name, s.*f.counter);
+    } else {
+      SetHistogram(prefix + f.name, s.*f.histogram);
+    }
+  }
 };
 
 }  // namespace kvaccel::obs

@@ -64,7 +64,7 @@ const std::vector<FaultSiteInfo>& KnownFaultSites() {
       {"ssd.block.read.transient", "BlockRead fails with IOError"},
       {"ssd.block.flush.transient", "BlockFlush fails with IOError"},
       {"ssd.block.read.timeout", "BlockRead stalls ~10ms then IOError"},
-      {"devlsm.put.transient", "Dev-LSM Put/Delete/PutCompound fail"},
+      {"devlsm.put.transient", "Dev-LSM PutCompound fails"},
       {"devlsm.get.transient", "Dev-LSM Get fails"},
       {"simfs.read.bitflip", "one bit of the returned payload flips"},
       {"simfs.read.short", "read returns a prefix of the request"},

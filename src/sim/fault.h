@@ -7,7 +7,7 @@
 //             ssd.block.read.transient    BlockRead fails with IOError
 //             ssd.block.flush.transient   BlockFlush fails with IOError
 //             ssd.block.read.timeout      BlockRead stalls ~10ms then IOError
-//   dev-lsm   devlsm.put.transient        Put/Delete/PutCompound fail
+//   dev-lsm   devlsm.put.transient        PutCompound fails
 //             devlsm.get.transient        Get fails
 //   fs        simfs.read.bitflip          one bit of the returned payload flips
 //             simfs.read.short            read returns a prefix of the request

@@ -27,8 +27,6 @@ namespace {
 thread_local SimEnv* tls_env = nullptr;
 thread_local SimEnv::Thread* tls_current = nullptr;
 
-const std::string kEmptyName;
-
 // Fiber stacks are reserved, not committed: only the pages a thread touches
 // cost memory. A PROT_NONE guard page below each turns an overflow into a
 // fault instead of silent corruption of a neighbour.
@@ -91,10 +89,6 @@ SimEnv::~SimEnv() {
 }
 
 SimEnv* SimEnv::Current() { return tls_env; }
-
-const std::string& SimEnv::CurrentThreadName() {
-  return tls_current != nullptr ? tls_current->name : kEmptyName;
-}
 
 void SimEnv::CheckInSimThread() const {
   assert(tls_env == this && tls_current != nullptr &&
@@ -387,8 +381,6 @@ void SimMutex::Unlock() {
   }
   owner_ = nullptr;
 }
-
-bool SimMutex::HeldByCurrent() const { return owner_ == tls_current; }
 
 // ---------------- SimCondVar ----------------
 

@@ -80,8 +80,6 @@ class SimEnv {
 
   // Environment of the simulated thread currently executing (nullptr outside).
   static SimEnv* Current();
-  // Name of the currently executing simulated thread ("" outside).
-  static const std::string& CurrentThreadName();
 
   bool shutting_down() const { return shutting_down_; }
 
@@ -178,8 +176,6 @@ class SimMutex {
 
   void Lock();
   void Unlock();
-  // True iff held by the calling simulated thread.
-  bool HeldByCurrent() const;
 
  private:
   SimEnv::Thread* owner_ = nullptr;

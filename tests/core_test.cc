@@ -14,6 +14,8 @@
 namespace kvaccel::core {
 namespace {
 
+using test::DevPut;
+using test::DevDelete;
 using test::SimWorld;
 using test::TestKey;
 
@@ -200,20 +202,23 @@ TEST(KvaccelDbTest, HybridIteratorMergesBothSides) {
     }
     // Odd keys planted directly in the Dev-LSM (as a redirection would).
     for (int i = 1; i < 100; i += 2) {
-      ASSERT_TRUE(db->dev()->Put(TestKey(i), Value::Synthetic(i, 256)).ok());
+      ASSERT_TRUE(DevPut(db->dev(), TestKey(i), Value::Synthetic(i, 256)).ok());
       db->metadata()->Insert(TestKey(i), 1000000 + i);
     }
     // Overlap: key 10 newest in dev, key 12 newest in main.
-    ASSERT_TRUE(db->dev()->Put(TestKey(10), Value::Synthetic(777, 256)).ok());
+    ASSERT_TRUE(
+        DevPut(db->dev(), TestKey(10), Value::Synthetic(777, 256)).ok());
     db->metadata()->Insert(TestKey(10), 2000000);
-    ASSERT_TRUE(db->dev()->Put(TestKey(12), Value::Synthetic(888, 256)).ok());
+    ASSERT_TRUE(
+        DevPut(db->dev(), TestKey(12), Value::Synthetic(888, 256)).ok());
     // (12 not in metadata: main is newest)
     // Dev tombstone hides key 14 entirely.
-    ASSERT_TRUE(db->dev()->Delete(TestKey(14)).ok());
+    ASSERT_TRUE(DevDelete(db->dev(), TestKey(14)).ok());
     db->metadata()->Insert(TestKey(14), 2000001);
     // A redirected put of key 100 deleted on the host path: path 3-1 drops
     // the metadata record, so the device copy is stale for scans as for Get.
-    ASSERT_TRUE(db->dev()->Put(TestKey(100), Value::Synthetic(100, 256)).ok());
+    ASSERT_TRUE(
+        DevPut(db->dev(), TestKey(100), Value::Synthetic(100, 256)).ok());
     db->metadata()->Insert(TestKey(100), 2000002);
     ASSERT_TRUE(db->Delete({}, TestKey(100)).ok());
     Value gone;
@@ -263,7 +268,7 @@ TEST(KvaccelDbTest, HybridIteratorSurvivesRollbackMidScan) {
     for (int i = 1; i < 100; i += 2) {
       uint64_t seq = db->main()->AllocateSequence(1);
       ASSERT_TRUE(
-          db->dev()->Put(TestKey(i), Value::Synthetic(i, 256), seq).ok());
+          DevPut(db->dev(), TestKey(i), Value::Synthetic(i, 256), seq).ok());
       db->metadata()->Insert(TestKey(i), seq);
     }
 

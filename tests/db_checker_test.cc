@@ -23,6 +23,7 @@ namespace {
 
 using check::CheckReport;
 using check::DbChecker;
+using test::DevPut;
 using test::SimWorld;
 using test::TestKey;
 
@@ -412,8 +413,9 @@ TEST(DbCheckerTest, OrphanedDevLsmEntryDetectedAndDrainedByRepair) {
     // volatile metadata table has no record of it — no read path reaches it
     // and a trusted rollback would drop it.
     uint64_t newest = db->main()->AllocateSequence(1);
-    ASSERT_TRUE(
-        db->dev()->Put(TestKey(3), Value::Synthetic(777, 4096), newest).ok());
+    ASSERT_TRUE(DevPut(db->dev(), TestKey(3), Value::Synthetic(777, 4096),
+                       newest)
+                    .ok());
     // Dangling metadata: a record whose key the device cannot resolve.
     db->metadata()->Insert(TestKey(99), newest);
 
@@ -446,7 +448,7 @@ TEST(DbCheckerTest, SupersededDeviceResidueIsWarningNotError) {
     // Device pair at host_seq 1, then a newer host write of the same key:
     // the residue is stale (3-1 path), not lost data.
     ASSERT_TRUE(
-        db->dev()->Put(TestKey(5), Value::Synthetic(111, 4096), 1).ok());
+        DevPut(db->dev(), TestKey(5), Value::Synthetic(111, 4096), 1).ok());
     ASSERT_TRUE(db->Put({}, TestKey(5), Value::Synthetic(222, 4096)).ok());
 
     CheckReport report;

@@ -12,6 +12,8 @@
 namespace kvaccel::devlsm {
 namespace {
 
+using test::DevPut;
+using test::DevDelete;
 using test::SimWorld;
 using test::TestKey;
 
@@ -26,18 +28,17 @@ TEST(DevLsmTest, PutGetDelete) {
   SimWorld world;
   world.Run([&] {
     DevLsm dev(world.ssd.get(), 0, SmallDevOptions());
-    ASSERT_TRUE(dev.Put("k1", Value::Inline("v1")).ok());
-    ASSERT_TRUE(dev.Put("k2", Value::Synthetic(7, 4096)).ok());
+    ASSERT_TRUE(DevPut(&dev, "k1", Value::Inline("v1")).ok());
+    ASSERT_TRUE(DevPut(&dev, "k2", Value::Synthetic(7, 4096)).ok());
     Value v;
     ASSERT_TRUE(dev.Get("k1", &v).ok());
     EXPECT_EQ(v.Materialize(), "v1");
     ASSERT_TRUE(dev.Get("k2", &v).ok());
     EXPECT_EQ(v.logical_size(), 4096u);
     EXPECT_TRUE(dev.Get("absent", &v).IsNotFound());
-    ASSERT_TRUE(dev.Delete("k1").ok());
+    ASSERT_TRUE(DevDelete(&dev, "k1").ok());
     EXPECT_TRUE(dev.Get("k1", &v).IsNotFound());
-    EXPECT_TRUE(dev.Exist("k2"));
-    EXPECT_FALSE(dev.Exist("k1"));
+    EXPECT_TRUE(dev.Get("k2", &v).ok());
   });
 }
 
@@ -46,7 +47,7 @@ TEST(DevLsmTest, OverwriteKeepsNewest) {
   world.Run([&] {
     DevLsm dev(world.ssd.get(), 0, SmallDevOptions());
     for (int i = 0; i < 5; i++) {
-      ASSERT_TRUE(dev.Put("k", Value::Synthetic(i, 100)).ok());
+      ASSERT_TRUE(DevPut(&dev, "k", Value::Synthetic(i, 100)).ok());
     }
     Value v;
     ASSERT_TRUE(dev.Get("k", &v).ok());
@@ -61,7 +62,7 @@ TEST(DevLsmTest, FlushSpillsToNandAndSurvivesInRuns) {
     uint64_t nand_before = world.ssd->nand().bytes_written();
     // 128 KiB threshold: 40 x 4 KiB values forces at least one flush.
     for (int i = 0; i < 40; i++) {
-      ASSERT_TRUE(dev.Put(TestKey(i), Value::Synthetic(i, 4096)).ok());
+      ASSERT_TRUE(DevPut(&dev, TestKey(i), Value::Synthetic(i, 4096)).ok());
     }
     EXPECT_GE(dev.stats().flushes, 1u);
     EXPECT_GT(world.ssd->nand().bytes_written(), nand_before);
@@ -83,8 +84,9 @@ TEST(DevLsmTest, RunCompactionMergesAndReclaims) {
     // Overwrite the same small key set across many flush generations.
     for (int round = 0; round < 8; round++) {
       for (int i = 0; i < 40; i++) {
-        ASSERT_TRUE(
-            dev.Put(TestKey(i), Value::Synthetic(round * 100 + i, 4096)).ok());
+        ASSERT_TRUE(DevPut(&dev, TestKey(i),
+                           Value::Synthetic(round * 100 + i, 4096))
+                        .ok());
       }
     }
     EXPECT_GT(dev.stats().compactions, 0u);
@@ -99,10 +101,10 @@ TEST(DevLsmTest, BulkScanStreamsSortedNewestOnly) {
   world.Run([&] {
     DevLsm dev(world.ssd.get(), 0, SmallDevOptions());
     for (int i = 50; i > 0; i--) {
-      ASSERT_TRUE(dev.Put(TestKey(i), Value::Synthetic(i, 4096)).ok());
+      ASSERT_TRUE(DevPut(&dev, TestKey(i), Value::Synthetic(i, 4096)).ok());
     }
-    ASSERT_TRUE(dev.Put(TestKey(25), Value::Synthetic(999, 4096)).ok());
-    ASSERT_TRUE(dev.Delete(TestKey(10)).ok());
+    ASSERT_TRUE(DevPut(&dev, TestKey(25), Value::Synthetic(999, 4096)).ok());
+    ASSERT_TRUE(DevDelete(&dev, TestKey(10)).ok());
 
     std::vector<std::string> keys;
     int tombstones = 0;
@@ -126,7 +128,7 @@ TEST(DevLsmTest, ResetFreesEverything) {
   world.Run([&] {
     DevLsm dev(world.ssd.get(), 0, SmallDevOptions());
     for (int i = 0; i < 60; i++) {
-      ASSERT_TRUE(dev.Put(TestKey(i), Value::Synthetic(i, 4096)).ok());
+      ASSERT_TRUE(DevPut(&dev, TestKey(i), Value::Synthetic(i, 4096)).ok());
     }
     EXPECT_FALSE(dev.Empty());
     EXPECT_GT(dev.used_pages(), 0u);
@@ -136,7 +138,7 @@ TEST(DevLsmTest, ResetFreesEverything) {
     Value v;
     EXPECT_TRUE(dev.Get(TestKey(1), &v).IsNotFound());
     // Usable again after reset.
-    ASSERT_TRUE(dev.Put("fresh", Value::Inline("x")).ok());
+    ASSERT_TRUE(DevPut(&dev, "fresh", Value::Inline("x")).ok());
     ASSERT_TRUE(dev.Get("fresh", &v).ok());
   });
 }
@@ -146,7 +148,7 @@ TEST(DevLsmTest, IteratorBatchedSeekNext) {
   world.Run([&] {
     DevLsm dev(world.ssd.get(), 0, SmallDevOptions());
     for (int i = 0; i < 100; i++) {
-      ASSERT_TRUE(dev.Put(TestKey(i), Value::Synthetic(i, 4096)).ok());
+      ASSERT_TRUE(DevPut(&dev, TestKey(i), Value::Synthetic(i, 4096)).ok());
     }
     auto it = dev.NewIterator();
     it->Seek(TestKey(30));
@@ -167,7 +169,7 @@ TEST(DevLsmTest, IteratorPaysDevicePerBatch) {
   world.Run([&] {
     DevLsm dev(world.ssd.get(), 0, SmallDevOptions());
     for (int i = 0; i < 100; i++) {
-      ASSERT_TRUE(dev.Put(TestKey(i), Value::Synthetic(i, 4096)).ok());
+      ASSERT_TRUE(DevPut(&dev, TestKey(i), Value::Synthetic(i, 4096)).ok());
     }
     uint64_t reads_before = world.ssd->nand().bytes_read();
     auto it = dev.NewIterator();
@@ -188,7 +190,7 @@ TEST(DevLsmTest, QuotaExhaustionSurfacesNoSpace) {
     DevLsm dev(world.ssd.get(), 0, opts);
     Status s;
     for (int i = 0; i < 4000 && s.ok(); i++) {
-      s = dev.Put(TestKey(i), Value::Synthetic(i, 4096));
+      s = DevPut(&dev, TestKey(i), Value::Synthetic(i, 4096));
     }
     EXPECT_TRUE(s.IsNoSpace());
   });
@@ -199,20 +201,20 @@ TEST(DevLsmTest, CommandsRideTheSharedPcieLink) {
   world.Run([&] {
     DevLsm dev(world.ssd.get(), 0, SmallDevOptions());
     uint64_t pcie_before = world.ssd->pcie().total_bytes();
-    ASSERT_TRUE(dev.Put("k", Value::Synthetic(1, 4096)).ok());
-    // PUT moved ~4 KiB + command overhead over PCIe.
+    ASSERT_TRUE(DevPut(&dev, "k", Value::Synthetic(1, 4096)).ok());
+    // The put moved ~4 KiB + command overhead over PCIe.
     EXPECT_GE(world.ssd->pcie().total_bytes(), pcie_before + 4096);
-    EXPECT_EQ(world.ssd->trace().CountOf(ssd::nvme::Opcode::kKvStore), 1u);
+    EXPECT_EQ(world.ssd->trace().CountOf(ssd::nvme::Opcode::kKvCompound), 1u);
   });
 }
 
-// A seeded schedule of PutCompound, Put and Delete over a small key space
-// (repeated keys, tombstones), with a small memtable and a low run trigger so
-// runs flush and merge, and ResetUpTo at random snapshots. Every Get, the
-// whole BulkScan and the iterator output match a std::map model in which the
-// newest device sequence wins. The KV-region pages, NAND byte counters and
-// virtual clock are pinned: a merge that changes which runs exist, or what
-// they hold, moves them.
+// A seeded schedule of multi-entry compound puts and one-entry puts and
+// deletes over a small key space (repeated keys, tombstones), with a small
+// memtable and a low run trigger so runs flush and merge, and ResetUpTo at
+// random snapshots. Every Get, the whole BulkScan and the iterator output
+// match a std::map model in which the newest device sequence wins. The
+// KV-region pages, NAND byte counters and virtual clock are pinned: a merge
+// that changes which runs exist, or what they hold, moves them.
 TEST(DevLsmTest, SeededScheduleMatchesNewestSequenceModel) {
   struct Pinned {
     bool compaction;
@@ -319,11 +321,11 @@ TEST(DevLsmTest, SeededScheduleMatchesNewestSequenceModel) {
         } else if (r < 70) {
           std::string key = TestKey(rnd.Uniform(400));
           Value v = value_for(step);
-          ASSERT_TRUE(dev.Put(key, v, ++host_seq).ok());
+          ASSERT_TRUE(DevPut(&dev, key, v, ++host_seq).ok());
           apply(key, v, false, host_seq);
         } else if (r < 85) {
           std::string key = TestKey(rnd.Uniform(400));
-          ASSERT_TRUE(dev.Delete(key, ++host_seq).ok());
+          ASSERT_TRUE(DevDelete(&dev, key, ++host_seq).ok());
           apply(key, Value(), true, host_seq);
         } else if (r < 89) {
           ASSERT_EQ(dev.LastSeq(), dev_seq);

@@ -16,6 +16,7 @@ namespace {
 
 using lsm::DB;
 using lsm::DbOptions;
+using test::DevPut;
 using test::SimWorld;
 using test::TestKey;
 
@@ -151,7 +152,7 @@ TEST(RollbackConcurrencyTest, RedirectDuringRollbackSurvives) {
     for (int i = 0; i < 400; i++) {
       lsm::SequenceNumber seq = db->main()->AllocateSequence(1);
       ASSERT_TRUE(
-          db->dev()->Put(TestKey(i), Value::Synthetic(i, 4096), seq).ok());
+          DevPut(db->dev(), TestKey(i), Value::Synthetic(i, 4096), seq).ok());
       db->metadata()->Insert(TestKey(i), seq);
     }
     // Start the rollback in one thread; redirect new pairs from another
@@ -166,7 +167,7 @@ TEST(RollbackConcurrencyTest, RedirectDuringRollbackSurvives) {
       for (int i = 1000; i < 1050; i++) {
         lsm::SequenceNumber seq = db->main()->AllocateSequence(1);
         ASSERT_TRUE(
-            db->dev()->Put(TestKey(i), Value::Synthetic(i, 4096), seq).ok());
+            DevPut(db->dev(), TestKey(i), Value::Synthetic(i, 4096), seq).ok());
         db->metadata()->Insert(TestKey(i), seq);
       }
     });

@@ -16,6 +16,7 @@
 namespace kvaccel {
 namespace {
 
+using test::DevPut;
 using test::SimWorld;
 using test::TestKey;
 
@@ -27,7 +28,7 @@ TEST(DevReadCacheTest, HitsSkipNandReads) {
     opts.read_cache_bytes = 8 << 20;
     devlsm::DevLsm dev(world.ssd.get(), 0, opts);
     for (int i = 0; i < 100; i++) {
-      ASSERT_TRUE(dev.Put(TestKey(i), Value::Synthetic(i, 4096)).ok());
+      ASSERT_TRUE(DevPut(&dev, TestKey(i), Value::Synthetic(i, 4096)).ok());
     }
     // First pass: cold cache.
     auto it = dev.NewIterator();
@@ -53,14 +54,14 @@ TEST(DevReadCacheTest, MutationInvalidatesCache) {
     opts.read_cache_bytes = 8 << 20;
     devlsm::DevLsm dev(world.ssd.get(), 0, opts);
     for (int i = 0; i < 50; i++) {
-      ASSERT_TRUE(dev.Put(TestKey(i), Value::Synthetic(i, 4096)).ok());
+      ASSERT_TRUE(DevPut(&dev, TestKey(i), Value::Synthetic(i, 4096)).ok());
     }
     auto it = dev.NewIterator();
     for (it->SeekToFirst(); it->Valid(); it->Next()) {
     }
     uint64_t hits_before = dev.stats().read_cache_hits;
     // A write invalidates the firmware cache: next scan misses again.
-    ASSERT_TRUE(dev.Put("zzz", Value::Inline("fresh")).ok());
+    ASSERT_TRUE(DevPut(&dev, "zzz", Value::Inline("fresh")).ok());
     auto it2 = dev.NewIterator();
     it2->SeekToFirst();
     EXPECT_EQ(dev.stats().read_cache_hits, hits_before);
@@ -79,7 +80,7 @@ TEST(DevReadCacheTest, EvictsOldestPageNotSmallestKey) {
     opts.memtable_bytes = 3 * (1 + 8 + 4096);  // the third Put flushes a run
     devlsm::DevLsm dev(world.ssd.get(), 0, opts);
     for (const char* k : {"a", "b", "c"}) {
-      ASSERT_TRUE(dev.Put(k, Value::Synthetic(1, 4096)).ok());
+      ASSERT_TRUE(DevPut(&dev, k, Value::Synthetic(1, 4096)).ok());
     }
     ASSERT_EQ(dev.stats().flushes, 1u);
     Value v;
@@ -100,7 +101,7 @@ TEST(DevReadCacheTest, DisabledByDefault) {
   world.Run([&] {
     devlsm::DevLsmOptions opts;  // read_cache_bytes = 0: paper configuration
     devlsm::DevLsm dev(world.ssd.get(), 0, opts);
-    ASSERT_TRUE(dev.Put("k", Value::Inline("v")).ok());
+    ASSERT_TRUE(DevPut(&dev, "k", Value::Inline("v")).ok());
     auto it = dev.NewIterator();
     it->SeekToFirst();
     it->SeekToFirst();
@@ -138,7 +139,7 @@ TEST(CompoundCommandTest, CompoundIsCheaperThanSingles) {
       devlsm::DevLsm dev(world.ssd.get(), 0, {});
       Nanos t0 = world.env.Now();
       for (int i = 0; i < 32; i++) {
-        ASSERT_TRUE(dev.Put(TestKey(i), Value::Synthetic(i, 4096)).ok());
+        ASSERT_TRUE(DevPut(&dev, TestKey(i), Value::Synthetic(i, 4096)).ok());
       }
       singles = world.env.Now() - t0;
     }

@@ -22,6 +22,7 @@
 namespace kvaccel {
 namespace {
 
+using test::DevPut;
 using test::SimWorld;
 using test::TestKey;
 
@@ -662,9 +663,9 @@ TEST(KvaccelFaultTest, CrashMidRollbackDrainKeepsDevicePairs) {
     devlsm::DevLsm dev(world.ssd.get(), 0, kv_opts.dev);
     kv_opts.external_dev = &dev;
     for (uint64_t i = 0; i < 50; i++) {
-      ASSERT_TRUE(
-          dev.Put(TestKey(i), Value::Synthetic(i, 1024), /*host_seq=*/i + 1)
-              .ok());
+      ASSERT_TRUE(DevPut(&dev, TestKey(i), Value::Synthetic(i, 1024),
+                         /*seq=*/i + 1)
+                      .ok());
     }
 
     // First open dies mid-drain: the recovery rollback crashes before its

@@ -1,4 +1,4 @@
-// Observability subsystem tests: JSON writer, metrics registry, tracer,
+// Observability subsystem tests: JSON writer, metrics snapshot, tracer,
 // coalescing spans, Chrome trace serialization, and the end-to-end run
 // artifacts (--trace_out / --json_out equivalents through RunBenchmark).
 #include <cstdio>
@@ -86,66 +86,68 @@ TEST(JsonWriterTest, EmptyContainers) {
   EXPECT_EQ(w.str(), "{\"a\":[],\"o\":{}}");
 }
 
-// ---------------- MetricsRegistry ----------------
+// ---------------- Metrics ----------------
 
-TEST(MetricsRegistryTest, NativeInstrumentsSnapshot) {
-  obs::MetricsRegistry reg;
-  obs::Counter* c = reg.GetCounter("lsm.flush.count");
-  c->Inc();
-  c->Inc(4);
-  reg.GetGauge("kvaccel.redirect.active")->Set(1.0);
-  Histogram* h = reg.GetHistogram("db.put_latency_ns");
-  for (int i = 1; i <= 100; i++) h->Add(static_cast<uint64_t>(i) * 1000);
-
-  obs::MetricsSnapshot snap = reg.Snapshot();
-  EXPECT_EQ(snap.counters.at("lsm.flush.count"), 5u);
-  EXPECT_EQ(snap.gauges.at("kvaccel.redirect.active"), 1.0);
-  const obs::HistogramSummary& hs = snap.histograms.at("db.put_latency_ns");
-  EXPECT_EQ(hs.count, 100u);
-  EXPECT_EQ(hs.min, 1000u);
-  EXPECT_EQ(hs.max, 100000u);
-  EXPECT_GT(hs.p99, hs.p50);
-}
-
-TEST(MetricsRegistryTest, StablePointersAcrossRegistrations) {
-  obs::MetricsRegistry reg;
-  obs::Counter* a = reg.GetCounter("a");
-  // Registering many more must not invalidate the first pointer (map nodes).
-  for (int i = 0; i < 100; i++) {
-    reg.GetCounter("x." + std::to_string(i));
-  }
-  a->Inc(7);
-  EXPECT_EQ(reg.GetCounter("a"), a);
-  EXPECT_EQ(reg.Snapshot().counters.at("a"), 7u);
-}
-
-TEST(MetricsRegistryTest, SourcesMirrorAndOverride) {
-  obs::MetricsRegistry reg;
-  reg.GetCounter("shared")->Set(1);
-  uint64_t live = 41;
-  reg.AddSource([&live](obs::MetricsSnapshot* snap) {
-    snap->SetCounter("mirrored", live);
-    snap->SetCounter("shared", 99);  // sources win over natives
-  });
-  live = 42;
-  obs::MetricsSnapshot snap = reg.Snapshot();
-  EXPECT_EQ(snap.counters.at("mirrored"), 42u);  // read at snapshot time
-  EXPECT_EQ(snap.counters.at("shared"), 99u);
-}
-
-TEST(MetricsRegistryTest, SnapshotJsonIsSortedAndDeterministic) {
-  obs::MetricsRegistry reg;
-  reg.GetCounter("z.last")->Set(1);
-  reg.GetCounter("a.first")->Set(2);
-  reg.GetGauge("m.gauge")->Set(0.5);
-  std::string one = reg.Snapshot().ToJson();
-  std::string two = reg.Snapshot().ToJson();
-  EXPECT_EQ(one, two);
-  // Sorted by name regardless of registration order.
+TEST(MetricsSnapshotTest, JsonIsSortedAndDeterministic) {
+  obs::MetricsSnapshot a, b;
+  a.SetCounter("z.last", 1);
+  a.SetCounter("a.first", 2);
+  a.SetGauge("m.gauge", 0.5);
+  b.SetGauge("m.gauge", 0.5);
+  b.SetCounter("a.first", 2);
+  b.SetCounter("z.last", 1);
+  std::string one = a.ToJson();
+  EXPECT_EQ(one, b.ToJson());
+  // Sorted by name regardless of insertion order.
   EXPECT_LT(one.find("a.first"), one.find("z.last"));
   EXPECT_NE(one.find("\"counters\""), std::string::npos);
   EXPECT_NE(one.find("\"gauges\""), std::string::npos);
   EXPECT_NE(one.find("\"histograms\""), std::string::npos);
+}
+
+// A stats struct with a metric table, as the layers declare theirs.
+struct TabledStats {
+  uint64_t hits = 0;
+  uint64_t hidden = 0;
+  Histogram latency;
+  uint64_t other = 0;
+
+  static constexpr obs::StatField<TabledStats> kMetrics[] = {
+      {"x.hits", &TabledStats::hits},
+      {nullptr, &TabledStats::hidden},
+      {"x.latency_ns", &TabledStats::latency},
+      {"y.other", &TabledStats::other},
+  };
+};
+
+TEST(MetricsSnapshotTest, StatTablesSumAndReportEveryRow) {
+  TabledStats one, two, sum;
+  one.hits = 3;
+  one.hidden = 1;
+  one.latency.Add(100);
+  one.other = 7;
+  two.hits = 4;
+  two.hidden = 2;
+  two.latency.Add(300);
+  obs::AddStats(one, &sum);
+  obs::AddStats(two, &sum);
+  EXPECT_EQ(sum.hits, 7u);
+  EXPECT_EQ(sum.hidden, 3u);
+  EXPECT_EQ(sum.latency.Count(), 2u);
+  EXPECT_EQ(sum.other, 7u);
+
+  obs::MetricsSnapshot snap;
+  snap.SetStats(sum, "x.");
+  EXPECT_EQ(snap.counters.at("x.hits"), 7u);
+  EXPECT_EQ(snap.histograms.at("x.latency_ns").count, 2u);
+  EXPECT_EQ(snap.counters.count("y.other"), 0u);  // another layer
+  EXPECT_EQ(snap.counters.size(), 1u);  // the null row is not reported
+  snap.SetStats(sum);
+  EXPECT_EQ(snap.counters.at("y.other"), 7u);
+  snap.SetStat(&TabledStats::latency, one, "shard.0.");
+  EXPECT_EQ(snap.histograms.at("shard.0.x.latency_ns").count, 1u);
+  snap.SetStat(&TabledStats::hits, two, "shard.1.");
+  EXPECT_EQ(snap.counters.at("shard.1.x.hits"), 4u);
 }
 
 TEST(MetricsRegistryTest, EmptyHistogramSummaryIsZeros) {
@@ -349,6 +351,24 @@ TEST(RunArtifactsTest, BlockCacheStatsSurfaceOnReadWorkload) {
   EXPECT_LE(r.cache.hit_rate(), 1.0);
   EXPECT_EQ(r.metrics.counters.at("lsm.block_cache.hits"), r.cache.hits);
   EXPECT_EQ(r.metrics.counters.at("lsm.block_cache.misses"), r.cache.misses);
+}
+
+// A sharded run reports the whole fleet's block cache, not shard 0's: the
+// metrics match the summary's cache counters.
+TEST(RunArtifactsTest, ShardedBlockCacheMetricsCoverTheFleet) {
+  BenchConfig c;
+  c.scale = 0.03125;
+  c.sut.kind = SystemKind::kKvaccel;
+  c.sut.shards = 4;
+  c.workload.type = WorkloadConfig::Type::kReadWhileWriting;
+  c.workload.read_threads = 2;
+  c.workload.duration = FromSecs(3);
+  RunResult r = RunBenchmark(c);
+  EXPECT_GT(r.cache.hits, 0u);
+  EXPECT_EQ(r.metrics.counters.at("lsm.block_cache.hits"), r.cache.hits);
+  EXPECT_EQ(r.metrics.counters.at("lsm.block_cache.misses"), r.cache.misses);
+  EXPECT_EQ(r.metrics.counters.at("lsm.block_cache.capacity_bytes"),
+            r.cache.capacity_bytes);
 }
 
 TEST(RunArtifactsTest, JsonReportIsValidAndDeterministic) {

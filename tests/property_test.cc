@@ -22,6 +22,7 @@ namespace {
 
 using lsm::DB;
 using lsm::DbOptions;
+using test::DevPut;
 using test::SimWorld;
 using test::TestKey;
 
@@ -241,13 +242,13 @@ TEST(DevLsmResetUpToTest, SurvivorsOutliveBoundedReset) {
     devlsm::DevLsm dev(world.ssd.get(), 0, opts);
     for (int i = 0; i < 50; i++) {
       ASSERT_TRUE(
-          dev.Put(TestKey(i), Value::Synthetic(i, 4096), 100 + i).ok());
+          DevPut(&dev, TestKey(i), Value::Synthetic(i, 4096), 100 + i).ok());
     }
     uint64_t snapshot = dev.LastSeq();
     // Writes after the snapshot must survive the bounded reset.
     for (int i = 50; i < 60; i++) {
       ASSERT_TRUE(
-          dev.Put(TestKey(i), Value::Synthetic(i, 4096), 100 + i).ok());
+          DevPut(&dev, TestKey(i), Value::Synthetic(i, 4096), 100 + i).ok());
     }
     ASSERT_TRUE(dev.ResetUpTo(snapshot).ok());
     Value v;
@@ -270,9 +271,9 @@ TEST(DevLsmResetUpToTest, OverwrittenSurvivorKeepsNewestOnly) {
     devlsm::DevLsmOptions opts;
     opts.memtable_bytes = 32 << 10;
     devlsm::DevLsm dev(world.ssd.get(), 0, opts);
-    ASSERT_TRUE(dev.Put("k", Value::Synthetic(1, 4096), 10).ok());
+    ASSERT_TRUE(DevPut(&dev, "k", Value::Synthetic(1, 4096), 10).ok());
     uint64_t snapshot = dev.LastSeq();
-    ASSERT_TRUE(dev.Put("k", Value::Synthetic(2, 4096), 20).ok());
+    ASSERT_TRUE(DevPut(&dev, "k", Value::Synthetic(2, 4096), 20).ok());
     ASSERT_TRUE(dev.ResetUpTo(snapshot).ok());
     Value v;
     ASSERT_TRUE(dev.Get("k", &v).ok());

@@ -1,6 +1,7 @@
 // Shard router invariants (DESIGN.md §11): key routing, cross-shard iterator
-// order, per-shard crash recovery, fair-share arbiter behavior, and the
-// determinism + fairness acceptance gates for the sharded engine.
+// order, per-shard crash recovery, the fleet stats roll-up, fair-share
+// arbiter behavior, and the determinism + fairness acceptance gates for the
+// sharded engine.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -12,6 +13,8 @@
 #include "core/sharded_kvaccel_db.h"
 #include "harness/report_json.h"
 #include "harness/workload.h"
+#include "ndp/ndp_device.h"
+#include "obs/metrics.h"
 #include "sim/arbiter.h"
 #include "tests/test_util.h"
 
@@ -257,6 +260,87 @@ TEST(ShardRecoveryTest, CrashMetadataAndRecoverRecoversEveryShard) {
       ASSERT_TRUE(db->Get({}, TestKey(k), &v).ok()) << k;
       EXPECT_EQ(v.seed(), static_cast<uint64_t>(3500 + k)) << k;
     }
+    ASSERT_TRUE(db->Close().ok());
+  });
+}
+
+// The fleet roll-up walks each layer's metric table: for every row of the
+// five tables (the Dev-LSM read-cache rows, which are summed but not
+// reported, and the NDP rows included) the fleet value is the sum of the
+// shards' own stats, and each fleet histogram holds every shard's samples.
+TEST(ShardStatsTest, FleetRollupSumsEveryTableRow) {
+  const int n = 4;
+  ShardWorld world(n);
+  ndp::NdpDevice ndp_dev(world.ssd.get());
+  world.Run([&] {
+    lsm::DbOptions main_opts = test::SmallDbOptions();
+    main_opts.write_buffer_size = 64 << 10;
+    main_opts.l0_slowdown_writes_trigger = 4;
+    main_opts.l0_stop_writes_trigger = 5;
+    main_opts.compaction_threads = 1;
+    core::KvaccelOptions kv_opts = SmallKvOptions();
+    kv_opts.detector_period = FromMillis(1);
+    kv_opts.dev.read_cache_bytes = 1 << 20;
+    kv_opts.ndp_device = &ndp_dev;
+    kv_opts.ndp_planner.mode = ndp::OffloadMode::kForce;
+    core::ShardingOptions sharding;
+    sharding.num_shards = n;
+    std::unique_ptr<core::ShardedKvaccelDB> db;
+    ASSERT_TRUE(core::ShardedKvaccelDB::Open(main_opts, kv_opts, sharding,
+                                             world.MakeShardEnv(), &db)
+                    .ok());
+    for (int i = 0; i < 4000; i++) {
+      ASSERT_TRUE(db->Put({}, TestKey(i % 500),
+                          Value::Synthetic(static_cast<uint64_t>(i), 4096))
+                      .ok());
+    }
+    Value v;
+    for (int round = 0; round < 2; round++) {
+      for (int k = 0; k < 500; k++) {
+        ASSERT_TRUE(db->Get({}, TestKey(k), &v).ok()) << k;
+      }
+    }
+
+    const lsm::DbStats& main_stats = db->AggregateMainStats();
+    EXPECT_GT(db->AggregateKvStats().redirected_writes, 0u);
+    EXPECT_GT(main_stats.flush_count, 0u);
+    EXPECT_GT(main_stats.compaction_count, 0u);
+    EXPECT_GT(db->AggregateStats().reads_total, 0u);
+    EXPECT_GT(db->AggregateBlockCacheStats().hits, 0u);
+    EXPECT_GT(db->AggregateDevStats().read_cache_hits, 0u);
+    EXPECT_GT(db->AggregatePlannerStats().device_jobs, 0u);
+
+    // A counter row's value, or a histogram row's sample count.
+    auto value = [](const auto& f, const auto& s) -> uint64_t {
+      return f.counter != nullptr ? s.*f.counter : (s.*f.histogram).Count();
+    };
+    auto expect_rows_sum = [&](const auto& fleet, auto shard_stats) {
+      using S = std::decay_t<decltype(fleet)>;
+      for (const obs::StatField<S>& f : S::kMetrics) {
+        SCOPED_TRACE(f.name != nullptr ? f.name : "unreported row");
+        uint64_t sum = 0;
+        for (int i = 0; i < n; i++) sum += value(f, shard_stats(db->shard(i)));
+        EXPECT_EQ(value(f, fleet), sum);
+      }
+    };
+    using core::KvaccelDB;
+    expect_rows_sum(main_stats, [](KvaccelDB* kv) -> const lsm::DbStats& {
+      return kv->main()->stats();
+    });
+    expect_rows_sum(db->AggregateStats(),
+                    [](KvaccelDB* kv) -> const lsm::DbStats& {
+                      return kv->stats();
+                    });
+    expect_rows_sum(db->AggregateKvStats(),
+                    [](KvaccelDB* kv) { return kv->kv_stats(); });
+    expect_rows_sum(db->AggregateBlockCacheStats(), [](KvaccelDB* kv) {
+      return kv->main()->GetBlockCacheStats();
+    });
+    expect_rows_sum(db->AggregateDevStats(),
+                    [](KvaccelDB* kv) { return kv->dev()->stats(); });
+    expect_rows_sum(db->AggregatePlannerStats(), [](KvaccelDB* kv) {
+      return kv->offload_planner()->stats();
+    });
     ASSERT_TRUE(db->Close().ok());
   });
 }

@@ -4,6 +4,7 @@
 
 #include <functional>
 
+#include "devlsm/dev_lsm.h"
 #include "fs/simfs.h"
 #include "lsm/db.h"
 #include "sim/cpu_pool.h"
@@ -62,6 +63,17 @@ inline std::string TestKey(uint64_t n) {
   char buf[32];
   snprintf(buf, sizeof(buf), "key%010llu", static_cast<unsigned long long>(n));
   return buf;
+}
+
+// Point writes to a Dev-LSM: one-entry compound commands, which cost what a
+// standalone PUT or DELETE command would.
+inline Status DevPut(devlsm::DevLsm* dev, const std::string& key,
+                     const Value& value, uint64_t seq = 0) {
+  return dev->PutCompound({{key, value, false, seq}});
+}
+inline Status DevDelete(devlsm::DevLsm* dev, const std::string& key,
+                        uint64_t seq = 0) {
+  return dev->PutCompound({{key, Value(), true, seq}});
 }
 
 }  // namespace kvaccel::test

@@ -107,7 +107,7 @@ run_pass() {
   echo "==== ${name}: dbbench fault smoke ===="
   "${dir}/tools/kvaccel_dbbench" --system=kvaccel --workload=fillrandom \
     --seconds=5 --fault_profile=flaky-nvme --fault_seed=7 > /dev/null
-  # Observability suite, explicitly (tracer, metrics registry, run reports).
+  # Observability suite, explicitly (tracer, metrics snapshot, run reports).
   echo "==== ${name}: ctest -L obs ===="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L obs
   # Integrity suite, explicitly (model-oracle nemesis, consistency checker,
@@ -115,8 +115,9 @@ run_pass() {
   echo "==== ${name}: ctest -L check ===="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L check
   # Shard suite, explicitly: routing invariants (boundary keys in exactly one
-  # shard), cross-shard iterator order, per-shard crash recovery, arbiter
-  # fairness, sharded report determinism and the sharded nemesis smoke.
+  # shard), cross-shard iterator order, per-shard crash recovery, the fleet
+  # stats roll-up, arbiter fairness, sharded report determinism and the
+  # sharded nemesis smoke.
   echo "==== ${name}: ctest -L shard ===="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L shard
   # HA suite, explicitly: NetLink wire/latency accounting (incl. partition
@@ -421,8 +422,9 @@ EOF
 
 # pinned BUILD_DIR: prints "sha256  NAME.ARTIFACT" for the stdout (its
 # artifact-path lines dropped), --json_out report and --trace_out trace of
-# every bench_smoke dbbench run plus the HA partition drill in wal mode, and
-# for the stdout of the six nemesis smokes. Artifacts stay in
+# every bench_smoke dbbench run plus the HA partition drill in wal mode and
+# two sharded runs (readwhilewriting, and --ndp=auto), and for the stdout of
+# the six nemesis smokes. Artifacts stay in
 # BUILD_DIR/pinned-artifacts.
 pinned() {
   local dir="$1" out="$1/pinned-artifacts"
@@ -435,6 +437,8 @@ pinned() {
     "sub4|--system=rocksdb --workload=fillrandom --seconds=20 --scale=0.0625 --threads=4 --writer_threads=4 --batch_size=8 --max_subcompactions=4"
     "shards1|--system=kvaccel ${small} --writer_threads=4 --batch_size=4 --shards=1"
     "shards4|--system=kvaccel ${small} --writer_threads=4 --batch_size=4 --shards=4"
+    "shards4-rw|--system=kvaccel --workload=readwhilewriting --read_threads=2 --seconds=10 --scale=0.0625 --shards=4"
+    "shards4-ndp|--system=kvaccel ${small} --writer_threads=4 --batch_size=4 --shards=4 --ndp=auto"
     "ha-sync|--system=kvaccel ${small} --ha --repl_ack=sync"
     "ha-partition-delta|--system=kvaccel ${small} --ha --repl_ack=sync --net_partition=4:2 --resync_mode=delta"
     "ha-partition-wal|--system=kvaccel ${small} --ha --net_partition=4:2 --resync_mode=wal"
