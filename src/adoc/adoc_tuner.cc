@@ -4,6 +4,11 @@
 
 namespace kvaccel::adoc {
 
+namespace {
+// L0 overflow pressure threshold, as a fraction of the slowdown trigger.
+constexpr double kL0PressureFraction = 0.5;
+}  // namespace
+
 AdocTuner::AdocTuner(lsm::DB* db, sim::SimEnv* env,
                      const lsm::DbOptions& db_options,
                      const AdocOptions& options)
@@ -41,9 +46,10 @@ void AdocTuner::TuneOnce() {
   // Overflow detection at the memtable->L0 boundary: L0 backlog or immutable
   // memtables queueing up means compaction/flush cannot keep pace.
   bool l0_pressure =
-      sig.l0_files >= static_cast<int>(
-                          static_cast<double>(db_options_.l0_slowdown_writes_trigger) *
-                          options_.l0_pressure_fraction);
+      sig.l0_files >=
+      static_cast<int>(
+          static_cast<double>(db_options_.l0_slowdown_writes_trigger) *
+          kL0PressureFraction);
   bool imm_pressure = sig.immutable_memtables >= 1;
   bool pending_pressure =
       sig.pending_compaction_bytes >

@@ -25,8 +25,6 @@ struct AdocOptions {
   int max_compaction_threads = 4;
   uint64_t min_write_buffer = 64ull << 20;
   uint64_t max_write_buffer = 256ull << 20;
-  // Overflow pressure thresholds, as fractions of the stall triggers.
-  double l0_pressure_fraction = 0.5;
   // Consecutive calm periods before decaying a knob back down.
   int calm_periods_to_decay = 20;
 };

@@ -725,7 +725,7 @@ void Nemesis::RunSingle() {
   Machine& m = machines_[0];
   if (opt_.ndp) {
     kv_opts_.ndp_device = m.ndp.get();
-    kv_opts_.ndp_planner.mode = ndp::OffloadMode::kForce;
+    kv_opts_.ndp_mode = ndp::OffloadMode::kForce;
   }
   std::unique_ptr<lsm::Store> db;
   RollbackOp rollback;
@@ -889,7 +889,7 @@ void Nemesis::RunPartition() {
   const bool delta = opt_.resync_mode != 0;
   core::ReplOptions repl_opts;  // sync acks: partitions must never lose
   const Nanos fence_wait =
-      2 * repl_opts.lease_duration + 2 * repl_opts.promote_safety_margin;
+      2 * repl_opts.lease_duration + 2 * core::kPromoteSafetyMargin;
 
   int pri = 0;  // machines_[pri] is the current primary
   std::unique_ptr<core::ReplicatedKvaccelDB> pair;

@@ -15,10 +15,6 @@ uint32_t Hash32(const char* data, size_t n, uint32_t seed);
 // 64-bit avalanche hash (xxhash-like finalizer over 8-byte chunks).
 uint64_t Hash64(const char* data, size_t n, uint64_t seed = 0);
 
-inline uint32_t HashSlice32(const Slice& s, uint32_t seed = 0xbc9f1d34) {
-  return Hash32(s.data(), s.size(), seed);
-}
-
 inline uint64_t HashSlice64(const Slice& s, uint64_t seed = 0) {
   return Hash64(s.data(), s.size(), seed);
 }

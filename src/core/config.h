@@ -27,22 +27,33 @@ enum class RollbackScheme {
   kDisabled,  // never roll back during the run (paper Fig. 12 setup)
 };
 
+// Detector check cost, nominal host ns: 1.37 us per check (Table VI).
+constexpr double kDetectorCpuNs = 1370;
+// Metadata Manager per-op host costs, nominal ns (Table VI).
+constexpr double kMdInsertNs = 450;
+constexpr double kMdCheckNs = 200;
+constexpr double kMdDeleteNs = 280;
+
+// Device-error policy for Dev-LSM commands, on the primary's redirected
+// write path and on the backup's intent apply alike. A command that fails
+// transiently (IOError/Busy/TryAgain) is retried up to kDevRetryLimit times
+// with exponential virtual-time backoff starting at kDevRetryBackoff. The
+// delays use decorrelated jitter (sim/backoff.h) bounded by
+// kDevRetryBackoffCap. When the budget is exhausted the Detector latches the
+// device unhealthy, all writes fall back to the host path, and after
+// device_unhealthy_cooldown a single half-open probe may re-enable it.
+constexpr int kDevRetryLimit = 3;
+constexpr Nanos kDevRetryBackoff = FromMicros(200);
+constexpr Nanos kDevRetryBackoffCap = FromMillis(10);
+
 struct KvaccelOptions {
   // Detector (paper §V-C, §VI-A).
   Nanos detector_period = FromMillis(100);
-  double detector_cpu_ns = 1370;  // 1.37 us per check (Table VI)
-
-  // Metadata Manager per-op host costs (Table VI).
-  double md_insert_ns = 450;
-  double md_check_ns = 200;
-  double md_delete_ns = 280;
 
   // Rollback Manager.
   RollbackScheme rollback = RollbackScheme::kLazy;
   // Eager: start as soon as this many consecutive calm detector periods.
   int eager_calm_periods = 1;
-  // Lazy: require a longer quiet streak before touching the device.
-  int lazy_calm_periods = 10;
 
   // Device-side write buffer.
   devlsm::DevLsmOptions dev;
@@ -50,18 +61,9 @@ struct KvaccelOptions {
   // Redirect writes when the Detector reports an imminent stall.
   bool redirection_enabled = true;
 
-  // Device-error policy for the redirected write path. A Dev-LSM command
-  // that fails transiently (IOError/Busy/TryAgain) is retried up to
-  // dev_retry_limit times with exponential virtual-time backoff starting at
-  // dev_retry_backoff. When the budget is exhausted the Detector latches the
-  // device unhealthy, all writes fall back to the host path, and after
-  // device_unhealthy_cooldown a single half-open probe may re-enable it.
-  int dev_retry_limit = 3;
-  Nanos dev_retry_backoff = FromMicros(200);
-  // Dev-LSM retry delays use decorrelated jitter (sim/backoff.h) bounded by
-  // this cap; the seed is offset per shard/node so co-located retriers
-  // don't hammer the device in lockstep.
-  Nanos dev_retry_backoff_cap = FromMillis(10);
+  // Device-error policy (kDevRetryLimit above). The retry-jitter seed is
+  // offset per shard/node so co-located retriers don't hammer the device in
+  // lockstep.
   uint64_t dev_retry_jitter_seed = 0xDE77E4;
   Nanos device_unhealthy_cooldown = FromSecs(5);
 
@@ -76,7 +78,7 @@ struct KvaccelOptions {
   // compaction runs host-side. ---
   ndp::NdpDevice* ndp_device = nullptr;
   // Placement policy for the per-DB OffloadPlanner.
-  ndp::PlannerOptions ndp_planner;
+  ndp::OffloadMode ndp_mode = ndp::OffloadMode::kAuto;
 
   // Externally owned Dev-LSM to attach instead of creating a fresh one.
   // Crash-recovery tests use this to keep redirected pairs alive across a

@@ -80,8 +80,8 @@ class Detector {
   }
 
   void CheckOnce() {
-    cpu_->Charge(options_.detector_cpu_ns);
-    env_->SleepFor(static_cast<Nanos>(options_.detector_cpu_ns + 0.5));
+    cpu_->Charge(kDetectorCpuNs);
+    env_->SleepFor(static_cast<Nanos>(kDetectorCpuNs + 0.5));
     stats_->detector_checks++;
     lsm::StallSignals sig = db_->GetStallSignals();
     last_signals_ = sig;

@@ -47,7 +47,6 @@ void HybridIterator::ChooseNext() {
       current_key_ = std::move(key);
       current_value_.clear();
       val.EncodeTo(&current_value_);
-      current_from_dev_ = true;
       valid_ = true;
       return;
     }
@@ -57,7 +56,6 @@ void HybridIterator::ChooseNext() {
     AdvanceMainPast(key);
     AdvanceDevPast(key);  // stale device copy, if any
     current_key_ = std::move(key);
-    current_from_dev_ = false;
     valid_ = true;
     return;
   }

@@ -54,9 +54,6 @@ class HybridIterator : public lsm::Iterator {
   Slice value() const override { return Slice(current_value_); }
   Status status() const override { return main_->status(); }
 
-  // Which side produced the current entry (observability/tests).
-  bool current_from_dev() const { return current_from_dev_; }
-
  private:
   // The "iterator comparator": evaluates both cursors and captures the next
   // live entry, advancing past duplicates and device tombstones.
@@ -70,7 +67,6 @@ class HybridIterator : public lsm::Iterator {
   KeySeqTable md_snapshot_;
 
   bool valid_ = false;
-  bool current_from_dev_ = false;
   std::string current_key_;
   std::string current_value_;
 };

@@ -12,6 +12,14 @@
 
 namespace kvaccel::core {
 
+namespace {
+
+// Lazy rollback: the quiet streak of calm detector periods required before
+// touching the device (eager waits eager_calm_periods).
+constexpr int kLazyCalmPeriods = 10;
+
+}  // namespace
+
 // ---------------- Open / lifecycle ----------------
 
 KvaccelDB::KvaccelDB(const KvaccelOptions& kv_options, const lsm::DbEnv& env)
@@ -53,10 +61,10 @@ Status KvaccelDB::Open(const lsm::DbOptions& main_options,
   // front of the shared NdpDevice. The hook must be in place before the
   // Main-LSM opens — its compaction workers may pick a job immediately.
   if (kv_options.ndp_device != nullptr &&
-      kv_options.ndp_planner.mode != ndp::OffloadMode::kOff) {
+      kv_options.ndp_mode != ndp::OffloadMode::kOff) {
     ndp::NdpDevice* ndev = kv_options.ndp_device;
     impl->planner_ = std::make_unique<ndp::OffloadPlanner>(
-        env.env, env.host_cpu, ndev->cpu(), kv_options.ndp_planner);
+        env.env, env.host_cpu, ndev->cpu(), kv_options.ndp_mode);
     ndp::OffloadPlanner* planner = impl->planner_.get();
     opts.compaction_offload = [planner, ndev](const lsm::OffloadJobInfo& job,
                                               lsm::OffloadGrant* grant) {
@@ -96,8 +104,8 @@ Status KvaccelDB::Open(const lsm::DbOptions& main_options,
     impl->planner_->set_signals_provider(
         [main] { return main->GetStallSignals(); });
   }
-  impl->md_ = std::make_unique<MetadataManager>(
-      env.env, env.host_cpu, impl->options_, &impl->kv_stats_);
+  impl->md_ = std::make_unique<MetadataManager>(env.env, env.host_cpu,
+                                                &impl->kv_stats_);
   impl->detector_ = std::make_unique<Detector>(
       impl->main_.get(), env.env, env.host_cpu, impl->options_,
       &impl->kv_stats_);
@@ -141,10 +149,6 @@ Status KvaccelDB::Close() {
   return s;
 }
 
-bool KvaccelDB::rollback_in_progress() const {
-  return rollback_ != nullptr && rollback_->in_progress();
-}
-
 // ---------------- Controller: write path (paper §V-C) ----------------
 
 bool KvaccelDB::ShouldRedirect() const {
@@ -160,15 +164,13 @@ Status KvaccelDB::DevPutWithRetry(const std::vector<VersionedEntry>& entries) {
   Status s = dev_->PutCompound(entries);
   Nanos backoff = 0;
   int attempt = 0;
-  while (s.IsTransient() && attempt < options_.dev_retry_limit) {
+  while (s.IsTransient() && attempt < kDevRetryLimit) {
     attempt++;
     kv_stats_.dev_retries++;
     // Decorrelated jitter, capped: shards/nodes sharing the device spread
     // their retry waves instead of re-colliding in lockstep.
-    backoff = sim::NextDecorrelatedDelay(&dev_retry_rng_,
-                                         options_.dev_retry_backoff,
-                                         options_.dev_retry_backoff_cap,
-                                         backoff);
+    backoff = sim::NextDecorrelatedDelay(&dev_retry_rng_, kDevRetryBackoff,
+                                         kDevRetryBackoffCap, backoff);
     env_->SleepFor(backoff);
     s = dev_->PutCompound(entries);
   }
@@ -341,7 +343,7 @@ void RollbackManager::Loop() {
     if (owner_->dev()->Empty()) continue;
     int needed = options_.rollback == RollbackScheme::kEager
                      ? options_.eager_calm_periods
-                     : options_.lazy_calm_periods;
+                     : kLazyCalmPeriods;
     if (owner_->detector()->stall_detected()) continue;
     if (owner_->detector()->calm_streak() < needed) continue;
     // Release the scheduling lock across the (long) rollback itself.

@@ -75,7 +75,6 @@ class KvaccelDB : public lsm::Store {
   const KvaccelStats& kv_stats() const { return kv_stats_; }
   // Unified foreground-op stats (both paths) for the figures.
   const lsm::DbStats& stats() const { return agg_stats_; }
-  bool rollback_in_progress() const;
 
  private:
   KvaccelDB(const KvaccelOptions& kv_options, const lsm::DbEnv& env);
@@ -123,8 +122,6 @@ class RollbackManager {
   // rollback), entries whose metadata record was superseded by a newer
   // Main-LSM write are skipped; recovery after metadata loss replays all.
   Status Execute(bool trust_metadata);
-
-  bool in_progress() const { return in_progress_; }
 
  private:
   void Loop();

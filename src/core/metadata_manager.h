@@ -137,14 +137,14 @@ class KeySeqTable {
 class MetadataManager {
  public:
   MetadataManager(sim::SimEnv* env, sim::CpuPool* host_cpu,
-                  const KvaccelOptions& options, KvaccelStats* stats)
-      : env_(env), cpu_(host_cpu), options_(options), stats_(stats) {}
+                  KvaccelStats* stats)
+      : env_(env), cpu_(host_cpu), stats_(stats) {}
 
   // Records that `key`'s newest version lives in the Dev-LSM, written with
   // host sequence number `seq` (lets rollback recognize records superseded
   // by a re-redirection that happened during its scan).
   void Insert(const Slice& key, uint64_t seq) {
-    Charge(options_.md_insert_ns);
+    Charge(kMdInsertNs);
     stats_->md_inserts++;
     keys_.Set(key, seq);
   }
@@ -154,14 +154,14 @@ class MetadataManager {
   // of N), mirroring how the batch rode a single device command.
   void InsertBatch(const std::vector<std::pair<std::string, uint64_t>>& recs) {
     if (recs.empty()) return;
-    Charge(options_.md_insert_ns * static_cast<double>(recs.size()));
+    Charge(kMdInsertNs * static_cast<double>(recs.size()));
     stats_->md_inserts += recs.size();
     for (const auto& [key, seq] : recs) keys_.Set(key, seq);
   }
 
   // Membership test ("key check").
   bool Check(const Slice& key) {
-    Charge(options_.md_check_ns);
+    Charge(kMdCheckNs);
     stats_->md_checks++;
     return keys_.count(key) > 0;
   }
@@ -169,7 +169,7 @@ class MetadataManager {
   // Sequence of the recorded device-side version; 0 when absent. Costs a
   // key check.
   uint64_t GetSeq(const Slice& key) {
-    Charge(options_.md_check_ns);
+    Charge(kMdCheckNs);
     stats_->md_checks++;
     const uint64_t* seq = keys_.Find(key);
     return seq == nullptr ? 0 : *seq;
@@ -177,7 +177,7 @@ class MetadataManager {
 
   // Removes the record (newest version is now in Main-LSM, or rolled back).
   void Delete(const Slice& key) {
-    Charge(options_.md_delete_ns);
+    Charge(kMdDeleteNs);
     stats_->md_deletes++;
     keys_.Erase(key);
   }
@@ -188,7 +188,7 @@ class MetadataManager {
   // completing mid-scan flips authority under the reader. Charged as one
   // check (a real store would publish a versioned epoch pointer, not copy).
   KeySeqTable SnapshotKeySet() {
-    Charge(options_.md_check_ns);
+    Charge(kMdCheckNs);
     stats_->md_checks++;
     return keys_;
   }
@@ -220,7 +220,6 @@ class MetadataManager {
 
   sim::SimEnv* env_;
   sim::CpuPool* cpu_;
-  const KvaccelOptions& options_;
   KvaccelStats* stats_;
   KeySeqTable keys_;  // key -> host seq
 };

@@ -29,6 +29,13 @@ constexpr size_t kCatchUpBatchEntries = 512;
 // Jitter-seed offset so the backup node's retry streams decorrelate from the
 // primary's (same spirit as the sharded router's per-shard offsets).
 constexpr uint64_t kBackupSeedOffset = 0x51DEC0DE;
+// Transient send retries (net.send.transient) before a record fails (sync)
+// or keeps cycling (async retries until the pair crashes), with
+// decorrelated-jitter backoff drawn from a stream seeded by kNetJitterSeed.
+constexpr int kNetRetryLimit = 3;
+constexpr Nanos kNetRetryBackoff = FromMicros(100);
+constexpr Nanos kNetRetryBackoffCap = FromMillis(10);
+constexpr uint64_t kNetJitterSeed = 0x4E7B0FF;
 }  // namespace
 
 // ---------------- Durable fencing epoch ----------------
@@ -54,7 +61,7 @@ ReplicatedKvaccelDB::ReplicatedKvaccelDB(const ReplOptions& options,
     : options_(options),
       backup_node_(backup_node),
       env_(env),
-      net_rng_(options.net_jitter_seed) {}
+      net_rng_(kNetJitterSeed) {}
 
 ReplicatedKvaccelDB::~ReplicatedKvaccelDB() { assert(closed_); }
 
@@ -116,7 +123,6 @@ Status ReplicatedKvaccelDB::Open(const lsm::DbOptions& main_options,
   benv.ssd = backup.ssd;
   benv.fs = backup.fs;
   benv.host_cpu = backup.host_cpu;
-  impl->dev_retry_opts_ = bkv;
   s = KvaccelDB::Open(bopts, bkv, benv, &impl->backup_);
   if (!s.ok()) {
     impl->Close();
@@ -529,9 +535,8 @@ Status ReplicatedKvaccelDB::SendAndApply(Record* rec, bool forever) {
     }
     // Async keeps cycling until the pair crashes: a transient must not
     // punch a hole in the applied prefix.
-    backoff = sim::NextDecorrelatedDelay(&net_rng_, options_.net_retry_backoff,
-                                         options_.net_retry_backoff_cap,
-                                         backoff);
+    backoff = sim::NextDecorrelatedDelay(&net_rng_, kNetRetryBackoff,
+                                         kNetRetryBackoffCap, backoff);
     env_->SleepFor(backoff);
   }
 }
@@ -540,12 +545,11 @@ Status ReplicatedKvaccelDB::SendOverLink(uint64_t bytes) {
   Status s = link_->Send(bytes);
   Nanos backoff = 0;
   for (int attempt = 0; !s.ok() && !sim::SimCrashed(env_) &&
-                        attempt < options_.net_retry_limit;
+                        attempt < kNetRetryLimit;
        attempt++) {
     stats_.net_retries++;
-    backoff = sim::NextDecorrelatedDelay(&net_rng_, options_.net_retry_backoff,
-                                         options_.net_retry_backoff_cap,
-                                         backoff);
+    backoff = sim::NextDecorrelatedDelay(&net_rng_, kNetRetryBackoff,
+                                         kNetRetryBackoffCap, backoff);
     env_->SleepFor(backoff);
     s = link_->Send(bytes);
   }
@@ -608,7 +612,6 @@ Status ReplicatedKvaccelDB::ApplyOnBackup(Record* rec) {
 Status ReplicatedKvaccelDB::ApplyIntentOnBackup(Record* rec) {
   Detector* det = backup_->detector();
   devlsm::DevLsm* dev = backup_->dev();
-  const KvaccelOptions& kv = dev_retry_opts_;
   if (det->device_healthy(env_->Now())) {
     // Mirror into the backup's own Dev-LSM, through the same transient-retry
     // + circuit-breaker discipline the primary's Controller uses, so a
@@ -617,11 +620,10 @@ Status ReplicatedKvaccelDB::ApplyIntentOnBackup(Record* rec) {
     Nanos backoff = 0;
     int attempt = 0;
     while (s.IsTransient() && !sim::SimCrashed(env_) &&
-           attempt < kv.dev_retry_limit) {
+           attempt < kDevRetryLimit) {
       attempt++;
-      stats_.net_retries++;
-      backoff = sim::NextDecorrelatedDelay(&net_rng_, kv.dev_retry_backoff,
-                                           kv.dev_retry_backoff_cap, backoff);
+      backoff = sim::NextDecorrelatedDelay(&net_rng_, kDevRetryBackoff,
+                                           kDevRetryBackoffCap, backoff);
       env_->SleepFor(backoff);
       s = dev->PutCompound(rec->entries);
     }

@@ -84,6 +84,9 @@ struct ReplNode {
   ndp::NdpDevice* ndp = nullptr;
 };
 
+// Slack past the primary's lease before its backup may be promoted.
+constexpr Nanos kPromoteSafetyMargin = FromMillis(10);
+
 struct ReplOptions {
   ReplAck ack = ReplAck::kSync;
   // Interconnect: defaults model a 10 GbE-class link.
@@ -94,20 +97,14 @@ struct ReplOptions {
   // tail in both dimensions).
   size_t async_queue_cap = 64;
   uint64_t async_queue_max_bytes = 4ull << 20;
-  // Transient send retries (net.send.transient) before a record fails (sync)
-  // or keeps cycling (async retries until the pair crashes).
-  int net_retry_limit = 3;
-  Nanos net_retry_backoff = FromMicros(100);
-  Nanos net_retry_backoff_cap = FromMillis(10);
-  uint64_t net_jitter_seed = 0x4E7B0FF;
   // Virtual-time lease + fencing (DESIGN.md §12). Every successful record
   // round trip (heartbeats included) extends the primary's write lease by
   // lease_duration; a primary whose lease has lapsed rejects client writes.
   // The backup may only be detached for promotion once the primary's lease
-  // has verifiably lapsed: last applied record + lease + safety margin.
+  // has verifiably lapsed: last applied record + lease +
+  // kPromoteSafetyMargin.
   Nanos lease_duration = FromMillis(50);
   Nanos heartbeat_period = FromMillis(10);
-  Nanos promote_safety_margin = FromMillis(10);
   // Fencing epoch the pair starts at. Open adopts the max of this and the
   // durable FENCE epochs found on either node, and persists it to both.
   uint64_t epoch = 1;
@@ -123,7 +120,7 @@ struct ReplStats {
   uint64_t manifest_drops = 0;  // advisory stream dropped on pressure
   uint64_t repl_bytes = 0;      // bytes charged to the link
   uint64_t records_applied = 0;
-  uint64_t net_retries = 0;
+  uint64_t net_retries = 0;     // link send retries after a transient
   uint64_t ship_failures = 0;   // records dropped; async: the lost tail
   uint64_t lost_entries = 0;    // entries in dropped wal/intent records
   uint64_t lost_seq_min = 0;    // first seq of the earliest dropped record
@@ -216,7 +213,6 @@ class ReplicatedKvaccelDB : public lsm::Store {
   // (and rejects writes once its own lease lapses); a healed ship attempt
   // reads the backup node's durable FENCE epoch and deposes the primary.
   Status DetachBackup(bool force = false);
-  bool backup_detached() const { return backup_ == nullptr; }
 
   // ---- Introspection ----
   KvaccelDB* primary() { return primary_.get(); }
@@ -244,7 +240,7 @@ class ReplicatedKvaccelDB : public lsm::Store {
   Nanos lease_expiry() const { return lease_expiry_; }
   Nanos backup_promote_safe_at() const {
     return backup_last_applied_ns_ + options_.lease_duration +
-           options_.promote_safety_margin;
+           kPromoteSafetyMargin;
   }
   // Async queue occupancy in bytes (the ha.repl.queue_bytes gauge).
   uint64_t queue_bytes() const { return queue_bytes_; }
@@ -313,9 +309,6 @@ class ReplicatedKvaccelDB : public lsm::Store {
 
   ReplOptions options_;
   ReplNode backup_node_;
-  // Backup-side Dev-LSM retry/breaker discipline (sanitized copy of the
-  // pair's KvaccelOptions; hooks cleared).
-  KvaccelOptions dev_retry_opts_;
   sim::SimEnv* env_;
 
   std::unique_ptr<sim::NetLink> link_;

@@ -10,6 +10,9 @@ namespace kvaccel::core {
 
 namespace {
 
+// Burst allowance of the fair-share device-bandwidth arbiter.
+constexpr uint64_t kArbiterBurstBytes = 1ull << 20;
+
 // Cross-shard merge order: plain user-key order. Shards partition the key
 // space, so no two children ever surface the same key.
 struct KeyOrder {
@@ -113,21 +116,17 @@ Status ShardedKvaccelDB::Open(const lsm::DbOptions& main_options,
   auto sdb = std::unique_ptr<ShardedKvaccelDB>(
       new ShardedKvaccelDB(sharding, env));
 
-  // Redirect budget: explicit, or 90% of the device's aggregate KV capacity.
-  if (sharding.redirect_budget_bytes > 0) {
-    sdb->redirect_budget_bytes_ = sharding.redirect_budget_bytes;
-  } else {
-    uint64_t kv_pages = 0;
-    for (int i = 0; i < n; i++) kv_pages += kv_ssd->KvCapacityPages(i);
-    sdb->redirect_budget_bytes_ =
-        kv_pages * kv_ssd->config().page_size * 9 / 10;
-  }
+  // Redirect budget across all shards, in logical bytes: 90% of the
+  // device's aggregate KV-region capacity.
+  uint64_t kv_pages = 0;
+  for (int i = 0; i < n; i++) kv_pages += kv_ssd->KvCapacityPages(i);
+  sdb->redirect_budget_bytes_ = kv_pages * kv_ssd->config().page_size * 9 / 10;
 
   if (sharding.arbiter_share > 0) {
     double rate =
         sharding.arbiter_share * env.ssd->config().nand_bytes_per_sec;
     sdb->arbiter_ = std::make_unique<sim::FairShareArbiter>(
-        env.env, "device-bw", rate, sharding.arbiter_burst_bytes);
+        env.env, "device-bw", rate, kArbiterBurstBytes);
   }
 
   sdb->shards_.resize(static_cast<size_t>(n));

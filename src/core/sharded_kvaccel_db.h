@@ -53,10 +53,6 @@ struct ShardingOptions {
   // redirect traffic; 0 disables the arbiter entirely (each shard falls back
   // to its own compaction_rate_limit bucket, redirects unarbitrated).
   double arbiter_share = 1.0;
-  uint64_t arbiter_burst_bytes = 1ull << 20;
-  // Total Dev-LSM redirect budget in logical bytes across all shards.
-  // 0 = derive: 90% of the device's aggregate KV-region capacity.
-  uint64_t redirect_budget_bytes = 0;
   // Externally owned per-shard resources (crash/reopen tests): when
   // non-empty, must hold exactly num_shards entries; shard i uses entry i.
   // The file systems and Dev-LSMs then survive a Close/reopen of the router
@@ -119,7 +115,6 @@ class ShardedKvaccelDB : public lsm::Store {
   fs::SimFs* shard_fs(int i) { return shards_[i].fs; }
   sim::FairShareArbiter* arbiter() { return arbiter_.get(); }
   const ShardingOptions& sharding() const { return sharding_; }
-  uint64_t redirect_budget_bytes() const { return redirect_budget_bytes_; }
   sim::SimEnv* sim_env() { return env_; }
 
   // Aggregate views across shards: every row of each struct's metric table

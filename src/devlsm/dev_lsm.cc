@@ -10,6 +10,14 @@ namespace kvaccel::devlsm {
 namespace {
 // Fixed NVMe command/completion footprint on the link, beyond the payload.
 constexpr uint64_t kCommandOverheadBytes = 64;
+// Firmware CPU costs (nominal ns, scaled by the ARM core's speed factor).
+// PUT: 16 us nominal -> 64 us on the Cortex-A9, matching published
+// Cosmos+ KV-SSD store latencies (~50-100 us per 4 KB pair).
+constexpr double kPutFwNs = 24000;
+constexpr double kGetFwNs = 4000;
+constexpr double kFlushFwNsPerByte = 0.6;
+constexpr double kCompactFwNsPerByte = 1.2;
+constexpr double kScanFwNsPerEntry = 300;
 }  // namespace
 
 DevLsm::DevLsm(ssd::HybridSsd* ssd, int nsid, const DevLsmOptions& options)
@@ -117,14 +125,11 @@ Status DevLsm::PutCompound(const std::vector<VersionedEntry>& entries) {
     payload += e.key.size() + (e.tombstone ? 0 : e.value.logical_size());
   }
   Nanos cmd_start = tracer_ != nullptr ? env_->Now() : 0;
-  ssd_->trace().Record(env_->Now(), ssd::nvme::Opcode::kKvCompound, nsid_,
-                       payload);
   ssd_->PcieToDevice(kCommandOverheadBytes + payload);
   // Command handling once; per-pair insert work amortizes to roughly a
   // third of a standalone PUT (no per-command parsing/completion).
-  ssd_->firmware()->Consume(options_.put_fw_ns +
-                            options_.put_fw_ns / 3.0 *
-                                static_cast<double>(entries.size() - 1));
+  ssd_->firmware()->Consume(
+      kPutFwNs + kPutFwNs / 3.0 * static_cast<double>(entries.size() - 1));
   stats_.compound_cmds++;
   stats_.compound_entries += entries.size();
   for (const VersionedEntry& ve : entries) {
@@ -159,10 +164,8 @@ Status DevLsm::Get(const Slice& key, Value* value) {
   }
   stats_.gets++;
   Nanos cmd_start = tracer_ != nullptr ? env_->Now() : 0;
-  ssd_->trace().Record(env_->Now(), ssd::nvme::Opcode::kKvRetrieve, nsid_,
-                       key.size());
   ssd_->PcieToDevice(kCommandOverheadBytes + key.size());
-  ssd_->firmware()->Consume(options_.get_fw_ns);
+  ssd_->firmware()->Consume(kGetFwNs);
 
   std::string k = key.ToString();
   const Entry* found = nullptr;
@@ -212,7 +215,7 @@ Status DevLsm::FlushMemtableLocked() {
   }
   if (!s.ok()) return s;
 
-  ssd_->firmware()->Consume(options_.flush_fw_ns_per_byte *
+  ssd_->firmware()->Consume(kFlushFwNsPerByte *
                             static_cast<double>(run.logical_bytes));
   const uint64_t flushed_bytes = run.logical_bytes;
   ssd_->NandWrite(run.logical_bytes);
@@ -251,7 +254,7 @@ Status DevLsm::CompactRunsLocked() {
     in_entries += r.entries.size();
   }
   ssd_->NandRead(in_bytes);
-  ssd_->firmware()->Consume(options_.compact_fw_ns_per_byte *
+  ssd_->firmware()->Consume(kCompactFwNsPerByte *
                             static_cast<double>(in_bytes));
 
   // Newest wins; tombstones are retained (they may shadow Main-LSM data).
@@ -333,8 +336,6 @@ Status DevLsm::BulkScan(
     // scan must not block concurrent redirected PUTs for its whole duration.
     sim::SimLockGuard l(cmd_mu_);
     stats_.bulk_scans++;
-    ssd_->trace().Record(env_->Now(), ssd::nvme::Opcode::kKvBulkScan, nsid_,
-                         0);
     view_snapshot = SnapshotLocked();
   }
   const MergedView& view = *view_snapshot;
@@ -352,7 +353,7 @@ Status DevLsm::BulkScan(
       stats_.scan_chunks++;
       Nanos chunk_start = tracer_ != nullptr ? env_->Now() : 0;
       ssd_->NandRead(chunk_bytes);
-      ssd_->firmware()->Consume(options_.scan_fw_ns_per_entry *
+      ssd_->firmware()->Consume(kScanFwNsPerEntry *
                                 static_cast<double>(end - chunk_begin));
       ssd_->PcieToHost(chunk_bytes);
       if (tracer_ != nullptr) {
@@ -384,7 +385,6 @@ Status DevLsm::ResetUpTo(uint64_t up_to_seq) {
   sim::SimLockGuard l(cmd_mu_);
   stats_.resets++;
   Nanos reset_start = tracer_ != nullptr ? env_->Now() : 0;
-  ssd_->trace().Record(env_->Now(), ssd::nvme::Opcode::kKvReset, nsid_, 0);
 
   uint64_t old_pages = 0;
   for (const auto& r : runs_) old_pages += r.pages;
@@ -420,7 +420,7 @@ Status DevLsm::ResetUpTo(uint64_t up_to_seq) {
     ssd_->NandWrite(surviving_run.logical_bytes);
     runs_.push_back(std::move(surviving_run));
   }
-  ssd_->firmware()->Consume(options_.put_fw_ns);
+  ssd_->firmware()->Consume(kPutFwNs);
   mutation_epoch_++;
   if (tracer_ != nullptr) {
     tracer_->Complete(tr_dev_, "dev.reset", reset_start, env_->Now());
@@ -451,7 +451,6 @@ std::unique_ptr<DevLsm::Iterator> DevLsm::NewIterator() {
   // Opening the iterator pins the snapshot (one firmware command); batches
   // then stream from the pinned view so later PUTs/resets don't shift it.
   sim::SimLockGuard l(cmd_mu_);
-  ssd_->trace().Record(env_->Now(), ssd::nvme::Opcode::kKvIterOpen, nsid_, 0);
   return std::make_unique<Iterator>(this, SnapshotLocked());
 }
 
@@ -476,8 +475,6 @@ void DevLsm::Iterator::FetchBatch(const Slice& start, bool inclusive) {
   pos_ = 0;
   DevLsm* dev = dev_;
   sim::SimLockGuard l(dev->cmd_mu_);
-  dev->ssd_->trace().Record(dev->env_->Now(),
-                            ssd::nvme::Opcode::kKvIterNext, dev->nsid_, 0);
   const MergedView& view = *view_;  // pinned at open, not re-snapshotted
   auto it = std::lower_bound(
       view.begin(), view.end(), start.ToString(),
@@ -510,9 +507,8 @@ void DevLsm::Iterator::FetchBatch(const Slice& start, bool inclusive) {
         dev->ssd_->NandRead(page);
       }
     }
-    dev->ssd_->firmware()->Consume(
-        dev->options_.scan_fw_ns_per_entry *
-        static_cast<double>(buffer_.size()));
+    dev->ssd_->firmware()->Consume(kScanFwNsPerEntry *
+                                   static_cast<double>(buffer_.size()));
     dev->ssd_->PcieToHost(batch_bytes);
   }
 }

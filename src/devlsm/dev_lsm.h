@@ -44,15 +44,6 @@ struct DevLsmOptions {
   bool compaction_enabled = true;
   int l0_run_trigger = 8;
 
-  // Firmware CPU costs (nominal ns, scaled by the ARM core's speed factor).
-  // PUT: 16 us nominal -> 64 us on the Cortex-A9, matching published
-  // Cosmos+ KV-SSD store latencies (~50-100 us per 4 KB pair).
-  double put_fw_ns = 24000;
-  double get_fw_ns = 4000;
-  double flush_fw_ns_per_byte = 0.6;
-  double compact_fw_ns_per_byte = 1.2;
-  double scan_fw_ns_per_entry = 300;
-
   // DMA chunk for the bulky range scan (paper §V-E: 512 KB, the platform's
   // maximum DMA transfer unit).
   uint64_t dma_chunk = 512 << 10;

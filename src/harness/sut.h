@@ -128,9 +128,29 @@ class SystemUnderTest {
     if (config.rollback == core::RollbackScheme::kDisabled) {
       kv_opts.dev.compaction_enabled = false;
     }
-    kv_opts.ndp_planner.mode = config.ndp_mode;
+    kv_opts.ndp_mode = config.ndp_mode;
     kv_opts.ndp_device = config.ndp_device;
     return kv_opts;
+  }
+  // The HA pair's ReplOptions. The partition drill's post-run rejoin takes
+  // its link from here too, so --net_mbps and --net_latency_us reach the
+  // resync. net_mbps must be > 0 (the link asserts a positive rate).
+  static core::ReplOptions BuildReplOptions(const SutConfig& config) {
+    core::ReplOptions ro;
+    ro.ack =
+        config.repl_ack_async ? core::ReplAck::kAsync : core::ReplAck::kSync;
+    ro.net_bytes_per_sec = config.net_mbps * 1e6;
+    ro.net_latency = FromMicros(config.net_latency_us);
+    if (config.lease_ms > 0) {
+      ro.lease_duration = FromMicros(
+          static_cast<Nanos>(config.lease_ms * 1000));
+    }
+    if (config.heartbeat_ms > 0) {
+      ro.heartbeat_period = FromMicros(
+          static_cast<Nanos>(config.heartbeat_ms * 1000));
+    }
+    if (config.fence_epoch > 0) ro.epoch = config.fence_epoch;
+    return ro;
   }
 
   static Status Open(const SutConfig& config, const lsm::DbEnv& env,
@@ -163,24 +183,9 @@ class SystemUnderTest {
           if (config.shards > 1) {
             return Status::InvalidArgument("HA pair requires shards == 1");
           }
-          core::ReplOptions ro;
-          ro.ack = config.repl_ack_async ? core::ReplAck::kAsync
-                                         : core::ReplAck::kSync;
-          if (config.net_mbps > 0) ro.net_bytes_per_sec = config.net_mbps * 1e6;
-          if (config.net_latency_us > 0) {
-            ro.net_latency = FromMicros(static_cast<Nanos>(config.net_latency_us));
-          }
-          if (config.lease_ms > 0) {
-            ro.lease_duration = FromMicros(
-                static_cast<Nanos>(config.lease_ms * 1000));
-          }
-          if (config.heartbeat_ms > 0) {
-            ro.heartbeat_period = FromMicros(
-                static_cast<Nanos>(config.heartbeat_ms * 1000));
-          }
-          if (config.fence_epoch > 0) ro.epoch = config.fence_epoch;
           std::unique_ptr<core::ReplicatedKvaccelDB> pair;
-          st = core::ReplicatedKvaccelDB::Open(db_opts, kv_opts, ro,
+          st = core::ReplicatedKvaccelDB::Open(db_opts, kv_opts,
+                                               BuildReplOptions(config),
                                                config.ha_primary,
                                                config.ha_backup, env.env,
                                                &pair);

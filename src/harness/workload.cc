@@ -226,7 +226,17 @@ FlagTable DbbenchFlags(DbbenchArgs* args) {
   t.Set("ha", &sut->ha, true, "KVACCEL only: two-node replicated pair");
   t.Enum("repl_ack", &sut->repl_ack_async, check::kReplAckNames,
          "HA ack discipline (default sync)");
-  t.Double("net_mbps", &sut->net_mbps, 0, HUGE_VAL,
+  t.Custom("net_mbps", "F",
+           [sut](const char* v, std::string* err) {
+             if (!ParseDouble(v, 0, HUGE_VAL, &sut->net_mbps, err)) {
+               return false;
+             }
+             if (sut->net_mbps == 0) {
+               *err = std::string(v) + " (must be > 0)";
+               return false;
+             }
+             return true;
+           },
            "HA link MB/s (default 1250)");
   t.Double("net_latency_us", &sut->net_latency_us, 0, HUGE_VAL,
            "HA link latency (default 30)");
@@ -894,12 +904,11 @@ RunResult RunBenchmark(const BenchConfig& config) {
   std::unique_ptr<ndp::NdpDevice> ndp_dev, ndp_dev_b;
   if (config.sut.kind == SystemKind::kKvaccel &&
       config.sut.ndp_mode != ndp::OffloadMode::kOff) {
-    ndp::NdpConfig nc;
-    nc.cores = config.sut.ndp_cores;
-    ndp_dev = std::make_unique<ndp::NdpDevice>(&ssd, nc);
+    ndp_dev = std::make_unique<ndp::NdpDevice>(&ssd, config.sut.ndp_cores);
     sut_cfg.ndp_device = ndp_dev.get();
     if (ha) {
-      ndp_dev_b = std::make_unique<ndp::NdpDevice>(ssd_b.get(), nc);
+      ndp_dev_b =
+          std::make_unique<ndp::NdpDevice>(ssd_b.get(), config.sut.ndp_cores);
       sut_cfg.ha_primary.ndp = ndp_dev.get();
       sut_cfg.ha_backup.ndp = ndp_dev_b.get();
     }
@@ -1273,6 +1282,10 @@ RunResult RunBenchmark(const BenchConfig& config) {
                                              : check::ResyncMode::kWalReplay;
           rj.frontier = frontier;
           rj.new_epoch = next_epoch;
+          const core::ReplOptions ro =
+              SystemUnderTest::BuildReplOptions(sut_cfg);
+          rj.net_bytes_per_sec = ro.net_bytes_per_sec;
+          rj.net_latency = ro.net_latency;
           check::RejoinReport& rrep = ha_run.rejoin.emplace();
           Status rj_s = check::RejoinNode(
               SystemUnderTest::BuildDbOptions(sut_cfg),

@@ -40,8 +40,6 @@ struct StallSignals {
   uint64_t active_memtable_bytes = 0;  // logical
   uint64_t pending_compaction_bytes = 0;
   bool stalled = false;            // writers fully blocked right now
-  bool slowdown_active = false;    // delayed-write throttling in effect
-  bool stall_imminent = false;     // any trigger at/over its slowdown bound
   // Trigger configuration, so observers can judge proximity to a stop.
   int l0_slowdown_trigger = 0;
   int l0_stop_trigger = 0;
@@ -126,6 +124,12 @@ class Store {
   }
 };
 
+// Retryable device errors (IOError/Busy/TryAgain) in WAL sync, flush and
+// compaction are retried up to this many times with exponential backoff in
+// virtual time. Exhausting the budget (or a non-retryable error such as
+// Corruption) latches the background error and the DB becomes read-only.
+constexpr int kMaxIoRetries = 5;
+
 class DB : public Store {
  public:
   // Opens (creating or recovering) the database stored in `env.fs`.
@@ -178,7 +182,6 @@ class DB : public Store {
   virtual int compaction_threads() const = 0;
   virtual void SetWriteBufferSize(uint64_t bytes) = 0;
   virtual uint64_t write_buffer_size() const = 0;
-  virtual void SetSlowdownEnabled(bool enabled) = 0;
   // Width cap for range-partitioned subcompactions (DESIGN.md §10). The ADOC
   // tuner moves this together with the thread budget.
   virtual void SetMaxSubcompactions(int n) = 0;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 #include <set>
 
-#include "common/logging.h"
 #include "lsm/filename.h"
 #include "sim/backoff.h"
 #include "sim/fault.h"
@@ -12,6 +12,27 @@
 namespace kvaccel::lsm {
 
 using sim::SimLockGuard;
+
+namespace {
+
+// Byte budget for one leader-coalesced write group (RocksDB
+// max_write_batch_group_size_bytes analogue). A small leading batch caps
+// the group lower so tiny writes aren't delayed behind huge merges.
+constexpr uint64_t kMaxGroupCommitBytes = 1ull << 20;
+// Host CPU cost of the compaction merge loop, nominal ns per logical byte.
+// ~2 ns/B ≈ 500 MB/s per thread of merge throughput, in line with
+// uncompressed RocksDB compaction; this is what leaves the device idle
+// during the CPU phase (paper §III-B).
+constexpr double kCompactionCpuNsPerByte = 1.2;
+// Host CPU cost of one iterator Next(), nominal ns.
+constexpr double kNextCpuNs = 350;
+// Transient-error retries (kMaxIoRetries) back off from kIoRetryBackoff with
+// decorrelated jitter (sim/backoff.h) bounded by kIoRetryBackoffCap, so N
+// shards/nodes hitting the same transient don't retry in lockstep.
+constexpr Nanos kIoRetryBackoff = FromMicros(100);
+constexpr Nanos kIoRetryBackoffCap = FromMillis(10);
+
+}  // namespace
 
 // ---------------- Open / lifecycle ----------------
 
@@ -29,7 +50,6 @@ DbImpl::DbImpl(const DbOptions& options, const DbEnv& env)
       retry_rng_(options.io_retry_jitter_seed),
       active_compaction_threads_(options.compaction_threads),
       write_buffer_size_(options.write_buffer_size),
-      slowdown_enabled_(options.enable_slowdown),
       max_compaction_workers_(std::max(8, options.compaction_threads)),
       max_subcompactions_(std::max(1, options.max_subcompactions)) {}
 
@@ -193,7 +213,7 @@ Status DbImpl::GetBackgroundError() {
 Status DbImpl::RetryTransient(const std::function<Status()>& fn) {
   Status s = fn();
   Nanos backoff = 0;
-  for (int attempt = 0; s.IsTransient() && attempt < options_.max_io_retries;
+  for (int attempt = 0; s.IsTransient() && attempt < kMaxIoRetries;
        attempt++) {
     {
       SimLockGuard l(mu_);
@@ -202,10 +222,8 @@ Status DbImpl::RetryTransient(const std::function<Status()>& fn) {
       // Decorrelated jitter, capped: retriers across shards/nodes share the
       // device but not the rng stream, so their waves spread out instead of
       // colliding in lockstep. Drawn under mu_ for a deterministic stream.
-      backoff = sim::NextDecorrelatedDelay(&retry_rng_,
-                                           options_.io_retry_backoff,
-                                           options_.io_retry_backoff_cap,
-                                           backoff);
+      backoff = sim::NextDecorrelatedDelay(&retry_rng_, kIoRetryBackoff,
+                                           kIoRetryBackoffCap, backoff);
     }
     env_->SleepFor(backoff);
     s = fn();
@@ -332,7 +350,7 @@ WriteBatch* DbImpl::BuildBatchGroup(Writer** last_writer) {
 
   // A small leading batch caps the group lower, so a latency-sensitive tiny
   // write is not committed behind megabytes of followers.
-  uint64_t max_size = options_.max_group_commit_bytes;
+  uint64_t max_size = kMaxGroupCommitBytes;
   if (size <= max_size / 8) max_size = size + max_size / 8;
 
   *last_writer = first;
@@ -416,7 +434,7 @@ Status DbImpl::MakeRoomForWrite(uint64_t batch_logical) {
 
     // RocksDB's delayed-write mechanism: pace this write at
     // delayed_write_rate while any slowdown trigger holds (once per write).
-    if (!stop && !delayed_once && slowdown_enabled_ &&
+    if (!stop && !delayed_once && options_.enable_slowdown &&
         SlowdownConditionLocked()) {
       delayed_once = true;
       stats_.slowdown_events++;
@@ -731,11 +749,9 @@ class LevelConcatIterator : public Iterator {
 class DbIter : public Iterator {
  public:
   DbIter(std::unique_ptr<Iterator> internal, SequenceNumber snapshot,
-         sim::CpuPool* cpu, double next_cpu_ns,
-         std::vector<std::shared_ptr<MemTable>> pinned_mems,
+         sim::CpuPool* cpu, std::vector<std::shared_ptr<MemTable>> pinned_mems,
          std::shared_ptr<const Version> pinned_version)
       : internal_(std::move(internal)), snapshot_(snapshot), cpu_(cpu),
-        next_cpu_ns_(next_cpu_ns),
         pinned_mems_(std::move(pinned_mems)),
         pinned_version_(std::move(pinned_version)) {}
 
@@ -758,7 +774,7 @@ class DbIter : public Iterator {
 
   void Next() override {
     assert(valid_);
-    cpu_->Consume(next_cpu_ns_);
+    cpu_->Consume(kNextCpuNs);
     internal_->Next();
     FindNextUserEntry();
   }
@@ -797,7 +813,6 @@ class DbIter : public Iterator {
   std::unique_ptr<Iterator> internal_;
   SequenceNumber snapshot_;
   sim::CpuPool* cpu_;
-  double next_cpu_ns_;
   // Keep the snapshot alive: memtable arenas and SST metadata must outlive
   // this iterator even if a flush/compaction retires them meanwhile.
   std::vector<std::shared_ptr<MemTable>> pinned_mems_;
@@ -843,8 +858,7 @@ std::unique_ptr<Iterator> DbImpl::NewIterator(const ReadOptions& ropts) {
   pinned.push_back(mem);
   for (const auto& imm : imms) pinned.push_back(imm);
   return std::make_unique<DbIter>(std::move(merged), snapshot, denv_.host_cpu,
-                                  options_.next_cpu_ns, std::move(pinned),
-                                  version);
+                                  std::move(pinned), version);
 }
 
 // ---------------- Flush ----------------
@@ -876,7 +890,7 @@ void DbImpl::FlushThreadLoop() {
         bg_error_ = s;
         stats_.background_errors++;
       }
-      LogError("flush failed: %s", s.ToString().c_str());
+      fprintf(stderr, "[ERROR] flush failed: %s\n", s.ToString().c_str());
     } else {
       imm_.pop_front();
     }
@@ -1003,7 +1017,8 @@ void DbImpl::CompactionThreadLoop(int worker_id) {
         bg_error_ = s;
         stats_.background_errors++;
       }
-      LogError("compaction failed: %s", s.ToString().c_str());
+      fprintf(stderr, "[ERROR] compaction failed: %s\n",
+              s.ToString().c_str());
     }
     stall_cv_.NotifyAll();
     bg_cv_.NotifyAll();
@@ -1463,7 +1478,7 @@ Status DbImpl::DoCompactionWork(Compaction* c, const KeyRange& range,
     if (ndp != nullptr) {
       ndp->merge_cpu(batch_bytes);
     } else {
-      denv_.host_cpu->Consume(options_.compaction_cpu_ns_per_byte *
+      denv_.host_cpu->Consume(kCompactionCpuNsPerByte *
                               static_cast<double>(batch_bytes));
     }
     Nanos write_start = 0;
@@ -1700,8 +1715,6 @@ StallSignals DbImpl::GetStallSignals() {
   sig.active_memtable_bytes = mem_->LogicalSize();
   sig.pending_compaction_bytes = versions_->EstimatedPendingCompactionBytes();
   sig.stalled = stats_.stall_regions.open();
-  sig.slowdown_active = in_slowdown_region_;
-  sig.stall_imminent = SlowdownConditionLocked() || StopConditionLocked(nullptr);
   sig.l0_slowdown_trigger = options_.l0_slowdown_writes_trigger;
   sig.l0_stop_trigger = options_.l0_stop_writes_trigger;
   sig.max_write_buffer_number = options_.max_write_buffer_number;

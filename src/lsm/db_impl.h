@@ -57,7 +57,6 @@ class DbImpl : public DB {
   int compaction_threads() const override { return active_compaction_threads_; }
   void SetWriteBufferSize(uint64_t bytes) override;
   uint64_t write_buffer_size() const override { return write_buffer_size_; }
-  void SetSlowdownEnabled(bool enabled) override { slowdown_enabled_ = enabled; }
   void SetMaxSubcompactions(int n) override;
   int max_subcompactions() const override { return max_subcompactions_; }
 
@@ -83,7 +82,7 @@ class DbImpl : public DB {
   // --- Write-path gating (mu_ held; may release while sleeping/waiting) ---
   Status MakeRoomForWrite(uint64_t batch_logical);
   // mu_ held. Merges queued followers behind the leader (writers_.front())
-  // into one batch, bounded by max_group_commit_bytes and compatible write
+  // into one batch, bounded by kMaxGroupCommitBytes and compatible write
   // options. Returns the batch to commit (the leader's own, or
   // group_scratch_) and sets *last_writer to the last coalesced writer.
   WriteBatch* BuildBatchGroup(Writer** last_writer);
@@ -146,7 +145,7 @@ class DbImpl : public DB {
   // sleeps (virtual time) until the reservation's slot. mu_ must NOT be held.
   void ThrottleCompactionIo(uint64_t bytes);
   // Runs `fn`, retrying transient device errors (IOError/Busy/TryAgain) up
-  // to options_.max_io_retries times with exponential virtual-time backoff.
+  // to kMaxIoRetries times with exponential virtual-time backoff.
   // mu_ must NOT be held.
   Status RetryTransient(const std::function<Status()>& fn);
   // Obsolete SSTs are deleted only once no live version (and hence no
@@ -197,7 +196,6 @@ class DbImpl : public DB {
   // Dynamically tunable copies (ADOC).
   int active_compaction_threads_;
   uint64_t write_buffer_size_;
-  bool slowdown_enabled_;
   int max_compaction_workers_;
   int max_subcompactions_;
 

@@ -55,7 +55,6 @@ struct DbOptions {
   // --- Leveled compaction shape ---
   int l0_compaction_trigger = 4;   // L0 file count that scores a compaction
   uint64_t max_bytes_for_level_base = 256ull << 20;  // L1 target
-  double max_bytes_for_level_multiplier = 10.0;
   uint64_t target_file_size = 64ull << 20;
 
   // --- Write stall & slowdown triggers (paper §II-A events 1/2/3) ---
@@ -71,11 +70,6 @@ struct DbOptions {
 
   // --- Background work ---
   int compaction_threads = 1;  // Table III: 1 / 2 / 4
-  // Host CPU cost of the compaction merge loop, nominal ns per logical byte.
-  // ~2 ns/B ≈ 500 MB/s per thread of merge throughput, in line with
-  // uncompressed RocksDB compaction; this is what leaves the device idle
-  // during the CPU phase (paper §III-B).
-  double compaction_cpu_ns_per_byte = 1.2;
   // Logical bytes per read->merge->write cycle of a compaction job. The
   // paper's implementation (§III-B) operates at file scale — inputs are
   // loaded, merge-sorted in memory, then written back — which is what leaves
@@ -125,39 +119,21 @@ struct DbOptions {
 
   // --- Table / cache ---
   uint64_t block_size = 16 << 10;          // logical bytes per data block
-  int bloom_bits_per_key = 10;
   uint64_t block_cache_capacity = 64ull << 20;  // logical bytes
 
   // --- WAL ---
   bool wal_sync = false;  // db_bench default: buffered, unsynced WAL
-
-  // --- Group commit ---
-  // Byte budget for one leader-coalesced write group (RocksDB
-  // max_write_batch_group_size_bytes analogue). A small leading batch caps
-  // the group lower so tiny writes aren't delayed behind huge merges.
-  uint64_t max_group_commit_bytes = 1ull << 20;
 
   // --- Per-operation host CPU costs (nominal ns) ---
   // Put: key-gen/batch/WAL encode/skiplist insert on the client thread.
   double put_cpu_ns = 2500;
   // Get: hashing, memtable probe, per-level seek overhead.
   double get_cpu_ns = 2000;
-  // Per-entry cost of iterator Next().
-  double next_cpu_ns = 350;
 
-  // --- Transient-error retry policy ---
-  // Retryable device errors (IOError/Busy/TryAgain) in WAL sync, flush and
-  // compaction are retried up to this many times with exponential backoff in
-  // virtual time, starting at io_retry_backoff and doubling per attempt.
-  // Exhausting the budget (or a non-retryable error such as Corruption)
-  // latches the background error and the DB becomes read-only.
-  int max_io_retries = 5;
-  Nanos io_retry_backoff = FromMicros(100);
-  // Per-retry delays use decorrelated jitter (sim/backoff.h) bounded by this
-  // cap, so N shards/nodes hitting the same transient don't retry in
-  // lockstep. The jitter stream is seeded per DB instance; sharded/replicated
-  // engines offset the seed per shard/node to decorrelate their schedules.
-  Nanos io_retry_backoff_cap = FromMillis(10);
+  // --- Transient-error retry policy (kMaxIoRetries, lsm/db.h) ---
+  // Seed of the decorrelated-jitter stream of the retry delays. Sharded and
+  // replicated engines offset it per shard/node so co-located retriers
+  // don't retry in lockstep.
   uint64_t io_retry_jitter_seed = 0xBACC0FF;
 
   // --- Replication hooks (HA pair, DESIGN.md §12) ---

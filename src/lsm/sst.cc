@@ -29,7 +29,7 @@ bool BlockHandle::DecodeFrom(Slice* input, BlockHandle* out) {
 SstBuilder::SstBuilder(const DbOptions& options,
                        std::unique_ptr<fs::WritableFile> file)
     : options_(options), file_(std::move(file)),
-      bloom_(options.bloom_bits_per_key) {}
+      bloom_(kBloomBitsPerKey) {}
 
 Status SstBuilder::Add(const Slice& internal_key, const Slice& value_encoding,
                        uint64_t entry_logical) {

@@ -30,6 +30,9 @@
 
 namespace kvaccel::lsm {
 
+// Bloom filter bits per user key of every table (~1% false positives).
+constexpr int kBloomBitsPerKey = 10;
+
 struct BlockHandle {
   uint64_t offset = 0;    // physical offset in file
   uint64_t physical = 0;  // physical (stored) bytes, excluding crc trailer
@@ -114,7 +117,7 @@ class SstReader : public std::enable_shared_from_this<SstReader> {
   friend class SstIterator;
   SstReader(const DbOptions& options, uint64_t file_number, BlockCache* cache)
       : options_(options), file_number_(file_number), cache_(cache),
-        bloom_(options.bloom_bits_per_key) {}
+        bloom_(kBloomBitsPerKey) {}
 
   // Loads (possibly from cache) the data block for index position `i`,
   // verifying its CRC when it comes from the device.

@@ -332,7 +332,7 @@ uint64_t VersionSet::MaxBytesForLevel(int level) const {
   assert(level >= 1);
   double bytes = static_cast<double>(options_.max_bytes_for_level_base);
   for (int l = 1; l < level; l++) {
-    bytes *= options_.max_bytes_for_level_multiplier;
+    bytes *= kMaxBytesForLevelMultiplier;
   }
   return static_cast<uint64_t>(bytes);
 }

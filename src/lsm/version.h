@@ -19,6 +19,10 @@
 
 namespace kvaccel::lsm {
 
+// Growth of the level target from one level to the next (RocksDB
+// max_bytes_for_level_multiplier).
+constexpr double kMaxBytesForLevelMultiplier = 10.0;
+
 class LogWriter;
 
 struct FileMetaData {
@@ -197,7 +201,8 @@ class VersionSet {
   // being_compacted.
   std::unique_ptr<Compaction> PickCompaction(bool allow_deep = true);
 
-  // Target size of a level (level >= 1).
+  // Target size of a level (level >= 1): max_bytes_for_level_base, grown by
+  // kMaxBytesForLevelMultiplier per level below L1.
   uint64_t MaxBytesForLevel(int level) const;
 
  private:

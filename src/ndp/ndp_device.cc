@@ -5,13 +5,28 @@
 
 namespace kvaccel::ndp {
 
-NdpDevice::NdpDevice(ssd::HybridSsd* ssd, const NdpConfig& config)
-    : ssd_(ssd), env_(ssd->env()), config_(config) {
-  if (config_.cores > 0) {
-    double speed = config_.speed_factor > 0 ? config_.speed_factor
-                                            : ssd_->config().firmware_speed;
-    ndp_pool_ = std::make_unique<sim::CpuPool>(env_, "ssd-ndp", config_.cores,
-                                               speed);
+namespace {
+// Relative speed of a dedicated NDP core. Unlike the control-path firmware
+// core (SsdConfig::firmware_speed, 0.25), the merge engines run at host
+// clock: the COMPACT path is what the silicon exists for.
+constexpr double kSpeedFactor = 1.0;
+// Firmware merge loop cost, nominal ns per logical byte (the host loop's
+// cost sits in lsm/db_impl.cc).
+constexpr double kMergeNsPerByte = 1.2;
+// Device-side CRC verification of every block read and written.
+constexpr double kVerifyNsPerByte = 0.3;
+// COMPACT descriptor / result capsule sizes shipped over PCIe.
+constexpr uint64_t kCommandBytesBase = 512;
+constexpr uint64_t kCommandBytesPerFile = 64;
+constexpr uint64_t kResultBytesBase = 256;
+constexpr uint64_t kResultBytesPerFile = 64;
+}  // namespace
+
+NdpDevice::NdpDevice(ssd::HybridSsd* ssd, int cores)
+    : ssd_(ssd), env_(ssd->env()) {
+  if (cores > 0) {
+    ndp_pool_ = std::make_unique<sim::CpuPool>(env_, "ssd-ndp", cores,
+                                               kSpeedFactor);
   }
   if (env_->tracer() != nullptr) {
     tr_track_ = env_->tracer()->RegisterTrack("ssd.ndp");
@@ -25,9 +40,9 @@ Status NdpDevice::BeginCompact(const CompactDescriptor& d, uint64_t* cmd_id) {
     stats_.rejected++;
     return Status::IOError("ndp: COMPACT rejected");
   }
-  uint64_t bytes = config_.command_bytes_base +
-                   config_.command_bytes_per_file *
-                       static_cast<uint64_t>(std::max(0, d.input_files));
+  uint64_t bytes =
+      kCommandBytesBase +
+      kCommandBytesPerFile * static_cast<uint64_t>(std::max(0, d.input_files));
   ssd_->PcieToDevice(bytes);
   stats_.commands++;
   stats_.command_bytes += bytes;
@@ -38,7 +53,7 @@ Status NdpDevice::BeginCompact(const CompactDescriptor& d, uint64_t* cmd_id) {
 
 void NdpDevice::MergeCpu(uint64_t bytes) {
   stats_.merge_bytes += bytes;
-  cpu()->Consume((config_.merge_ns_per_byte + config_.verify_ns_per_byte) *
+  cpu()->Consume((kMergeNsPerByte + kVerifyNsPerByte) *
                  static_cast<double>(bytes));
 }
 
@@ -61,8 +76,7 @@ Status NdpDevice::FinishCompact(uint64_t cmd_id, bool ok,
     stats_.jobs_failed++;
     return Status::IOError("simulated crash");
   }
-  uint64_t bytes =
-      config_.result_bytes_base + config_.result_bytes_per_file * output_files;
+  uint64_t bytes = kResultBytesBase + kResultBytesPerFile * output_files;
   ssd_->PcieToHost(bytes);
   stats_.jobs_completed++;
   stats_.result_bytes += bytes;

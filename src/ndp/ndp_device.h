@@ -28,27 +28,6 @@
 
 namespace kvaccel::ndp {
 
-struct NdpConfig {
-  // Dedicated NDP cores. 0 = share the SSD's single firmware pool (merges
-  // then queue behind Dev-LSM command processing).
-  int cores = 2;
-  // Relative speed of a dedicated NDP core. Unlike the control-path firmware
-  // core (SsdConfig::firmware_speed, 0.25), the merge engines run at host
-  // clock: the COMPACT path is what the silicon exists for. 0 = inherit
-  // firmware_speed (only sensible together with cores = 0).
-  double speed_factor = 1.0;
-  // Firmware merge loop cost, nominal ns per logical byte (host loop is
-  // DbOptions::compaction_cpu_ns_per_byte).
-  double merge_ns_per_byte = 1.2;
-  // Device-side CRC verification of every block read and written.
-  double verify_ns_per_byte = 0.3;
-  // COMPACT descriptor / result capsule sizes shipped over PCIe.
-  uint64_t command_bytes_base = 512;
-  uint64_t command_bytes_per_file = 64;
-  uint64_t result_bytes_base = 256;
-  uint64_t result_bytes_per_file = 64;
-};
-
 struct NdpStats {
   uint64_t commands = 0;        // COMPACT descriptors accepted
   uint64_t rejected = 0;        // transient device rejections
@@ -70,7 +49,9 @@ struct CompactDescriptor {
 
 class NdpDevice {
  public:
-  NdpDevice(ssd::HybridSsd* ssd, const NdpConfig& config = NdpConfig());
+  // `cores` dedicated NDP cores; 0 shares the SSD's single firmware pool
+  // (merges then queue behind Dev-LSM command processing).
+  explicit NdpDevice(ssd::HybridSsd* ssd, int cores = 2);
 
   // Ships one COMPACT descriptor to the device. Blocks for the PCIe
   // transfer; fails at ndp.compact.transient (device busy/reject — the
@@ -94,13 +75,11 @@ class NdpDevice {
     return ndp_pool_ != nullptr ? ndp_pool_.get() : ssd_->firmware();
   }
   ssd::HybridSsd* ssd() { return ssd_; }
-  const NdpConfig& config() const { return config_; }
   const NdpStats& stats() const { return stats_; }
 
  private:
   ssd::HybridSsd* ssd_;
   sim::SimEnv* env_;
-  NdpConfig config_;
   std::unique_ptr<sim::CpuPool> ndp_pool_;  // null = share firmware()
   NdpStats stats_;
   uint64_t next_cmd_id_ = 1;

@@ -2,18 +2,32 @@
 
 namespace kvaccel::ndp {
 
+namespace {
+// Hysteresis band for "the host is the bottleneck".
+constexpr double kCpuHighWater = 0.60;
+constexpr double kCpuLowWater = 0.40;
+// NDP cores above this trailing utilisation have no headroom.
+constexpr double kDevHighWater = 0.90;
+// Trailing window the utilisation signals are read over.
+constexpr Nanos kWindow = FromMillis(500);
+// Consecutive same-side samples before the hysteresis state flips.
+constexpr int kFlipStreak = 2;
+// Jobs smaller than this aren't worth a command round-trip.
+constexpr uint64_t kMinJobBytes = 1ull << 20;
+}  // namespace
+
 bool OffloadPlanner::HostPressureHigh() {
   Nanos now = env_->Now();
-  Nanos start = now > opts_.window ? now - opts_.window : 0;
+  Nanos start = now > kWindow ? now - kWindow : 0;
   double util = host_->UtilizationBetween(start, now);
   // Backlog counts as pressure too: booked-but-unfinished work means new
   // merge bursts would queue even if the trailing window looks moderate.
-  bool sample_high = util > opts_.cpu_high_water ||
+  bool sample_high = util > kCpuHighWater ||
                      host_->BacklogNanos(now) >
-                         static_cast<double>(opts_.window) / 4.0;
-  bool sample_low = util < opts_.cpu_low_water;
+                         static_cast<double>(kWindow) / 4.0;
+  bool sample_low = util < kCpuLowWater;
   if (pressure_high_ ? sample_low : sample_high) {
-    if (++streak_ >= opts_.flip_streak) {
+    if (++streak_ >= kFlipStreak) {
       pressure_high_ = !pressure_high_;
       stats_.flips++;
       streak_ = 0;
@@ -25,11 +39,11 @@ bool OffloadPlanner::HostPressureHigh() {
 }
 
 bool OffloadPlanner::ShouldOffload(const lsm::OffloadJobInfo& job) {
-  if (opts_.mode == OffloadMode::kOff) {
+  if (mode_ == OffloadMode::kOff) {
     stats_.host_jobs++;
     return false;
   }
-  if (opts_.mode == OffloadMode::kForce) {
+  if (mode_ == OffloadMode::kForce) {
     stats_.device_jobs++;
     return true;
   }
@@ -42,13 +56,13 @@ bool OffloadPlanner::ShouldOffload(const lsm::OffloadJobInfo& job) {
   // Update the hysteresis state on every decision so the streak counter sees
   // a steady sample stream even when only deep jobs arrive.
   bool host_pressed = HostPressureHigh();
-  if (job.input_bytes < opts_.min_job_bytes) {
+  if (job.input_bytes < kMinJobBytes) {
     stats_.host_jobs++;
     return false;
   }
-  Nanos start = now > opts_.window ? now - opts_.window : 0;
+  Nanos start = now > kWindow ? now - kWindow : 0;
   if (device_ != nullptr &&
-      device_->UtilizationBetween(start, now) >= opts_.dev_high_water) {
+      device_->UtilizationBetween(start, now) >= kDevHighWater) {
     stats_.host_jobs++;
     return false;
   }

@@ -5,13 +5,13 @@
 // backlog, trailing NDP-core utilisation, and LSM stall signals.
 //
 // Policy (auto mode):
-//  - Bulk merges (L0->L1 and deeper) of at least min_job_bytes offload
+//  - Bulk merges (L0->L1 and deeper) of at least 1 MiB offload
 //    whenever the NDP cores have headroom — they are throughput work, and
 //    moving them off the host frees cycles and PCIe bandwidth for the
 //    foreground.
 //  - Intra-L0 jobs are latency-critical — they un-gate stalled writers — so
 //    they stay host-side unless the host itself is the bottleneck: sustained
-//    utilisation above cpu_high_water (with hysteresis so the decision
+//    host-CPU utilisation above 60% (with hysteresis so the decision
 //    doesn't flap around the threshold).
 //  - A reported device failure opens a cooldown window during which every
 //    job runs host-side (circuit breaker; force mode ignores it so fault
@@ -35,22 +35,8 @@ namespace kvaccel::ndp {
 
 enum class OffloadMode { kOff, kAuto, kForce };
 
-struct PlannerOptions {
-  OffloadMode mode = OffloadMode::kAuto;
-  // Hysteresis band for "the host is the bottleneck".
-  double cpu_high_water = 0.60;
-  double cpu_low_water = 0.40;
-  // NDP cores above this trailing utilisation have no headroom.
-  double dev_high_water = 0.90;
-  // Trailing window the utilisation signals are read over.
-  Nanos window = FromMillis(500);
-  // Consecutive same-side samples before the hysteresis state flips.
-  int flip_streak = 2;
-  // Circuit-breaker window after a device failure.
-  Nanos failure_cooldown = FromSecs(2);
-  // Jobs smaller than this aren't worth a command round-trip.
-  uint64_t min_job_bytes = 1ull << 20;
-};
+// Circuit-breaker window after a device failure.
+constexpr Nanos kFailureCooldown = FromSecs(2);
 
 struct PlannerStats {
   uint64_t device_jobs = 0;      // decisions that granted the device
@@ -71,8 +57,8 @@ struct PlannerStats {
 class OffloadPlanner {
  public:
   OffloadPlanner(sim::SimEnv* env, sim::CpuPool* host_cpu,
-                 sim::CpuPool* device_cpu, const PlannerOptions& opts)
-      : env_(env), host_(host_cpu), device_(device_cpu), opts_(opts) {}
+                 sim::CpuPool* device_cpu, OffloadMode mode)
+      : env_(env), host_(host_cpu), device_(device_cpu), mode_(mode) {}
 
   // Optional: LSM stall signals sharpen the L0 decision (an imminent stall
   // keeps L0 work on the faster host cores even under CPU pressure).
@@ -84,11 +70,10 @@ class OffloadPlanner {
 
   void ReportDeviceFailure() {
     stats_.failures++;
-    cooldown_until_ = env_->Now() + opts_.failure_cooldown;
+    cooldown_until_ = env_->Now() + kFailureCooldown;
   }
   void ReportDeviceSuccess() {}
 
-  const PlannerOptions& options() const { return opts_; }
   const PlannerStats& stats() const { return stats_; }
 
  private:
@@ -97,7 +82,7 @@ class OffloadPlanner {
   sim::SimEnv* env_;
   sim::CpuPool* host_;
   sim::CpuPool* device_;
-  PlannerOptions opts_;
+  OffloadMode mode_;
   std::function<lsm::StallSignals()> signals_;
   PlannerStats stats_;
   Nanos cooldown_until_ = 0;

@@ -54,12 +54,11 @@ namespace kvaccel::sim {
 
 class NetLink {
  public:
-  NetLink(SimEnv* env, std::string name, double bytes_per_sec, Nanos latency,
-          uint64_t jitter_seed = 0x4E7D31A5)
+  NetLink(SimEnv* env, std::string name, double bytes_per_sec, Nanos latency)
       : env_(env),
         latency_(latency),
         pipe_(env, std::move(name), bytes_per_sec),
-        jitter_rng_(jitter_seed) {}
+        jitter_rng_(kJitterSeed) {}
   NetLink(const NetLink&) = delete;
   NetLink& operator=(const NetLink&) = delete;
 
@@ -109,6 +108,8 @@ class NetLink {
   RateResource& pipe() { return pipe_; }
 
  private:
+  static constexpr uint64_t kJitterSeed = 0x4E7D31A5;
+
   SimEnv* env_;
   Nanos latency_;
   RateResource pipe_;

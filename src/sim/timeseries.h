@@ -50,7 +50,6 @@ class TimeSeries {
   }
 
   Nanos bucket_width() const { return bucket_width_; }
-  size_t NumBuckets() const { return buckets_.size(); }
   double Bucket(size_t i) const { return i < buckets_.size() ? buckets_[i] : 0.0; }
   double total() const { return total_; }
   const std::vector<double>& buckets() const { return buckets_; }

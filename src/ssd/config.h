@@ -32,10 +32,6 @@ struct SsdConfig {
   double nand_bytes_per_sec = 630.0 * 1e6;
   // PCIe Gen2 x8 theoretical maximum.
   double pcie_bytes_per_sec = 4.0 * 1e9;
-  // Fixed access latencies added per NAND operation.
-  Nanos read_latency = FromMicros(45);
-  Nanos program_latency = FromMicros(200);
-  Nanos erase_latency = FromMillis(2);
 
   // --- Disaggregation (paper §V-D) ---
   // Fraction of the logical NAND address space left of the disaggregation

@@ -60,7 +60,6 @@ Status HybridSsd::BlockWriteImpl(int nsid, uint64_t lba, uint64_t sectors,
     return Status::IOError("injected: block write failed");
   }
   uint64_t bytes = sectors * config_.page_size;
-  trace_.Record(env_->Now(), nvme::Opcode::kWrite, nsid, bytes);
   if (over_pcie) pcie_->Transfer(bytes);
   Status s = namespaces_[nsid].block_ftl->Write(lba, sectors);
   if (!s.ok()) return s;
@@ -93,7 +92,6 @@ Status HybridSsd::BlockReadImpl(int nsid, uint64_t lba, uint64_t sectors,
     return Status::IOError("injected: block read timed out");
   }
   uint64_t bytes = sectors * config_.page_size;
-  trace_.Record(env_->Now(), nvme::Opcode::kRead, nsid, bytes);
   nand_->Read(bytes);
   if (over_pcie) pcie_->Transfer(bytes);
   return Status::OK();
@@ -109,7 +107,6 @@ Status HybridSsd::BlockReadInternal(int nsid, uint64_t lba, uint64_t sectors) {
 
 Status HybridSsd::BlockTrim(int nsid, uint64_t lba, uint64_t sectors) {
   if (!ValidNsid(nsid)) return Status::InvalidArgument("bad nsid");
-  trace_.Record(env_->Now(), nvme::Opcode::kDatasetMgmt, nsid, 0);
   return namespaces_[nsid].block_ftl->Trim(lba, sectors);
 }
 
@@ -119,7 +116,6 @@ Status HybridSsd::BlockFlush(int nsid) {
   if (sim::FaultAt(env_, "ssd.block.flush.transient")) {
     return Status::IOError("injected: flush failed");
   }
-  trace_.Record(env_->Now(), nvme::Opcode::kFlush, nsid, 0);
   // Write cache flush: modeled as a fixed device-side round trip.
   env_->SleepFor(FromMicros(20));
   return Status::OK();

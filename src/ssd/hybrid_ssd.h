@@ -27,7 +27,6 @@
 #include "ssd/config.h"
 #include "ssd/ftl.h"
 #include "ssd/nand_flash.h"
-#include "ssd/nvme.h"
 
 namespace kvaccel::ssd {
 
@@ -73,7 +72,6 @@ class HybridSsd {
   const sim::RateResource& pcie() const { return *pcie_; }
   NandFlash& nand() { return *nand_; }
   const NandFlash& nand() const { return *nand_; }
-  nvme::CommandTrace& trace() { return trace_; }
   const Ftl& block_ftl(int nsid) const { return *namespaces_[nsid].block_ftl; }
 
  private:
@@ -99,7 +97,6 @@ class HybridSsd {
   std::unique_ptr<NandFlash> nand_;
   std::unique_ptr<sim::CpuPool> firmware_;
   std::vector<Namespace> namespaces_;
-  nvme::CommandTrace trace_;
   obs::CoalescingSpan pcie_span_;
 };
 

@@ -4,6 +4,13 @@
 
 namespace kvaccel::ssd {
 
+namespace {
+// Fixed access latencies added per NAND operation.
+constexpr Nanos kReadLatency = FromMicros(45);
+constexpr Nanos kProgramLatency = FromMicros(200);
+constexpr Nanos kEraseLatency = FromMillis(2);
+}  // namespace
+
 NandFlash::NandFlash(sim::SimEnv* env, const SsdConfig& config)
     : env_(env), config_(config) {
   double per_channel = config.nand_bytes_per_sec / config.channels;
@@ -57,12 +64,12 @@ Nanos NandFlash::StripedTransfer(uint64_t bytes, Nanos fixed_latency) {
 
 Nanos NandFlash::Read(uint64_t bytes) {
   bytes_read_ += bytes;
-  return StripedTransfer(bytes, config_.read_latency);
+  return StripedTransfer(bytes, kReadLatency);
 }
 
 Nanos NandFlash::Write(uint64_t bytes) {
   bytes_written_ += bytes;
-  return StripedTransfer(bytes, config_.program_latency);
+  return StripedTransfer(bytes, kProgramLatency);
 }
 
 Nanos NandFlash::Erase(uint64_t blocks) {
@@ -71,7 +78,7 @@ Nanos NandFlash::Erase(uint64_t blocks) {
   // Erases parallelize across channels; model the aggregate delay.
   uint64_t per_channel =
       (blocks + channels_.size() - 1) / channels_.size();
-  env_->SleepFor(config_.erase_latency * per_channel);
+  env_->SleepFor(kEraseLatency * per_channel);
   return env_->Now();
 }
 

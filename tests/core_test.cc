@@ -366,9 +366,8 @@ TEST(KvaccelDbTest, EagerRollbackRunsAutomatically) {
 TEST(KvaccelDbTest, MetadataCostsMatchTableVI) {
   SimWorld world;
   world.Run([&] {
-    KvaccelOptions opts = SmallKvOptions();
     KvaccelStats stats;
-    MetadataManager md(&world.env, world.host_cpu.get(), opts, &stats);
+    MetadataManager md(&world.env, world.host_cpu.get(), &stats);
     Nanos t0 = world.env.Now();
     md.Insert("key1", 7);
     EXPECT_EQ(world.env.Now() - t0, 450u);  // 0.45 us
@@ -392,9 +391,8 @@ TEST(KvaccelDbTest, MetadataCostsMatchTableVI) {
 TEST(MetadataManagerTest, SeededOpsMatchHashMapReference) {
   SimWorld world;
   world.Run([&] {
-    KvaccelOptions opts = SmallKvOptions();
     KvaccelStats stats;
-    MetadataManager md(&world.env, world.host_cpu.get(), opts, &stats);
+    MetadataManager md(&world.env, world.host_cpu.get(), &stats);
     std::unordered_map<std::string, uint64_t> ref;
     KvaccelStats want;
     Random64 rnd(0x6d645f7461626c65ull);

@@ -204,7 +204,7 @@ TEST(DevLsmTest, CommandsRideTheSharedPcieLink) {
     ASSERT_TRUE(DevPut(&dev, "k", Value::Synthetic(1, 4096)).ok());
     // The put moved ~4 KiB + command overhead over PCIe.
     EXPECT_GE(world.ssd->pcie().total_bytes(), pcie_before + 4096);
-    EXPECT_EQ(world.ssd->trace().CountOf(ssd::nvme::Opcode::kKvCompound), 1u);
+    EXPECT_EQ(dev.stats().compound_cmds, 1u);
   });
 }
 

@@ -121,8 +121,8 @@ TEST(CompoundCommandTest, BatchedPutsApplyAtomically) {
     }
     ASSERT_TRUE(dev.PutCompound(batch).ok());
     EXPECT_EQ(dev.stats().puts, 64u);
-    EXPECT_EQ(world.ssd->trace().CountOf(ssd::nvme::Opcode::kKvCompound), 1u);
-    EXPECT_EQ(world.ssd->trace().CountOf(ssd::nvme::Opcode::kKvStore), 0u);
+    EXPECT_EQ(dev.stats().compound_cmds, 1u);
+    EXPECT_EQ(dev.stats().compound_entries, 64u);
     Value v;
     for (int i = 0; i < 64; i += 7) {
       ASSERT_TRUE(dev.Get(TestKey(i), &v).ok());

@@ -234,7 +234,7 @@ TEST(RetryTest, ExhaustedRetriesLatchBackgroundErrorAndGoReadOnly) {
     EXPECT_FALSE(db->GetBackgroundError().ok());
     EXPECT_EQ(db->stats().background_errors, 1u);
     EXPECT_GE(db->stats().io_retries,
-              static_cast<uint64_t>(test::SmallDbOptions().max_io_retries));
+              static_cast<uint64_t>(lsm::kMaxIoRetries));
     EXPECT_FALSE(db->Put({}, "new-key", Value::Inline("v")).ok());
     // Reads keep working (data is still host-side in the retained memtable).
     Value v;

@@ -13,6 +13,8 @@
 #include "core/replicated_kvaccel_db.h"
 #include "devlsm/dev_lsm.h"
 #include "fs/simfs.h"
+#include "harness/sut.h"
+#include "harness/workload.h"
 #include "lsm/db.h"
 #include "sim/fault.h"
 #include "sim/net_link.h"
@@ -311,6 +313,9 @@ TEST(HaPairTest, BackupDevTransientOpensBreakerThenHalfOpenProbeRecovers) {
 
     const core::ReplStats mid = pair->repl_stats();
     EXPECT_GE(mid.backup_dev_fallbacks, 8u);  // every intent degraded
+    // No network fault is armed: the backup's device retries are not link
+    // retries.
+    EXPECT_EQ(mid.net_retries, 0u);
     // Breaker open: device_healthy(0) reads the latch, not the cooldown.
     EXPECT_FALSE(pair->backup()->detector()->device_healthy(0));
     // Degraded intents are still served by the backup (host path).
@@ -332,6 +337,57 @@ TEST(HaPairTest, BackupDevTransientOpensBreakerThenHalfOpenProbeRecovers) {
               mid.backup_dev_fallbacks);  // recovery batch used the device
     ASSERT_TRUE(pair->Close().ok());
   });
+}
+
+// ---- The harness's HA link flags ----
+
+// --net_latency_us reaches the pair's link as given: 0 runs a zero-latency
+// link, and a fraction of a microsecond is kept.
+TEST(HaSutTest, LinkLatencyFlagReachesThePair) {
+  harness::SutConfig cfg;
+  cfg.net_latency_us = 2.7;
+  EXPECT_EQ(harness::SystemUnderTest::BuildReplOptions(cfg).net_latency,
+            2700u);
+  PairWorld w;
+  w.Run([&] {
+    cfg.kind = harness::SystemKind::kKvaccel;
+    cfg.scale = 0.03125;
+    cfg.ha = true;
+    cfg.net_latency_us = 0;
+    cfg.ha_primary = w.NodeA();
+    cfg.ha_backup = w.NodeB();
+    lsm::DbEnv env;
+    env.env = &w.env;
+    env.ssd = w.ssd_a.get();
+    env.fs = w.fs_a.get();
+    env.host_cpu = w.cpu_a.get();
+    std::unique_ptr<harness::SystemUnderTest> sut;
+    ASSERT_TRUE(harness::SystemUnderTest::Open(cfg, env, &sut).ok());
+    EXPECT_EQ(sut->pair()->link()->latency(), 0u);
+    ASSERT_TRUE(sut->Close().ok());
+  });
+}
+
+// The partition drill's rejoin resyncs over the pair's own link, so it
+// takes at least the resync bytes' wire time at --net_mbps.
+TEST(HaSutTest, PartitionDrillRejoinRunsAtTheLinkRate) {
+  harness::BenchConfig c;
+  c.scale = 0.03125;
+  c.sut.kind = harness::SystemKind::kKvaccel;
+  c.sut.ha = true;
+  c.sut.net_mbps = 0.005;  // 5 KB/s
+  c.sut.net_partition_start_s = 2;
+  c.sut.net_partition_dur_s = 1;
+  c.workload.duration = FromSecs(4);
+  harness::RunResult r = harness::RunBenchmark(c);
+  ASSERT_TRUE(r.ha.has_value());
+  ASSERT_TRUE(r.ha->rejoin.has_value());
+  const check::RejoinReport& rj = *r.ha->rejoin;
+  EXPECT_EQ(rj.checker_errors, 0);
+  ASSERT_GT(rj.resync_bytes, 0u);
+  const double wire_ns = static_cast<double>(rj.resync_bytes) * 1e9 /
+                         (c.sut.net_mbps * 1e6);
+  EXPECT_GE(static_cast<double>(rj.rejoin_ns), wire_ns);
 }
 
 // ---- Two-node nemesis schedules (DESIGN.md §9 + §12) ----
@@ -447,7 +503,7 @@ TEST(HaPairTest, LeaseLapseFencesThePrimaryUntilHeal) {
     EXPECT_FALSE(doomed.ok());
     EXPECT_FALSE(doomed.IsBusy()) << "not yet fenced: " << doomed.ToString();
 
-    w.env.SleepFor(2 * ro.lease_duration + ro.promote_safety_margin);
+    w.env.SleepFor(2 * ro.lease_duration + core::kPromoteSafetyMargin);
     EXPECT_TRUE(pair->fenced());
     Status fenced = pair->Put({}, TestKey(101), Value::Synthetic(101, 256));
     EXPECT_TRUE(fenced.IsBusy()) << fenced.ToString();
@@ -497,7 +553,7 @@ TEST(HaPairTest, DetachBackupRefusesWhileLeaseMayBeLive) {
 
     // Once last-applied + lease + margin has verifiably passed, detach is
     // safe.
-    w.env.SleepFor(2 * ro.lease_duration + 2 * ro.promote_safety_margin);
+    w.env.SleepFor(2 * ro.lease_duration + 2 * core::kPromoteSafetyMargin);
     ASSERT_TRUE(pair->DetachBackup().ok());
     ASSERT_TRUE(pair->Close().ok());
   });
@@ -532,7 +588,7 @@ TEST(HaPairTest, StaleEpochDeposesHealedPrimary) {
     for (uint64_t i = 200; i < 204; i++) {
       EXPECT_FALSE(pair->Put({}, TestKey(i), Value::Synthetic(i, 256)).ok());
     }
-    w.env.SleepFor(2 * ro.lease_duration + 2 * ro.promote_safety_margin);
+    w.env.SleepFor(2 * ro.lease_duration + 2 * core::kPromoteSafetyMargin);
     ASSERT_TRUE(pair->fenced());
     const uint64_t next_epoch = pair->epoch() + 1;
     ASSERT_TRUE(pair->DetachBackup().ok());
@@ -600,7 +656,7 @@ TEST(HaRejoinTest, DeltaResyncConvergesWithZeroWritePathBytes) {
       EXPECT_FALSE(
           pair->Put({}, TestKey(i), Value::Synthetic(9000 + i, 512)).ok());
     }
-    w.env.SleepFor(2 * ro.lease_duration + 2 * ro.promote_safety_margin);
+    w.env.SleepFor(2 * ro.lease_duration + 2 * core::kPromoteSafetyMargin);
     ASSERT_TRUE(pair->fenced());
     const uint64_t frontier = pair->applied_seq();
     const uint64_t next_epoch = pair->epoch() + 1;

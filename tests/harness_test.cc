@@ -49,10 +49,10 @@ TEST(PresetsTest, PaperDefaultsMatchTables) {
   core::KvaccelOptions kv = PaperKvaccelOptions(core::RollbackScheme::kLazy);
   EXPECT_EQ(kv.detector_period, FromMillis(100));  // §VI-A: every 0.1 s
   EXPECT_EQ(kv.dev.dma_chunk, 512u << 10);         // §V-E: 512 KB DMA
-  EXPECT_NEAR(kv.detector_cpu_ns, 1370, 0.1);      // Table VI
-  EXPECT_NEAR(kv.md_insert_ns, 450, 0.1);
-  EXPECT_NEAR(kv.md_check_ns, 200, 0.1);
-  EXPECT_NEAR(kv.md_delete_ns, 280, 0.1);
+  EXPECT_NEAR(core::kDetectorCpuNs, 1370, 0.1);    // Table VI
+  EXPECT_NEAR(core::kMdInsertNs, 450, 0.1);
+  EXPECT_NEAR(core::kMdCheckNs, 200, 0.1);
+  EXPECT_NEAR(core::kMdDeleteNs, 280, 0.1);
 }
 
 TEST(PresetsTest, ScaleShrinksSizesNotRates) {
@@ -262,6 +262,7 @@ TEST(FlagsTest, DbbenchRejectsWrappedAndMisreadValues) {
       {"--no_slowdown=false", "--no_slowdown"},
       {"--series=no", "--series"},
       {"--key_space=0", "--key_space"},
+      {"--net_mbps=0", "--net_mbps"},
   };
   for (const auto& [arg, flag] : probes) {
     EXPECT_EXIT(ParseDbbench({arg}), ::testing::ExitedWithCode(2), flag)

@@ -84,9 +84,9 @@ TEST(OffloadPlannerTest, BulkJobsOffloadIntraL0StaysHostWhenIdle) {
   NdpDevice dev(world.ssd.get());
   world.Run([&] {
     OffloadPlanner planner(&world.env, world.host_cpu.get(), dev.cpu(),
-                           PlannerOptions());
+                           OffloadMode::kAuto);
     // Idle host: bulk merges go to the device, intra-L0 stays local, and
-    // jobs under min_job_bytes aren't worth the command round-trip.
+    // jobs under 1 MiB aren't worth the command round-trip.
     EXPECT_TRUE(planner.ShouldOffload(BulkJob()));
     EXPECT_FALSE(planner.ShouldOffload(IntraL0Job()));
     EXPECT_FALSE(planner.ShouldOffload(BulkJob(/*bytes=*/4 << 10)));
@@ -105,9 +105,9 @@ TEST(OffloadPlannerTest, CpuPressureFlipsIntraL0ToDeviceWithHysteresis) {
   }
   world.Run([&] {
     OffloadPlanner planner(&world.env, world.host_cpu.get(), dev.cpu(),
-                           PlannerOptions());
+                           OffloadMode::kAuto);
     world.env.SleepFor(FromMillis(400));  // trailing window is now all-busy
-    // flip_streak = 2: the first high sample doesn't flip yet.
+    // Two high samples flip the state: the first doesn't flip yet.
     EXPECT_FALSE(planner.ShouldOffload(IntraL0Job()));
     EXPECT_TRUE(planner.ShouldOffload(IntraL0Job()));
     EXPECT_EQ(planner.stats().flips, 1u);
@@ -128,13 +128,13 @@ TEST(OffloadPlannerTest, DeviceFailureOpensCooldownThatExpires) {
   NdpDevice dev(world.ssd.get());
   world.Run([&] {
     OffloadPlanner planner(&world.env, world.host_cpu.get(), dev.cpu(),
-                           PlannerOptions());
+                           OffloadMode::kAuto);
     ASSERT_TRUE(planner.ShouldOffload(BulkJob()));
     planner.ReportDeviceFailure();
     EXPECT_FALSE(planner.ShouldOffload(BulkJob()));  // circuit breaker open
     EXPECT_EQ(planner.stats().cooldown_rejects, 1u);
     EXPECT_EQ(planner.stats().failures, 1u);
-    world.env.SleepFor(PlannerOptions().failure_cooldown + FromMillis(1));
+    world.env.SleepFor(kFailureCooldown + FromMillis(1));
     EXPECT_TRUE(planner.ShouldOffload(BulkJob()));  // breaker closed again
   });
 }
@@ -143,9 +143,8 @@ TEST(OffloadPlannerTest, ForceModeIgnoresSizeAndCooldown) {
   SimWorld world;
   NdpDevice dev(world.ssd.get());
   world.Run([&] {
-    PlannerOptions opts;
-    opts.mode = OffloadMode::kForce;
-    OffloadPlanner planner(&world.env, world.host_cpu.get(), dev.cpu(), opts);
+    OffloadPlanner planner(&world.env, world.host_cpu.get(), dev.cpu(),
+                           OffloadMode::kForce);
     planner.ReportDeviceFailure();
     EXPECT_TRUE(planner.ShouldOffload(BulkJob(/*bytes=*/1)));
     EXPECT_TRUE(planner.ShouldOffload(IntraL0Job()));
@@ -158,7 +157,7 @@ core::KvaccelOptions NdpKvOptions(NdpDevice* dev, OffloadMode mode) {
   o.dev.dma_chunk = 64 << 10;
   o.rollback = core::RollbackScheme::kDisabled;
   o.ndp_device = dev;
-  o.ndp_planner.mode = mode;
+  o.ndp_mode = mode;
   return o;
 }
 

@@ -282,7 +282,7 @@ TEST(ShardStatsTest, FleetRollupSumsEveryTableRow) {
     kv_opts.detector_period = FromMillis(1);
     kv_opts.dev.read_cache_bytes = 1 << 20;
     kv_opts.ndp_device = &ndp_dev;
-    kv_opts.ndp_planner.mode = ndp::OffloadMode::kForce;
+    kv_opts.ndp_mode = ndp::OffloadMode::kForce;
     core::ShardingOptions sharding;
     sharding.num_shards = n;
     std::unique_ptr<core::ShardedKvaccelDB> db;

@@ -11,7 +11,6 @@
 #include "ssd/ftl.h"
 #include "ssd/hybrid_ssd.h"
 #include "ssd/nand_flash.h"
-#include "ssd/nvme.h"
 
 namespace kvaccel::ssd {
 namespace {
@@ -335,21 +334,6 @@ TEST(HybridSsdTest, NamespacesAreIsolated) {
   EXPECT_TRUE(ssd.BlockWrite(2, 0, 1).IsInvalidArgument());
 }
 
-TEST(HybridSsdTest, CommandTraceRecords) {
-  sim::SimEnv env;
-  HybridSsd ssd(&env, SmallConfig());
-  env.Spawn("w", [&] {
-    ssd.BlockWrite(0, 0, 4);
-    ssd.BlockRead(0, 0, 4);
-    ssd.BlockFlush(0);
-  });
-  env.Run();
-  EXPECT_EQ(ssd.trace().CountOf(nvme::Opcode::kWrite), 1u);
-  EXPECT_EQ(ssd.trace().CountOf(nvme::Opcode::kRead), 1u);
-  EXPECT_EQ(ssd.trace().CountOf(nvme::Opcode::kFlush), 1u);
-  EXPECT_EQ(ssd.trace().total_count(), 3u);
-}
-
 TEST(HybridSsdTest, FirmwareIsSlowerThanHost) {
   sim::SimEnv env;
   SsdConfig c = SmallConfig();
@@ -361,12 +345,6 @@ TEST(HybridSsdTest, FirmwareIsSlowerThanHost) {
   });
   env.Run();
   EXPECT_NEAR(static_cast<double>(done), 1e6 / c.firmware_speed, 1e3);
-}
-
-TEST(NvmeTest, OpcodeNames) {
-  EXPECT_STREQ(nvme::OpcodeName(nvme::Opcode::kKvStore), "KV_STORE");
-  EXPECT_STREQ(nvme::OpcodeName(nvme::Opcode::kKvBulkScan), "KV_BULK_SCAN");
-  EXPECT_STREQ(nvme::OpcodeName(nvme::Opcode::kRead), "READ");
 }
 
 }  // namespace

@@ -214,10 +214,10 @@ TEST_F(VersionSetTest, MaxBytesForLevelGrowsByMultiplier) {
     uint64_t l2 = vs.MaxBytesForLevel(2);
     uint64_t l3 = vs.MaxBytesForLevel(3);
     EXPECT_EQ(l1, options_.max_bytes_for_level_base);
-    EXPECT_NEAR(static_cast<double>(l2) / l1,
-                options_.max_bytes_for_level_multiplier, 0.01);
-    EXPECT_NEAR(static_cast<double>(l3) / l2,
-                options_.max_bytes_for_level_multiplier, 0.01);
+    EXPECT_NEAR(static_cast<double>(l2) / l1, kMaxBytesForLevelMultiplier,
+                0.01);
+    EXPECT_NEAR(static_cast<double>(l3) / l2, kMaxBytesForLevelMultiplier,
+                0.01);
   });
 }
 

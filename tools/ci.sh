@@ -422,10 +422,13 @@ EOF
 
 # pinned BUILD_DIR: prints "sha256  NAME.ARTIFACT" for the stdout (its
 # artifact-path lines dropped), --json_out report and --trace_out trace of
-# every bench_smoke dbbench run plus the HA partition drill in wal mode and
-# two sharded runs (readwhilewriting, and --ndp=auto), and for the stdout of
-# the six nemesis smokes. Artifacts stay in
-# BUILD_DIR/pinned-artifacts.
+# every bench_smoke dbbench run plus the HA partition drill in wal mode, two
+# sharded runs (readwhilewriting, and --ndp=auto) and two flaky-nvme fault
+# runs (single node, and the async HA pair), and for the stdout of the six
+# nemesis smokes. The fault runs pin the transient-retry limits and backoffs:
+# their seeds are ones where a Main-LSM retry fires (at the default seed
+# neither run retries), and flaky's also fires a Dev-LSM retry. Artifacts
+# stay in BUILD_DIR/pinned-artifacts.
 pinned() {
   local dir="$1" out="$1/pinned-artifacts"
   local small="--workload=fillrandom --seconds=10 --scale=0.0625"
@@ -445,6 +448,8 @@ pinned() {
     "ndp-off|--system=kvaccel --workload=fillrandom --seconds=20 --scale=0.0625 --ndp=off"
     "ndp-auto|--system=kvaccel --workload=fillrandom --seconds=20 --scale=0.0625 --ndp=auto"
     "openloop|--system=kvaccel --workload=mixed --workload_mix=put=70,get=20,del=5,scan=5 --zipf_theta=0.99 --arrival=spike --arrival_rate=12000 --tenants=2 --writer_threads=2 --ttl_frac=0.05 --seconds=10 --scale=0.0625"
+    "flaky|--system=kvaccel ${small} --fault_profile=flaky-nvme --fault_seed=11"
+    "ha-flaky|--system=kvaccel ${small} --ha --repl_ack=async --fault_profile=flaky-nvme --fault_seed=267"
   )
   rm -rf "${out}"
   mkdir -p "${out}"
