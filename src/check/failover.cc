@@ -1,7 +1,5 @@
 #include "check/failover.h"
 
-#include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "sim/net_link.h"
@@ -186,12 +184,7 @@ Status RejoinBody(const lsm::DbOptions& main_options,
   // re-pair's watermarks assume it). Advance the serving clock past anything
   // the rejoining node still holds; IngestSortedBatch advances the rejoining
   // node's clock past the sequences shipped to it.
-  uint64_t node_last = node_db->main()->LastSequence();
-  while (serving->main()->LastSequence() < node_last) {
-    uint64_t gap = node_last - serving->main()->LastSequence();
-    serving->main()->AllocateSequence(static_cast<uint32_t>(
-        std::min<uint64_t>(gap, std::numeric_limits<uint32_t>::max())));
-  }
+  core::AdvanceSequenceTo(serving->main(), node_db->main()->LastSequence());
 
   // Step 4: catch the node up over the resync interconnect. Every shipped
   // byte pays wire time, optionally queued through the caller's

@@ -182,6 +182,19 @@ Status KvaccelDB::DevPutWithRetry(const std::vector<VersionedEntry>& entries) {
   return s;
 }
 
+void KvaccelDB::DropSupersededRecords(const lsm::WriteBatch& batch,
+                                      bool drop) {
+  lsm::SequenceNumber seq = batch.Sequence();
+  (void)batch.ForEach([&](lsm::ValueType, const Slice& key, const Value&) {
+    if (drop) {
+      md_->DeleteIfNotNewer(key, seq);
+    } else {
+      md_->NoteMainVersion(key, seq);
+    }
+    seq++;
+  });
+}
+
 Status KvaccelDB::Write(const lsm::WriteOptions& wopts,
                         lsm::WriteBatch* batch) {
   const uint32_t count = batch->Count();
@@ -211,6 +224,7 @@ Status KvaccelDB::Write(const lsm::WriteOptions& wopts,
           entries.push_back({key.ToString(), value,
                              type == lsm::ValueType::kDeletion, next++});
         });
+    md_->BeginRedirect(entries);
     if (s.ok() && options_.redirect_arbiter) {
       // Reserve the redirect DMA's bandwidth on the shared-device arbiter
       // before issuing the command, so a compaction-heavy neighbor shard
@@ -220,7 +234,13 @@ Status KvaccelDB::Write(const lsm::WriteOptions& wopts,
     }
     if (s.ok()) {
       Nanos dev_start = env_->Now();
-      s = DevPutWithRetry(entries);
+      // An HA primary ships the Dev-LSM intent to its backup BEFORE the
+      // device put: an acked redirected write must be reconstructible on
+      // failover even though this node's device KV region is gone, and a
+      // failed ship must leave no version on this device that reads or a
+      // trusted rollback would serve.
+      if (options_.redirect_shipper) s = options_.redirect_shipper(entries);
+      if (s.ok()) s = DevPutWithRetry(entries);
       // Kill point: crash after the compound command landed on the device
       // but before the metadata records flip. The pairs are durable
       // device-side with their host sequence numbers, so reopen's
@@ -229,34 +249,22 @@ Status KvaccelDB::Write(const lsm::WriteOptions& wopts,
       if (s.ok() && sim::FaultAt(env_, "crash.redirect.mid")) {
         s = Status::IOError("simulated crash");
       }
-      // Ship the Dev-LSM intent to the backup BEFORE the metadata flip acks
-      // the batch: an acked redirected write must be reconstructible on
-      // failover even though this node's device KV region is gone. A ship
-      // failure leaves the write unacked; the device-side entries it leaked
-      // are superseded by recovery's sequence comparison.
-      if (s.ok() && options_.redirect_shipper) {
-        s = options_.redirect_shipper(entries);
-      }
       if (s.ok()) {
         kv_stats_.redirect_batch_latency.Add(env_->Now() - dev_start);
         std::vector<std::pair<std::string, uint64_t>> recs;
         recs.reserve(entries.size());
-        for (auto& e : entries) recs.emplace_back(std::move(e.key), e.seq);
+        for (const auto& e : entries) recs.emplace_back(e.key, e.seq);
         md_->InsertBatch(recs);
         kv_stats_.redirected_writes += count;
         kv_stats_.redirected_batches++;
       }
     }
+    md_->EndRedirect(entries);
     if (!s.ok()) {
       // Device full/unavailable: fall back to the normal (stalling) path.
       // Counted as fallback so a dead device shows up in bench reports.
       s = main_->Write(wopts, batch);
-      if (s.ok()) {
-        (void)batch->ForEach(
-            [&](lsm::ValueType, const Slice& key, const Value&) {
-              if (md_->Check(key)) md_->Delete(key);
-            });
-      }
+      if (s.ok()) DropSupersededRecords(*batch, /*drop=*/true);
       kv_stats_.direct_writes += count;
       kv_stats_.fallback_writes += count;
     }
@@ -264,11 +272,7 @@ Status KvaccelDB::Write(const lsm::WriteOptions& wopts,
     s = main_->Write(wopts, batch);
     kv_stats_.direct_writes += count;
     // Path (3-1): overlapping pairs in Dev-LSM are now stale.
-    if (s.ok() && !dev_->Empty()) {
-      (void)batch->ForEach([&](lsm::ValueType, const Slice& key, const Value&) {
-        if (md_->Check(key)) md_->Delete(key);
-      });
-    }
+    if (s.ok()) DropSupersededRecords(*batch, /*drop=*/!dev_->Empty());
   }
   Nanos now = env_->Now();
   agg_stats_.writes_total += count;
@@ -387,8 +391,7 @@ Status RollbackManager::Execute(bool trust_metadata) {
     for (const auto& e : batch) {
       // Clear each record unless a newer redirected version appeared
       // during the drain.
-      uint64_t md_seq = md->GetSeq(e.key);
-      if (md_seq != 0 && md_seq <= e.seq) md->Delete(e.key);
+      md->DeleteIfNotNewer(e.key, e.seq);
       merged++;
     }
     drained_bytes += batch_bytes;
@@ -414,10 +417,15 @@ Status RollbackManager::Execute(bool trust_metadata) {
     } else {
       // Recovery after metadata loss (paper §VI-D): the hash table is gone,
       // so order the device pair against Main-LSM by sequence number.
+      // An entry it cannot order stays on the device: the error skips the
+      // reset, and a later drain compares it again.
       Value unused;
       lsm::SequenceNumber main_seq = 0;
       Status gs = main->GetWithSequence({}, e.key, &unused, &main_seq);
-      if (!gs.ok() && !gs.IsNotFound()) return;
+      if (!gs.ok() && !gs.IsNotFound()) {
+        ingest_error = gs;
+        return;
+      }
       if (main_seq >= e.seq) return;  // host already has a newer version
     }
     batch.push_back(e);

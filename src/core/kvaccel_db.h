@@ -84,6 +84,11 @@ class KvaccelDB : public lsm::Store {
   // latches the device unhealthy via the Detector and returns the error so
   // the caller falls back to the host path.
   Status DevPutWithRetry(const std::vector<VersionedEntry>& entries);
+  // `batch` reached the Main-LSM: a pending redirect of one of its keys
+  // older than the batch records nothing, and when `drop`, each key's
+  // metadata record goes unless a redirected write newer than the batch
+  // wrote it.
+  void DropSupersededRecords(const lsm::WriteBatch& batch, bool drop);
 
   KvaccelOptions options_;
   lsm::DbEnv denv_;

@@ -11,12 +11,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/slice.h"
 #include "common/units.h"
+#include "common/value.h"
 #include "core/config.h"
 #include "sim/cpu_pool.h"
 #include "sim/sim_env.h"
@@ -151,12 +153,43 @@ class MetadataManager {
 
   // Bulk insert for one redirected batch: same per-record hash-table cost as
   // Insert, but charged as a single CPU burst (one bookkeeping sleep instead
-  // of N), mirroring how the batch rode a single device command.
+  // of N), mirroring how the batch rode a single device command. A record
+  // that a newer Main-LSM version of its key overtook while its batch was
+  // pending (BeginRedirect) is left out.
   void InsertBatch(const std::vector<std::pair<std::string, uint64_t>>& recs) {
     if (recs.empty()) return;
     Charge(kMdInsertNs * static_cast<double>(recs.size()));
     stats_->md_inserts += recs.size();
-    for (const auto& [key, seq] : recs) keys_.Set(key, seq);
+    for (const auto& [key, seq] : recs) {
+      auto it = pending_.find(key);
+      if (it == pending_.end() || it->second.main_seq < seq) {
+        keys_.Set(key, seq);
+      }
+    }
+  }
+
+  // A redirected batch is pending from its sequence allocation until its
+  // records are inserted or it falls back to the host path. A Main-LSM
+  // version of one of its keys newer than the batch's (a direct write
+  // that finished first, or a drained newer redirect) keeps that record
+  // out: it would route reads to the older device version. Uncharged: the
+  // table already holds these keys' slots in a real store.
+  void BeginRedirect(const std::vector<VersionedEntry>& entries) {
+    for (const VersionedEntry& e : entries) pending_[e.key].batches++;
+  }
+  void EndRedirect(const std::vector<VersionedEntry>& entries) {
+    for (const VersionedEntry& e : entries) {
+      auto it = pending_.find(e.key);
+      if (--it->second.batches == 0) pending_.erase(it);
+    }
+  }
+  // `key`'s version `seq` reached the Main-LSM. Uncharged.
+  void NoteMainVersion(const Slice& key, uint64_t seq) {
+    if (pending_.empty()) return;
+    auto it = pending_.find(key.ToString());
+    if (it != pending_.end()) {
+      it->second.main_seq = std::max(it->second.main_seq, seq);
+    }
   }
 
   // Membership test ("key check").
@@ -180,6 +213,25 @@ class MetadataManager {
     Charge(kMdDeleteNs);
     stats_->md_deletes++;
     keys_.Erase(key);
+  }
+
+  // Removes the record if its version is `seq` or older: a Main-LSM version
+  // at `seq` superseded it (NoteMainVersion). A newer record stays. Costs a
+  // key check, plus a delete when a record goes. The compare that decides
+  // the erase runs after the last charge, so a newer record inserted while
+  // this call sleeps is never the one erased.
+  void DeleteIfNotNewer(const Slice& key, uint64_t seq) {
+    auto superseded = [&] {
+      const uint64_t* md_seq = keys_.Find(key);
+      return md_seq != nullptr && *md_seq <= seq;
+    };
+    NoteMainVersion(key, seq);
+    Charge(kMdCheckNs);
+    stats_->md_checks++;
+    if (!superseded()) return;
+    Charge(kMdDeleteNs);
+    stats_->md_deletes++;
+    if (superseded()) keys_.Erase(key);
   }
 
   // One-shot copy of the table, taken when a snapshot iterator is built:
@@ -218,10 +270,16 @@ class MetadataManager {
     env_->SleepFor(static_cast<Nanos>(ns + 0.5));
   }
 
+  struct Pending {
+    uint32_t batches = 0;   // pending redirected batches holding the key
+    uint64_t main_seq = 0;  // newest Main-LSM version noted meanwhile
+  };
+
   sim::SimEnv* env_;
   sim::CpuPool* cpu_;
   KvaccelStats* stats_;
   KeySeqTable keys_;  // key -> host seq
+  std::unordered_map<std::string, Pending> pending_;
 };
 
 }  // namespace kvaccel::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -165,6 +166,12 @@ Status ReplicatedKvaccelDB::Open(const lsm::DbOptions& main_options,
     return s;
   }
 
+  // A re-formed pair's primary can trail its backup's clock (a clock
+  // advanced by RejoinNode is not logged): start it past every sequence the
+  // backup holds, so Bootstrap's fresh sequences and every later write
+  // shadow the backup's versions.
+  AdvanceSequenceTo(impl->primary_->main(),
+                    impl->backup_->main()->LastSequence());
   s = impl->Bootstrap();
   if (!s.ok()) {
     impl->Close();
@@ -248,7 +255,9 @@ Status ReplicatedKvaccelDB::DetachBackup(bool force) {
     q_cv_.NotifyAll();
     while (shipper_busy_) q_cv_.Wait(q_mu_);
   }
-  sim::SimLockGuard l(ship_mu_);  // serialize with sync ships and heartbeats
+  // Serialize with both sync lanes and the heartbeats.
+  sim::SimLockGuard wal_lane(ship_mu_);
+  sim::SimLockGuard dev_lane(dev_ship_mu_);
   Status s = backup_->Close();
   backup_.reset();
   return s;
@@ -406,7 +415,12 @@ Status ReplicatedKvaccelDB::Ship(Record rec) {
   rec.epoch = epoch_;
   if (options_.ack == ReplAck::kSync) {
     Nanos t0 = env_->Now();
-    sim::SimLockGuard l(ship_mu_);  // FIFO: one record on the wire at a time
+    // Two FIFO lanes, one record on each at a time: redirect intents and
+    // rollback signals never wait for a backup WAL sync, nor WAL batches for
+    // an intent or a mirror drain.
+    const bool dev_lane = rec.type == Record::Type::kRedirectIntent ||
+                          rec.type == Record::Type::kRollback;
+    sim::SimLockGuard l(dev_lane ? dev_ship_mu_ : ship_mu_);
     Status s = SendAndApply(&rec, /*forever=*/false);
     stats_.sync_ship_ns += env_->Now() - t0;
     if (!s.ok()) stats_.ship_failures++;
@@ -592,15 +606,25 @@ Status ReplicatedKvaccelDB::ApplyOnBackup(Record* rec) {
       wo.sync = true;
       wo.replicated_seq = rec->first_seq;
       Status s = backup_->main()->Write(wo, &rec->batch);
-      if (s.ok()) backup_wal_seq_ = std::max(backup_wal_seq_, rec->last_seq);
-      return s;
+      if (!s.ok()) return s;
+      backup_wal_seq_ = std::max(backup_wal_seq_, rec->last_seq);
+      // An older mirrored version's record goes, as the primary's direct
+      // path deletes its own; a newer one stays.
+      MetadataManager* md = backup_->metadata();
+      uint64_t seq = rec->first_seq;
+      return rec->batch.ForEach(
+          [&](lsm::ValueType, const Slice& key, const Value&) {
+            if (!md->Empty()) md->DeleteIfNotNewer(key, seq);
+            seq++;
+          });
     }
     case Record::Type::kRedirectIntent:
       return ApplyIntentOnBackup(rec);
     case Record::Type::kRollback:
-      // Mirror the primary's drain: move the backup's Dev-LSM mirror into
-      // its Main-LSM by sequence comparison, then reset the mirror.
-      return backup_->CrashMetadataAndRecover(nullptr);
+      // Mirror the primary's drain: the backup's metadata names exactly the
+      // mirrored versions that are newest, so the trusted drain moves them
+      // into its Main-LSM and resets the mirror, as the primary did.
+      return backup_->RollbackNow();
     case Record::Type::kManifestEdit:
       return Status::OK();  // advisory; bytes were the payload
     case Record::Type::kHeartbeat:
@@ -629,6 +653,10 @@ Status ReplicatedKvaccelDB::ApplyIntentOnBackup(Record* rec) {
     }
     if (s.ok()) {
       det->ReportDeviceSuccess();
+      std::vector<std::pair<std::string, uint64_t>> recs;
+      recs.reserve(rec->entries.size());
+      for (const auto& e : rec->entries) recs.emplace_back(e.key, e.seq);
+      backup_->metadata()->InsertBatch(recs);
       return s;
     }
     if (s.IsTransient()) det->ReportDeviceFailure(env_->Now());
@@ -662,7 +690,13 @@ Status ReplicatedKvaccelDB::IngestOnBackup(std::vector<VersionedEntry> ing) {
       dedup.push_back(std::move(e));
     }
   }
-  return backup_->main()->IngestSortedBatch(dedup);
+  Status s = backup_->main()->IngestSortedBatch(dedup);
+  if (!s.ok()) return s;
+  MetadataManager* md = backup_->metadata();
+  for (const auto& e : dedup) {
+    if (!md->Empty()) md->DeleteIfNotNewer(e.key, e.seq);
+  }
+  return s;
 }
 
 // ---------------- Test hooks ----------------
@@ -681,6 +715,14 @@ void ReplicatedKvaccelDB::DrainShipping() {
 }
 
 // ---------------- Catch-up (re-pair, rejoin) ----------------
+
+void AdvanceSequenceTo(lsm::DB* db, uint64_t seq) {
+  while (db->LastSequence() < seq) {
+    uint64_t gap = seq - db->LastSequence();
+    db->AllocateSequence(static_cast<uint32_t>(
+        std::min<uint64_t>(gap, std::numeric_limits<uint32_t>::max())));
+  }
+}
 
 Status ReplicatedKvaccelDB::Bootstrap() {
   CatchUpOptions opts;

@@ -5,7 +5,10 @@
 // sequence numbers, so a failover promotes a byte-consistent replica instead
 // of replaying from scratch.
 //
-// Five record types ride the link, in ship order:
+// Five record types ride the link. Sync acks ship them in two FIFO lanes:
+// WAL batches, manifest edits and heartbeats in one, redirect intents and
+// rollback signals in the other, so neither waits for the other's backup
+// apply (DESIGN.md §12). Async acks ship all five through one queue.
 //
 //   kWalBatch       every group-commit WAL batch, shipped by the leader after
 //                   local WAL sync and applied on the backup as a
@@ -15,15 +18,17 @@
 //                   not re-run the write path.
 //   kRedirectIntent the KVACCEL twist: a redirected batch's Dev-LSM intent
 //                   (keys, values, host sequence range, tombstone marks),
-//                   shipped after the compound command is durable on the
-//                   PRIMARY's device but before the metadata flip acks it.
-//                   The backup mirrors the intent into its OWN Dev-LSM (or
+//                   shipped before the compound command goes to the
+//                   PRIMARY's device and before the metadata flip acks it.
+//                   The backup mirrors the intent into its OWN Dev-LSM and
+//                   records its keys in its own Metadata Manager (or
 //                   degrades to its host path when its device is unhealthy),
 //                   so an acked redirected write survives failover even
 //                   though the primary's device KV region is gone.
 //   kRollback       the primary finished a rollback drain: its Dev-LSM data
 //                   is now in its Main-LSM (via WAL-bypassing ingest), so
-//                   the backup drains its mirror the same way.
+//                   the backup drains its mirror the same way, trusting its
+//                   metadata as the primary does.
 //   kManifestEdit   advisory VersionEdit stream (bytes charged to the link;
 //                   the backup builds its own versions from applied writes).
 //   kHeartbeat      an empty lease-renewal record from a background beater;
@@ -165,6 +170,10 @@ struct CatchUpStats {
   uint64_t diverged_keys = 0;     // shipped over a version above the frontier
 };
 
+// Advances `db`'s sequence clock to at least `seq`, unlogged, as
+// AllocateSequence does. Both nodes of a pair share one sequence space.
+void AdvanceSequenceTo(lsm::DB* db, uint64_t seq);
+
 // Makes `target`'s live key space equal `source`'s. Every live source key
 // whose value differs on the target ships at the source's sequence, or at a
 // fresh source sequence when the target's version is newer; every key live
@@ -298,7 +307,7 @@ class ReplicatedKvaccelDB : public lsm::Store {
   void NoteLeaseState(); // counts fresh -> lapsed transitions
   void HeartbeatLoop();
 
-  // Sync: applies inline under ship_mu_ (FIFO). Async: enqueues with
+  // Sync: applies inline in the record's lane (FIFO). Async: enqueues with
   // backpressure; fails only if the pair crashes while waiting.
   Status Ship(Record rec);
   void ShipperLoop();
@@ -315,7 +324,12 @@ class ReplicatedKvaccelDB : public lsm::Store {
   std::unique_ptr<KvaccelDB> primary_;
   std::unique_ptr<KvaccelDB> backup_;
 
-  sim::SimMutex ship_mu_;  // sync mode: one record on the wire at a time
+  // Sync-mode lanes, one record in flight on each. The WAL lane carries WAL
+  // batches, manifest edits and heartbeats; the device lane redirect
+  // intents and rollback signals. Only DetachBackup holds both (WAL lane
+  // first).
+  sim::SimMutex ship_mu_;
+  sim::SimMutex dev_ship_mu_;
   Random64 net_rng_;
 
   // Async shipper state (all under q_mu_).
@@ -329,7 +343,7 @@ class ReplicatedKvaccelDB : public lsm::Store {
   sim::SimEnv::Thread* shipper_ = nullptr;
 
   // Heartbeat actor (its own mutex so lease renewals never contend with the
-  // queue protocol; the ship itself serializes under ship_mu_).
+  // queue protocol; the ship itself rides the WAL lane).
   sim::SimMutex hb_mu_;
   sim::SimCondVar hb_cv_;
   bool hb_stop_ = false;

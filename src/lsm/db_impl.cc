@@ -317,6 +317,15 @@ Status DbImpl::Write(const WriteOptions& wopts, WriteBatch* batch) {
     mu_.Lock();
     commit_in_flight_ = false;
     work_done_cv_.NotifyAll();
+    if (s.ok()) {
+      // Each member batch learns its slice of the group's range.
+      SequenceNumber next = group->Sequence();
+      for (Writer* wr : writers_) {
+        wr->batch->SetSequence(next);
+        next += wr->batch->Count();
+        if (wr == last_writer) break;
+      }
+    }
     if (group == &group_scratch_) group_scratch_.Clear();
   }
 

@@ -33,7 +33,8 @@ class WriteBatch {
   // Serialized payload (compact encoding) for WAL/replay.
   const std::string& Contents() const { return rep_; }
 
-  // Sets the sequence number of the first entry.
+  // Sets the sequence number of the first entry. A successful DB::Write
+  // sets it on every batch it commits, grouped or not.
   void SetSequence(SequenceNumber seq);
   SequenceNumber Sequence() const;
 

@@ -1,6 +1,7 @@
 #include "ssd/ftl.h"
 
 #include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cassert>
@@ -50,6 +51,8 @@ Ftl::Ftl(const Options& options, GcIoFn gc_io)
   }
   map_ = MapZeroPages(options.logical_pages);
   rmap_ = MapZeroPages(physical_pages);
+  rmap_page_entries_ =
+      static_cast<uint64_t>(sysconf(_SC_PAGESIZE)) / sizeof(uint32_t);
   block_valid_.assign(physical_blocks_, 0);
   block_is_free_.assign(physical_blocks_, 1);
   for (uint64_t b = 0; b < physical_blocks_; b++) free_blocks_.push_back(b);
@@ -69,10 +72,29 @@ uint64_t Ftl::AllocPage() {
 
 void Ftl::InvalidatePhysical(uint64_t ppn) {
   assert(rmap_[ppn] >= kFirstLpn);
-  rmap_[ppn] = kInvalid;
+  rmap_[ppn] = kNoLpn;
   uint64_t block = ppn / options_.pages_per_block;
   assert(block_valid_[block] > 0);
-  block_valid_[block]--;
+  if (--block_valid_[block] == 0) ReleaseRmapPages(block);
+}
+
+void Ftl::ReleaseRmapPages(uint64_t block) {
+  const uint64_t ppb = options_.pages_per_block;
+  const uint64_t pages = physical_blocks_ * ppb;
+  for (uint64_t page = block * ppb / rmap_page_entries_;
+       page <= ((block + 1) * ppb - 1) / rmap_page_entries_; page++) {
+    const uint64_t begin = page * rmap_page_entries_;
+    const uint64_t end = std::min(begin + rmap_page_entries_, pages);
+    bool empty = true;
+    for (uint64_t b = begin / ppb; empty && b * ppb < end; b++) {
+      empty = block_valid_[b] == 0;
+    }
+    // Every entry on the page is kNoLpn, which is what the zero page reads.
+    if (empty) {
+      madvise(&rmap_[begin], rmap_page_entries_ * sizeof(uint32_t),
+              MADV_DONTNEED);
+    }
+  }
 }
 
 Status Ftl::Write(uint64_t lpn, uint64_t count) {
@@ -84,14 +106,17 @@ Status Ftl::Write(uint64_t lpn, uint64_t count) {
     MaybeGc();
     uint64_t ppn = AllocPage();
     if (ppn == kNone) return Status::NoSpace("FTL out of NAND blocks");
-    if (map_[l] != kUnmapped) {
-      InvalidatePhysical(map_[l] - 1);
-      valid_pages_--;
-    }
+    // The new page counts before the old one goes, so a block holding both
+    // never reads empty in between.
+    uint32_t old = map_[l];
     map_[l] = static_cast<uint32_t>(ppn + 1);
     rmap_[ppn] = static_cast<uint32_t>(l + kFirstLpn);
     block_valid_[ppn / options_.pages_per_block]++;
-    valid_pages_++;
+    if (old != kUnmapped) {
+      InvalidatePhysical(old - 1);
+    } else {
+      valid_pages_++;
+    }
     host_written_pages_++;
   }
   return Status::OK();
@@ -148,16 +173,16 @@ bool Ftl::GcOnce() {
     if (entry < kFirstLpn) continue;  // free or invalid
     uint64_t dst = AllocPage();
     if (dst == kNone) return false;  // shouldn't happen mid-GC
-    rmap_[ppn] = kInvalid;
+    rmap_[ppn] = kNoLpn;
     block_valid_[victim]--;
     map_[entry - kFirstLpn] = static_cast<uint32_t>(dst + 1);
     rmap_[dst] = entry;
     block_valid_[dst / options_.pages_per_block]++;
     moved++;
   }
-  // Erase and return to the pool.
-  std::fill_n(&rmap_[first], options_.pages_per_block, kFree);
+  // Erase and return to the pool: relocation left every entry kNoLpn.
   assert(block_valid_[victim] == 0);
+  ReleaseRmapPages(victim);
   free_blocks_.push_back(victim);
   block_is_free_[victim] = 1;
   relocated_pages_ += moved;

@@ -74,12 +74,12 @@ class Ftl {
 
  private:
   // Table entries are encoded so that zero is every entry's initial state.
-  // map_: 0 = unmapped, else ppn + 1. rmap_: 0 = free, 1 = invalid (stale),
-  // else lpn + 2.
+  // map_: 0 = unmapped, else ppn + 1. rmap_: 0 = no valid page (free or
+  // stale), else lpn + 1. A block without a valid page is all zeros in
+  // rmap_, so its table page can go back to the zero page.
   static constexpr uint32_t kUnmapped = 0;
-  static constexpr uint32_t kFree = 0;
-  static constexpr uint32_t kInvalid = 1;
-  static constexpr uint32_t kFirstLpn = 2;
+  static constexpr uint32_t kNoLpn = 0;
+  static constexpr uint32_t kFirstLpn = 1;
   static constexpr uint64_t kNone = UINT64_MAX;  // no page, no block
 
   // A table in anonymous memory that reads as zero pages: building one
@@ -95,6 +95,9 @@ class Ftl {
   // from the free pool as needed). Returns kNone if out of space.
   uint64_t AllocPage();
   void InvalidatePhysical(uint64_t ppn);
+  // Returns the rmap_ pages holding `block`'s entries to the zero page once
+  // every block on them is without a valid page.
+  void ReleaseRmapPages(uint64_t block);
   void MaybeGc();
   bool GcOnce();
 
@@ -102,7 +105,8 @@ class Ftl {
   GcIoFn gc_io_;
   uint64_t physical_blocks_;
   PageTable map_;   // lpn -> ppn + 1, or kUnmapped
-  PageTable rmap_;  // ppn -> lpn + 2, kInvalid or kFree
+  PageTable rmap_;  // ppn -> lpn + 1, or kNoLpn
+  uint64_t rmap_page_entries_;  // rmap_ entries per OS page
   std::vector<uint32_t> block_valid_;
   std::vector<uint8_t> block_is_free_;
   std::deque<uint64_t> free_blocks_;

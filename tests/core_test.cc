@@ -9,6 +9,7 @@
 
 #include "common/random.h"
 #include "core/kvaccel_db.h"
+#include "sim/fault.h"
 #include "tests/test_util.h"
 
 namespace kvaccel::core {
@@ -217,9 +218,11 @@ TEST(KvaccelDbTest, HybridIteratorMergesBothSides) {
     db->metadata()->Insert(TestKey(14), 2000001);
     // A redirected put of key 100 deleted on the host path: path 3-1 drops
     // the metadata record, so the device copy is stale for scans as for Get.
+    // The redirect is versioned from the Main-LSM's sequence space, below
+    // the delete that supersedes it.
     ASSERT_TRUE(
         DevPut(db->dev(), TestKey(100), Value::Synthetic(100, 256)).ok());
-    db->metadata()->Insert(TestKey(100), 2000002);
+    db->metadata()->Insert(TestKey(100), db->main()->AllocateSequence(1));
     ASSERT_TRUE(db->Delete({}, TestKey(100)).ok());
     Value gone;
     EXPECT_TRUE(db->Get({}, TestKey(100), &gone).IsNotFound());
@@ -339,6 +342,52 @@ TEST(KvaccelDbTest, CrashRecoveryRebuildsConsistency) {
   });
 }
 
+// The metadata-loss drain orders each device entry against the Main-LSM by
+// sequence. An entry whose host version it cannot read must stay on the
+// device: the drain returns the error without resetting, and a later drain
+// recovers the entry.
+TEST(KvaccelDbTest, MetadataLossDrainKeepsEntriesItCannotCompare) {
+  SimWorld world;
+  sim::FaultInjector inj(&world.env, 1);
+  world.env.set_fault_injector(&inj);
+  world.Run([&] {
+    std::unique_ptr<KvaccelDB> db;
+    ASSERT_TRUE(KvaccelDB::Open(test::SmallDbOptions(), SmallKvOptions(),
+                                world.MakeDbEnv(), &db)
+                    .ok());
+    for (uint64_t i = 0; i < 64; i++) {
+      ASSERT_TRUE(db->Put({}, TestKey(i), Value::Synthetic(i, 256)).ok());
+    }
+    ASSERT_TRUE(db->FlushAll().ok());
+    ASSERT_TRUE(db->WaitForCompactionIdle().ok());
+    // Newer versions of every key, on the device only.
+    lsm::SequenceNumber seq = db->main()->AllocateSequence(64);
+    std::vector<VersionedEntry> newer;
+    for (uint64_t i = 0; i < 64; i++) {
+      newer.push_back(
+          {TestKey(i), Value::Synthetic(1000 + i, 256), false, seq + i});
+    }
+    ASSERT_TRUE(db->dev()->PutCompound(newer).ok());
+
+    sim::FaultRule always;
+    always.probability = 1.0;
+    inj.Arm("ssd.block.read.transient", always);
+    Status s = db->CrashMetadataAndRecover(nullptr);
+    inj.Disarm("ssd.block.read.transient");
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    EXPECT_EQ(db->dev()->NumLiveEntries(), 64u);
+
+    ASSERT_TRUE(db->CrashMetadataAndRecover(nullptr).ok());
+    EXPECT_TRUE(db->dev()->Empty());
+    Value v;
+    for (uint64_t i = 0; i < 64; i++) {
+      ASSERT_TRUE(db->Get({}, TestKey(i), &v).ok()) << i;
+      EXPECT_EQ(v, Value::Synthetic(1000 + i, 256)) << i;
+    }
+    ASSERT_TRUE(db->Close().ok());
+  });
+}
+
 TEST(KvaccelDbTest, EagerRollbackRunsAutomatically) {
   SimWorld world;
   world.Run([&] {
@@ -381,6 +430,43 @@ TEST(KvaccelDbTest, MetadataCostsMatchTableVI) {
     EXPECT_EQ(stats.md_inserts, 1u);
     EXPECT_EQ(stats.md_checks, 2u);
     EXPECT_EQ(stats.md_deletes, 1u);
+  });
+}
+
+// DeleteIfNotNewer drops a record at or below the superseding sequence and
+// keeps a newer one. A record that a concurrent redirect inserts while the
+// call sleeps in its delete charge is newer, and stays: the compare that
+// decides the erase runs after the last charge.
+TEST(MetadataManagerTest, ConditionalDeleteKeepsARecordInsertedWhileItSleeps) {
+  SimWorld world;
+  world.Run([&] {
+    KvaccelStats stats;
+    MetadataManager md(&world.env, world.host_cpu.get(), &stats);
+    md.Insert("older", 50);
+    md.Insert("same", 100);
+    md.Insert("newer", 120);
+    Nanos t0 = world.env.Now();
+    md.DeleteIfNotNewer("older", 100);
+    EXPECT_EQ(world.env.Now() - t0, 200u + 280u);  // a check and a delete
+    md.DeleteIfNotNewer("same", 100);
+    t0 = world.env.Now();
+    md.DeleteIfNotNewer("newer", 100);
+    md.DeleteIfNotNewer("absent", 100);
+    EXPECT_EQ(world.env.Now() - t0, 2 * 200u);  // a check each
+    EXPECT_EQ(md.Entries(),
+              (std::vector<std::pair<std::string, uint64_t>>{{"newer", 120}}));
+    EXPECT_EQ(stats.md_checks, 4u);
+    EXPECT_EQ(stats.md_deletes, 2u);
+
+    // A write at 100 supersedes the record at 50 while a redirect records
+    // the key at 110: its insert lands 450 ns in, after the check (200 ns)
+    // and before the erase (480 ns).
+    md.Insert("k", 50);
+    sim::SimEnv::Thread* redirect =
+        world.env.Spawn("redirect", [&] { md.InsertBatch({{"k", 110}}); });
+    md.DeleteIfNotNewer("k", 100);
+    world.env.Join(redirect);
+    EXPECT_EQ(md.GetSeq("k"), 110u);
   });
 }
 

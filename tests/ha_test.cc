@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -339,6 +341,318 @@ TEST(HaPairTest, BackupDevTransientOpensBreakerThenHalfOpenProbeRecovers) {
   });
 }
 
+// Sync acks ship in two lanes. The rollback signal and the backup's mirror
+// drain ride the device lane, so a direct write's WAL batch, on the WAL lane,
+// completes while the drain still runs.
+TEST(HaPairTest, DirectWriteDoesNotWaitForTheBackupMirrorDrain) {
+  PairWorld w;
+  w.Run([&] {
+    lsm::DbOptions db_opts = test::SmallDbOptions();
+    db_opts.wal_sync = true;
+    // The Detector always reports a stall; a large memtable keeps both
+    // Main-LSMs free of L0 files, so no write meets the stop trigger.
+    db_opts.l0_stop_writes_trigger = 1;
+    db_opts.write_buffer_size = 8 << 20;
+    bool redirect = true;
+    core::KvaccelOptions kv_opts = PairKvOptions();
+    kv_opts.redirect_admission = [&redirect](uint64_t) { return redirect; };
+    core::ReplOptions ro;  // sync
+    std::unique_ptr<core::ReplicatedKvaccelDB> pair;
+    ASSERT_TRUE(core::ReplicatedKvaccelDB::Open(db_opts, kv_opts, ro,
+                                                w.NodeA(), w.NodeB(), &w.env,
+                                                &pair)
+                    .ok());
+    w.env.SleepFor(FromMillis(5));  // let the primary's detector poll
+    ASSERT_TRUE(pair->primary()->detector()->stall_detected());
+
+    // Mirror 2000 redirected versions; the backup's metadata names each.
+    constexpr uint64_t kKeys = 2000;
+    for (uint64_t i = 0; i < kKeys; i++) {
+      ASSERT_TRUE(pair->Put({}, TestKey(i), Value::Synthetic(i, 512)).ok());
+    }
+    ASSERT_EQ(pair->primary()->kv_stats().redirected_writes, kKeys);
+    EXPECT_EQ(pair->backup()->metadata()->Size(), kKeys);
+    // Direct writes supersede every mirrored version on both nodes.
+    redirect = false;
+    for (uint64_t i = 0; i < kKeys; i++) {
+      ASSERT_TRUE(
+          pair->Put({}, TestKey(i), Value::Synthetic(10000 + i, 512)).ok());
+    }
+    EXPECT_EQ(pair->backup()->metadata()->Size(), 0u);
+
+    Nanos drain_done = 0;
+    sim::SimEnv::Thread* rollback = w.env.Spawn("rollback", [&] {
+      EXPECT_TRUE(pair->RollbackNow().ok());
+      drain_done = w.env.Now();
+    });
+    // The primary has drained its own device once it ships the signal.
+    while (pair->repl_stats().rollback_records == 0) {
+      w.env.SleepFor(FromMicros(10));
+    }
+    ASSERT_TRUE(pair->Put({}, TestKey(kKeys), Value::Synthetic(kKeys, 512))
+                    .ok());
+    Nanos put_done = w.env.Now();
+    w.env.Join(rollback);
+    EXPECT_LT(put_done, drain_done);
+
+    EXPECT_TRUE(pair->backup()->dev()->Empty());
+    Value v;
+    for (uint64_t i = 0; i <= kKeys; i++) {
+      ASSERT_TRUE(pair->backup()->Get({}, TestKey(i), &v).ok()) << i;
+      EXPECT_EQ(v, Value::Synthetic(i < kKeys ? 10000 + i : i, 512)) << i;
+    }
+    ASSERT_TRUE(pair->Close().ok());
+  });
+}
+
+// A direct write and a newer redirected write of the same key overlap. Both
+// nodes must keep the redirected version's metadata record: the backup's
+// WAL-batch apply drops the key's older mirrored record while the device
+// lane applies the newer intent, and the primary drops records only after
+// its WAL round trip, by which time the redirected write has flipped its
+// own. Both nodes then serve the redirected version, before and after a
+// rollback.
+TEST(HaPairTest, OverlappingDirectWriteKeepsTheNewerRedirectedRecord) {
+  PairWorld w;
+  w.Run([&] {
+    lsm::DbOptions db_opts = test::SmallDbOptions();
+    db_opts.wal_sync = true;
+    db_opts.l0_stop_writes_trigger = 1;  // the Detector reports a stall
+    db_opts.write_buffer_size = 8 << 20;
+    core::KvaccelOptions kv_opts = PairKvOptions();
+    // 256-byte values are redirected; 2 KiB values take the host path.
+    kv_opts.redirect_admission = [](uint64_t bytes) { return bytes < 1024; };
+    core::ReplOptions ro;  // sync
+    std::unique_ptr<core::ReplicatedKvaccelDB> pair;
+    ASSERT_TRUE(core::ReplicatedKvaccelDB::Open(db_opts, kv_opts, ro,
+                                                w.NodeA(), w.NodeB(), &w.env,
+                                                &pair)
+                    .ok());
+    w.env.SleepFor(FromMillis(5));
+    ASSERT_TRUE(pair->primary()->detector()->stall_detected());
+
+    const Value older = Value::Synthetic(1, 256);
+    const Value direct = Value::Synthetic(2, 2048);
+    const Value newer = Value::Synthetic(3, 256);
+    // One key per trial: mirror `older`, then write `direct` and, `delay`
+    // later, `newer`. Returns whether the backup's apply of the direct WAL
+    // batch found a record to drop, i.e. the newer intent had not yet
+    // recorded its key when the drop checked.
+    std::vector<std::string> keys;
+    auto trial = [&](Nanos delay) {
+      const std::string key = TestKey(keys.size());
+      keys.push_back(key);
+      EXPECT_TRUE(pair->Put({}, key, older).ok());
+      const uint64_t drops = pair->backup()->kv_stats().md_deletes;
+      sim::SimEnv::Thread* redirect = w.env.Spawn("redirect", [&, key] {
+        w.env.SleepFor(delay);
+        EXPECT_TRUE(pair->Put({}, key, newer).ok());
+      });
+      EXPECT_TRUE(pair->Put({}, key, direct).ok());
+      w.env.Join(redirect);
+      return pair->backup()->kv_stats().md_deletes > drops;
+    };
+    // The direct batch reaches the backup after two WAL syncs. Bisect for
+    // the first delay whose intent records its key after the drop's check.
+    Nanos early = FromMicros(50);
+    Nanos late = FromMillis(1);
+    ASSERT_FALSE(trial(early));
+    ASSERT_TRUE(trial(late));
+    while (late - early > 1) {
+      const Nanos mid = early + (late - early) / 2;
+      if (trial(mid)) {
+        late = mid;
+      } else {
+        early = mid;
+      }
+    }
+    // From `late` on, the intent's insert lands while the drop sleeps in
+    // its 0.28 us delete charge, between its check and its erase.
+    for (Nanos offset : {0, 70, 140, 210}) EXPECT_TRUE(trial(late + offset));
+
+    auto expect_newer_everywhere = [&](const char* when) {
+      Value v;
+      for (const std::string& key : keys) {
+        ASSERT_TRUE(pair->Get({}, key, &v).ok()) << key;
+        EXPECT_EQ(v, newer) << "primary, " << when << ": " << key;
+        ASSERT_TRUE(pair->backup()->Get({}, key, &v).ok()) << key;
+        EXPECT_EQ(v, newer) << "backup, " << when << ": " << key;
+      }
+    };
+    expect_newer_everywhere("before the rollback");
+    ASSERT_TRUE(pair->RollbackNow().ok());
+    EXPECT_TRUE(pair->backup()->dev()->Empty());
+    expect_newer_everywhere("after the rollback");
+    ASSERT_TRUE(pair->Close().ok());
+  });
+}
+
+// A redirected write waits on the device lane behind the backup's mirror
+// drain while a direct write of the same key, newer and on the WAL lane,
+// completes. When the redirected write then flips its metadata, its record
+// must stay out: it would route the primary's reads to the older device
+// version until the next rollback.
+TEST(HaPairTest, LateRedirectDoesNotShadowANewerDirectWrite) {
+  PairWorld w;
+  w.Run([&] {
+    lsm::DbOptions db_opts = test::SmallDbOptions();
+    db_opts.wal_sync = true;
+    db_opts.l0_stop_writes_trigger = 1;  // the Detector reports a stall
+    db_opts.write_buffer_size = 8 << 20;
+    core::KvaccelOptions kv_opts = PairKvOptions();
+    // 512-byte values are redirected; 2 KiB values take the host path.
+    kv_opts.redirect_admission = [](uint64_t bytes) { return bytes < 1024; };
+    core::ReplOptions ro;  // sync
+    std::unique_ptr<core::ReplicatedKvaccelDB> pair;
+    ASSERT_TRUE(core::ReplicatedKvaccelDB::Open(db_opts, kv_opts, ro,
+                                                w.NodeA(), w.NodeB(), &w.env,
+                                                &pair)
+                    .ok());
+    w.env.SleepFor(FromMillis(5));
+    ASSERT_TRUE(pair->primary()->detector()->stall_detected());
+
+    // A mirror of 2000 superseded versions: the primary's drain ingests
+    // nothing, the backup's takes milliseconds to scan and reset them.
+    constexpr uint64_t kKeys = 2000;
+    for (uint64_t i = 0; i < kKeys; i++) {
+      ASSERT_TRUE(pair->Put({}, TestKey(i), Value::Synthetic(i, 512)).ok());
+    }
+    for (uint64_t i = 0; i < kKeys; i++) {
+      ASSERT_TRUE(
+          pair->Put({}, TestKey(i), Value::Synthetic(10000 + i, 2048)).ok());
+    }
+    sim::SimEnv::Thread* rollback = w.env.Spawn("rollback", [&] {
+      EXPECT_TRUE(pair->RollbackNow().ok());
+    });
+    while (pair->repl_stats().rollback_records == 0) {
+      w.env.SleepFor(FromMicros(10));
+    }
+
+    const std::string key = TestKey(kKeys);
+    const Value direct = Value::Synthetic(2, 2048);
+    bool redirect_done = false;
+    sim::SimEnv::Thread* redirect = w.env.Spawn("redirect", [&] {
+      EXPECT_TRUE(pair->Put({}, key, Value::Synthetic(1, 512)).ok());
+      redirect_done = true;
+    });
+    w.env.SleepFor(FromMicros(10));
+    ASSERT_TRUE(pair->Put({}, key, direct).ok());
+    ASSERT_FALSE(redirect_done) << "the redirect no longer waits for the drain";
+    w.env.Join(redirect);
+    EXPECT_EQ(pair->primary()->metadata()->GetSeq(key), 0u);
+    Value v;
+    ASSERT_TRUE(pair->Get({}, key, &v).ok());
+    EXPECT_EQ(v, direct);
+    w.env.Join(rollback);
+    ASSERT_TRUE(pair->RollbackNow().ok());
+    ASSERT_TRUE(pair->Get({}, key, &v).ok());
+    EXPECT_EQ(v, direct);
+    ASSERT_TRUE(pair->backup()->Get({}, key, &v).ok());
+    EXPECT_EQ(v, direct);
+    ASSERT_TRUE(pair->Close().ok());
+  });
+}
+
+// A redirected write whose intent fails to ship is not acknowledged, so no
+// version of it may stay on the primary's device: Get would serve it at once
+// (the key's older metadata record routes reads to the device), and a
+// trusted rollback would ingest it. The primary ships before the device put.
+TEST(HaPairTest, FailedIntentShipLeavesNoVersionOnThePrimary) {
+  PairWorld w;
+  w.Run([&] {
+    lsm::DbOptions db_opts = test::SmallDbOptions();
+    db_opts.wal_sync = true;
+    db_opts.l0_stop_writes_trigger = 1;  // every write is redirected
+    core::KvaccelOptions kv_opts = PairKvOptions();
+    core::ReplOptions ro;  // sync
+    std::unique_ptr<core::ReplicatedKvaccelDB> pair;
+    ASSERT_TRUE(core::ReplicatedKvaccelDB::Open(db_opts, kv_opts, ro,
+                                                w.NodeA(), w.NodeB(), &w.env,
+                                                &pair)
+                    .ok());
+    w.env.SleepFor(FromMillis(5));
+    ASSERT_TRUE(pair->primary()->detector()->stall_detected());
+    const std::string key = TestKey(7);
+    const Value v1 = Value::Synthetic(1, 256);
+    ASSERT_TRUE(pair->Put({}, key, v1).ok());
+    ASSERT_EQ(pair->primary()->kv_stats().redirected_writes, 1u);
+
+    sim::FaultRule cut;
+    cut.probability = 1.0;
+    w.inj.Arm("net.partition.sym", cut);
+    EXPECT_FALSE(pair->Put({}, key, Value::Synthetic(2, 256)).ok());
+    w.inj.Disarm("net.partition.sym");
+    w.env.SleepFor(3 * ro.heartbeat_period);  // heartbeats renew the lease
+
+    Value v;
+    ASSERT_TRUE(pair->Get({}, key, &v).ok());
+    EXPECT_EQ(v, v1);
+    ASSERT_TRUE(pair->RollbackNow().ok());
+    ASSERT_TRUE(pair->Get({}, key, &v).ok());
+    EXPECT_EQ(v, v1);
+    ASSERT_TRUE(pair->Close().ok());
+  });
+}
+
+// A re-formed pair's primary can trail its backup's clock. Open starts it
+// past every sequence the backup holds, so Bootstrap's catch-up and every
+// later write shadow the backup's versions.
+TEST(HaPairTest, ReformedPairPrimaryClockStartsPastItsBackup) {
+  PairWorld w;
+  w.Run([&] {
+    lsm::DbOptions db_opts = test::SmallDbOptions();
+    db_opts.wal_sync = true;
+    core::KvaccelOptions kv_opts = PairKvOptions();
+    // Each node alone first: `rounds` versions of keys [0, keys).
+    auto fill = [&](const core::ReplNode& node, uint64_t rounds,
+                    uint64_t keys, uint64_t seed) {
+      core::KvaccelOptions ko = kv_opts;
+      ko.external_dev = node.dev;
+      std::unique_ptr<core::KvaccelDB> db;
+      ASSERT_TRUE(core::KvaccelDB::Open(
+                      db_opts, ko,
+                      lsm::DbEnv{&w.env, node.ssd, node.fs, node.host_cpu},
+                      &db)
+                      .ok());
+      for (uint64_t r = 0; r < rounds; r++) {
+        for (uint64_t k = 0; k < keys; k++) {
+          ASSERT_TRUE(db->Put({}, TestKey(k),
+                              Value::Synthetic(seed + r * 100 + k, 256))
+                          .ok());
+        }
+      }
+      ASSERT_EQ(db->main()->LastSequence(), rounds * keys);
+      ASSERT_TRUE(db->Close().ok());
+    };
+    fill(w.NodeB(), 5, 30, 10000);  // the backup node: 150 sequences
+    fill(w.NodeA(), 1, 20, 0);      // the primary node: 20
+
+    core::ReplOptions ro;
+    std::unique_ptr<core::ReplicatedKvaccelDB> pair;
+    ASSERT_TRUE(core::ReplicatedKvaccelDB::Open(db_opts, kv_opts, ro,
+                                                w.NodeA(), w.NodeB(), &w.env,
+                                                &pair)
+                    .ok());
+    EXPECT_EQ(pair->primary()->main()->LastSequence(),
+              pair->backup()->main()->LastSequence());
+    Value pv, bv;
+    for (uint64_t k = 0; k < 30; k++) {
+      Status ps = pair->Get({}, TestKey(k), &pv);
+      Status bs = pair->backup()->Get({}, TestKey(k), &bv);
+      EXPECT_EQ(ps.ok(), k < 20) << k;
+      EXPECT_EQ(bs.ok(), ps.ok()) << k;
+      if (ps.ok() && bs.ok()) {
+        EXPECT_EQ(bv, pv) << k;
+      }
+    }
+    const Value fresh = Value::Synthetic(777, 256);
+    ASSERT_TRUE(pair->Put({}, TestKey(25), fresh).ok());
+    ASSERT_TRUE(pair->backup()->Get({}, TestKey(25), &bv).ok());
+    EXPECT_EQ(bv, fresh);
+    ASSERT_TRUE(pair->Close().ok());
+  });
+}
+
 // ---- The harness's HA link flags ----
 
 // --net_latency_us reaches the pair's link as given: 0 runs a zero-latency
@@ -393,11 +707,11 @@ TEST(HaSutTest, PartitionDrillRejoinRunsAtTheLinkRate) {
 // ---- Two-node nemesis schedules (DESIGN.md §9 + §12) ----
 
 // Each cycle draws its kill site from the HA crash table (the single-node
-// sites plus crash.net.send.mid); seed 50's 12 cycles arm all ten. Every
-// cycle ends in a verified failover.
+// sites plus crash.net.send.mid); seed 54's 12 cycles crash the pair at all
+// ten. Every cycle ends in a verified failover.
 TEST(HaNemesisTest, SyncFailoversServeEveryAckedWrite) {
   check::NemesisOptions opt;
-  opt.seed = 50;
+  opt.seed = 54;
   opt.cycles = 12;
   opt.ha = true;
   opt.repl_ack = 0;
@@ -407,6 +721,25 @@ TEST(HaNemesisTest, SyncFailoversServeEveryAckedWrite) {
   EXPECT_EQ(r.failovers, 12);
   EXPECT_EQ(r.ha_lost_entries, 0u) << "sync acks must never lose";
   EXPECT_GE(r.crashes, 5) << "crash schedule went quiet";
+  // The trace arms a site with "cycle=N site=NAME ..." and ends a cycle it
+  // killed with "crash cycle=N".
+  std::set<std::string> fired;
+  std::string armed;
+  std::istringstream lines(r.trace);
+  for (std::string line; std::getline(lines, line);) {
+    const size_t at = line.find(" site=");
+    if (line.rfind("cycle=", 0) == 0 && at != std::string::npos) {
+      armed = line.substr(at + 6, line.find(' ', at + 6) - at - 6);
+    }
+    if (line.rfind("crash cycle=", 0) == 0) fired.insert(armed);
+  }
+  EXPECT_EQ(fired, (std::set<std::string>{
+                       "crash.wal.post_append", "crash.wal.post_sync",
+                       "crash.flush.mid", "crash.manifest.pre_sync",
+                       "crash.manifest.post_sync", "crash.compaction.mid",
+                       "crash.subcompaction.mid", "crash.rollback.mid",
+                       "crash.redirect.mid", "crash.net.send.mid"}))
+      << "the schedule no longer kills the pair at every HA site";
 }
 
 TEST(HaNemesisTest, AsyncLossIsBoundedAndScheduleDeterministic) {
@@ -1071,6 +1404,5 @@ TEST(HaNemesisTest, TraceHeaderRoundTripsHaFields) {
   EXPECT_EQ(parsed.repl_ack, 1);
   EXPECT_EQ(parsed.seed, 7u);
 }
-
 }  // namespace
 }  // namespace kvaccel

@@ -99,26 +99,26 @@ TEST(NemesisTest, EveryTopologyReplaysItsPinnedSchedule) {
       {"shards=4", 1317456661, 12, [](NemesisOptions* o) { o->shards = 4; },
        0x7c771d3ea00a5c06},
       {"ha sync", 50, 12, [](NemesisOptions* o) { o->ha = true; },
-       0xf7f99b1ce4e3774a},
+       0xef917e011178734b},
       {"ha async", 99, 6,
        [](NemesisOptions* o) {
          o->ha = true;
          o->repl_ack = 1;
        },
-       0xe8a6e1540f609512},
+       0x9191a818adb78344},
       {"partition delta", 24301, 8,
        [](NemesisOptions* o) {
          o->ha = true;
          o->net_partition = true;
        },
-       0xe5365cc817cd11bc},
+       0x3e529cb8e4e82e14},
       {"partition wal", 777, 4,
        [](NemesisOptions* o) {
          o->ha = true;
          o->net_partition = true;
          o->resync_mode = 0;
        },
-       0x84ad59449771c4c0},
+       0xe95f50d51e269109},
   };
   for (const Pinned& p : kPinned) {
     NemesisOptions opt;

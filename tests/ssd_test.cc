@@ -300,6 +300,32 @@ TEST(HybridSsdTest, PaperCapacityDeviceCostsOnlyWhatIsWritten) {
   EXPECT_EQ(ssd.block_ftl(0).valid_pages(), 256u);
 }
 
+// The FIFO free pool hands out fresh physical blocks on every rewrite, so
+// the reverse map would grow with every page ever written. A block left
+// without a valid page returns its reverse-map page to the zero page, which
+// keeps the table near the live footprint.
+TEST(FtlTest, ReverseMapStaysNearTheLiveFootprint) {
+  Ftl::Options opt;
+  opt.logical_pages = 16ull << 20;  // 64 GiB: eight rounds never wrap
+  Ftl ftl(opt, nullptr);
+  long before = ResidentKib();
+  if (before < 0) GTEST_SKIP() << "no VmRSS in /proc/self/status";
+  const uint64_t live = 1ull << 20;  // 4 MiB of entries in each table
+  for (int round = 0; round < 8; round++) {
+    ASSERT_TRUE(ftl.Write(0, live).ok()) << "round " << round;
+    if (round < 7) {
+      ASSERT_TRUE(ftl.Trim(0, live).ok()) << "round " << round;
+    }
+  }
+  EXPECT_EQ(ftl.valid_pages(), live);
+  EXPECT_EQ(ftl.gc_runs(), 0u);
+  // Live: 4 MiB of map plus 4 MiB of reverse map. Keeping the seven trimmed
+  // rounds' reverse map would add 28 MiB.
+  long grown_kib = ResidentKib() - before;
+  EXPECT_LT(grown_kib, 12 * 1024)
+      << "churning a 4 GiB footprint made " << grown_kib << " KiB resident";
+}
+
 TEST(HybridSsdTest, DisaggregationSplitsCapacity) {
   sim::SimEnv env;
   SsdConfig c = SmallConfig();

@@ -27,7 +27,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #              and transient COMPACT rejections mixed in.
 #   ha-sync    two-node HA, both ack modes: each cycle kills the pair at a
 #   ha-async   kill site drawn from the HA crash table (the single-node sites
-#              plus crash.net.send.mid; seed 50's 12 sync cycles arm all
+#              plus crash.net.send.mid; seed 54's 12 sync cycles arm all
 #              ten), promotes the backup and holds it to the oracle — sync
 #              must serve every acked write, async loss must stay under the
 #              queue-cap bound.
@@ -42,7 +42,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 NEMESIS_SMOKES=(
   "single|--cycles=30 --nemesis_seed=1317456661"
   "ndp|--ndp --cycles=12 --nemesis_seed=7"
-  "ha-sync|--ha --cycles=12 --nemesis_seed=50"
+  "ha-sync|--ha --cycles=12 --nemesis_seed=54"
   "ha-async|--ha --repl_ack=async --cycles=6 --nemesis_seed=99"
   "partition-delta|--ha --net_partition --cycles=8 --nemesis_seed=24301"
   "partition-wal|--ha --net_partition --resync_mode=wal --cycles=4 --nemesis_seed=777"
@@ -449,7 +449,7 @@ pinned() {
     "ndp-auto|--system=kvaccel --workload=fillrandom --seconds=20 --scale=0.0625 --ndp=auto"
     "openloop|--system=kvaccel --workload=mixed --workload_mix=put=70,get=20,del=5,scan=5 --zipf_theta=0.99 --arrival=spike --arrival_rate=12000 --tenants=2 --writer_threads=2 --ttl_frac=0.05 --seconds=10 --scale=0.0625"
     "flaky|--system=kvaccel ${small} --fault_profile=flaky-nvme --fault_seed=11"
-    "ha-flaky|--system=kvaccel ${small} --ha --repl_ack=async --fault_profile=flaky-nvme --fault_seed=267"
+    "ha-flaky|--system=kvaccel ${small} --ha --repl_ack=async --fault_profile=flaky-nvme --fault_seed=971"
   )
   rm -rf "${out}"
   mkdir -p "${out}"
