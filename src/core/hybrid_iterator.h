@@ -12,7 +12,8 @@
 // scan observes the authority map as of its creation.
 //
 // Exposes the standard lsm::Iterator surface: key() is the user key,
-// value() the encoded Value payload.
+// value() the encoded Value payload. Each Seek and SeekToFirst is counted
+// and timed in `stats` (the store's foreground view).
 #pragma once
 
 #include <memory>
@@ -22,6 +23,8 @@
 #include "core/metadata_manager.h"
 #include "devlsm/dev_lsm.h"
 #include "lsm/iterator.h"
+#include "lsm/stats.h"
+#include "sim/sim_env.h"
 
 namespace kvaccel::core {
 
@@ -29,23 +32,29 @@ class HybridIterator : public lsm::Iterator {
  public:
   HybridIterator(std::unique_ptr<lsm::Iterator> main_iter,
                  std::unique_ptr<devlsm::DevLsm::Iterator> dev_iter,
-                 MetadataManager* md)
+                 MetadataManager* md, sim::SimEnv* env, lsm::DbStats* stats)
       : main_(std::move(main_iter)),
         dev_(std::move(dev_iter)),
-        md_snapshot_(md->SnapshotKeySet()) {}
+        md_snapshot_(md->SnapshotKeySet()),
+        env_(env),
+        stats_(stats) {}
 
   bool Valid() const override { return valid_; }
 
   void SeekToFirst() override {
+    const Nanos start = env_->Now();
     main_->SeekToFirst();
     dev_->SeekToFirst();
     ChooseNext();
+    stats_->AddSeek(env_->Now() - start);
   }
 
   void Seek(const Slice& target) override {
+    const Nanos start = env_->Now();
     main_->Seek(target);
     dev_->Seek(target);
     ChooseNext();
+    stats_->AddSeek(env_->Now() - start);
   }
 
   void Next() override;
@@ -65,6 +74,8 @@ class HybridIterator : public lsm::Iterator {
   std::unique_ptr<devlsm::DevLsm::Iterator> dev_;
   // Authority map as of iterator creation (see header comment).
   KeySeqTable md_snapshot_;
+  sim::SimEnv* env_;
+  lsm::DbStats* stats_;
 
   bool valid_ = false;
   std::string current_key_;

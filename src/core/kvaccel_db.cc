@@ -307,7 +307,8 @@ Status KvaccelDB::Get(const lsm::ReadOptions& ropts, const Slice& key,
 std::unique_ptr<lsm::Iterator> KvaccelDB::NewIterator(
     const lsm::ReadOptions& ropts) {
   return std::make_unique<HybridIterator>(main_->NewIterator(ropts),
-                                          dev_->NewIterator(), md_.get());
+                                          dev_->NewIterator(), md_.get(), env_,
+                                          &agg_stats_);
 }
 
 // ---------------- Rollback / recovery ----------------

@@ -145,7 +145,7 @@ Status DevLsm::PutCompound(const std::vector<VersionedEntry>& entries) {
     e.host_seq = ve.seq;
     InsertLocked(ve.key, std::move(e));
   }
-  mutation_epoch_++;
+  MutatedLocked();
   if (tracer_ != nullptr) {
     tracer_->Complete(tr_dev_, "dev.put_compound", cmd_start, env_->Now(),
                       payload);
@@ -228,7 +228,7 @@ Status DevLsm::FlushMemtableLocked() {
   }
   runs_.push_back(std::move(run));
   memtable_logical_ = 0;
-  mutation_epoch_++;
+  MutatedLocked();
   stats_.flushes++;
   if (tracer_ != nullptr) {
     tracer_->Complete(tr_dev_, "dev.flush", flush_start, env_->Now(),
@@ -277,7 +277,7 @@ Status DevLsm::CompactRunsLocked() {
   ssd_->NandEraseBlocks(erase_blocks);
   runs_.clear();
   runs_.push_back(std::move(out));
-  mutation_epoch_++;
+  MutatedLocked();
   stats_.compactions++;
   if (tracer_ != nullptr) {
     tracer_->Complete(tr_dev_, "dev.compact", compact_start, env_->Now(),
@@ -315,16 +315,18 @@ bool DevLsm::ReadCacheLookupOrFill(const std::string& key, uint64_t bytes) {
   return false;
 }
 
+void DevLsm::MutatedLocked() {
+  mutation_epoch_++;
+  snapshot_cache_.reset();
+}
+
 std::shared_ptr<const DevLsm::MergedView> DevLsm::SnapshotLocked() const {
-  if (snapshot_epoch_ == mutation_epoch_ && snapshot_cache_ != nullptr) {
-    return snapshot_cache_;
-  }
+  if (snapshot_cache_ != nullptr) return snapshot_cache_;
   auto view = std::make_shared<MergedView>();
   view->reserve(NumLiveEntries());
   MergeNewest(runs_, &memtable_,
               [&](const auto& kv) { view->emplace_back(kv.first, kv.second); });
   snapshot_cache_ = std::move(view);
-  snapshot_epoch_ = mutation_epoch_;
   return snapshot_cache_;
 }
 
@@ -403,25 +405,30 @@ Status DevLsm::ResetUpTo(uint64_t up_to_seq) {
     }
   });
 
+  for (const auto& [k, e] : surviving_run.entries) {
+    surviving_run.logical_bytes += EntryLogical(k, e);
+  }
+  const uint64_t survivor_bytes = surviving_run.logical_bytes;
+  const uint64_t page = ssd_->config().page_size;
+  surviving_run.pages = (survivor_bytes + page - 1) / page;
+
+  // The survivors replace the runs before the device sleeps: Empty() is read
+  // without the command mutex, and a direct write that sees an empty device
+  // keeps the metadata record of the surviving version it supersedes.
   runs_.clear();
+  if (old_pages > 0) ssd_->KvFreePages(nsid_, old_pages);
+  if (survivor_bytes > 0) {
+    Status s = ssd_->KvAllocPages(nsid_, surviving_run.pages);
+    if (!s.ok()) return s;
+    runs_.push_back(std::move(surviving_run));
+  }
+  MutatedLocked();
   if (old_pages > 0) {
-    ssd_->KvFreePages(nsid_, old_pages);
     ssd_->NandEraseBlocks(
         std::max<uint64_t>(1, old_pages / ssd_->config().pages_per_block));
   }
-  if (!surviving_run.entries.empty()) {
-    for (const auto& [k, e] : surviving_run.entries) {
-      surviving_run.logical_bytes += EntryLogical(k, e);
-    }
-    const uint64_t page = ssd_->config().page_size;
-    surviving_run.pages = (surviving_run.logical_bytes + page - 1) / page;
-    Status s = ssd_->KvAllocPages(nsid_, surviving_run.pages);
-    if (!s.ok()) return s;
-    ssd_->NandWrite(surviving_run.logical_bytes);
-    runs_.push_back(std::move(surviving_run));
-  }
+  if (survivor_bytes > 0) ssd_->NandWrite(survivor_bytes);
   ssd_->firmware()->Consume(kPutFwNs);
-  mutation_epoch_++;
   if (tracer_ != nullptr) {
     tracer_->Complete(tr_dev_, "dev.reset", reset_start, env_->Now());
   }

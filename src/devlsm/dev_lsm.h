@@ -164,6 +164,9 @@ class DevLsm {
   // until the next mutation so scan-heavy workloads (rollback, range
   // queries) don't rebuild it per batch.
   std::shared_ptr<const MergedView> SnapshotLocked() const;
+  // Every state change: bumps the mutation epoch and drops the cached view
+  // (scans and iterators hold their own pin).
+  void MutatedLocked();
   // Calls `fn` once per key of `runs` and, when `mem` is not null, of the
   // memtable, in key order, with the key's newest version: the one with the
   // highest device sequence. Every source is sorted and holds a key at most
@@ -184,8 +187,8 @@ class DevLsm {
   std::vector<Run> runs_;  // oldest first
   uint64_t next_seq_ = 1;
   uint64_t mutation_epoch_ = 0;  // bumped by every state change
+  // Null after every state change.
   mutable std::shared_ptr<const MergedView> snapshot_cache_;
-  mutable uint64_t snapshot_epoch_ = UINT64_MAX;
   // Device-DRAM read cache (extension): tracks which keys' pages are
   // resident; NAND reads are skipped on hits. Invalidated wholesale on
   // mutation epochs (simple firmware cache discipline).

@@ -186,6 +186,8 @@ FlagTable DbbenchFlags(DbbenchArgs* args) {
   t.Int("value_size", &wl->value_size, 1, "value bytes (default 4096)");
   t.Int("key_space", &wl->key_space, 1, "key draw range (default 2^31)");
   t.Int("read_threads", &wl->read_threads, 0, "readwhilewriting readers");
+  t.Int("seek_ops", &wl->seek_ops, 1,
+        "seekrandom range queries (default 60000)");
   t.Int("writer_threads", &wl->writer_threads, 1, "writer actors");
   t.Int("batch_size", &wl->batch_size, 1, "entries per WriteBatch");
   t.Enum("rollback", &sut->rollback, kRollbackNames,

@@ -755,30 +755,38 @@ class LevelConcatIterator : public Iterator {
 };
 
 // User-facing iterator: hides sequence numbers, old versions and tombstones.
+// Each Seek and SeekToFirst reports its start time to `on_seek`.
 class DbIter : public Iterator {
  public:
   DbIter(std::unique_ptr<Iterator> internal, SequenceNumber snapshot,
-         sim::CpuPool* cpu, std::vector<std::shared_ptr<MemTable>> pinned_mems,
+         sim::SimEnv* env, sim::CpuPool* cpu,
+         std::function<void(Nanos)> on_seek,
+         std::vector<std::shared_ptr<MemTable>> pinned_mems,
          std::shared_ptr<const Version> pinned_version)
-      : internal_(std::move(internal)), snapshot_(snapshot), cpu_(cpu),
+      : internal_(std::move(internal)), snapshot_(snapshot), env_(env),
+        cpu_(cpu), on_seek_(std::move(on_seek)),
         pinned_mems_(std::move(pinned_mems)),
         pinned_version_(std::move(pinned_version)) {}
 
   bool Valid() const override { return valid_; }
 
   void SeekToFirst() override {
+    const Nanos start = env_->Now();
     saved_user_key_.clear();
     have_saved_ = false;
     internal_->SeekToFirst();
     FindNextUserEntry();
+    on_seek_(start);
   }
 
   void Seek(const Slice& target) override {
+    const Nanos start = env_->Now();
     saved_user_key_.clear();
     have_saved_ = false;
     LookupKey lkey(target, snapshot_);
     internal_->Seek(lkey.internal_key());
     FindNextUserEntry();
+    on_seek_(start);
   }
 
   void Next() override {
@@ -821,7 +829,9 @@ class DbIter : public Iterator {
 
   std::unique_ptr<Iterator> internal_;
   SequenceNumber snapshot_;
+  sim::SimEnv* env_;
   sim::CpuPool* cpu_;
+  std::function<void(Nanos)> on_seek_;
   // Keep the snapshot alive: memtable arenas and SST metadata must outlive
   // this iterator even if a flush/compaction retires them meanwhile.
   std::vector<std::shared_ptr<MemTable>> pinned_mems_;
@@ -866,7 +876,14 @@ std::unique_ptr<Iterator> DbImpl::NewIterator(const ReadOptions& ropts) {
   std::vector<std::shared_ptr<MemTable>> pinned;
   pinned.push_back(mem);
   for (const auto& imm : imms) pinned.push_back(imm);
-  return std::make_unique<DbIter>(std::move(merged), snapshot, denv_.host_cpu,
+  auto on_seek = [this](Nanos start) {
+    Nanos now = env_->Now();
+    mu_.Lock();
+    stats_.AddSeek(now - start);
+    mu_.Unlock();
+  };
+  return std::make_unique<DbIter>(std::move(merged), snapshot, env_,
+                                  denv_.host_cpu, std::move(on_seek),
                                   std::move(pinned), version);
 }
 
@@ -1348,12 +1365,8 @@ Status DbImpl::DoCompactionWork(Compaction* c, const KeyRange& range,
                                 uint64_t* read_bytes_out,
                                 uint64_t* written_bytes_out) {
   const int output_level = c->output_level;
-  ReadOptions ropts;
-  ropts.fill_cache = false;  // compaction reads must not wipe the cache
-  // RocksDB compaction_readahead_size (2 MB): amortize NAND access latency
-  // over large sequential spans.
-  ropts.readahead_blocks = static_cast<uint32_t>(
-      std::max<uint64_t>(1, (2ull << 20) / options_.block_size));
+  // Compaction reads must not wipe the cache, and read 2 MB per command.
+  const ReadOptions ropts = BulkReadOptions(options_);
 
   std::vector<std::unique_ptr<Iterator>> children;
   std::vector<std::shared_ptr<SstReader>> device_tables;
@@ -1402,13 +1415,17 @@ Status DbImpl::DoCompactionWork(Compaction* c, const KeyRange& range,
     return true;
   };
   // Rolled-back (ingested) data re-enters L0 at its ORIGINAL sequence
-  // numbers, so — unlike a plain LSM — a level above this job may hold an
-  // OLDER version of a key. A deep job must therefore keep any tombstone
-  // whose key also appears above it; an L0 job's inputs already contain
-  // every L0/L1 copy, so the scan range is empty there.
-  auto key_above_job = [&](const Slice& user_key) {
-    for (int level = 0; level < c->level; level++) {
+  // numbers, so — unlike a plain LSM — a file this job did not pick may
+  // hold an OLDER version of a key: one on a level above the job, or one on
+  // its own input level that a concurrent job moved down (or a flush added)
+  // after this job picked its inputs. A tombstone must therefore stay while
+  // such a file's range holds its key.
+  std::set<uint64_t> picked;
+  for (const auto& f : c->inputs[0]) picked.insert(f->number);
+  auto key_outside_job = [&](const Slice& user_key) {
+    for (int level = 0; level <= c->level; level++) {
       for (const auto& f : version->files(level)) {
+        if (level == c->level && picked.count(f->number) > 0) continue;
         if (user_key.compare(ExtractUserKey(f->smallest)) >= 0 &&
             user_key.compare(ExtractUserKey(f->largest)) <= 0) {
           return true;
@@ -1567,7 +1584,7 @@ Status DbImpl::DoCompactionWork(Compaction* c, const KeyRange& range,
     has_last = true;
 
     if (elide_tombstones && ExtractValueType(ikey) == ValueType::kDeletion &&
-        is_base_level_for(ukey) && !key_above_job(ukey) &&
+        is_base_level_for(ukey) && !key_outside_job(ukey) &&
         !older_in_memtable(ukey, ExtractSequence(ikey))) {
       continue;  // tombstone has nothing left to hide
     }

@@ -156,9 +156,12 @@ struct DbOptions {
 // Per-read options.
 struct ReadOptions {
   bool fill_cache = true;
-  // Blocks fetched per device read by iterators (1 = none). Compaction uses
-  // a large value (RocksDB compaction_readahead_size) so sequential reads
-  // amortize the NAND access latency.
+  // The most blocks an iterator fetches per device read (1 = no readahead).
+  // With fill_cache, iterators ramp up to it: two blocks after a Seek,
+  // doubling on each sequential refill (RocksDB auto-readahead). Bulk
+  // readers without fill_cache read the whole window every time; compaction
+  // uses 2 MB (lsm::BulkReadOptions) so sequential reads amortize the NAND
+  // access latency.
   uint32_t readahead_blocks = 1;
 };
 

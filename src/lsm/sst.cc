@@ -217,17 +217,17 @@ Status SstReader::ReadBlock(size_t index_pos, const ReadOptions& ropts,
       return Status::OK();
     }
   }
+  // One device command for the block and its CRC trailer.
   auto fresh = std::make_shared<BlockCache::Block>();
   fresh->logical = handle.logical;
-  Status s = file_->Read(handle.offset, handle.physical, &fresh->physical);
+  Status s = file_->Read(handle.offset, handle.physical + 4, &fresh->physical);
   if (!s.ok()) return s;
-  if (fresh->physical.size() != handle.physical) {
+  if (fresh->physical.size() != handle.physical + 4) {
     return Status::Corruption("short block read");
   }
-  std::string crc_bytes;
-  s = file_->Read(handle.offset + handle.physical, 4, &crc_bytes);
-  if (!s.ok()) return s;
-  uint32_t expected = crc32c::Unmask(DecodeFixed32(crc_bytes.data()));
+  uint32_t expected =
+      crc32c::Unmask(DecodeFixed32(fresh->physical.data() + handle.physical));
+  fresh->physical.resize(handle.physical);
   if (expected !=
       crc32c::Value(fresh->physical.data(), fresh->physical.size())) {
     return Status::Corruption("block checksum mismatch");
@@ -339,11 +339,13 @@ class SstIterator : public Iterator {
 
   void SeekToFirst() override {
     block_pos_ = 0;
+    window_ = 0;
     LoadBlockAndSeek(nullptr);
   }
 
   void Seek(const Slice& target) override {
     block_pos_ = table_->FindBlock(target);
+    window_ = 0;
     LoadBlockAndSeek(&target);
   }
 
@@ -406,23 +408,36 @@ class SstIterator : public Iterator {
   }
 
   // Serves a block from the readahead window, refilling it (one device read
-  // per window) when the position moves outside.
+  // per window) when the position moves outside. Bulk readers
+  // (fill_cache = false) refill the full window every time. Cache-filling
+  // iterators ramp: the first refill after a Seek or a jump reads
+  // kFirstWindow blocks, and each sequential refill doubles the window up to
+  // readahead_blocks, so a short scan pays for little it never returns.
   Status FetchBlock(size_t pos, std::shared_ptr<BlockCache::Block>* block) {
-    if (ropts_.readahead_blocks <= 1) {
-      return table_->ReadBlock(pos, ropts_, block);
-    }
+    const size_t cap = ropts_.readahead_blocks;
+    if (cap <= 1) return table_->ReadBlock(pos, ropts_, block);
     if (pos < prefetch_base_ || pos >= prefetch_base_ + prefetch_.size()) {
+      const bool sequential =
+          window_ != 0 && pos == prefetch_base_ + prefetch_.size();
+      if (!ropts_.fill_cache) {
+        window_ = cap;
+      } else {
+        window_ = std::min(cap, sequential ? 2 * window_ : kFirstWindow);
+      }
       prefetch_base_ = pos;
-      Status s =
-          table_->ReadBlocksRange(pos, ropts_.readahead_blocks, &prefetch_);
+      Status s = table_->ReadBlocksRange(pos, window_, &prefetch_);
       if (!s.ok()) return s;
     }
     *block = prefetch_[pos - prefetch_base_];
     return Status::OK();
   }
 
+  static constexpr size_t kFirstWindow = 2;
+
   std::shared_ptr<SstReader> table_;
   ReadOptions ropts_;
+  // Blocks of the last refill; 0 until the first refill after a Seek.
+  size_t window_ = 0;
   size_t prefetch_base_ = 0;
   std::vector<std::shared_ptr<BlockCache::Block>> prefetch_;
   size_t block_pos_ = 0;
@@ -437,11 +452,17 @@ std::unique_ptr<Iterator> SstReader::NewIterator(const ReadOptions& ropts) {
   return std::make_unique<SstIterator>(shared_from_this(), ropts);
 }
 
-Status ScanTable(SstReader* table, FileMetaData* observed) {
+ReadOptions BulkReadOptions(const DbOptions& options) {
   ReadOptions ropts;
   ropts.fill_cache = false;
+  ropts.readahead_blocks = static_cast<uint32_t>(
+      std::max<uint64_t>(1, (2ull << 20) / options.block_size));
+  return ropts;
+}
+
+Status ScanTable(SstReader* table, FileMetaData* observed) {
   InternalKeyComparator icmp;
-  auto iter = table->NewIterator(ropts);
+  auto iter = table->NewIterator(BulkReadOptions(table->options_));
   uint64_t entries = 0;
   SequenceNumber max_seq = 0;
   std::string prev, smallest;

@@ -115,12 +115,14 @@ class SstReader : public std::enable_shared_from_this<SstReader> {
 
  private:
   friend class SstIterator;
+  friend Status ScanTable(SstReader* table, FileMetaData* observed);
   SstReader(const DbOptions& options, uint64_t file_number, BlockCache* cache)
       : options_(options), file_number_(file_number), cache_(cache),
         bloom_(kBloomBitsPerKey) {}
 
   // Loads (possibly from cache) the data block for index position `i`,
-  // verifying its CRC when it comes from the device.
+  // verifying its CRC when it comes from the device: one device read covers
+  // the block and its trailer.
   Status ReadBlock(size_t index_pos, const ReadOptions& ropts,
                    std::shared_ptr<BlockCache::Block>* block);
   // Sequential readahead: loads `count` consecutive blocks starting at
@@ -143,8 +145,14 @@ class SstReader : public std::enable_shared_from_this<SstReader> {
   uint64_t total_logical_ = 0;
 };
 
-// The one full-content SST scan (DbChecker, the scrubber): reads every entry
-// of `table` with block CRCs checked and the block cache bypassed, and fills
+// Read options of a bulk sequential reader (compaction inputs, ScanTable):
+// the block cache is bypassed, and each device read fetches a fixed 2 MB
+// window (RocksDB compaction_readahead_size) to amortise the NAND access
+// latency over the span.
+ReadOptions BulkReadOptions(const DbOptions& options);
+
+// The one full-content SST scan (DbChecker, Repair, the scrubber): reads every
+// entry of `table` with BulkReadOptions, block CRCs checked, and fills
 // `observed`'s num_entries, max_seq, smallest and largest from what it read.
 // Corruption if internal keys are not strictly ascending. Callers compare
 // `observed` with the recorded metadata themselves.

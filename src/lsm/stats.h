@@ -53,7 +53,7 @@ struct DbStats {
   uint64_t writes_total = 0;
   uint64_t write_bytes_total = 0;  // logical
   uint64_t reads_total = 0;
-  uint64_t seeks_total = 0;
+  uint64_t seeks_total = 0;  // Seek and SeekToFirst of user iterators
 
   // Fault handling: transient-error retries performed (foreground WAL sync
   // plus background flush/compaction attempts) and background errors latched
@@ -66,6 +66,12 @@ struct DbStats {
   // single writer every group has size 1 and write_groups == writes_total.
   uint64_t write_groups = 0;
   Histogram group_commit_size;  // entries per group
+
+  // One positioning call of a user iterator, `latency` virtual ns long.
+  void AddSeek(Nanos latency) {
+    seeks_total++;
+    seek_latency.Add(latency);
+  }
 
   // The snapshot reports the lsm.* and ndp.* rows from the Main-LSM's stats
   // (ndp.* only with an NDP engine attached) and the db.* rows from the

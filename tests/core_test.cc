@@ -388,6 +388,68 @@ TEST(KvaccelDbTest, MetadataLossDrainKeepsEntriesItCannotCompare) {
   });
 }
 
+// A reset that keeps survivors (pairs redirected after its bound) installs
+// them before it sleeps on the device, so Empty() never reads true while
+// the device holds them. A direct write that lands during the reset's
+// erase therefore drops the record of the surviving version it supersedes,
+// and later Gets read the Main-LSM instead of the older device version.
+TEST(KvaccelDbTest, DirectWriteDuringResetDropsTheSurvivorsRecord) {
+  SimWorld world;
+  world.Run([&] {
+    std::unique_ptr<KvaccelDB> db;
+    ASSERT_TRUE(KvaccelDB::Open(test::SmallDbOptions(), SmallKvOptions(),
+                                world.MakeDbEnv(), &db)
+                    .ok());
+    devlsm::DevLsm* dev = db->dev();
+    // One redirected batch of 40 x 4 KiB: recorded, and flushed to a run.
+    auto redirect = [&](uint64_t first) {
+      const lsm::SequenceNumber seq = db->main()->AllocateSequence(40);
+      std::vector<VersionedEntry> batch;
+      std::vector<std::pair<std::string, uint64_t>> recs;
+      for (uint64_t i = 0; i < 40; i++) {
+        batch.push_back({TestKey(first + i), Value::Synthetic(first + i, 4096),
+                         false, seq + i});
+        recs.emplace_back(TestKey(first + i), seq + i);
+      }
+      ASSERT_TRUE(dev->PutCompound(batch).ok());
+      db->metadata()->InsertBatch(recs);
+    };
+    redirect(0);
+    const uint64_t bound = dev->LastSeq();
+    redirect(100);  // written during the drain: survives the reset
+    ASSERT_EQ(dev->stats().flushes, 2u);
+    ASSERT_EQ(dev->NumLiveEntries(), 80u);
+
+    bool reset_done = false;
+    bool read_empty = false;
+    sim::SimEnv::Thread* reset = world.env.Spawn("reset", [&] {
+      EXPECT_TRUE(dev->ResetUpTo(bound).ok());
+      reset_done = true;
+    });
+    sim::SimEnv::Thread* watch = world.env.Spawn("watch", [&] {
+      while (!reset_done) {
+        read_empty |= dev->Empty();
+        world.env.SleepFor(FromMicros(5));
+      }
+    });
+    world.env.SleepFor(FromMicros(1));  // the reset holds the device
+    ASSERT_TRUE(db->Put({}, TestKey(100), Value::Synthetic(7, 64)).ok());
+    EXPECT_FALSE(reset_done) << "the direct write must land inside the reset";
+    world.env.Join(reset);
+    world.env.Join(watch);
+
+    EXPECT_FALSE(read_empty) << "the device read empty while it held survivors";
+    EXPECT_EQ(dev->NumLiveEntries(), 40u);
+    EXPECT_EQ(db->metadata()->GetSeq(TestKey(100)), 0u);
+    Value v;
+    ASSERT_TRUE(db->Get({}, TestKey(100), &v).ok());
+    EXPECT_EQ(v, Value::Synthetic(7, 64));
+    ASSERT_TRUE(db->Get({}, TestKey(101), &v).ok());
+    EXPECT_EQ(v, Value::Synthetic(101, 4096));
+    ASSERT_TRUE(db->Close().ok());
+  });
+}
+
 TEST(KvaccelDbTest, EagerRollbackRunsAutomatically) {
   SimWorld world;
   world.Run([&] {

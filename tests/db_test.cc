@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 
 #include "common/random.h"
@@ -168,6 +169,60 @@ TEST(DbTest, IteratorSeesLiveKeysInOrder) {
     EXPECT_EQ(it->key().ToString(), TestKey(151));
     Value v = Value::DecodeOrDie(it->value());
     EXPECT_EQ(v.seed(), 1151u);
+    ASSERT_TRUE(db->Close().ok());
+  });
+}
+
+// A short user scan pays for what it returns: 64 entries over N sorted runs
+// read far fewer blocks than the N x readahead_blocks a fixed window fetches
+// at the Seek. Each Seek is counted and timed.
+TEST(DbTest, ShortScanFetchesFewBlocksPerSortedRun) {
+  SimWorld world;
+  world.Run([&] {
+    DbOptions opts = test::SmallDbOptions();
+    opts.l0_compaction_trigger = 8;
+    opts.l0_slowdown_writes_trigger = 16;
+    opts.l0_stop_writes_trigger = 20;
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(opts, world.MakeDbEnv(), &db).ok());
+    // Five interleaved sorted runs: run r holds the keys k with k % 5 == r.
+    for (int r = 0; r < 5; r++) {
+      for (int k = r; k < 4000; k += 5) {
+        ASSERT_TRUE(db->Put({}, TestKey(k), Value::Synthetic(k, 256)).ok());
+      }
+      ASSERT_TRUE(db->FlushAll().ok());
+    }
+    ASSERT_TRUE(db->WaitForCompactionIdle().ok());
+    size_t runs = 0;
+    std::set<int> levels;
+    for (const SstFileInfo& f : db->ListSstFiles()) {
+      if (f.level == 0) {
+        runs++;
+      } else {
+        levels.insert(f.level);
+      }
+    }
+    runs += levels.size();
+    ASSERT_GE(runs, 4u);
+
+    ReadOptions ropts;
+    ropts.readahead_blocks = 16;
+    auto scan = [&](int from) {
+      auto it = db->NewIterator(ropts);
+      it->Seek(TestKey(from));
+      for (int n = 0; n < 64 && it->Valid(); n++) it->Next();
+      EXPECT_TRUE(it->status().ok());
+    };
+    scan(0);  // opens every table
+    const uint64_t seeks = db->stats().seeks_total;
+    EXPECT_EQ(seeks, 1u);
+    const uint64_t nand = world.ssd->nand().bytes_read();
+    scan(2000);
+    const uint64_t fetched = world.ssd->nand().bytes_read() - nand;
+    EXPECT_LT(fetched, runs * 16 * opts.block_size / 3) << runs << " runs";
+    EXPECT_EQ(db->stats().seeks_total, seeks + 1);
+    EXPECT_EQ(db->stats().seek_latency.Count(), seeks + 1);
+    EXPECT_GT(db->stats().seek_latency.Min(), 0u);
     ASSERT_TRUE(db->Close().ok());
   });
 }

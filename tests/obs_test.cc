@@ -371,6 +371,37 @@ TEST(RunArtifactsTest, ShardedBlockCacheMetricsCoverTheFleet) {
             r.cache.capacity_bytes);
 }
 
+// Every user Seek is counted (lsm.seeks_total, from the Main-LSM) and timed
+// (db.seek_latency_ns, from the store's foreground view). A sharded store
+// seeks every shard, and its roll-up counts each shard's Seek.
+TEST(RunArtifactsTest, SeekMetricsCountEveryScan) {
+  struct Case {
+    SystemKind kind;
+    int shards;
+  };
+  for (const Case& k : {Case{SystemKind::kRocksDB, 1},
+                        Case{SystemKind::kKvaccel, 1},
+                        Case{SystemKind::kKvaccel, 2}}) {
+    BenchConfig c;
+    c.scale = 0.03125;
+    c.sut.kind = k.kind;
+    c.sut.shards = k.shards;
+    c.workload.type = WorkloadConfig::Type::kSeekRandom;
+    c.workload.preload_bytes = 512ull << 20;  // scaled to 16 MiB
+    c.workload.seek_ops = 20;
+    c.workload.nexts_per_seek = 16;
+    RunResult r = RunBenchmark(c);
+    const uint64_t seeks = 20 * static_cast<uint64_t>(k.shards);
+    EXPECT_EQ(r.metrics.counters.at("lsm.seeks_total"), seeks)
+        << static_cast<int>(k.kind) << " x" << k.shards;
+    ASSERT_TRUE(r.metrics.histograms.count("db.seek_latency_ns"));
+    const auto& latency = r.metrics.histograms.at("db.seek_latency_ns");
+    EXPECT_EQ(latency.count, seeks)
+        << static_cast<int>(k.kind) << " x" << k.shards;
+    EXPECT_GT(latency.p50, 0.0);
+  }
+}
+
 TEST(RunArtifactsTest, JsonReportIsValidAndDeterministic) {
   BenchConfig c = SmallKvaccelConfig();
   c.workload.duration = FromSecs(4);

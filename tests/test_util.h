@@ -8,6 +8,7 @@
 #include "fs/simfs.h"
 #include "lsm/db.h"
 #include "sim/cpu_pool.h"
+#include "sim/fault.h"
 #include "sim/sim_env.h"
 #include "ssd/hybrid_ssd.h"
 
@@ -42,6 +43,21 @@ struct SimWorld {
     env.Spawn("test-main", std::move(body));
     env.Run();
   }
+};
+
+// Counts the block-read commands `world`'s device serves: the transient
+// read site is armed with a rule that never fires, so each hit is one read.
+class ReadCommandCounter {
+ public:
+  explicit ReadCommandCounter(SimWorld* world) : injector_(&world->env, 1) {
+    world->env.set_fault_injector(&injector_);
+    injector_.Arm("ssd.block.read.transient", sim::FaultRule{});
+  }
+  uint64_t count() const { return injector_.hits("ssd.block.read.transient"); }
+  sim::FaultInjector* injector() { return &injector_; }
+
+ private:
+  sim::FaultInjector injector_;
 };
 
 // Small DbOptions so flush/compaction trigger quickly in tests.

@@ -27,7 +27,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #              and transient COMPACT rejections mixed in.
 #   ha-sync    two-node HA, both ack modes: each cycle kills the pair at a
 #   ha-async   kill site drawn from the HA crash table (the single-node sites
-#              plus crash.net.send.mid; seed 54's 12 sync cycles arm all
+#              plus crash.net.send.mid; seed 1198's 12 sync cycles arm all
 #              ten), promotes the backup and holds it to the oracle — sync
 #              must serve every acked write, async loss must stay under the
 #              queue-cap bound.
@@ -42,7 +42,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 NEMESIS_SMOKES=(
   "single|--cycles=30 --nemesis_seed=1317456661"
   "ndp|--ndp --cycles=12 --nemesis_seed=7"
-  "ha-sync|--ha --cycles=12 --nemesis_seed=54"
+  "ha-sync|--ha --cycles=12 --nemesis_seed=1198"
   "ha-async|--ha --repl_ack=async --cycles=6 --nemesis_seed=99"
   "partition-delta|--ha --net_partition --cycles=8 --nemesis_seed=24301"
   "partition-wal|--ha --net_partition --resync_mode=wal --cycles=4 --nemesis_seed=777"
@@ -422,7 +422,8 @@ EOF
 
 # pinned BUILD_DIR: prints "sha256  NAME.ARTIFACT" for the stdout (its
 # artifact-path lines dropped), --json_out report and --trace_out trace of
-# every bench_smoke dbbench run plus the HA partition drill in wal mode, two
+# every bench_smoke dbbench run plus the HA partition drill in wal mode, the
+# single-node read path (readwhilewriting, and a short seekrandom), two
 # sharded runs (readwhilewriting, and --ndp=auto) and two flaky-nvme fault
 # runs (single node, and the async HA pair), and for the stdout of the six
 # nemesis smokes. The fault runs pin the transient-retry limits and backoffs:
@@ -438,6 +439,8 @@ pinned() {
     "kvaccel|--system=kvaccel ${small}"
     "sub1|--system=rocksdb --workload=fillrandom --seconds=20 --scale=0.0625 --threads=4 --writer_threads=4 --batch_size=8 --max_subcompactions=1"
     "sub4|--system=rocksdb --workload=fillrandom --seconds=20 --scale=0.0625 --threads=4 --writer_threads=4 --batch_size=8 --max_subcompactions=4"
+    "rw|--system=kvaccel --workload=readwhilewriting --read_threads=2 --seconds=10 --scale=0.0625"
+    "seek|--system=kvaccel --workload=seekrandom --scale=0.0625 --seek_ops=2000"
     "shards1|--system=kvaccel ${small} --writer_threads=4 --batch_size=4 --shards=1"
     "shards4|--system=kvaccel ${small} --writer_threads=4 --batch_size=4 --shards=4"
     "shards4-rw|--system=kvaccel --workload=readwhilewriting --read_threads=2 --seconds=10 --scale=0.0625 --shards=4"
