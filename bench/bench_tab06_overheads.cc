@@ -33,7 +33,7 @@ namespace {
 // ---- View 2: real-hardware microbenchmarks ----
 
 std::string BenchKey(uint64_t i) {
-  char buf[16];
+  char buf[17];  // 16 hex digits of a uint64_t and the terminator
   snprintf(buf, sizeof(buf), "%08llx", static_cast<unsigned long long>(i));
   return buf;
 }

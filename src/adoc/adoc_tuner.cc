@@ -15,28 +15,8 @@ AdocTuner::AdocTuner(lsm::DB* db, sim::SimEnv* env,
     : db_(db), env_(env), db_options_(db_options), options_(options) {}
 
 void AdocTuner::Start() {
-  thread_ = env_->Spawn("adoc-tuner", [this] { TuningLoop(); });
-}
-
-void AdocTuner::Stop() {
-  if (thread_ == nullptr) return;
-  {
-    sim::SimLockGuard l(mu_);
-    stop_requested_ = true;
-    cv_.NotifyAll();
-  }
-  env_->Join(thread_);
-  thread_ = nullptr;
-}
-
-void AdocTuner::TuningLoop() {
-  sim::SimLockGuard l(mu_);
-  while (!stop_requested_) {
-    if (cv_.WaitFor(mu_, options_.tuning_period)) {
-      continue;  // notified: re-check stop flag
-    }
-    TuneOnce();
-  }
+  actor_.Start(env_, "adoc-tuner", options_.tuning_period,
+               [this] { TuneOnce(); });
 }
 
 void AdocTuner::TuneOnce() {

@@ -15,6 +15,7 @@
 #include <cstdint>
 
 #include "lsm/db.h"
+#include "sim/periodic.h"
 #include "sim/sim_env.h"
 
 namespace kvaccel::adoc {
@@ -47,13 +48,12 @@ class AdocTuner {
 
   // Spawns the tuning thread.
   void Start();
-  // Signals the thread to exit and joins it.
-  void Stop();
+  // Wakes the thread and joins it.
+  void Stop() { actor_.Stop(); }
 
   const AdocStats& stats() const { return stats_; }
 
  private:
-  void TuningLoop();
   void TuneOnce();
   // Largest write-buffer size growth may reach without risking a straight
   // run into the hard pending-compaction stall (see TuneOnce).
@@ -65,10 +65,7 @@ class AdocTuner {
   AdocOptions options_;
   AdocStats stats_;
 
-  sim::SimMutex mu_;
-  sim::SimCondVar cv_;
-  bool stop_requested_ = false;
-  sim::SimEnv::Thread* thread_ = nullptr;
+  sim::PeriodicActor actor_;
   int calm_streak_ = 0;
 };
 

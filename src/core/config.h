@@ -17,6 +17,7 @@
 #include "ndp/ndp_device.h"
 #include "ndp/offload_planner.h"
 #include "obs/metrics.h"
+#include "sim/backoff.h"
 #include "ssd/hybrid_ssd.h"
 
 namespace kvaccel::core {
@@ -36,15 +37,12 @@ constexpr double kMdDeleteNs = 280;
 
 // Device-error policy for Dev-LSM commands, on the primary's redirected
 // write path and on the backup's intent apply alike. A command that fails
-// transiently (IOError/Busy/TryAgain) is retried up to kDevRetryLimit times
-// with exponential virtual-time backoff starting at kDevRetryBackoff. The
-// delays use decorrelated jitter (sim/backoff.h) bounded by
-// kDevRetryBackoffCap. When the budget is exhausted the Detector latches the
-// device unhealthy, all writes fall back to the host path, and after
-// device_unhealthy_cooldown a single half-open probe may re-enable it.
-constexpr int kDevRetryLimit = 3;
-constexpr Nanos kDevRetryBackoff = FromMicros(200);
-constexpr Nanos kDevRetryBackoffCap = FromMillis(10);
+// transiently (IOError/Busy/TryAgain) is retried up to 3 times, 200 us to
+// 10 ms apart with decorrelated jitter (sim/backoff.h). When the budget is
+// exhausted the Detector latches the device unhealthy, all writes fall back
+// to the host path, and after device_unhealthy_cooldown a single half-open
+// probe may re-enable it.
+constexpr sim::RetryPolicy kDevRetry{3, FromMicros(200), FromMillis(10)};
 
 struct KvaccelOptions {
   // Detector (paper §V-C, §VI-A).
@@ -61,7 +59,7 @@ struct KvaccelOptions {
   // Redirect writes when the Detector reports an imminent stall.
   bool redirection_enabled = true;
 
-  // Device-error policy (kDevRetryLimit above). The retry-jitter seed is
+  // Device-error policy (kDevRetry above). The retry-jitter seed is
   // offset per shard/node so co-located retriers don't hammer the device in
   // lockstep.
   uint64_t dev_retry_jitter_seed = 0xDE77E4;

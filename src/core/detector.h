@@ -11,6 +11,7 @@
 #include "lsm/db.h"
 #include "obs/trace.h"
 #include "sim/cpu_pool.h"
+#include "sim/periodic.h"
 #include "sim/sim_env.h"
 
 namespace kvaccel::core {
@@ -25,18 +26,13 @@ class Detector {
   void Start() {
     tracer_ = env_->tracer();
     if (tracer_ != nullptr) tr_kvaccel_ = tracer_->RegisterTrack("kvaccel");
-    thread_ = env_->Spawn("kvaccel-detector", [this] { Loop(); });
+    actor_.Start(env_, "kvaccel-detector", options_.detector_period,
+                 [this] { CheckOnce(); });
   }
 
   void Stop() {
-    if (thread_ == nullptr) return;
-    {
-      sim::SimLockGuard l(mu_);
-      stop_ = true;
-      cv_.NotifyAll();
-    }
-    env_->Join(thread_);
-    thread_ = nullptr;
+    if (!actor_.running()) return;
+    actor_.Stop();
     // Close an open redirect window so the trace has no dangling 'B'.
     if (tracer_ != nullptr && stall_detected_) {
       tracer_->End(tr_kvaccel_, "stall.redirect");
@@ -71,14 +67,6 @@ class Detector {
   void ReportDeviceSuccess() { device_healthy_ = true; }
 
  private:
-  void Loop() {
-    sim::SimLockGuard l(mu_);
-    while (!stop_) {
-      if (cv_.WaitFor(mu_, options_.detector_period)) continue;
-      CheckOnce();
-    }
-  }
-
   void CheckOnce() {
     cpu_->Charge(kDetectorCpuNs);
     env_->SleepFor(static_cast<Nanos>(kDetectorCpuNs + 0.5));
@@ -121,10 +109,7 @@ class Detector {
   const KvaccelOptions& options_;
   KvaccelStats* stats_;
 
-  sim::SimMutex mu_;
-  sim::SimCondVar cv_;
-  bool stop_ = false;
-  sim::SimEnv::Thread* thread_ = nullptr;
+  sim::PeriodicActor actor_;
 
   bool stall_detected_ = false;
   int calm_streak_ = 0;

@@ -161,19 +161,9 @@ bool KvaccelDB::ShouldRedirect() const {
 }
 
 Status KvaccelDB::DevPutWithRetry(const std::vector<VersionedEntry>& entries) {
-  Status s = dev_->PutCompound(entries);
-  Nanos backoff = 0;
-  int attempt = 0;
-  while (s.IsTransient() && attempt < kDevRetryLimit) {
-    attempt++;
-    kv_stats_.dev_retries++;
-    // Decorrelated jitter, capped: shards/nodes sharing the device spread
-    // their retry waves instead of re-colliding in lockstep.
-    backoff = sim::NextDecorrelatedDelay(&dev_retry_rng_, kDevRetryBackoff,
-                                         kDevRetryBackoffCap, backoff);
-    env_->SleepFor(backoff);
-    s = dev_->PutCompound(entries);
-  }
+  Status s = sim::RetryTransient(
+      env_, &dev_retry_rng_, kDevRetry, [] { return false; },
+      &kv_stats_.dev_retries, [&] { return dev_->PutCompound(entries); });
   if (s.ok()) {
     detector_->ReportDeviceSuccess();
   } else if (s.IsTransient()) {
@@ -326,36 +316,18 @@ Status KvaccelDB::CrashMetadataAndRecover(Nanos* recovery_duration) {
 // ---------------- RollbackManager ----------------
 
 void RollbackManager::Start(sim::SimEnv* env) {
-  env_ = env;
-  thread_ = env->Spawn("kvaccel-rollback", [this] { Loop(); });
+  actor_.Start(env, "kvaccel-rollback", options_.detector_period,
+               [this] { Tick(); });
 }
 
-void RollbackManager::Stop() {
-  if (thread_ == nullptr) return;
-  {
-    sim::SimLockGuard l(mu_);
-    stop_ = true;
-    cv_.NotifyAll();
-  }
-  env_->Join(thread_);
-  thread_ = nullptr;
-}
-
-void RollbackManager::Loop() {
-  sim::SimLockGuard l(mu_);
-  while (!stop_) {
-    if (cv_.WaitFor(mu_, options_.detector_period)) continue;
-    if (owner_->dev()->Empty()) continue;
-    int needed = options_.rollback == RollbackScheme::kEager
-                     ? options_.eager_calm_periods
-                     : kLazyCalmPeriods;
-    if (owner_->detector()->stall_detected()) continue;
-    if (owner_->detector()->calm_streak() < needed) continue;
-    // Release the scheduling lock across the (long) rollback itself.
-    mu_.Unlock();
-    Execute(true);
-    mu_.Lock();
-  }
+void RollbackManager::Tick() {
+  if (owner_->dev()->Empty()) return;
+  int needed = options_.rollback == RollbackScheme::kEager
+                   ? options_.eager_calm_periods
+                   : kLazyCalmPeriods;
+  if (owner_->detector()->stall_detected()) return;
+  if (owner_->detector()->calm_streak() < needed) return;
+  Execute(true);
 }
 
 Status RollbackManager::Execute(bool trust_metadata) {

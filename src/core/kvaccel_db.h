@@ -23,6 +23,7 @@
 #include "lsm/db.h"
 #include "lsm/db_impl.h"
 #include "ndp/offload_planner.h"
+#include "sim/periodic.h"
 
 namespace kvaccel::core {
 
@@ -121,7 +122,7 @@ class RollbackManager {
       : owner_(owner), options_(options) {}
 
   void Start(sim::SimEnv* env);
-  void Stop();
+  void Stop() { actor_.Stop(); }
 
   // Drains the Dev-LSM into Main-LSM. When `trust_metadata` is true (normal
   // rollback), entries whose metadata record was superseded by a newer
@@ -129,17 +130,14 @@ class RollbackManager {
   Status Execute(bool trust_metadata);
 
  private:
-  void Loop();
+  // One detector period: drains once the Detector reports a long enough
+  // calm streak.
+  void Tick();
 
   KvaccelDB* owner_;
   KvaccelOptions options_;
-  sim::SimEnv* env_ = nullptr;
-
-  sim::SimMutex mu_;
-  sim::SimCondVar cv_;
-  bool stop_ = false;
+  sim::PeriodicActor actor_;
   bool in_progress_ = false;
-  sim::SimEnv::Thread* thread_ = nullptr;
 };
 
 }  // namespace kvaccel::core

@@ -30,12 +30,8 @@ constexpr size_t kCatchUpBatchEntries = 512;
 // Jitter-seed offset so the backup node's retry streams decorrelate from the
 // primary's (same spirit as the sharded router's per-shard offsets).
 constexpr uint64_t kBackupSeedOffset = 0x51DEC0DE;
-// Transient send retries (net.send.transient) before a record fails (sync)
-// or keeps cycling (async retries until the pair crashes), with
-// decorrelated-jitter backoff drawn from a stream seeded by kNetJitterSeed.
-constexpr int kNetRetryLimit = 3;
-constexpr Nanos kNetRetryBackoff = FromMicros(100);
-constexpr Nanos kNetRetryBackoffCap = FromMillis(10);
+// Every retry delay of the pair's sender (kNetRetry, and kDevRetry for the
+// backup's intent apply) is drawn from one stream with this seed.
 constexpr uint64_t kNetJitterSeed = 0x4E7B0FF;
 }  // namespace
 
@@ -187,8 +183,9 @@ Status ReplicatedKvaccelDB::Open(const lsm::DbOptions& main_options,
   impl->lease_expiry_ = env->Now() + repl_options.lease_duration;
   impl->backup_last_applied_ns_ = env->Now();
   if (repl_options.heartbeat_period > 0) {
-    impl->heartbeat_ =
-        env->Spawn("repl-heartbeat", [self] { self->HeartbeatLoop(); });
+    impl->heartbeat_.Start(env, "repl-heartbeat",
+                           repl_options.heartbeat_period,
+                           [self] { self->Heartbeat(); });
   }
   *db = std::move(impl);
   return Status::OK();
@@ -219,25 +216,17 @@ Status ReplicatedKvaccelDB::CheckFence() {
                           : "repl: primary fenced (lease expired)");
 }
 
-void ReplicatedKvaccelDB::HeartbeatLoop() {
-  for (;;) {
-    {
-      sim::SimLockGuard l(hb_mu_);
-      if (hb_stop_) break;
-      hb_cv_.WaitFor(hb_mu_, options_.heartbeat_period);
-      if (hb_stop_) break;
-    }
-    NoteLeaseState();
-    if (sim::SimCrashed(env_) || deposed_) continue;
-    Record rec;
-    rec.type = Record::Type::kHeartbeat;
-    rec.bytes = kRecordHeaderBytes;
-    rec.epoch = epoch_;
-    sim::SimLockGuard l(ship_mu_);
-    // SendAndApply renews the lease on success; a partition leaves the lease
-    // to lapse and a stale-epoch rejection deposes the primary.
-    (void)SendAndApply(&rec, /*forever=*/false);
-  }
+void ReplicatedKvaccelDB::Heartbeat() {
+  NoteLeaseState();
+  if (sim::SimCrashed(env_) || deposed_) return;
+  Record rec;
+  rec.type = Record::Type::kHeartbeat;
+  rec.bytes = kRecordHeaderBytes;
+  rec.epoch = epoch_;
+  sim::SimLockGuard l(ship_mu_);
+  // SendAndApply renews the lease on success; a partition leaves the lease
+  // to lapse and a stale-epoch rejection deposes the primary.
+  (void)SendAndApply(&rec, /*forever=*/false);
 }
 
 Status ReplicatedKvaccelDB::DetachBackup(bool force) {
@@ -297,15 +286,7 @@ Status ReplicatedKvaccelDB::RollbackNow() {
 Status ReplicatedKvaccelDB::Close() {
   if (closed_) return Status::OK();
   closed_ = true;
-  if (heartbeat_ != nullptr) {
-    {
-      sim::SimLockGuard l(hb_mu_);
-      hb_stop_ = true;
-      hb_cv_.NotifyAll();
-    }
-    env_->Join(heartbeat_);
-    heartbeat_ = nullptr;
-  }
+  heartbeat_.Stop();
   if (shipper_ != nullptr) {
     {
       sim::SimLockGuard l(q_mu_);
@@ -395,18 +376,11 @@ void ReplicatedKvaccelDB::ShipManifestEdit(const std::string& edit,
   }
   // Async: never block a version install on queue pressure — drop instead.
   sim::SimLockGuard l(q_mu_);
-  if (stopping_ || queue_.size() >= options_.async_queue_cap ||
-      queue_bytes_ >= options_.async_queue_max_bytes) {
+  if (stopping_ || QueueFullLocked()) {
     stats_.manifest_drops++;
     return;
   }
-  queue_bytes_ += rec.bytes;
-  queue_.push_back(std::move(rec));
-  stats_.async_queue_peak =
-      std::max(stats_.async_queue_peak, static_cast<uint64_t>(queue_.size()));
-  stats_.async_queue_bytes_peak =
-      std::max(stats_.async_queue_bytes_peak, queue_bytes_);
-  q_cv_.NotifyAll();
+  EnqueueLocked(std::move(rec));
 }
 
 // ---------------- Shipping machinery ----------------
@@ -427,9 +401,7 @@ Status ReplicatedKvaccelDB::Ship(Record rec) {
     return s;
   }
   sim::SimLockGuard l(q_mu_);
-  while ((queue_.size() >= options_.async_queue_cap ||
-          queue_bytes_ >= options_.async_queue_max_bytes) &&
-         !stopping_) {
+  while (QueueFullLocked() && !stopping_) {
     if (sim::SimCrashed(env_)) {
       return Status::IOError("repl: pair down");
     }
@@ -437,6 +409,16 @@ Status ReplicatedKvaccelDB::Ship(Record rec) {
     q_cv_.WaitFor(q_mu_, FromMicros(200));
   }
   if (stopping_) return Status::IOError("repl: shutting down");
+  EnqueueLocked(std::move(rec));
+  return Status::OK();
+}
+
+bool ReplicatedKvaccelDB::QueueFullLocked() const {
+  return queue_.size() >= options_.async_queue_cap ||
+         queue_bytes_ >= options_.async_queue_max_bytes;
+}
+
+void ReplicatedKvaccelDB::EnqueueLocked(Record rec) {
   queue_bytes_ += rec.bytes;
   queue_.push_back(std::move(rec));
   stats_.async_queue_peak =
@@ -444,7 +426,6 @@ Status ReplicatedKvaccelDB::Ship(Record rec) {
   stats_.async_queue_bytes_peak =
       std::max(stats_.async_queue_bytes_peak, queue_bytes_);
   q_cv_.NotifyAll();
-  return Status::OK();
 }
 
 void ReplicatedKvaccelDB::ShipperLoop() {
@@ -505,68 +486,56 @@ void ReplicatedKvaccelDB::RecordLoss(const Record& rec) {
 }
 
 Status ReplicatedKvaccelDB::SendAndApply(Record* rec, bool forever) {
-  Nanos backoff = 0;
-  for (;;) {
-    Status s = SendOverLink(rec->bytes);
-    if (s.ok()) s = ApplyOnBackup(rec);
-    if (s.ok()) {
-      // The record is on the peer even if the ack below is lost: the applied
-      // watermark and the promote-safety clock advance before the ack draw.
-      if (rec->last_seq > 0) {
-        applied_seq_ = std::max(applied_seq_, rec->last_seq);
-      }
-      backup_last_applied_ns_ = env_->Now();
-      if (sim::FaultAt(env_, "net.partition.ack")) {
-        stats_.ack_losses++;
-        s = Status::IOError("repl: ack lost (partitioned)");
-      }
-    }
-    if (s.ok()) {
-      if (sim::FaultAt(env_, "net.dup")) {
-        // Duplicate delivery: the record charges the wire and applies a
-        // second time; exact-sequence application makes the copy a no-op.
-        stats_.dup_records++;
-        if (SendOverLink(rec->bytes).ok()) (void)ApplyOnBackup(rec);
-      }
-      if (rec->type == Record::Type::kHeartbeat) {
-        stats_.heartbeat_records++;
-      } else {
-        stats_.records_applied++;
-      }
-      RenewLease();
-      return Status::OK();
-    }
-    if (IsStaleEpoch(s)) {
-      // The peer (or its durable FENCE file) is at a newer fencing epoch:
-      // this primary was deposed while partitioned. Permanent, by design.
-      stats_.fenced_records++;
-      deposed_ = true;
-      return s;
-    }
-    if (!forever || sim::SimCrashed(env_) || !s.IsTransient() ||
-        detach_requested_) {
-      return s;
-    }
-    // Async keeps cycling until the pair crashes: a transient must not
-    // punch a hole in the applied prefix.
-    backoff = sim::NextDecorrelatedDelay(&net_rng_, kNetRetryBackoff,
-                                         kNetRetryBackoffCap, backoff);
-    env_->SleepFor(backoff);
+  // Async keeps cycling until the pair crashes or the backup detaches: a
+  // transient must not punch a hole in the applied prefix.
+  const sim::RetryPolicy policy{forever ? sim::kRetryUnbounded : 0,
+                                kNetRetry.base, kNetRetry.cap};
+  Status s = sim::RetryTransient(
+      env_, &net_rng_, policy,
+      [this] { return sim::SimCrashed(env_) || detach_requested_; },
+      /*retries=*/nullptr, [&] { return SendAndApplyOnce(rec); });
+  if (IsStaleEpoch(s)) {
+    // The peer (or its durable FENCE file) is at a newer fencing epoch:
+    // this primary was deposed while partitioned. Permanent, by design.
+    stats_.fenced_records++;
+    deposed_ = true;
   }
+  return s;
+}
+
+Status ReplicatedKvaccelDB::SendAndApplyOnce(Record* rec) {
+  Status s = SendOverLink(rec->bytes);
+  if (s.ok()) s = ApplyOnBackup(rec);
+  if (!s.ok()) return s;
+  // The record is on the peer even if the ack below is lost: the applied
+  // watermark and the promote-safety clock advance before the ack draw.
+  if (rec->last_seq > 0) {
+    applied_seq_ = std::max(applied_seq_, rec->last_seq);
+  }
+  backup_last_applied_ns_ = env_->Now();
+  if (sim::FaultAt(env_, "net.partition.ack")) {
+    stats_.ack_losses++;
+    return Status::IOError("repl: ack lost (partitioned)");
+  }
+  if (sim::FaultAt(env_, "net.dup")) {
+    // Duplicate delivery: the record charges the wire and applies a second
+    // time; exact-sequence application makes the copy a no-op.
+    stats_.dup_records++;
+    if (SendOverLink(rec->bytes).ok()) (void)ApplyOnBackup(rec);
+  }
+  if (rec->type == Record::Type::kHeartbeat) {
+    stats_.heartbeat_records++;
+  } else {
+    stats_.records_applied++;
+  }
+  RenewLease();
+  return s;
 }
 
 Status ReplicatedKvaccelDB::SendOverLink(uint64_t bytes) {
-  Status s = link_->Send(bytes);
-  Nanos backoff = 0;
-  for (int attempt = 0; !s.ok() && !sim::SimCrashed(env_) &&
-                        attempt < kNetRetryLimit;
-       attempt++) {
-    stats_.net_retries++;
-    backoff = sim::NextDecorrelatedDelay(&net_rng_, kNetRetryBackoff,
-                                         kNetRetryBackoffCap, backoff);
-    env_->SleepFor(backoff);
-    s = link_->Send(bytes);
-  }
+  Status s = sim::RetryTransient(
+      env_, &net_rng_, kNetRetry, [this] { return sim::SimCrashed(env_); },
+      &stats_.net_retries, [&] { return link_->Send(bytes); });
   if (s.ok()) stats_.repl_bytes += bytes;
   return s;
 }
@@ -640,17 +609,9 @@ Status ReplicatedKvaccelDB::ApplyIntentOnBackup(Record* rec) {
     // Mirror into the backup's own Dev-LSM, through the same transient-retry
     // + circuit-breaker discipline the primary's Controller uses, so a
     // backup-side device fault degrades exactly like a primary-side one.
-    Status s = dev->PutCompound(rec->entries);
-    Nanos backoff = 0;
-    int attempt = 0;
-    while (s.IsTransient() && !sim::SimCrashed(env_) &&
-           attempt < kDevRetryLimit) {
-      attempt++;
-      backoff = sim::NextDecorrelatedDelay(&net_rng_, kDevRetryBackoff,
-                                           kDevRetryBackoffCap, backoff);
-      env_->SleepFor(backoff);
-      s = dev->PutCompound(rec->entries);
-    }
+    Status s = sim::RetryTransient(
+        env_, &net_rng_, kDevRetry, [this] { return sim::SimCrashed(env_); },
+        /*retries=*/nullptr, [&] { return dev->PutCompound(rec->entries); });
     if (s.ok()) {
       det->ReportDeviceSuccess();
       std::vector<std::pair<std::string, uint64_t>> recs;

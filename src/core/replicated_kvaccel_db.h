@@ -65,7 +65,9 @@
 
 #include "common/random.h"
 #include "core/kvaccel_db.h"
+#include "sim/backoff.h"
 #include "sim/net_link.h"
+#include "sim/periodic.h"
 
 namespace kvaccel::fs {
 class SimFs;
@@ -91,6 +93,11 @@ struct ReplNode {
 
 // Slack past the primary's lease before its backup may be promoted.
 constexpr Nanos kPromoteSafetyMargin = FromMillis(10);
+
+// Transient link sends (net.send.transient) are retried 3 times before the
+// send fails, 100 us to 10 ms apart; an async record that still fails keeps
+// cycling at the same delays until the pair crashes or the backup detaches.
+constexpr sim::RetryPolicy kNetRetry{3, FromMicros(100), FromMillis(10)};
 
 struct ReplOptions {
   ReplAck ack = ReplAck::kSync;
@@ -291,9 +298,12 @@ class ReplicatedKvaccelDB : public lsm::Store {
   // One record end to end: link transfer (+bounded transient retries), then
   // apply on the backup, then the protocol-level net.* adversaries (ack
   // loss, duplication). `forever` (async) keeps cycling on transient
-  // failures until the pair crashes; a drop is recorded as lost tail. A
-  // stale-epoch rejection deposes the primary permanently (non-transient).
+  // failures until the pair crashes or the backup detaches; a drop is
+  // recorded as lost tail. A stale-epoch rejection deposes the primary
+  // permanently (non-transient).
   Status SendAndApply(Record* rec, bool forever);
+  // One attempt of SendAndApply, with its bookkeeping on success.
+  Status SendAndApplyOnce(Record* rec);
   Status SendOverLink(uint64_t bytes);
   Status ApplyOnBackup(Record* rec);
   Status ApplyIntentOnBackup(Record* rec);
@@ -305,12 +315,16 @@ class ReplicatedKvaccelDB : public lsm::Store {
   Status CheckFence();   // Busy while fenced; counts the reject
   void RenewLease();     // on any successful round trip
   void NoteLeaseState(); // counts fresh -> lapsed transitions
-  void HeartbeatLoop();
+  void Heartbeat();      // one heartbeat_ tick
 
   // Sync: applies inline in the record's lane (FIFO). Async: enqueues with
   // backpressure; fails only if the pair crashes while waiting.
   Status Ship(Record rec);
   void ShipperLoop();
+  // Async queue, q_mu_ held: at its record or byte cap; appending a record
+  // (peaks recorded, the shipper woken).
+  bool QueueFullLocked() const;
+  void EnqueueLocked(Record rec);
 
   // Streams the primary's existing contents to a freshly attached backup
   // (promote -> re-pair lifecycle) with CatchUp over the pair's link.
@@ -342,12 +356,8 @@ class ReplicatedKvaccelDB : public lsm::Store {
   bool stopping_ = false;
   sim::SimEnv::Thread* shipper_ = nullptr;
 
-  // Heartbeat actor (its own mutex so lease renewals never contend with the
-  // queue protocol; the ship itself rides the WAL lane).
-  sim::SimMutex hb_mu_;
-  sim::SimCondVar hb_cv_;
-  bool hb_stop_ = false;
-  sim::SimEnv::Thread* heartbeat_ = nullptr;
+  // Lease renewals, every heartbeat_period; the ship rides the WAL lane.
+  sim::PeriodicActor heartbeat_;
 
   // Fencing state. Cooperative scheduler: mutated only between yield points.
   uint64_t epoch_ = 1;

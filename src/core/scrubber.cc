@@ -6,30 +6,8 @@
 namespace kvaccel::core {
 
 void Scrubber::Start() {
-  thread_ = env_->Spawn("kvaccel-scrub", [this] { Loop(); });
-}
-
-void Scrubber::Stop() {
-  if (thread_ == nullptr) return;
-  {
-    sim::SimLockGuard l(mu_);
-    stop_ = true;
-    cv_.NotifyAll();
-  }
-  env_->Join(thread_);
-  thread_ = nullptr;
-}
-
-void Scrubber::Loop() {
-  sim::SimLockGuard l(mu_);
-  while (!stop_) {
-    if (cv_.WaitFor(mu_, options_.scrub.period)) continue;
-    // The verify itself does device I/O and yields; run it unlocked so Stop
-    // can interleave (same shape as RollbackManager::Loop).
-    mu_.Unlock();
-    StepOnce();
-    mu_.Lock();
-  }
+  actor_.Start(env_, "kvaccel-scrub", options_.scrub.period,
+               [this] { StepOnce(); });
 }
 
 Status Scrubber::StepOnce() {

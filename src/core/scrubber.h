@@ -21,6 +21,7 @@
 #include "core/config.h"
 #include "core/detector.h"
 #include "lsm/db.h"
+#include "sim/periodic.h"
 #include "sim/sim_env.h"
 
 namespace kvaccel::core {
@@ -42,7 +43,7 @@ class Scrubber {
       : db_(main_db), detector_(detector), env_(env), options_(options) {}
 
   void Start();
-  void Stop();
+  void Stop() { actor_.Stop(); }
 
   // One scrub step (at most one file), callable directly from tests without
   // the background thread. Returns the verification status of the file it
@@ -59,18 +60,13 @@ class Scrubber {
   bool resync_deferred() const { return resync_deferred_; }
 
  private:
-  void Loop();
-
   lsm::DB* db_;
   Detector* detector_;
   sim::SimEnv* env_;
   const KvaccelOptions& options_;
 
-  sim::SimMutex mu_;
-  sim::SimCondVar cv_;
-  bool stop_ = false;
+  sim::PeriodicActor actor_;
   bool resync_deferred_ = false;
-  sim::SimEnv::Thread* thread_ = nullptr;
 
   // Round-robin position: smallest live file number > cursor_ goes next.
   uint64_t cursor_ = 0;

@@ -17,6 +17,7 @@
 #include "lsm/stats.h"
 #include "lsm/write_batch.h"
 #include "obs/metrics.h"
+#include "sim/backoff.h"
 #include "sim/cpu_pool.h"
 #include "sim/sim_env.h"
 #include "ssd/hybrid_ssd.h"
@@ -125,10 +126,12 @@ class Store {
 };
 
 // Retryable device errors (IOError/Busy/TryAgain) in WAL sync, flush and
-// compaction are retried up to this many times with exponential backoff in
-// virtual time. Exhausting the budget (or a non-retryable error such as
-// Corruption) latches the background error and the DB becomes read-only.
-constexpr int kMaxIoRetries = 5;
+// compaction are retried up to 5 times, 100 us to 10 ms apart with
+// decorrelated jitter (sim/backoff.h), so N shards/nodes hitting the same
+// transient don't retry in lockstep. Exhausting the budget (or a
+// non-retryable error such as Corruption) latches the background error and
+// the DB becomes read-only.
+constexpr sim::RetryPolicy kIoRetry{5, FromMicros(100), FromMillis(10)};
 
 class DB : public Store {
  public:

@@ -26,11 +26,6 @@ constexpr uint64_t kMaxGroupCommitBytes = 1ull << 20;
 constexpr double kCompactionCpuNsPerByte = 1.2;
 // Host CPU cost of one iterator Next(), nominal ns.
 constexpr double kNextCpuNs = 350;
-// Transient-error retries (kMaxIoRetries) back off from kIoRetryBackoff with
-// decorrelated jitter (sim/backoff.h) bounded by kIoRetryBackoffCap, so N
-// shards/nodes hitting the same transient don't retry in lockstep.
-constexpr Nanos kIoRetryBackoff = FromMicros(100);
-constexpr Nanos kIoRetryBackoffCap = FromMillis(10);
 
 }  // namespace
 
@@ -211,24 +206,15 @@ Status DbImpl::GetBackgroundError() {
 }
 
 Status DbImpl::RetryTransient(const std::function<Status()>& fn) {
-  Status s = fn();
-  Nanos backoff = 0;
-  for (int attempt = 0; s.IsTransient() && attempt < kMaxIoRetries;
-       attempt++) {
-    {
-      SimLockGuard l(mu_);
-      if (shutting_down_) return s;
-      stats_.io_retries++;
-      // Decorrelated jitter, capped: retriers across shards/nodes share the
-      // device but not the rng stream, so their waves spread out instead of
-      // colliding in lockstep. Drawn under mu_ for a deterministic stream.
-      backoff = sim::NextDecorrelatedDelay(&retry_rng_, kIoRetryBackoff,
-                                           kIoRetryBackoffCap, backoff);
-    }
-    env_->SleepFor(backoff);
-    s = fn();
-  }
-  return s;
+  // Only the stop check needs mu_: a simulated thread runs until it blocks,
+  // so the counter bump and the delay draw that follow it cannot interleave.
+  return sim::RetryTransient(
+      env_, &retry_rng_, kIoRetry,
+      [this] {
+        SimLockGuard l(mu_);
+        return shutting_down_;
+      },
+      &stats_.io_retries, fn);
 }
 
 // ---------------- Write path ----------------

@@ -144,9 +144,8 @@ class DbImpl : public DB {
   // Charges `bytes` against the shared compaction-bytes rate limiter and
   // sleeps (virtual time) until the reservation's slot. mu_ must NOT be held.
   void ThrottleCompactionIo(uint64_t bytes);
-  // Runs `fn`, retrying transient device errors (IOError/Busy/TryAgain) up
-  // to kMaxIoRetries times with exponential virtual-time backoff.
-  // mu_ must NOT be held.
+  // Runs `fn`, retrying transient errors under kIoRetry (lsm/db.h); a
+  // closing DB stops retrying. mu_ must NOT be held.
   Status RetryTransient(const std::function<Status()>& fn);
   // Obsolete SSTs are deleted only once no live version (and hence no
   // iterator/snapshot) can still lazily open them: files retire to a
@@ -190,7 +189,6 @@ class DbImpl : public DB {
   Status bg_error_;
 
   // Decorrelated-jitter stream for RetryTransient backoff (sim/backoff.h).
-  // Drawn under mu_, so the schedule is deterministic per instance.
   Random64 retry_rng_;
 
   // Dynamically tunable copies (ADOC).

@@ -130,7 +130,7 @@ struct DbOptions {
   // Get: hashing, memtable probe, per-level seek overhead.
   double get_cpu_ns = 2000;
 
-  // --- Transient-error retry policy (kMaxIoRetries, lsm/db.h) ---
+  // --- Transient-error retry policy (kIoRetry, lsm/db.h) ---
   // Seed of the decorrelated-jitter stream of the retry delays. Sharded and
   // replicated engines offset it per shard/node so co-located retriers
   // don't retry in lockstep.

@@ -1,4 +1,5 @@
-// Decorrelated-jitter retry backoff (virtual time).
+// Decorrelated-jitter retry backoff (virtual time), and the one retry loop
+// every transient-error site calls.
 //
 // Exponential backoff without jitter makes N shards/nodes that hit the same
 // transient fault retry in lockstep: every retry wave lands on the device at
@@ -16,9 +17,13 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "common/random.h"
+#include "common/status.h"
 #include "common/units.h"
+#include "sim/sim_env.h"
 
 namespace kvaccel::sim {
 
@@ -36,6 +41,38 @@ inline Nanos NextDecorrelatedDelay(Random64* rng, Nanos base, Nanos cap,
   Nanos span = prev * 3 - base + 1;
   Nanos next = base + rng->Uniform(span);
   return std::min(next, cap);
+}
+
+// How a transient failure is retried: at most `limit` retries after the
+// first call, the delays drawn by NextDecorrelatedDelay from `base` up to
+// `cap`.
+struct RetryPolicy {
+  int limit;
+  Nanos base;
+  Nanos cap;
+};
+
+// A limit that only the caller's stop rule ends.
+constexpr int kRetryUnbounded = std::numeric_limits<int>::max();
+
+// Runs `call` and retries it while it returns a transient status
+// (IOError/Busy/TryAgain) and fewer than `policy.limit` retries have run.
+// Before each retry it asks `stop()`, and a true answer ends the loop; then
+// it bumps `*retries` (unless null), draws the next delay from the caller's
+// own `rng` and sleeps it in virtual time. Returns the last call's status.
+template <typename Stop, typename Call>
+Status RetryTransient(SimEnv* env, Random64* rng, const RetryPolicy& policy,
+                      Stop&& stop, uint64_t* retries, Call&& call) {
+  Status s = call();
+  Nanos delay = 0;
+  for (int retry = 0; s.IsTransient() && retry < policy.limit; retry++) {
+    if (stop()) break;
+    if (retries != nullptr) ++*retries;
+    delay = NextDecorrelatedDelay(rng, policy.base, policy.cap, delay);
+    env->SleepFor(delay);
+    s = call();
+  }
+  return s;
 }
 
 }  // namespace kvaccel::sim

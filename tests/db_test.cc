@@ -153,7 +153,9 @@ TEST(DbTest, IteratorSeesLiveKeysInOrder) {
     std::string prev;
     for (it->SeekToFirst(); it->Valid(); it->Next()) {
       std::string key = it->key().ToString();
-      if (!prev.empty()) EXPECT_LT(prev, key);
+      if (!prev.empty()) {
+        EXPECT_LT(prev, key);
+      }
       prev = key;
       count++;
       // Deleted keys must not appear.
@@ -386,7 +388,9 @@ TEST(DbTest, ConcurrentReadersAndWriter) {
   });
   world.env.Spawn("closer", [&] {
     world.env.SleepFor(FromSecs(30));
-    if (db != nullptr) ASSERT_TRUE(db->Close().ok());
+    if (db != nullptr) {
+      ASSERT_TRUE(db->Close().ok());
+    }
   });
   world.env.Run();
   EXPECT_GT(read_hits, 0);

@@ -234,7 +234,7 @@ TEST(RetryTest, ExhaustedRetriesLatchBackgroundErrorAndGoReadOnly) {
     EXPECT_FALSE(db->GetBackgroundError().ok());
     EXPECT_EQ(db->stats().background_errors, 1u);
     EXPECT_GE(db->stats().io_retries,
-              static_cast<uint64_t>(lsm::kMaxIoRetries));
+              static_cast<uint64_t>(lsm::kIoRetry.limit));
     EXPECT_FALSE(db->Put({}, "new-key", Value::Inline("v")).ok());
     // Reads keep working (data is still host-side in the retained memtable).
     Value v;
@@ -599,6 +599,47 @@ TEST(KvaccelFaultTest, DevLsmHardFailureFallsBackToHostPath) {
       ASSERT_TRUE(db->Get({}, key, &v).ok()) << key;
       EXPECT_EQ(v.seed(), seed) << key;
     }
+    ASSERT_TRUE(db->Close().ok());
+  });
+}
+
+// One redirected batch under a dead device costs exactly kDevRetry's budget,
+// then opens the breaker and lands on the host path.
+TEST(KvaccelFaultTest, PersistentDevTransientCostsExactlyTheRetryBudget) {
+  SimWorld world;
+  world.Run([&] {
+    sim::FaultInjector inj(&world.env, 17);
+    world.env.set_fault_injector(&inj);
+    lsm::DbOptions main_opts = test::SmallDbOptions();
+    // Stop trigger of 1 puts the Detector's L0 edge check at "always": every
+    // write takes the redirect path.
+    main_opts.l0_stop_writes_trigger = 1;
+    core::KvaccelOptions kv_opts = SmallKvOptions();
+    kv_opts.detector_period = FromMillis(1);
+    std::unique_ptr<core::KvaccelDB> db;
+    ASSERT_TRUE(
+        core::KvaccelDB::Open(main_opts, kv_opts, world.MakeDbEnv(), &db)
+            .ok());
+    world.env.SleepFor(FromMillis(5));  // let the detector poll
+    ASSERT_TRUE(db->detector()->stall_detected());
+
+    sim::FaultRule dead;
+    dead.probability = 1.0;
+    inj.Arm("devlsm.put.transient", dead);
+    lsm::WriteBatch batch;
+    for (int i = 0; i < 4; i++) {
+      batch.Put(TestKey(i), Value::Synthetic(i, 256));
+    }
+    ASSERT_TRUE(db->Write({}, &batch).ok());
+    const core::KvaccelStats& ks = db->kv_stats();
+    EXPECT_EQ(ks.dev_retries, static_cast<uint64_t>(core::kDevRetry.limit));
+    EXPECT_EQ(inj.fires("devlsm.put.transient"),
+              static_cast<uint64_t>(core::kDevRetry.limit) + 1);
+    EXPECT_EQ(ks.device_unhealthy_events, 1u);
+    EXPECT_FALSE(db->detector()->device_healthy(0));
+    EXPECT_EQ(ks.fallback_writes, 4u);
+    EXPECT_EQ(ks.redirected_writes, 0u);
+    inj.Disarm("devlsm.put.transient");
     ASSERT_TRUE(db->Close().ok());
   });
 }

@@ -235,6 +235,36 @@ TEST(HaPairTest, SyncWritesSurviveFailover) {
   });
 }
 
+// A sync ship under a dead link costs exactly kNetRetry's budget, and the
+// write it carried fails.
+TEST(HaPairTest, PersistentNetTransientCostsExactlyTheSyncRetryBudget) {
+  PairWorld w;
+  w.Run([&] {
+    lsm::DbOptions db_opts = test::SmallDbOptions();
+    db_opts.wal_sync = true;
+    core::KvaccelOptions kv_opts = PairKvOptions();
+    core::ReplOptions ro;  // sync
+    ro.heartbeat_period = 0;  // no heartbeat shares the link
+    std::unique_ptr<core::ReplicatedKvaccelDB> pair;
+    ASSERT_TRUE(core::ReplicatedKvaccelDB::Open(db_opts, kv_opts, ro,
+                                                w.NodeA(), w.NodeB(), &w.env,
+                                                &pair)
+                    .ok());
+    ASSERT_EQ(pair->repl_stats().net_retries, 0u);
+
+    sim::FaultRule dead;
+    dead.probability = 1.0;
+    w.inj.Arm("net.send.transient", dead);
+    EXPECT_FALSE(pair->Put({}, TestKey(1), Value::Synthetic(1, 256)).ok());
+    w.inj.Disarm("net.send.transient");
+    const core::ReplStats st = pair->repl_stats();
+    EXPECT_EQ(st.net_retries, static_cast<uint64_t>(core::kNetRetry.limit));
+    EXPECT_EQ(st.ship_failures, 1u);
+    ASSERT_TRUE(pair->Close().ok());
+  });
+}
+
+// ---- ReplicatedKvaccelDB, async acks ----
 // ---- ReplicatedKvaccelDB, async acks ----
 
 TEST(HaPairTest, AsyncBacklogDrainsToBackup) {

@@ -22,7 +22,9 @@ TEST(MakeKeyTest, LexicographicEqualsNumeric) {
                      (1ull << 31) - 1}) {
     std::string k = MakeKey(v, 4);
     EXPECT_EQ(k.size(), 4u);
-    if (!prev.empty()) EXPECT_LT(prev, k) << v;
+    if (!prev.empty()) {
+      EXPECT_LT(prev, k) << v;
+    }
     prev = k;
   }
 }

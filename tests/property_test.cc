@@ -125,7 +125,9 @@ TEST_P(FtlProperty, InvariantsHoldUnderRandomWriteTrim) {
   }
   EXPECT_GE(ftl.write_amplification(), 1.0);
   // GC must have run under this churn unless overprovisioning is huge.
-  if (op < 0.3) EXPECT_GT(ftl.gc_runs(), 0u);
+  if (op < 0.3) {
+    EXPECT_GT(ftl.gc_runs(), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -10,6 +10,7 @@
 #include "sim/backoff.h"
 #include "sim/cpu_pool.h"
 #include "sim/fault.h"
+#include "sim/periodic.h"
 #include "sim/resource.h"
 #include "sim/sim_env.h"
 #include "sim/timeseries.h"
@@ -625,6 +626,180 @@ TEST(BackoffTest, SameSeedReproducesScheduleAndJitterSpreads) {
   // And a single stream actually spreads instead of fixing on one value.
   std::set<Nanos> distinct(a.begin(), a.end());
   EXPECT_GE(distinct.size(), 4u);
+}
+
+// ---- RetryTransient ----
+
+const RetryPolicy kTestRetry{4, FromMicros(100), FromMillis(1)};
+
+TEST(RetryTransientTest, RunsExactlyLimitRetriesThenStops) {
+  SimEnv env;
+  env.Spawn("t", [&] {
+    Random64 rng(5);
+    uint64_t retries = 0;
+    int calls = 0;
+    Status s = RetryTransient(
+        &env, &rng, kTestRetry, [] { return false; }, &retries, [&] {
+          calls++;
+          return Status::IOError("down");
+        });
+    EXPECT_TRUE(s.IsIOError());
+    EXPECT_EQ(calls, kTestRetry.limit + 1);
+    EXPECT_EQ(retries, static_cast<uint64_t>(kTestRetry.limit));
+  });
+  env.Run();
+}
+
+TEST(RetryTransientTest, EachSleepFollowsTheCallersDecorrelatedStream) {
+  SimEnv env;
+  env.Spawn("t", [&] {
+    Random64 rng(0xBACC0FF);
+    std::vector<Nanos> call_times;
+    Status s = RetryTransient(
+        &env, &rng, kTestRetry, [] { return false; }, nullptr, [&] {
+          call_times.push_back(env.Now());
+          return Status::Busy("later");
+        });
+    EXPECT_TRUE(s.IsBusy());
+    Random64 ref(0xBACC0FF);
+    Nanos prev = 0;
+    ASSERT_EQ(call_times.size(), static_cast<size_t>(kTestRetry.limit + 1));
+    for (size_t i = 1; i < call_times.size(); i++) {
+      prev = NextDecorrelatedDelay(&ref, kTestRetry.base, kTestRetry.cap,
+                                   prev);
+      EXPECT_EQ(call_times[i] - call_times[i - 1], prev) << "retry " << i;
+    }
+  });
+  env.Run();
+}
+
+TEST(RetryTransientTest, NonTransientStatusOrStopRuleEndsWithoutSleeping) {
+  SimEnv env;
+  env.Spawn("t", [&] {
+    Random64 rng(1);
+    uint64_t retries = 0;
+    int calls = 0;
+    Status s = RetryTransient(
+        &env, &rng, kTestRetry, [] { return false; }, &retries, [&] {
+          calls++;
+          return Status::Corruption("bad block");
+        });
+    EXPECT_TRUE(s.IsCorruption());
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(retries, 0u);
+    EXPECT_EQ(env.Now(), 0u);
+
+    // The stop rule is asked before every retry: stopping at the second
+    // ask leaves one retry slept and counted.
+    int asks = 0;
+    calls = 0;
+    s = RetryTransient(
+        &env, &rng, kTestRetry, [&] { return ++asks == 2; }, &retries, [&] {
+          calls++;
+          return Status::TryAgain("busy");
+        });
+    EXPECT_TRUE(s.IsTryAgain());
+    EXPECT_EQ(asks, 2);
+    EXPECT_EQ(calls, 2);
+    EXPECT_EQ(retries, 1u);
+    EXPECT_EQ(env.Now(), kTestRetry.base);
+  });
+  env.Run();
+}
+
+TEST(RetryTransientTest, ZeroLimitCallsOnceAndSuccessEndsTheLoop) {
+  SimEnv env;
+  env.Spawn("t", [&] {
+    Random64 rng(1);
+    int calls = 0;
+    Status s = RetryTransient(
+        &env, &rng, RetryPolicy{0, kTestRetry.base, kTestRetry.cap},
+        [] { return false; }, nullptr, [&] {
+          calls++;
+          return Status::IOError("down");
+        });
+    EXPECT_TRUE(s.IsIOError());
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(env.Now(), 0u);
+
+    calls = 0;
+    s = RetryTransient(
+        &env, &rng, RetryPolicy{kRetryUnbounded, kTestRetry.base,
+                                kTestRetry.cap},
+        [] { return false; }, nullptr, [&] {
+          return ++calls < 3 ? Status::IOError("down") : Status::OK();
+        });
+    EXPECT_TRUE(s.ok());
+    EXPECT_EQ(calls, 3);
+  });
+  env.Run();
+}
+
+// ---- PeriodicActor ----
+
+TEST(PeriodicActorTest, TicksLandAtMultiplesOfThePeriod) {
+  SimEnv env;
+  PeriodicActor actor;
+  std::vector<Nanos> ticks;
+  env.Spawn("t", [&] {
+    actor.Start(&env, "ticker", 100, [&] { ticks.push_back(env.Now()); });
+    EXPECT_TRUE(actor.running());
+    env.SleepFor(550);
+    actor.Stop();
+    EXPECT_FALSE(actor.running());
+  });
+  env.Run();
+  EXPECT_EQ(ticks, (std::vector<Nanos>{100, 200, 300, 400, 500}));
+}
+
+TEST(PeriodicActorTest, StopDuringTheWaitReturnsAtTheSameInstant) {
+  SimEnv env;
+  PeriodicActor actor;
+  int ticks = 0;
+  env.Spawn("t", [&] {
+    actor.Start(&env, "ticker", 100, [&] { ticks++; });
+    env.SleepFor(150);
+    actor.Stop();
+    EXPECT_EQ(env.Now(), 150u);
+  });
+  env.Run();
+  EXPECT_EQ(ticks, 1);
+}
+
+TEST(PeriodicActorTest, StopDuringASleepingTickLetsItFinishAndRunsNoMore) {
+  SimEnv env;
+  PeriodicActor actor;
+  std::vector<Nanos> finished;
+  env.Spawn("t", [&] {
+    actor.Start(&env, "ticker", 100, [&] {
+      env.SleepFor(50);
+      finished.push_back(env.Now());
+    });
+    env.SleepFor(120);  // the first tick sleeps from 100 to 150
+    actor.Stop();
+    EXPECT_EQ(env.Now(), 150u);
+    env.SleepFor(1000);
+  });
+  env.Run();
+  EXPECT_EQ(finished, (std::vector<Nanos>{150}));
+}
+
+TEST(PeriodicActorTest, StopBeforeStartOrTwiceIsANoOp) {
+  SimEnv env;
+  PeriodicActor actor;
+  int ticks = 0;
+  env.Spawn("t", [&] {
+    actor.Stop();
+    EXPECT_FALSE(actor.running());
+    actor.Start(&env, "ticker", 100, [&] { ticks++; });
+    env.SleepFor(250);
+    actor.Stop();
+    actor.Stop();
+    EXPECT_FALSE(actor.running());
+    EXPECT_EQ(env.Now(), 250u);
+  });
+  env.Run();
+  EXPECT_EQ(ticks, 2);
 }
 
 TEST(FaultRegistryTest, KnownFaultSitesListsEverySubsystem) {

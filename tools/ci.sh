@@ -76,8 +76,20 @@ expect_exit() {
 
 run_pass() {
   local name="$1" dir="$2"; shift 2
+  # One retry loop: every transient-error retry goes through
+  # sim::RetryTransient, so only sim/backoff.h draws a backoff delay.
+  echo "==== ${name}: one retry loop ===="
+  local stray
+  stray="$(grep -rn 'NextDecorrelatedDelay(' src | grep -v '^src/sim/backoff.h:' \
+    || true)"
+  if [ -n "${stray}" ]; then
+    echo "NextDecorrelatedDelay called outside src/sim/backoff.h:"
+    echo "${stray}"
+    exit 1
+  fi
+  # Warnings fail the build (-Werror on top of the project's -Wall -Wextra).
   echo "==== ${name}: configure + build (${dir}) ===="
-  cmake -B "${dir}" -S . "$@"
+  cmake -B "${dir}" -S . -DCMAKE_CXX_FLAGS=-Werror "$@"
   cmake --build "${dir}" -j "${JOBS}"
   # Command-line probe, no simulation: every tool and bench binary answers
   # --help and rejects an unknown flag, and a cycle count too wide for its
