@@ -35,44 +35,110 @@ DevLsm::~DevLsm() {
   get_span_.Flush();
 }
 
-uint64_t DevLsm::EntryLogical(const Slice& key, const Entry& e) const {
-  return key.size() + 8 + (e.tombstone ? 0 : e.value.logical_size());
+Value DevLsm::Run::value(size_t i) const {
+  const Record& r = records[i];
+  if ((r.flags & kTombstone) != 0) return Value();
+  if ((r.flags & kInline) == 0) return Value::Synthetic(r.payload, r.value_size);
+  return Value::Inline(values.substr(r.payload, r.value_size));
+}
+
+size_t DevLsm::Run::LowerBound(const Slice& k) const {
+  size_t lo = 0;
+  size_t hi = records.size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (key(mid).compare(k) < 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+void DevLsm::Run::Add(const Slice& k, const Entry& e) {
+  Record r;
+  r.seq = e.seq;
+  r.host_seq = e.host_seq;
+  keys.append(k.data(), k.size());
+  r.key_end = keys.size();
+  if (e.tombstone) {
+    r.flags = kTombstone;
+  } else if (e.value.is_inline()) {
+    r.flags = kInline;
+    r.payload = values.size();
+    r.value_size = static_cast<uint32_t>(e.value.inline_bytes().size());
+    values += e.value.inline_bytes();
+  } else {
+    r.payload = e.value.seed();
+    r.value_size = static_cast<uint32_t>(e.value.logical_size());
+  }
+  records.push_back(r);
+  logical_bytes += logical(records.size() - 1);
+}
+
+void DevLsm::Run::AddFrom(const Run& src, size_t i) {
+  Record r = src.records[i];
+  const Slice k = src.key(i);
+  keys.append(k.data(), k.size());
+  r.key_end = keys.size();
+  if ((r.flags & kInline) != 0) {
+    r.payload = values.size();
+    values.append(src.values, src.records[i].payload, r.value_size);
+  }
+  records.push_back(r);
+  logical_bytes += logical(records.size() - 1);
 }
 
 void DevLsm::InsertLocked(std::string key, Entry e) {
   auto [it, inserted] = memtable_.try_emplace(std::move(key));
-  if (!inserted) memtable_logical_ -= EntryLogical(it->first, it->second);
+  auto logical = [&] {
+    return EntryLogical(it->first.size(), it->second.tombstone,
+                        it->second.value.logical_size());
+  };
+  if (!inserted) memtable_logical_ -= logical();
   it->second = std::move(e);
-  memtable_logical_ += EntryLogical(it->first, it->second);
+  memtable_logical_ += logical();
 }
 
-template <typename Runs, typename Fn>
-void DevLsm::MergeNewest(Runs& runs, const Memtable* mem, Fn&& fn) {
+void DevLsm::MergeNewest(std::span<const Run> runs, const Memtable* mem,
+                         uint64_t after_seq, Run* out) {
   // Sources 0..n-1 are the runs, source n the memtable.
   const size_t n = runs.size();
+  size_t records = mem != nullptr ? mem->size() : 0;
+  size_t key_bytes = 0;
+  size_t value_bytes = 0;
+  for (const Run& r : runs) {
+    records += r.size();
+    key_bytes += r.keys.size();
+    value_bytes += r.values.size();
+  }
+  out->records.reserve(records);
+  out->keys.reserve(key_bytes);
+  out->values.reserve(value_bytes);
   std::vector<size_t> pos(n, 0);
   Memtable::const_iterator mem_it =
       mem != nullptr ? mem->begin() : Memtable::const_iterator();
   struct Head {
-    const std::string* key;
+    Slice key;
     uint64_t seq;
     size_t src;
   };
   auto head_of = [&](size_t src, Head* h) {
     if (src == n) {
       if (mem_it == mem->end()) return false;
-      *h = {&mem_it->first, mem_it->second.seq, src};
+      *h = {mem_it->first, mem_it->second.seq, src};
       return true;
     }
-    const auto& entries = runs[src].entries;
-    if (pos[src] == entries.size()) return false;
-    *h = {&entries[pos[src]].first, entries[pos[src]].second.seq, src};
+    const Run& r = runs[src];
+    if (pos[src] == r.size()) return false;
+    *h = {r.key(pos[src]), r.records[pos[src]].seq, src};
     return true;
   };
   // Max-heap order: the smallest key on top and, among equal keys, the
   // highest sequence.
   auto after = [](const Head& a, const Head& b) {
-    int c = a.key->compare(*b.key);
+    int c = a.key.compare(b.key);
     return c != 0 ? c > 0 : a.seq < b.seq;
   };
   std::vector<Head> heap;
@@ -103,11 +169,13 @@ void DevLsm::MergeNewest(Runs& runs, const Memtable* mem, Fn&& fn) {
   while (!heap.empty()) {
     const Head top = pop();
     // Older versions of the same key sit right below it: drop them.
-    while (!heap.empty() && *heap.front().key == *top.key) advance(pop().src);
-    if (top.src == n) {
-      fn(*mem_it);
-    } else {
-      fn(runs[top.src].entries[pos[top.src]]);
+    while (!heap.empty() && heap.front().key == top.key) advance(pop().src);
+    if (top.seq > after_seq) {
+      if (top.src == n) {
+        out->Add(mem_it->first, mem_it->second);
+      } else {
+        out->AddFrom(runs[top.src], pos[top.src]);
+      }
     }
     advance(top.src);
   }
@@ -122,6 +190,9 @@ Status DevLsm::PutCompound(const std::vector<VersionedEntry>& entries) {
   }
   uint64_t payload = 0;
   for (const VersionedEntry& e : entries) {
+    if (!e.tombstone && e.value.logical_size() > UINT32_MAX) {
+      return Status::InvalidArgument("KV value over 4 GiB");
+    }
     payload += e.key.size() + (e.tombstone ? 0 : e.value.logical_size());
   }
   Nanos cmd_start = tracer_ != nullptr ? env_->Now() : 0;
@@ -168,33 +239,36 @@ Status DevLsm::Get(const Slice& key, Value* value) {
   ssd_->firmware()->Consume(kGetFwNs);
 
   std::string k = key.ToString();
-  const Entry* found = nullptr;
+  bool found = false;
+  bool tombstone = false;
   auto mit = memtable_.find(k);
   if (mit != memtable_.end()) {
-    found = &mit->second;  // device DRAM: no NAND read
+    found = true;  // device DRAM: no NAND read
+    tombstone = mit->second.tombstone;
+    if (!tombstone) *value = mit->second.value;
   } else {
     // Probe runs newest-first; each probe reads one NAND page unless a
     // configured device read cache holds it (paper config: no cache — the
     // Table V bottleneck).
     for (auto rit = runs_.rbegin(); rit != runs_.rend() && !found; ++rit) {
-      const auto& entries = rit->entries;
-      auto it = std::lower_bound(
-          entries.begin(), entries.end(), k,
-          [](const auto& a, const std::string& b) { return a.first < b; });
+      const size_t i = rit->LowerBound(key);
       if (!ReadCacheLookupOrFill(k, ssd_->config().page_size)) {
         ssd_->NandRead(ssd_->config().page_size);
       }
-      if (it != entries.end() && it->first == k) found = &it->second;
+      if (i < rit->size() && rit->key(i) == key) {
+        found = true;
+        tombstone = rit->tombstone(i);
+        if (!tombstone) *value = rit->value(i);
+      }
     }
   }
-  if (found == nullptr || found->tombstone) {
+  if (!found || tombstone) {
     if (tracer_ != nullptr) get_span_.Add(cmd_start, env_->Now(), key.size());
     return Status::NotFound("not in Dev-LSM");
   }
-  *value = found->value;
-  ssd_->PcieToHost(found->value.logical_size());
+  ssd_->PcieToHost(value->logical_size());
   if (tracer_ != nullptr) {
-    get_span_.Add(cmd_start, env_->Now(), found->value.logical_size());
+    get_span_.Add(cmd_start, env_->Now(), value->logical_size());
   }
   return Status::OK();
 }
@@ -202,30 +276,29 @@ Status DevLsm::Get(const Slice& key, Value* value) {
 Status DevLsm::FlushMemtableLocked() {
   if (memtable_.empty()) return Status::OK();
   Nanos flush_start = tracer_ != nullptr ? env_->Now() : 0;
-  Run run;
-  run.logical_bytes = memtable_logical_;
+  const uint64_t flushed_bytes = memtable_logical_;
   const uint64_t page = ssd_->config().page_size;
-  run.pages = (run.logical_bytes + page - 1) / page;
+  const uint64_t pages = (flushed_bytes + page - 1) / page;
 
-  Status s = ssd_->KvAllocPages(nsid_, run.pages);
-  if (!s.ok() && options_.compaction_enabled) {
-    // Try to reclaim space by merging runs, then retry once.
-    Status cs = CompactRunsLocked();
-    if (cs.ok()) s = ssd_->KvAllocPages(nsid_, run.pages);
+  Status s = ssd_->KvAllocPages(nsid_, pages);
+  if (!s.ok() && options_.compaction_enabled && !runs_.empty()) {
+    // Try to reclaim space by merging every run into one of the oldest
+    // run's class, then retry once.
+    Status cs = MergeRunsLocked(0, runs_.front().size_class);
+    if (cs.ok()) s = ssd_->KvAllocPages(nsid_, pages);
   }
   if (!s.ok()) return s;
 
   ssd_->firmware()->Consume(kFlushFwNsPerByte *
-                            static_cast<double>(run.logical_bytes));
-  const uint64_t flushed_bytes = run.logical_bytes;
-  ssd_->NandWrite(run.logical_bytes);
+                            static_cast<double>(flushed_bytes));
+  ssd_->NandWrite(flushed_bytes);
   // The memtable stays whole until the run lands: Empty() is read without
   // the command mutex while this thread sleeps on the device.
-  run.entries.reserve(memtable_.size());
-  while (!memtable_.empty()) {
-    auto node = memtable_.extract(memtable_.begin());
-    run.entries.emplace_back(std::move(node.key()), std::move(node.mapped()));
-  }
+  Run run;
+  run.pages = pages;
+  run.records.reserve(memtable_.size());
+  for (const auto& [k, e] : memtable_) run.Add(k, e);
+  memtable_.clear();
   runs_.push_back(std::move(run));
   memtable_logical_ = 0;
   MutatedLocked();
@@ -235,50 +308,58 @@ Status DevLsm::FlushMemtableLocked() {
                       flushed_bytes);
   }
 
-  if (options_.compaction_enabled &&
-      static_cast<int>(runs_.size()) > options_.l0_run_trigger) {
-    return CompactRunsLocked();
+  // Size-tiered: more than l0_run_trigger runs of the newest class merge
+  // into one run of the next class, which may complete a group in turn.
+  while (options_.compaction_enabled) {
+    const int cls = runs_.back().size_class;
+    size_t first = runs_.size();
+    while (first > 0 && runs_[first - 1].size_class == cls) first--;
+    if (runs_.size() - first <= static_cast<size_t>(options_.l0_run_trigger)) {
+      break;
+    }
+    s = MergeRunsLocked(first, cls + 1);
+    if (!s.ok()) return s;
   }
   return Status::OK();
 }
 
-Status DevLsm::CompactRunsLocked() {
-  if (runs_.size() < 2) return Status::OK();
+Status DevLsm::MergeRunsLocked(size_t first, int out_class) {
+  if (runs_.size() - first < 2) return Status::OK();
   Nanos compact_start = tracer_ != nullptr ? env_->Now() : 0;
+  const std::span<const Run> in(runs_.data() + first, runs_.size() - first);
   uint64_t in_bytes = 0;
   uint64_t in_pages = 0;
-  uint64_t in_entries = 0;
-  for (const auto& r : runs_) {
+  for (const Run& r : in) {
     in_bytes += r.logical_bytes;
     in_pages += r.pages;
-    in_entries += r.entries.size();
   }
   ssd_->NandRead(in_bytes);
   ssd_->firmware()->Consume(kCompactFwNsPerByte *
                             static_cast<double>(in_bytes));
 
   // Newest wins; tombstones are retained (they may shadow Main-LSM data).
-  // The inputs are replaced below, so their entries move into the output.
   Run out;
-  out.entries.reserve(in_entries);
-  MergeNewest(runs_, nullptr, [&](auto& kv) {
-    out.logical_bytes += EntryLogical(kv.first, kv.second);
-    out.entries.push_back(std::move(kv));
-  });
+  out.size_class = out_class;
+  MergeNewest(in, nullptr, 0, &out);
   const uint64_t page = ssd_->config().page_size;
   out.pages = (out.logical_bytes + page - 1) / page;
+  const uint64_t out_bytes = out.logical_bytes;
+  const uint64_t out_pages = out.pages;
 
-  ssd_->NandWrite(out.logical_bytes);
-  ssd_->KvFreePages(nsid_, in_pages);
-  Status s = ssd_->KvAllocPages(nsid_, out.pages);
-  if (!s.ok()) return s;
-  uint64_t erase_blocks =
-      std::max<uint64_t>(1, in_pages / ssd_->config().pages_per_block);
-  ssd_->NandEraseBlocks(erase_blocks);
-  runs_.clear();
+  // The output replaces its inputs before the device sleeps: readers that
+  // skip the command mutex (Empty(), LogicalBytes()) see one or the other.
+  runs_.resize(first);
   runs_.push_back(std::move(out));
   MutatedLocked();
+  ssd_->KvFreePages(nsid_, in_pages);
+  Status s = ssd_->KvAllocPages(nsid_, out_pages);
+  if (!s.ok()) return s;
+  ssd_->NandWrite(out_bytes);
+  ssd_->NandEraseBlocks(
+      std::max<uint64_t>(1, in_pages / ssd_->config().pages_per_block));
   stats_.compactions++;
+  stats_.compaction_bytes_read += in_bytes;
+  stats_.compaction_bytes_written += out_bytes;
   if (tracer_ != nullptr) {
     tracer_->Complete(tr_dev_, "dev.compact", compact_start, env_->Now(),
                       in_bytes);
@@ -320,19 +401,17 @@ void DevLsm::MutatedLocked() {
   snapshot_cache_.reset();
 }
 
-std::shared_ptr<const DevLsm::MergedView> DevLsm::SnapshotLocked() const {
+std::shared_ptr<const DevLsm::Run> DevLsm::SnapshotLocked() const {
   if (snapshot_cache_ != nullptr) return snapshot_cache_;
-  auto view = std::make_shared<MergedView>();
-  view->reserve(NumLiveEntries());
-  MergeNewest(runs_, &memtable_,
-              [&](const auto& kv) { view->emplace_back(kv.first, kv.second); });
+  auto view = std::make_shared<Run>();
+  MergeNewest(runs_, &memtable_, 0, view.get());
   snapshot_cache_ = std::move(view);
   return snapshot_cache_;
 }
 
 Status DevLsm::BulkScan(
     const std::function<void(const VersionedEntry&)>& fn) {
-  std::shared_ptr<const MergedView> view_snapshot;
+  std::shared_ptr<const Run> view_snapshot;
   {
     // Snapshot under the command mutex, then release it: a rollback-sized
     // scan must not block concurrent redirected PUTs for its whole duration.
@@ -340,7 +419,7 @@ Status DevLsm::BulkScan(
     stats_.bulk_scans++;
     view_snapshot = SnapshotLocked();
   }
-  const MergedView& view = *view_snapshot;
+  const Run& view = *view_snapshot;
 
   // Stream in dma_chunk-sized bursts: NAND read, firmware serialization,
   // then one DMA to host memory (paper §V-E steps 3-6). A chunk is the view
@@ -364,11 +443,10 @@ Status DevLsm::BulkScan(
       }
     }
     for (size_t i = chunk_begin; i < end; i++) {
-      const auto& [k, e] = view[i];
-      out.key = k;
-      out.value = e.value;
-      out.tombstone = e.tombstone;
-      out.seq = e.host_seq;
+      out.key = view.key(i).view();
+      out.value = view.value(i);
+      out.tombstone = view.tombstone(i);
+      out.seq = view.records[i].host_seq;
       fn(out);
     }
     chunk_begin = end;
@@ -376,7 +454,7 @@ Status DevLsm::BulkScan(
   };
 
   for (size_t i = 0; i < view.size(); i++) {
-    chunk_bytes += EntryLogical(view[i].first, view[i].second);
+    chunk_bytes += view.logical(i);
     if (chunk_bytes >= options_.dma_chunk) ship_chunk(i + 1);
   }
   ship_chunk(view.size());
@@ -393,21 +471,18 @@ Status DevLsm::ResetUpTo(uint64_t up_to_seq) {
 
   // Survivors: entries written after the snapshot bound. A key's newest
   // run version survives exactly when any of its versions does, and the
-  // runs are dropped below, so their survivors move into one run.
+  // runs are dropped below, so their survivors merge into one run.
   std::erase_if(memtable_,
                 [&](const auto& kv) { return kv.second.seq <= up_to_seq; });
   memtable_logical_ = 0;
-  for (const auto& [k, e] : memtable_) memtable_logical_ += EntryLogical(k, e);
-  Run surviving_run;
-  MergeNewest(runs_, nullptr, [&](auto& kv) {
-    if (kv.second.seq > up_to_seq) {
-      surviving_run.entries.push_back(std::move(kv));
-    }
-  });
-
-  for (const auto& [k, e] : surviving_run.entries) {
-    surviving_run.logical_bytes += EntryLogical(k, e);
+  for (const auto& [k, e] : memtable_) {
+    memtable_logical_ +=
+        EntryLogical(k.size(), e.tombstone, e.value.logical_size());
   }
+  // The survivors were written after the snapshot, after a rollback
+  // usually less than a flush's worth, so they start again at class 0.
+  Run surviving_run;
+  MergeNewest(runs_, nullptr, up_to_seq, &surviving_run);
   const uint64_t survivor_bytes = surviving_run.logical_bytes;
   const uint64_t page = ssd_->config().page_size;
   surviving_run.pages = (survivor_bytes + page - 1) / page;
@@ -442,7 +517,7 @@ bool DevLsm::Empty() const {
 uint64_t DevLsm::NumLiveEntries() const {
   // Upper bound without merging: memtable plus run entries.
   uint64_t n = memtable_.size();
-  for (const auto& r : runs_) n += r.entries.size();
+  for (const auto& r : runs_) n += r.size();
   return n;
 }
 
@@ -482,23 +557,21 @@ void DevLsm::Iterator::FetchBatch(const Slice& start, bool inclusive) {
   pos_ = 0;
   DevLsm* dev = dev_;
   sim::SimLockGuard l(dev->cmd_mu_);
-  const MergedView& view = *view_;  // pinned at open, not re-snapshotted
-  auto it = std::lower_bound(
-      view.begin(), view.end(), start.ToString(),
-      [](const auto& a, const std::string& b) { return a.first < b; });
-  if (!inclusive && it != view.end() && Slice(it->first) == start) ++it;
+  const Run& view = *view_;  // pinned at open, not re-snapshotted
+  size_t i = view.LowerBound(start);
+  if (!inclusive && i < view.size() && view.key(i) == start) ++i;
 
   uint64_t batch_bytes = 0;
-  while (it != view.end() && batch_bytes < dev->options_.dma_chunk) {
+  while (i < view.size() && batch_bytes < dev->options_.dma_chunk) {
     VersionedEntry e;
-    e.key = it->first;
-    e.value = it->second.value;
-    e.tombstone = it->second.tombstone;
-    batch_bytes += dev->EntryLogical(e.key, it->second);
+    e.key = view.key(i).ToString();
+    e.value = view.value(i);
+    e.tombstone = view.tombstone(i);
+    batch_bytes += view.logical(i);
     buffer_.push_back(std::move(e));
-    ++it;
+    ++i;
   }
-  exhausted_ = (it == view.end());
+  exhausted_ = (i == view.size());
   if (!buffer_.empty()) {
     // Uncached range scan: unlike the rollback's full sequential bulk scan,
     // an arbitrary-range batch gathers entries scattered across the runs, so

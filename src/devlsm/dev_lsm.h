@@ -22,6 +22,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,8 +40,10 @@ namespace kvaccel::devlsm {
 struct DevLsmOptions {
   // Device-DRAM write buffer threshold (logical bytes) before a NAND flush.
   uint64_t memtable_bytes = 32ull << 20;
-  // Merge device-side runs when more than this many L0 runs accumulate.
-  // The paper disables Dev-LSM compaction for write-only workloads.
+  // Size-tiered merges (DESIGN.md §23): when more than `l0_run_trigger`
+  // runs of one size class sit at the newest end, they merge into one run
+  // of the next class. The paper disables Dev-LSM compaction for
+  // write-only workloads.
   bool compaction_enabled = true;
   int l0_run_trigger = 8;
 
@@ -65,6 +68,9 @@ struct DevLsmStats {
   uint64_t compound_entries = 0;  // entries carried by those commands
   uint64_t flushes = 0;
   uint64_t compactions = 0;
+  // Logical bytes merges read back from NAND and wrote out again.
+  uint64_t compaction_bytes_read = 0;
+  uint64_t compaction_bytes_written = 0;
   uint64_t bulk_scans = 0;
   uint64_t scan_chunks = 0;
   uint64_t resets = 0;
@@ -80,6 +86,9 @@ struct DevLsmStats {
       {"devlsm.compound_entries", &DevLsmStats::compound_entries},
       {"devlsm.flushes", &DevLsmStats::flushes},
       {"devlsm.compactions", &DevLsmStats::compactions},
+      {"devlsm.compaction.bytes_read", &DevLsmStats::compaction_bytes_read},
+      {"devlsm.compaction.bytes_written",
+       &DevLsmStats::compaction_bytes_written},
       {"devlsm.bulk_scans", &DevLsmStats::bulk_scans},
       {"devlsm.scan_chunks", &DevLsmStats::scan_chunks},
       {"devlsm.resets", &DevLsmStats::resets},
@@ -146,35 +155,76 @@ class DevLsm {
     uint64_t seq = 0;       // device-internal ordering
     uint64_t host_seq = 0;  // host-assigned version (0 = unversioned)
   };
-  // A sorted immutable run persisted in the KV region.
+  using Memtable = std::map<std::string, Entry>;
+
+  // A sorted immutable run persisted in the KV region, packed (DESIGN.md
+  // §23): one key arena, one inline-value arena and one fixed 40-byte
+  // record per pair, in key order with each key at most once.
   struct Run {
-    std::vector<std::pair<std::string, Entry>> entries;
+    struct Record {
+      uint64_t seq = 0;       // device-internal ordering
+      uint64_t host_seq = 0;  // host-assigned version (0 = unversioned)
+      uint64_t payload = 0;   // synthetic seed, or offset into `values`
+      uint64_t key_end = 0;   // this key is keys[previous key_end, key_end)
+      uint32_t value_size = 0;  // logical value bytes (0 for a tombstone)
+      uint8_t flags = 0;
+    };
+    static_assert(sizeof(Record) == 40);
+    static constexpr uint8_t kTombstone = 1;
+    static constexpr uint8_t kInline = 2;
+
+    std::vector<Record> records;
+    std::string keys;
+    std::string values;
     uint64_t logical_bytes = 0;
     uint64_t pages = 0;
-  };
+    // A flush writes class 0; a merge of class-k runs writes class k + 1.
+    int size_class = 0;
 
-  using Memtable = std::map<std::string, Entry>;
+    size_t size() const { return records.size(); }
+    Slice key(size_t i) const {
+      const uint64_t begin = i == 0 ? 0 : records[i - 1].key_end;
+      return Slice(keys.data() + begin, records[i].key_end - begin);
+    }
+    bool tombstone(size_t i) const {
+      return (records[i].flags & kTombstone) != 0;
+    }
+    // Value() for a tombstone.
+    Value value(size_t i) const;
+    uint64_t logical(size_t i) const {
+      return EntryLogical(key(i).size(), tombstone(i), records[i].value_size);
+    }
+    // The first index whose key is not below `key`.
+    size_t LowerBound(const Slice& key) const;
+    // Appends a pair whose key sorts after every key already in the run.
+    void Add(const Slice& key, const Entry& e);
+    void AddFrom(const Run& src, size_t i);
+  };
 
   // Writes one pair into the device memtable, replacing any older version.
   void InsertLocked(std::string key, Entry e);
   Status FlushMemtableLocked();
-  Status CompactRunsLocked();
-  using MergedView = std::vector<std::pair<std::string, Entry>>;
-  // Newest-version-only view of the whole Dev-LSM (memtable + runs), cached
-  // until the next mutation so scan-heavy workloads (rollback, range
-  // queries) don't rebuild it per batch.
-  std::shared_ptr<const MergedView> SnapshotLocked() const;
+  // Merges runs_[first..] into one run of `out_class`, which replaces them
+  // before the device sleeps on its NAND write.
+  Status MergeRunsLocked(size_t first, int out_class);
+  // Newest-version-only view of the whole Dev-LSM (memtable + runs) as one
+  // packed run, cached until the next mutation so scan-heavy workloads
+  // (rollback, range queries) don't rebuild it per batch.
+  std::shared_ptr<const Run> SnapshotLocked() const;
   // Every state change: bumps the mutation epoch and drops the cached view
   // (scans and iterators hold their own pin).
   void MutatedLocked();
-  // Calls `fn` once per key of `runs` and, when `mem` is not null, of the
-  // memtable, in key order, with the key's newest version: the one with the
-  // highest device sequence. Every source is sorted and holds a key at most
-  // once, so this is one linear k-way merge. `fn` gets the source's element
-  // and may move from it when `runs` is not const.
-  template <typename Runs, typename Fn>
-  static void MergeNewest(Runs& runs, const Memtable* mem, Fn&& fn);
-  uint64_t EntryLogical(const Slice& key, const Entry& e) const;
+  // Appends to `out`, in key order, each key of `runs` and, when `mem` is
+  // not null, of the memtable, with its newest version (the highest device
+  // sequence) when that version's sequence is above `after_seq`. Every
+  // source is sorted and holds a key at most once, so this is one linear
+  // k-way merge.
+  static void MergeNewest(std::span<const Run> runs, const Memtable* mem,
+                          uint64_t after_seq, Run* out);
+  static uint64_t EntryLogical(uint64_t key_size, bool tombstone,
+                               uint64_t value_size) {
+    return key_size + 8 + (tombstone ? 0 : value_size);
+  }
 
   ssd::HybridSsd* ssd_;
   int nsid_;
@@ -188,7 +238,7 @@ class DevLsm {
   uint64_t next_seq_ = 1;
   uint64_t mutation_epoch_ = 0;  // bumped by every state change
   // Null after every state change.
-  mutable std::shared_ptr<const MergedView> snapshot_cache_;
+  mutable std::shared_ptr<const Run> snapshot_cache_;
   // Device-DRAM read cache (extension): tracks which keys' pages are
   // resident; NAND reads are skipped on hits. Invalidated wholesale on
   // mutation epochs (simple firmware cache discipline).
@@ -224,7 +274,7 @@ class DevLsm {
 // keys to the device — the hybrid reader would silently drop keys.
 class DevLsm::Iterator {
  public:
-  Iterator(DevLsm* dev, std::shared_ptr<const MergedView> view)
+  Iterator(DevLsm* dev, std::shared_ptr<const Run> view)
       : dev_(dev), view_(std::move(view)) {}
 
   void SeekToFirst() { Seek(Slice()); }
@@ -239,7 +289,7 @@ class DevLsm::Iterator {
   void FetchBatch(const Slice& start_after, bool inclusive);
 
   DevLsm* dev_;
-  std::shared_ptr<const MergedView> view_;  // snapshot pinned at open
+  std::shared_ptr<const Run> view_;  // snapshot pinned at open
   std::vector<VersionedEntry> buffer_;
   size_t pos_ = 0;
   bool exhausted_ = false;

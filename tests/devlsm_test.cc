@@ -96,6 +96,51 @@ TEST(DevLsmTest, RunCompactionMergesAndReclaims) {
   });
 }
 
+// Distinct keys and no reset, with compaction on and a merge fan-in of
+// four. A size-tiered merge reads each pair back once per class it climbs,
+// and after every flush each class holds at most l0_run_trigger runs, so
+// merge reads stay within the flushed bytes times the classes merges
+// reached, and live runs within (l0_run_trigger + 1) per class, class 0
+// included. A policy that merges every run into one rereads the whole
+// store on each merge and breaks the first bound.
+TEST(DevLsmTest, TieredMergesRewriteEachPairOncePerClass) {
+  SimWorld world;
+  world.Run([&] {
+    DevLsmOptions opts = SmallDevOptions();
+    opts.compaction_enabled = true;
+    opts.l0_run_trigger = 3;
+    DevLsm dev(world.ssd.get(), 0, opts);
+    for (int i = 0; i < 3000; i++) {
+      ASSERT_TRUE(DevPut(&dev, TestKey(i), Value::Synthetic(i, 4096)).ok());
+    }
+    // Every byte written is still live, so this is the flushed bytes plus
+    // the memtable's, which only loosens the bound.
+    const uint64_t flushed = dev.LogicalBytes();
+    const uint64_t fan_in = opts.l0_run_trigger + 1;
+    // Class k first forms on flush fan_in^k.
+    uint64_t merged_classes = 0;
+    for (uint64_t f = fan_in; f <= dev.stats().flushes; f *= fan_in) {
+      merged_classes++;
+    }
+    ASSERT_GE(merged_classes, 2u) << "too few flushes to climb two classes";
+    EXPECT_GT(dev.stats().compaction_bytes_read, 0u);
+    EXPECT_LE(dev.stats().compaction_bytes_read, flushed * merged_classes);
+    EXPECT_LE(dev.stats().compaction_bytes_written,
+              dev.stats().compaction_bytes_read);
+
+    // A Get of an absent key probes one NAND page per live run.
+    const uint64_t read_before = world.ssd->nand().bytes_read();
+    Value v;
+    EXPECT_TRUE(dev.Get("absent", &v).IsNotFound());
+    const uint64_t runs = (world.ssd->nand().bytes_read() - read_before) /
+                          world.ssd->config().page_size;
+    EXPECT_GT(runs, 0u);
+    EXPECT_LE(runs, fan_in * (merged_classes + 1));
+    ASSERT_TRUE(dev.Get(TestKey(0), &v).ok());
+    EXPECT_EQ(v.seed(), 0u);
+  });
+}
+
 TEST(DevLsmTest, BulkScanStreamsSortedNewestOnly) {
   SimWorld world;
   world.Run([&] {
@@ -214,19 +259,28 @@ TEST(DevLsmTest, CommandsRideTheSharedPcieLink) {
 // random snapshots. Every Get, the whole BulkScan and the iterator output
 // match a std::map model in which the newest device sequence wins. The
 // KV-region pages, NAND byte counters and virtual clock are pinned: a merge
-// that changes which runs exist, or what they hold, moves them.
+// that changes which runs exist, or what they hold, moves them. The inline
+// row's values are real bytes, so they cross flush, merge, ResetUpTo,
+// BulkScan and the iterator through the runs' value arenas.
 TEST(DevLsmTest, SeededScheduleMatchesNewestSequenceModel) {
   struct Pinned {
+    const char* name;
     bool compaction;
+    bool inline_values;
+    uint64_t seed;
     uint64_t used_pages, nand_written, nand_read, flushes, compactions;
     Nanos now;
   };
   const Pinned kPinned[] = {
-      {true, 71, 44134692, 95944416, 235, 60, 2243929587},
-      {false, 93, 21939512, 91940906, 220, 0, 2203935413},
+      {"compaction on", true, false, 0x5eed0001, 71, 38521187, 93779002, 235,
+       49, 2250329402},
+      {"compaction off", false, false, 0x5eed0002, 93, 21939512, 91940906,
+       220, 0, 2203935413},
+      {"inline values", true, true, 0x5eed0003, 98, 32879653, 97618461, 220,
+       51, 2265219837},
   };
   for (const Pinned& pin : kPinned) {
-    SCOPED_TRACE(pin.compaction ? "compaction on" : "compaction off");
+    SCOPED_TRACE(pin.name);
     SimWorld world;
     world.Run([&] {
       DevLsmOptions opts = SmallDevOptions();
@@ -245,14 +299,15 @@ TEST(DevLsmTest, SeededScheduleMatchesNewestSequenceModel) {
       std::map<std::string, Version> model;
       uint64_t dev_seq = 0;
       uint64_t host_seq = 0;
-      Random64 rnd(pin.compaction ? 0x5eed0001 : 0x5eed0002);
+      Random64 rnd(pin.seed);
       auto apply = [&](const std::string& key, const Value& value, bool tomb,
                        uint64_t hs) {
         model[key] = Version{++dev_seq, tomb ? Value() : value, tomb, hs};
       };
       auto value_for = [&](uint64_t id) {
-        return Value::Synthetic(id, 64 + static_cast<uint32_t>(
-                                             rnd.Uniform(2048)));
+        Value v = Value::Synthetic(
+            id, 64 + static_cast<uint32_t>(rnd.Uniform(2048)));
+        return pin.inline_values ? Value::Inline(v.Materialize()) : v;
       };
       auto check_all = [&] {
         Value v;
@@ -263,6 +318,7 @@ TEST(DevLsmTest, SeededScheduleMatchesNewestSequenceModel) {
           } else {
             ASSERT_TRUE(s.ok()) << key << ": " << s.ToString();
             EXPECT_EQ(v, ver.value) << key;
+            EXPECT_EQ(v.is_inline(), pin.inline_values) << key;
           }
         }
         EXPECT_TRUE(dev.Get("absent", &v).IsNotFound());
@@ -279,6 +335,7 @@ TEST(DevLsmTest, SeededScheduleMatchesNewestSequenceModel) {
           EXPECT_EQ(e.seq, mit->second.host_seq) << e.key;
           if (!e.tombstone) {
             EXPECT_EQ(e.value, mit->second.value) << e.key;
+            EXPECT_EQ(e.value.is_inline(), pin.inline_values) << e.key;
           }
           ++mit;
         }
@@ -291,6 +348,7 @@ TEST(DevLsmTest, SeededScheduleMatchesNewestSequenceModel) {
           EXPECT_EQ(it->tombstone(), mit->second.tombstone) << it->key();
           if (!it->tombstone()) {
             EXPECT_EQ(it->value(), mit->second.value) << it->key();
+            EXPECT_EQ(it->value().is_inline(), pin.inline_values) << it->key();
           }
         }
         EXPECT_EQ(mit, model.end());
@@ -344,6 +402,7 @@ TEST(DevLsmTest, SeededScheduleMatchesNewestSequenceModel) {
           } else {
             ASSERT_TRUE(s.ok()) << key;
             EXPECT_EQ(v, mit->second.value) << key;
+            EXPECT_EQ(v.is_inline(), pin.inline_values) << key;
           }
         }
         if (step % 100 == 99) check_all();

@@ -4,6 +4,9 @@
 // Dev-LSM circuit breaker, and pinned-seed two-node nemesis schedules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -732,6 +735,43 @@ TEST(HaSutTest, PartitionDrillRejoinRunsAtTheLinkRate) {
   const double wire_ns = static_cast<double>(rj.resync_bytes) * 1e9 /
                          (c.sut.net_mbps * 1e6);
   EXPECT_GE(static_cast<double>(rj.rejoin_ns), wire_ns);
+}
+
+// Both nodes' Detectors share the one `kvaccel` trace track, and the backup
+// never redirects, so only the primary opens `stall.redirect` windows: a
+// traced pair run that stalls holds them one after another, never one
+// nested inside another.
+TEST(HaPairTest, OnlyThePrimaryOpensRedirectWindows) {
+  harness::BenchConfig c;
+  c.scale = 0.03125;
+  c.sut.kind = harness::SystemKind::kKvaccel;
+  c.sut.ha = true;
+  c.workload.writer_threads = 4;
+  c.workload.batch_size = 4;
+  c.workload.duration = FromSecs(4);
+  c.trace_out = ::testing::TempDir() + "ha_redirect_windows.json";
+  harness::RunResult r = harness::RunBenchmark(c);
+  EXPECT_GT(r.write_kops, 0.0);
+  std::ifstream trace(c.trace_out);
+  ASSERT_TRUE(trace.good());
+  int windows = 0;
+  int depth = 0;
+  int max_depth = 0;
+  for (std::string line; std::getline(trace, line);) {
+    if (line.find("\"name\":\"stall.redirect\"") == std::string::npos) {
+      continue;
+    }
+    if (line.find("\"ph\":\"B\"") != std::string::npos) {
+      windows++;
+      max_depth = std::max(max_depth, ++depth);
+    } else if (line.find("\"ph\":\"E\"") != std::string::npos) {
+      depth--;
+    }
+  }
+  EXPECT_GT(windows, 0) << "the run never stalled";
+  EXPECT_EQ(max_depth, 1);
+  EXPECT_EQ(depth, 0);
+  std::remove(c.trace_out.c_str());
 }
 
 // ---- Two-node nemesis schedules (DESIGN.md §9 + §12) ----

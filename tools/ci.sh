@@ -436,9 +436,11 @@ EOF
 # artifact-path lines dropped), --json_out report and --trace_out trace of
 # every bench_smoke dbbench run plus the HA partition drill in wal mode, the
 # single-node read path (readwhilewriting, and a short seekrandom), two
-# sharded runs (readwhilewriting, and --ndp=auto) and two flaky-nvme fault
-# runs (single node, and the async HA pair), and for the stdout of the six
-# nemesis smokes. The fault runs pin the transient-retry limits and backoffs:
+# sharded runs (readwhilewriting, and --ndp=auto), a 20 s four-writer run
+# whose Dev-LSM merges twice (devmerge: the first merge, of nine fresh runs,
+# is the same under any merge policy; the second shows the policy), and two
+# flaky-nvme fault runs (single node, and the async HA pair), and for the
+# stdout of the six nemesis smokes. The fault runs pin the transient-retry limits and backoffs:
 # their seeds are ones where a Main-LSM retry fires (at the default seed
 # neither run retries), and flaky's also fires a Dev-LSM retry. Artifacts
 # stay in BUILD_DIR/pinned-artifacts.
@@ -457,6 +459,7 @@ pinned() {
     "shards4|--system=kvaccel ${small} --writer_threads=4 --batch_size=4 --shards=4"
     "shards4-rw|--system=kvaccel --workload=readwhilewriting --read_threads=2 --seconds=10 --scale=0.0625 --shards=4"
     "shards4-ndp|--system=kvaccel ${small} --writer_threads=4 --batch_size=4 --shards=4 --ndp=auto"
+    "devmerge|--system=kvaccel --workload=fillrandom --seconds=20 --scale=0.0625 --writer_threads=4 --batch_size=4"
     "ha-sync|--system=kvaccel ${small} --ha --repl_ack=sync"
     "ha-partition-delta|--system=kvaccel ${small} --ha --repl_ack=sync --net_partition=4:2 --resync_mode=delta"
     "ha-partition-wal|--system=kvaccel ${small} --ha --net_partition=4:2 --resync_mode=wal"
