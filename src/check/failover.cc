@@ -155,20 +155,13 @@ Status RejoinBody(const lsm::DbOptions& main_options,
   rep->fence_epoch = epoch;
 
   // Step 3: make the serving Main-LSM authoritative before diffing — drain
-  // its Dev-LSM residue (same order the replicated Open uses) and, in delta
-  // mode, flush so what ships really is SST-resident state, not memtable
-  // contents replayed through a write path.
+  // its Dev-LSM residue (same order the replicated Open uses) and flush, so
+  // what ships really is SST-resident state, not memtable contents.
   s = serving->RollbackNow();
+  if (s.ok()) s = serving->FlushAll();
   if (!s.ok()) {
     rep->first_error = s.ToString();
     return s;
-  }
-  if (options.mode == ResyncMode::kDelta) {
-    s = serving->FlushAll();
-    if (!s.ok()) {
-      rep->first_error = s.ToString();
-      return s;
-    }
   }
 
   std::unique_ptr<core::KvaccelDB> db;
@@ -187,31 +180,17 @@ Status RejoinBody(const lsm::DbOptions& main_options,
   core::AdvanceSequenceTo(serving->main(), node_db->main()->LastSequence());
 
   // Step 4: catch the node up over the resync interconnect. Every shipped
-  // byte pays wire time, optionally queued through the caller's
-  // FairShareArbiter client so reconciliation traffic shares bandwidth
-  // instead of starving serving I/O (Acquire blocks the simulated thread
-  // until granted). Delta mode lands entries through the WAL-bypassing
-  // ingest path; WAL-replay mode re-runs them through the node's full write
-  // path for comparison (not the stall-redirect detour into the Dev-LSM
-  // mirror, which the convergence walk below would never see).
+  // byte pays wire time; entries land through the WAL-bypassing ingest path.
   sim::NetLink link(env, "resync", options.net_bytes_per_sec,
                     options.net_latency);
   core::CatchUpOptions cu;
-  cu.send = [&](uint64_t bytes) {
-    if (options.arbiter != nullptr && options.arbiter_client >= 0) {
-      options.arbiter->Acquire(options.arbiter_client, bytes);
-    }
-    return link.Send(bytes);
-  };
-  cu.through_write_path = options.mode == ResyncMode::kWalReplay;
+  cu.send = [&](uint64_t bytes) { return link.Send(bytes); };
   cu.frontier = options.frontier;
   core::CatchUpStats stats;
   s = core::CatchUp(serving->main(), node_db->main(), cu, &stats);
   rep->quarantined_keys = stats.diverged_keys;
   rep->resync_entries = stats.entries;
   rep->resync_bytes = stats.bytes;
-  rep->wal_replay_bytes = stats.bytes;
-  rep->write_path_bytes = stats.write_path_bytes;
   if (!s.ok()) return s;
 
   // Step 5: convergence proof — lockstep walk of both live key spaces, byte

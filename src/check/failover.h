@@ -26,16 +26,13 @@
 //      when it was detached) — SSTs and WAL batches above the frontier were
 //      never acked anywhere and are cut.
 //   2. Adopt the new fencing epoch (durable FENCE write).
-//   3. Open the node and catch it up with core::CatchUp, the walk a pair's
-//      Bootstrap uses too: every key where the nodes disagree ships from the
-//      serving node over a resync NetLink (optionally through a
-//      FairShareArbiter client so the resync shares bandwidth fairly with
-//      serving traffic). kDelta lands flushed SST-state via the WAL-bypassing
-//      IngestSortedBatch path at exact serving sequences (the
-//      RDMA-index-replication idea from PAPERS.md — zero bytes through the
-//      write path); kWalReplay re-runs every entry through the full write
-//      path for comparison (the report carries both byte counts so the
-//      delta-vs-replay claim is measurable).
+//   3. Flush the serving node, open this one and catch it up with
+//      core::CatchUp, the walk a pair's Bootstrap uses too: every key where
+//      the nodes disagree ships from the serving node over a resync NetLink
+//      and lands through the WAL-bypassing IngestSortedBatch path at the
+//      serving node's sequences (the RDMA-index-replication idea from
+//      PAPERS.md: ship the state the source already built instead of
+//      replaying the write path).
 //   4. Verify convergence: both nodes' live key sets and iterator order must
 //      match byte-identically.
 //
@@ -54,7 +51,6 @@
 #include "common/flags.h"
 #include "core/kvaccel_db.h"
 #include "core/replicated_kvaccel_db.h"
-#include "sim/arbiter.h"
 
 namespace kvaccel::check {
 
@@ -82,17 +78,11 @@ Status PromoteNode(const lsm::DbOptions& main_options,
                    std::unique_ptr<core::KvaccelDB>* promoted,
                    uint64_t new_epoch = 0);
 
-enum class ResyncMode { kWalReplay, kDelta };
-
-// Flag and report names of the HA modes as the options structs hold them
-// (NemesisOptions, harness::SutConfig): the ack discipline (0 = sync, 1 =
-// async) and the rejoin transport (0 = WAL replay, 1 = delta).
+// Flag and report names of the HA ack discipline as the options structs hold
+// it (NemesisOptions, harness::SutConfig): 0 = sync, 1 = async.
 inline constexpr EnumName<int> kReplAckNames[] = {{"sync", 0}, {"async", 1}};
-inline constexpr EnumName<int> kResyncModeNames[] = {{"wal", 0},
-                                                     {"delta", 1}};
 
 struct RejoinOptions {
-  ResyncMode mode = ResyncMode::kDelta;
   // Divergence frontier: the highest sequence applied on the old backup
   // (ReplicatedKvaccelDB::applied_seq() at detach/close). Everything above
   // it on the rejoining node is unacked divergence and is quarantined.
@@ -103,11 +93,6 @@ struct RejoinOptions {
   // Resync interconnect (same defaults as ReplOptions).
   double net_bytes_per_sec = 1.25e9;
   Nanos net_latency = FromMicros(30);
-  // Optional: route resync link charges through a FairShareArbiter client so
-  // reconciliation shares bandwidth with serving traffic. The client slot
-  // must be registered by the caller; -1 = no arbitration.
-  sim::FairShareArbiter* arbiter = nullptr;
-  int arbiter_client = -1;
 };
 
 struct RejoinReport {
@@ -119,9 +104,6 @@ struct RejoinReport {
   uint64_t quarantined_keys = 0;  // keys whose diverged version was replaced
   uint64_t resync_entries = 0;    // entries shipped (puts + tombstones)
   uint64_t resync_bytes = 0;      // payload charged to the resync link
-  uint64_t write_path_bytes = 0;  // bytes pushed through the node's write
-                                  // path (0 in delta mode — that's the point)
-  uint64_t wal_replay_bytes = 0;  // what full WAL replay would have moved
   uint64_t scrub_deferred = 0;    // serving-side scrub wake-ups deferred
   std::string first_error;
 };

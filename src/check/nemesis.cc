@@ -282,10 +282,7 @@ NemesisResult Nemesis::Run() {
          << " shards=" << shards_;
   if (pair_) {
     trace_ << " ha=1 repl_ack=" << (async_ ? 1 : 0);
-    if (opt_.net_partition) {
-      trace_ << " net_partition=1 resync_mode="
-             << (opt_.resync_mode != 0 ? 1 : 0);
-    }
+    if (opt_.net_partition) trace_ << " net_partition=1";
   } else {
     trace_ << " ndp=" << (opt_.ndp ? 1 : 0);
   }
@@ -886,7 +883,6 @@ void Nemesis::RunHa() {
 // iterator walk, the rejoined node first by RejoinNode's byte-identical
 // convergence proof and then, after re-pairing, by a sweep of the backup.
 void Nemesis::RunPartition() {
-  const bool delta = opt_.resync_mode != 0;
   core::ReplOptions repl_opts;  // sync acks: partitions must never lose
   const Nanos fence_wait =
       2 * repl_opts.lease_duration + 2 * core::kPromoteSafetyMargin;
@@ -1107,7 +1103,6 @@ void Nemesis::RunPartition() {
     // Reconcile the deposed node against the promoted one and hold it to
     // the byte-identical convergence proof inside RejoinNode.
     RejoinOptions ro;
-    ro.mode = delta ? ResyncMode::kDelta : ResyncMode::kWalReplay;
     ro.frontier = frontier;
     ro.new_epoch = next_epoch;
     RejoinReport rrep;
@@ -1121,29 +1116,10 @@ void Nemesis::RunPartition() {
     result_.rejoins++;
     result_.ha_resync_entries += rrep.resync_entries;
     result_.ha_resync_bytes += rrep.resync_bytes;
-    result_.ha_write_path_bytes += rrep.write_path_bytes;
-    result_.ha_wal_replay_bytes += rrep.wal_replay_bytes;
     result_.ha_quarantined_keys += rrep.quarantined_keys;
-    trace_ << "rejoin cycle=" << cycle << " mode=" << (delta ? "delta" : "wal")
-           << " entries=" << rrep.resync_entries
+    trace_ << "rejoin cycle=" << cycle << " entries=" << rrep.resync_entries
            << " bytes=" << rrep.resync_bytes
-           << " write_path=" << rrep.write_path_bytes
-           << " wal_replay=" << rrep.wal_replay_bytes
            << " quarantined=" << rrep.quarantined_keys << "\n";
-    if (delta && rrep.write_path_bytes != 0) {
-      Diverge(At(cycle) + "delta resync pushed bytes through the write path");
-      break;
-    }
-    if (delta && rrep.resync_entries > 0 &&
-        rrep.write_path_bytes >= rrep.wal_replay_bytes) {
-      Diverge(At(cycle) +
-              "delta resync moved no fewer write-path bytes than replay");
-      break;
-    }
-    if (!delta && rrep.write_path_bytes != rrep.wal_replay_bytes) {
-      Diverge(At(cycle) + "wal-replay byte accounting diverged");
-      break;
-    }
 
     // Re-pair with roles swapped: the promoted node is the new primary, the
     // reconciled node its backup. Open adopts the bumped epoch from the
@@ -1229,8 +1205,6 @@ Status ParseNemesisTrace(const std::string& path, NemesisOptions* out) {
       ok = field(&out->shards);
     } else if (name == "repl_ack") {
       ok = field(&out->repl_ack);
-    } else if (name == "resync_mode") {
-      ok = field(&out->resync_mode);
     } else if (name == "ndp" || name == "ha" || name == "net_partition") {
       ok = field(&flag);
       bool& dst = name == "ndp" ? out->ndp
@@ -1263,8 +1237,6 @@ FlagTable NemesisFlags(NemesisOptions* o, std::string* replay) {
              o->ha = true;
            },
            "partition nemesis (implies --ha)");
-  t.Enum("resync_mode", &o->resync_mode, kResyncModeNames,
-         "rejoin transport (default delta)");
   t.Set("ndp", &o->ndp, true,
         "force every compaction through the device COMPACT path");
   t.Action("list_fault_sites",

@@ -61,10 +61,6 @@ struct NemesisOptions {
   // byte-identical replica. Implies ha (and its rejections); async acks
   // (repl_ack = 1) are rejected.
   bool net_partition = false;
-  // Reconciliation transport for the rejoin step: 0 = WAL replay (every
-  // entry re-runs the write path), 1 = delta resync (flushed state ships
-  // through the WAL-bypassing ingest path; zero write-path bytes).
-  int resync_mode = 1;
   // Device-offloaded compaction (DESIGN.md §13): attach an NdpDevice and
   // force every compaction through the COMPACT path. The crash table gains
   // the offload kill points — the first cycles rotate through every
@@ -100,8 +96,6 @@ struct NemesisResult {
   uint64_t ha_fenced_rejects = 0;       // writes refused by a fenced primary
   uint64_t ha_resync_entries = 0;       // entries shipped by RejoinNode
   uint64_t ha_resync_bytes = 0;         // payload charged to the resync link
-  uint64_t ha_write_path_bytes = 0;     // resync bytes through the write path
-  uint64_t ha_wal_replay_bytes = 0;     // what full WAL replay would have moved
   uint64_t ha_quarantined_keys = 0;     // diverged versions replaced at rejoin
 };
 

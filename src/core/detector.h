@@ -47,7 +47,6 @@ class Detector {
   // a flag read, not a fresh poll).
   bool stall_detected() const { return stall_detected_; }
   int calm_streak() const { return calm_streak_; }
-  lsm::StallSignals last_signals() const { return last_signals_; }
 
   // Force an immediate poll (used by tests and by rollback bootstrap).
   void PollNow() { CheckOnce(); }
@@ -76,7 +75,6 @@ class Detector {
     env_->SleepFor(static_cast<Nanos>(kDetectorCpuNs + 0.5));
     stats_->detector_checks++;
     lsm::StallSignals sig = db_->GetStallSignals();
-    last_signals_ = sig;
     // Redirect when a *stall* is active or about to hit: the Main-LSM (run
     // without slowdown under KVACCEL) serves writes at full speed right up
     // to its stop triggers, so the switch point is the edge of the stop
@@ -117,7 +115,6 @@ class Detector {
 
   bool stall_detected_ = false;
   int calm_streak_ = 0;
-  lsm::StallSignals last_signals_;
 
   obs::Tracer* tracer_ = nullptr;  // redirect-window track (DESIGN.md §8)
   uint32_t tr_kvaccel_ = 0;

@@ -695,7 +695,6 @@ Status ReplicatedKvaccelDB::Bootstrap() {
 Status CatchUp(lsm::DB* source, lsm::DB* target,
                const CatchUpOptions& options, CatchUpStats* stats) {
   lsm::ReadOptions ro;
-  lsm::WriteOptions wo;
   // Sends what is pending once a chunk fills, or whatever is left on drain.
   uint64_t pending_bytes = 0;
   auto charge = [&](uint64_t b, bool drain = false) -> Status {
@@ -726,11 +725,6 @@ Status CatchUp(lsm::DB* source, lsm::DB* target,
     stats->bytes += payload;
     Status s = charge(payload);
     if (!s.ok()) return s;
-    if (options.through_write_path) {
-      stats->write_path_bytes += payload;
-      return value != nullptr ? target->Put(wo, key, *value)
-                              : target->Delete(wo, key);
-    }
     lsm::SequenceNumber seq = source_seq > target_seq
                                   ? source_seq
                                   : source->AllocateSequence(1);

@@ -163,9 +163,6 @@ struct CatchUpOptions {
   // Charges `bytes` to the wire: once per full 256 KiB chunk and once for
   // the remainder at the end.
   std::function<Status(uint64_t bytes)> send;
-  // Re-run every shipped entry through the target's write path (WAL +
-  // memtable) instead of ingesting it at the source's sequence.
-  bool through_write_path = false;
   // Target versions above this sequence are the target's diverged tail.
   uint64_t frontier = UINT64_MAX;
 };
@@ -173,7 +170,6 @@ struct CatchUpOptions {
 struct CatchUpStats {
   uint64_t entries = 0;           // puts + tombstones shipped
   uint64_t bytes = 0;             // payload charged to the wire
-  uint64_t write_path_bytes = 0;  // bytes replayed through the write path
   uint64_t diverged_keys = 0;     // shipped over a version above the frontier
 };
 
@@ -184,11 +180,10 @@ void AdvanceSequenceTo(lsm::DB* db, uint64_t seq);
 // Makes `target`'s live key space equal `source`'s. Every live source key
 // whose value differs on the target ships at the source's sequence, or at a
 // fresh source sequence when the target's version is newer; every key live
-// only on the target is buried by a tombstone chosen the same way. Unless
-// `through_write_path`, shipped entries land through the WAL-bypassing
-// IngestSortedBatch in 512-entry batches, so the target's WAL never sees a
-// regressing sequence. Each entry costs its key and value bytes plus 24 B
-// of framing on the wire.
+// only on the target is buried by a tombstone chosen the same way. Shipped
+// entries land through the WAL-bypassing IngestSortedBatch in 512-entry
+// batches, so the target's WAL never sees a regressing sequence. Each entry
+// costs its key and value bytes plus 24 B of framing on the wire.
 Status CatchUp(lsm::DB* source, lsm::DB* target,
                const CatchUpOptions& options, CatchUpStats* stats);
 
@@ -236,11 +231,10 @@ class ReplicatedKvaccelDB : public lsm::Store {
   sim::NetLink* link() { return link_.get(); }
   const ReplStats& repl_stats() const { return stats_; }
   ReplAck ack() const { return options_.ack; }
-  // Highest sequence handed to the replication stream.
-  uint64_t last_assigned_seq() const { return last_assigned_seq_; }
   // Verification frontier: every acked write with first_seq <= this is
-  // applied on the backup. No losses => last_assigned_seq(); with a dropped
-  // record it stops just short of the earliest hole.
+  // applied on the backup. No losses => the highest sequence handed to the
+  // replication stream; with a dropped record it stops just short of the
+  // earliest hole.
   uint64_t applied_frontier() const {
     return stats_.lost_seq_min == 0 ? last_assigned_seq_
                                     : stats_.lost_seq_min - 1;
@@ -253,7 +247,6 @@ class ReplicatedKvaccelDB : public lsm::Store {
   uint64_t epoch() const { return epoch_; }
   bool deposed() const { return deposed_; }
   bool fenced() const { return deposed_ || env_->Now() >= lease_expiry_; }
-  Nanos lease_expiry() const { return lease_expiry_; }
   Nanos backup_promote_safe_at() const {
     return backup_last_applied_ns_ + options_.lease_duration +
            kPromoteSafetyMargin;

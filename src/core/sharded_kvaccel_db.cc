@@ -74,7 +74,11 @@ void CollectClosed(const sim::IntervalRecorder& r, Nanos now,
 
 ShardedKvaccelDB::ShardedKvaccelDB(const ShardingOptions& sharding,
                                    const ShardEnv& env)
-    : sharding_(sharding), env_(env.env), ssd_(env.ssd) {}
+    : sharding_(sharding),
+      env_(env.env),
+      ssd_(env.ssd),
+      arbiter_(env.env, "device-bw", env.ssd->config().nand_bytes_per_sec,
+               kArbiterBurstBytes) {}
 
 ShardedKvaccelDB::~ShardedKvaccelDB() = default;
 
@@ -122,13 +126,6 @@ Status ShardedKvaccelDB::Open(const lsm::DbOptions& main_options,
   for (int i = 0; i < n; i++) kv_pages += kv_ssd->KvCapacityPages(i);
   sdb->redirect_budget_bytes_ = kv_pages * kv_ssd->config().page_size * 9 / 10;
 
-  if (sharding.arbiter_share > 0) {
-    double rate =
-        sharding.arbiter_share * env.ssd->config().nand_bytes_per_sec;
-    sdb->arbiter_ = std::make_unique<sim::FairShareArbiter>(
-        env.env, "device-bw", rate, kArbiterBurstBytes);
-  }
-
   sdb->shards_.resize(static_cast<size_t>(n));
   ShardedKvaccelDB* self = sdb.get();
   for (int i = 0; i < n; i++) {
@@ -157,16 +154,14 @@ Status ShardedKvaccelDB::Open(const lsm::DbOptions& main_options,
     shard_kv.redirect_admission = [self, i](uint64_t bytes) {
       return self->AdmitRedirect(i, bytes);
     };
-    if (sdb->arbiter_ != nullptr) {
-      sim::FairShareArbiter* arb = sdb->arbiter_.get();
-      int client = arb->RegisterClient("shard" + std::to_string(i));
-      shard_kv.redirect_arbiter = [arb, client](uint64_t bytes) {
-        return arb->Acquire(client, bytes);
-      };
-      shard_main.compaction_io_arbiter = [arb, client](uint64_t bytes) {
-        return arb->Acquire(client, bytes);
-      };
-    }
+    sim::FairShareArbiter* arb = &sdb->arbiter_;
+    int client = arb->RegisterClient("shard" + std::to_string(i));
+    shard_kv.redirect_arbiter = [arb, client](uint64_t bytes) {
+      return arb->Acquire(client, bytes);
+    };
+    shard_main.compaction_io_arbiter = [arb, client](uint64_t bytes) {
+      return arb->Acquire(client, bytes);
+    };
 
     lsm::DbEnv denv;
     denv.env = env.env;
@@ -314,14 +309,6 @@ Status ShardedKvaccelDB::Close() {
     Status s = sh.db->Close();
     if (!s.ok() && first.ok()) first = s;
   }
-  // Shards quiesced above: release their arbiter slots so a departed
-  // client's stale start tag can't distort fairness for whatever registers
-  // next (clients were registered 0..N-1 in shard order at Open).
-  if (arbiter_ != nullptr) {
-    for (int i = 0; i < static_cast<int>(shards_.size()); i++) {
-      arbiter_->DeregisterClient(i);
-    }
-  }
   return first;
 }
 
@@ -330,12 +317,9 @@ bool ShardedKvaccelDB::AdmitRedirect(int shard, uint64_t bytes) const {
   if (budget == 0) return true;
   const uint64_t mine =
       shards_[static_cast<size_t>(shard)].dev->LogicalBytes();
-  if (sharding_.redirect_policy == RedirectBudgetPolicy::kPerShard) {
-    return mine + bytes <= budget / shards_.size();
-  }
-  // Global policy: the fleet shares one pool, but while several shards are
-  // stalling simultaneously each may hold at most an equal split of it —
-  // the Detector picture decides how many ways the budget divides.
+  // The fleet shares one pool, but while several shards are stalling
+  // simultaneously each may hold at most an equal split of it — the
+  // Detector picture decides how many ways the budget divides.
   uint64_t total = 0;
   uint64_t stalled = 0;
   for (const auto& sh : shards_) {

@@ -10,9 +10,9 @@
 //                      reserve bandwidth on one SFQ token bucket, so a
 //                      compaction-heavy shard queues behind a light shard's
 //                      redirects instead of starving them (sim/arbiter.h).
-//   Redirect budget    shards compete for Dev-LSM capacity under a global or
-//                      per-shard policy; the global split follows the
-//                      Detector picture (stalled shards divide the budget).
+//   Redirect budget    shards compete for one Dev-LSM capacity budget; its
+//                      split follows the Detector picture (stalled shards
+//                      divide the budget).
 //
 // Determinism: shards are opened, written, iterated and closed in index
 // order, and the arbiter's grant order is a pure function of the call
@@ -34,25 +34,9 @@ enum class ShardPartition {
   kRange,  // first 8 key bytes, big-endian, multiply-shift split
 };
 
-enum class RedirectBudgetPolicy {
-  // One budget for the whole device; while several shards stall, each may
-  // hold at most budget / (number of stalled shards) — the Detector picture
-  // feeds the split.
-  kGlobal,
-  // Static budget / N slice per shard, regardless of who is stalling.
-  kPerShard,
-};
-
 struct ShardingOptions {
   int num_shards = 1;
   ShardPartition partition = ShardPartition::kHash;
-  RedirectBudgetPolicy redirect_policy = RedirectBudgetPolicy::kGlobal;
-  // Serving rate of the fair-share arbiter as a fraction of the device NAND
-  // bandwidth. 1.0 = arbitrate at full device speed (ordering fairness only
-  // kicks in under contention); < 1 additionally caps the background +
-  // redirect traffic; 0 disables the arbiter entirely (each shard falls back
-  // to its own compaction_rate_limit bucket, redirects unarbitrated).
-  double arbiter_share = 1.0;
   // Externally owned per-shard resources (crash/reopen tests): when
   // non-empty, must hold exactly num_shards entries; shard i uses entry i.
   // The file systems and Dev-LSMs then survive a Close/reopen of the router
@@ -113,9 +97,7 @@ class ShardedKvaccelDB : public lsm::Store {
   // ---- Introspection ----
   KvaccelDB* shard(int i) { return shards_[i].db.get(); }
   fs::SimFs* shard_fs(int i) { return shards_[i].fs; }
-  sim::FairShareArbiter* arbiter() { return arbiter_.get(); }
-  const ShardingOptions& sharding() const { return sharding_; }
-  sim::SimEnv* sim_env() { return env_; }
+  sim::FairShareArbiter* arbiter() { return &arbiter_; }
 
   // Aggregate views across shards: every row of each struct's metric table
   // summed (counters) or merged (histograms), per-second series merged,
@@ -149,9 +131,10 @@ class ShardedKvaccelDB : public lsm::Store {
   ssd::HybridSsd* ssd_;
   uint64_t redirect_budget_bytes_ = 0;
 
-  // Declared before shards_: shards close/destroy first, so their arbiter
-  // callbacks never outlive the arbiter.
-  std::unique_ptr<sim::FairShareArbiter> arbiter_;
+  // Serves at the device's NAND bandwidth, so ordering fairness only kicks
+  // in under contention. Declared before shards_: shards close/destroy
+  // first, so their arbiter callbacks never outlive the arbiter.
+  sim::FairShareArbiter arbiter_;
   std::vector<Shard> shards_;
 
   mutable lsm::DbStats agg_fg_;    // AggregateStats cache

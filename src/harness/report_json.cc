@@ -118,13 +118,9 @@ void WriteRun(obs::JsonWriter* w, const RunResult& r) {
       const check::RejoinReport& rj = *ha.rejoin;
       w->Key("rejoin");
       w->BeginObject();
-      w->Field("resync_mode",
-               NameOf(check::kResyncModeNames, ha.resync_mode));
       w->Field("rejoin_ms", static_cast<double>(rj.rejoin_ns) / 1e6);
       w->Field("resync_entries", rj.resync_entries);
       w->Field("resync_bytes", rj.resync_bytes);
-      w->Field("write_path_bytes", rj.write_path_bytes);
-      w->Field("wal_replay_bytes", rj.wal_replay_bytes);
       w->Field("quarantined_keys", rj.quarantined_keys);
       w->Field("scrub_deferred", rj.scrub_deferred);
       w->Field("checker_errors", rj.checker_errors);
@@ -262,14 +258,10 @@ std::string JsonReportString(const BenchConfig& config,
   w.Field("ttl_s", config.workload.ttl_s);
   w.Field("deadline_us", config.workload.deadline_us);
   w.Field("max_subcompactions", config.sut.max_subcompactions);
-  w.Field("compaction_rate_limit", config.sut.compaction_rate_limit);
   w.Field("shards", config.sut.shards);
   w.Field("tenants", config.workload.tenants);
   w.Field("shard_partition",
           NameOf(kShardPartitionNames, config.sut.shard_partition));
-  w.Field("redirect_policy",
-          NameOf(kRedirectPolicyNames, config.sut.redirect_policy));
-  w.Field("arbiter_share", config.sut.arbiter_share);
   w.Field("ndp", NameOf(kNdpModeNames, config.sut.ndp_mode));
   w.Field("ndp_cores", config.sut.ndp_cores);
   w.Field("ha", config.sut.ha);
@@ -279,8 +271,6 @@ std::string JsonReportString(const BenchConfig& config,
   w.Field("net_latency_us", config.sut.net_latency_us);
   w.Field("net_partition_start_s", config.sut.net_partition_start_s);
   w.Field("net_partition_dur_s", config.sut.net_partition_dur_s);
-  w.Field("resync_mode",
-          NameOf(check::kResyncModeNames, config.sut.resync_mode));
   w.Field("fault_profile", config.fault_profile);
   w.Field("fault_seed", config.fault_seed);
   w.Field("nemesis_seed", config.nemesis_seed);

@@ -36,9 +36,6 @@ inline constexpr EnumName<core::RollbackScheme> kRollbackNames[] = {
 inline constexpr EnumName<core::ShardPartition> kShardPartitionNames[] = {
     {"hash", core::ShardPartition::kHash},
     {"range", core::ShardPartition::kRange}};
-inline constexpr EnumName<core::RedirectBudgetPolicy> kRedirectPolicyNames[] =
-    {{"global", core::RedirectBudgetPolicy::kGlobal},
-     {"per_shard", core::RedirectBudgetPolicy::kPerShard}};
 inline constexpr EnumName<ndp::OffloadMode> kNdpModeNames[] = {
     {"off", ndp::OffloadMode::kOff},
     {"auto", ndp::OffloadMode::kAuto},
@@ -53,16 +50,10 @@ struct SutConfig {
   // Subcompaction width cap (DESIGN.md §10); 0 keeps the DbOptions default.
   // 1 disables range-partitioned subcompactions entirely.
   int max_subcompactions = 0;
-  // Deep-compaction I/O cap as a fraction of device NAND bandwidth; 0 = off.
-  double compaction_rate_limit = 0;
   // Sharded engine (KVACCEL only, DESIGN.md §11): > 1 opens a
   // ShardedKvaccelDB with one namespace/WAL/memtable/Detector per shard.
   int shards = 1;
   core::ShardPartition shard_partition = core::ShardPartition::kHash;
-  core::RedirectBudgetPolicy redirect_policy =
-      core::RedirectBudgetPolicy::kGlobal;
-  // Fair-share arbiter serving rate as a fraction of NAND bandwidth; 0 = off.
-  double arbiter_share = 1.0;
   // Device-offloaded compaction (KVACCEL only, DESIGN.md §13). The runner
   // creates one world-owned NdpDevice per SSD when mode != kOff; HA pairs
   // carry per-node devices in ha_primary.ndp / ha_backup.ndp instead.
@@ -95,10 +86,6 @@ struct SutConfig {
   // 0 duration = no partition.
   double net_partition_start_s = 0;
   double net_partition_dur_s = 0;
-  // Reconciliation transport for the post-run rejoin measurement:
-  // 1 = delta resync (flushed state via the ingest path, zero write-path
-  // bytes), 0 = WAL replay (every entry re-runs the write path).
-  int resync_mode = 1;
   // Ablation hook: adjust the DbOptions after the preset is built.
   std::function<void(lsm::DbOptions&)> db_tweak;
 };
@@ -113,9 +100,6 @@ class SystemUnderTest {
         config.compaction_threads, config.enable_slowdown, config.scale);
     if (config.max_subcompactions > 0) {
       db_opts.max_subcompactions = config.max_subcompactions;
-    }
-    if (config.compaction_rate_limit > 0) {
-      db_opts.compaction_rate_limit = config.compaction_rate_limit;
     }
     if (config.db_tweak) config.db_tweak(db_opts);
     return db_opts;
@@ -195,8 +179,6 @@ class SystemUnderTest {
           core::ShardingOptions sharding;
           sharding.num_shards = config.shards;
           sharding.partition = config.shard_partition;
-          sharding.redirect_policy = config.redirect_policy;
-          sharding.arbiter_share = config.arbiter_share;
           core::ShardEnv senv{env.env, env.ssd, env.host_cpu};
           std::unique_ptr<core::ShardedKvaccelDB> sharded;
           st = core::ShardedKvaccelDB::Open(db_opts, kv_opts, sharding, senv,

@@ -210,18 +210,12 @@ FlagTable DbbenchFlags(DbbenchArgs* args) {
            "export the final image for kvaccel_check");
   t.Int("max_subcompactions", &sut->max_subcompactions, 0,
         "subcompactions per job (0 = default; 1 = no splitting)");
-  t.Double("compaction_rate_limit", &sut->compaction_rate_limit, 0, 1,
-           "deep-compaction I/O cap, a fraction of NAND bandwidth");
   t.Double("nand_mbps", &c->nand_mbps, 0, HUGE_VAL,
            "NAND bandwidth in MB/s (0 = preset 630)");
   t.Int("shards", &sut->shards, 1, "KVACCEL only: shards (default 1)");
   t.Int("tenants", &wl->tenants, 1, "key-space slices (default 1)");
   t.Enum("shard_partition", &sut->shard_partition, kShardPartitionNames,
          "key-to-shard mapping (default hash)");
-  t.Enum("redirect_policy", &sut->redirect_policy, kRedirectPolicyNames,
-         "Dev-LSM redirect budget split (default global)");
-  t.Double("arbiter_share", &sut->arbiter_share, 0, 1,
-           "arbiter rate, a fraction of NAND bandwidth (0 = off)");
   t.Enum("ndp", &sut->ndp_mode, kNdpModeNames,
          "KVACCEL only: device-offloaded compaction (default off)");
   t.Int("ndp_cores", &sut->ndp_cores, 0, "NDP cores (default 2)");
@@ -252,8 +246,6 @@ FlagTable DbbenchFlags(DbbenchArgs* args) {
                               &sut->net_partition_dur_s, err);
            },
            "HA only: cut the link START s into the window for DUR s");
-  t.Enum("resync_mode", &sut->resync_mode, check::kResyncModeNames,
-         "HA rejoin transport (default delta)");
   t.Custom("workload_mix", "SPEC",
            [wl](const char* v, std::string* err) {
              wl->mix_spec = v;
@@ -316,6 +308,13 @@ std::string DbbenchConfigError(const DbbenchArgs& args) {
   }
   if (sut.ha && !kvaccel) return "--ha requires --system=kvaccel";
   if (sut.ha && sut.shards > 1) return "--ha requires --shards=1";
+  // A single node has no link to cut and no acks to defer: refuse the HA
+  // flags rather than echo a window or discipline the run never had.
+  if (!sut.ha &&
+      (sut.net_partition_start_s != 0 || sut.net_partition_dur_s != 0)) {
+    return "--net_partition requires --ha";
+  }
+  if (!sut.ha && sut.repl_ack_async) return "--repl_ack=async requires --ha";
   if (sut.ndp_mode != ndp::OffloadMode::kOff && !kvaccel) {
     return "--ndp requires --system=kvaccel";
   }
@@ -830,14 +829,12 @@ obs::MetricsSnapshot SnapshotWorld(SystemUnderTest* sut, ssd::HybridSsd* ssd,
       snap.SetStat(&core::KvaccelStats::redirect_admission_rejects, ks, p);
       snap.SetStat(&core::KvaccelStats::redirect_arbiter_wait_ns, ks, p);
       snap.SetStat(&core::KvaccelStats::rollbacks, ks, p);
-      if (shd->arbiter() != nullptr) {
-        const sim::FairShareArbiter::ClientStats& cs =
-            shd->arbiter()->client_stats(i);
-        snap.SetCounter(p + "arbiter.grants", cs.grants);
-        snap.SetCounter(p + "arbiter.granted_bytes", cs.granted_bytes);
-        snap.SetCounter(p + "arbiter.throttles", cs.throttles);
-        snap.SetCounter(p + "arbiter.throttle_ns", cs.throttle_ns);
-      }
+      const sim::FairShareArbiter::ClientStats& cs =
+          shd->arbiter()->client_stats(i);
+      snap.SetCounter(p + "arbiter.grants", cs.grants);
+      snap.SetCounter(p + "arbiter.granted_bytes", cs.granted_bytes);
+      snap.SetCounter(p + "arbiter.throttles", cs.throttles);
+      snap.SetCounter(p + "arbiter.throttle_ns", cs.throttle_ns);
     }
   }
 
@@ -1167,9 +1164,7 @@ RunResult RunBenchmark(const BenchConfig& config) {
           ss.stalled_seconds +=
               ToSecs(std::min(iv.end, t1) - std::max(iv.start, t0));
         }
-        if (shd->arbiter() != nullptr) {
-          ss.arbiter = shd->arbiter()->client_stats(i);
-        }
+        ss.arbiter = shd->arbiter()->client_stats(i);
         if (i == 0 || ss.writes < min_writes) min_writes = ss.writes;
         if (i == 0 || ss.writes > max_writes) max_writes = ss.writes;
         result.shards.push_back(ss);
@@ -1246,7 +1241,6 @@ RunResult RunBenchmark(const BenchConfig& config) {
     if (sut->pair() != nullptr) {
       HaRunStats& ha_run = result.ha.emplace();
       ha_run.repl_ack_async = sut_cfg.repl_ack_async;
-      ha_run.resync_mode = sut_cfg.resync_mode;
       ha_run.net_partition = partition_run;
       ha_run.repl = sut->pair()->repl_stats();
       // Divergence frontier and epoch for the partition drill below, read
@@ -1280,8 +1274,6 @@ RunResult RunBenchmark(const BenchConfig& config) {
         // against the promoted node and report the resync economics.
         if (partition_run) {
           check::RejoinOptions rj;
-          rj.mode = sut_cfg.resync_mode != 0 ? check::ResyncMode::kDelta
-                                             : check::ResyncMode::kWalReplay;
           rj.frontier = frontier;
           rj.new_epoch = next_epoch;
           const core::ReplOptions ro =

@@ -238,7 +238,6 @@ struct NdpRunStats {
 // a partition drill then rejoins the deposed primary.
 struct HaRunStats {
   bool repl_ack_async = false;  // check::kReplAckNames
-  int resync_mode = 1;          // check::kResyncModeNames
   bool net_partition = false;   // a partition window was injected
   core::ReplStats repl;         // read after Close: async's lost tail is final
   // A failed promote or rejoin reports at least one checker error.

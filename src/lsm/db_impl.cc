@@ -74,10 +74,6 @@ Status DbImpl::OpenImpl() {
     wal_append_span_.Init(tracer_, tr_wal_, "wal.append", FromMicros(50));
     wal_sync_span_.Init(tracer_, tr_wal_, "wal.sync", FromMicros(50));
   }
-  if (options_.compaction_rate_limit > 0 && denv_.ssd != nullptr) {
-    compaction_rate_bps_ =
-        options_.compaction_rate_limit * denv_.ssd->config().nand_bytes_per_sec;
-  }
   block_cache_ =
       std::make_unique<BlockCache>(options_.block_cache_capacity);
   versions_ = std::make_unique<VersionSet>(options_, denv_.fs);
@@ -1051,36 +1047,21 @@ bool DbImpl::AllowDeepCompactionLocked() const {
 }
 
 void DbImpl::ThrottleCompactionIo(uint64_t bytes) {
-  if (bytes == 0) return;
-  if (options_.compaction_io_arbiter) {
-    // Shared-device fair-share path: the arbiter blocks until the
-    // reservation is granted; the queue time still lands in this DB's
-    // throttle accounting so per-shard reports stay comparable.
-    Nanos waited = options_.compaction_io_arbiter(bytes);
-    if (waited > 0) {
-      mu_.Lock();
-      stats_.compaction_throttle_ns += static_cast<uint64_t>(waited);
-      mu_.Unlock();
-    }
-    return;
+  if (bytes == 0 || !options_.compaction_io_arbiter) return;
+  // The arbiter blocks until the reservation is granted; the queue time
+  // lands in this DB's throttle accounting so per-shard reports compare.
+  Nanos waited = options_.compaction_io_arbiter(bytes);
+  if (waited > 0) {
+    mu_.Lock();
+    stats_.compaction_throttle_ns += static_cast<uint64_t>(waited);
+    mu_.Unlock();
   }
-  if (compaction_rate_bps_ <= 0) return;
-  mu_.Lock();
-  double now = static_cast<double>(env_->Now());
-  double start = std::max(now, limiter_busy_until_ns_);
-  limiter_busy_until_ns_ =
-      start + static_cast<double>(bytes) * 1e9 / compaction_rate_bps_;
-  double wake = limiter_busy_until_ns_;
-  if (wake > now) stats_.compaction_throttle_ns +=
-      static_cast<uint64_t>(wake - now);
-  mu_.Unlock();
-  if (wake > now) env_->SleepUntil(static_cast<Nanos>(wake));
 }
 
 Status DbImpl::RunCompaction(Compaction* c, uint32_t trace_track) {
-  // Deep-level jobs are subject to the shared rate limiter; L0 relief work
-  // (L0->L1, intra-L0) is exactly what un-gates stalled writers and runs
-  // unthrottled.
+  // Deep-level jobs reserve bandwidth through the compaction I/O arbiter; L0
+  // relief work (L0->L1, intra-L0) is exactly what un-gates stalled writers
+  // and runs unthrottled.
   const bool throttled = c->level > 0;
 
   // Elision verdict for the whole job, decided before any work starts.
@@ -1474,8 +1455,8 @@ Status DbImpl::DoCompactionWork(Compaction* c, const KeyRange& range,
   auto write_batch_out = [&]() -> Status {
     if (batch.empty()) return Status::OK();
     const uint64_t bytes = batch_bytes;
-    // Rate limiter: pace the job at its aggregate device traffic (the batch
-    // is read once and written once) so deep compactions can't starve host
+    // Arbiter: pace the job at its aggregate device traffic (the batch is
+    // read once and written once) so deep compactions can't starve host
     // writes of bandwidth.
     if (throttled) ThrottleCompactionIo(2 * bytes);
     Nanos merge_start = 0;

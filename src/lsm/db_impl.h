@@ -116,7 +116,7 @@ class DbImpl : public DB {
   // without touching the version set. `created` records every file number
   // written so a failed attempt can be cleaned up and retried. `crash_site`
   // names the per-entry fault-injection point; `throttled` subjects the
-  // range's I/O to the shared compaction rate limiter; `elide_tombstones`
+  // range's I/O to the compaction I/O arbiter; `elide_tombstones`
   // is the per-JOB elision verdict (options_.allow_tombstone_elision and the
   // intra-L0 rule), evaluated once before any sub-range starts so a device
   // drain completing mid-job cannot flip it between sub-ranges. A non-null
@@ -141,8 +141,8 @@ class DbImpl : public DB {
                            std::vector<FileMetaPtr>* outputs,
                            std::vector<uint64_t>* created,
                            uint64_t* read_bytes, uint64_t* written_bytes);
-  // Charges `bytes` against the shared compaction-bytes rate limiter and
-  // sleeps (virtual time) until the reservation's slot. mu_ must NOT be held.
+  // Reserves `bytes` through options_.compaction_io_arbiter, when set, and
+  // sleeps (virtual time) until it is granted. mu_ must NOT be held.
   void ThrottleCompactionIo(uint64_t bytes);
   // Runs `fn`, retrying transient errors under kIoRetry (lsm/db.h); a
   // closing DB stops retrying. mu_ must NOT be held.
@@ -196,12 +196,6 @@ class DbImpl : public DB {
   uint64_t write_buffer_size_;
   int max_compaction_workers_;
   int max_subcompactions_;
-
-  // Shared compaction-bytes rate limiter (deep jobs only): classic
-  // busy-until accumulator — a reservation starts at max(now, busy_until)
-  // and pushes busy_until forward by bytes/rate. 0 rate = disabled.
-  double compaction_rate_bps_ = 0;
-  double limiter_busy_until_ns_ = 0;
 
   int running_compactions_ = 0;
   bool flush_running_ = false;

@@ -83,17 +83,14 @@ struct DbOptions {
   // sub-range outputs still install atomically in one VersionEdit.
   int max_subcompactions = 4;
   uint64_t max_subcompaction_input = 0;  // 0 = auto: 2 * target_file_size
-  // Aggregate compaction-I/O rate limit for levels below L0, as a fraction of
-  // the device's NAND bandwidth (GenericRateLimiter analogue). 0 disables.
+  // Shared-device bandwidth arbitration (sharded engine, DESIGN.md §11).
+  // When set, compaction I/O for levels below L0 reserves bandwidth through
+  // this callback: one client slot of the sim::FairShareArbiter every shard
+  // on the device shares. It blocks in virtual time until the reservation is
+  // granted and returns the ns spent queued (accounted as throttle time).
   // L0->L1 and intra-L0 jobs are exempt: they are exactly the work that
   // un-gates stalled writers, so throttling them would be self-defeating.
-  double compaction_rate_limit = 0.0;
-  // Shared-device bandwidth arbitration (sharded engine, DESIGN.md §11).
-  // When set, deep-compaction I/O reserves bandwidth through this callback —
-  // typically one client slot of a sim::FairShareArbiter shared by every
-  // shard on the device — instead of the per-DB compaction_rate_limit
-  // bucket. The callback blocks in virtual time until the reservation is
-  // granted and returns the ns spent queued (accounted as throttle time).
+  // Unset = unthrottled.
   std::function<Nanos(uint64_t bytes)> compaction_io_arbiter;
   // External-store guard for tombstone elision. Compaction normally drops a
   // tombstone once no level below the output can hold the key — but a

@@ -46,8 +46,6 @@ class Tracer {
 
   explicit Tracer(sim::SimEnv* env, size_t max_events = kDefaultCapacity);
 
-  sim::SimEnv* env() const { return env_; }
-
   // Returns a stable track id; registering the same name twice returns the
   // same id. Track ids map to Chrome tids in registration order, which is
   // deterministic because world construction is.
@@ -163,31 +161,6 @@ class CoalescingSpan {
   bool open_ = false;
   Nanos start_ = 0;
   Nanos end_ = 0;
-  uint64_t bytes_ = 0;
-};
-
-// RAII Complete-span covering a scope. Null tracer → both ends are no-ops.
-class SpanScope {
- public:
-  SpanScope(Tracer* tracer, uint32_t track, const char* name)
-      : tracer_(tracer), track_(track), name_(name) {
-    if (tracer_ != nullptr) start_ = tracer_->env()->Now();
-  }
-  ~SpanScope() {
-    if (tracer_ != nullptr) {
-      tracer_->Complete(track_, name_, start_, tracer_->env()->Now(), bytes_);
-    }
-  }
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
-
-  void set_bytes(uint64_t b) { bytes_ = b; }
-
- private:
-  Tracer* tracer_;
-  uint32_t track_;
-  const char* name_;
-  Nanos start_ = 0;
   uint64_t bytes_ = 0;
 };
 

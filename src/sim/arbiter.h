@@ -1,14 +1,12 @@
 // FairShareArbiter: a multi-client token-bucket bandwidth arbiter with
 // start-time-fair-queuing (SFQ) ordering.
 //
-// This generalizes the per-DB deep-compaction rate limiter (a single busy-
-// until token bucket in DbImpl) to N clients sharing one device: each shard
-// of the sharded engine registers as a client and routes its deep-compaction
-// I/O and redirect DMA reservations through Acquire(). Grants are ordered by
-// per-client virtual start tags, so a compaction-heavy shard that has already
-// consumed a lot of bandwidth queues behind a light shard's redirect even
-// when it asked first — the fairness property the single-bucket limiter
-// cannot provide.
+// N clients share one device: each shard of the sharded engine registers as
+// a client and routes its deep-compaction I/O and redirect DMA reservations
+// through Acquire(). Grants are ordered by per-client virtual start tags, so
+// a compaction-heavy shard that has already consumed a lot of bandwidth
+// queues behind a light shard's redirect even when it asked first — the
+// fairness property a single busy-until token bucket cannot provide.
 //
 // Semantics: Acquire(client, bytes) blocks the calling simulated thread (in
 // virtual time) until the reservation's tokens are available, then reserves
@@ -23,6 +21,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -44,60 +43,34 @@ class FairShareArbiter {
     uint64_t throttle_ns = 0;    // total virtual ns spent queued
   };
 
-  // `bytes_per_sec` is the serving rate of the shared bucket; <= 0 turns the
-  // arbiter into a no-op (Acquire returns immediately). `burst_bytes` of
-  // credit may accumulate while the bucket is idle.
+  // `bytes_per_sec` (> 0) is the serving rate of the shared bucket;
+  // `burst_bytes` of credit may accumulate while the bucket is idle.
   FairShareArbiter(SimEnv* env, std::string name, double bytes_per_sec,
                    uint64_t burst_bytes = 1ull << 20)
       : env_(env),
         name_(std::move(name)),
         bytes_per_sec_(bytes_per_sec),
-        burst_ns_(bytes_per_sec > 0
-                      ? static_cast<double>(burst_bytes) * 1e9 / bytes_per_sec
-                      : 0) {}
+        burst_ns_(static_cast<double>(burst_bytes) * 1e9 / bytes_per_sec) {
+    assert(bytes_per_sec > 0);
+  }
 
   FairShareArbiter(const FairShareArbiter&) = delete;
   FairShareArbiter& operator=(const FairShareArbiter&) = delete;
 
   // Registers a client slot; returns its id. Call before the simulation
   // schedule depends on the arbiter (registration order defines ids).
-  // Recycles the most recently deregistered slot first, resetting its stats.
   int RegisterClient(std::string client_name) {
     SimLockGuard l(mu_);
-    if (!free_slots_.empty()) {
-      int id = free_slots_.back();
-      free_slots_.pop_back();
-      vtag_[id] = 0;
-      stats_[id] = ClientStats{};
-      stats_[id].name = std::move(client_name);
-      return id;
-    }
     vtag_.push_back(0);
     stats_.push_back(ClientStats{});
     stats_.back().name = std::move(client_name);
     return static_cast<int>(stats_.size()) - 1;
   }
 
-  // Releases a client slot on shard/node close. The caller must have
-  // quiesced the client first: no Acquire may be in flight or issued for
-  // this id afterwards. Clears the slot's start tag so a departed client's
-  // stale tag can't distort fairness for a future occupant of the recycled
-  // id (e.g. a node promoted after failover); the accumulated stats survive
-  // for end-of-run reporting until the slot is reused.
-  void DeregisterClient(int client) {
-    SimLockGuard l(mu_);
-    if (client < 0 || client >= static_cast<int>(vtag_.size())) return;
-    for (int freed : free_slots_) {
-      if (freed == client) return;  // already released
-    }
-    vtag_[client] = 0;
-    free_slots_.push_back(client);
-  }
-
   // Blocks until `bytes` of bandwidth are granted to `client`; returns the
   // virtual ns the caller spent queued (0 when served immediately).
   Nanos Acquire(int client, uint64_t bytes) {
-    if (bytes == 0 || bytes_per_sec_ <= 0) return 0;
+    if (bytes == 0) return 0;
     const Nanos arrival = env_->Now();
     mu_.Lock();
     // SFQ start tag: resume from this client's own consumption history, but
@@ -136,9 +109,7 @@ class FairShareArbiter {
     return waited;
   }
 
-  double bytes_per_sec() const { return bytes_per_sec_; }
   const std::string& name() const { return name_; }
-  int num_clients() const { return static_cast<int>(stats_.size()); }
   // Reading stats mid-run is safe under the cooperative scheduler (plain
   // code never yields mid-update).
   const ClientStats& client_stats(int client) const { return stats_[client]; }
@@ -157,7 +128,6 @@ class FairShareArbiter {
   std::set<std::pair<double, uint64_t>> queue_;  // (tag, ticket)
   std::vector<double> vtag_;   // per-client virtual finish tag (bytes)
   std::vector<ClientStats> stats_;
-  std::vector<int> free_slots_;  // deregistered ids awaiting reuse
 };
 
 }  // namespace kvaccel::sim

@@ -53,8 +53,6 @@ class CpuPool {
     double end = start + scaled;
     core_free_ns_[core] = end;
     busy_ns_ += scaled;
-    busy_series_.AddRange(static_cast<Nanos>(start), static_cast<Nanos>(end),
-                          scaled);
     AppendInterval(&core_busy_[core], start, end);
     env_->SleepUntil(static_cast<Nanos>(end + 0.999));
     return env_->Now();
@@ -69,7 +67,6 @@ class CpuPool {
     double scaled = work_ns / speed_factor_;
     busy_ns_ += scaled;
     Nanos now = env_->Now();
-    busy_series_.AddRange(now, now + static_cast<Nanos>(scaled + 0.5), scaled);
     charge_series_.AddRange(now, now + static_cast<Nanos>(scaled + 0.5),
                             scaled);
   }
@@ -77,7 +74,6 @@ class CpuPool {
   int cores() const { return static_cast<int>(core_free_ns_.size()); }
   double busy_seconds() const { return busy_ns_ / 1e9; }
   const std::string& name() const { return name_; }
-  const TimeSeries& busy_series() const { return busy_series_; }
 
   // Exact busy nanoseconds core `core` spent on Consume work inside
   // [start, end) — interval-clipped, not bucketed.
@@ -163,7 +159,6 @@ class CpuPool {
   double speed_factor_;
   std::vector<double> core_free_ns_;
   double busy_ns_ = 0;
-  TimeSeries busy_series_;
   // Charge() costs at 10 ms resolution; read back prorated so short planner
   // windows see the right fraction of a boundary bucket.
   TimeSeries charge_series_{FromMillis(10)};

@@ -69,23 +69,14 @@ class RateResource {
     return static_cast<Nanos>(end + 0.999);
   }
 
-  double bytes_per_sec() const { return bytes_per_sec_; }
-
   // Fine-grained traffic series (125 ms buckets): the scale-adjusted
   // equivalent of Intel PCM's 1 s sampling when experiments shrink by ~8x.
   const TimeSeries& traffic_fine() const { return traffic_fine_; }
-  void set_bytes_per_sec(double r) {
-    assert(r > 0);
-    bytes_per_sec_ = r;
-  }
 
   uint64_t total_bytes() const { return total_bytes_; }
   const std::string& name() const { return name_; }
   const TimeSeries& traffic() const { return traffic_; }
   TimeSeries& traffic() { return traffic_; }
-
-  // Earliest time a new transfer could start.
-  Nanos busy_until() const { return static_cast<Nanos>(busy_until_ns_); }
 
   // Cumulative time the medium has spent transferring (the `*.busy_ns`
   // metric): transfers are FIFO and never overlap, so this is exact.

@@ -261,7 +261,7 @@ TEST(DetectorEdgeTest, RedirectsOnlyNearStopTriggers) {
     EXPECT_FALSE(detector.stall_detected());  // empty DB: calm
     EXPECT_GT(detector.calm_streak(), 0);
     EXPECT_EQ(stats.detector_checks, 1u);
-    lsm::StallSignals sig = detector.last_signals();
+    lsm::StallSignals sig = db->GetStallSignals();
     EXPECT_EQ(sig.l0_stop_trigger, opts.l0_stop_writes_trigger);
     ASSERT_TRUE(db->Close().ok());
   });

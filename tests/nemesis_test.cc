@@ -111,14 +111,7 @@ TEST(NemesisTest, EveryTopologyReplaysItsPinnedSchedule) {
          o->ha = true;
          o->net_partition = true;
        },
-       0x4a3b9eca7d21ff25},
-      {"partition wal", 777, 4,
-       [](NemesisOptions* o) {
-         o->ha = true;
-         o->net_partition = true;
-         o->resync_mode = 0;
-       },
-       0x9543dd9d5234a123},
+       0x09322a430f465a51},
   };
   for (const Pinned& p : kPinned) {
     NemesisOptions opt;

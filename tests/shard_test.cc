@@ -388,20 +388,6 @@ TEST(FairShareArbiterTest, LightClientIsNotStarvedByHeavyClient) {
       << "light client queued longer than the 16x heavier one";
 }
 
-TEST(FairShareArbiterTest, ZeroRateArbiterIsANoOp) {
-  sim::SimEnv env;
-  sim::FairShareArbiter arb(&env, "off", /*bytes_per_sec=*/0);
-  int c = -1;
-  env.Spawn("t", [&] {
-    c = arb.RegisterClient("only");
-    Nanos start = env.Now();
-    EXPECT_EQ(arb.Acquire(c, 1 << 30), 0);
-    EXPECT_EQ(env.Now(), start);
-  });
-  env.Run();
-  EXPECT_EQ(arb.client_stats(c).grants, 0u);
-}
-
 // Acceptance gate: two identical-seed shards=4 bench runs produce
 // byte-identical kvaccel-run-v1 reports, with per-shard rollups populated
 // and the fairness ratio within the 2x gate on a uniform workload.
@@ -444,38 +430,6 @@ TEST(ShardedNemesisTest, CrashCyclesMatchOracleAcrossShards) {
   EXPECT_TRUE(r.ok) << r.error << "\n" << r.trace;
   EXPECT_EQ(r.cycles_run, 6);
   EXPECT_NE(r.trace.find("shards=3"), std::string::npos);
-}
-
-// Satellite: DeregisterClient releases a slot on shard/node close and the
-// next registration reuses it with a clean start tag and fresh stats, so a
-// departed client can't distort fairness for its successor.
-TEST(FairShareArbiterTest, DeregisterRecyclesSlotWithFreshState) {
-  sim::SimEnv env;
-  sim::FairShareArbiter arb(&env, "dev-bw", /*bytes_per_sec=*/100e6);
-  // The arbiter's mutex is a SimMutex, so every call runs on a sim thread
-  // (exactly how ShardedKvaccelDB registers/deregisters its shards).
-  env.Spawn("test-main", [&] {
-    int a = arb.RegisterClient("shard-a");
-    int b = arb.RegisterClient("shard-b");
-    ASSERT_EQ(a, 0);
-    ASSERT_EQ(b, 1);
-    for (int i = 0; i < 4; i++) arb.Acquire(a, 4 << 20);
-    EXPECT_EQ(arb.client_stats(a).grants, 4u);
-    EXPECT_GT(arb.client_stats(a).granted_bytes, 0u);
-
-    arb.DeregisterClient(a);
-    arb.DeregisterClient(a);  // double-release is a no-op
-    int c = arb.RegisterClient("promoted-node");
-    EXPECT_EQ(c, a) << "freed slot must be recycled";
-    EXPECT_EQ(arb.client_stats(c).name, "promoted-node");
-    EXPECT_EQ(arb.client_stats(c).grants, 0u) << "stats must reset on reuse";
-    EXPECT_EQ(arb.client_stats(c).granted_bytes, 0u);
-    // With the free list drained, registration grows a brand-new slot.
-    EXPECT_EQ(arb.RegisterClient("shard-d"), 2);
-    // Slot b was untouched throughout.
-    EXPECT_EQ(arb.client_stats(b).name, "shard-b");
-  });
-  env.Run();
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 # what they find:
 #
 #   tools/ci.sh pinned BUILD_DIR  # one sha256 per pinned artifact
-#   tools/ci.sh sweep BUILD_DIR   # nemesis seeds 1-200 x seven topologies
+#   tools/ci.sh sweep BUILD_DIR   # nemesis seeds 1-200 x six topologies
 #
 # A behaviour-preserving change prints the same `pinned` lines for a build
 # of its parent and of itself, so the check is one `diff`.
@@ -31,21 +31,18 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #              ten), promotes the backup and holds it to the oracle — sync
 #              must serve every acked write, async loss must stay under the
 #              queue-cap bound.
-#   partition-delta, partition-wal
+#   partition-delta
 #              cycles rotate network-fault kinds (symmetric cut and ack-loss
-#              cut with verified failover + rejoin, transient blip, flapping
-#              link). Both nodes are held to the oracle: no sync-acked write
-#              is lost, no write is acked by a fenced primary, and
-#              reconciliation converges byte-identically — in delta mode
-#              with zero write-path bytes, in wal mode through the full
-#              write path.
+#              cut with verified failover + delta-resync rejoin, transient
+#              blip, flapping link). Both nodes are held to the oracle: no
+#              sync-acked write is lost, no write is acked by a fenced
+#              primary, and reconciliation converges byte-identically.
 NEMESIS_SMOKES=(
   "single|--cycles=30 --nemesis_seed=1317456661"
   "ndp|--ndp --cycles=12 --nemesis_seed=7"
   "ha-sync|--ha --cycles=12 --nemesis_seed=1198"
   "ha-async|--ha --repl_ack=async --cycles=6 --nemesis_seed=99"
   "partition-delta|--ha --net_partition --cycles=8 --nemesis_seed=24301"
-  "partition-wal|--ha --net_partition --resync_mode=wal --cycles=4 --nemesis_seed=777"
 )
 
 # nemesis_smoke BUILD_DIR NAME FLAGS...: one kvaccel_nemesis run, its output
@@ -136,7 +133,7 @@ run_pass() {
   # and delay fault sites), replicated-sequence application, sync failover
   # serving every acked write, async backlog drain with the byte-bounded
   # queue, lease fencing / split-brain prevention / stale-epoch depose,
-  # delta-vs-WAL-replay rejoin convergence, backup-side circuit-breaker
+  # delta-resync rejoin convergence, backup-side circuit-breaker
   # recovery, and the two-node crash + partition nemesis tests.
   echo "==== ${name}: ctest -L ha ===="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L ha
@@ -309,12 +306,10 @@ EOF
   # injected mid-window (partition -> lease lapse -> fenced primary ->
   # promote under a bumped epoch -> heal -> delta reconciliation). Hard
   # gates: the fenced primary rejected writes, nothing acked was lost, the
-  # promoted node passes the checker at epoch >= 2, and the rejoin converges
-  # with zero write-path bytes while full WAL replay would have moved more.
+  # promoted node passes the checker at epoch >= 2, and the rejoin converges.
   echo "==== bench smoke: HA partition drill (partition -> heal -> reconcile) ===="
   "${dir}/tools/kvaccel_dbbench" --system=kvaccel --workload=fillrandom \
-    --seconds=10 --scale=0.0625 --ha --repl_ack=sync \
-    --net_partition=4:2 --resync_mode=delta \
+    --seconds=10 --scale=0.0625 --ha --repl_ack=sync --net_partition=4:2 \
     --json_out="${out_dir}/smoke_ha_partition.json" > /dev/null
   python3 - "${out_dir}/smoke_ha_partition.json" <<'EOF'
 import json, sys
@@ -328,17 +323,10 @@ fo = ha["failover"]
 assert fo["checker_errors"] == 0, "promoted backup failed the checker"
 assert fo["fence_epoch"] >= 2, "promotion did not bump the fencing epoch"
 rj = ha["rejoin"]
-assert rj["resync_mode"] == "delta", "drill must measure the delta resync"
 assert rj["checker_errors"] == 0, "rejoined node failed convergence"
-assert rj["write_path_bytes"] == 0, "delta resync touched the write path"
-if rj["resync_entries"] > 0:
-    assert rj["wal_replay_bytes"] > rj["write_path_bytes"], (
-        "delta resync not strictly cheaper than WAL replay")
 print(f"HA partition drill: {ha['fenced_write_rejects']} fenced rejects, "
       f"epoch {fo['fence_epoch']}, delta resync {rj['resync_entries']} "
-      f"entries in {rj['rejoin_ms']:.1f} ms "
-      f"({rj['write_path_bytes']} write-path vs {rj['wal_replay_bytes']} "
-      f"wal-replay bytes)")
+      f"entries ({rj['resync_bytes']} bytes) in {rj['rejoin_ms']:.1f} ms")
 EOF
   # NDP A/B: --ndp=off vs --ndp=auto on the same seed/scale, 20 s so several
   # compaction waves land inside the window. Deterministic hard gates: the
@@ -434,16 +422,16 @@ EOF
 
 # pinned BUILD_DIR: prints "sha256  NAME.ARTIFACT" for the stdout (its
 # artifact-path lines dropped), --json_out report and --trace_out trace of
-# every bench_smoke dbbench run plus the HA partition drill in wal mode, the
-# single-node read path (readwhilewriting, and a short seekrandom), two
-# sharded runs (readwhilewriting, and --ndp=auto), a 20 s four-writer run
-# whose Dev-LSM merges twice (devmerge: the first merge, of nine fresh runs,
-# is the same under any merge policy; the second shows the policy), and two
-# flaky-nvme fault runs (single node, and the async HA pair), and for the
-# stdout of the six nemesis smokes. The fault runs pin the transient-retry limits and backoffs:
-# their seeds are ones where a Main-LSM retry fires (at the default seed
-# neither run retries), and flaky's also fires a Dev-LSM retry. Artifacts
-# stay in BUILD_DIR/pinned-artifacts.
+# every bench_smoke dbbench run, the single-node read path (readwhilewriting,
+# and a short seekrandom), two sharded runs (readwhilewriting, and
+# --ndp=auto), a 20 s four-writer run whose Dev-LSM merges twice (devmerge:
+# the first merge, of nine fresh runs, is the same under any merge policy;
+# the second shows the policy), and two flaky-nvme fault runs (single node,
+# and the async HA pair), and for the stdout of the five nemesis smokes. The
+# fault runs pin the transient-retry limits and backoffs: their seeds are
+# ones where a Main-LSM retry fires (at the default seed neither run
+# retries), and flaky's also fires a Dev-LSM retry. Artifacts stay in
+# BUILD_DIR/pinned-artifacts.
 pinned() {
   local dir="$1" out="$1/pinned-artifacts"
   local small="--workload=fillrandom --seconds=10 --scale=0.0625"
@@ -461,8 +449,7 @@ pinned() {
     "shards4-ndp|--system=kvaccel ${small} --writer_threads=4 --batch_size=4 --shards=4 --ndp=auto"
     "devmerge|--system=kvaccel --workload=fillrandom --seconds=20 --scale=0.0625 --writer_threads=4 --batch_size=4"
     "ha-sync|--system=kvaccel ${small} --ha --repl_ack=sync"
-    "ha-partition-delta|--system=kvaccel ${small} --ha --repl_ack=sync --net_partition=4:2 --resync_mode=delta"
-    "ha-partition-wal|--system=kvaccel ${small} --ha --net_partition=4:2 --resync_mode=wal"
+    "ha-partition-delta|--system=kvaccel ${small} --ha --repl_ack=sync --net_partition=4:2"
     "ndp-off|--system=kvaccel --workload=fillrandom --seconds=20 --scale=0.0625 --ndp=off"
     "ndp-auto|--system=kvaccel --workload=fillrandom --seconds=20 --scale=0.0625 --ndp=auto"
     "openloop|--system=kvaccel --workload=mixed --workload_mix=put=70,get=20,del=5,scan=5 --zipf_theta=0.99 --arrival=spike --arrival_rate=12000 --tenants=2 --writer_threads=2 --ttl_frac=0.05 --seconds=10 --scale=0.0625"
@@ -489,7 +476,7 @@ pinned() {
   done
 }
 
-# sweep BUILD_DIR: nemesis seeds 1-200 over seven configurations (the six
+# sweep BUILD_DIR: nemesis seeds 1-200 over six configurations (the five
 # smokes' topologies at their cycle counts, plus --shards=4 x 12). Prints
 # each failing configuration, seed and DIVERGENCE line, then the count.
 sweep() {
@@ -501,7 +488,6 @@ sweep() {
     "ha-sync|--ha --cycles=12"
     "ha-async|--ha --repl_ack=async --cycles=6"
     "partition-delta|--ha --net_partition --cycles=8"
-    "partition-wal|--ha --net_partition --resync_mode=wal --cycles=4"
   )
   local entry name flags seed log
   for entry in "${configs[@]}"; do

@@ -112,15 +112,11 @@ int main(int argc, char** argv) {
     }
     if (r.ha->rejoin) {
       const check::RejoinReport& rj = *r.ha->rejoin;
-      printf("ha rejoin         : %s resync in %.2f ms, %llu entries "
-             "(%llu quarantined), %llu write-path bytes vs %llu wal-replay "
-             "bytes, %llu scrubs deferred, %d checker errors\n",
-             NameOf(check::kResyncModeNames, r.ha->resync_mode),
+      printf("ha rejoin         : resync in %.2f ms, %llu entries "
+             "(%llu quarantined), %llu scrubs deferred, %d checker errors\n",
              static_cast<double>(rj.rejoin_ns) / 1e6,
              static_cast<unsigned long long>(rj.resync_entries),
              static_cast<unsigned long long>(rj.quarantined_keys),
-             static_cast<unsigned long long>(rj.write_path_bytes),
-             static_cast<unsigned long long>(rj.wal_replay_bytes),
              static_cast<unsigned long long>(rj.scrub_deferred),
              rj.checker_errors);
     }

@@ -40,13 +40,12 @@ int main(int argc, char** argv) {
 
   printf("nemesis: seed=%llu cycles=%d ops_per_cycle=%d key_space=%llu "
          "value_size=%u shards=%d ha=%d repl_ack=%s net_partition=%d "
-         "resync_mode=%s ndp=%d\n",
+         "ndp=%d\n",
          static_cast<unsigned long long>(opts.seed), opts.cycles,
          opts.ops_per_cycle, static_cast<unsigned long long>(opts.key_space),
          opts.value_size, opts.shards, opts.ha ? 1 : 0,
          NameOf(check::kReplAckNames, opts.repl_ack),
-         opts.net_partition ? 1 : 0,
-         NameOf(check::kResyncModeNames, opts.resync_mode), opts.ndp ? 1 : 0);
+         opts.net_partition ? 1 : 0, opts.ndp ? 1 : 0);
 
   // Both streams often land in one log (tools/ci.sh): keep them in order.
   fflush(stdout);
@@ -71,12 +70,9 @@ int main(int argc, char** argv) {
            r.partitions, r.rejoins,
            static_cast<unsigned long long>(r.ha_fenced_rejects),
            static_cast<unsigned long long>(r.ha_quarantined_keys));
-    printf("resync: entries=%llu bytes=%llu write_path_bytes=%llu "
-           "wal_replay_bytes=%llu\n",
+    printf("resync: entries=%llu bytes=%llu\n",
            static_cast<unsigned long long>(r.ha_resync_entries),
-           static_cast<unsigned long long>(r.ha_resync_bytes),
-           static_cast<unsigned long long>(r.ha_write_path_bytes),
-           static_cast<unsigned long long>(r.ha_wal_replay_bytes));
+           static_cast<unsigned long long>(r.ha_resync_bytes));
   }
   if (r.ok) {
     printf("every recovery matched the model oracle\n");
