@@ -1,16 +1,8 @@
-#include "lsm/bloom.h"
-
-#include <algorithm>
+#include "common/bloom.h"
 
 #include "common/hash.h"
 
-namespace kvaccel::lsm {
-
-BloomFilter::BloomFilter(int bits_per_key) : bits_per_key_(bits_per_key) {
-  // k = ln(2) * bits/key rounded, clamped to a sane range.
-  k_ = static_cast<int>(bits_per_key * 0.69);
-  k_ = std::clamp(k_, 1, 30);
-}
+namespace kvaccel {
 
 uint32_t BloomFilter::HashKey(const Slice& user_key) {
   return Hash32(user_key.data(), user_key.size(), 0xbc9f1d34);
@@ -51,4 +43,4 @@ bool BloomFilter::KeyMayMatch(uint32_t h, const Slice& filter) const {
   return true;
 }
 
-}  // namespace kvaccel::lsm
+}  // namespace kvaccel

@@ -18,6 +18,10 @@ constexpr double kGetFwNs = 4000;
 constexpr double kFlushFwNsPerByte = 0.6;
 constexpr double kCompactFwNsPerByte = 1.2;
 constexpr double kScanFwNsPerEntry = 300;
+// Every run's filter (DESIGN.md §25). Its build and probes are a few bit
+// operations per key and charge no time of their own: they sit inside the
+// firmware costs above.
+constexpr BloomFilter kRunFilter(kBloomBitsPerKey);
 }  // namespace
 
 DevLsm::DevLsm(ssd::HybridSsd* ssd, int nsid, const DevLsmOptions& options)
@@ -88,6 +92,16 @@ void DevLsm::Run::AddFrom(const Run& src, size_t i) {
   }
   records.push_back(r);
   logical_bytes += logical(records.size() - 1);
+}
+
+void DevLsm::Run::BuildFilter() {
+  std::vector<uint32_t> hashes;
+  hashes.reserve(size());
+  for (size_t i = 0; i < size(); i++) {
+    hashes.push_back(BloomFilter::HashKey(key(i)));
+  }
+  filter.clear();
+  kRunFilter.CreateFilter(hashes, &filter);
 }
 
 void DevLsm::InsertLocked(std::string key, Entry e) {
@@ -247,12 +261,18 @@ Status DevLsm::Get(const Slice& key, Value* value) {
     tombstone = mit->second.tombstone;
     if (!tombstone) *value = mit->second.value;
   } else {
-    // Probe runs newest-first; each probe reads one NAND page unless a
-    // configured device read cache holds it (paper config: no cache — the
-    // Table V bottleneck).
+    // Probe runs newest-first, skipping each run whose filter excludes the
+    // key; a probe reads one NAND page unless a configured device read
+    // cache holds it (paper config: no cache — the Table V bottleneck).
+    const uint32_t hash = BloomFilter::HashKey(key);
     for (auto rit = runs_.rbegin(); rit != runs_.rend() && !found; ++rit) {
+      if (!kRunFilter.KeyMayMatch(hash, rit->filter)) {
+        stats_.get_filter_skips++;
+        continue;
+      }
       const size_t i = rit->LowerBound(key);
       if (!ReadCacheLookupOrFill(k, ssd_->config().page_size)) {
+        stats_.get_nand_probes++;
         ssd_->NandRead(ssd_->config().page_size);
       }
       if (i < rit->size() && rit->key(i) == key) {
@@ -298,6 +318,7 @@ Status DevLsm::FlushMemtableLocked() {
   run.pages = pages;
   run.records.reserve(memtable_.size());
   for (const auto& [k, e] : memtable_) run.Add(k, e);
+  run.BuildFilter();
   memtable_.clear();
   runs_.push_back(std::move(run));
   memtable_logical_ = 0;
@@ -341,6 +362,7 @@ Status DevLsm::MergeRunsLocked(size_t first, int out_class) {
   Run out;
   out.size_class = out_class;
   MergeNewest(in, nullptr, 0, &out);
+  out.BuildFilter();
   const uint64_t page = ssd_->config().page_size;
   out.pages = (out.logical_bytes + page - 1) / page;
   const uint64_t out_bytes = out.logical_bytes;
@@ -495,6 +517,7 @@ Status DevLsm::ResetUpTo(uint64_t up_to_seq) {
   if (survivor_bytes > 0) {
     Status s = ssd_->KvAllocPages(nsid_, surviving_run.pages);
     if (!s.ok()) return s;
+    surviving_run.BuildFilter();
     runs_.push_back(std::move(surviving_run));
   }
   MutatedLocked();

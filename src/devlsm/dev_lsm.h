@@ -6,7 +6,8 @@
 // round trip on shared device resources:
 //   PCIe link       key/value payload DMA (both directions)
 //   firmware core   a single Cortex-A9-speed CpuPool from HybridSsd
-//   NAND channels   flush writes, per-run point-read probes, scan reads
+//   NAND channels   flush writes, merges, point-read probes of the runs
+//                   whose Bloom filter may hold the key, scan reads
 //   KV region quota capacity accounting against the disaggregated space
 //
 // There is deliberately NO device-side read cache for iterator operations:
@@ -26,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bloom.h"
 #include "common/slice.h"
 #include "common/status.h"
 #include "common/units.h"
@@ -76,6 +78,10 @@ struct DevLsmStats {
   uint64_t resets = 0;
   uint64_t read_cache_hits = 0;
   uint64_t read_cache_misses = 0;
+  // Runs a Get read a NAND page of, and runs it skipped because their
+  // Bloom filter excluded the key (DESIGN.md §25).
+  uint64_t get_nand_probes = 0;
+  uint64_t get_filter_skips = 0;
 
   // The read-cache rows are summed across shards but not reported.
   static constexpr obs::StatField<DevLsmStats> kMetrics[] = {
@@ -92,6 +98,8 @@ struct DevLsmStats {
       {"devlsm.bulk_scans", &DevLsmStats::bulk_scans},
       {"devlsm.scan_chunks", &DevLsmStats::scan_chunks},
       {"devlsm.resets", &DevLsmStats::resets},
+      {"devlsm.get.nand_probes", &DevLsmStats::get_nand_probes},
+      {"devlsm.get.filter_skips", &DevLsmStats::get_filter_skips},
       {nullptr, &DevLsmStats::read_cache_hits},
       {nullptr, &DevLsmStats::read_cache_misses},
   };
@@ -145,10 +153,14 @@ class DevLsm {
   bool Empty() const;
   uint64_t NumLiveEntries() const;
   uint64_t LogicalBytes() const;
+  // Sorted runs in the KV region.
+  size_t num_runs() const { return runs_.size(); }
   const DevLsmStats& stats() const { return stats_; }
   uint64_t used_pages() const { return ssd_->KvUsedPages(nsid_); }
 
  private:
+  friend class DevLsmTestPeer;  // reads each run's keys against its filter
+
   struct Entry {
     Value value;
     bool tombstone = false;
@@ -159,7 +171,9 @@ class DevLsm {
 
   // A sorted immutable run persisted in the KV region, packed (DESIGN.md
   // §23): one key arena, one inline-value arena and one fixed 40-byte
-  // record per pair, in key order with each key at most once.
+  // record per pair, in key order with each key at most once. Its Bloom
+  // filter sits in device DRAM (§25), so a Get reads no page of a run that
+  // cannot hold the key.
   struct Run {
     struct Record {
       uint64_t seq = 0;       // device-internal ordering
@@ -176,6 +190,9 @@ class DevLsm {
     std::vector<Record> records;
     std::string keys;
     std::string values;
+    // kBloomBitsPerKey bits per key; empty (matches every key) until
+    // BuildFilter runs.
+    std::string filter;
     uint64_t logical_bytes = 0;
     uint64_t pages = 0;
     // A flush writes class 0; a merge of class-k runs writes class k + 1.
@@ -199,6 +216,8 @@ class DevLsm {
     // Appends a pair whose key sorts after every key already in the run.
     void Add(const Slice& key, const Entry& e);
     void AddFrom(const Run& src, size_t i);
+    // Builds `filter` over every key, once the run holds all of them.
+    void BuildFilter();
   };
 
   // Writes one pair into the device memtable, replacing any older version.

@@ -127,6 +127,12 @@ Status SimFs::RenameFile(const std::string& from, const std::string& to) {
   return Status::OK();
 }
 
+uint64_t SimFs::resident_bytes() const {
+  uint64_t bytes = 0;
+  for (const auto& [name, inode] : files_) bytes += inode->data.capacity();
+  return bytes;
+}
+
 bool SimFs::FileExists(const std::string& name) const {
   return files_.count(name) > 0;
 }
@@ -342,6 +348,8 @@ Status WritableFile::Close() {
   if (closed_) return Status::OK();
   closed_ = true;
   inode_->open_for_write = false;
+  // No more appends: give back the doubling slack (host memory only).
+  inode_->data.shrink_to_fit();
   return Status::OK();
 }
 

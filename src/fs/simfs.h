@@ -76,8 +76,9 @@ class WritableFile {
   Status Flush();
   // Flush + device cache flush (fsync).
   Status Sync();
-  // Marks the handle closed. Dirty bytes stay in the page cache (readable,
-  // dropped for free on delete, lost on SimFs::DropAllDirty "power cut").
+  // Marks the handle closed and trims the inode's buffer to its bytes.
+  // Dirty bytes stay in the page cache (readable, dropped for free on
+  // delete, lost on SimFs::DropAllDirty "power cut").
   Status Close();
   // Per-file writeback threshold; kLazyWriteback = only Sync writes back.
   void set_writeback_chunk(uint64_t bytes) { writeback_chunk_ = bytes; }
@@ -154,6 +155,8 @@ class SimFs {
   Status DumpToHostDir(const std::string& dir) const;
   Status LoadFromHostDir(const std::string& dir);
 
+  // Host memory the files' buffers hold (capacity, not size).
+  uint64_t resident_bytes() const;
   uint64_t free_sectors() const { return free_sectors_; }
   uint64_t total_sectors() const { return total_sectors_; }
   uint64_t writeback_chunk() const { return writeback_chunk_; }

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <utility>
 
 #include "check/failover.h"
 #include "common/random.h"
@@ -308,13 +309,22 @@ std::string DbbenchConfigError(const DbbenchArgs& args) {
   }
   if (sut.ha && !kvaccel) return "--ha requires --system=kvaccel";
   if (sut.ha && sut.shards > 1) return "--ha requires --shards=1";
-  // A single node has no link to cut and no acks to defer: refuse the HA
-  // flags rather than echo a window or discipline the run never had.
-  if (!sut.ha &&
-      (sut.net_partition_start_s != 0 || sut.net_partition_dur_s != 0)) {
-    return "--net_partition requires --ha";
+  // A single node has no link, no acks to defer, no lease and no fencing
+  // epoch: refuse the HA flags rather than echo settings the run never had.
+  const SutConfig single;
+  const std::pair<bool, const char*> ha_only[] = {
+      {sut.net_partition_start_s != 0 || sut.net_partition_dur_s != 0,
+       "--net_partition"},
+      {sut.repl_ack_async, "--repl_ack=async"},
+      {sut.net_mbps != single.net_mbps, "--net_mbps"},
+      {sut.net_latency_us != single.net_latency_us, "--net_latency_us"},
+      {sut.lease_ms != single.lease_ms, "--lease_ms"},
+      {sut.heartbeat_ms != single.heartbeat_ms, "--heartbeat_ms"},
+      {sut.fence_epoch != single.fence_epoch, "--fence_epoch"},
+  };
+  for (const auto& [set, flag] : ha_only) {
+    if (set && !sut.ha) return std::string(flag) + " requires --ha";
   }
-  if (!sut.ha && sut.repl_ack_async) return "--repl_ack=async requires --ha";
   if (sut.ndp_mode != ndp::OffloadMode::kOff && !kvaccel) {
     return "--ndp requires --system=kvaccel";
   }

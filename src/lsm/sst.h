@@ -17,11 +17,11 @@
 #include <string>
 #include <vector>
 
+#include "common/bloom.h"
 #include "common/slice.h"
 #include "common/status.h"
 #include "common/value.h"
 #include "fs/simfs.h"
-#include "lsm/bloom.h"
 #include "lsm/cache.h"
 #include "lsm/dbformat.h"
 #include "lsm/iterator.h"
@@ -29,9 +29,6 @@
 #include "lsm/version.h"
 
 namespace kvaccel::lsm {
-
-// Bloom filter bits per user key of every table (~1% false positives).
-constexpr int kBloomBitsPerKey = 10;
 
 struct BlockHandle {
   uint64_t offset = 0;    // physical offset in file

@@ -187,5 +187,51 @@ TEST(SimFsTest, RecreateTruncates) {
   });
 }
 
+// Appends grow a file's buffer by doubling; Close gives the slack back. Two
+// files take the same appends, and only one is closed: it then holds exactly
+// its bytes, reads return them, and a power cut leaves both files the same
+// written-back prefix.
+TEST(SimFsTest, CloseGivesBackAppendSlack) {
+  RunSim([](sim::SimEnv&, ssd::HybridSsd& ssd) {
+    SimFs fs(&ssd, 0);
+    std::unique_ptr<WritableFile> closed, open;
+    ASSERT_TRUE(fs.NewWritableFile("closed", &closed).ok());
+    ASSERT_TRUE(fs.NewWritableFile("open", &open).ok());
+    // 41 physical bytes stand for 1,000 device bytes, so a 16 KiB writeback
+    // chunk writes back every 17 appends and leaves a dirty tail.
+    for (WritableFile* w : {closed.get(), open.get()}) {
+      w->set_writeback_chunk(16 << 10);
+    }
+    std::string contents;
+    for (int i = 0; i < 300; i++) {
+      const std::string chunk(41, static_cast<char>('a' + i % 26));
+      for (WritableFile* w : {closed.get(), open.get()}) {
+        ASSERT_TRUE(w->Append(chunk, 1000).ok());
+      }
+      contents += chunk;
+    }
+    const uint64_t both = fs.resident_bytes();
+    EXPECT_GT(both, 2 * contents.size());
+    ASSERT_TRUE(closed->Close().ok());
+    EXPECT_EQ(fs.resident_bytes(), both / 2 + contents.size());
+
+    std::unique_ptr<RandomAccessFile> r;
+    std::string out;
+    ASSERT_TRUE(fs.NewRandomAccessFile("closed", &r).ok());
+    ASSERT_TRUE(r->Read(0, contents.size() + 1, &out).ok());
+    EXPECT_EQ(out, contents);
+
+    fs.DropAllDirty();
+    std::string kept_closed, kept_open;
+    ASSERT_TRUE(r->Read(0, contents.size(), &kept_closed).ok());
+    ASSERT_TRUE(fs.NewRandomAccessFile("open", &r).ok());
+    ASSERT_TRUE(r->Read(0, contents.size(), &kept_open).ok());
+    EXPECT_EQ(kept_closed, kept_open);
+    EXPECT_FALSE(kept_closed.empty());
+    EXPECT_LT(kept_closed.size(), contents.size());
+    EXPECT_EQ(kept_closed, contents.substr(0, kept_closed.size()));
+  });
+}
+
 }  // namespace
 }  // namespace kvaccel::fs

@@ -228,6 +228,11 @@ TEST(FlagsTest, EveryDbbenchFlagLandsInItsField) {
 TEST(FlagsTest, DbbenchCrossFlagRulesNameTheFlags) {
   EXPECT_EQ(DbbenchConfigError(ParseDbbench({"--system=kvaccel", "--ha"})),
             "");
+  EXPECT_EQ(DbbenchConfigError(ParseDbbench(
+                {"--system=kvaccel", "--ha", "--net_mbps=100",
+                 "--net_latency_us=5", "--lease_ms=5", "--heartbeat_ms=2",
+                 "--fence_epoch=3"})),
+            "");
   const std::pair<std::vector<const char*>, const char*> bad[] = {
       {{"--shards=2"}, "--shards"},
       {{"--ha"}, "--ha"},
@@ -235,6 +240,11 @@ TEST(FlagsTest, DbbenchCrossFlagRulesNameTheFlags) {
       {{"--ndp=auto"}, "--ndp"},
       {{"--system=kvaccel", "--net_partition=4:2"}, "--net_partition"},
       {{"--system=kvaccel", "--repl_ack=async"}, "--repl_ack"},
+      {{"--system=kvaccel", "--net_mbps=100"}, "--net_mbps"},
+      {{"--system=kvaccel", "--net_latency_us=5"}, "--net_latency_us"},
+      {{"--system=kvaccel", "--lease_ms=5"}, "--lease_ms"},
+      {{"--system=kvaccel", "--heartbeat_ms=2"}, "--heartbeat_ms"},
+      {{"--system=kvaccel", "--fence_epoch=3"}, "--fence_epoch"},
       {{"--zipf_theta=0.5", "--hotspot=0.1:0.9"}, "--zipf_theta"},
       {{"--arrival=spike"}, "--arrival=spike"},
       {{"--ttl_frac=0.1"}, "--ttl_frac"},
@@ -411,7 +421,7 @@ TEST(RunBenchmarkTest, KvaccelFillrandomReplaysItsPinnedReport) {
   RunResult r = RunBenchmark(c);
   EXPECT_GT(r.kv.redirected_writes, 0u);
   EXPECT_GT(r.kv.rollbacks, 0u);
-  EXPECT_EQ(Fnv1a(JsonReportString(c, {r})), 0xff572e09d79bcfbcull)
+  EXPECT_EQ(Fnv1a(JsonReportString(c, {r})), 0xff685bfb84f14406ull)
       << "the KVACCEL fillrandom report changed";
 }
 

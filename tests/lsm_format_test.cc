@@ -9,7 +9,6 @@
 
 #include "common/arena.h"
 #include "common/random.h"
-#include "lsm/bloom.h"
 #include "lsm/cache.h"
 #include "lsm/dbformat.h"
 #include "lsm/filename.h"
@@ -251,40 +250,6 @@ TEST(FileNameTest, RoundTripsPastSixDigitsAndRejectsOtherNames) {
     FileType type;
     EXPECT_FALSE(ParseFileName(name, &number, &type)) << name;
   }
-}
-
-TEST(BloomTest, NoFalseNegatives) {
-  BloomFilter bloom(10);
-  std::vector<uint32_t> hashes;
-  std::vector<std::string> keys;
-  for (int i = 0; i < 1000; i++) {
-    keys.push_back("key" + std::to_string(i));
-    hashes.push_back(BloomFilter::HashKey(keys.back()));
-  }
-  std::string filter;
-  bloom.CreateFilter(hashes, &filter);
-  for (const auto& k : keys) {
-    EXPECT_TRUE(bloom.KeyMayMatch(BloomFilter::HashKey(k), filter));
-  }
-}
-
-TEST(BloomTest, LowFalsePositiveRate) {
-  BloomFilter bloom(10);
-  std::vector<uint32_t> hashes;
-  for (int i = 0; i < 1000; i++) {
-    hashes.push_back(BloomFilter::HashKey("in" + std::to_string(i)));
-  }
-  std::string filter;
-  bloom.CreateFilter(hashes, &filter);
-  int false_positives = 0;
-  for (int i = 0; i < 10000; i++) {
-    if (bloom.KeyMayMatch(BloomFilter::HashKey("out" + std::to_string(i)),
-                          filter)) {
-      false_positives++;
-    }
-  }
-  // ~1% expected at 10 bits/key; allow generous slack.
-  EXPECT_LT(false_positives, 300);
 }
 
 TEST(BlockCacheTest, HitMissAndLru) {

@@ -90,7 +90,8 @@ run_pass() {
   cmake --build "${dir}" -j "${JOBS}"
   # Command-line probe, no simulation: every tool and bench binary answers
   # --help and rejects an unknown flag, and a cycle count too wide for its
-  # field and a zero key space exit 2 instead of running.
+  # field, a zero key space and an HA-only flag on a single node exit 2
+  # instead of running.
   echo "==== ${name}: command-line probe ===="
   local bin
   for bin in $(find "${dir}/tools" "${dir}/bench" -maxdepth 1 -type f \
@@ -101,6 +102,7 @@ run_pass() {
   expect_exit 2 "${dir}/tools/kvaccel_nemesis" --cycles=4294967296
   expect_exit 2 "${dir}/tools/kvaccel_dbbench" --workload=seekrandom \
     --key_space=0
+  expect_exit 2 "${dir}/tools/kvaccel_dbbench" --net_mbps=100
   echo "==== ${name}: ctest ===="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}"
   # Fault-injection suite, explicitly: all seeds are fixed in the tests, so
