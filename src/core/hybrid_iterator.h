@@ -4,12 +4,14 @@
 // smaller key; on equal keys the Metadata Manager arbitrates which side has
 // the newest version. Dev-LSM tombstones hide the key from both sides.
 //
-// Snapshot discipline (DESIGN.md §9): all three inputs are pinned at
-// construction — the main-LSM iterator's snapshot, the device iterator's
-// merged view, and a copy of the Metadata Manager's key set for tie
-// arbitration. A rollback draining the device mid-scan therefore cannot
-// drop keys or flip a tie to a side whose copy was already retired; the
-// scan observes the authority map as of its creation.
+// Snapshot discipline (DESIGN.md §9): all three inputs are pinned before
+// construction, in this order — the device iterator's merged view, a copy of
+// the Metadata Manager's key set for tie arbitration, then the main-LSM
+// iterator's snapshot. Pinning can yield, and a rollback only moves pairs
+// from the device into the Main-LSM, so a Main-LSM snapshot taken last holds
+// every pair the other two no longer name. A rollback draining the device
+// mid-scan therefore cannot drop keys or flip a tie to a side whose copy was
+// already retired; the scan observes the authority map as of its creation.
 //
 // Exposes the standard lsm::Iterator surface: key() is the user key,
 // value() the encoded Value payload. Each Seek and SeekToFirst is counted
@@ -32,10 +34,11 @@ class HybridIterator : public lsm::Iterator {
  public:
   HybridIterator(std::unique_ptr<lsm::Iterator> main_iter,
                  std::unique_ptr<devlsm::DevLsm::Iterator> dev_iter,
-                 MetadataManager* md, sim::SimEnv* env, lsm::DbStats* stats)
+                 KeySeqTable md_snapshot, sim::SimEnv* env,
+                 lsm::DbStats* stats)
       : main_(std::move(main_iter)),
         dev_(std::move(dev_iter)),
-        md_snapshot_(md->SnapshotKeySet()),
+        md_snapshot_(std::move(md_snapshot)),
         env_(env),
         stats_(stats) {}
 

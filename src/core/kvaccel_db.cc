@@ -296,8 +296,14 @@ Status KvaccelDB::Get(const lsm::ReadOptions& ropts, const Slice& key,
 
 std::unique_ptr<lsm::Iterator> KvaccelDB::NewIterator(
     const lsm::ReadOptions& ropts) {
-  return std::make_unique<HybridIterator>(main_->NewIterator(ropts),
-                                          dev_->NewIterator(), md_.get(), env_,
+  // The Main-LSM is pinned last, so a rollback landing between the pins
+  // cannot hide a pair from all three (hybrid_iterator.h).
+  std::unique_ptr<devlsm::DevLsm::Iterator> dev_iter = dev_->NewIterator();
+  KeySeqTable md_snapshot = md_->SnapshotKeySet();
+  std::unique_ptr<lsm::Iterator> main_iter = main_->NewIterator(ropts);
+  return std::make_unique<HybridIterator>(std::move(main_iter),
+                                          std::move(dev_iter),
+                                          std::move(md_snapshot), env_,
                                           &agg_stats_);
 }
 

@@ -563,6 +563,7 @@ void DevLsm::Iterator::Seek(const Slice& user_key) {
   exhausted_ = false;
   buffer_.clear();
   pos_ = 0;
+  batch_budget_ = 0;
   FetchBatch(user_key, /*inclusive=*/true);
 }
 
@@ -584,8 +585,12 @@ void DevLsm::Iterator::FetchBatch(const Slice& start, bool inclusive) {
   size_t i = view.LowerBound(start);
   if (!inclusive && i < view.size() && view.key(i) == start) ++i;
 
+  const uint64_t page = dev->ssd_->config().page_size;
+  batch_budget_ = std::min(dev->options_.dma_chunk,
+                           batch_budget_ == 0 ? kFirstBatchPages * page
+                                              : 2 * batch_budget_);
   uint64_t batch_bytes = 0;
-  while (i < view.size() && batch_bytes < dev->options_.dma_chunk) {
+  while (i < view.size() && batch_bytes < batch_budget_) {
     VersionedEntry e;
     e.key = view.key(i).ToString();
     e.value = view.value(i);
@@ -595,24 +600,31 @@ void DevLsm::Iterator::FetchBatch(const Slice& start, bool inclusive) {
     ++i;
   }
   exhausted_ = (i == view.size());
-  if (!buffer_.empty()) {
-    // Uncached range scan: unlike the rollback's full sequential bulk scan,
-    // an arbitrary-range batch gathers entries scattered across the runs, so
-    // without a device read cache every entry costs a random NAND page read
-    // — the Table V bottleneck the paper names ("without a read cache ...
-    // its range query performance lags behind significantly").
-    const uint64_t page = dev->ssd_->config().page_size;
-    for (const VersionedEntry& e : buffer_) {
-      // Extension: with a device read cache configured, resident pages skip
-      // the NAND round trip (paper: the absence of this cache is the
-      // Table V bottleneck).
-      if (!dev->ReadCacheLookupOrFill(e.key, page)) {
-        dev->ssd_->NandRead(page);
-      }
+  if (buffer_.empty()) return;
+  Nanos batch_start = dev->tracer_ != nullptr ? dev->env_->Now() : 0;
+  // Uncached range scan: unlike the rollback's full sequential bulk scan,
+  // an arbitrary-range batch gathers entries scattered across the runs, so
+  // without a device read cache every entry costs a random NAND page read
+  // — the Table V bottleneck the paper names ("without a read cache ...
+  // its range query performance lags behind significantly").
+  uint64_t pages = 0;
+  for (const VersionedEntry& e : buffer_) {
+    // Extension: with a device read cache configured, resident pages skip
+    // the NAND round trip (paper: the absence of this cache is the
+    // Table V bottleneck).
+    if (!dev->ReadCacheLookupOrFill(e.key, page)) {
+      dev->ssd_->NandRead(page);
+      pages++;
     }
-    dev->ssd_->firmware()->Consume(kScanFwNsPerEntry *
-                                   static_cast<double>(buffer_.size()));
-    dev->ssd_->PcieToHost(batch_bytes);
+  }
+  dev->ssd_->firmware()->Consume(kScanFwNsPerEntry *
+                                 static_cast<double>(buffer_.size()));
+  dev->ssd_->PcieToHost(batch_bytes);
+  dev->stats_.iter_batches++;
+  dev->stats_.iter_pages += pages;
+  if (dev->tracer_ != nullptr) {
+    dev->tracer_->Complete(dev->tr_dev_, "dev.iter_batch", batch_start,
+                           dev->env_->Now(), batch_bytes);
   }
 }
 

@@ -50,7 +50,7 @@ struct DevLsmOptions {
   int l0_run_trigger = 8;
 
   // DMA chunk for the bulky range scan (paper §V-E: 512 KB, the platform's
-  // maximum DMA transfer unit).
+  // maximum DMA transfer unit), and the largest iterator batch.
   uint64_t dma_chunk = 512 << 10;
 
   // --- Extension (paper Table V discussion / future work) ---
@@ -75,6 +75,10 @@ struct DevLsmStats {
   uint64_t compaction_bytes_written = 0;
   uint64_t bulk_scans = 0;
   uint64_t scan_chunks = 0;
+  // Range-query iterator batches that returned pairs, and the NAND pages
+  // they read (DESIGN.md §26).
+  uint64_t iter_batches = 0;
+  uint64_t iter_pages = 0;
   uint64_t resets = 0;
   uint64_t read_cache_hits = 0;
   uint64_t read_cache_misses = 0;
@@ -97,6 +101,8 @@ struct DevLsmStats {
        &DevLsmStats::compaction_bytes_written},
       {"devlsm.bulk_scans", &DevLsmStats::bulk_scans},
       {"devlsm.scan_chunks", &DevLsmStats::scan_chunks},
+      {"devlsm.iter.batches", &DevLsmStats::iter_batches},
+      {"devlsm.iter.pages", &DevLsmStats::iter_pages},
       {"devlsm.resets", &DevLsmStats::resets},
       {"devlsm.get.nand_probes", &DevLsmStats::get_nand_probes},
       {"devlsm.get.filter_skips", &DevLsmStats::get_filter_skips},
@@ -133,9 +139,10 @@ class DevLsm {
   // they are not part of the snapshot. Each entry's seq is its host_seq.
   Status BulkScan(const std::function<void(const VersionedEntry&)>& fn);
 
-  // Device-side iterator for range queries (paper §V-F). Seek/Next fetch
-  // dma_chunk batches through the same scan machinery — uncached, so every
-  // batch pays device latency.
+  // Device-side iterator for range queries (paper §V-F). Seek and Next
+  // fetch batches that ramp from two pages' worth of pairs up to dma_chunk
+  // (DESIGN.md §26); each batch is one command that reads one uncached NAND
+  // page per pair, so every batch pays device latency.
   class Iterator;
   std::unique_ptr<Iterator> NewIterator();
 
@@ -276,8 +283,8 @@ class DevLsm {
   DevLsmStats stats_;
 
   // Command spans on the "devlsm" trace track (DESIGN.md §8). GETs coalesce
-  // into busy windows; compound puts, flush/compaction/scan chunks/reset are
-  // discrete spans. Null tracer = all of this is inert.
+  // into busy windows; compound puts, flush/compaction/scan chunks/iterator
+  // batches/reset are discrete spans. Null tracer = all of this is inert.
   obs::Tracer* tracer_ = nullptr;
   uint32_t tr_dev_ = 0;
   obs::CoalescingSpan get_span_;
@@ -305,13 +312,20 @@ class DevLsm::Iterator {
   bool tombstone() const { return buffer_[pos_].tombstone; }
 
  private:
+  // Fetches the next batch: the first after a Seek holds kFirstBatchPages
+  // pages' worth of pairs, and each refill doubles the byte budget up to
+  // dma_chunk, so a short scan reads few pages it never returns.
   void FetchBatch(const Slice& start_after, bool inclusive);
+
+  static constexpr uint64_t kFirstBatchPages = 2;
 
   DevLsm* dev_;
   std::shared_ptr<const Run> view_;  // snapshot pinned at open
   std::vector<VersionedEntry> buffer_;
   size_t pos_ = 0;
   bool exhausted_ = false;
+  // Byte budget of the last batch; 0 until the first batch after a Seek.
+  uint64_t batch_budget_ = 0;
 };
 
 }  // namespace kvaccel::devlsm

@@ -309,6 +309,93 @@ TEST(KvaccelDbTest, HybridIteratorSurvivesRollbackMidScan) {
   });
 }
 
+// A scan opened while a rollback runs sees every key. Pinning the three
+// inputs can yield (the Main-LSM opens L0 tables it has not opened yet), so
+// a Main-LSM snapshot pinned first could predate the rollback's ingested
+// file while the device view and the key set pinned after it were already
+// empty: the scan lost every device pair.
+TEST(KvaccelDbTest, IteratorOpenedDuringARollbackSeesEveryKey) {
+  SimWorld world;
+  world.Run([&] {
+    std::unique_ptr<KvaccelDB> db;
+    ASSERT_TRUE(KvaccelDB::Open(test::SmallDbOptions(), SmallKvOptions(),
+                                world.MakeDbEnv(), &db)
+                    .ok());
+    // Even keys host-side over three flushed L0 files; odd keys device-side
+    // with host sequence numbers and metadata records, as redirection
+    // leaves them.
+    for (int file = 0; file < 3; file++) {
+      for (int i = 2 * file; i < 100; i += 6) {
+        ASSERT_TRUE(db->Put({}, TestKey(i), Value::Synthetic(i, 256)).ok());
+      }
+      ASSERT_TRUE(db->main()->FlushAll().ok());
+    }
+    for (int i = 1; i < 100; i += 2) {
+      uint64_t seq = db->main()->AllocateSequence(1);
+      ASSERT_TRUE(
+          DevPut(db->dev(), TestKey(i), Value::Synthetic(i, 256), seq).ok());
+      db->metadata()->Insert(TestKey(i), seq);
+    }
+
+    sim::SimEnv::Thread* rollback = world.env.Spawn(
+        "rollback", [&] { EXPECT_TRUE(db->RollbackNow().ok()); });
+    auto it = db->NewIterator({});
+    std::vector<std::string> keys;
+    for (it->SeekToFirst(); it->Valid(); it->Next()) {
+      keys.push_back(it->key().ToString());
+      const uint64_t n = strtoull(keys.back().c_str() + 3, nullptr, 10);
+      EXPECT_EQ(Value::DecodeOrDie(it->value()).seed(), n) << keys.back();
+    }
+    std::vector<std::string> want;
+    for (int i = 0; i < 100; i++) want.push_back(TestKey(i));
+    EXPECT_EQ(keys, want) << "keys vanished behind the rollback";
+    world.env.Join(rollback);
+    EXPECT_TRUE(db->dev()->Empty());
+    it.reset();
+    ASSERT_TRUE(db->Close().ok());
+  });
+}
+
+// A short hybrid scan over a sparse device reads the device pages it
+// returns, not a full dma_chunk batch: the device batch after a Seek holds
+// two pages' worth of pairs.
+TEST(KvaccelDbTest, ShortHybridScanReadsFewDevicePages) {
+  SimWorld world;
+  world.Run([&] {
+    std::unique_ptr<KvaccelDB> db;
+    ASSERT_TRUE(KvaccelDB::Open(test::SmallDbOptions(), SmallKvOptions(),
+                                world.MakeDbEnv(), &db)
+                    .ok());
+    // Host keys every 16 over 64,000; one 4 KiB device pair, with its
+    // record, per 1,000 keys, at an odd key the host never writes.
+    for (int i = 0; i < 64000; i += 16) {
+      ASSERT_TRUE(db->Put({}, TestKey(i), Value::Synthetic(i, 256)).ok());
+    }
+    for (int i = 500; i < 64000; i += 1000) {
+      uint64_t seq = db->main()->AllocateSequence(1);
+      ASSERT_TRUE(
+          DevPut(db->dev(), TestKey(i + 1), Value::Synthetic(i + 1, 4096), seq)
+              .ok());
+      db->metadata()->Insert(TestKey(i + 1), seq);
+    }
+
+    const uint64_t pages = db->dev()->stats().iter_pages;
+    auto it = db->NewIterator({});
+    it->Seek(TestKey(32000));
+    std::vector<std::string> keys;
+    for (; it->Valid() && keys.size() < 64; it->Next()) {
+      keys.push_back(it->key().ToString());
+    }
+    ASSERT_EQ(keys.size(), 64u);
+    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+    EXPECT_EQ(std::count(keys.begin(), keys.end(), TestKey(32501)), 1);
+    // A full 64 KiB batch would read 16 pages.
+    EXPECT_LE(db->dev()->stats().iter_pages - pages, 6u);
+    it.reset();
+    ASSERT_TRUE(db->Close().ok());
+  });
+}
+
 TEST(KvaccelDbTest, CrashRecoveryRebuildsConsistency) {
   SimWorld world;
   world.Run([&] {

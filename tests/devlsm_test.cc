@@ -227,6 +227,9 @@ TEST(DevLsmTest, ResetFreesEverything) {
   });
 }
 
+// Each 4 KiB pair is one NAND page. The first batch after a Seek holds two
+// pages' worth of pairs, each refill twice the last, up to the 64 KiB
+// dma_chunk (16 pairs), and a new Seek starts the ramp again.
 TEST(DevLsmTest, IteratorBatchedSeekNext) {
   SimWorld world;
   world.Run([&] {
@@ -235,16 +238,43 @@ TEST(DevLsmTest, IteratorBatchedSeekNext) {
       ASSERT_TRUE(DevPut(&dev, TestKey(i), Value::Synthetic(i, 4096)).ok());
     }
     auto it = dev.NewIterator();
+    // The pages each batch read, taken off iter_pages as the cursor moves.
+    std::vector<uint64_t> batches;
+    uint64_t seen = dev.stats().iter_pages;
+    auto note = [&] {
+      if (dev.stats().iter_pages == seen) return;
+      batches.push_back(dev.stats().iter_pages - seen);
+      seen = dev.stats().iter_pages;
+    };
+
+    const uint64_t before = seen;
     it->Seek(TestKey(30));
-    int count = 0;
-    for (; it->Valid(); it->Next()) {
+    note();
+    uint64_t count = 0;
+    for (; it->Valid(); it->Next(), note()) {
       EXPECT_EQ(it->key(), TestKey(30 + count));
+      // The Seek and `count` Nexts so far read at most 2 * count + 2 pages.
+      EXPECT_LE(seen - before, 2 * count + 2) << it->key();
       count++;
     }
-    EXPECT_EQ(count, 70);
+    EXPECT_EQ(count, 70u);
+    EXPECT_EQ(batches, (std::vector<uint64_t>{2, 4, 8, 16, 16, 16, 8}));
+    EXPECT_EQ(dev.stats().iter_batches, batches.size());
+
+    batches.clear();
     it->SeekToFirst();
+    note();
     ASSERT_TRUE(it->Valid());
     EXPECT_EQ(it->key(), TestKey(0));
+    for (int i = 0; i < 6; i++) {
+      it->Next();
+      note();
+    }
+    it->Seek(TestKey(90));
+    note();
+    ASSERT_TRUE(it->Valid());
+    EXPECT_EQ(it->key(), TestKey(90));
+    EXPECT_EQ(batches, (std::vector<uint64_t>{2, 4, 8, 2}));
   });
 }
 
@@ -375,12 +405,12 @@ TEST(DevLsmTest, SeededScheduleMatchesNewestSequenceModel) {
     Nanos now;
   };
   const Pinned kPinned[] = {
-      {"compaction on", true, false, 0x5eed0001, 71, 38521187, 65774650, 235,
-       49, 1764854543},
-      {"compaction off", false, false, 0x5eed0002, 93, 21939512, 45791274,
-       220, 0, 1403899544},
-      {"inline values", true, true, 0x5eed0003, 98, 32879653, 63379997, 220,
-       51, 1671672324},
+      {"compaction on", true, false, 0x5eed0001, 71, 38521187, 65201210, 235,
+       49, 1754712888},
+      {"compaction off", false, false, 0x5eed0002, 93, 21939512, 45176874,
+       220, 0, 1393036425},
+      {"inline values", true, true, 0x5eed0003, 98, 32879653, 62847517, 220,
+       51, 1662252648},
   };
   for (const Pinned& pin : kPinned) {
     SCOPED_TRACE(pin.name);

@@ -93,9 +93,9 @@ TEST(NemesisTest, EveryTopologyReplaysItsPinnedSchedule) {
     uint64_t digest;
   };
   const Pinned kPinned[] = {
-      {"single", 1317456661, 30, [](NemesisOptions*) {}, 0x3d7e5ee98ba8b436},
+      {"single", 1317456661, 30, [](NemesisOptions*) {}, 0x161485332fdbd06e},
       {"ndp", 7, 12, [](NemesisOptions* o) { o->ndp = true; },
-       0x67f0ba50ef355bd9},
+       0xe464fac9d7f24305},
       {"shards=4", 1317456661, 12, [](NemesisOptions* o) { o->shards = 4; },
        0xd2b72839153fca99},
       {"ha sync", 50, 12, [](NemesisOptions* o) { o->ha = true; },
@@ -111,7 +111,7 @@ TEST(NemesisTest, EveryTopologyReplaysItsPinnedSchedule) {
          o->ha = true;
          o->net_partition = true;
        },
-       0x09322a430f465a51},
+       0x1254a2cc1e1a5f26},
   };
   for (const Pinned& p : kPinned) {
     NemesisOptions opt;

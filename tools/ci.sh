@@ -27,7 +27,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #              and transient COMPACT rejections mixed in.
 #   ha-sync    two-node HA, both ack modes: each cycle kills the pair at a
 #   ha-async   kill site drawn from the HA crash table (the single-node sites
-#              plus crash.net.send.mid; seed 1198's 12 sync cycles arm all
+#              plus crash.net.send.mid; seed 1076's 12 sync cycles arm all
 #              ten), promotes the backup and holds it to the oracle — sync
 #              must serve every acked write, async loss must stay under the
 #              queue-cap bound.
@@ -40,7 +40,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 NEMESIS_SMOKES=(
   "single|--cycles=30 --nemesis_seed=1317456661"
   "ndp|--ndp --cycles=12 --nemesis_seed=7"
-  "ha-sync|--ha --cycles=12 --nemesis_seed=1198"
+  "ha-sync|--ha --cycles=12 --nemesis_seed=1076"
   "ha-async|--ha --repl_ack=async --cycles=6 --nemesis_seed=99"
   "partition-delta|--ha --net_partition --cycles=8 --nemesis_seed=24301"
 )
@@ -425,15 +425,16 @@ EOF
 # pinned BUILD_DIR: prints "sha256  NAME.ARTIFACT" for the stdout (its
 # artifact-path lines dropped), --json_out report and --trace_out trace of
 # every bench_smoke dbbench run, the single-node read path (readwhilewriting,
-# and a short seekrandom), two sharded runs (readwhilewriting, and
-# --ndp=auto), a 20 s four-writer run whose Dev-LSM merges twice (devmerge:
-# the first merge, of nine fresh runs, is the same under any merge policy;
-# the second shows the policy), and two flaky-nvme fault runs (single node,
-# and the async HA pair), and for the stdout of the five nemesis smokes. The
-# fault runs pin the transient-retry limits and backoffs: their seeds are
-# ones where a Main-LSM retry fires (at the default seed neither run
-# retries), and flaky's also fires a Dev-LSM retry. Artifacts stay in
-# BUILD_DIR/pinned-artifacts.
+# and a short seekrandom twice: seek-dev never rolls back, so its seeks merge
+# the redirected pairs the Dev-LSM iterator serves), two sharded runs
+# (readwhilewriting, and --ndp=auto), a 20 s four-writer run whose Dev-LSM
+# merges twice (devmerge: the first merge, of nine fresh runs, is the same
+# under any merge policy; the second shows the policy), and two flaky-nvme
+# fault runs (single node, and the async HA pair), and for the stdout of the
+# five nemesis smokes. The fault runs pin the transient-retry limits and
+# backoffs: their seeds are ones where a Main-LSM retry fires (at the default
+# seed neither run retries), and flaky's also fires a Dev-LSM retry.
+# Artifacts stay in BUILD_DIR/pinned-artifacts.
 pinned() {
   local dir="$1" out="$1/pinned-artifacts"
   local small="--workload=fillrandom --seconds=10 --scale=0.0625"
@@ -445,6 +446,7 @@ pinned() {
     "sub4|--system=rocksdb --workload=fillrandom --seconds=20 --scale=0.0625 --threads=4 --writer_threads=4 --batch_size=8 --max_subcompactions=4"
     "rw|--system=kvaccel --workload=readwhilewriting --read_threads=2 --seconds=10 --scale=0.0625"
     "seek|--system=kvaccel --workload=seekrandom --scale=0.0625 --seek_ops=2000"
+    "seek-dev|--system=kvaccel --workload=seekrandom --scale=0.0625 --seek_ops=2000 --rollback=disabled"
     "shards1|--system=kvaccel ${small} --writer_threads=4 --batch_size=4 --shards=1"
     "shards4|--system=kvaccel ${small} --writer_threads=4 --batch_size=4 --shards=4"
     "shards4-rw|--system=kvaccel --workload=readwhilewriting --read_threads=2 --seconds=10 --scale=0.0625 --shards=4"
