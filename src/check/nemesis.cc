@@ -118,7 +118,11 @@ lsm::DbOptions NemesisDbOptions() {
 core::KvaccelOptions NemesisKvOptions() {
   core::KvaccelOptions o;
   o.detector_period = FromMillis(1);
-  o.dev.memtable_bytes = 128 << 10;
+  // A small device memtable and fan-in so redirected pairs flush and the
+  // background merge runs, and crashes, resets and reclaims land mid-merge
+  // (DESIGN.md §27).
+  o.dev.memtable_bytes = 16 << 10;
+  o.dev.l0_run_trigger = 2;
   o.dev.dma_chunk = 64 << 10;
   // Rollbacks happen only at the op stream's explicit rollback draws, so
   // the schedule stays a pure function of the seed.
@@ -299,6 +303,12 @@ NemesisResult Nemesis::Run() {
   });
   env_.Run();
 
+  for (const Machine& mc : machines_) {
+    for (const auto& dev : mc.devs) {
+      result_.dev_merges += dev->stats().compactions;
+      result_.dev_merges_discarded += dev->stats().merge_discarded;
+    }
+  }
   result_.trace = trace_.str();
   if (!result_.ok && !opt_.trace_dump_dir.empty()) {
     std::error_code ec;

@@ -85,6 +85,9 @@ struct NemesisResult {
   int cycles_run = 0;
   int crashes = 0;         // cycles that actually died at a crash site
   uint64_t ops_executed = 0;
+  // Dev-LSM merges installed and discarded, over every device.
+  uint64_t dev_merges = 0;
+  uint64_t dev_merges_discarded = 0;
   // HA mode only.
   int failovers = 0;                    // promotions performed (one per cycle)
   uint64_t ha_lost_entries = 0;         // async tail entries lost, summed

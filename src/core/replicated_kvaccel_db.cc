@@ -60,7 +60,12 @@ ReplicatedKvaccelDB::ReplicatedKvaccelDB(const ReplOptions& options,
       env_(env),
       net_rng_(kNetJitterSeed) {}
 
-ReplicatedKvaccelDB::~ReplicatedKvaccelDB() { assert(closed_); }
+ReplicatedKvaccelDB::~ReplicatedKvaccelDB() {
+  // As ~KvaccelDB: on a simulated thread an open pair closes itself.
+  sim::SimEnv* env = sim::SimEnv::Current();
+  if (!closed_ && env != nullptr && !env->shutting_down()) Close();
+  assert(closed_);
+}
 
 Status ReplicatedKvaccelDB::Open(const lsm::DbOptions& main_options,
                                  const KvaccelOptions& kv_options,

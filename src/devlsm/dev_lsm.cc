@@ -29,11 +29,16 @@ DevLsm::DevLsm(ssd::HybridSsd* ssd, int nsid, const DevLsmOptions& options)
   tracer_ = env_->tracer();
   if (tracer_ != nullptr) {
     tr_dev_ = tracer_->RegisterTrack("devlsm");
+    tr_merge_ = tracer_->RegisterTrack("devlsm.merge");
     get_span_.Init(tracer_, tr_dev_, "dev.get", FromMicros(50));
   }
 }
 
 DevLsm::~DevLsm() {
+  // The task's fiber points at this device. Off a simulated thread the
+  // environment has already run every thread down.
+  sim::SimEnv* env = sim::SimEnv::Current();
+  if (env != nullptr && !env->shutting_down()) StopMergeTask();
   // The tracer outlives the DB world; close out coalesced busy windows so
   // the last burst isn't lost (see obs::CoalescingSpan lifetime rule).
   get_span_.Flush();
@@ -198,6 +203,18 @@ void DevLsm::MergeNewest(std::span<const Run> runs, const Memtable* mem,
 Status DevLsm::PutCompound(const std::vector<VersionedEntry>& entries) {
   if (entries.empty()) return Status::OK();
   sim::SimLockGuard l(cmd_mu_);
+  // Backpressure: flushes outran the merge. Waiting before any sequence is
+  // taken keeps a rollback's snapshot bound (LastSeq) from covering pairs
+  // that are not in the device yet.
+  auto backlogged = [&] {
+    return merge_ != nullptr &&
+           NewestClassRunsLocked() >
+               2 * static_cast<size_t>(options_.l0_run_trigger);
+  };
+  if (backlogged()) {
+    stats_.merge_waits++;
+    while (backlogged()) merge_done_.Wait(cmd_mu_);
+  }
   if (sim::SimCrashed(env_)) return Status::IOError("simulated crash");
   if (sim::FaultAt(env_, "devlsm.put.transient")) {
     return Status::IOError("injected: KV compound command failed");
@@ -242,46 +259,56 @@ Status DevLsm::PutCompound(const std::vector<VersionedEntry>& entries) {
 }
 
 Status DevLsm::Get(const Slice& key, Value* value) {
-  sim::SimLockGuard l(cmd_mu_);
-  if (sim::SimCrashed(env_)) return Status::IOError("simulated crash");
-  if (sim::FaultAt(env_, "devlsm.get.transient")) {
-    return Status::IOError("injected: KV retrieve command failed");
-  }
-  stats_.gets++;
-  Nanos cmd_start = tracer_ != nullptr ? env_->Now() : 0;
-  ssd_->PcieToDevice(kCommandOverheadBytes + key.size());
-  ssd_->firmware()->Consume(kGetFwNs);
-
-  std::string k = key.ToString();
+  const uint64_t page = ssd_->config().page_size;
+  Nanos cmd_start = 0;
   bool found = false;
   bool tombstone = false;
-  auto mit = memtable_.find(k);
-  if (mit != memtable_.end()) {
-    found = true;  // device DRAM: no NAND read
-    tombstone = mit->second.tombstone;
-    if (!tombstone) *value = mit->second.value;
-  } else {
-    // Probe runs newest-first, skipping each run whose filter excludes the
-    // key; a probe reads one NAND page unless a configured device read
-    // cache holds it (paper config: no cache — the Table V bottleneck).
-    const uint32_t hash = BloomFilter::HashKey(key);
-    for (auto rit = runs_.rbegin(); rit != runs_.rend() && !found; ++rit) {
-      if (!kRunFilter.KeyMayMatch(hash, rit->filter)) {
-        stats_.get_filter_skips++;
-        continue;
-      }
-      const size_t i = rit->LowerBound(key);
-      if (!ReadCacheLookupOrFill(k, ssd_->config().page_size)) {
-        stats_.get_nand_probes++;
-        ssd_->NandRead(ssd_->config().page_size);
-      }
-      if (i < rit->size() && rit->key(i) == key) {
-        found = true;
-        tombstone = rit->tombstone(i);
-        if (!tombstone) *value = rit->value(i);
+  uint64_t pages = 0;  // NAND pages the lookup left to read
+  {
+    sim::SimLockGuard l(cmd_mu_);
+    if (sim::SimCrashed(env_)) return Status::IOError("simulated crash");
+    if (sim::FaultAt(env_, "devlsm.get.transient")) {
+      return Status::IOError("injected: KV retrieve command failed");
+    }
+    stats_.gets++;
+    cmd_start = tracer_ != nullptr ? env_->Now() : 0;
+    ssd_->PcieToDevice(kCommandOverheadBytes + key.size());
+    ssd_->firmware()->Consume(kGetFwNs);
+
+    std::string k = key.ToString();
+    auto mit = memtable_.find(k);
+    if (mit != memtable_.end()) {
+      found = true;  // device DRAM: no NAND read
+      tombstone = mit->second.tombstone;
+      if (!tombstone) *value = mit->second.value;
+    } else {
+      // Probe runs newest-first, skipping each run whose filter excludes
+      // the key; a probe reads one NAND page unless a configured device
+      // read cache holds it (paper config: no cache — the Table V
+      // bottleneck).
+      const uint32_t hash = BloomFilter::HashKey(key);
+      for (auto rit = runs_.rbegin(); rit != runs_.rend() && !found; ++rit) {
+        if (!kRunFilter.KeyMayMatch(hash, rit->filter)) {
+          stats_.get_filter_skips++;
+          continue;
+        }
+        const size_t i = rit->LowerBound(key);
+        if (!ReadCacheLookupOrFill(k, page)) {
+          stats_.get_nand_probes++;
+          pages++;
+        }
+        if (i < rit->size() && rit->key(i) == key) {
+          found = true;
+          tombstone = rit->tombstone(i);
+          if (!tombstone) *value = rit->value(i);
+        }
       }
     }
   }
+  // The lookup is the Get's linearization point. Its page reads and the
+  // DMA to the host hold no command slot, so a redirected write issued
+  // meanwhile is served rather than queued behind them.
+  for (uint64_t i = 0; i < pages; i++) ssd_->NandRead(page);
   if (!found || tombstone) {
     if (tracer_ != nullptr) get_span_.Add(cmd_start, env_->Now(), key.size());
     return Status::NotFound("not in Dev-LSM");
@@ -302,10 +329,9 @@ Status DevLsm::FlushMemtableLocked() {
 
   Status s = ssd_->KvAllocPages(nsid_, pages);
   if (!s.ok() && options_.compaction_enabled && !runs_.empty()) {
-    // Try to reclaim space by merging every run into one of the oldest
-    // run's class, then retry once.
-    Status cs = MergeRunsLocked(0, runs_.front().size_class);
-    if (cs.ok()) s = ssd_->KvAllocPages(nsid_, pages);
+    // Try to reclaim space by merging every run, then retry once.
+    MergeAllRunsLocked();
+    s = ssd_->KvAllocPages(nsid_, pages);
   }
   if (!s.ok()) return s;
 
@@ -329,53 +355,53 @@ Status DevLsm::FlushMemtableLocked() {
                       flushed_bytes);
   }
 
-  // Size-tiered: more than l0_run_trigger runs of the newest class merge
-  // into one run of the next class, which may complete a group in turn.
-  while (options_.compaction_enabled) {
-    const int cls = runs_.back().size_class;
-    size_t first = runs_.size();
-    while (first > 0 && runs_[first - 1].size_class == cls) first--;
-    if (runs_.size() - first <= static_cast<size_t>(options_.l0_run_trigger)) {
-      break;
-    }
-    s = MergeRunsLocked(first, cls + 1);
-    if (!s.ok()) return s;
-  }
+  // Size-tiered: a group of more than l0_run_trigger runs of one class
+  // merges into one run of the next class, on the merge task.
+  if (options_.compaction_enabled) WakeMergeLocked();
   return Status::OK();
 }
 
-Status DevLsm::MergeRunsLocked(size_t first, int out_class) {
-  if (runs_.size() - first < 2) return Status::OK();
+DevLsm::Run DevLsm::MergedRunLocked(size_t first, size_t end,
+                                    int out_class) const {
+  // Newest wins; tombstones are retained (they may shadow Main-LSM data).
+  Run out;
+  out.size_class = out_class;
+  MergeNewest(std::span<const Run>(runs_.data() + first, end - first),
+              nullptr, 0, &out);
+  out.BuildFilter();
+  const uint64_t page = ssd_->config().page_size;
+  out.pages = (out.logical_bytes + page - 1) / page;
+  return out;
+}
+
+void DevLsm::MergeAllRunsLocked() {
+  // The merge in flight reads runs this one replaces.
+  if (merge_ != nullptr) merge_->discarded = true;
+  if (runs_.size() < 2) return;
   Nanos compact_start = tracer_ != nullptr ? env_->Now() : 0;
-  const std::span<const Run> in(runs_.data() + first, runs_.size() - first);
   uint64_t in_bytes = 0;
   uint64_t in_pages = 0;
-  for (const Run& r : in) {
+  for (const Run& r : runs_) {
     in_bytes += r.logical_bytes;
     in_pages += r.pages;
   }
   ssd_->NandRead(in_bytes);
   ssd_->firmware()->Consume(kCompactFwNsPerByte *
                             static_cast<double>(in_bytes));
-
-  // Newest wins; tombstones are retained (they may shadow Main-LSM data).
-  Run out;
-  out.size_class = out_class;
-  MergeNewest(in, nullptr, 0, &out);
-  out.BuildFilter();
-  const uint64_t page = ssd_->config().page_size;
-  out.pages = (out.logical_bytes + page - 1) / page;
+  Run out = MergedRunLocked(0, runs_.size(), runs_.front().size_class);
   const uint64_t out_bytes = out.logical_bytes;
   const uint64_t out_pages = out.pages;
 
   // The output replaces its inputs before the device sleeps: readers that
   // skip the command mutex (Empty(), LogicalBytes()) see one or the other.
-  runs_.resize(first);
+  // It never needs more pages than they free.
+  runs_.clear();
   runs_.push_back(std::move(out));
   MutatedLocked();
   ssd_->KvFreePages(nsid_, in_pages);
   Status s = ssd_->KvAllocPages(nsid_, out_pages);
-  if (!s.ok()) return s;
+  assert(s.ok());
+  (void)s;
   ssd_->NandWrite(out_bytes);
   ssd_->NandEraseBlocks(
       std::max<uint64_t>(1, in_pages / ssd_->config().pages_per_block));
@@ -386,7 +412,157 @@ Status DevLsm::MergeRunsLocked(size_t first, int out_class) {
     tracer_->Complete(tr_dev_, "dev.compact", compact_start, env_->Now(),
                       in_bytes);
   }
-  return Status::OK();
+}
+
+// ---------------- Background merge (DESIGN.md §27) ----------------
+
+bool DevLsm::FindGroupLocked(size_t limit, size_t* first, size_t* end) const {
+  for (size_t e = runs_.size(); e > 0;) {
+    size_t f = e;
+    while (f > 0 && runs_[f - 1].size_class == runs_[e - 1].size_class) f--;
+    if (e - f > limit) {
+      *first = f;
+      *end = e;
+      return true;
+    }
+    e = f;
+  }
+  return false;
+}
+
+size_t DevLsm::NewestClassRunsLocked() const {
+  size_t n = 0;
+  while (n < runs_.size() && runs_[runs_.size() - 1 - n].size_class ==
+                                 runs_.back().size_class) {
+    n++;
+  }
+  return n;
+}
+
+void DevLsm::WakeMergeLocked() {
+  size_t first = 0;
+  size_t end = 0;
+  const size_t trigger = static_cast<size_t>(options_.l0_run_trigger);
+  if (merge_ != nullptr || !FindGroupLocked(trigger, &first, &end)) return;
+  if (merge_task_ == nullptr) {
+    // A daemon: the environment winds it down if nothing stops it.
+    merge_task_ = env_->Spawn("devlsm-merge-" + std::to_string(nsid_),
+                              [this] { MergeTask(); }, /*daemon=*/true);
+  } else {
+    merge_wake_.NotifyAll();
+  }
+}
+
+void DevLsm::StopMergeTask() {
+  if (merge_task_ == nullptr) return;
+  {
+    sim::SimLockGuard l(cmd_mu_);
+    merge_stop_ = true;
+    merge_wake_.NotifyAll();
+  }
+  env_->Join(merge_task_);
+  merge_task_ = nullptr;
+  merge_stop_ = false;
+}
+
+void DevLsm::MergeTask() {
+  sim::SimLockGuard l(cmd_mu_);
+  const size_t trigger = static_cast<size_t>(options_.l0_run_trigger);
+  // The last installed merge, whose inputs' blocks are still to be erased.
+  uint64_t erase_pages = 0;
+  uint64_t merged_bytes = 0;
+  Nanos merge_start = 0;
+  while (true) {
+    size_t first = 0;
+    size_t end = 0;
+    // The next group is picked before the queue is released after an
+    // install, so a put waiting on backpressure waits for as long as the
+    // backlog lasts. A powered-off device merges nothing: the next flush
+    // after recovery wakes the task again.
+    if (!merge_stop_ && !sim::SimCrashed(env_) &&
+        FindGroupLocked(trigger, &first, &end)) {
+      merge_ = std::make_unique<Merge>();
+      merge_->first = first;
+      merge_->count = end - first;
+      for (size_t i = first; i < end; i++) {
+        merge_->in_bytes += runs_[i].logical_bytes;
+        merge_->in_pages += runs_[i].pages;
+      }
+      merge_->out = MergedRunLocked(first, end, runs_[first].size_class + 1);
+    }
+    if (erase_pages > 0) {
+      // The inputs' blocks are garbage; erasing them needs no command slot.
+      cmd_mu_.Unlock();
+      ssd_->NandEraseBlocks(
+          std::max<uint64_t>(1, erase_pages / ssd_->config().pages_per_block));
+      if (tracer_ != nullptr) {
+        tracer_->Complete(tr_merge_, "dev.compact", merge_start, env_->Now(),
+                          merged_bytes);
+      }
+      cmd_mu_.Lock();
+      erase_pages = 0;
+    }
+    if (merge_ == nullptr) {
+      if (merge_stop_) return;
+      merge_wake_.Wait(cmd_mu_);
+      continue;
+    }
+    merge_start = env_->Now();
+    merged_bytes = merge_->in_bytes;
+    const uint64_t in_pages = merge_->in_pages;
+    const bool installed = RunMergeLocked();
+    merge_.reset();
+    merge_done_.NotifyAll();
+    if (installed) erase_pages = in_pages;
+  }
+}
+
+bool DevLsm::RunMergeLocked() {
+  Merge& m = *merge_;
+  const uint64_t chunk = options_.dma_chunk;
+  const uint64_t out_bytes = m.out.logical_bytes;
+  auto abandoned = [&] { return m.discarded || sim::SimCrashed(env_); };
+  cmd_mu_.Unlock();
+  // Stream the inputs one dma_chunk at a time, each a NAND read and then
+  // its firmware merge work, and write the output in dma_chunk writes. A
+  // command issued meanwhile shares the NAND channels and waits at most one
+  // step for the firmware core, never for the whole merge.
+  for (uint64_t done = 0; done < m.in_bytes && !abandoned();) {
+    const uint64_t step = std::min(chunk, m.in_bytes - done);
+    ssd_->NandRead(step);
+    ssd_->firmware()->Consume(kCompactFwNsPerByte * static_cast<double>(step));
+    done += step;
+  }
+  for (uint64_t done = 0; done < out_bytes && !abandoned();) {
+    const uint64_t step = std::min(chunk, out_bytes - done);
+    ssd_->NandWrite(step);
+    done += step;
+  }
+  cmd_mu_.Lock();
+  if (abandoned()) {
+    // A reset or the NoSpace reclaim replaced the inputs, or the power
+    // failed: the half-written output is garbage, and no page was ever
+    // charged to it.
+    stats_.merge_discarded++;
+    return false;
+  }
+  // Install in place of exactly the inputs: flushes only appended runs
+  // after them, and anything else that touches runs_ discards the merge.
+  // The output never needs more pages than its inputs free.
+  assert(m.first + m.count <= runs_.size());
+  const uint64_t out_pages = m.out.pages;
+  runs_[m.first] = std::move(m.out);
+  runs_.erase(runs_.begin() + static_cast<ptrdiff_t>(m.first + 1),
+              runs_.begin() + static_cast<ptrdiff_t>(m.first + m.count));
+  MutatedLocked();
+  ssd_->KvFreePages(nsid_, m.in_pages);
+  Status s = ssd_->KvAllocPages(nsid_, out_pages);
+  assert(s.ok());
+  (void)s;
+  stats_.compactions++;
+  stats_.compaction_bytes_read += m.in_bytes;
+  stats_.compaction_bytes_written += out_bytes;
+  return true;
 }
 
 bool DevLsm::ReadCacheLookupOrFill(const std::string& key, uint64_t bytes) {
@@ -486,6 +662,8 @@ Status DevLsm::BulkScan(
 Status DevLsm::ResetUpTo(uint64_t up_to_seq) {
   sim::SimLockGuard l(cmd_mu_);
   stats_.resets++;
+  // The merge in flight reads runs this replaces.
+  if (merge_ != nullptr) merge_->discarded = true;
   Nanos reset_start = tracer_ != nullptr ? env_->Now() : 0;
 
   uint64_t old_pages = 0;

@@ -15,7 +15,13 @@
 // directly from that omission, which the paper calls out as the bottleneck.
 //
 // Commands are serialized by a firmware command mutex (single command queue,
-// single core), which is what backs KVACCEL's isolation argument (§V-G).
+// single core), which is what backs KVACCEL's isolation argument (§V-G). The
+// queue covers a command's firmware work and the device-DRAM state it reads
+// or changes, not a Get's NAND page reads: a Get looks its key up under the
+// queue and reads the page after releasing it. Size-tiered merges run on one
+// background task per device, which holds the queue only to pick its inputs
+// and to install its output (DESIGN.md §27). Flush writes, scan chunks and
+// iterator batches still hold it across their NAND time.
 #pragma once
 
 #include <cstdint>
@@ -86,6 +92,11 @@ struct DevLsmStats {
   // Bloom filter excluded the key (DESIGN.md §25).
   uint64_t get_nand_probes = 0;
   uint64_t get_filter_skips = 0;
+  // Compound puts that waited for the background merge (backpressure), and
+  // merges whose output a reset, the NoSpace reclaim or a crash discarded
+  // (DESIGN.md §27).
+  uint64_t merge_waits = 0;
+  uint64_t merge_discarded = 0;
 
   // The read-cache rows are summed across shards but not reported.
   static constexpr obs::StatField<DevLsmStats> kMetrics[] = {
@@ -106,6 +117,8 @@ struct DevLsmStats {
       {"devlsm.resets", &DevLsmStats::resets},
       {"devlsm.get.nand_probes", &DevLsmStats::get_nand_probes},
       {"devlsm.get.filter_skips", &DevLsmStats::get_filter_skips},
+      {"devlsm.merge.waits", &DevLsmStats::merge_waits},
+      {"devlsm.merge.discarded", &DevLsmStats::merge_discarded},
       {nullptr, &DevLsmStats::read_cache_hits},
       {nullptr, &DevLsmStats::read_cache_misses},
   };
@@ -114,6 +127,7 @@ struct DevLsmStats {
 class DevLsm {
  public:
   DevLsm(ssd::HybridSsd* ssd, int nsid, const DevLsmOptions& options);
+  // On a simulated thread, stops the merge task first.
   ~DevLsm();
 
   // ---- Host-facing KV interface (NVMe-KV command semantics) ----
@@ -126,9 +140,13 @@ class DevLsm {
   // entry's seq is its host_seq, a host-side version number (KVACCEL
   // allocates these from the Main-LSM sequence space so crash recovery can
   // order device pairs against host data; internal ordering uses a device
-  // counter either way). A tombstone is a redirected Delete.
+  // counter either way). A tombstone is a redirected Delete. While a merge
+  // runs and the newest size class holds more than twice l0_run_trigger
+  // runs, the command waits for the merge before it takes any device
+  // sequence.
   Status PutCompound(const std::vector<VersionedEntry>& entries);
-  // NotFound for absent keys and tombstones.
+  // NotFound for absent keys and tombstones. The lookup happens under the
+  // command queue; the NAND page reads and the DMA to the host after it.
   Status Get(const Slice& key, Value* value);
 
   // Iterator-based bulky range scan over a snapshot of the Dev-LSM (paper
@@ -156,6 +174,14 @@ class DevLsm {
   Status ResetUpTo(uint64_t up_to_seq);
   // Device sequence of the most recent write (0 if none yet).
   uint64_t LastSeq() const { return next_seq_ - 1; }
+
+  // Stops the background merge task: a merge in flight installs (or is
+  // discarded, after a crash) and the task exits. The next flush that
+  // completes a size class's group starts it again. A simulated thread must
+  // call it; a no-op when the task is not running.
+  void StopMergeTask();
+  // True while a merge is between its pick and its install or discard.
+  bool merge_in_flight() const { return merge_ != nullptr; }
 
   bool Empty() const;
   uint64_t NumLiveEntries() const;
@@ -227,12 +253,41 @@ class DevLsm {
     void BuildFilter();
   };
 
+  // A background merge between its pick and its install (DESIGN.md §27).
+  struct Merge {
+    size_t first = 0;  // the inputs are runs_[first, first + count)
+    size_t count = 0;
+    uint64_t in_bytes = 0;
+    uint64_t in_pages = 0;
+    Run out;  // built at the pick; the inputs cannot change until install
+    bool discarded = false;
+  };
+
   // Writes one pair into the device memtable, replacing any older version.
   void InsertLocked(std::string key, Entry e);
   Status FlushMemtableLocked();
-  // Merges runs_[first..] into one run of `out_class`, which replaces them
-  // before the device sleeps on its NAND write.
-  Status MergeRunsLocked(size_t first, int out_class);
+  // The NoSpace reclaim: merges every run into one of the oldest run's
+  // class, which replaces them before the device sleeps on its NAND write.
+  void MergeAllRunsLocked();
+  // runs_[first, end) merged newest-wins into one run of `out_class`, with
+  // its filter and page count.
+  Run MergedRunLocked(size_t first, size_t end, int out_class) const;
+  // The newest size class's group holding more than `limit` runs, as
+  // [*first, *end) of runs_; classes never rise from the oldest run to the
+  // newest, so each class is one contiguous segment.
+  bool FindGroupLocked(size_t limit, size_t* first, size_t* end) const;
+  // Runs of the newest run's class at the newest end of runs_.
+  size_t NewestClassRunsLocked() const;
+  // After a flush: starts or wakes the merge task when a group is over
+  // l0_run_trigger.
+  void WakeMergeLocked();
+  // The merge task's body: picks a group under cmd_mu_, streams it outside,
+  // installs under cmd_mu_, until StopMergeTask.
+  void MergeTask();
+  // Streams merge_ with cmd_mu_ released across its NAND reads, firmware
+  // work and NAND writes, then installs its output; false when the merge
+  // was discarded instead. cmd_mu_ is held on entry and exit.
+  bool RunMergeLocked();
   // Newest-version-only view of the whole Dev-LSM (memtable + runs) as one
   // packed run, cached until the next mutation so scan-heavy workloads
   // (rollback, range queries) don't rebuild it per batch.
@@ -258,6 +313,14 @@ class DevLsm {
   sim::SimEnv* env_;
 
   mutable sim::SimMutex cmd_mu_;  // firmware command queue serialization
+  // The merge task, null until a flush first completes a group and after
+  // StopMergeTask. It waits on merge_wake_ for work; backpressured puts
+  // wait on merge_done_ for the merge in flight to end.
+  sim::SimEnv::Thread* merge_task_ = nullptr;
+  std::unique_ptr<Merge> merge_;
+  bool merge_stop_ = false;
+  sim::SimCondVar merge_wake_;
+  sim::SimCondVar merge_done_;
   Memtable memtable_;
   uint64_t memtable_logical_ = 0;
   std::vector<Run> runs_;  // oldest first
@@ -287,6 +350,7 @@ class DevLsm {
   // batches/reset are discrete spans. Null tracer = all of this is inert.
   obs::Tracer* tracer_ = nullptr;
   uint32_t tr_dev_ = 0;
+  uint32_t tr_merge_ = 0;  // background merges, which overlap commands
   obs::CoalescingSpan get_span_;
 };
 

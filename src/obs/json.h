@@ -10,13 +10,19 @@
 //   w.Key("series"); w.BeginArray(); w.Double(1.5); w.EndArray();
 //   w.EndObject();
 //   fputs(w.str().c_str(), f);
+//
+// The output grows in fixed chunks rather than one doubling buffer, so a
+// report of several MB never holds an old and a new buffer at once; str()
+// assembles it once, at its exact size.
 #pragma once
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace kvaccel::obs {
@@ -27,27 +33,27 @@ class JsonWriter {
 
   void BeginObject() {
     Sep();
-    out_ += '{';
+    Put("{");
     stack_.push_back(kFirst);
   }
   void EndObject() {
     stack_.pop_back();
-    out_ += '}';
+    Put("}");
   }
   void BeginArray() {
     Sep();
-    out_ += '[';
+    Put("[");
     stack_.push_back(kFirst);
   }
   void EndArray() {
     stack_.pop_back();
-    out_ += ']';
+    Put("]");
   }
 
   void Key(const std::string& k) {
     Sep();
     AppendEscaped(k);
-    out_ += ':';
+    Put(":");
     pending_value_ = true;
   }
 
@@ -59,13 +65,13 @@ class JsonWriter {
     Sep();
     char buf[24];
     snprintf(buf, sizeof(buf), "%" PRIu64, v);
-    out_ += buf;
+    Put(buf);
   }
   void Int(int64_t v) {
     Sep();
     char buf[24];
     snprintf(buf, sizeof(buf), "%" PRId64, v);
-    out_ += buf;
+    Put(buf);
   }
   // Fixed "%.10g" format: enough precision for every quantity we report while
   // staying byte-identical across runs. Non-finite values (which JSON cannot
@@ -73,20 +79,20 @@ class JsonWriter {
   void Double(double v) {
     Sep();
     if (!std::isfinite(v)) {
-      out_ += '0';
+      Put("0");
       return;
     }
     char buf[40];
     snprintf(buf, sizeof(buf), "%.10g", v);
-    out_ += buf;
+    Put(buf);
   }
   void Bool(bool v) {
     Sep();
-    out_ += v ? "true" : "false";
+    Put(v ? "true" : "false");
   }
   void Null() {
     Sep();
-    out_ += "null";
+    Put("null");
   }
 
   void Field(const std::string& k, const std::string& v) {
@@ -122,7 +128,21 @@ class JsonWriter {
     Bool(v);
   }
 
-  const std::string& str() const { return out_; }
+  // The whole output, copied out of the chunks at its exact size; each
+  // chunk is freed once copied, so the writer is empty afterwards. Call it
+  // once, after the last value.
+  std::string str() {
+    size_t size = 0;
+    for (const std::string& c : chunks_) size += c.size();
+    std::string out;
+    out.reserve(size);
+    for (std::string& c : chunks_) {
+      out += c;
+      std::string().swap(c);
+    }
+    chunks_.clear();
+    return out;
+  }
 
   static void Escape(const std::string& in, std::string* out) {
     out->push_back('"');
@@ -169,13 +189,28 @@ class JsonWriter {
     if (stack_.back() == kFirst) {
       stack_.back() = kRest;
     } else if (stack_.back() == kRest) {
-      out_ += ',';
+      Put(",");
     }
   }
 
-  void AppendEscaped(const std::string& s) { Escape(s, &out_); }
+  // The chunk with room for `n` more bytes: a new one when the current one
+  // would have to grow.
+  std::string& Room(size_t n) {
+    if (chunks_.empty() ||
+        chunks_.back().size() + n > chunks_.back().capacity()) {
+      chunks_.emplace_back().reserve(std::max(kChunkBytes, n));
+    }
+    return chunks_.back();
+  }
+  void Put(std::string_view v) { Room(v.size()).append(v); }
+  // An escaped character takes at most 6 bytes, plus the two quotes.
+  void AppendEscaped(const std::string& s) {
+    Escape(s, &Room(6 * s.size() + 2));
+  }
 
-  std::string out_;
+  static constexpr size_t kChunkBytes = 1 << 20;
+
+  std::vector<std::string> chunks_;
   std::vector<State> stack_;
   bool pending_value_ = false;
 };

@@ -356,6 +356,32 @@ TEST(KvaccelDbTest, IteratorOpenedDuringARollbackSeesEveryKey) {
   });
 }
 
+// A store destroyed open on a simulated thread, as when a failed ASSERT
+// returns from the body early, closes itself: no assertion aborts the test
+// process, and its device's merge task stops before the device is freed
+// instead of waking later on freed memory.
+TEST(KvaccelDbTest, StoreDestroyedOpenOnASimulatedThreadClosesItself) {
+  SimWorld world;
+  bool merging = false;
+  world.Run([&] {
+    KvaccelOptions kv_opts = SmallKvOptions();
+    kv_opts.dev.l0_run_trigger = 1;
+    std::unique_ptr<KvaccelDB> db;
+    ASSERT_TRUE(KvaccelDB::Open(test::SmallDbOptions(), kv_opts,
+                                world.MakeDbEnv(), &db)
+                    .ok());
+    // Two flushed device runs start a merge.
+    for (int i = 0; !db->dev()->merge_in_flight(); i++) {
+      ASSERT_LT(i, 1000) << "no merge started";
+      ASSERT_TRUE(
+          DevPut(db->dev(), TestKey(i), Value::Synthetic(i, 4096)).ok());
+    }
+    merging = true;
+    // Returns with the store open.
+  });
+  EXPECT_TRUE(merging);
+}
+
 // A short hybrid scan over a sparse device reads the device pages it
 // returns, not a full dma_chunk batch: the device batch after a Seek holds
 // two pages' worth of pairs.

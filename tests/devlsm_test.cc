@@ -7,6 +7,7 @@
 
 #include "common/random.h"
 #include "devlsm/dev_lsm.h"
+#include "sim/fault.h"
 #include "tests/test_util.h"
 
 namespace kvaccel::devlsm {
@@ -30,6 +31,20 @@ class DevLsmTestPeer {
     }
     return faults;
   }
+
+  // Runs whose filter lets `key` through although they do not hold it.
+  static uint64_t FalseMatches(const DevLsm& dev, const std::string& key) {
+    const BloomFilter bloom(kBloomBitsPerKey);
+    uint64_t n = 0;
+    for (const DevLsm::Run& run : dev.runs_) {
+      const size_t i = run.LowerBound(key);
+      const bool holds = i < run.size() && run.key(i) == key;
+      if (!holds && bloom.KeyMayMatch(BloomFilter::HashKey(key), run.filter)) {
+        n++;
+      }
+    }
+    return n;
+  }
 };
 
 namespace {
@@ -44,6 +59,14 @@ DevLsmOptions SmallDevOptions() {
   o.memtable_bytes = 128 << 10;  // flush quickly in tests
   o.dma_chunk = 64 << 10;
   return o;
+}
+
+// Sleeps until the background merge has installed or been discarded. The
+// first sleep lets a task that a flush just woke pick its group.
+void AwaitMerge(SimWorld* world, const DevLsm& dev) {
+  do {
+    world->env.SleepFor(FromMicros(100));
+  } while (dev.merge_in_flight());
 }
 
 TEST(DevLsmTest, PutGetDelete) {
@@ -125,8 +148,9 @@ TEST(DevLsmTest, RunCompactionMergesAndReclaims) {
 // reached, and live runs within (l0_run_trigger + 1) per class, class 0
 // included. A policy that merges every run into one rereads the whole
 // store on each merge and breaks the first bound. The runs' filters let a
-// Get read one page for a key only the oldest run holds, and about 1% of
-// the runs' pages for absent keys.
+// Get of a key only the oldest run holds read that run's page and the page
+// of each newer run whose filter falsely matches, and about 1% of the runs'
+// pages for absent keys.
 TEST(DevLsmTest, TieredMergesRewriteEachPairOncePerClass) {
   SimWorld world;
   world.Run([&] {
@@ -137,6 +161,8 @@ TEST(DevLsmTest, TieredMergesRewriteEachPairOncePerClass) {
     for (int i = 0; i < 3000; i++) {
       ASSERT_TRUE(DevPut(&dev, TestKey(i), Value::Synthetic(i, 4096)).ok());
     }
+    // The NAND counters below must see the Gets alone.
+    AwaitMerge(&world, dev);
     // Every byte written is still live, so this is the flushed bytes plus
     // the memtable's, which only loosens the bound.
     const uint64_t flushed = dev.LogicalBytes();
@@ -156,13 +182,15 @@ TEST(DevLsmTest, TieredMergesRewriteEachPairOncePerClass) {
     EXPECT_GT(runs, 1u);
     EXPECT_LE(runs, fan_in * (merged_classes + 1));
 
-    // The first key is held only by the oldest run.
+    // The first key is held only by the oldest run: the Get reads its page
+    // and one more for each newer run whose filter falsely lets it through.
     const uint64_t page = world.ssd->config().page_size;
     uint64_t read_before = world.ssd->nand().bytes_read();
     Value v;
     ASSERT_TRUE(dev.Get(TestKey(0), &v).ok());
     EXPECT_EQ(v.seed(), 0u);
-    EXPECT_EQ(world.ssd->nand().bytes_read() - read_before, page);
+    EXPECT_EQ(world.ssd->nand().bytes_read() - read_before,
+              (1 + DevLsmTestPeer::FalseMatches(dev, TestKey(0))) * page);
 
     // Every absent key visits each run: skipped by its filter or read.
     const DevLsmStats before = dev.stats();
@@ -380,9 +408,298 @@ TEST(DevLsmTest, EveryRunCarriesAFilterOverItsKeys) {
       seed += 100000;
       ASSERT_TRUE(DevPut(&dev, key, Value::Synthetic(seed, 4096)).ok());
     }
+    AwaitMerge(&world, dev);
     EXPECT_GT(dev.stats().compactions, merges);
     EXPECT_EQ(dev.num_runs(), 3u);
     check();
+  });
+}
+
+// ---- The command queue (DESIGN.md §27) ----
+
+// A Get looks its key up under the command queue and reads its page after
+// releasing it. A put issued while the Get waits on that page, queued behind
+// 64 MiB of NAND reads, finishes first, and the Get returns the version its
+// lookup saw. A Get that holds the queue across its page read makes the put
+// wait for it.
+TEST(DevLsmTest, PutIssuedDuringAGetsPageReadFinishesFirst) {
+  SimWorld world;
+  world.Run([&] {
+    DevLsm dev(world.ssd.get(), 0, SmallDevOptions());
+    for (int i = 0; i < 40; i++) {
+      ASSERT_TRUE(DevPut(&dev, TestKey(i), Value::Synthetic(i, 4096)).ok());
+    }
+    ASSERT_GE(dev.stats().flushes, 1u);  // TestKey(0) sits in a run
+    sim::SimEnv::Thread* load = world.env.Spawn(
+        "nand-load", [&] { world.ssd->NandRead(64ull << 20); });
+    world.env.SleepFor(1);  // the load books every channel first
+
+    const uint64_t probes = dev.stats().get_nand_probes;
+    Status get_status;
+    Value got;
+    Nanos get_done = 0;
+    sim::SimEnv::Thread* get = world.env.Spawn("get", [&] {
+      get_status = dev.Get(TestKey(0), &got);
+      get_done = world.env.Now();
+    });
+    while (dev.stats().get_nand_probes == probes) world.env.SleepFor(1);
+    ASSERT_TRUE(DevPut(&dev, TestKey(0), Value::Synthetic(999, 4096)).ok());
+    const Nanos put_done = world.env.Now();
+    world.env.Join(get);
+    world.env.Join(load);
+
+    EXPECT_LT(put_done, get_done);
+    ASSERT_TRUE(get_status.ok()) << get_status.ToString();
+    EXPECT_EQ(got.seed(), 0u);  // the version current at the lookup
+    Value v;
+    ASSERT_TRUE(dev.Get(TestKey(0), &v).ok());
+    EXPECT_EQ(v.seed(), 999u);
+  });
+}
+
+// A merge streams its inputs outside the command queue, one dma_chunk step
+// at a time, so a put issued while it runs shares the firmware core for at
+// most one step. A merge that holds the queue makes the put wait for all of
+// it.
+TEST(DevLsmTest, PutIssuedDuringAMergeWaitsAtMostOneStep) {
+  SimWorld world;
+  world.Run([&] {
+    DevLsmOptions opts = SmallDevOptions();
+    opts.l0_run_trigger = 3;
+    DevLsm dev(world.ssd.get(), 0, opts);
+    Nanos t = world.env.Now();
+    ASSERT_TRUE(DevPut(&dev, "lone", Value::Synthetic(1, 4096)).ok());
+    const Nanos lone = world.env.Now() - t;
+
+    // The writer's fourth flush completes a group of four class-0 runs.
+    sim::SimEnv::Thread* writer = world.env.Spawn("writer", [&] {
+      for (int i = 0; dev.stats().flushes < 4; i++) {
+        ASSERT_TRUE(DevPut(&dev, TestKey(i), Value::Synthetic(i, 4096)).ok());
+      }
+    });
+    while (dev.stats().flushes < 4) world.env.SleepFor(1);
+    const Nanos merge_start = world.env.Now();
+    ASSERT_TRUE(DevPut(&dev, "probe", Value::Synthetic(2, 4096)).ok());
+    const Nanos probe = world.env.Now() - merge_start;
+    while (dev.stats().compactions == 0) world.env.SleepFor(FromMicros(10));
+    const Nanos merge = world.env.Now() - merge_start;
+    world.env.Join(writer);
+
+    // A read step (NAND read, then firmware work) is the merge's longest;
+    // the whole merge outlasts its read steps together.
+    const uint64_t read_steps =
+        (dev.stats().compaction_bytes_read + opts.dma_chunk - 1) /
+        opts.dma_chunk;
+    ASSERT_GE(read_steps, 8u);
+    EXPECT_LE(probe - lone, merge / static_cast<Nanos>(read_steps))
+        << "probe " << probe << " ns, lone put " << lone << " ns, merge "
+        << merge << " ns";
+  });
+}
+
+// Writes distinct 4 KiB keys to `dev` and to `twin` alike, recording each
+// pair's device sequence, until `dev` has a merge in flight.
+void FillUntilMerging(DevLsm* dev, DevLsm* twin,
+                      std::map<std::string, uint64_t>* seq_of) {
+  for (uint64_t i = 0; !dev->merge_in_flight(); i++) {
+    ASSERT_LT(i, 2000u) << "no merge started";
+    ASSERT_TRUE(DevPut(dev, TestKey(i), Value::Synthetic(i, 4096)).ok());
+    if (twin != nullptr) {
+      ASSERT_TRUE(DevPut(twin, TestKey(i), Value::Synthetic(i, 4096)).ok());
+    }
+    (*seq_of)[TestKey(i)] = dev->LastSeq();
+  }
+}
+
+// A reset landing mid-merge discards the merge's output: the merge never
+// installs, every pair matches the model, and the survivors take exactly
+// the pages they take on a twin device that never merges. Installing the
+// output after the reset would replace runs that are no longer its inputs.
+TEST(DevLsmTest, ResetMidMergeDiscardsTheOutput) {
+  ssd::SsdConfig cfg = SimWorld::DefaultSsdConfig();
+  cfg.num_namespaces = 2;
+  SimWorld world(cfg);
+  world.Run([&] {
+    DevLsmOptions opts = SmallDevOptions();
+    opts.l0_run_trigger = 3;
+    DevLsm dev(world.ssd.get(), 0, opts);
+    opts.compaction_enabled = false;
+    DevLsm twin(world.ssd.get(), 1, opts);
+    std::map<std::string, uint64_t> seq_of;
+    FillUntilMerging(&dev, &twin, &seq_of);
+
+    const uint64_t snap = dev.LastSeq() / 2;
+    ASSERT_TRUE(dev.ResetUpTo(snap).ok());
+    ASSERT_TRUE(twin.ResetUpTo(snap).ok());
+    AwaitMerge(&world, dev);
+    EXPECT_EQ(dev.stats().merge_discarded, 1u);
+    EXPECT_EQ(dev.stats().compactions, 0u);
+    EXPECT_EQ(dev.num_runs(), 1u);
+    EXPECT_GT(dev.used_pages(), 0u);
+    EXPECT_EQ(dev.used_pages(), twin.used_pages());
+    Value v;
+    for (const auto& [key, seq] : seq_of) {
+      Status s = dev.Get(key, &v);
+      if (seq <= snap) {
+        EXPECT_TRUE(s.IsNotFound()) << key;
+      } else {
+        ASSERT_TRUE(s.ok()) << key << ": " << s.ToString();
+        EXPECT_EQ(TestKey(v.seed()), key);
+      }
+    }
+  });
+}
+
+// A crash landing mid-merge discards the merge's output: the inputs keep
+// their pages and every pair stays readable. After recovery the next flush
+// merges the group again.
+TEST(DevLsmTest, CrashMidMergeDiscardsTheOutput) {
+  SimWorld world;
+  sim::FaultInjector faults(&world.env, 1);
+  world.env.set_fault_injector(&faults);
+  world.Run([&] {
+    DevLsmOptions opts = SmallDevOptions();
+    opts.l0_run_trigger = 3;
+    DevLsm dev(world.ssd.get(), 0, opts);
+    std::map<std::string, uint64_t> seq_of;
+    FillUntilMerging(&dev, nullptr, &seq_of);
+    const uint64_t pages = dev.used_pages();
+    const size_t runs = dev.num_runs();
+
+    sim::FaultRule now;
+    now.nth_hit = 1;
+    faults.Arm("crash.flush.mid", now);
+    ASSERT_TRUE(faults.ShouldFail("crash.flush.mid"));
+    AwaitMerge(&world, dev);
+    faults.ClearCrash();
+    EXPECT_EQ(dev.stats().merge_discarded, 1u);
+    EXPECT_EQ(dev.stats().compactions, 0u);
+    EXPECT_EQ(dev.num_runs(), runs);
+    EXPECT_EQ(dev.used_pages(), pages);
+    Value v;
+    for (const auto& [key, seq] : seq_of) {
+      ASSERT_TRUE(dev.Get(key, &v).ok()) << key;
+      EXPECT_EQ(TestKey(v.seed()), key);
+    }
+
+    const uint64_t flushes = dev.stats().flushes;
+    for (uint64_t i = seq_of.size(); dev.stats().flushes == flushes; i++) {
+      ASSERT_TRUE(DevPut(&dev, TestKey(i), Value::Synthetic(i, 4096)).ok());
+    }
+    AwaitMerge(&world, dev);
+    EXPECT_EQ(dev.stats().compactions, 1u);
+    for (const auto& [key, seq] : seq_of) {
+      ASSERT_TRUE(dev.Get(key, &v).ok()) << key;
+      EXPECT_EQ(TestKey(v.seed()), key);
+    }
+  });
+}
+
+// Two writers of distinct keys fill a 4 MiB KV region while merges run. A
+// flush that finds the region full discards the merge in flight and merges
+// every run synchronously; no put waits forever on a merge that will never
+// install, and every acknowledged pair stays readable.
+TEST(DevLsmTest, FullRegionReclaimsWithAMergeInFlight) {
+  ssd::SsdConfig cfg = SimWorld::DefaultSsdConfig();
+  cfg.capacity_bytes = 16ull << 20;
+  SimWorld world(cfg);
+  world.Run([&] {
+    DevLsmOptions opts = SmallDevOptions();
+    opts.l0_run_trigger = 2;
+    DevLsm dev(world.ssd.get(), 0, opts);
+    std::map<std::string, uint64_t> acked;  // key -> value seed
+    auto writer = [&](uint64_t base) {
+      for (uint64_t i = 0;; i += 8) {
+        ASSERT_LT(i, 4000u) << "the KV region never filled";
+        std::vector<VersionedEntry> batch(8);
+        for (uint64_t j = 0; j < batch.size(); j++) {
+          batch[j].key = TestKey(base + i + j);
+          batch[j].value = Value::Synthetic(base + i + j, 4096);
+        }
+        Status s = dev.PutCompound(batch);
+        if (!s.ok()) {
+          EXPECT_TRUE(s.IsNoSpace()) << s.ToString();
+          return;
+        }
+        for (const VersionedEntry& e : batch) acked[e.key] = e.value.seed();
+      }
+    };
+    sim::SimEnv::Thread* a = world.env.Spawn("writer-a", [&] { writer(0); });
+    sim::SimEnv::Thread* b =
+        world.env.Spawn("writer-b", [&] { writer(100000); });
+    world.env.Join(a);
+    world.env.Join(b);
+    AwaitMerge(&world, dev);
+    EXPECT_GE(dev.stats().merge_discarded, 1u);
+    EXPECT_EQ(DevLsmTestPeer::FilterFaults(dev), 0u);
+    Value v;
+    for (const auto& [key, seed] : acked) {
+      ASSERT_TRUE(dev.Get(key, &v).ok()) << key;
+      EXPECT_EQ(v.seed(), seed) << key;
+    }
+  });
+}
+
+// A rollback's snapshot bound (LastSeq) is taken while a put waits on
+// backpressure; the put lands during the rollback's scan, which therefore
+// misses it, and the reset must then keep it. The put waits before it takes
+// device sequences, so its pairs sort above the bound. Sequences taken
+// before the wait fall under the bound, and the reset drops acknowledged
+// pairs that no scan returned.
+TEST(DevLsmTest, ResetDuringABackpressureWaitKeepsAckedPairs) {
+  SimWorld world;
+  world.Run([&] {
+    DevLsmOptions opts = SmallDevOptions();
+    opts.l0_run_trigger = 2;
+    DevLsm dev(world.ssd.get(), 0, opts);
+    std::map<std::string, uint64_t> acked;  // key -> value seed
+    uint64_t puts_done = 0;
+    bool stop = false;
+    sim::SimEnv::Thread* writer = world.env.Spawn("writer", [&] {
+      for (uint64_t i = 0; !stop; i += 16) {
+        ASSERT_LT(i, 100000u) << "never backpressured";
+        std::vector<VersionedEntry> batch(16);
+        for (uint64_t j = 0; j < batch.size(); j++) {
+          batch[j].key = TestKey(i + j);
+          batch[j].value = Value::Synthetic(i + j, 4096);
+        }
+        ASSERT_TRUE(dev.PutCompound(batch).ok());
+        for (const VersionedEntry& e : batch) acked[e.key] = e.value.seed();
+        puts_done++;
+      }
+    });
+    const Nanos deadline = world.env.Now() + FromSecs(5);
+    while (dev.stats().merge_waits == 0 && world.env.Now() < deadline) {
+      world.env.SleepFor(FromMicros(10));
+    }
+    const uint64_t waiting = puts_done;  // the writer's put is waiting now
+    const bool backpressured = dev.stats().merge_waits > 0;
+
+    const uint64_t snap = dev.LastSeq();
+    std::map<std::string, uint64_t> scanned;
+    Status scan = dev.BulkScan([&](const VersionedEntry& e) {
+      // Host-side work outlasts the merge: the waiting put lands before the
+      // scan ends.
+      while (backpressured && puts_done == waiting &&
+             world.env.Now() < deadline) {
+        world.env.SleepFor(FromMicros(10));
+      }
+      scanned[e.key] = e.value.seed();
+    });
+    Status reset = dev.ResetUpTo(snap);
+    stop = true;
+    world.env.Join(writer);
+    ASSERT_TRUE(backpressured) << "no put waited for the merge";
+    ASSERT_GT(puts_done, waiting);
+    ASSERT_TRUE(scan.ok()) << scan.ToString();
+    ASSERT_TRUE(reset.ok()) << reset.ToString();
+
+    Value v;
+    for (const auto& [key, seed] : acked) {
+      if (scanned.count(key) != 0) continue;
+      ASSERT_TRUE(dev.Get(key, &v).ok()) << key << " was neither scanned nor kept";
+      EXPECT_EQ(v.seed(), seed) << key;
+    }
   });
 }
 
@@ -405,12 +722,12 @@ TEST(DevLsmTest, SeededScheduleMatchesNewestSequenceModel) {
     Nanos now;
   };
   const Pinned kPinned[] = {
-      {"compaction on", true, false, 0x5eed0001, 71, 38521187, 65201210, 235,
-       49, 1754712888},
+      {"compaction on", true, false, 0x5eed0001, 71, 31006557, 58686739, 235,
+       20, 1601666547},
       {"compaction off", false, false, 0x5eed0002, 93, 21939512, 45176874,
        220, 0, 1393036425},
-      {"inline values", true, true, 0x5eed0003, 98, 32879653, 62847517, 220,
-       51, 1662252648},
+      {"inline values", true, true, 0x5eed0003, 98, 26301393, 56831910, 220,
+       23, 1506892027},
   };
   for (const Pinned& pin : kPinned) {
     SCOPED_TRACE(pin.name);

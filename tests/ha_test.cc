@@ -777,11 +777,11 @@ TEST(HaPairTest, OnlyThePrimaryOpensRedirectWindows) {
 // ---- Two-node nemesis schedules (DESIGN.md §9 + §12) ----
 
 // Each cycle draws its kill site from the HA crash table (the single-node
-// sites plus crash.net.send.mid); seed 1076's 12 cycles crash the pair at
+// sites plus crash.net.send.mid); seed 606's 12 cycles crash the pair at
 // all ten. Every cycle ends in a verified failover.
 TEST(HaNemesisTest, SyncFailoversServeEveryAckedWrite) {
   check::NemesisOptions opt;
-  opt.seed = 1076;
+  opt.seed = 606;
   opt.cycles = 12;
   opt.ha = true;
   opt.repl_ack = 0;

@@ -20,8 +20,10 @@ using check::ParseNemesisTrace;
 using check::RunNemesis;
 
 // The pinned schedule seed. To reproduce a failure locally:
-//   kvaccel_nemesis --nemesis_seed=0x4E454D15 --cycles=30
-constexpr uint64_t kNemesisSeed = 0x4E454D15;
+//   kvaccel_nemesis --nemesis_seed=0x4E454D17 --cycles=30
+// Its 30 cycles run 1,454 ops. Once the nemesis's Dev-LSM merged (DESIGN.md
+// §27), 0x4E454D15 and 0x4E454D16 ran 954 and 987, under the floor below.
+constexpr uint64_t kNemesisSeed = 0x4E454D17;
 
 // Seed 5 scans a key deleted on the host path after a redirected put: the
 // hybrid iterator used to resurrect the stale device copy (cycle 6).
@@ -93,25 +95,25 @@ TEST(NemesisTest, EveryTopologyReplaysItsPinnedSchedule) {
     uint64_t digest;
   };
   const Pinned kPinned[] = {
-      {"single", 1317456661, 30, [](NemesisOptions*) {}, 0x161485332fdbd06e},
+      {"single", 1317456661, 30, [](NemesisOptions*) {}, 0x41ebf0f3dfc57f32},
       {"ndp", 7, 12, [](NemesisOptions* o) { o->ndp = true; },
-       0xe464fac9d7f24305},
+       0xedecb60f7fbe36e9},
       {"shards=4", 1317456661, 12, [](NemesisOptions* o) { o->shards = 4; },
        0xd2b72839153fca99},
       {"ha sync", 50, 12, [](NemesisOptions* o) { o->ha = true; },
-       0x9dab40f679aacab5},
+       0x2641365cd5056553},
       {"ha async", 99, 6,
        [](NemesisOptions* o) {
          o->ha = true;
          o->repl_ack = 1;
        },
-       0x946246bc1623908f},
+       0x92f8631a430f0d13},
       {"partition delta", 24301, 8,
        [](NemesisOptions* o) {
          o->ha = true;
          o->net_partition = true;
        },
-       0x1254a2cc1e1a5f26},
+       0x4c6152e60c776356},
   };
   for (const Pinned& p : kPinned) {
     NemesisOptions opt;

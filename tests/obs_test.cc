@@ -86,6 +86,32 @@ TEST(JsonWriterTest, EmptyContainers) {
   EXPECT_EQ(w.str(), "{\"a\":[],\"o\":{}}");
 }
 
+// Output of several chunks: numbers and escaped strings that straddle chunk
+// ends, and one string whose escaped form is longer than a chunk, come back
+// byte for byte.
+TEST(JsonWriterTest, OutputLargerThanOneChunkAssemblesExactly) {
+  obs::JsonWriter w;
+  std::string want = "[";
+  w.BeginArray();
+  for (uint64_t i = 0; i < 400000; i++) {
+    if (i > 0) want += ',';
+    if (i % 1000 == 999) {
+      w.String("k\"" + std::to_string(i));
+      want += "\"k\\\"" + std::to_string(i) + "\"";
+    } else {
+      w.Uint(i * 7919);
+      want += std::to_string(i * 7919);
+    }
+  }
+  w.String(std::string(3 << 20, '\n'));
+  want += ",\"";
+  for (int i = 0; i < (3 << 20); i++) want += "\\n";
+  want += "\"]";
+  w.EndArray();
+  ASSERT_GT(want.size(), 8u << 20);
+  EXPECT_EQ(w.str(), want);
+}
+
 // ---------------- Metrics ----------------
 
 TEST(MetricsSnapshotTest, JsonIsSortedAndDeterministic) {

@@ -27,7 +27,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #              and transient COMPACT rejections mixed in.
 #   ha-sync    two-node HA, both ack modes: each cycle kills the pair at a
 #   ha-async   kill site drawn from the HA crash table (the single-node sites
-#              plus crash.net.send.mid; seed 1076's 12 sync cycles arm all
+#              plus crash.net.send.mid; seed 606's 12 sync cycles arm all
 #              ten), promotes the backup and holds it to the oracle — sync
 #              must serve every acked write, async loss must stay under the
 #              queue-cap bound.
@@ -40,7 +40,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 NEMESIS_SMOKES=(
   "single|--cycles=30 --nemesis_seed=1317456661"
   "ndp|--ndp --cycles=12 --nemesis_seed=7"
-  "ha-sync|--ha --cycles=12 --nemesis_seed=1076"
+  "ha-sync|--ha --cycles=12 --nemesis_seed=606"
   "ha-async|--ha --repl_ack=async --cycles=6 --nemesis_seed=99"
   "partition-delta|--ha --net_partition --cycles=8 --nemesis_seed=24301"
 )
@@ -151,6 +151,12 @@ run_pass() {
   # byte-identity for the mixed multi-tenant engine.
   echo "==== ${name}: ctest -L workload ===="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L workload
+  # Dev-LSM suite, explicitly: the device serves commands beside its
+  # background merge task (DESIGN.md §27), so the queue discipline, the
+  # merge's discard paths and the model-checked schedules run by name in
+  # both the plain and the sanitized pass.
+  echo "==== ${name}: ctest -L devlsm ===="
+  ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L devlsm
   # Nemesis smokes on pinned seeds (NEMESIS_SMOKES above). A failure prints
   # the log tail: the DIVERGENCE line and the dumped trace, replayable with
   # --replay.

@@ -56,8 +56,11 @@ int main(int argc, char** argv) {
     fprintf(stderr, "%s\n", r.error.c_str());
     return 2;
   }
-  printf("cycles=%d crashes=%d ops=%llu\n", r.cycles_run, r.crashes,
-         static_cast<unsigned long long>(r.ops_executed));
+  printf("cycles=%d crashes=%d ops=%llu dev_merges=%llu discarded=%llu\n",
+         r.cycles_run, r.crashes,
+         static_cast<unsigned long long>(r.ops_executed),
+         static_cast<unsigned long long>(r.dev_merges),
+         static_cast<unsigned long long>(r.dev_merges_discarded));
   if (opts.ha) {
     printf("failovers=%d lost_entries=%llu drained=%llu dev_fallbacks=%llu\n",
            r.failovers, static_cast<unsigned long long>(r.ha_lost_entries),
