@@ -22,7 +22,6 @@ StandaloneNode Standalone(const lsm::DbOptions& main_options,
   StandaloneNode n{main_options, kv_options,
                    lsm::DbEnv{env, node.ssd, node.fs, node.host_cpu}};
   n.db.wal_shipper = nullptr;
-  n.db.manifest_shipper = nullptr;
   n.kv.external_dev = node.dev;
   n.kv.redirect_shipper = nullptr;
   n.kv.rollback_shipper = nullptr;

@@ -50,8 +50,6 @@ struct KvaccelOptions {
 
   // Rollback Manager.
   RollbackScheme rollback = RollbackScheme::kLazy;
-  // Eager: start as soon as this many consecutive calm detector periods.
-  int eager_calm_periods = 1;
 
   // Device-side write buffer.
   devlsm::DevLsmOptions dev;

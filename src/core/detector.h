@@ -26,10 +26,6 @@ class Detector {
   void Start() {
     tracer_ = env_->tracer();
     if (tracer_ != nullptr) tr_kvaccel_ = tracer_->RegisterTrack("kvaccel");
-    // A node that never redirects (the HA backup) still registers the track,
-    // so track ids do not depend on its role, but opens no redirect window
-    // on it: the primary's windows share that track.
-    if (!options_.redirection_enabled) tracer_ = nullptr;
     actor_.Start(env_, "kvaccel-detector", options_.detector_period,
                  [this] { CheckOnce(); });
   }

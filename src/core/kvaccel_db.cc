@@ -14,8 +14,9 @@ namespace kvaccel::core {
 
 namespace {
 
-// Lazy rollback: the quiet streak of calm detector periods required before
-// touching the device (eager waits eager_calm_periods).
+// The quiet streak of calm detector periods a rollback waits for before
+// touching the device: eager starts after one, lazy after ten.
+constexpr int kEagerCalmPeriods = 1;
 constexpr int kLazyCalmPeriods = 10;
 
 }  // namespace
@@ -86,11 +87,7 @@ Status KvaccelDB::Open(const lsm::DbOptions& main_options,
       grant->finish = [planner, ndev, cmd_id](bool ok, uint64_t files,
                                               uint64_t bytes) {
         Status fin = ndev->FinishCompact(cmd_id, ok, files, bytes);
-        if (ok && fin.ok()) {
-          planner->ReportDeviceSuccess();
-        } else if (!ok) {
-          planner->ReportDeviceFailure();
-        }
+        if (!ok) planner->ReportDeviceFailure();
         return fin;
       };
       return true;
@@ -124,7 +121,9 @@ Status KvaccelDB::Open(const lsm::DbOptions& main_options,
     }
   }
 
-  impl->detector_->Start();
+  // A node that never redirects (the HA backup) reads only the Detector's
+  // device breaker, so nothing polls its stall signals.
+  if (impl->options_.redirection_enabled) impl->detector_->Start();
   if (impl->options_.rollback != RollbackScheme::kDisabled) {
     impl->rollback_->Start(env.env);
   }
@@ -336,9 +335,8 @@ void RollbackManager::Start(sim::SimEnv* env) {
 
 void RollbackManager::Tick() {
   if (owner_->dev()->Empty()) return;
-  int needed = options_.rollback == RollbackScheme::kEager
-                   ? options_.eager_calm_periods
-                   : kLazyCalmPeriods;
+  int needed = options_.rollback == RollbackScheme::kEager ? kEagerCalmPeriods
+                                                          : kLazyCalmPeriods;
   if (owner_->detector()->stall_detected()) return;
   if (owner_->detector()->calm_streak() < needed) return;
   Execute(true);

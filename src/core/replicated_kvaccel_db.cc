@@ -106,7 +106,6 @@ Status ReplicatedKvaccelDB::Open(const lsm::DbOptions& main_options,
   lsm::DbOptions bopts = main_options;
   bopts.wal_sync = true;
   bopts.wal_shipper = nullptr;
-  bopts.manifest_shipper = nullptr;
   bopts.io_retry_jitter_seed += kBackupSeedOffset;
   KvaccelOptions bkv = kv_options;
   bkv.redirection_enabled = false;
@@ -144,10 +143,6 @@ Status ReplicatedKvaccelDB::Open(const lsm::DbOptions& main_options,
   popts.wal_shipper = [self](const lsm::WriteBatch& group,
                              uint64_t first_seq) {
     return self->ShipWalBatch(group, first_seq);
-  };
-  popts.manifest_shipper = [self](const std::string& edit,
-                                  uint64_t last_seq) {
-    self->ShipManifestEdit(edit, last_seq);
   };
   KvaccelOptions pkv = kv_options;
   pkv.external_dev = primary.dev;
@@ -361,33 +356,6 @@ void ReplicatedKvaccelDB::ShipRollback() {
   (void)Ship(std::move(rec));
 }
 
-void ReplicatedKvaccelDB::ShipManifestEdit(const std::string& edit,
-                                           uint64_t last_seq) {
-  (void)last_seq;
-  Record rec;
-  rec.type = Record::Type::kManifestEdit;
-  rec.bytes = edit.size() + kRecordHeaderBytes;
-  rec.epoch = epoch_;
-  stats_.manifest_records++;
-  if (options_.ack == ReplAck::kSync) {
-    // Advisory: charge the wire inline but never fail the version install.
-    sim::SimLockGuard l(ship_mu_);
-    if (SendOverLink(rec.bytes).ok()) {
-      stats_.records_applied++;
-    } else {
-      stats_.manifest_drops++;
-    }
-    return;
-  }
-  // Async: never block a version install on queue pressure — drop instead.
-  sim::SimLockGuard l(q_mu_);
-  if (stopping_ || QueueFullLocked()) {
-    stats_.manifest_drops++;
-    return;
-  }
-  EnqueueLocked(std::move(rec));
-}
-
 // ---------------- Shipping machinery ----------------
 
 Status ReplicatedKvaccelDB::Ship(Record rec) {
@@ -414,16 +382,6 @@ Status ReplicatedKvaccelDB::Ship(Record rec) {
     q_cv_.WaitFor(q_mu_, FromMicros(200));
   }
   if (stopping_) return Status::IOError("repl: shutting down");
-  EnqueueLocked(std::move(rec));
-  return Status::OK();
-}
-
-bool ReplicatedKvaccelDB::QueueFullLocked() const {
-  return queue_.size() >= options_.async_queue_cap ||
-         queue_bytes_ >= options_.async_queue_max_bytes;
-}
-
-void ReplicatedKvaccelDB::EnqueueLocked(Record rec) {
   queue_bytes_ += rec.bytes;
   queue_.push_back(std::move(rec));
   stats_.async_queue_peak =
@@ -431,6 +389,12 @@ void ReplicatedKvaccelDB::EnqueueLocked(Record rec) {
   stats_.async_queue_bytes_peak =
       std::max(stats_.async_queue_bytes_peak, queue_bytes_);
   q_cv_.NotifyAll();
+  return Status::OK();
+}
+
+bool ReplicatedKvaccelDB::QueueFullLocked() const {
+  return queue_.size() >= options_.async_queue_cap ||
+         queue_bytes_ >= options_.async_queue_max_bytes;
 }
 
 void ReplicatedKvaccelDB::ShipperLoop() {
@@ -478,10 +442,8 @@ void ReplicatedKvaccelDB::ShipperLoop() {
 }
 
 void ReplicatedKvaccelDB::RecordLoss(const Record& rec) {
-  if (rec.type == Record::Type::kManifestEdit ||
-      rec.type == Record::Type::kRollback ||
+  if (rec.type == Record::Type::kRollback ||
       rec.type == Record::Type::kHeartbeat) {
-    if (rec.type == Record::Type::kManifestEdit) stats_.manifest_drops++;
     return;
   }
   stats_.lost_entries += rec.count;
@@ -599,8 +561,6 @@ Status ReplicatedKvaccelDB::ApplyOnBackup(Record* rec) {
       // mirrored versions that are newest, so the trusted drain moves them
       // into its Main-LSM and resets the mirror, as the primary did.
       return backup_->RollbackNow();
-    case Record::Type::kManifestEdit:
-      return Status::OK();  // advisory; bytes were the payload
     case Record::Type::kHeartbeat:
       return Status::OK();  // the round trip is the payload
   }

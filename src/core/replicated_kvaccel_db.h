@@ -5,10 +5,11 @@
 // sequence numbers, so a failover promotes a byte-consistent replica instead
 // of replaying from scratch.
 //
-// Five record types ride the link. Sync acks ship them in two FIFO lanes:
-// WAL batches, manifest edits and heartbeats in one, redirect intents and
-// rollback signals in the other, so neither waits for the other's backup
-// apply (DESIGN.md §12). Async acks ship all five through one queue.
+// Four record types ride the link. Sync acks ship them in two FIFO lanes:
+// WAL batches and heartbeats in one, redirect intents and rollback signals
+// in the other, so neither waits for the other's backup apply (DESIGN.md
+// §12). Async acks ship all four through one queue. The backup builds its
+// own versions from the WAL batches it applies, so no manifest edit ships.
 //
 //   kWalBatch       every group-commit WAL batch, shipped by the leader after
 //                   local WAL sync and applied on the backup as a
@@ -29,8 +30,6 @@
 //                   is now in its Main-LSM (via WAL-bypassing ingest), so
 //                   the backup drains its mirror the same way, trusting its
 //                   metadata as the primary does.
-//   kManifestEdit   advisory VersionEdit stream (bytes charged to the link;
-//                   the backup builds its own versions from applied writes).
 //   kHeartbeat      an empty lease-renewal record from a background beater;
 //                   its round trip is what keeps the primary's lease fresh
 //                   when no client writes flow.
@@ -128,8 +127,6 @@ struct ReplStats {
   uint64_t intent_records = 0;
   uint64_t intent_entries = 0;
   uint64_t rollback_records = 0;
-  uint64_t manifest_records = 0;
-  uint64_t manifest_drops = 0;  // advisory stream dropped on pressure
   uint64_t repl_bytes = 0;      // bytes charged to the link
   uint64_t records_applied = 0;
   uint64_t net_retries = 0;     // link send retries after a transient
@@ -262,19 +259,13 @@ class ReplicatedKvaccelDB : public lsm::Store {
 
  private:
   struct Record {
-    enum class Type {
-      kWalBatch,
-      kRedirectIntent,
-      kRollback,
-      kManifestEdit,
-      kHeartbeat
-    };
+    enum class Type { kWalBatch, kRedirectIntent, kRollback, kHeartbeat };
     Type type = Type::kWalBatch;
     lsm::WriteBatch batch;  // kWalBatch payload
     std::vector<VersionedEntry> entries;  // kRedirectIntent payload
     uint64_t first_seq = 0;
     uint64_t last_seq = 0;  // highest sequence carried (0 when none)
-    uint32_t count = 0;  // entries carried (0 for rollback/manifest/heartbeat)
+    uint32_t count = 0;  // entries carried (0 for rollback/heartbeat)
     uint64_t bytes = 0;  // serialized size charged to the link
     uint64_t epoch = 0;  // fencing epoch stamped at ship time
   };
@@ -286,7 +277,6 @@ class ReplicatedKvaccelDB : public lsm::Store {
   Status ShipWalBatch(const lsm::WriteBatch& group, uint64_t first_seq);
   Status ShipRedirectIntent(const std::vector<VersionedEntry>& entries);
   void ShipRollback();
-  void ShipManifestEdit(const std::string& edit, uint64_t last_seq);
 
   // One record end to end: link transfer (+bounded transient retries), then
   // apply on the backup, then the protocol-level net.* adversaries (ack
@@ -314,10 +304,8 @@ class ReplicatedKvaccelDB : public lsm::Store {
   // backpressure; fails only if the pair crashes while waiting.
   Status Ship(Record rec);
   void ShipperLoop();
-  // Async queue, q_mu_ held: at its record or byte cap; appending a record
-  // (peaks recorded, the shipper woken).
+  // Async queue, q_mu_ held: at its record or byte cap.
   bool QueueFullLocked() const;
-  void EnqueueLocked(Record rec);
 
   // Streams the primary's existing contents to a freshly attached backup
   // (promote -> re-pair lifecycle) with CatchUp over the pair's link.
@@ -332,9 +320,8 @@ class ReplicatedKvaccelDB : public lsm::Store {
   std::unique_ptr<KvaccelDB> backup_;
 
   // Sync-mode lanes, one record in flight on each. The WAL lane carries WAL
-  // batches, manifest edits and heartbeats; the device lane redirect
-  // intents and rollback signals. Only DetachBackup holds both (WAL lane
-  // first).
+  // batches and heartbeats; the device lane redirect intents and rollback
+  // signals. Only DetachBackup holds both (WAL lane first).
   sim::SimMutex ship_mu_;
   sim::SimMutex dev_ship_mu_;
   Random64 net_rng_;

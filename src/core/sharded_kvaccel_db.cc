@@ -19,18 +19,6 @@ struct KeyOrder {
   int Compare(const Slice& a, const Slice& b) const { return a.compare(b); }
 };
 
-// Big-endian value of the first 8 key bytes, zero-padded on the right so
-// that prefixes sort below their extensions ("ab" < "ab\x01...").
-uint64_t RangePoint(const Slice& key) {
-  uint64_t v = 0;
-  size_t n = std::min<size_t>(key.size(), 8);
-  for (size_t i = 0; i < n; i++) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(key.data()[i]))
-         << (56 - 8 * i);
-  }
-  return v;
-}
-
 // Union of possibly-overlapping intervals, replayed into `out` in time order
 // so the aggregate recorder looks like one DB that stalled whenever any
 // shard did.
@@ -72,10 +60,8 @@ void CollectClosed(const sim::IntervalRecorder& r, Nanos now,
 
 }  // namespace
 
-ShardedKvaccelDB::ShardedKvaccelDB(const ShardingOptions& sharding,
-                                   const ShardEnv& env)
-    : sharding_(sharding),
-      env_(env.env),
+ShardedKvaccelDB::ShardedKvaccelDB(const ShardEnv& env)
+    : env_(env.env),
       ssd_(env.ssd),
       arbiter_(env.env, "device-bw", env.ssd->config().nand_bytes_per_sec,
                kArbiterBurstBytes) {}
@@ -117,8 +103,7 @@ Status ShardedKvaccelDB::Open(const lsm::DbOptions& main_options,
         "use ShardingOptions::external_devs for sharded external devices");
   }
 
-  auto sdb = std::unique_ptr<ShardedKvaccelDB>(
-      new ShardedKvaccelDB(sharding, env));
+  auto sdb = std::unique_ptr<ShardedKvaccelDB>(new ShardedKvaccelDB(env));
 
   // Redirect budget across all shards, in logical bytes: 90% of the
   // device's aggregate KV-region capacity.
@@ -185,12 +170,7 @@ Status ShardedKvaccelDB::Open(const lsm::DbOptions& main_options,
 int ShardedKvaccelDB::ShardOf(const Slice& key) const {
   const uint64_t n = static_cast<uint64_t>(shards_.size());
   if (n <= 1) return 0;
-  if (sharding_.partition == ShardPartition::kHash) {
-    return static_cast<int>(HashSlice64(key) % n);
-  }
-  // Multiply-shift maps [0, 2^64) onto [0, n) in n equal, ordered slices.
-  unsigned __int128 v = RangePoint(key);
-  return static_cast<int>((v * n) >> 64);
+  return static_cast<int>(HashSlice64(key) % n);
 }
 
 Status ShardedKvaccelDB::Write(const lsm::WriteOptions& wopts,

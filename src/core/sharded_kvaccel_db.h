@@ -29,14 +29,8 @@
 
 namespace kvaccel::core {
 
-enum class ShardPartition {
-  kHash,   // Hash64(key) % N — uniform regardless of key shape
-  kRange,  // first 8 key bytes, big-endian, multiply-shift split
-};
-
 struct ShardingOptions {
   int num_shards = 1;
-  ShardPartition partition = ShardPartition::kHash;
   // Externally owned per-shard resources (crash/reopen tests): when
   // non-empty, must hold exactly num_shards entries; shard i uses entry i.
   // The file systems and Dev-LSMs then survive a Close/reopen of the router
@@ -91,6 +85,7 @@ class ShardedKvaccelDB : public lsm::Store {
   Status Close() override;
 
   // ---- Routing ----
+  // HashSlice64(key) % num_shards: uniform regardless of key shape.
   int ShardOf(const Slice& key) const;
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
@@ -120,13 +115,12 @@ class ShardedKvaccelDB : public lsm::Store {
     std::unique_ptr<KvaccelDB> db;
   };
 
-  ShardedKvaccelDB(const ShardingOptions& sharding, const ShardEnv& env);
+  explicit ShardedKvaccelDB(const ShardEnv& env);
 
   // Dev-LSM capacity admission for shard `shard` wanting `bytes` more.
   bool AdmitRedirect(int shard, uint64_t bytes) const;
   void AggregateDbStats(bool main_side, lsm::DbStats* out) const;
 
-  ShardingOptions sharding_;
   sim::SimEnv* env_;
   ssd::HybridSsd* ssd_;
   uint64_t redirect_budget_bytes_ = 0;

@@ -260,10 +260,7 @@ std::string JsonReportString(const BenchConfig& config,
   w.Field("max_subcompactions", config.sut.max_subcompactions);
   w.Field("shards", config.sut.shards);
   w.Field("tenants", config.workload.tenants);
-  w.Field("shard_partition",
-          NameOf(kShardPartitionNames, config.sut.shard_partition));
   w.Field("ndp", NameOf(kNdpModeNames, config.sut.ndp_mode));
-  w.Field("ndp_cores", config.sut.ndp_cores);
   w.Field("ha", config.sut.ha);
   w.Field("repl_ack",
           NameOf(check::kReplAckNames, config.sut.repl_ack_async));

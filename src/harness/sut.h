@@ -33,9 +33,6 @@ inline constexpr EnumName<core::RollbackScheme> kRollbackNames[] = {
     {"lazy", core::RollbackScheme::kLazy},
     {"eager", core::RollbackScheme::kEager},
     {"disabled", core::RollbackScheme::kDisabled}};
-inline constexpr EnumName<core::ShardPartition> kShardPartitionNames[] = {
-    {"hash", core::ShardPartition::kHash},
-    {"range", core::ShardPartition::kRange}};
 inline constexpr EnumName<ndp::OffloadMode> kNdpModeNames[] = {
     {"off", ndp::OffloadMode::kOff},
     {"auto", ndp::OffloadMode::kAuto},
@@ -53,12 +50,10 @@ struct SutConfig {
   // Sharded engine (KVACCEL only, DESIGN.md §11): > 1 opens a
   // ShardedKvaccelDB with one namespace/WAL/memtable/Detector per shard.
   int shards = 1;
-  core::ShardPartition shard_partition = core::ShardPartition::kHash;
   // Device-offloaded compaction (KVACCEL only, DESIGN.md §13). The runner
   // creates one world-owned NdpDevice per SSD when mode != kOff; HA pairs
   // carry per-node devices in ha_primary.ndp / ha_backup.ndp instead.
   ndp::OffloadMode ndp_mode = ndp::OffloadMode::kOff;
-  int ndp_cores = 2;  // 0 = share the device's firmware core
   ndp::NdpDevice* ndp_device = nullptr;
   // Two-node HA pair (KVACCEL only, shards == 1, DESIGN.md §12): the runner
   // builds both node worlds and the SUT opens a ReplicatedKvaccelDB over
@@ -178,7 +173,6 @@ class SystemUnderTest {
         } else if (config.shards > 1) {
           core::ShardingOptions sharding;
           sharding.num_shards = config.shards;
-          sharding.partition = config.shard_partition;
           core::ShardEnv senv{env.env, env.ssd, env.host_cpu};
           std::unique_ptr<core::ShardedKvaccelDB> sharded;
           st = core::ShardedKvaccelDB::Open(db_opts, kv_opts, sharding, senv,

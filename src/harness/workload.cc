@@ -215,11 +215,8 @@ FlagTable DbbenchFlags(DbbenchArgs* args) {
            "NAND bandwidth in MB/s (0 = preset 630)");
   t.Int("shards", &sut->shards, 1, "KVACCEL only: shards (default 1)");
   t.Int("tenants", &wl->tenants, 1, "key-space slices (default 1)");
-  t.Enum("shard_partition", &sut->shard_partition, kShardPartitionNames,
-         "key-to-shard mapping (default hash)");
   t.Enum("ndp", &sut->ndp_mode, kNdpModeNames,
          "KVACCEL only: device-offloaded compaction (default off)");
-  t.Int("ndp_cores", &sut->ndp_cores, 0, "NDP cores (default 2)");
   t.Set("ha", &sut->ha, true, "KVACCEL only: two-node replicated pair");
   t.Enum("repl_ack", &sut->repl_ack_async, check::kReplAckNames,
          "HA ack discipline (default sync)");
@@ -336,7 +333,21 @@ std::string DbbenchConfigError(const DbbenchArgs& args) {
     return std::string("--arrival=") + NameOf(kArrivalNames, wl.arrival) +
            " requires --workload=mixed";
   }
-  if (wl.ttl_frac > 0 && !mixed) return "--ttl_frac requires --workload=mixed";
+  // Refuse what the run would not read: only the mixed loop reads TTLs and
+  // deadlines, only an open-loop schedule a rate, only a TTL'd put a TTL.
+  const WorkloadConfig unset;
+  const std::pair<bool, const char*> unread[] = {
+      {wl.ttl_frac > 0 && !mixed, "--ttl_frac requires --workload=mixed"},
+      {wl.arrival_rate != unset.arrival_rate && wl.arrival == Arrival::kClosed,
+       "--arrival_rate requires an open-loop --arrival"},
+      {wl.ttl_s != unset.ttl_s && wl.ttl_frac == 0,
+       "--ttl_s requires --ttl_frac"},
+      {wl.deadline_us != unset.deadline_us && !mixed,
+       "--deadline_us requires --workload=mixed"},
+  };
+  for (const auto& [set, error] : unread) {
+    if (set) return error;
+  }
   return "";
 }
 
@@ -794,8 +805,6 @@ obs::MetricsSnapshot SnapshotWorld(SystemUnderTest* sut, ssd::HybridSsd* ssd,
     snap.SetCounter("repl.intent_records", rs.intent_records);
     snap.SetCounter("repl.intent_entries", rs.intent_entries);
     snap.SetCounter("repl.rollback_records", rs.rollback_records);
-    snap.SetCounter("repl.manifest_records", rs.manifest_records);
-    snap.SetCounter("repl.manifest_drops", rs.manifest_drops);
     snap.SetCounter("repl.bytes", rs.repl_bytes);
     snap.SetCounter("repl.records_applied", rs.records_applied);
     snap.SetCounter("repl.net_retries", rs.net_retries);
@@ -913,11 +922,10 @@ RunResult RunBenchmark(const BenchConfig& config) {
   std::unique_ptr<ndp::NdpDevice> ndp_dev, ndp_dev_b;
   if (config.sut.kind == SystemKind::kKvaccel &&
       config.sut.ndp_mode != ndp::OffloadMode::kOff) {
-    ndp_dev = std::make_unique<ndp::NdpDevice>(&ssd, config.sut.ndp_cores);
+    ndp_dev = std::make_unique<ndp::NdpDevice>(&ssd);
     sut_cfg.ndp_device = ndp_dev.get();
     if (ha) {
-      ndp_dev_b =
-          std::make_unique<ndp::NdpDevice>(ssd_b.get(), config.sut.ndp_cores);
+      ndp_dev_b = std::make_unique<ndp::NdpDevice>(ssd_b.get());
       sut_cfg.ha_primary.ndp = ndp_dev.get();
       sut_cfg.ha_backup.ndp = ndp_dev_b.get();
     }

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "common/status.h"
 #include "common/units.h"
@@ -142,12 +141,6 @@ struct DbOptions {
   // replication (WriteOptions::replicated_seq != 0) are not re-shipped.
   std::function<Status(const WriteBatch& group, uint64_t first_seq)>
       wal_shipper;
-  // When set, every applied VersionEdit is streamed out (serialized payload +
-  // last sequence) after LogAndApply installs it. Advisory/best-effort: the
-  // backup rebuilds its own versions from replicated writes, so delivery
-  // failures don't fail the commit.
-  std::function<void(const std::string& edit, uint64_t last_seq)>
-      manifest_shipper;
 };
 
 // Per-read options.

@@ -320,11 +320,6 @@ Status VersionSet::LogAndApply(VersionEdit* edit) {
     return Status::IOError("simulated crash");
   }
   current_ = BuildAfter(*edit);
-  // Stream the applied edit to the replication peer (advisory: the backup
-  // rebuilds its own versions, so delivery failure doesn't fail the commit).
-  if (options_.manifest_shipper) {
-    options_.manifest_shipper(payload, last_sequence_);
-  }
   return Status::OK();
 }
 

@@ -6,6 +6,8 @@
 namespace kvaccel::ndp {
 
 namespace {
+// Dedicated NDP merge cores per device.
+constexpr int kNdpCores = 2;
 // Relative speed of a dedicated NDP core. Unlike the control-path firmware
 // core (SsdConfig::firmware_speed, 0.25), the merge engines run at host
 // clock: the COMPACT path is what the silicon exists for.
@@ -22,12 +24,9 @@ constexpr uint64_t kResultBytesBase = 256;
 constexpr uint64_t kResultBytesPerFile = 64;
 }  // namespace
 
-NdpDevice::NdpDevice(ssd::HybridSsd* ssd, int cores)
-    : ssd_(ssd), env_(ssd->env()) {
-  if (cores > 0) {
-    ndp_pool_ = std::make_unique<sim::CpuPool>(env_, "ssd-ndp", cores,
-                                               kSpeedFactor);
-  }
+NdpDevice::NdpDevice(ssd::HybridSsd* ssd)
+    : ssd_(ssd), env_(ssd->env()),
+      pool_(env_, "ssd-ndp", kNdpCores, kSpeedFactor) {
   if (env_->tracer() != nullptr) {
     tr_track_ = env_->tracer()->RegisterTrack("ssd.ndp");
     traced_ = true;

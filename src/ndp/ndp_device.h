@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 
 #include "common/status.h"
 #include "common/units.h"
@@ -49,9 +48,7 @@ struct CompactDescriptor {
 
 class NdpDevice {
  public:
-  // `cores` dedicated NDP cores; 0 shares the SSD's single firmware pool
-  // (merges then queue behind Dev-LSM command processing).
-  explicit NdpDevice(ssd::HybridSsd* ssd, int cores = 2);
+  explicit NdpDevice(ssd::HybridSsd* ssd);
 
   // Ships one COMPACT descriptor to the device. Blocks for the PCIe
   // transfer; fails at ndp.compact.transient (device busy/reject — the
@@ -70,17 +67,16 @@ class NdpDevice {
   Status FinishCompact(uint64_t cmd_id, bool ok, uint64_t output_files,
                        uint64_t output_bytes);
 
-  // Pool the merge cycles land on (dedicated, or the SSD firmware pool).
-  sim::CpuPool* cpu() {
-    return ndp_pool_ != nullptr ? ndp_pool_.get() : ssd_->firmware();
-  }
+  // The dedicated NDP cores the merge cycles land on, apart from the SSD's
+  // firmware core.
+  sim::CpuPool* cpu() { return &pool_; }
   ssd::HybridSsd* ssd() { return ssd_; }
   const NdpStats& stats() const { return stats_; }
 
  private:
   ssd::HybridSsd* ssd_;
   sim::SimEnv* env_;
-  std::unique_ptr<sim::CpuPool> ndp_pool_;  // null = share firmware()
+  sim::CpuPool pool_;
   NdpStats stats_;
   uint64_t next_cmd_id_ = 1;
   std::map<uint64_t, Nanos> inflight_;  // cmd_id -> start time (for tracing)

@@ -72,7 +72,6 @@ class OffloadPlanner {
     stats_.failures++;
     cooldown_until_ = env_->Now() + kFailureCooldown;
   }
-  void ReportDeviceSuccess() {}
 
   const PlannerStats& stats() const { return stats_; }
 

@@ -73,8 +73,6 @@ const std::vector<FaultSiteInfo>& KnownFaultSites() {
       {"net.send.transient", "NetLink::Send drops the message"},
       {"net.partition.sym",
        "symmetric partition: the wire is cut in both directions"},
-      {"net.partition.tx",
-       "asymmetric partition: outbound messages are eaten on the wire"},
       {"net.partition.ack",
        "asymmetric partition: record applied on the peer, ack lost"},
       {"net.delay", "a seeded 100us-1ms delay spike rides on this message"},

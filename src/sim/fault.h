@@ -29,8 +29,6 @@
 //   net       net.send.transient          NetLink::Send drops the message
 //             net.partition.sym           symmetric partition: the wire is cut
 //                                         in both directions
-//             net.partition.tx            asymmetric partition: outbound
-//                                         messages are eaten on the wire
 //             net.partition.ack           asymmetric partition: the record is
 //                                         applied on the peer but the ack is
 //                                         lost on the way back

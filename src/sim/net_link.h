@@ -7,9 +7,6 @@
 //   net.partition.sym     symmetric partition: the wire is cut in both
 //                         directions — the message never charges the link and
 //                         the sender sees an IOError (partition_drops())
-//   net.partition.tx      asymmetric partition, forward direction: the
-//                         message is silently eaten on the way out — same
-//                         observable as net.partition.sym from this side
 //   net.delay             a seeded delay/jitter spike (100µs–1ms) is added on
 //                         top of serialization + propagation (delay_spikes())
 //   crash.net.send.mid    whole-pair power loss while the message is in
@@ -17,7 +14,7 @@
 //                         on the receiver (latches the crash latch like every
 //                         crash.* site)
 //
-// Two more net.* sites live in the replication protocol layer rather than on
+// Three more net.* sites live in the replication protocol layer rather than on
 // the wire, because only the sender's RPC loop knows about acks and record
 // ordering (registered in KnownFaultSites() beside the sites above):
 //
@@ -74,10 +71,6 @@ class NetLink {
       partition_drops_++;
       return Status::IOError(pipe_.name() + ": partitioned");
     }
-    if (FaultAt(env_, "net.partition.tx")) {
-      partition_drops_++;
-      return Status::IOError(pipe_.name() + ": partitioned (tx)");
-    }
     if (FaultAt(env_, "net.send.transient")) {
       drops_++;
       return Status::IOError(pipe_.name() + ": send dropped");
@@ -116,7 +109,7 @@ class NetLink {
   Random64 jitter_rng_;        // delay-spike widths (seeded, reproducible)
   uint64_t messages_ = 0;         // delivered
   uint64_t drops_ = 0;            // net.send.transient fires
-  uint64_t partition_drops_ = 0;  // net.partition.{sym,tx} fires
+  uint64_t partition_drops_ = 0;  // net.partition.sym fires
   uint64_t delay_spikes_ = 0;     // net.delay fires
 };
 

@@ -571,7 +571,6 @@ TEST(KvaccelDbTest, EagerRollbackRunsAutomatically) {
     KvaccelOptions kv_opts = SmallKvOptions();
     kv_opts.detector_period = FromMillis(1);
     kv_opts.rollback = RollbackScheme::kEager;
-    kv_opts.eager_calm_periods = 2;
     std::unique_ptr<KvaccelDB> db;
     ASSERT_TRUE(
         KvaccelDB::Open(main_opts, kv_opts, world.MakeDbEnv(), &db).ok());

@@ -737,10 +737,9 @@ TEST(HaSutTest, PartitionDrillRejoinRunsAtTheLinkRate) {
   EXPECT_GE(static_cast<double>(rj.rejoin_ns), wire_ns);
 }
 
-// Both nodes' Detectors share the one `kvaccel` trace track, and the backup
-// never redirects, so only the primary opens `stall.redirect` windows: a
-// traced pair run that stalls holds them one after another, never one
-// nested inside another.
+// Only the primary's Detector polls, so only it opens `stall.redirect`
+// windows on the `kvaccel` trace track: a traced pair run that stalls holds
+// them one after another, never one nested inside another.
 TEST(HaPairTest, OnlyThePrimaryOpensRedirectWindows) {
   harness::BenchConfig c;
   c.scale = 0.03125;
@@ -774,14 +773,63 @@ TEST(HaPairTest, OnlyThePrimaryOpensRedirectWindows) {
   std::remove(c.trace_out.c_str());
 }
 
+// The backup never redirects, rolls back on its own or scrubs, so nothing
+// reads its stall state: its Detector serves only as the device breaker of
+// ApplyIntentOnBackup and never polls.
+TEST(HaPairTest, OnlyThePrimaryPollsItsDetector) {
+  PairWorld w;
+  w.Run([&] {
+    core::KvaccelOptions kv_opts = PairKvOptions();
+    std::unique_ptr<core::ReplicatedKvaccelDB> pair;
+    ASSERT_TRUE(core::ReplicatedKvaccelDB::Open(test::SmallDbOptions(),
+                                                kv_opts, core::ReplOptions{},
+                                                w.NodeA(), w.NodeB(), &w.env,
+                                                &pair)
+                    .ok());
+    w.env.SleepFor(20 * kv_opts.detector_period);
+    EXPECT_GT(pair->primary()->kv_stats().detector_checks, 0u);
+    EXPECT_EQ(pair->backup()->kv_stats().detector_checks, 0u);
+    ASSERT_TRUE(pair->Close().ok());
+  });
+}
+
+// Every record the pair ships is one the backup applies: a WAL batch, a
+// redirect intent or a rollback signal. The primary's flushes and
+// compactions ship nothing, since the backup builds its own versions from
+// the WAL batches it replays.
+TEST(HaPairTest, VersionInstallsShipNoRecord) {
+  PairWorld w;
+  w.Run([&] {
+    lsm::DbOptions db_opts = test::SmallDbOptions();
+    db_opts.wal_sync = true;
+    std::unique_ptr<core::ReplicatedKvaccelDB> pair;
+    ASSERT_TRUE(core::ReplicatedKvaccelDB::Open(db_opts, PairKvOptions(),
+                                                core::ReplOptions{},
+                                                w.NodeA(), w.NodeB(), &w.env,
+                                                &pair)
+                    .ok());
+    for (uint64_t i = 0; i < 300; i++) {
+      ASSERT_TRUE(pair->Put({}, TestKey(i), Value::Synthetic(i, 4096)).ok());
+    }
+    ASSERT_TRUE(pair->FlushAll().ok());
+    ASSERT_TRUE(pair->WaitForCompactionIdle().ok());
+    EXPECT_GT(pair->primary()->main()->stats().flush_count, 0u);
+    const core::ReplStats& st = pair->repl_stats();
+    EXPECT_GT(st.wal_records, 0u);
+    EXPECT_EQ(st.records_applied,
+              st.wal_records + st.intent_records + st.rollback_records);
+    ASSERT_TRUE(pair->Close().ok());
+  });
+}
+
 // ---- Two-node nemesis schedules (DESIGN.md §9 + §12) ----
 
 // Each cycle draws its kill site from the HA crash table (the single-node
-// sites plus crash.net.send.mid); seed 606's 12 cycles crash the pair at
+// sites plus crash.net.send.mid); seed 191's 12 cycles crash the pair at
 // all ten. Every cycle ends in a verified failover.
 TEST(HaNemesisTest, SyncFailoversServeEveryAckedWrite) {
   check::NemesisOptions opt;
-  opt.seed = 606;
+  opt.seed = 191;
   opt.cycles = 12;
   opt.ha = true;
   opt.repl_ack = 0;
@@ -834,8 +882,8 @@ TEST(HaNemesisTest, AsyncLossIsBoundedAndScheduleDeterministic) {
 TEST(FaultSiteTest, PartitionSitesAreRegistered) {
   const std::vector<sim::FaultSiteInfo>& sites = sim::KnownFaultSites();
   for (const char* want :
-       {"net.partition.sym", "net.partition.tx", "net.partition.ack",
-        "net.delay", "net.dup", "net.reorder"}) {
+       {"net.partition.sym", "net.partition.ack", "net.delay", "net.dup",
+        "net.reorder"}) {
     bool found = false;
     for (const sim::FaultSiteInfo& s : sites) {
       if (std::string(s.site) == want) found = true;
@@ -859,12 +907,6 @@ TEST(NetLinkTest, PartitionCutsTheWireAndDelayAddsJitter) {
     EXPECT_EQ(link.partition_drops(), 1u);
     EXPECT_EQ(link.messages(), 0u);
     inj.Disarm("net.partition.sym");
-
-    // Asymmetric forward cut: same observable from the sender's side.
-    inj.Arm("net.partition.tx", cut);
-    EXPECT_TRUE(link.Send(4096).IsIOError());
-    EXPECT_EQ(link.partition_drops(), 2u);
-    inj.Disarm("net.partition.tx");
 
     // A delay spike rides on top of serialization + latency; the message is
     // still delivered.

@@ -162,13 +162,8 @@ TEST(FlagsTest, EveryDbbenchFlagLandsInItsField) {
       {"--nand_mbps=500", [](A a) { return a.config.nand_mbps == 500; }},
       {"--shards=4", [](A a) { return a.config.sut.shards == 4; }},
       {"--tenants=3", [](A a) { return a.config.workload.tenants == 3; }},
-      {"--shard_partition=range",
-       [](A a) {
-         return a.config.sut.shard_partition == core::ShardPartition::kRange;
-       }},
       {"--ndp=force",
        [](A a) { return a.config.sut.ndp_mode == ndp::OffloadMode::kForce; }},
-      {"--ndp_cores=1", [](A a) { return a.config.sut.ndp_cores == 1; }},
       {"--ha", [](A a) { return a.config.sut.ha; }},
       {"--repl_ack=async", [](A a) { return a.config.sut.repl_ack_async; }},
       {"--net_mbps=100", [](A a) { return a.config.sut.net_mbps == 100; }},
@@ -233,6 +228,11 @@ TEST(FlagsTest, DbbenchCrossFlagRulesNameTheFlags) {
                  "--net_latency_us=5", "--lease_ms=5", "--heartbeat_ms=2",
                  "--fence_epoch=3"})),
             "");
+  EXPECT_EQ(DbbenchConfigError(ParseDbbench(
+                {"--system=kvaccel", "--workload=mixed", "--arrival=spike",
+                 "--arrival_rate=12000", "--ttl_frac=0.05", "--ttl_s=3",
+                 "--deadline_us=250"})),
+            "");
   const std::pair<std::vector<const char*>, const char*> bad[] = {
       {{"--shards=2"}, "--shards"},
       {{"--ha"}, "--ha"},
@@ -248,6 +248,9 @@ TEST(FlagsTest, DbbenchCrossFlagRulesNameTheFlags) {
       {{"--zipf_theta=0.5", "--hotspot=0.1:0.9"}, "--zipf_theta"},
       {{"--arrival=spike"}, "--arrival=spike"},
       {{"--ttl_frac=0.1"}, "--ttl_frac"},
+      {{"--workload=mixed", "--arrival_rate=500"}, "--arrival_rate"},
+      {{"--workload=mixed", "--ttl_s=3"}, "--ttl_s"},
+      {{"--deadline_us=250"}, "--deadline_us"},
   };
   for (const auto& [flags, name] : bad) {
     EXPECT_NE(DbbenchConfigError(ParseDbbench(flags)).find(name),
@@ -421,7 +424,7 @@ TEST(RunBenchmarkTest, KvaccelFillrandomReplaysItsPinnedReport) {
   RunResult r = RunBenchmark(c);
   EXPECT_GT(r.kv.redirected_writes, 0u);
   EXPECT_GT(r.kv.rollbacks, 0u);
-  EXPECT_EQ(Fnv1a(JsonReportString(c, {r})), 0xa3af8e829383cff1ull)
+  EXPECT_EQ(Fnv1a(JsonReportString(c, {r})), 0x30b138334d875c45ull)
       << "the KVACCEL fillrandom report changed";
 }
 

@@ -101,19 +101,19 @@ TEST(NemesisTest, EveryTopologyReplaysItsPinnedSchedule) {
       {"shards=4", 1317456661, 12, [](NemesisOptions* o) { o->shards = 4; },
        0xd2b72839153fca99},
       {"ha sync", 50, 12, [](NemesisOptions* o) { o->ha = true; },
-       0x2641365cd5056553},
+       0x2a0e3063a41154cc},
       {"ha async", 99, 6,
        [](NemesisOptions* o) {
          o->ha = true;
          o->repl_ack = 1;
        },
-       0x92f8631a430f0d13},
+       0x2c6ec74c321e075a},
       {"partition delta", 24301, 8,
        [](NemesisOptions* o) {
          o->ha = true;
          o->net_partition = true;
        },
-       0x4c6152e60c776356},
+       0x5221158cc25636f7},
   };
   for (const Pinned& p : kPinned) {
     NemesisOptions opt;

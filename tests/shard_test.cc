@@ -58,30 +58,12 @@ core::KvaccelOptions SmallKvOptions() {
   return o;
 }
 
-Status OpenSharded(ShardWorld* world, int n, core::ShardPartition partition,
+Status OpenSharded(ShardWorld* world, int n,
                    std::unique_ptr<core::ShardedKvaccelDB>* db) {
   core::ShardingOptions sharding;
   sharding.num_shards = n;
-  sharding.partition = partition;
   return core::ShardedKvaccelDB::Open(test::SmallDbOptions(), SmallKvOptions(),
                                       sharding, world->MakeShardEnv(), db);
-}
-
-// Smallest 64-bit range point owned by shard i under the multiply-shift
-// split: the first v with (v * n) >> 64 == i.
-uint64_t ShardLowerBound(int i, int n) {
-  unsigned __int128 num =
-      (static_cast<unsigned __int128>(i) << 64) + static_cast<unsigned>(n) - 1;
-  return static_cast<uint64_t>(num / static_cast<unsigned>(n));
-}
-
-// 8-byte big-endian key encoding exactly the range point v.
-std::string RangeKey(uint64_t v) {
-  std::string k(8, '\0');
-  for (int b = 0; b < 8; b++) {
-    k[b] = static_cast<char>((v >> (56 - 8 * b)) & 0xff);
-  }
-  return k;
 }
 
 // Every key routed through the hash partition lands in exactly one shard:
@@ -90,7 +72,7 @@ TEST(ShardRoutingTest, HashKeyLandsInExactlyOneShard) {
   ShardWorld world(4);
   world.Run([&] {
     std::unique_ptr<core::ShardedKvaccelDB> db;
-    ASSERT_TRUE(OpenSharded(&world, 4, core::ShardPartition::kHash, &db).ok());
+    ASSERT_TRUE(OpenSharded(&world, 4, &db).ok());
     for (int i = 0; i < 200; i++) {
       ASSERT_TRUE(
           db->Put({}, TestKey(i), Value::Synthetic(i, 512)).ok());
@@ -121,55 +103,6 @@ TEST(ShardRoutingTest, HashKeyLandsInExactlyOneShard) {
   });
 }
 
-// Range partition: ShardOf is monotone in key order, and the exact boundary
-// keys of each slice belong to exactly one shard (the upper one).
-TEST(ShardRoutingTest, RangeBoundaryKeysBelongToExactlyOneShard) {
-  const int n = 4;
-  ShardWorld world(n);
-  world.Run([&] {
-    std::unique_ptr<core::ShardedKvaccelDB> db;
-    ASSERT_TRUE(
-        OpenSharded(&world, n, core::ShardPartition::kRange, &db).ok());
-
-    for (int i = 1; i < n; i++) {
-      uint64_t lo = ShardLowerBound(i, n);
-      EXPECT_EQ(db->ShardOf(RangeKey(lo)), i) << "boundary of shard " << i;
-      EXPECT_EQ(db->ShardOf(RangeKey(lo - 1)), i - 1)
-          << "predecessor of shard " << i << "'s boundary";
-    }
-    EXPECT_EQ(db->ShardOf(RangeKey(0)), 0);
-    EXPECT_EQ(db->ShardOf(RangeKey(~0ull)), n - 1);
-
-    // Physically store boundary±1 keys; each must be readable from its own
-    // shard only.
-    std::vector<std::string> keys;
-    keys.push_back(RangeKey(0));
-    for (int i = 1; i < n; i++) {
-      uint64_t lo = ShardLowerBound(i, n);
-      keys.push_back(RangeKey(lo - 1));
-      keys.push_back(RangeKey(lo));
-    }
-    keys.push_back(RangeKey(~0ull));
-    int prev_owner = 0;
-    for (size_t k = 0; k < keys.size(); k++) {
-      ASSERT_TRUE(db->Put({}, keys[k], Value::Synthetic(k, 256)).ok());
-      int owner = db->ShardOf(keys[k]);
-      EXPECT_GE(owner, prev_owner) << "range routing not monotone";
-      prev_owner = owner;
-      int holders = 0;
-      for (int s = 0; s < n; s++) {
-        Value v;
-        if (db->shard(s)->Get({}, keys[k], &v).ok()) {
-          holders++;
-          EXPECT_EQ(s, owner);
-        }
-      }
-      EXPECT_EQ(holders, 1) << "boundary key held by " << holders << " shards";
-    }
-    ASSERT_TRUE(db->Close().ok());
-  });
-}
-
 // Cross-shard NewIterator: the K-way merge walks the union of all shards in
 // strict global key order, with deletes honored — checked against a model
 // map (hash partition, so adjacent keys interleave across shards).
@@ -177,7 +110,7 @@ TEST(ShardRoutingTest, CrossShardIteratorMatchesGlobalKeyOrder) {
   ShardWorld world(4);
   world.Run([&] {
     std::unique_ptr<core::ShardedKvaccelDB> db;
-    ASSERT_TRUE(OpenSharded(&world, 4, core::ShardPartition::kHash, &db).ok());
+    ASSERT_TRUE(OpenSharded(&world, 4, &db).ok());
     std::map<std::string, uint64_t> model;
     for (int i = 0; i < 300; i++) {
       std::string key = TestKey(i);

@@ -814,8 +814,7 @@ TEST(FaultRegistryTest, KnownFaultSitesListsEverySubsystem) {
         "crash.redirect.mid", "crash.net.send.mid", "simfs.powercut.torn",
         "ndp.compact.transient", "crash.ndp.merge.mid",
         "crash.ndp.submerge.mid", "crash.ndp.result.pre", "net.partition.sym",
-        "net.partition.tx", "net.partition.ack", "net.delay", "net.dup",
-        "net.reorder"}) {
+        "net.partition.ack", "net.delay", "net.dup", "net.reorder"}) {
     EXPECT_TRUE(names.count(expected)) << expected << " not registered";
   }
 }

@@ -27,7 +27,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #              and transient COMPACT rejections mixed in.
 #   ha-sync    two-node HA, both ack modes: each cycle kills the pair at a
 #   ha-async   kill site drawn from the HA crash table (the single-node sites
-#              plus crash.net.send.mid; seed 606's 12 sync cycles arm all
+#              plus crash.net.send.mid; seed 191's 12 sync cycles arm all
 #              ten), promotes the backup and holds it to the oracle — sync
 #              must serve every acked write, async loss must stay under the
 #              queue-cap bound.
@@ -40,7 +40,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 NEMESIS_SMOKES=(
   "single|--cycles=30 --nemesis_seed=1317456661"
   "ndp|--ndp --cycles=12 --nemesis_seed=7"
-  "ha-sync|--ha --cycles=12 --nemesis_seed=606"
+  "ha-sync|--ha --cycles=12 --nemesis_seed=191"
   "ha-async|--ha --repl_ack=async --cycles=6 --nemesis_seed=99"
   "partition-delta|--ha --net_partition --cycles=8 --nemesis_seed=24301"
 )
@@ -125,7 +125,7 @@ run_pass() {
   # online scrubber) — deterministic in both builds, all seeds pinned.
   echo "==== ${name}: ctest -L check ===="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L check
-  # Shard suite, explicitly: routing invariants (boundary keys in exactly one
+  # Shard suite, explicitly: routing invariants (each key in exactly one
   # shard), cross-shard iterator order, per-shard crash recovery, the fleet
   # stats roll-up, arbiter fairness, sharded report determinism and the
   # sharded nemesis smoke.
