@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -215,6 +216,12 @@ class Nemesis {
   // Site table drawn alongside kCrashSites, and the transient fault sites
   // (with probabilities) armed together on transient cycles.
   std::span<const CrashSite> extra_sites_;
+  // HA schedules: the HA kill sites that have not killed the pair yet, in
+  // a per-seed order. Each cycle arms the front one; a site that kills the
+  // pair leaves the queue, one that does not goes to the back (it may need
+  // state the pair has not reached yet, like a first compaction). Once the
+  // queue is empty, cycles draw their site.
+  std::deque<const CrashSite*> ha_unfired_;
   std::vector<std::pair<const char*, double>> transients_;
   lsm::DbOptions db_opts_ = NemesisDbOptions();
   core::KvaccelOptions kv_opts_ = NemesisKvOptions();
@@ -347,18 +354,35 @@ std::vector<KeyVersion>* Nemesis::ChainOf(const std::string& key) {
 }
 
 // Per cycle the schedule draws, in order: the kill site (NDP schedules
-// first rotate through every offload site without a draw), its nth hit,
-// the dual site's nth (sharded cycles that arm the rollback site), and the
-// transient coin.
+// first rotate through every offload site without a draw; HA schedules
+// first take the sites of ha_unfired_, shuffled in cycle 0, so any seed
+// kills the pair at each of the ten and seeds differ in which come first),
+// its nth hit, the dual site's nth (sharded cycles that arm the rollback
+// site), and the transient coin.
 void Nemesis::CrashCycle(lsm::Store* db, int cycle,
                          const RollbackOp& rollback) {
+  const uint64_t num_sites = kNumCrashSites + extra_sites_.size();
+  auto site_at = [this](uint64_t i) {
+    return i < kNumCrashSites ? &kCrashSites[i]
+                              : &extra_sites_[i - kNumCrashSites];
+  };
+  if (opt_.ha && cycle == 0) {
+    // Fisher-Yates on the schedule's own stream (std::shuffle's algorithm
+    // differs between standard libraries, and digests must not).
+    for (uint64_t i = 0; i < num_sites; i++) ha_unfired_.push_back(site_at(i));
+    for (size_t i = ha_unfired_.size(); i > 1; i--) {
+      std::swap(ha_unfired_[i - 1], ha_unfired_[rng_.Uniform(i)]);
+    }
+  }
+  const bool ha_queue = opt_.ha && !ha_unfired_.empty();
   const CrashSite* site;
   if (opt_.ndp && static_cast<size_t>(cycle) < extra_sites_.size()) {
     site = &extra_sites_[static_cast<size_t>(cycle)];
+  } else if (ha_queue) {
+    site = ha_unfired_.front();
+    ha_unfired_.pop_front();
   } else {
-    uint64_t pick = rng_.Uniform(kNumCrashSites + extra_sites_.size());
-    site = pick < kNumCrashSites ? &kCrashSites[pick]
-                                 : &extra_sites_[pick - kNumCrashSites];
+    site = site_at(rng_.Uniform(num_sites));
   }
   sim::FaultRule rule;
   rule.nth_hit = 1 + rng_.Uniform(site->max_nth);
@@ -403,6 +427,7 @@ void Nemesis::CrashCycle(lsm::Store* db, int cycle,
   }
   if (!result_.ok) return;
   if (crashed) result_.crashes++;
+  if (ha_queue && !crashed) ha_unfired_.push_back(site);
   trace_ << (crashed ? "crash" : "clean") << " cycle=" << cycle << "\n";
 }
 

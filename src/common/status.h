@@ -23,6 +23,7 @@ class Status {
     kTryAgain,
     kAborted,
     kNoSpace,
+    kIncomplete,
   };
 
   Status() = default;
@@ -55,6 +56,9 @@ class Status {
   static Status NoSpace(std::string_view msg = {}) {
     return Status(Code::kNoSpace, msg);
   }
+  static Status Incomplete(std::string_view msg = {}) {
+    return Status(Code::kIncomplete, msg);
+  }
 
   bool ok() const { return code_ == Code::kOk; }
   bool IsNotFound() const { return code_ == Code::kNotFound; }
@@ -66,8 +70,9 @@ class Status {
   bool IsTryAgain() const { return code_ == Code::kTryAgain; }
   bool IsAborted() const { return code_ == Code::kAborted; }
   bool IsNoSpace() const { return code_ == Code::kNoSpace; }
-  // Device errors worth retrying; Corruption, NoSpace and InvalidArgument
-  // are not.
+  bool IsIncomplete() const { return code_ == Code::kIncomplete; }
+  // Device errors worth retrying; Corruption, NoSpace, InvalidArgument and
+  // Incomplete are not.
   bool IsTransient() const { return IsIOError() || IsBusy() || IsTryAgain(); }
 
   Code code() const { return code_; }
@@ -101,6 +106,7 @@ class Status {
       case Code::kTryAgain: return "TryAgain";
       case Code::kAborted: return "Aborted";
       case Code::kNoSpace: return "NoSpace";
+      case Code::kIncomplete: return "Incomplete";
     }
     return "Unknown";
   }

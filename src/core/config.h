@@ -135,6 +135,9 @@ struct KvaccelStats {
   // took the host path instead) and time queued on the bandwidth arbiter.
   uint64_t redirect_admission_rejects = 0;
   uint64_t redirect_arbiter_wait_ns = 0;
+  // Batches the Main-LSM refused at a stop trigger (between Detector polls)
+  // and the Dev-LSM took instead (DESIGN.md §29).
+  uint64_t stall_escapes = 0;
   uint64_t dev_reads = 0;           // Gets answered by Dev-LSM
   uint64_t main_reads = 0;
   uint64_t rollbacks = 0;
@@ -160,6 +163,7 @@ struct KvaccelStats {
        &KvaccelStats::redirect_admission_rejects},
       {"kvaccel.redirect.arbiter_wait_ns",
        &KvaccelStats::redirect_arbiter_wait_ns},
+      {"kvaccel.redirect.stall_escapes", &KvaccelStats::stall_escapes},
       {"kvaccel.read.dev", &KvaccelStats::dev_reads},
       {"kvaccel.read.main", &KvaccelStats::main_reads},
       {"kvaccel.rollback.count", &KvaccelStats::rollbacks},

@@ -158,15 +158,6 @@ Status KvaccelDB::Close() {
 
 // ---------------- Controller: write path (paper §V-C) ----------------
 
-bool KvaccelDB::ShouldRedirect() const {
-  // Redirection stays available during rollback: the snapshot-bounded reset
-  // (DevLsm::ResetUpTo) keeps concurrently redirected pairs safe. A device
-  // latched unhealthy by the circuit breaker is skipped until its half-open
-  // probe time.
-  return options_.redirection_enabled && detector_->stall_detected() &&
-         detector_->device_healthy(env_->Now());
-}
-
 Status KvaccelDB::DevPutWithRetry(const std::vector<VersionedEntry>& entries) {
   Status s = sim::RetryTransient(
       env_, &dev_retry_rng_, kDevRetry, [] { return false; },
@@ -192,84 +183,126 @@ void KvaccelDB::DropSupersededRecords(const lsm::WriteBatch& batch,
   });
 }
 
+bool KvaccelDB::AdmitRedirect(const lsm::WriteBatch& batch) {
+  if (!options_.redirect_admission ||
+      options_.redirect_admission(batch.LogicalSize())) {
+    return true;
+  }
+  // Sharded engine: this shard's slice of the Dev-LSM capacity budget is
+  // exhausted — compete fairly by falling back to the host path.
+  kv_stats_.redirect_admission_rejects++;
+  return false;
+}
+
+Status KvaccelDB::WriteMain(const lsm::WriteOptions& wopts,
+                            lsm::WriteBatch* batch) {
+  Status s = main_->Write(wopts, batch);
+  if (s.IsIncomplete()) return s;  // refused before anything was written
+  kv_stats_.direct_writes += batch->Count();
+  // Path (3-1): overlapping pairs in Dev-LSM are now stale.
+  if (s.ok()) DropSupersededRecords(*batch, /*drop=*/!dev_->Empty());
+  return s;
+}
+
+Status KvaccelDB::Redirect(const lsm::WriteOptions& wopts,
+                           lsm::WriteBatch* batch, bool escape) {
+  // Stall path: serve the whole batch from the key-value interface as one
+  // compound command. Pairs land on the device first; only then do the
+  // metadata records flip, so a concurrent reader never chases a record to
+  // a not-yet-written pair. The batch is versioned from the Main-LSM
+  // sequence space so crash recovery can order it against host-side data.
+  const uint32_t count = batch->Count();
+  lsm::SequenceNumber seq = main_->AllocateSequence(count);
+  std::vector<VersionedEntry> entries;
+  entries.reserve(count);
+  lsm::SequenceNumber next = seq;
+  Status s = batch->ForEach(
+      [&](lsm::ValueType type, const Slice& key, const Value& value) {
+        entries.push_back({key.ToString(), value,
+                           type == lsm::ValueType::kDeletion, next++});
+      });
+  md_->BeginRedirect(entries);
+  if (s.ok() && options_.redirect_arbiter) {
+    // Reserve the redirect DMA's bandwidth on the shared-device arbiter
+    // before issuing the command, so a compaction-heavy neighbor shard
+    // cannot monopolize the link ahead of this stalled shard's escape path.
+    kv_stats_.redirect_arbiter_wait_ns += static_cast<uint64_t>(
+        options_.redirect_arbiter(batch->LogicalSize()));
+  }
+  if (s.ok()) {
+    Nanos dev_start = env_->Now();
+    // An HA primary ships the Dev-LSM intent to its backup BEFORE the
+    // device put: an acked redirected write must be reconstructible on
+    // failover even though this node's device KV region is gone, and a
+    // failed ship must leave no version on this device that reads or a
+    // trusted rollback would serve.
+    if (options_.redirect_shipper) s = options_.redirect_shipper(entries);
+    if (s.ok()) s = DevPutWithRetry(entries);
+    // Kill point: crash after the compound command landed on the device
+    // but before the metadata records flip. The pairs are durable
+    // device-side with their host sequence numbers, so reopen's
+    // metadata-less drain recovers them — the window this site exists to
+    // prove (single-authority invariant across the flip).
+    if (s.ok() && sim::FaultAt(env_, "crash.redirect.mid")) {
+      s = Status::IOError("simulated crash");
+    }
+    if (s.ok()) {
+      kv_stats_.redirect_batch_latency.Add(env_->Now() - dev_start);
+      std::vector<std::pair<std::string, uint64_t>> recs;
+      recs.reserve(entries.size());
+      for (const auto& e : entries) recs.emplace_back(e.key, e.seq);
+      md_->InsertBatch(recs);
+      kv_stats_.redirected_writes += count;
+      kv_stats_.redirected_batches++;
+      if (escape) {
+        kv_stats_.stall_escapes++;
+        if (obs::Tracer* tracer = env_->tracer()) {
+          tracer->Instant(tracer->RegisterTrack("kvaccel"), "stall.escape");
+        }
+      }
+    }
+  }
+  md_->EndRedirect(entries);
+  if (!s.ok()) {
+    // Device full/unavailable: fall back to the normal (stalling) path.
+    // Counted as fallback so a dead device shows up in bench reports.
+    s = main_->Write(wopts, batch);
+    if (s.ok()) DropSupersededRecords(*batch, /*drop=*/true);
+    kv_stats_.direct_writes += count;
+    kv_stats_.fallback_writes += count;
+  }
+  return s;
+}
+
 Status KvaccelDB::Write(const lsm::WriteOptions& wopts,
                         lsm::WriteBatch* batch) {
   const uint32_t count = batch->Count();
   if (count == 0) return Status::OK();
   Nanos start = env_->Now();
+  // The Controller alone decides which writes may wait in a Main-LSM stall.
+  lsm::WriteOptions wait = wopts;
+  wait.no_slowdown = false;
   Status s;
-  bool redirect = ShouldRedirect();
-  if (redirect && options_.redirect_admission &&
-      !options_.redirect_admission(batch->LogicalSize())) {
-    // Sharded engine: this shard's slice of the Dev-LSM capacity budget is
-    // exhausted — compete fairly by falling back to the host path.
-    kv_stats_.redirect_admission_rejects++;
-    redirect = false;
-  }
-  if (redirect) {
-    // Stall path: serve the whole batch from the key-value interface as one
-    // compound command. Pairs land on the device first; only then do the
-    // metadata records flip, so a concurrent reader never chases a record to
-    // a not-yet-written pair. The batch is versioned from the Main-LSM
-    // sequence space so crash recovery can order it against host-side data.
-    lsm::SequenceNumber seq = main_->AllocateSequence(count);
-    std::vector<VersionedEntry> entries;
-    entries.reserve(count);
-    lsm::SequenceNumber next = seq;
-    s = batch->ForEach(
-        [&](lsm::ValueType type, const Slice& key, const Value& value) {
-          entries.push_back({key.ToString(), value,
-                             type == lsm::ValueType::kDeletion, next++});
-        });
-    md_->BeginRedirect(entries);
-    if (s.ok() && options_.redirect_arbiter) {
-      // Reserve the redirect DMA's bandwidth on the shared-device arbiter
-      // before issuing the command, so a compaction-heavy neighbor shard
-      // cannot monopolize the link ahead of this stalled shard's escape path.
-      kv_stats_.redirect_arbiter_wait_ns += static_cast<uint64_t>(
-          options_.redirect_arbiter(batch->LogicalSize()));
-    }
-    if (s.ok()) {
-      Nanos dev_start = env_->Now();
-      // An HA primary ships the Dev-LSM intent to its backup BEFORE the
-      // device put: an acked redirected write must be reconstructible on
-      // failover even though this node's device KV region is gone, and a
-      // failed ship must leave no version on this device that reads or a
-      // trusted rollback would serve.
-      if (options_.redirect_shipper) s = options_.redirect_shipper(entries);
-      if (s.ok()) s = DevPutWithRetry(entries);
-      // Kill point: crash after the compound command landed on the device
-      // but before the metadata records flip. The pairs are durable
-      // device-side with their host sequence numbers, so reopen's
-      // metadata-less drain recovers them — the window this site exists to
-      // prove (single-authority invariant across the flip).
-      if (s.ok() && sim::FaultAt(env_, "crash.redirect.mid")) {
-        s = Status::IOError("simulated crash");
-      }
-      if (s.ok()) {
-        kv_stats_.redirect_batch_latency.Add(env_->Now() - dev_start);
-        std::vector<std::pair<std::string, uint64_t>> recs;
-        recs.reserve(entries.size());
-        for (const auto& e : entries) recs.emplace_back(e.key, e.seq);
-        md_->InsertBatch(recs);
-        kv_stats_.redirected_writes += count;
-        kv_stats_.redirected_batches++;
-      }
-    }
-    md_->EndRedirect(entries);
-    if (!s.ok()) {
-      // Device full/unavailable: fall back to the normal (stalling) path.
-      // Counted as fallback so a dead device shows up in bench reports.
-      s = main_->Write(wopts, batch);
-      if (s.ok()) DropSupersededRecords(*batch, /*drop=*/true);
-      kv_stats_.direct_writes += count;
-      kv_stats_.fallback_writes += count;
-    }
+  // Redirection stays available during rollback: the snapshot-bounded reset
+  // (DevLsm::ResetUpTo) keeps concurrently redirected pairs safe. A device
+  // latched unhealthy by the circuit breaker is skipped until its half-open
+  // probe time.
+  if (!options_.redirection_enabled || !detector_->device_healthy(start)) {
+    s = WriteMain(wait, batch);
   } else {
-    s = main_->Write(wopts, batch);
-    kv_stats_.direct_writes += count;
-    // Path (3-1): overlapping pairs in Dev-LSM are now stale.
-    if (s.ok()) DropSupersededRecords(*batch, /*drop=*/!dev_->Empty());
+    // The Detector's flag lags the stop triggers by up to one poll, so until
+    // it rises the Main-LSM is asked not to wait: a write it would hold at a
+    // stop trigger escapes to the device instead (DESIGN.md §29).
+    const bool escape = !detector_->stall_detected();
+    if (escape) {
+      lsm::WriteOptions no_wait = wopts;
+      no_wait.no_slowdown = true;
+      s = WriteMain(no_wait, batch);
+    }
+    if (!escape || s.IsIncomplete()) {
+      s = AdmitRedirect(*batch) ? Redirect(wait, batch, escape)
+                                : WriteMain(wait, batch);
+    }
   }
   Nanos now = env_->Now();
   agg_stats_.writes_total += count;

@@ -9,7 +9,9 @@
 //
 // Unlike the baselines, KVACCEL's Main-LSM runs with the slowdown mechanism
 // OFF (paper §VI-B: "KVACCEL does not employ any slowdown mechanisms"):
-// imminent stalls redirect writes to the device instead of throttling them.
+// imminent stalls redirect writes to the device instead of throttling them,
+// and a write the Main-LSM would hold at a stop trigger between two
+// Detector polls escapes to the device too (DESIGN.md §29).
 #pragma once
 
 #include <memory>
@@ -80,7 +82,17 @@ class KvaccelDB : public lsm::Store {
  private:
   KvaccelDB(const KvaccelOptions& kv_options, const lsm::DbEnv& env);
 
-  bool ShouldRedirect() const;
+  // Asks the sharded engine's capacity budget (if any) for a redirect of
+  // `batch`; a refusal is counted and the batch takes the host path.
+  bool AdmitRedirect(const lsm::WriteBatch& batch);
+  // Main-LSM write plus the direct path's bookkeeping. An Incomplete (a
+  // no_slowdown write the Main-LSM refused) wrote and records nothing.
+  Status WriteMain(const lsm::WriteOptions& wopts, lsm::WriteBatch* batch);
+  // Serves `batch` from the Dev-LSM as one compound command, falling back
+  // to a waiting Main-LSM write with `wopts` if the device fails it.
+  // `escape` marks a batch the Main-LSM refused at a stop trigger.
+  Status Redirect(const lsm::WriteOptions& wopts, lsm::WriteBatch* batch,
+                  bool escape);
   // Dev-LSM compound put with transient-error retries; on budget exhaustion
   // latches the device unhealthy via the Detector and returns the error so
   // the caller falls back to the host path.

@@ -239,7 +239,7 @@ Status DbImpl::Write(const WriteOptions& wopts, WriteBatch* batch) {
   }
 
   // Leader: gate once for the group, merge followers, commit once.
-  Status s = MakeRoomForWrite(batch->LogicalSize());
+  Status s = MakeRoomForWrite(batch->LogicalSize(), wopts.no_slowdown);
   Writer* last_writer = &w;
   if (s.ok()) {
     WriteBatch* group = BuildBatchGroup(&last_writer);
@@ -320,7 +320,7 @@ Status DbImpl::Write(const WriteOptions& wopts, WriteBatch* batch) {
       ready->status = s;
       ready->done = true;
       ready->cv.NotifyOne();
-    } else {
+    } else if (!s.IsIncomplete()) {  // a refused write wrote nothing
       stats_.writes_total += batch->Count();
       stats_.write_bytes_total += batch->LogicalSize();
       stats_.writes_completed.Add(now, batch->Count());
@@ -350,6 +350,9 @@ WriteBatch* DbImpl::BuildBatchGroup(Writer** last_writer) {
     // Never fold a sync write into a non-sync group (its durability demand
     // would be silently dropped).
     if (wr->wopts.sync && !first->wopts.sync) break;
+    // Nor a no_slowdown write into a group whose leader may have waited for
+    // room; like RocksDB's write thread, group only equal no_slowdown.
+    if (wr->wopts.no_slowdown != first->wopts.no_slowdown) break;
     // Replicated batches carry a fixed sequence range; never coalesce them
     // with anything (their range is not contiguous with a fresh allocation).
     if (first->wopts.replicated_seq != 0 || wr->wopts.replicated_seq != 0) {
@@ -414,7 +417,7 @@ Status DbImpl::SwitchMemtableLocked() {
   return Status::OK();
 }
 
-Status DbImpl::MakeRoomForWrite(uint64_t batch_logical) {
+Status DbImpl::MakeRoomForWrite(uint64_t batch_logical, bool no_slowdown) {
   bool delayed_once = false;
   for (;;) {
     if (shutting_down_) return Status::Aborted("db closing");
@@ -427,6 +430,7 @@ Status DbImpl::MakeRoomForWrite(uint64_t batch_logical) {
     // delayed_write_rate while any slowdown trigger holds (once per write).
     if (!stop && !delayed_once && options_.enable_slowdown &&
         SlowdownConditionLocked()) {
+      if (no_slowdown) return Status::Incomplete("write slowdown");
       delayed_once = true;
       stats_.slowdown_events++;
       if (!in_slowdown_region_) {
@@ -467,6 +471,7 @@ Status DbImpl::MakeRoomForWrite(uint64_t batch_logical) {
     }
 
     if (stop) {
+      if (no_slowdown) return Status::Incomplete(reason);
       // Full write stall (paper events 2/3).
       stats_.stall_events++;
       stats_.stall_regions.Begin(env_->Now());

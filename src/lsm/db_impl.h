@@ -80,7 +80,9 @@ class DbImpl : public DB {
   };
 
   // --- Write-path gating (mu_ held; may release while sleeping/waiting) ---
-  Status MakeRoomForWrite(uint64_t batch_logical);
+  // With `no_slowdown`, returns Incomplete where it would sleep in a
+  // slowdown or wait at a stop trigger; the memtable backlog still waits.
+  Status MakeRoomForWrite(uint64_t batch_logical, bool no_slowdown);
   // mu_ held. Merges queued followers behind the leader (writers_.front())
   // into one batch, bounded by kMaxGroupCommitBytes and compatible write
   // options. Returns the batch to commit (the leader's own, or

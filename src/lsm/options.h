@@ -163,6 +163,13 @@ struct WriteOptions {
   // past the batch if needed) instead of allocating fresh sequences, is never
   // coalesced with other writers, and is not re-shipped. 0 = normal write.
   uint64_t replicated_seq = 0;
+  // RocksDB's no_slowdown, for the long waits: where the write would sleep
+  // in a slowdown or wait at a stop trigger (L0 files, pending compaction
+  // bytes), it returns Status::Incomplete instead, before any sequence is
+  // allocated, WAL byte appended or group shipped. Unlike RocksDB's, a write
+  // at the memtable backlog still waits for its flush (DESIGN.md §29).
+  // Never coalesced with a writer whose no_slowdown differs.
+  bool no_slowdown = false;
 };
 
 }  // namespace kvaccel::lsm

@@ -17,11 +17,17 @@
 // bookkeeping without a core assignment; concurrent charges may overlap one
 // another, so they are accumulated additively in fine (10 ms) prorated
 // buckets rather than as intervals (utilization is clamped to 1).
+//
+// A pool built without history (keep_history = false) keeps only the busy
+// total: a pool read through busy_seconds() alone, like the SSD firmware
+// core, then holds no per-interval memory. A window query on it aborts.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -34,10 +40,10 @@ namespace kvaccel::sim {
 class CpuPool {
  public:
   CpuPool(SimEnv* env, std::string name, int cores,
-          double speed_factor = 1.0)
+          double speed_factor = 1.0, bool keep_history = true)
       : env_(env), name_(std::move(name)),
-        speed_factor_(speed_factor), core_free_ns_(cores, 0.0),
-        core_busy_(static_cast<size_t>(cores)) {
+        speed_factor_(speed_factor), keep_history_(keep_history),
+        core_free_ns_(cores, 0.0), core_busy_(static_cast<size_t>(cores)) {
     assert(cores > 0);
     assert(speed_factor > 0);
   }
@@ -53,7 +59,7 @@ class CpuPool {
     double end = start + scaled;
     core_free_ns_[core] = end;
     busy_ns_ += scaled;
-    AppendInterval(&core_busy_[core], start, end);
+    if (keep_history_) AppendInterval(&core_busy_[core], start, end);
     env_->SleepUntil(static_cast<Nanos>(end + 0.999));
     return env_->Now();
   }
@@ -66,6 +72,7 @@ class CpuPool {
     if (work_ns <= 0) return;
     double scaled = work_ns / speed_factor_;
     busy_ns_ += scaled;
+    if (!keep_history_) return;
     Nanos now = env_->Now();
     charge_series_.AddRange(now, now + static_cast<Nanos>(scaled + 0.5),
                             scaled);
@@ -78,12 +85,14 @@ class CpuPool {
   // Exact busy nanoseconds core `core` spent on Consume work inside
   // [start, end) — interval-clipped, not bucketed.
   double CoreBusyBetween(int core, Nanos start, Nanos end) const {
+    RequireHistory();
     return OverlapSum(core_busy_[static_cast<size_t>(core)],
                       static_cast<double>(start), static_cast<double>(end));
   }
 
   // Exact utilisation of one core in [0, 1] over [start, end).
   double CoreUtilizationBetween(int core, Nanos start, Nanos end) const {
+    RequireHistory();
     if (end <= start) return 0.0;
     return CoreBusyBetween(core, start, end) /
            static_cast<double>(end - start);
@@ -93,6 +102,7 @@ class CpuPool {
   // busy intervals plus Charge() costs, over the window's capacity. Clamped
   // only because concurrent Charges may overlap one another.
   double UtilizationBetween(Nanos start, Nanos end) const {
+    RequireHistory();
     if (end <= start) return 0.0;
     double busy = charge_series_.ProratedSumBetween(start, end);
     for (const auto& core : core_busy_) {
@@ -146,6 +156,15 @@ class CpuPool {
     return sum;
   }
 
+  // A pool without history would answer every window with 0; stop instead,
+  // in every build.
+  void RequireHistory() const {
+    if (keep_history_) return;
+    fprintf(stderr, "CpuPool %s: window query on a pool built without "
+                    "interval history\n", name_.c_str());
+    std::abort();
+  }
+
   size_t PickCore() {
     size_t best = 0;
     for (size_t i = 1; i < core_free_ns_.size(); i++) {
@@ -157,6 +176,7 @@ class CpuPool {
   SimEnv* env_;
   std::string name_;
   double speed_factor_;
+  bool keep_history_;
   std::vector<double> core_free_ns_;
   double busy_ns_ = 0;
   // Charge() costs at 10 ms resolution; read back prorated so short planner

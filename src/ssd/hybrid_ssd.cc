@@ -19,8 +19,11 @@ HybridSsd::HybridSsd(sim::SimEnv* env, const SsdConfig& config)
     tracer->AddFlusher([this] { pcie_span_.Flush(); });
   }
   nand_ = std::make_unique<NandFlash>(env, config);
+  // Only busy_seconds() is ever read from the firmware core, so it keeps no
+  // per-interval history (one interval per Dev-LSM command otherwise).
   firmware_ = std::make_unique<sim::CpuPool>(
-      env, "ssd-firmware", config.firmware_cores, config.firmware_speed);
+      env, "ssd-firmware", config.firmware_cores, config.firmware_speed,
+      /*keep_history=*/false);
 
   assert(config.num_namespaces >= 1);
   uint64_t block_pages_per_ns =

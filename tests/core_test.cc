@@ -9,6 +9,7 @@
 
 #include "common/random.h"
 #include "core/kvaccel_db.h"
+#include "obs/trace.h"
 #include "sim/fault.h"
 #include "tests/test_util.h"
 
@@ -864,6 +865,60 @@ TEST(KvaccelDbTest, NoRedirectionWhenDisabled) {
     }
     EXPECT_EQ(db->kv_stats().redirected_writes, 0u);
     EXPECT_TRUE(db->dev()->Empty());
+    ASSERT_TRUE(db->Close().ok());
+  });
+}
+
+// Between two Detector polls the published flag still says "calm", yet the
+// Main-LSM sits at its L0 stop trigger: the write escapes to the device
+// within one command round trip instead of waiting out the compaction.
+TEST(KvaccelDbTest, WriteAtStopTriggerBetweenPollsEscapesToTheDevice) {
+  SimWorld world;
+  obs::Tracer tracer(&world.env);
+  world.env.set_tracer(&tracer);
+  world.Run([&] {
+    lsm::DbOptions main_opts = test::SmallDbOptions();
+    main_opts.compaction_threads = 1;
+    main_opts.l0_compaction_trigger = 2;
+    main_opts.l0_slowdown_writes_trigger = 2;
+    main_opts.l0_stop_writes_trigger = 2;
+    std::unique_ptr<KvaccelDB> db;
+    ASSERT_TRUE(KvaccelDB::Open(main_opts, SmallKvOptions(),
+                                world.MakeDbEnv(), &db)
+                    .ok());
+    for (int i = 0; i < 2; i++) {
+      ASSERT_TRUE(db->Put({}, TestKey(i), Value::Synthetic(i, 4096)).ok());
+      ASSERT_TRUE(db->FlushAll().ok());
+    }
+    lsm::StallSignals sig = db->main()->GetStallSignals();
+    ASSERT_GE(sig.l0_files, sig.l0_stop_trigger);
+    ASSERT_FALSE(db->detector()->stall_detected());
+    const uint64_t checks = db->kv_stats().detector_checks;
+
+    lsm::WriteBatch batch;
+    batch.Put(TestKey(10), Value::Synthetic(10, 4096));
+    batch.Put(TestKey(11), Value::Synthetic(11, 4096));
+    const Nanos t0 = world.env.Now();
+    ASSERT_TRUE(db->Write({}, &batch).ok());
+    const Nanos elapsed = world.env.Now() - t0;
+    // No poll ran in between, so the flag never steered this write.
+    EXPECT_EQ(db->kv_stats().detector_checks, checks);
+    EXPECT_EQ(db->kv_stats().stall_escapes, 1u);
+    EXPECT_EQ(db->kv_stats().redirected_batches, 1u);
+    EXPECT_EQ(db->kv_stats().redirected_writes, 2u);
+    EXPECT_EQ(db->main()->stats().stall_events, 0u);
+    // One device round trip plus host CPU and metadata bookkeeping.
+    EXPECT_LE(elapsed, static_cast<Nanos>(
+                           db->kv_stats().redirect_batch_latency.Max()) +
+                           FromMicros(20));
+    EXPECT_EQ(tracer.CountEvents("stall.escape"), 1u);
+
+    for (int i = 10; i < 12; i++) {
+      Value v;
+      ASSERT_TRUE(db->Get({}, TestKey(i), &v).ok());
+      EXPECT_EQ(v.seed(), static_cast<uint64_t>(i));
+    }
+    EXPECT_EQ(db->kv_stats().dev_reads, 2u);
     ASSERT_TRUE(db->Close().ok());
   });
 }

@@ -326,6 +326,170 @@ TEST(DbTest, SlowdownReplacesHardStalls) {
   });
 }
 
+// Logical bytes in the DB's WAL files.
+uint64_t WalBytes(const fs::SimFs& fs) {
+  uint64_t total = 0;
+  for (const std::string& name : fs.GetChildren()) {
+    uint64_t size = 0;
+    if (name.size() > 4 && name.compare(name.size() - 4, 4, ".log") == 0 &&
+        fs.GetFileSize(name, &size).ok()) {
+      total += size;
+    }
+  }
+  return total;
+}
+
+// Opens a DB with two flushed L0 files, the L0->L1 compaction they trigger
+// still running, and l0_slowdown_writes_trigger = 2. Its L0 sits at the stop
+// trigger (l0_stop_writes_trigger = 2, slowdown off) or, with `slowdown`, at
+// the slowdown trigger below a stop trigger of 4.
+void OpenWithTwoL0Files(SimWorld* world, bool slowdown,
+                        std::unique_ptr<DB>* db) {
+  DbOptions opts = test::SmallDbOptions();
+  opts.enable_slowdown = slowdown;
+  opts.compaction_threads = 1;
+  opts.l0_compaction_trigger = 2;
+  opts.l0_slowdown_writes_trigger = 2;
+  opts.l0_stop_writes_trigger = slowdown ? 4 : 2;
+  ASSERT_TRUE(DB::Open(opts, world->MakeDbEnv(), db).ok());
+  for (int i = 0; i < 2; i++) {
+    ASSERT_TRUE((*db)->Put({}, TestKey(i), Value::Synthetic(i, 4096)).ok());
+    ASSERT_TRUE((*db)->FlushAll().ok());
+  }
+  StallSignals sig = (*db)->GetStallSignals();
+  ASSERT_EQ(sig.l0_files, 2);
+  ASSERT_EQ(sig.l0_files >= sig.l0_stop_trigger, !slowdown);
+}
+
+void OpenAtL0StopTrigger(SimWorld* world, std::unique_ptr<DB>* db) {
+  OpenWithTwoL0Files(world, /*slowdown=*/false, db);
+}
+
+// A no_slowdown write the Main-LSM would stall is refused before it touches
+// anything: no sequence, no WAL byte, no virtual time beyond its put CPU.
+void ExpectRefusedUntouched(SimWorld* world, DB* db, uint64_t key) {
+  WriteOptions no_wait;
+  no_wait.no_slowdown = true;
+  WriteBatch batch;
+  batch.Put(TestKey(key), Value::Synthetic(key, 4096));
+  batch.Put(TestKey(key + 1), Value::Synthetic(key + 1, 4096));
+  const SequenceNumber seq = db->LastSequence();
+  const uint64_t wal = WalBytes(*world->fs);
+  const uint64_t writes = db->stats().writes_total;
+  const Nanos t0 = world->env.Now();
+  Status s = db->Write(no_wait, &batch);
+  EXPECT_TRUE(s.IsIncomplete()) << s.ToString();
+  EXPECT_FALSE(s.IsTransient());
+  EXPECT_EQ(db->LastSequence(), seq);
+  EXPECT_EQ(WalBytes(*world->fs), wal);
+  EXPECT_EQ(db->stats().writes_total, writes);
+  EXPECT_EQ(db->stats().stall_events, 0u);
+  const double put_cpu = DbOptions{}.put_cpu_ns * batch.Count();
+  EXPECT_LE(world->env.Now() - t0, static_cast<Nanos>(put_cpu) + 1);
+}
+
+TEST(DbTest, NoSlowdownWriteAtL0StopTriggerReturnsIncomplete) {
+  SimWorld world;
+  world.Run([&] {
+    std::unique_ptr<DB> db;
+    OpenAtL0StopTrigger(&world, &db);
+    ExpectRefusedUntouched(&world, db.get(), 100);
+    // A plain write in the same state waits for the compaction.
+    const Nanos t0 = world.env.Now();
+    ASSERT_TRUE(db->Put({}, TestKey(200), Value::Synthetic(200, 4096)).ok());
+    EXPECT_EQ(db->stats().stall_events, 1u);
+    EXPECT_GT(world.env.Now() - t0, FromMicros(100));
+    ASSERT_TRUE(db->Close().ok());
+  });
+}
+
+TEST(DbTest, NoSlowdownWriteAtSlowdownTriggerReturnsIncomplete) {
+  SimWorld world;
+  world.Run([&] {
+    std::unique_ptr<DB> db;
+    OpenWithTwoL0Files(&world, /*slowdown=*/true, &db);
+    ExpectRefusedUntouched(&world, db.get(), 100);
+    EXPECT_EQ(db->stats().slowdown_events, 0u);
+    // A plain write in the same state is delayed.
+    const Nanos t0 = world.env.Now();
+    ASSERT_TRUE(db->Put({}, TestKey(200), Value::Synthetic(200, 4096)).ok());
+    EXPECT_EQ(db->stats().slowdown_events, 1u);
+    EXPECT_EQ(db->stats().stall_events, 0u);
+    EXPECT_GT(world.env.Now() - t0, FromMicros(10));
+    ASSERT_TRUE(db->Close().ok());
+  });
+}
+
+// The memtable backlog is not one of no_slowdown's waits: such a write
+// waits for the flush like a plain one (DESIGN.md §29).
+TEST(DbTest, NoSlowdownWriteAtMemtableBacklogWaitsForTheFlush) {
+  SimWorld world;
+  world.Run([&] {
+    DbOptions opts = test::SmallDbOptions();
+    opts.enable_slowdown = false;
+    opts.write_buffer_size = 32 << 10;
+    opts.max_write_buffer_number = 2;
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(opts, world.MakeDbEnv(), &db).ok());
+    // Fill memtables faster than one flush drains: puts go in until the
+    // active memtable is full behind an unflushed one.
+    WriteOptions no_wait;
+    no_wait.no_slowdown = true;
+    int i = 0;
+    for (; i < 1000; i++) {
+      StallSignals sig = db->GetStallSignals();
+      if (sig.immutable_memtables >= 1 &&
+          sig.active_memtable_bytes + 4096 > opts.write_buffer_size) {
+        break;
+      }
+      ASSERT_TRUE(db->Put(no_wait, TestKey(i), Value::Synthetic(i, 4096)).ok())
+          << i;
+    }
+    ASSERT_LT(i, 1000) << "the flush kept up with every put";
+    ASSERT_LT(db->GetStallSignals().l0_files, opts.l0_stop_writes_trigger);
+    EXPECT_EQ(db->stats().stall_events, 0u);
+    const SequenceNumber seq = db->LastSequence();
+    const Nanos t0 = world.env.Now();
+    ASSERT_TRUE(
+        db->Put(no_wait, TestKey(5000), Value::Synthetic(5000, 4096)).ok());
+    EXPECT_EQ(db->stats().stall_events, 1u);
+    EXPECT_EQ(db->LastSequence(), seq + 1);
+    EXPECT_GT(world.env.Now() - t0, FromMicros(10));
+    ASSERT_TRUE(db->Close().ok());
+  });
+}
+
+TEST(DbTest, NoSlowdownWriterIsNotFoldedIntoAWaitingLeadersGroup) {
+  SimWorld world;
+  std::unique_ptr<DB> db;
+  bool opened = false;
+  Status plain, no_wait_status = Status::Aborted("not run");
+  world.env.Spawn("leader", [&] {
+    OpenAtL0StopTrigger(&world, &db);
+    opened = true;
+    // Leads a group and waits in the stall until the compaction installs.
+    plain = db->Put({}, TestKey(100), Value::Synthetic(100, 4096));
+  });
+  world.env.Spawn("follower", [&] {
+    while (!opened || !db->GetStallSignals().stalled) {
+      world.env.SleepFor(FromMicros(1));
+    }
+    const uint64_t groups = db->stats().write_groups;
+    WriteOptions no_wait;
+    no_wait.no_slowdown = true;
+    no_wait_status = db->Put(no_wait, TestKey(101),
+                             Value::Synthetic(101, 4096));
+    // Queued behind the waiting leader, it committed in a group of its own.
+    EXPECT_EQ(db->stats().write_groups, groups + 2);
+    EXPECT_EQ(db->stats().group_commit_size.Max(), 1u);
+    EXPECT_EQ(db->stats().stall_events, 1u);
+    ASSERT_TRUE(db->Close().ok());
+  });
+  world.env.Run();
+  EXPECT_TRUE(plain.ok()) << plain.ToString();
+  EXPECT_TRUE(no_wait_status.ok()) << no_wait_status.ToString();
+}
+
 TEST(DbTest, StallSignalsReflectState) {
   SimWorld world;
   world.Run([&] {

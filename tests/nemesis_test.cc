@@ -101,13 +101,13 @@ TEST(NemesisTest, EveryTopologyReplaysItsPinnedSchedule) {
       {"shards=4", 1317456661, 12, [](NemesisOptions* o) { o->shards = 4; },
        0xd2b72839153fca99},
       {"ha sync", 50, 12, [](NemesisOptions* o) { o->ha = true; },
-       0x2a0e3063a41154cc},
+       0x94cc45bb099ee2be},
       {"ha async", 99, 6,
        [](NemesisOptions* o) {
          o->ha = true;
          o->repl_ack = 1;
        },
-       0x2c6ec74c321e075a},
+       0x06eaac3725c56b07},
       {"partition delta", 24301, 8,
        [](NemesisOptions* o) {
          o->ha = true;

@@ -32,10 +32,15 @@ struct ShardWorld {
   std::unique_ptr<ssd::HybridSsd> ssd;
   std::unique_ptr<sim::CpuPool> host_cpu;
 
-  explicit ShardWorld(int shards) {
+  explicit ShardWorld(int shards, uint64_t kv_pages = 0) {
     ssd::SsdConfig c;
     c.capacity_bytes = 2ull << 30;
     c.num_namespaces = shards;
+    if (kv_pages != 0) {  // move the disaggregation point: a tiny KV region
+      c.block_region_fraction =
+          1.0 - (static_cast<double>(kv_pages) - 0.5) /
+                    static_cast<double>(c.total_pages());
+    }
     ssd = std::make_unique<ssd::HybridSsd>(&env, c);
     host_cpu = std::make_unique<sim::CpuPool>(&env, "host", 8);
   }
@@ -284,6 +289,54 @@ TEST(ShardStatsTest, FleetRollupSumsEveryTableRow) {
     expect_rows_sum(db->AggregatePlannerStats(), [](KvaccelDB* kv) {
       return kv->offload_planner()->stats();
     });
+    ASSERT_TRUE(db->Close().ok());
+  });
+}
+
+// An escape is a redirect like any other: when the fleet's Dev-LSM budget
+// refuses it, the write waits out the Main-LSM stall instead.
+TEST(ShardAdmissionTest, RefusedEscapeWaitsInTheStall) {
+  ShardWorld world(/*shards=*/1, /*kv_pages=*/4);
+  ASSERT_EQ(world.ssd->KvCapacityPages(0), 4u);
+  world.Run([&] {
+    lsm::DbOptions main_opts = test::SmallDbOptions();
+    main_opts.compaction_threads = 1;
+    main_opts.l0_compaction_trigger = 2;
+    main_opts.l0_slowdown_writes_trigger = 2;
+    main_opts.l0_stop_writes_trigger = 2;
+    core::ShardingOptions sharding;
+    sharding.num_shards = 1;
+    std::unique_ptr<core::ShardedKvaccelDB> db;
+    ASSERT_TRUE(core::ShardedKvaccelDB::Open(main_opts, SmallKvOptions(),
+                                             sharding, world.MakeShardEnv(),
+                                             &db)
+                    .ok());
+    for (int i = 0; i < 2; i++) {
+      ASSERT_TRUE(db->Put({}, TestKey(i), Value::Synthetic(i, 4096)).ok());
+      ASSERT_TRUE(db->FlushAll().ok());
+    }
+    core::KvaccelDB* shard = db->shard(0);
+    lsm::StallSignals sig = shard->main()->GetStallSignals();
+    ASSERT_GE(sig.l0_files, sig.l0_stop_trigger);
+
+    // Four 4 KiB values outgrow the 90% of four KV pages the budget allows.
+    lsm::WriteBatch batch;
+    for (int i = 10; i < 14; i++) {
+      batch.Put(TestKey(i), Value::Synthetic(i, 4096));
+    }
+    const Nanos t0 = world.env.Now();
+    ASSERT_TRUE(db->Write({}, &batch).ok());
+    const core::KvaccelStats& ks = shard->kv_stats();
+    EXPECT_EQ(ks.redirect_admission_rejects, 1u);
+    EXPECT_EQ(ks.stall_escapes, 0u);
+    EXPECT_EQ(ks.redirected_writes, 0u);
+    EXPECT_EQ(ks.direct_writes, 6u);
+    EXPECT_EQ(shard->main()->stats().stall_events, 1u);
+    EXPECT_GT(world.env.Now() - t0, FromMicros(100));
+    EXPECT_TRUE(shard->dev()->Empty());
+    Value v;
+    ASSERT_TRUE(db->Get({}, TestKey(13), &v).ok());
+    EXPECT_EQ(v.seed(), 13u);
     ASSERT_TRUE(db->Close().ok());
   });
 }

@@ -522,6 +522,34 @@ TEST(CpuPoolTest, OverlappingJobsAccountExactlyPerCore) {
   EXPECT_NEAR(cpu.busy_seconds(), 6.0, 1e-6);
 }
 
+// A pool built without interval history (the SSD firmware core) books the
+// same busy time as a recording one, and refuses window queries loudly
+// rather than answering 0.
+TEST(CpuPoolTest, PoolWithoutHistoryKeepsTheBusyTotal) {
+  SimEnv env;
+  CpuPool recorded(&env, "recorded", 1, 0.25);
+  CpuPool bare(&env, "bare", 1, 0.25, /*keep_history=*/false);
+  for (CpuPool* pool : {&recorded, &bare}) {
+    env.Spawn("a", [&env, pool] {
+      for (int i = 0; i < 50; i++) {
+        pool->Consume(1000 + 37 * i);
+        env.SleepFor(FromMicros(3));
+      }
+    });
+    env.Spawn("b", [&env, pool] {
+      env.SleepFor(FromMicros(5));
+      pool->Consume(2e5);
+      pool->Charge(1370);
+    });
+  }
+  env.Run();
+  EXPECT_GT(recorded.busy_seconds(), 0.0);
+  EXPECT_EQ(bare.busy_seconds(), recorded.busy_seconds());
+  EXPECT_DEATH(bare.UtilizationBetween(0, FromSecs(1)), "without interval");
+  EXPECT_DEATH(bare.CoreBusyBetween(0, 0, FromSecs(1)), "without interval");
+  EXPECT_DEATH(bare.CoreUtilizationBetween(0, 0, 0), "without interval");
+}
+
 TEST(CpuPoolTest, ChargesOverlapWithoutCoalescing) {
   SimEnv env;
   CpuPool cpu(&env, "host", 2);
